@@ -64,11 +64,12 @@ SHARED_CLASSES: Set[str] = {
     "Transport",
     "PipeTransport",
     "SocketTransport",
-    # Index hot path: servers are shared when the service reuses cached
-    # engines across worker threads, their probe memo / count caches are
-    # written per probe, columnar indexes rebuild their arenas on insert,
-    # and probe-cost accounting is bumped from every server thread.
+    # Index hot path: a server is shared by Whirlpool-M's threads, its
+    # Engine-owned probe memo by every run of that engine (service workers
+    # reuse cached engines), columnar indexes rebuild their arenas on
+    # insert, and probe-cost accounting is bumped from every server thread.
     "Server",
+    "ProbeMemo",
     "ColumnarTagIndex",
     "ProbeCost",
     # Simulation layer: the installed clock is process-global — every

@@ -235,7 +235,7 @@ def default_watched_classes() -> List[type]:
     from repro.core.whirlpool_m import _InFlight
     from repro.obs.metrics import Counter, Gauge, Histogram
     from repro.obs.slowlog import SlowQueryLog
-    from repro.core.server import Server
+    from repro.core.server import ProbeMemo, Server
     from repro.obs.spans import Span
     from repro.recovery.store import JsonFileRecoveryStore, MemoryRecoveryStore
     from repro.sim.clock import VirtualClock
@@ -261,6 +261,7 @@ def default_watched_classes() -> List[type]:
         PipeTransport,
         SocketTransport,
         Server,
+        ProbeMemo,
         ColumnarTagIndex,
         ProbeCost,
         VirtualClock,

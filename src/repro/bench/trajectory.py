@@ -133,8 +133,13 @@ def build(
     obs_query: str = "Q2",
     obs_k: int = 15,
     obs_rounds: int = 5,
+    notes: Sequence[str] = (),
 ) -> Dict:
-    """Run the trajectory benches and assemble the artifact payload."""
+    """Run the trajectory benches and assemble the artifact payload.
+
+    ``notes`` are free text stored beside the records — where a PR says
+    why a record moved; :func:`compare` ignores them.
+    """
     records: List[Dict] = []
     records.extend(fig10_records(fig10_vary_k(k_values=tuple(k_values))))
     records.extend(backend_records(fig10_backend_speedup(k_values=tuple(k_values))))
@@ -152,6 +157,7 @@ def build(
             "obs_k": obs_k,
             "obs_rounds": obs_rounds,
         },
+        "notes": list(notes),
         "records": records,
     }
 
@@ -307,6 +313,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rounds", type=int, default=5, help="obs-overhead wall-time rounds"
     )
     parser.add_argument(
+        "--note",
+        action="append",
+        default=[],
+        metavar="TEXT",
+        help="free text stored in the artifact's notes (repeatable): why a "
+        "record moved in this PR",
+    )
+    parser.add_argument(
         "--compare",
         type=Path,
         default=None,
@@ -354,7 +368,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "for this machine"
         )
         return 0
-    payload = build(args.pr, k_values=k_values, obs_rounds=args.rounds)
+    payload = build(
+        args.pr, k_values=k_values, obs_rounds=args.rounds, notes=args.note
+    )
     out = args.out or Path(f"BENCH_PR{args.pr}.json")
     out.write_text(serialize(payload), encoding="utf-8")
     print(

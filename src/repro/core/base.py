@@ -16,12 +16,12 @@ implements the two steps every engine performs identically:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue, QueuePolicy
 from repro.core.router import MinAliveRouter, RoutingStrategy
-from repro.core.server import Server
+from repro.core.server import ProbeMemo, Server
 from repro.core.stats import ExecutionStats
 from repro.core.topk import TopKAnswer, TopKSet
 from repro.core.trace import EngineObserver
@@ -39,7 +39,7 @@ from repro.query.pattern import TreePattern
 from repro.recovery.codec import encode_engine_state, restore_engine_state
 from repro.recovery.policy import CheckpointPolicy
 from repro.relax.plan import compile_plan
-from repro.scoring.model import ScoreModel
+from repro.scoring.model import MatchQuality, ScoreModel
 from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
 
@@ -141,6 +141,7 @@ class EngineBase:
         retry_policy: Optional[RetryPolicy] = None,
         checkpoint_policy: Optional[CheckpointPolicy] = None,
         checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+        probe_memos: Optional[Mapping[int, ProbeMemo]] = None,
     ) -> None:
         if k <= 0:
             raise EngineError(f"k must be positive, got {k}")
@@ -169,6 +170,9 @@ class EngineBase:
         self.supervisor = Supervisor(retry_policy)
 
         self.plan = compile_plan(pattern, relaxed)
+        # ``probe_memos`` (server node id -> memo, for this join algorithm)
+        # come from the Engine facade and outlive the run; without them
+        # every server memoizes privately for the run.
         self.servers: Dict[int, Server] = {}
         for node_id in self.plan.server_ids():
             server = Server(
@@ -178,6 +182,7 @@ class EngineBase:
                 relaxed,
                 join_algorithm=join_algorithm,
                 injector=self.fault_injector,
+                probe_memo=probe_memos[node_id] if probe_memos is not None else None,
             )
             server.set_root_tag(pattern.root.tag)
             self.servers[node_id] = server
@@ -185,6 +190,17 @@ class EngineBase:
         self.server_ids: List[int] = sorted(self.servers)
         self.max_contributions: Dict[int, float] = {
             node_id: score_model.max_contribution(node_id)
+            for node_id in self.server_ids
+        }
+        #: What the size-based router reads per candidate server: node id ->
+        #: (server, exact contribution, relaxed contribution, max contribution).
+        self.routing_table: Dict[int, Tuple[Server, float, float, float]] = {
+            node_id: (
+                self.servers[node_id],
+                score_model.contribution(node_id, MatchQuality.EXACT),
+                score_model.contribution(node_id, MatchQuality.RELAXED),
+                self.max_contributions[node_id],
+            )
             for node_id in self.server_ids
         }
         threshold_source = "all" if relaxed else "complete"

@@ -10,10 +10,11 @@ Typical use::
         print(answer.score, answer.root_node)
 
 The facade owns everything derived from (database, query): the restricted
-tag index, the database statistics, the tf*idf score model.  Each
-:meth:`Engine.run` builds a fresh algorithm instance, so one Engine can be
-reused across k values, algorithms and routing strategies — which is
-precisely what the benchmark harness does.
+tag index, the database statistics, the tf*idf score model and the servers'
+probe memos.  Each :meth:`Engine.run` builds a fresh algorithm instance
+around them, so one Engine can be reused across k values, algorithms and
+routing strategies — which is precisely what the benchmark harness does —
+and a warmed Engine answers without going back to the index.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.base import EngineBase, TopKResult
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
+from repro.core.server import ProbeMemo, Server
 from repro.core.trace import EngineObserver
 from repro.core.whirlpool_m import WhirlpoolM
 from repro.core.whirlpool_s import WhirlpoolS
@@ -79,7 +81,16 @@ def fallback_chain(algorithm: str) -> Tuple[str, ...]:
 
 
 class Engine:
-    """Bound (database, query) pair ready to answer top-k requests."""
+    """Bound (database, query) pair ready to answer top-k requests.
+
+    The Engine owns the probe memos: one
+    :class:`~repro.core.server.ProbeMemo` per (server node id, join
+    algorithm), shared by every run — concurrent ones included — and
+    bounded by :data:`~repro.core.server.PROBE_MEMO_CAP` entries each.
+    Memoized probes are pure functions of (database, query), and
+    ``ExecutionStats`` charge hits and misses alike, so a warm run's
+    result equals a cold run's.
+    """
 
     def __init__(
         self,
@@ -112,6 +123,12 @@ class Engine:
                 normalization=normalization,
                 seed=seed,
             )
+        self._probe_memos: Dict[str, Dict[int, ProbeMemo]] = {
+            join_algorithm: {
+                node.node_id: ProbeMemo() for node in self.pattern.non_root_nodes()
+            }
+            for join_algorithm in Server.JOIN_ALGORITHMS
+        }
         self._path_summary: Optional["PathSummary"] = None
         # Engines are shared across service worker threads; the lazy
         # path-summary build must publish exactly one instance.
@@ -235,6 +252,8 @@ class Engine:
             retry_policy=retry_policy,
             checkpoint_policy=checkpoint_policy,
             checkpoint_sink=checkpoint_sink,
+            # An unknown join algorithm is rejected by Server below.
+            probe_memos=self._probe_memos.get(join_algorithm),
         )
         if engine_cls in (LockStep, LockStepNoPrun):
             instance: EngineBase = engine_cls(order=static_order, **kwargs)

@@ -41,14 +41,16 @@ class RoutingStrategy:
     def choose(self, match: PartialMatch, engine: "EngineBase") -> int:
         """Return the node id of the next server for ``match``.
 
-        ``engine`` exposes ``servers`` (node id → Server),
-        ``max_contributions`` (node id → float) and ``topk`` (the shared
+        ``engine`` exposes ``servers`` (node id → Server), ``server_ids``
+        (sorted), ``max_contributions`` (node id → float),
+        ``routing_table`` (node id → (server, exact contribution, relaxed
+        contribution, max contribution)) and ``topk`` (the shared
         :class:`~repro.core.topk.TopKSet`).
         """
         raise NotImplementedError
 
     def _unvisited(self, match: PartialMatch, engine: "EngineBase") -> List[int]:
-        unvisited = match.unvisited(sorted(engine.servers))
+        unvisited = match.unvisited(engine.server_ids)
         if not unvisited:
             raise EngineError(
                 f"match {match.match_id} is complete; it should not be routed"
@@ -127,9 +129,8 @@ class MinAliveRouter(RoutingStrategy):
     def choose(self, match: PartialMatch, engine: "EngineBase") -> int:
         unvisited = self._unvisited(match, engine)
         threshold = engine.topk.threshold()
-        rest_total = sum(
-            engine.max_contributions.get(node_id, 0.0) for node_id in unvisited
-        )
+        table = engine.routing_table
+        rest_total = sum(table[node_id][3] for node_id in unvisited)
 
         # Primary: fewest alive extensions.  Ties break toward the server
         # with the largest maximum contribution — among equally-sized
@@ -139,7 +140,7 @@ class MinAliveRouter(RoutingStrategy):
         best_id = unvisited[0]
         for node_id in unvisited:
             alive = self._estimated_alive(match, engine, node_id, rest_total, threshold)
-            key = (alive, -engine.max_contributions.get(node_id, 0.0), node_id)
+            key = (alive, -table[node_id][3], node_id)
             if best_key is None or key < best_key:
                 best_key = key
                 best_id = node_id
@@ -153,28 +154,20 @@ class MinAliveRouter(RoutingStrategy):
         rest_total: float,
         threshold: float,
     ) -> float:
-        server = engine.servers[node_id]
+        server, exact_contribution, relaxed_contribution, max_contribution = (
+            engine.routing_table[node_id]
+        )
         counts = server.candidate_counts(match.root_node.dewey)
-        model = engine.score_model
         # Maximum the *other* unvisited servers can still add afterwards.
-        rest = rest_total - engine.max_contributions.get(node_id, 0.0)
-
-        from repro.scoring.model import MatchQuality  # local to avoid cycle
-
-        exact_bound = (
-            match.score + model.contribution(node_id, MatchQuality.EXACT) + rest
-        )
-        relaxed_bound = (
-            match.score + model.contribution(node_id, MatchQuality.RELAXED) + rest
-        )
-        deleted_bound = match.score + rest
+        rest = rest_total - max_contribution
+        score = match.score
 
         alive = 0.0
-        if exact_bound >= threshold:
+        if score + exact_contribution + rest >= threshold:
             alive += counts.exact
-        if relaxed_bound >= threshold:
+        if score + relaxed_contribution + rest >= threshold:
             alive += counts.total - counts.exact
-        if counts.total == 0 and deleted_bound >= threshold:
+        if counts.total == 0 and score + rest >= threshold:
             alive += 1.0
         return alive
 
@@ -206,10 +199,12 @@ class EstimatedMinAliveRouter(MinAliveRouter):
         rest_total: float,
         threshold: float,
     ) -> float:
-        key = node_id
-        cached = self._cache.get(key)
+        server, exact_contribution, relaxed_contribution, max_contribution = (
+            engine.routing_table[node_id]
+        )
+        cached = self._cache.get(node_id)
         if cached is None:
-            spec = engine.servers[node_id].spec
+            spec = server.spec
             root_tag = engine.pattern.root.tag
             fanout_total = self.summary.estimate_related(
                 root_tag, spec.tag, spec.probe_axis
@@ -221,27 +216,18 @@ class EstimatedMinAliveRouter(MinAliveRouter):
                 root_tag, spec.tag, spec.probe_axis
             )
             cached = (fanout_total, fanout_exact, 1.0 - p_present)
-            self._cache[key] = cached
+            self._cache[node_id] = cached
         fanout_total, fanout_exact, p_empty = cached
 
-        from repro.scoring.model import MatchQuality  # local to avoid cycle
-
-        model = engine.score_model
-        rest = rest_total - engine.max_contributions.get(node_id, 0.0)
-        exact_bound = (
-            match.score + model.contribution(node_id, MatchQuality.EXACT) + rest
-        )
-        relaxed_bound = (
-            match.score + model.contribution(node_id, MatchQuality.RELAXED) + rest
-        )
-        deleted_bound = match.score + rest
+        rest = rest_total - max_contribution
+        score = match.score
 
         alive = 0.0
-        if exact_bound >= threshold:
+        if score + exact_contribution + rest >= threshold:
             alive += fanout_exact
-        if relaxed_bound >= threshold:
+        if score + relaxed_contribution + rest >= threshold:
             alive += max(fanout_total - fanout_exact, 0.0)
-        if deleted_bound >= threshold:
+        if score + rest >= threshold:
             alive += p_empty
         return alive
 

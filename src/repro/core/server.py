@@ -30,7 +30,7 @@ filters.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.match import PartialMatch
 from repro.core.stats import ExecutionStats
@@ -52,17 +52,52 @@ if TYPE_CHECKING:
 PROBE_MEMO_CAP = 512
 
 
-class CandidateCounts:
+class CandidateCounts(NamedTuple):
     """Exact per-root candidate counts (total and exact-quality)."""
 
-    __slots__ = ("total", "exact")
+    total: int
+    exact: int
 
-    def __init__(self, total: int, exact: int) -> None:
-        self.total = total
-        self.exact = exact
 
-    def __repr__(self) -> str:
-        return f"CandidateCounts(total={self.total}, exact={self.exact})"
+#: One memoized probe: ``(survivors, comparisons, counts)`` — the
+#: post-value-filter candidates with their precomputed exact-quality
+#: flags, the comparison count the probe charged (pre-filter), and the
+#: survivors' :class:`CandidateCounts` for the size-based router.
+ProbeEntry = Tuple[Tuple[Tuple[XMLNode, bool], ...], int, CandidateCounts]
+
+
+class ProbeMemo:
+    """Probe results of one server, by root image, under one lock.
+
+    Entries are pure functions of (database, query node, join algorithm,
+    root image), so the memo may outlive a run: :class:`~repro.core.engine.Engine`
+    keeps one per (server node id, join algorithm) and hands it to every
+    run's :class:`Server`, which is what lets warm runs, service workers
+    sharing a cached engine and budget-stepped cluster workers skip the
+    index.  Never holds more than :data:`PROBE_MEMO_CAP` entries.
+    """
+
+    __slots__ = ("_lock", "_entries")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: Dict[Dewey, ProbeEntry] = {}
+
+    def get(self, root_dewey: Dewey) -> Optional[ProbeEntry]:
+        """The memoized probe for ``root_dewey``, if any."""
+        with self._lock:
+            return self._entries.get(root_dewey)
+
+    def put(self, root_dewey: Dewey, entry: ProbeEntry) -> None:
+        """Store one probe, clearing wholesale first when at the cap."""
+        with self._lock:
+            if len(self._entries) >= PROBE_MEMO_CAP:
+                self._entries.clear()
+            self._entries[root_dewey] = entry
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class RoutingEstimates:
@@ -110,6 +145,7 @@ class Server:
         join_algorithm: str = "index",
         *,
         injector: Optional["FaultInjector"] = None,
+        probe_memo: Optional[ProbeMemo] = None,
     ) -> None:
         if join_algorithm not in self.JOIN_ALGORITHMS:
             raise ValueError(
@@ -123,19 +159,14 @@ class Server:
         self.join_algorithm = join_algorithm
         self._injector = injector
         self._root_tag: Optional[str] = None
-        # One lock covers every piece of per-server cached state: servers
-        # are shared whenever the service layer hands one cached engine to
-        # several worker threads, and Whirlpool-M probes from every server
-        # thread.  Dict reads/writes below must happen under it.
+        # Whirlpool-M probes from every server thread, so the per-run
+        # cached state below is read and written under this lock.
         self._cache_lock = threading.Lock()
         self._estimates_cache: Optional[RoutingEstimates] = None
-        self._count_cache: Dict[Dewey, CandidateCounts] = {}
-        # root image -> (survivors, probe_comparisons): the post-value-
-        # filter candidates with their precomputed exact-quality flags,
-        # plus the comparison count the probe charged (pre-filter).  Both
-        # the router's candidate_counts() and process() draw from it, so
-        # a popped match's sibling extensions pay for one probe total.
-        self._probe_memo: Dict[Dewey, Tuple[Tuple[Tuple[XMLNode, bool], ...], int]] = {}
+        # Both the router's candidate_counts() and process() draw from the
+        # memo, so a popped match's sibling extensions pay for one probe
+        # total.  Built without an Engine, a server memoizes privately.
+        self._probe_memo = probe_memo if probe_memo is not None else ProbeMemo()
         self._exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
 
     def _probe(self, root_dewey: Dewey) -> Tuple[List[XMLNode], int]:
@@ -155,22 +186,20 @@ class Server:
         ]
         return candidates, len(all_nodes)
 
-    def _probe_shared(
-        self, root_dewey: Dewey
-    ) -> Tuple[Tuple[Tuple[XMLNode, bool], ...], int]:
+    def _probe_shared(self, root_dewey: Dewey) -> ProbeEntry:
         """Memoized probe for one root image.
 
-        Returns ``(survivors, comparisons)``: the value-filtered candidates
-        paired with their exact-root-axis verdicts, and the comparison
-        count the underlying probe paid (the *pre*-filter candidate count —
-        what :meth:`process` reports to ``ExecutionStats``, so memo hits
-        and misses produce identical stats).  Entries are pure functions of
-        the root image; on a miss the probe runs outside the lock (a
-        concurrent duplicate probe is benign and both writers store equal
-        values).
+        Returns ``(survivors, comparisons, counts)``: the value-filtered
+        candidates paired with their exact-root-axis verdicts, the
+        comparison count the underlying probe paid (the *pre*-filter
+        candidate count — what :meth:`process` reports to
+        ``ExecutionStats``, so memo hits and misses produce identical
+        stats) and the survivors' counts.  Entries are pure functions of
+        the root image; on a miss the probe runs outside the memo's lock
+        (a concurrent duplicate probe is benign and both writers store
+        equal values).
         """
-        with self._cache_lock:
-            entry = self._probe_memo.get(root_dewey)
+        entry = self._probe_memo.get(root_dewey)
         if entry is not None:
             return entry
         spec = self.spec
@@ -181,11 +210,12 @@ class Server:
             for candidate in candidates
             if spec.value_matches(candidate.value)
         )
-        entry = (survivors, comparisons)
-        with self._cache_lock:
-            if len(self._probe_memo) >= PROBE_MEMO_CAP:
-                self._probe_memo.clear()
-            self._probe_memo[root_dewey] = entry
+        counts = CandidateCounts(
+            total=len(survivors),
+            exact=sum(1 for _, is_exact in survivors if is_exact),
+        )
+        entry = (survivors, comparisons, counts)
+        self._probe_memo.put(root_dewey, entry)
         return entry
 
     @property
@@ -221,7 +251,7 @@ class Server:
 
         spec = self.spec
         root_dewey = match.root_node.dewey
-        survivors, comparisons = self._probe_shared(root_dewey)
+        survivors, comparisons, _ = self._probe_shared(root_dewey)
 
         extensions: List[PartialMatch] = []
         for candidate, exact in survivors:
@@ -306,10 +336,10 @@ class Server:
             exact_total = 0
             empty = 0
             for anchor in anchors:
-                survivors, _ = self._probe_shared(anchor.dewey)
-                total += len(survivors)
-                exact_total += sum(1 for _, exact in survivors if exact)
-                if not survivors:
+                counts = self._probe_shared(anchor.dewey)[2]
+                total += counts.total
+                exact_total += counts.exact
+                if not counts.total:
                     empty += 1
             estimates = RoutingEstimates(
                 fanout_total=total / len(anchors),
@@ -330,20 +360,13 @@ class Server:
 
         This is the size-based router's per-match signal: how many
         extensions this server would spawn for a match anchored at
-        ``root_dewey``.  Cached per root image, and computed from the
-        shared probe memo — so the sizing probe and the eventual server
-        operation pay for one index probe between them (the "cost of
-        adaptivity" the paper's Figure 8 charges is the memo fill).
+        ``root_dewey``.  The counts ride in the shared probe memo's entry
+        — so sizing a server is one locked read, and the sizing probe and
+        the eventual server operation pay for one index probe between
+        them (the "cost of adaptivity" the paper's Figure 8 charges is
+        the memo fill).
         """
-        with self._cache_lock:
-            counts = self._count_cache.get(root_dewey)
-        if counts is not None:
-            return counts
-        survivors, _ = self._probe_shared(root_dewey)
-        exact = sum(1 for _, is_exact in survivors if is_exact)
-        counts = CandidateCounts(total=len(survivors), exact=exact)
-        with self._cache_lock:
-            return self._count_cache.setdefault(root_dewey, counts)
+        return self._probe_shared(root_dewey)[2]
 
     def __repr__(self) -> str:
         mode = "relaxed" if self.relaxed else "exact"

@@ -5,6 +5,10 @@ for that root has reached so far ("only one match with a given root node is
 present in the top-k set") plus the representative match that achieved it.
 The pruning threshold — the paper's ``currentTopK`` — is the k-th largest
 per-root score currently in the set (0 while fewer than k roots are known).
+Entry scores only ever rise, so ``observe`` keeps the k best of them sorted
+as it goes and ``threshold()`` / ``is_pruned()`` read a stored float; the
+sort-everything definition lives on as the oracle of
+``tests/test_topk_threshold_property.py``.
 
 Safety argument (why pruning on ``upper_bound < threshold`` never loses a
 top-k answer): scores are monotone along extension chains, so a tuple whose
@@ -24,6 +28,7 @@ Whirlpool-M's server threads can share one instance.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.match import PartialMatch
@@ -32,6 +37,9 @@ if TYPE_CHECKING:
     from repro.query.pattern import TreePattern
 from repro.xmldb.dewey import Dewey
 from repro.xmldb.model import XMLNode
+
+
+_NEG_INF = float("-inf")
 
 
 class TopKAnswer:
@@ -57,9 +65,9 @@ class _Entry:
 
     def __init__(self, root_node: XMLNode) -> None:
         self.root_node = root_node
-        self.score = float("-inf")
+        self.score = _NEG_INF
         self.match: Optional[PartialMatch] = None
-        self.complete_score = float("-inf")
+        self.complete_score = _NEG_INF
         self.complete_match: Optional[PartialMatch] = None
 
 
@@ -75,8 +83,14 @@ class TopKSet:
             )
         self.k = k
         self.threshold_source = threshold_source
+        self._complete_only = threshold_source == "complete"
         self._entries: Dict[Dewey, _Entry] = {}
         self._lock = threading.Lock()
+        # The (at most) k best threshold-relevant scores, ascending, as bare
+        # values: the threshold depends on the multiset only, so roots tied
+        # at the k-th score are interchangeable and need no identity here.
+        self._best: List[float] = []
+        self._threshold = 0.0
 
     # -- updates ---------------------------------------------------------------
 
@@ -89,46 +103,56 @@ class TopKSet:
         by :meth:`is_pruned`, not here).
         """
         key = match.root_node.dewey
+        score = match.score
+        complete_only = self._complete_only
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 entry = _Entry(match.root_node)
                 self._entries[key] = entry
-            if complete and match.score > entry.complete_score:
-                entry.complete_score = match.score
+            # What this root counted for towards the threshold before the
+            # update (-inf: nothing yet) and what it counts for after.
+            old = entry.complete_score if complete_only else entry.score
+            if complete and score > entry.complete_score:
+                entry.complete_score = score
                 entry.complete_match = match
-            better = match.score > entry.score
+            better = score > entry.score
             # On ties prefer the more-instantiated tuple: it is the more
             # informative representative for the user.
             tie_more_complete = (
                 entry.match is not None
-                and match.score == entry.score
+                and score == entry.score
                 and len(match.visited) > len(entry.match.visited)
             )
             if better or tie_more_complete or entry.match is None:
-                entry.score = match.score
+                entry.score = score
                 entry.match = match
+            new = entry.complete_score if complete_only else entry.score
+            if new > old:
+                # Entry scores only rise, so the k best move only here.
+                best = self._best
+                if len(best) == self.k and old < best[0]:
+                    # The root sat outside the k best: it (re-)enters only
+                    # by beating the k-th, which it then evicts.
+                    if new > best[0]:
+                        del best[0]
+                        insort(best, new)
+                else:
+                    if old != _NEG_INF:
+                        del best[bisect_left(best, old)]
+                    insort(best, new)
+                if len(best) == self.k:
+                    self._threshold = best[0]
 
     # -- threshold / pruning -------------------------------------------------------
 
     def threshold(self) -> float:
-        """The paper's ``currentTopK``: the k-th best entry score (or 0)."""
-        with self._lock:
-            return self._threshold_locked()
+        """The paper's ``currentTopK``: the k-th best entry score (or 0).
 
-    def _threshold_locked(self) -> float:
-        if self.threshold_source == "complete":
-            scores = [
-                entry.complete_score
-                for entry in self._entries.values()
-                if entry.complete_match is not None
-            ]
-        else:
-            scores = [entry.score for entry in self._entries.values()]
-        if len(scores) < self.k:
-            return 0.0
-        scores.sort(reverse=True)
-        return scores[self.k - 1]
+        Maintained by :meth:`observe`; reading it is one locked load.
+        """
+        with self._lock:
+            return self._threshold
 
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple's maximum possible final score cannot reach

@@ -49,6 +49,22 @@ BOOKS_XML = """
 """
 
 
+def run_fingerprint(result):
+    """Everything a caller can observe of one run, minus machine noise:
+    (answers, ``pending_bound``, every ``ExecutionStats`` counter but wall
+    time) — what "bit-identical" means in the differential tests."""
+    stats = result.stats.as_dict()
+    del stats["wall_time_seconds"]
+    return (
+        [
+            (tuple(answer.root_node.dewey), round(answer.score, 9))
+            for answer in result.answers
+        ],
+        round(result.pending_bound, 9),
+        stats,
+    )
+
+
 @pytest.fixture(scope="session")
 def books_db() -> Database:
     return parse_document(BOOKS_XML)

@@ -5,6 +5,10 @@ a run (top-k answers, the ``pending_bound`` certificate, every
 ``ExecutionStats`` counter) must match the object backend exactly, on
 every seed, engine, and workload.  Only the *probe cost* accounting may
 differ: that difference is the measured speedup, asserted at the end.
+
+Every case runs twice on one ``Engine`` — first against a cold probe memo,
+then against the memo that run warmed — and the two must be bit-identical
+as well: the memo is Engine-owned, and what it holds may never show.
 """
 
 import random
@@ -18,13 +22,11 @@ from repro.core.engine import Engine
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
 from repro.xmldb.model import Database, XMLNode
+from tests.conftest import run_fingerprint
 
 SEEDS = range(20)
 ALGORITHMS = ("whirlpool_s", "lockstep", "lockstep_noprun")
 TAGS = ("r", "x", "y", "z")
-
-#: ExecutionStats keys that are machine noise, not semantics.
-_NOISY_STATS = {"wall_time_seconds"}
 
 
 def _random_database(rng: random.Random) -> Database:
@@ -49,22 +51,6 @@ def _random_xpath(rng: random.Random) -> str:
     return "//r[" + " and ".join(steps) + "]"
 
 
-def _fingerprint(result):
-    stats = {
-        key: value
-        for key, value in result.stats.as_dict().items()
-        if key not in _NOISY_STATS
-    }
-    return (
-        [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in result.answers
-        ],
-        round(result.pending_bound, 9),
-        stats,
-    )
-
-
 class TestRandomMatrix:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backends_bit_identical_across_engines(self, seed):
@@ -72,15 +58,14 @@ class TestRandomMatrix:
         database = _random_database(rng)
         xpath = _random_xpath(rng)
         k = rng.randint(1, 5)
-        engines = {
-            backend: Engine(database, xpath, index_backend=backend)
-            for backend in ("object", "columnar")
-        }
         for algorithm in ALGORITHMS:
-            prints = {
-                backend: _fingerprint(engine.run(k, algorithm=algorithm))
-                for backend, engine in engines.items()
-            }
+            prints = {}
+            for backend in ("object", "columnar"):
+                engine = Engine(database, xpath, index_backend=backend)
+                cold = run_fingerprint(engine.run(k, algorithm=algorithm))
+                warm = run_fingerprint(engine.run(k, algorithm=algorithm))
+                assert warm == cold, (seed, algorithm, xpath, backend)
+                prints[backend] = cold
             assert prints["columnar"] == prints["object"], (seed, algorithm, xpath)
 
 
@@ -93,10 +78,11 @@ class TestFig10Workloads:
             for backend in ("object", "columnar")
         }
         for k in (3, 15, 75):
-            prints = {
-                backend: _fingerprint(engine.run(k, algorithm="whirlpool_s"))
-                for backend, engine in engines.items()
-            }
+            prints = {}
+            for backend, engine in engines.items():
+                prints[backend] = run_fingerprint(engine.run(k, algorithm="whirlpool_s"))
+                again = run_fingerprint(engine.run(k, algorithm="whirlpool_s"))
+                assert again == prints[backend], (query, k, backend)
             assert prints["columnar"] == prints["object"], (query, k)
 
     def test_columnar_probe_units_beat_object_on_fig10(self):

@@ -182,10 +182,12 @@ class TestTrajectory:
         out = tmp_path / "BENCH_PR99.json"
         code = trajectory.main(
             ["--pr", "99", "--out", str(out), "--k-values", "1", "--rounds", "1"]
+            + ["--note", "why a record moved"]
         )
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["pr"] == 99
+        assert payload["notes"] == ["why a record moved"]
         assert payload["config"]["fig10_k_values"] == [1]
         assert payload["records"]
 
@@ -257,7 +259,7 @@ class TestTrajectory:
         assert trajectory.serialize(payload) == trajectory.serialize(payload)
         assert trajectory.serialize(payload).endswith("\n")
 
-    @pytest.mark.parametrize("pr", [6, 7, 8, 9])
+    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12])
     def test_checked_in_artifact_matches_schema(self, pr):
         artifact = Path(__file__).parent.parent / f"BENCH_PR{pr}.json"
         payload = json.loads(artifact.read_text(encoding="utf-8"))
@@ -268,6 +270,16 @@ class TestTrajectory:
         # The artifact must be serialized exactly the way the driver writes
         # it, so future regenerations diff cleanly.
         assert artifact.read_text(encoding="utf-8") == trajectory.serialize(payload)
+
+    def test_fig10_vary_k_records_identical_from_pr9_to_pr12(self):
+        """The threshold/router/memo work of PR 12 changed no decision:
+        op counts and modeled times are the same records."""
+        root = Path(__file__).parent.parent
+        fig10 = {}
+        for pr in (9, 12):
+            payload = json.loads((root / f"BENCH_PR{pr}.json").read_text(encoding="utf-8"))
+            fig10[pr] = [r for r in payload["records"] if r["bench"] == "fig10_vary_k"]
+        assert fig10[12] and fig10[12] == fig10[9]
 
 
 def _artifact(*records, scale=0.02, pr=6):

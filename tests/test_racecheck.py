@@ -120,7 +120,7 @@ class TestSyntheticRaces:
 class TestWhirlpoolMClean:
     def test_default_watch_covers_engine_shared_state(self):
         names = {cls.__name__ for cls in default_watched_classes()}
-        assert {"TopKSet", "ExecutionStats", "MatchQueue", "_InFlight"} <= names
+        assert {"TopKSet", "ExecutionStats", "MatchQueue", "_InFlight", "ProbeMemo"} <= names
 
     def test_whirlpool_m_run_has_no_findings(self):
         database = generate_catalogs(BiblioConfig(books_per_seller=8, seed=5))

@@ -239,24 +239,28 @@ class TestProbeMemo:
         pattern, servers = _servers(index)
         server = servers[1]
         counts = server.candidate_counts((0, 0))
-        survivors, _ = server._probe_shared((0, 0))
+        survivors, _, memoized_counts = server._probe_shared((0, 0))
+        assert counts is memoized_counts
         assert counts.total == len(survivors)
         assert counts.exact == sum(1 for _, exact in survivors if exact)
-        assert (0, 0) in server._probe_memo
+        assert server._probe_memo.get((0, 0)) is not None
 
     def test_memo_cap_clears_wholesale_and_recomputes_identically(self, db, index):
         from repro.core import server as server_module
 
         pattern, servers = _servers(index)
         server = servers[1]
-        before, _ = server._probe_shared((0, 0))
+        before = server._probe_shared((0, 0))[0]
         # Fill to the cap with synthetic root images; the next store clears.
-        with server._cache_lock:
-            for ordinal in range(server_module.PROBE_MEMO_CAP):
-                server._probe_memo[(9, ordinal)] = ((), 0)
-        after, _ = server._probe_shared((0, 2))
-        assert (9, 0) not in server._probe_memo
-        recomputed, _ = server._probe_shared((0, 0))
+        memo = server._probe_memo
+        filler = ((), 0, server_module.CandidateCounts(0, 0))
+        for ordinal in range(server_module.PROBE_MEMO_CAP - 1):
+            memo.put((9, ordinal), filler)
+        assert len(memo) == server_module.PROBE_MEMO_CAP
+        server._probe_shared((0, 2))
+        assert len(memo) == 1
+        assert memo.get((9, 0)) is None
+        recomputed = server._probe_shared((0, 0))[0]
         assert recomputed == before
 
     def test_concurrent_probes_agree(self, db, index):
