@@ -16,6 +16,14 @@ proceeds in rounds:
    is strictly below the merged k-th score is *dominated* and stops
    being stepped (TA-style early termination).
 
+A worker lives as long as its coordinator: spawning it, shipping its
+partition and parsing it happen once per worker *process* (first query,
+failover replacement, rebalance replacement).  Every query still opens
+with ``init`` → ``begin`` on every shard — so seeded per-RPC fault
+schedules count the same RPCs whether the process is fresh or resident —
+but ``init`` carries documents only to a process that does not hold
+them yet, and ``begin`` finds the worker's engine for the query warm.
+
 Failure handling is the point of the design:
 
 - every RPC read runs a timeout ladder with backoff windows (the
@@ -36,11 +44,13 @@ Failure handling is the point of the design:
   answer is bit-identical to the fault-free run (the chaos matrix in
   ``tests/test_cluster_chaos.py`` proves this per seed × engine ×
   transport);
-- process-level fault plans are deliberately *not* re-shipped to a
-  replacement worker (mirroring the service's "recovered runs
-  re-execute fault-free" contract), so one injected kill cannot
-  permanently wedge a shard; injected *network* plans stay armed across
-  failovers (the network does not heal because a process was replaced);
+- process-level fault plans live for one query on the worker that
+  received them at query start: every ``init`` replaces the worker's
+  plan (with none, when the query ships none), and a replacement worker
+  is never sent one (mirroring the service's "recovered runs re-execute
+  fault-free" contract), so one injected kill cannot permanently wedge
+  a shard; injected *network* plans stay armed across failovers (the
+  network does not heal because a process was replaced);
 - the same ship-a-checkpoint machinery drives live **rebalancing**: a
   shard whose step latency stays far above the fleet median for
   consecutive rounds is retired and its checkpoint shipped to a fresh
@@ -238,6 +248,11 @@ class ShardHandle:
     RPC traffic is single-owner (the coordinator thread running the
     current query); the lock protects the counters that ``health()``
     reads from other threads.  I/O never happens under the lock.
+    ``failovers`` / ``heartbeat_misses`` / ``reconnects`` /
+    ``rebalances`` count the current (or last) query only —
+    :meth:`begin_query` zeroes them — so the failover and rebalance
+    budgets are spent per query; lifetime totals live on the
+    coordinator.
 
     The handle runs the per-shard connection state machine::
 
@@ -271,6 +286,7 @@ class ShardHandle:
         self.rpc_seq = 0
         self.state = "new"  # new | live | dead | lost
         self.connection = "partitioned"  # no link yet
+        self.loaded = False  # this worker process holds the shard's documents
         self.failovers = 0
         self.heartbeat_misses = 0
         self.reconnects = 0
@@ -310,9 +326,27 @@ class ShardHandle:
         self.transport.spawn()
         with self._lock:
             self.state = "live"
-            self.done = False
+            self.loaded = False
             self._inflight = None
         self._set_connection("connected")
+
+    def begin_query(self) -> None:
+        """Zero the per-query counters and progress fields."""
+        with self._lock:
+            self.failovers = 0
+            self.heartbeat_misses = 0
+            self.reconnects = 0
+            self.rebalances = 0
+            self.operations = 0
+            self.done = False
+            self.last_step_seconds = None
+
+    def resident(self) -> bool:
+        """A live worker that holds its documents and owes no reply —
+        the next query reuses it instead of respawning."""
+        with self._lock:
+            settled = self.loaded and self._inflight is None
+        return settled and self.alive()
 
     def kill(self) -> None:
         """Tear the worker down (idempotent; used before respawn)."""
@@ -798,45 +832,106 @@ class Coordinator:
         self.metrics.queries.labels("degraded" if result.degraded else "ok").inc()
         return result
 
-    # The worker bootstrap sequence (spawn → init → begin) and one step,
-    # all under the failover ladder.
+    # The worker boot sequence ([spawn →] init → begin) and one step, all
+    # under the failover ladder.
 
     def _store_key(self, shard_id: int) -> str:
         return f"cluster-shard-{shard_id}"
+
+    def _post_init(
+        self,
+        handle: ShardHandle,
+        process_faults: Optional[FaultPlan],
+        deadline_at: Optional[float],
+    ) -> None:
+        """Send ``init``, respawning first unless the worker is resident.
+        Documents ship only to a process that does not hold them yet;
+        the process-fault plan is (re)set on every ``init`` — to ``None``
+        unless this query ships one — so it never outlives its query."""
+        if not handle.resident():
+            handle.kill()
+            handle.spawn()
+        payload: Dict[str, Any] = {
+            "process_faults": (
+                process_faults.as_dict() if process_faults is not None else None
+            )
+        }
+        if not handle.loaded:
+            payload["documents"] = list(handle.spec.xml_texts)
+        handle.post("init", payload, deadline_at=deadline_at)
+
+    def _finish_ok(self, handle: ShardHandle, deadline_at: Optional[float]) -> None:
+        """Gather a boot RPC's reply; a refusal counts as a lost worker."""
+        reply = handle.finish(deadline_at=deadline_at)
+        if not reply.get("ok"):
+            raise WorkerLostError(handle.shard_id, "spawn_failed")
+
+    def _finish_init(self, handle: ShardHandle, deadline_at: Optional[float]) -> None:
+        """Gather ``init``: the process now holds the shard's documents."""
+        self._finish_ok(handle, deadline_at)
+        with handle._lock:
+            handle.loaded = True
 
     def _bootstrap(
         self,
         handle: ShardHandle,
         begin_payload: Dict[str, Any],
-        process_faults: Optional[FaultPlan],
         restore: Optional[Dict[str, Any]],
         deadline_at: Optional[float],
-        first_boot: bool,
     ) -> None:
-        """Spawn + init + begin one worker.  ``process_faults`` ship only
-        on first boot: a replacement worker must not re-arm the fault
-        that killed its predecessor."""
+        """Replace one worker: spawn + init + begin(restore).  A
+        replacement is never sent a process-fault plan — it must not
+        re-arm the fault that killed its predecessor."""
         handle.kill()
-        handle.spawn()
-        init_payload: Dict[str, Any] = {"documents": list(handle.spec.xml_texts)}
-        if first_boot and process_faults is not None:
-            init_payload["process_faults"] = process_faults.as_dict()
-        reply = handle.rpc("init", init_payload, deadline_at=deadline_at)
-        if not reply.get("ok"):
-            raise WorkerLostError(handle.shard_id, "spawn_failed")
+        self._post_init(handle, None, deadline_at)
+        self._finish_init(handle, deadline_at)
         payload = dict(begin_payload)
         if restore is not None:
             payload["restore"] = restore
-        reply = handle.rpc("begin", payload, deadline_at=deadline_at)
-        if not reply.get("ok"):
-            raise WorkerLostError(handle.shard_id, "spawn_failed")
+        handle.post("begin", payload, deadline_at=deadline_at)
+        self._finish_ok(handle, deadline_at)
+
+    def _boot_fleet(
+        self,
+        begin_payload: Dict[str, Any],
+        process_faults: Optional[FaultPlan],
+        deadline_at: Optional[float],
+    ) -> None:
+        """Open the query on every shard: ``init`` then ``begin``, each
+        scattered to the whole fleet before it is gathered, so shards
+        that must spawn and parse do it concurrently.  A shard whose
+        boot was lost is killed — a resident worker that missed ``init``
+        or ``begin`` is still bound to the previous query and must not
+        be stepped — which leaves it to the step ladder: its first step
+        cannot be delivered, and failover replaces it."""
+        booting: List[ShardHandle] = []
+        for handle in self.handles:
+            handle.begin_query()
+            self.checkpoints.delete(self._store_key(handle.shard_id))
+            try:
+                self._post_init(handle, process_faults, deadline_at)
+                booting.append(handle)
+            except WorkerLostError:
+                handle.kill()
+        begun: List[ShardHandle] = []
+        for handle in booting:
+            try:
+                self._finish_init(handle, deadline_at)
+                handle.post("begin", begin_payload, deadline_at=deadline_at)
+                begun.append(handle)
+            except WorkerLostError:
+                handle.kill()
+        for handle in begun:
+            try:
+                self._finish_ok(handle, deadline_at)
+            except WorkerLostError:
+                handle.kill()
 
     def _step_with_failover(
         self,
         handle: ShardHandle,
         state: _ShardQueryState,
         begin_payload: Dict[str, Any],
-        process_faults: Optional[FaultPlan],
         step_ops: int,
         deadline_at: Optional[float],
         fail_over: bool,
@@ -904,14 +999,7 @@ class Coordinator:
                     span.event("failover", shard=handle.shard_id)
                 restore = self.checkpoints.load(self._store_key(handle.shard_id))
                 try:
-                    self._bootstrap(
-                        handle,
-                        begin_payload,
-                        process_faults,
-                        restore,
-                        deadline_at,
-                        first_boot=False,
-                    )
+                    self._bootstrap(handle, begin_payload, restore, deadline_at)
                 except WorkerLostError:
                     continue  # charge another failover (or exhaust) next loop
                 # Re-issue the step ourselves; the engine-level fault that
@@ -956,22 +1044,7 @@ class Coordinator:
         states: Dict[int, _ShardQueryState] = {
             handle.shard_id: _ShardQueryState() for handle in self.handles
         }
-        # Boot every shard (first boot ships the process-fault plan).
-        for handle in self.handles:
-            self.checkpoints.delete(self._store_key(handle.shard_id))
-            try:
-                self._bootstrap(
-                    handle,
-                    begin_payload,
-                    process_faults,
-                    restore=None,
-                    deadline_at=deadline_at,
-                    first_boot=True,
-                )
-            except WorkerLostError:
-                # Boot-time loss goes straight through the step ladder on
-                # round 1 (sent=False forces a fresh step → failover).
-                pass
+        self._boot_fleet(begin_payload, process_faults, deadline_at)
 
         rounds = 0
         merged: List[MergedAnswer] = []
@@ -1008,7 +1081,6 @@ class Coordinator:
                     handle,
                     state,
                     begin_payload,
-                    process_faults,
                     step_ops,
                     deadline_at,
                     fail_over,
@@ -1169,14 +1241,7 @@ class Coordinator:
             span.event("rebalance", shard=handle.shard_id)
         restore = self.checkpoints.load(self._store_key(handle.shard_id))
         try:
-            self._bootstrap(
-                handle,
-                begin_payload,
-                process_faults=None,
-                restore=restore,
-                deadline_at=deadline_at,
-                first_boot=False,
-            )
+            self._bootstrap(handle, begin_payload, restore, deadline_at)
         except WorkerLostError:
             # The replacement failed to come up; the next step's failover
             # ladder (which this shard will now enter) owns recovery.

@@ -26,15 +26,21 @@ that completed.
 RPCs
 ----
 ``init``
-    Parse the shard's documents (shipped as serialized XML) into a
-    fresh :class:`~repro.xmldb.model.Database`, and arm the optional
-    process-level fault plan.
+    Sent at the start of every query.  Carries the shard's documents
+    (serialized XML) only when this *process* does not hold them yet;
+    they are parsed into a fresh :class:`~repro.xmldb.model.Database`
+    once per process.  Always (re)sets the process-level fault plan —
+    to the shipped one, or to none — so a plan never outlives the query
+    that shipped it.
 ``begin``
-    Bind a query: build the :class:`~repro.core.engine.Engine` facade
-    with the coordinator-shipped **global** score contributions (never
-    shard-local idf — Dewey remapping aside, shard scores must be
-    bit-identical to a single-process run), optionally seed the
-    resident snapshot from a failed-over checkpoint.
+    Bind a query and reset the per-query state (resident snapshot,
+    operation count, lost bound): take the
+    :class:`~repro.core.engine.Engine` for what the frame ships —
+    query, ``relaxed``, index backend and the coordinator's **global**
+    score contributions (never shard-local idf — Dewey remapping aside,
+    shard scores must be bit-identical to a single-process run) — from
+    the worker's engine cache, building it on a miss; optionally seed
+    the resident snapshot from a failed-over checkpoint.
 ``step``
     Advance the engine by an operation budget: run with
     ``max_operations = resident ops + budget`` restoring from the
@@ -43,20 +49,23 @@ RPCs
     resident snapshot and ships back in the reply, giving the
     coordinator its failover point.  A finished run replies ``done``
     with the final answers.
-``ping`` / ``end`` / ``shutdown``
-    Liveness probe / unbind the query / exit the loop.
+``ping`` / ``shutdown``
+    Liveness probe / exit the loop.
 
 Process-level faults (:attr:`repro.faults.plan.FaultPlan.PROCESS_ACTIONS`)
 are executed *here*, at the RPC boundary: ``KILL`` SIGKILLs the process
 before any reply, ``HANG`` sleeps far past the liveness deadline before
 processing, ``SLOW_PIPE`` delays the reply.  ``ping`` never arms a rule:
 probe timing depends on coordinator-side waits, and arming it would
-make the seeded per-RPC schedules nondeterministic.
+make the seeded per-RPC schedules nondeterministic.  Neither does
+``init``: it is the RPC that installs the query's plan, so ``begin`` is
+armed RPC #1 whether the process is fresh or resident.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import signal
@@ -79,6 +88,16 @@ from repro.sim.clock import RealClock, set_clock
 from repro.xmldb.dewey import dewey_str
 from repro.xmldb.model import Database
 from repro.xmldb.parser import parse_forest
+
+
+#: Engines a worker keeps warm across queries, keyed by what ``begin``
+#: ships that determines them.  Cleared wholesale at the cap — the
+#: :data:`~repro.core.server.PROBE_MEMO_CAP` rule: an engine is a pure
+#: function of its key, so a rebuild after a clear answers identically.
+#: Two, not more: the benchmark's only cluster workload repeats one
+#: query, so memory is measured with one cached engine per worker, and
+#: two is what alternating between a pair of queries needs.
+ENGINE_CACHE_CAP = 2
 
 
 class ProcessFaultArm:
@@ -153,6 +172,7 @@ class ShardWorker:
         self.shard_id = shard_id
         self.database: Optional[Database] = None
         self.engine: Optional[Engine] = None
+        self.engines: Dict[Tuple[Any, ...], Engine] = {}
         self.k = 0
         self.algorithm = "whirlpool_s"
         self.routing = "min_alive"
@@ -178,7 +198,7 @@ class ShardWorker:
     def intercept(self, op: str) -> None:
         """Run the process-fault boundary for one inbound RPC."""
         self.reply_delay = 0.0
-        if self.process_faults is None or op == "ping":
+        if self.process_faults is None or op in ("ping", "init"):
             return
         rule = self.process_faults.arm(str(self.shard_id))
         if rule is None:
@@ -212,10 +232,21 @@ class ShardWorker:
         return {**base, **reply}, should_exit
 
     def _op_init(self, message: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
-        self.database = parse_forest(message.get("documents", []))
+        # A new query opens: unbind the last one, so a step that arrives
+        # without this query's begin is refused, not run on stale state.
+        self.engine = None
+        documents = message.get("documents")
+        if documents is not None:
+            self.database = parse_forest(documents)
+            self.engines.clear()
+        if self.database is None:
+            return {"ok": False, "error": "init without documents"}, False
         plan_payload = message.get("process_faults")
-        if plan_payload is not None:
-            self.process_faults = ProcessFaultArm(FaultPlan.from_dict(plan_payload))
+        self.process_faults = (
+            ProcessFaultArm(FaultPlan.from_dict(plan_payload))
+            if plan_payload is not None
+            else None
+        )
         return (
             {
                 "ok": True,
@@ -232,16 +263,26 @@ class ShardWorker:
         self.algorithm = str(message.get("algorithm", "whirlpool_s"))
         self.routing = str(message.get("routing", "min_alive"))
         self.step_default = int(message.get("step_operations", 200))
-        self.engine = Engine(
-            self.database,
-            str(message["query"]),
-            relaxed=bool(message.get("relaxed", True)),
-            score_model=ScoreModel.from_contributions(message["contributions"]),
-            # Shipped by the coordinator so every shard builds its index
-            # on the same backend; absent (old coordinator) falls back to
-            # this worker's own environment/default.
-            index_backend=message.get("index_backend"),
-        )
+        query = str(message["query"])
+        relaxed = bool(message.get("relaxed", True))
+        contributions = message["contributions"]
+        # Shipped by the coordinator so every shard builds its index on
+        # the same backend; absent (old coordinator) falls back to this
+        # worker's own environment/default.
+        index_backend = message.get("index_backend")
+        key = (query, relaxed, index_backend, json.dumps(contributions, sort_keys=True))
+        engine = self.engines.get(key)
+        if engine is None:
+            if len(self.engines) >= ENGINE_CACHE_CAP:
+                self.engines.clear()
+            engine = self.engines[key] = Engine(
+                self.database,
+                query,
+                relaxed=relaxed,
+                score_model=ScoreModel.from_contributions(contributions),
+                index_backend=index_backend,
+            )
+        self.engine = engine
         faults_payload = message.get("engine_faults")
         self.engine_faults = (
             FaultPlan.from_dict(faults_payload) if faults_payload is not None else None
@@ -335,15 +376,6 @@ class ShardWorker:
             {"ok": True, "shard": self.shard_id, "operations": self.resident_ops},
             False,
         )
-
-    def _op_end(self, message: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
-        self.engine = None
-        self.engine_faults = None
-        self.engine_retry = None
-        self.snapshot = None
-        self.resident_ops = 0
-        self.lost_bound = 0.0
-        return {"ok": True}, False
 
     def _op_shutdown(self, message: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         return {"ok": True}, True

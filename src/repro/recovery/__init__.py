@@ -33,7 +33,7 @@ from repro.recovery.codec import (
     restore_engine_state,
     validate_snapshot,
 )
-from repro.recovery.generations import CheckpointGenerations, snapshot_crc
+from repro.recovery.generations import CheckpointGenerations
 from repro.recovery.policy import CheckpointPolicy
 from repro.recovery.store import (
     JsonFileRecoveryStore,
@@ -52,6 +52,5 @@ __all__ = [
     "encode_engine_state",
     "encode_match",
     "restore_engine_state",
-    "snapshot_crc",
     "validate_snapshot",
 ]

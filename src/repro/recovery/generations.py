@@ -5,13 +5,17 @@ cluster's hostile-network work exposed: if the newest checkpoint is
 corrupted — torn on disk, damaged in flight, or truncated by a crash —
 restore has nothing to fall back to and the whole run restarts from
 zero.  :class:`CheckpointGenerations` closes that gap by layering a
-small ring of generations over any :class:`~repro.recovery.store.RecoveryStore`:
+small ring of generations over any :class:`~repro.recovery.store.RecoveryStore`,
+one store entry per generation:
 
-- ``save`` appends ``{"generation", "crc", "snapshot"}`` and trims to
-  the newest ``keep`` entries, where ``crc`` is a CRC-32 over the
-  snapshot's canonical JSON form;
+- ``save`` writes ``{"generation", "crc", "snapshot"}`` under
+  ``<key>.g<generation>`` — ``snapshot`` the snapshot's JSON text,
+  ``crc`` a CRC-32 over exactly that text — and deletes the entries
+  that fall out of the newest ``keep``: one snapshot serialized per
+  save, however long the ring, and the store only ever copies a string;
 - ``load`` walks newest → oldest and returns the first snapshot whose
-  CRC still matches, skipping (and counting) corrupt entries.
+  text still matches its CRC, skipping corrupt or unreadable entries;
+- ``delete`` removes every generation of the key.
 
 Falling back to an *older* generation is always safe for the cluster:
 shard steps are deterministic, so restoring an earlier checkpoint just
@@ -30,22 +34,21 @@ from repro.errors import RecoveryError
 from repro.recovery.store import RecoveryStore
 
 
-def snapshot_crc(snapshot: Dict[str, Any]) -> int:
-    """CRC-32 over the snapshot's canonical JSON encoding (sorted keys,
-    no whitespace) — stable across save/load round trips."""
-    text = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+def _text_crc(text: str) -> int:
+    """CRC-32 over a stored snapshot text's UTF-8 bytes."""
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
 
 
 class CheckpointGenerations:
     """Last-``keep`` validated checkpoints per key, over any store.
 
-    The lock guards an in-memory copy of each key's generation ring; the
-    store write happens *outside* the lock (never hold a lock across
-    file I/O — the graph analyzer's WPLG02 rule).  Concurrent savers of
-    the same key may therefore land their store writes out of order, but
-    every write carries the full ring, so the next save self-heals; the
-    cluster saves each shard's key from a single query thread anyway.
+    The lock guards an in-memory list of each key's live generation
+    numbers (primed from the store's key listing on first touch, so a
+    second instance over the same store continues the numbering); every
+    store call happens *outside* the lock (never hold a lock across file
+    I/O — the graph analyzer's WPLG02 rule).  Concurrent savers of one
+    key get distinct generation numbers, hence distinct store entries;
+    the cluster saves each shard's key from a single query thread anyway.
     """
 
     def __init__(self, store: RecoveryStore, keep: int = 3) -> None:
@@ -54,58 +57,53 @@ class CheckpointGenerations:
         self.store = store
         self.keep = keep
         self._lock = threading.Lock()
-        self._rings: Dict[str, List[Dict[str, Any]]] = {}
-
-    def _entries(self, key: str) -> List[Dict[str, Any]]:
-        payload = self.store.load(key)
-        if payload is None:
-            return []
-        entries = payload.get("generations")
-        if not isinstance(entries, list):
-            # A pre-generations single snapshot: treat it as generation 0
-            # so upgrades never lose an existing checkpoint.
-            return [
-                {"generation": 0, "crc": snapshot_crc(payload), "snapshot": payload}
-            ]
-        return entries
-
-    def save(self, key: str, snapshot: Dict[str, Any]) -> None:
-        """Append ``snapshot`` as the newest generation and trim."""
-        # Prime the in-memory ring from the store on first touch, with
-        # the store read outside the lock.
-        with self._lock:
-            primed = key in self._rings
-        loaded = None if primed else self._entries(key)
-        entry = {
-            "generation": 0,
-            "crc": snapshot_crc(snapshot),
-            "snapshot": snapshot,
-        }
-        with self._lock:
-            ring = self._rings.setdefault(key, loaded or [])
-            entry["generation"] = 1 + max(
-                (int(existing.get("generation", 0)) for existing in ring), default=-1
-            )
-            ring.append(entry)
-            del ring[: -self.keep]
-            payload = {"generations": list(ring)}
-        self.store.save(key, payload)
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The newest snapshot whose CRC validates, or ``None``."""
-        for entry in reversed(self._entries(key)):
-            snapshot = entry.get("snapshot")
-            if not isinstance(snapshot, dict):
-                continue
-            if snapshot_crc(snapshot) == int(entry.get("crc", -1)):
-                return snapshot
-        return None
+        self._rings: Dict[str, List[int]] = {}
 
     def generations(self, key: str) -> List[int]:
         """Stored generation numbers for ``key``, oldest first."""
-        return [int(entry.get("generation", 0)) for entry in self._entries(key)]
+        prefix = f"{key}.g"
+        return sorted(
+            int(name[len(prefix) :])
+            for name in self.store.keys()
+            if name.startswith(prefix) and name[len(prefix) :].isdigit()
+        )
+
+    def save(self, key: str, snapshot: Dict[str, Any]) -> None:
+        """Store ``snapshot`` as the newest generation and retire the
+        ones beyond ``keep``."""
+        with self._lock:
+            primed = key in self._rings
+        stored = [] if primed else self.generations(key)
+        with self._lock:
+            ring = self._rings.setdefault(key, stored)
+            generation = ring[-1] + 1 if ring else 0
+            ring.append(generation)
+            retired = ring[: -self.keep]
+            del ring[: -self.keep]
+        text = json.dumps(snapshot, separators=(",", ":"))
+        entry = {"generation": generation, "crc": _text_crc(text), "snapshot": text}
+        self.store.save(f"{key}.g{generation}", entry)
+        for old in retired:
+            self.store.delete(f"{key}.g{old}")
+
+    def load(self, key: str) -> Optional[Dict[str, Any]]:
+        """The newest snapshot whose CRC validates, or ``None``."""
+        for generation in reversed(self.generations(key)):
+            try:
+                entry = self.store.load(f"{key}.g{generation}")
+            except RecoveryError:
+                continue  # torn or unparseable entry: fall back past it
+            text = None if entry is None else entry.get("snapshot")
+            if isinstance(text, str) and _text_crc(text) == entry.get("crc"):
+                return json.loads(text)
+        return None
 
     def delete(self, key: str) -> None:
+        """Forget every generation of ``key``."""
         with self._lock:
             self._rings.pop(key, None)
+        for generation in self.generations(key):
+            self.store.delete(f"{key}.g{generation}")
+        # A directory written before per-generation entries holds the
+        # whole ring under the bare key; it is no longer read, so drop it.
         self.store.delete(key)
