@@ -11,10 +11,11 @@ Typical use::
 
 The facade owns everything derived from (database, query): the restricted
 tag index, the database statistics, the tf*idf score model and the servers'
-probe memos.  Each :meth:`Engine.run` builds a fresh algorithm instance
-around them, so one Engine can be reused across k values, algorithms and
-routing strategies — which is precisely what the benchmark harness does —
-and a warmed Engine answers without going back to the index.
+probe memos — the last three filled by one index probe per (server, root
+image) while the Engine is built.  Each :meth:`Engine.run` builds a fresh
+algorithm instance around them, so one Engine can be reused across k
+values, algorithms and routing strategies — which is precisely what the
+benchmark harness does — and answers without going back to the index.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from repro.core.base import EngineBase, TopKResult
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
-from repro.core.server import ProbeMemo, Server
+from repro.core.server import ProbeMemo, Server, probe_every_root
 from repro.core.trace import EngineObserver
 from repro.core.whirlpool_m import WhirlpoolM
 from repro.core.whirlpool_s import WhirlpoolS
 from repro.errors import EngineError
 from repro.query.pattern import TreePattern
 from repro.query.xpath import parse_xpath
+from repro.relax.plan import compile_plan
 from repro.scoring.model import ScoreModel, build_score_model
 from repro.scoring.tfidf import score_all_answers
 from repro.xmldb.index import DatabaseIndex
@@ -113,26 +115,49 @@ class Engine:
             database, tags=self.pattern.tags(), backend=index_backend
         )
         self.statistics = DatabaseStatistics(self.index)
-        if score_model is not None:
-            self.score_model = score_model
-        else:
-            self.score_model = build_score_model(
-                self.pattern,
-                stats=self.statistics,
-                kind=scoring,
-                normalization=normalization,
-                seed=seed,
-            )
         self._probe_memos: Dict[str, Dict[int, ProbeMemo]] = {
             join_algorithm: {
                 node.node_id: ProbeMemo() for node in self.pattern.non_root_nodes()
             }
             for join_algorithm in Server.JOIN_ALGORITHMS
         }
+        if score_model is not None:
+            self.score_model = score_model
+        else:
+            self.score_model = build_score_model(
+                self.pattern,
+                stats=self._probed_statistics,
+                kind=scoring,
+                normalization=normalization,
+                seed=seed,
+            )
         self._path_summary: Optional["PathSummary"] = None
         # Engines are shared across service worker threads; the lazy
         # path-summary build must publish exactly one instance.
         self._summary_lock = threading.Lock()
+
+    def _probed_statistics(self) -> DatabaseStatistics:
+        """``self.statistics``, holding every component predicate's fan-outs.
+
+        One index probe per (server, root image) fills the ``"index"`` probe
+        memos, and the entries' counts *are* the fan-outs a tf*idf model
+        asks the statistics for: ``total`` under the server's probe axis,
+        ``exact`` under its exact root axis (:func:`probe_root`).  In exact
+        mode the two axes coincide and the model's relaxed-axis statistics
+        come from the statistics' own lazy probes.
+        """
+        root_tag = self.pattern.root.tag
+        roots = self.index[root_tag].all()
+        memos = self._probe_memos["index"]
+        for spec in compile_plan(self.pattern, self.relaxed).servers.values():
+            totals, exacts = probe_every_root(spec, self.index, roots, memos[spec.node_id])
+            # Keyed by axis: where the two coincide (exact mode, or an axis
+            # relaxation does not weaken) the lists are equal and one is kept.
+            for axis, fanouts in {spec.probe_axis: totals, spec.exact_root_axis: exacts}.items():
+                self.statistics.record(
+                    root_tag, spec.tag, axis, fanouts, spec.value, spec.value_op
+                )
+        return self.statistics
 
     # -- running -------------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.match import PartialMatch
 from repro.core.stats import ExecutionStats
-from repro.query.predicates import compiled_axis_test
+from repro.query.predicates import AxisTest, compiled_axis_test
 from repro.relax.plan import ServerPredicates
 from repro.scoring.model import MatchQuality, ScoreModel
 from repro.xmldb.dewey import Dewey
@@ -98,6 +98,68 @@ class ProbeMemo:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+def probe_root(
+    spec: ServerPredicates,
+    index: DatabaseIndex,
+    join_algorithm: str,
+    exact_test: AxisTest,
+    root_dewey: Dewey,
+) -> ProbeEntry:
+    """One server's probe for one root image — what a :class:`ProbeMemo` holds.
+
+    Returns ``(survivors, comparisons, counts)``: the value-filtered
+    candidates paired with their exact-root-axis verdicts (``exact_test``
+    is the compiled ``spec.exact_root_axis``), the comparison count the
+    probe paid (the *pre*-filter candidate count — what
+    :meth:`Server.process` reports to ``ExecutionStats``, so memo hits and
+    misses produce identical stats) and the survivors' counts.  With the
+    relaxed probe axis, ``counts.total`` and ``counts.exact`` are the root's
+    fan-outs under the relaxed and the exact component predicate — the
+    numbers :class:`~repro.xmldb.stats.DatabaseStatistics` keeps per anchor.
+    """
+    if join_algorithm == "index":
+        candidates = index.related(spec.tag, root_dewey, spec.probe_axis)
+        comparisons = len(candidates)
+    else:
+        # Nested-loop scan: every node with the tag is compared against
+        # the root image (the paper's per-server join baseline).
+        all_nodes = index[spec.tag].all()
+        candidates = [
+            node for node in all_nodes if spec.probe_axis.matches(root_dewey, node.dewey)
+        ]
+        comparisons = len(all_nodes)
+    survivors = tuple(
+        (candidate, exact_test(root_dewey, candidate.dewey))
+        for candidate in candidates
+        if spec.value_matches(candidate.value)
+    )
+    counts = CandidateCounts(
+        total=len(survivors),
+        exact=sum(1 for _, is_exact in survivors if is_exact),
+    )
+    return survivors, comparisons, counts
+
+
+def probe_every_root(
+    spec: ServerPredicates, index: DatabaseIndex, roots: List[XMLNode], memo: ProbeMemo
+) -> Tuple[List[int], List[int]]:
+    """Probe the index once per root image for one server: memoize every
+    entry and return the per-root ``(total, exact)`` fan-out lists.
+
+    The lists are accumulated as the scan goes, so a forest with more roots
+    than :data:`PROBE_MEMO_CAP` loses memo entries to the cap, never counts.
+    """
+    exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
+    totals: List[int] = []
+    exacts: List[int] = []
+    for root in roots:
+        entry = probe_root(spec, index, "index", exact_test, root.dewey)
+        memo.put(root.dewey, entry)
+        totals.append(entry[2].total)
+        exacts.append(entry[2].exact)
+    return totals, exacts
 
 
 class RoutingEstimates:
@@ -169,53 +231,19 @@ class Server:
         self._probe_memo = probe_memo if probe_memo is not None else ProbeMemo()
         self._exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
 
-    def _probe(self, root_dewey: Dewey) -> Tuple[List[XMLNode], int]:
-        """Locate candidates; returns (candidates, comparisons_paid)."""
-        if self.join_algorithm == "index":
-            candidates = self.index.related(
-                self.spec.tag, root_dewey, self.spec.probe_axis
-            )
-            return candidates, len(candidates)
-        # Nested-loop scan: every node with the tag is compared against
-        # the root image (the paper's per-server join baseline).
-        all_nodes = self.index[self.spec.tag].all()
-        candidates = [
-            node
-            for node in all_nodes
-            if self.spec.probe_axis.matches(root_dewey, node.dewey)
-        ]
-        return candidates, len(all_nodes)
-
     def _probe_shared(self, root_dewey: Dewey) -> ProbeEntry:
-        """Memoized probe for one root image.
+        """Memoized :func:`probe_root` for one root image.
 
-        Returns ``(survivors, comparisons, counts)``: the value-filtered
-        candidates paired with their exact-root-axis verdicts, the
-        comparison count the underlying probe paid (the *pre*-filter
-        candidate count — what :meth:`process` reports to
-        ``ExecutionStats``, so memo hits and misses produce identical
-        stats) and the survivors' counts.  Entries are pure functions of
-        the root image; on a miss the probe runs outside the memo's lock
-        (a concurrent duplicate probe is benign and both writers store
-        equal values).
+        Entries are pure functions of the root image; on a miss the probe
+        runs outside the memo's lock (a concurrent duplicate probe is
+        benign and both writers store equal values).
         """
         entry = self._probe_memo.get(root_dewey)
-        if entry is not None:
-            return entry
-        spec = self.spec
-        candidates, comparisons = self._probe(root_dewey)
-        exact_test = self._exact_test
-        survivors = tuple(
-            (candidate, exact_test(root_dewey, candidate.dewey))
-            for candidate in candidates
-            if spec.value_matches(candidate.value)
-        )
-        counts = CandidateCounts(
-            total=len(survivors),
-            exact=sum(1 for _, is_exact in survivors if is_exact),
-        )
-        entry = (survivors, comparisons, counts)
-        self._probe_memo.put(root_dewey, entry)
+        if entry is None:
+            entry = probe_root(
+                self.spec, self.index, self.join_algorithm, self._exact_test, root_dewey
+            )
+            self._probe_memo.put(root_dewey, entry)
         return entry
 
     @property

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ScoringError
 from repro.query.pattern import TreePattern
 from repro.query.predicates import component_predicates
-from repro.scoring.tfidf import predicate_idf
+from repro.scoring.tfidf import predicate_idf, predicate_statistics
 from repro.xmldb.model import XMLNode
 from repro.xmldb.stats import DatabaseStatistics
 
@@ -174,22 +174,10 @@ class TfIdfScoreModel(ScoreModel):
         for predicate in component_predicates(pattern):
             node_id = predicate.target.node_id
             exact[node_id] = predicate_idf(predicate, stats)
-            if predicate.is_relaxable():
-                if predicate.value is None:
-                    relaxed_stats = stats.predicate(
-                        predicate.anchor_tag, predicate.target_tag, predicate.relaxed_axis
-                    )
-                else:
-                    relaxed_stats = stats.value_predicate(
-                        predicate.anchor_tag,
-                        predicate.target_tag,
-                        predicate.relaxed_axis,
-                        predicate.value,
-                        predicate.value_op,
-                    )
-                relaxed[node_id] = min(relaxed_stats.idf(), exact[node_id])
-            else:
-                relaxed[node_id] = exact[node_id]
+            # A predicate that relaxation does not weaken is its own relaxation.
+            relaxed[node_id] = min(
+                predicate_statistics(predicate, stats, relaxed=True).idf(), exact[node_id]
+            )
         exact, relaxed = _normalize(exact, relaxed, normalization)
         super().__init__(exact, relaxed)
         self.normalization = normalization
@@ -264,7 +252,7 @@ class TableScoreModel(ScoreModel):
 
 def build_score_model(
     pattern: TreePattern,
-    stats: Optional[DatabaseStatistics] = None,
+    stats: Union[DatabaseStatistics, Callable[[], DatabaseStatistics], None] = None,
     kind: str = "tfidf",
     normalization: str = "sparse",
     seed: int = 0,
@@ -272,11 +260,16 @@ def build_score_model(
     """Factory covering the paper's scoring-function axis (Table 1).
 
     ``kind`` is ``"tfidf"`` (needs ``stats``) or ``"random"``;
-    ``normalization`` is ``"sparse"``, ``"dense"`` or ``"raw"``.
+    ``normalization`` is ``"sparse"``, ``"dense"`` or ``"raw"``.  ``stats``
+    may be a zero-argument callable returning the statistics: it is called
+    only when a tf*idf model is built, so a caller whose statistics cost
+    index probes pays them for no other kind.
     """
     if kind == "tfidf":
         if stats is None:
             raise ScoringError("tfidf score model requires database statistics")
+        if not isinstance(stats, DatabaseStatistics):
+            stats = stats()
         return TfIdfScoreModel(pattern, stats, normalization)
     if kind == "random":
         return RandomScoreModel(pattern, seed, normalization)

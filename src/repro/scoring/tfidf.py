@@ -24,7 +24,7 @@ from repro.query.pattern import TreePattern
 from repro.query.predicates import ComponentPredicate, component_predicates
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import XMLNode
-from repro.xmldb.stats import DatabaseStatistics
+from repro.xmldb.stats import DatabaseStatistics, PredicateStatistics
 
 
 def _matching_targets(
@@ -44,21 +44,25 @@ def predicate_tf(
     return len(_matching_targets(predicate, anchor, index))
 
 
+def predicate_statistics(
+    predicate: ComponentPredicate, stats: DatabaseStatistics, relaxed: bool = False
+) -> PredicateStatistics:
+    """Statistics of ``predicate`` (value test included), or with
+    ``relaxed`` of its edge-generalized version."""
+    return stats.value_predicate(
+        predicate.anchor_tag,
+        predicate.target_tag,
+        predicate.relaxed_axis if relaxed else predicate.axis,
+        predicate.value,
+        predicate.value_op,
+    )
+
+
 def predicate_idf(
     predicate: ComponentPredicate, stats: DatabaseStatistics
 ) -> float:
     """Definition 4.2 over the database behind ``stats``."""
-    if predicate.value is None:
-        return stats.predicate(
-            predicate.anchor_tag, predicate.target_tag, predicate.axis
-        ).idf()
-    return stats.value_predicate(
-        predicate.anchor_tag,
-        predicate.target_tag,
-        predicate.axis,
-        predicate.value,
-        predicate.value_op,
-    ).idf()
+    return predicate_statistics(predicate, stats).idf()
 
 
 def score_answer(
@@ -112,19 +116,7 @@ def max_tf_table(
     pattern: TreePattern, stats: DatabaseStatistics
 ) -> Dict[int, int]:
     """Largest observed tf per component predicate (bound material)."""
-    table: Dict[int, int] = {}
-    for predicate in component_predicates(pattern):
-        if predicate.value is None:
-            predicate_stats = stats.predicate(
-                predicate.anchor_tag, predicate.target_tag, predicate.axis
-            )
-        else:
-            predicate_stats = stats.value_predicate(
-                predicate.anchor_tag,
-                predicate.target_tag,
-                predicate.axis,
-                predicate.value,
-                predicate.value_op,
-            )
-        table[predicate.target.node_id] = predicate_stats.max_fanout()
-    return table
+    return {
+        predicate.target.node_id: predicate_statistics(predicate, stats).max_fanout()
+        for predicate in component_predicates(pattern)
+    }

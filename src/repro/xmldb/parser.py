@@ -1,10 +1,23 @@
 """A small, dependency-free XML parser producing :class:`XMLNode` trees.
 
-The parser covers the XML subset the XMark-like generator emits plus the
-common constructs found in benchmark documents: elements, attributes,
-character data, CDATA sections, comments, processing instructions, the five
-predefined entities and numeric character references.  It does not implement
-DTD validation or namespaces — the paper's data model has no use for either.
+The parser is one scanning loop: at every ``<`` a single compiled
+alternation (:data:`_TOKEN`) recognises a whole token — a leaf element
+``<n>text</n>`` in one piece, an open tag with its attribute run, a close
+tag, a comment, a CDATA section or a processing instruction — together
+with the character data that follows it, and the loop keeps the open
+elements on an explicit stack.  Nothing recurses, so nesting depth is
+bounded by memory only.  Only when no token matches does
+:func:`_diagnose` look at the input again to say why.
+
+Accepted: elements, attributes (single- or double-quoted), character data,
+CDATA sections, comments, processing instructions, the five predefined
+entities, decimal and hexadecimal character references up to U+10FFFF, an
+XML declaration and a DOCTYPE declaration around the document element.
+Names are runs of alphanumerics and ``_ - . :``.  Not implemented:
+namespaces, and any DTD processing — a DOCTYPE, with or without an
+internal subset (skipped up to its first ``]``), is stepped over unread,
+so entities it declares are unknown.  Every rejected input raises
+:class:`~repro.errors.XMLParseError` carrying ``position`` and ``line``.
 
 Attributes are modeled as child nodes whose tag is the attribute name
 prefixed with ``@`` (so ``<item id="i3">`` yields a child ``@id`` with value
@@ -14,7 +27,8 @@ may mention ``@id`` like any other tag.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import re
+from typing import Iterable, List, Tuple
 
 from repro.errors import XMLParseError
 from repro.xmldb.model import Database, XMLNode
@@ -27,235 +41,168 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
+_NAME = r"[\w.:-]+"
+_WS = r"[ \t\r\n]*"
+_QUOTED = r"(?:\"[^\"]*\"|'[^']*')"
+_ATTRIBUTES = rf"(?:{_WS}{_NAME}{_WS}={_WS}{_QUOTED})*"
 
-class _Tokenizer:
-    """Character-level cursor over the XML text with error reporting."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def error(self, message: str) -> XMLParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        return XMLParseError(message, position=self.pos, line=line)
-
-    def eof(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < self.length else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def read_until(self, token: str) -> str:
-        end = self.text.find(token, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated construct, expected {token!r}")
-        chunk = self.text[self.pos : end]
-        self.pos = end + len(token)
-        return chunk
-
-    def read_name(self) -> str:
-        start = self.pos
-        while self.pos < self.length:
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch in "_-.:":
-                self.pos += 1
-            else:
-                break
-        if self.pos == start:
-            raise self.error("expected an XML name")
-        return self.text[start : self.pos]
+#: One token and the character data after it.  Every alternative ends in its
+#: own ``([^<]*)`` group, so ``match.lastindex`` names the alternative and
+#: ``match.group(match.lastindex)`` is the trailing text whichever matched.
+_TOKEN = re.compile(
+    rf"<(?:({_NAME})>([^<]*)</\1>([^<]*)"  # 1 name, 2 text, 3: leaf element
+    rf"|({_NAME})({_ATTRIBUTES}){_WS}(/?)>([^<]*)"  # 4 name, 5 attributes, 6 '/', 7: open tag
+    rf"|/({_NAME}){_WS}>([^<]*)"  # 8 name, 9: close tag
+    r"|!\[CDATA\[(.*?)\]\]>([^<]*)"  # 10 data, 11: CDATA section
+    r"|(?:!--.*?--|\?.*?\?)>([^<]*))",  # 12: comment or processing instruction
+    re.DOTALL,
+)
+_LEAF, _OPEN, _CLOSE, _CDATA = 3, 7, 9, 11
+_ATTRIBUTE = re.compile(rf"({_NAME}){_WS}={_WS}({_QUOTED})")
+#: Whitespace, comments, PIs and DOCTYPE declarations around the document element.
+_MISC = re.compile(
+    r"(?:[ \t\r\n]+|<!--.*?-->|<\?.*?\?>"
+    rf"|<!(?:DOCTYPE|doctype)(?:[^\[>]*\[[^\]]*\]{_WS}>|[^>]*>))*",
+    re.DOTALL,
+)
+#: The well-formed prefix of a tag that :data:`_TOKEN` refused.
+_TAG_HEAD = re.compile(rf"<(?:(/)(?:{_NAME}{_WS})?|(?:{_NAME}{_ATTRIBUTES}{_WS})?)")
+_CHARACTER_REFERENCE = re.compile(r"#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
+_UNTERMINATED = (("<!--", "-->"), ("<![CDATA[", "]]>"), ("<?", "?>"))
 
 
-def _decode_text(text: str, tokenizer: _Tokenizer) -> str:
-    """Replace entity and character references in character data."""
-    if "&" not in text:
-        return text
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end < 0:
-            raise tokenizer.error("unterminated entity reference")
-        name = text[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
-        elif name in _PREDEFINED_ENTITIES:
-            out.append(_PREDEFINED_ENTITIES[name])
-        else:
-            raise tokenizer.error(f"unknown entity &{name};")
-        i = end + 1
+def _error(text: str, position: int, message: str) -> XMLParseError:
+    line = text.count("\n", 0, position) + 1
+    return XMLParseError(message, position=position, line=line)
+
+
+def _decode(raw: str, text: str, offset: int) -> str:
+    """``raw`` (found at ``text[offset:]``) with its references replaced."""
+    head, *pieces = raw.split("&")
+    out = [head]
+    offset += len(head)
+    for piece in pieces:
+        name, semicolon, rest = piece.partition(";")
+        if not semicolon:
+            raise _error(text, offset, "unterminated entity reference")
+        char = _PREDEFINED_ENTITIES.get(name)
+        if char is None:
+            reference = _CHARACTER_REFERENCE.fullmatch(name)
+            if reference is None:
+                problem = "malformed character reference" if name[:1] == "#" else "unknown entity"
+                raise _error(text, offset, f"{problem} &{name};")
+            hexadecimal, decimal = reference.groups()
+            try:
+                char = chr(int(hexadecimal, 16) if hexadecimal else int(decimal))
+            except (ValueError, OverflowError):
+                raise _error(
+                    text, offset, f"character reference &{name}; is out of range"
+                ) from None
+        out += (char, rest)
+        offset += 1 + len(piece)
     return "".join(out)
 
 
-def _skip_misc(tokenizer: _Tokenizer) -> None:
-    """Skip whitespace, comments, PIs and doctype between/around elements."""
+def _diagnose(text: str, position: int, inside: str) -> XMLParseError:
+    """Why no token matches at ``position`` (``inside``: innermost open tag)."""
+    if position >= len(text):
+        return _error(text, position, f"unexpected end of input inside <{inside}>")
+    if text[position] != "<":
+        return _error(text, position, "expected '<'")
+    for opener, closer in _UNTERMINATED:
+        if text.startswith(opener, position):
+            return _error(text, position, f"unterminated construct, expected {closer!r}")
+    head = _TAG_HEAD.match(text, position)
+    assert head is not None  # text[position] is "<"
+    if text[head.end() - 1] in "</":
+        return _error(text, head.end(), "expected an XML name")
+    expected = "'>'" if head.group(1) else "name=\"value\", '/>' or '>'"
+    return _error(text, head.end(), f"malformed tag, expected {expected}")
+
+
+def _skip_misc(text: str, position: int) -> int:
+    misc = _MISC.match(text, position)
+    assert misc is not None  # the pattern matches the empty string
+    return misc.end()
+
+
+def _parse_tree(text: str, what: str) -> XMLNode:
+    """The one element in ``text``, as an unattached tree (the shared loop)."""
+    scan = _TOKEN.match
+    position = _skip_misc(text, 0)
+    if position == len(text):
+        raise _error(text, position, f"empty {what}")
+    # ``top`` stands in as the parent of the document element, so attaching
+    # a child is the same statement at every depth.
+    top = node = XMLNode("#top")
+    parts: List[str] = []  # direct text of ``node``, in source order
+    stack: List[Tuple[XMLNode, List[str]]] = []  # enclosing (node, parts)
     while True:
-        tokenizer.skip_whitespace()
-        if tokenizer.startswith("<!--"):
-            tokenizer.advance(4)
-            tokenizer.read_until("-->")
-        elif tokenizer.startswith("<?"):
-            tokenizer.advance(2)
-            tokenizer.read_until("?>")
-        elif tokenizer.startswith("<!DOCTYPE") or tokenizer.startswith("<!doctype"):
-            tokenizer.read_until(">")
-        else:
-            return
-
-
-def _parse_attributes(tokenizer: _Tokenizer) -> List[Tuple[str, str]]:
-    attributes: List[Tuple[str, str]] = []
-    while True:
-        tokenizer.skip_whitespace()
-        ch = tokenizer.peek()
-        if ch in (">", "/") or tokenizer.eof():
-            return attributes
-        name = tokenizer.read_name()
-        tokenizer.skip_whitespace()
-        tokenizer.expect("=")
-        tokenizer.skip_whitespace()
-        quote = tokenizer.peek()
-        if quote not in ("'", '"'):
-            raise tokenizer.error("attribute value must be quoted")
-        tokenizer.advance(1)
-        raw = tokenizer.read_until(quote)
-        attributes.append((name, _decode_text(raw, tokenizer)))
-
-
-def _parse_element(tokenizer: _Tokenizer) -> XMLNode:
-    tokenizer.expect("<")
-    tag = tokenizer.read_name()
-    node = XMLNode(tag)
-    for attr_name, attr_value in _parse_attributes(tokenizer):
-        node.child("@" + attr_name, attr_value)
-    tokenizer.skip_whitespace()
-    if tokenizer.startswith("/>"):
-        tokenizer.advance(2)
-        return node
-    tokenizer.expect(">")
-
-    text_parts: List[str] = []
-    while True:
-        if tokenizer.eof():
-            raise tokenizer.error(f"unexpected end of input inside <{tag}>")
-        if tokenizer.startswith("</"):
-            tokenizer.advance(2)
-            closing = tokenizer.read_name()
-            if closing != tag:
-                raise tokenizer.error(
-                    f"mismatched closing tag </{closing}>, expected </{tag}>"
+        token = scan(text, position)
+        if token is None:
+            raise _diagnose(text, position, node.tag)
+        kind: int = token.lastindex  # type: ignore[assignment]  # a match closes a group
+        if kind == _LEAF:
+            tag, value = token.group(1, 2)
+            if "&" in value:
+                value = _decode(value, text, token.start(2))
+            child = XMLNode(tag, value.strip() or None)
+            child.parent = node
+            node.children.append(child)
+        elif kind == _OPEN:
+            child = XMLNode(token.group(4))
+            child.parent = node
+            node.children.append(child)
+            if token.group(5):
+                for attribute in _ATTRIBUTE.finditer(text, token.start(5), token.end(5)):
+                    value = attribute.group(2)[1:-1]
+                    if "&" in value:
+                        value = _decode(value, text, attribute.start(2) + 1)
+                    child.child("@" + attribute.group(1), value)
+            if not token.group(6):
+                stack.append((node, parts))
+                node, parts = child, []
+        elif kind == _CLOSE:
+            if token.group(8) != node.tag:
+                expected = f"expected </{node.tag}>" if stack else "no element is open"
+                raise _error(
+                    text, token.start(), f"mismatched closing tag </{token.group(8)}>, {expected}"
                 )
-            tokenizer.skip_whitespace()
-            tokenizer.expect(">")
+            if parts:
+                node.value = "".join(parts).strip() or None
+            node, parts = stack.pop()
+        elif kind == _CDATA:
+            parts.append(token.group(10))
+        if node is top:
             break
-        if tokenizer.startswith("<!--"):
-            tokenizer.advance(4)
-            tokenizer.read_until("-->")
-        elif tokenizer.startswith("<![CDATA["):
-            tokenizer.advance(9)
-            text_parts.append(tokenizer.read_until("]]>"))
-        elif tokenizer.startswith("<?"):
-            tokenizer.advance(2)
-            tokenizer.read_until("?>")
-        elif tokenizer.peek() == "<":
-            node.add_child(_parse_element(tokenizer))
-        else:
-            start = tokenizer.pos
-            next_tag = tokenizer.text.find("<", start)
-            if next_tag < 0:
-                raise tokenizer.error(f"unexpected end of input inside <{tag}>")
-            raw = tokenizer.text[start:next_tag]
-            tokenizer.pos = next_tag
-            text_parts.append(_decode_text(raw, tokenizer))
-
-    text = "".join(text_parts).strip()
-    if text:
-        node.value = text
-    return node
+        tail = token.group(kind)
+        if tail:
+            parts.append(_decode(tail, text, token.start(kind)) if "&" in tail else tail)
+        position = token.end()
+    if not top.children:  # a CDATA section where the element should start
+        raise _error(text, position, f"expected the {what} element")
+    end = _skip_misc(text, token.start(kind))
+    if end != len(text):
+        raise _error(text, end, f"trailing content after {what} element")
+    root = top.children[0]
+    root.parent = None
+    return root
 
 
 def parse_document(text: str) -> Database:
-    """Parse one XML document into a single-document :class:`Database`.
-
-    Nesting depth is bounded by the interpreter's recursion limit
-    (roughly a thousand levels); pathological documents raise
-    :class:`~repro.errors.XMLParseError` instead of ``RecursionError``.
-    """
-    try:
-        database, remainder = _parse_one(text)
-    except RecursionError:
-        raise XMLParseError(
-            "document nesting exceeds the supported depth "
-            "(~1000 levels of elements)"
-        )
-    tokenizer = remainder
-    _skip_misc(tokenizer)
-    if not tokenizer.eof():
-        raise tokenizer.error("trailing content after document element")
-    return database
+    """Parse one XML document into a single-document :class:`Database`."""
+    return Database.from_roots([_parse_tree(text, "document")])
 
 
-def _parse_one(text: str) -> Tuple[Database, _Tokenizer]:
-    tokenizer = _Tokenizer(text)
-    _skip_misc(tokenizer)
-    if tokenizer.eof():
-        raise tokenizer.error("empty document")
-    root = _parse_element(tokenizer)
-    database = Database()
-    database.add_document(root)
-    return database, tokenizer
-
-
-def parse_forest(texts) -> Database:
+def parse_forest(texts: Iterable[str]) -> Database:
     """Parse several XML documents into one forest :class:`Database`.
 
     ``texts`` is an iterable of document strings; documents join the forest
     in iteration order, which fixes their Dewey document ordinals.
     """
-    database = Database()
-    for text in texts:
-        tokenizer = _Tokenizer(text)
-        _skip_misc(tokenizer)
-        if tokenizer.eof():
-            raise tokenizer.error("empty document")
-        root = _parse_element(tokenizer)
-        _skip_misc(tokenizer)
-        if not tokenizer.eof():
-            raise tokenizer.error("trailing content after document element")
-        database.add_document(root)
-    return database
+    return Database.from_roots(_parse_tree(text, "document") for text in texts)
 
 
 def parse_fragment(text: str) -> XMLNode:
     """Parse a standalone element into a bare (unattached) node tree."""
-    tokenizer = _Tokenizer(text)
-    _skip_misc(tokenizer)
-    node = _parse_element(tokenizer)
-    _skip_misc(tokenizer)
-    if not tokenizer.eof():
-        raise tokenizer.error("trailing content after fragment element")
-    return node
+    return _parse_tree(text, "fragment")

@@ -27,30 +27,42 @@ def _escape_attribute(text: str) -> str:
     return _escape_text(text).replace('"', "&quot;")
 
 
-def _serialize_node(node: XMLNode, out: List[str], indent: int, pretty: bool) -> None:
-    pad = "  " * indent if pretty else ""
+def _serialize_node(root: XMLNode, out: List[str], pretty: bool) -> None:
+    """Append ``root``'s subtree to ``out``; an explicit stack, because
+    document depth is data-controlled (as in ``XMLNode._assign_deweys``)."""
     newline = "\n" if pretty else ""
-    attributes = [child for child in node.children if child.tag.startswith("@")]
-    elements = [child for child in node.children if not child.tag.startswith("@")]
+    # Nodes still to open, and rendered close tags of the elements opened
+    # above them; ``depth`` counts the close tags on the stack.
+    stack: List[Union[str, XMLNode]] = [root]
+    depth = 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            depth -= 1
+            continue
+        pad = "  " * depth if pretty else ""
+        attributes = [child for child in node.children if child.tag[0] == "@"]
+        elements = [child for child in node.children if child.tag[0] != "@"]
 
-    out.append(pad)
-    out.append(f"<{node.tag}")
-    for attribute in attributes:
-        out.append(f' {attribute.tag[1:]}="{_escape_attribute(attribute.value or "")}"')
+        out.append(f"{pad}<{node.tag}")
+        for attribute in attributes:
+            out.append(f' {attribute.tag[1:]}="{_escape_attribute(attribute.value or "")}"')
 
-    if not elements and node.value is None:
-        out.append(f"/>{newline}")
-        return
+        if not elements and node.value is None:
+            out.append(f"/>{newline}")
+            continue
 
-    out.append(">")
-    if node.value is not None:
-        out.append(_escape_text(node.value))
-    if elements:
-        out.append(newline)
-        for child in elements:
-            _serialize_node(child, out, indent + 1, pretty)
-        out.append(pad)
-    out.append(f"</{node.tag}>{newline}")
+        out.append(">")
+        if node.value is not None:
+            out.append(_escape_text(node.value))
+        if elements:
+            out.append(newline)
+            stack.append(f"{pad}</{node.tag}>{newline}")
+            stack.extend(reversed(elements))
+            depth += 1
+        else:
+            out.append(f"</{node.tag}>{newline}")
 
 
 def serialize(source: Union[Database, XMLDocument, XMLNode], pretty: bool = True) -> str:
@@ -66,7 +78,7 @@ def serialize(source: Union[Database, XMLDocument, XMLNode], pretty: bool = True
     if isinstance(source, XMLDocument):
         source = source.root
     out: List[str] = []
-    _serialize_node(source, out, 0, pretty)
+    _serialize_node(source, out, pretty)
     return "".join(out)
 
 

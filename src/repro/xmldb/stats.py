@@ -9,15 +9,14 @@ Two consumers:
   estimates ("number of extensions computed by the server for a partial
   match") and enough of the score distribution to estimate pruning odds.
 
-Both reduce to :class:`PredicateStatistics`, computed once per (root tag,
-target tag, axis) triple and cached on the :class:`DatabaseStatistics`
-object.
+Both reduce to :class:`PredicateStatistics`, one per (root tag, target tag,
+axis) triple, cached on the :class:`DatabaseStatistics` object.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.xmldb.dewey import DepthRange
 from repro.xmldb.index import DatabaseIndex
@@ -112,36 +111,52 @@ class PredicateStatistics:
 
 
 class DatabaseStatistics:
-    """Cached per-predicate statistics over one indexed database."""
+    """Cached per-predicate statistics over one indexed database.
+
+    A predicate's fan-outs come from one of two places: :meth:`record`, when
+    the caller already holds them (an :class:`~repro.core.engine.Engine`
+    counts them in the scan that fills its probe memos), or one index probe
+    per anchor node the first time the predicate is asked for.
+    """
 
     def __init__(self, index: DatabaseIndex) -> None:
         self.index = index
         self._cache: Dict[Tuple[str, str, DepthRange], PredicateStatistics] = {}
 
+    @staticmethod
+    def _key(
+        anchor_tag: str, target_tag: str, axis: DepthRange, value: Optional[str], value_op: str
+    ) -> Tuple[str, str, DepthRange]:
+        target = target_tag if value is None else f"{target_tag}{value_op}{value}"
+        return (anchor_tag, target, axis)
+
+    def record(
+        self,
+        anchor_tag: str,
+        target_tag: str,
+        axis: DepthRange,
+        fanouts: List[int],
+        value: Optional[str] = None,
+        value_op: str = "eq",
+    ) -> PredicateStatistics:
+        """Cache the statistics of a predicate whose per-anchor ``fanouts``
+        (in anchor-index order) the caller has already counted."""
+        stats = PredicateStatistics(anchor_tag, target_tag, axis, fanouts)
+        self._cache[self._key(anchor_tag, target_tag, axis, value, value_op)] = stats
+        return stats
+
     def predicate(
         self, anchor_tag: str, target_tag: str, axis: DepthRange
     ) -> PredicateStatistics:
         """Statistics for ``axis(anchor_tag, target_tag)``, computed lazily."""
-        key = (anchor_tag, target_tag, axis)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        anchor_index = self.index[anchor_tag]
-        fanouts = [
-            len(self.index.related(target_tag, anchor.dewey, axis))
-            for anchor in anchor_index
-        ]
-        stats = PredicateStatistics(anchor_tag, target_tag, axis, fanouts)
-        self._cache[key] = stats
-        return stats
+        return self.value_predicate(anchor_tag, target_tag, axis, None)
 
     def value_predicate(
         self,
         anchor_tag: str,
         target_tag: str,
         axis: DepthRange,
-        value: str,
+        value: Optional[str],
         value_op: str = "eq",
     ) -> PredicateStatistics:
         """Statistics for a predicate with a value condition on the target.
@@ -149,25 +164,23 @@ class DatabaseStatistics:
         Used when a query leaf carries a value test, e.g.
         ``title = 'wodehouse'`` (equality) or ``title ~= 'wode'``
         (containment): the fan-out only counts related target nodes whose
-        value passes the test.
+        value passes the test (every related node when ``value`` is None).
         """
-        from repro.query.pattern import value_test
-
-        key = (anchor_tag, f"{target_tag}{value_op}{value}", axis)
-        cached = self._cache.get(key)
+        cached = self._cache.get(self._key(anchor_tag, target_tag, axis, value, value_op))
         if cached is not None:
             return cached
+        from repro.query.pattern import value_test
 
-        anchor_index = self.index[anchor_tag]
         fanouts = []
-        for anchor in anchor_index:
+        for anchor in self.index[anchor_tag]:
             related = self.index.related(target_tag, anchor.dewey, axis)
-            fanouts.append(
-                sum(1 for node in related if value_test(value_op, value, node.value))
-            )
-        stats = PredicateStatistics(anchor_tag, target_tag, axis, fanouts)
-        self._cache[key] = stats
-        return stats
+            if value is None:
+                fanouts.append(len(related))
+            else:
+                fanouts.append(
+                    sum(1 for node in related if value_test(value_op, value, node.value))
+                )
+        return self.record(anchor_tag, target_tag, axis, fanouts, value, value_op)
 
     def tag_count(self, tag: str) -> int:
         """Number of nodes with ``tag`` in the database."""

@@ -91,13 +91,14 @@ class TestFig10Workloads:
         for backend in ("object", "columnar"):
             units = 0
             for query in QUERIES.values():
+                # Every probe a default engine makes, it makes while it is
+                # built (one per server and root image); the run adds none.
                 engine = Engine(database, query, index_backend=backend)
-                engine.index.reset_probe_cost()
                 engine.run(15, algorithm="whirlpool_s")
                 units += engine.index.probe_cost()[0]
             totals[backend] = units
         # The acceptance bar: >= 1.5x fewer modeled comparisons.
-        assert totals["object"] >= 1.5 * totals["columnar"], totals
+        assert totals["object"] >= 1.5 * totals["columnar"] > 0, totals
 
 
 class TestClusterSocket:

@@ -62,6 +62,20 @@ def oracles(database):
     }
 
 
+#: Kills of the 20-seed matrix below (``shard = seed % 2``, ``nth = 2 +
+#: seed % 3``) that must fail a shard over.  The sequential engines step
+#: deterministically — shard 0 takes four or more steps and shard 1 one — so
+#: all ten even seeds land and, of the odd ones, the three with ``nth == 2``.
+#: Whirlpool-M's threads overshoot the step budget by however far they got,
+#: so the number of steps a shard takes varies from run to run (9-12 kills
+#: land); only a kill at the first step, which every shard takes, is certain.
+KILLS_THAT_LAND = {
+    "whirlpool_s": 13,
+    "lockstep": 13,
+    "whirlpool_m": sum(1 for seed in SEEDS if seed % 3 == 0),
+}
+
+
 def answer_keys(result):
     return [
         (tuple(answer.root_node.dewey), round(answer.score, 9))
@@ -113,7 +127,7 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
         failovers_seen += result.failovers
     # The matrix must actually exercise failover, not just schedule kills
     # that land after the query finished.
-    assert failovers_seen >= len(SEEDS) // 2
+    assert failovers_seen >= KILLS_THAT_LAND[algorithm]
 
 
 def test_hang_past_liveness_deadline_fails_over(database, oracles):

@@ -54,6 +54,15 @@ class TestBasicParsing:
         db = parse_document("<!DOCTYPE site SYSTEM 'auction.dtd'><site/>")
         assert db.documents[0].root.tag == "site"
 
+    def test_doctype_internal_subset_skipped(self):
+        db = parse_document(
+            "<?xml version='1.0'?>\n<!DOCTYPE a [<!ELEMENT a (#PCDATA)>\n<!ENTITY e 'x'>]>\n<a>t</a>"
+        )
+        assert db.documents[0].root.value == "t"
+        # The subset is skipped, not read: the entity it declares is unknown.
+        with pytest.raises(XMLParseError, match="unknown entity"):
+            parse_document("<!DOCTYPE a [<!ENTITY e 'x'>]><a>&e;</a>")
+
     def test_cdata(self):
         db = parse_document("<a><![CDATA[x < y & z]]></a>")
         assert db.documents[0].root.value == "x < y & z"
@@ -113,6 +122,32 @@ class TestForestAndFragment:
         assert isinstance(node, XMLNode)
         assert node.dewey == ()
         assert node.children[0].tag == "y"
+
+
+class TestDepth:
+    """Nesting depth is data-controlled; nothing on the path from text to
+    tree and back to text may be bounded by the interpreter's recursion limit
+    (``parse_forest`` is how cluster workers load what ``partition`` ships)."""
+
+    DEEP = "<a>" * 3000 + "<b>x</b>" + "</a>" * 3000
+
+    def test_every_entry_point_parses_3000_levels(self):
+        for root in (
+            parse_document(self.DEEP).documents[0].root,
+            parse_forest(["<c/>", self.DEEP]).documents[1].root,
+            parse_fragment(self.DEEP),
+        ):
+            leaf = next(node for node in root.iter_subtree() if node.tag == "b")
+            assert leaf.value == "x"
+            assert len(leaf.dewey) in (0, 3001)
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_deep_document_round_trips_through_the_serializer(self, pretty):
+        database = parse_document(self.DEEP)
+        text = serialize(database, pretty=pretty)
+        assert parse_document(text).node_count() == database.node_count() == 3001
+        if not pretty:
+            assert text == self.DEEP
 
 
 # -- property-based round-trip ------------------------------------------------

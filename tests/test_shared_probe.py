@@ -1,0 +1,123 @@
+"""One index probe per (server, root image), shared three ways.
+
+Building a default :class:`Engine` scans the root-tag index once per
+server; the scan's entries are the probe memo, and their counts are the
+fan-outs behind ``engine.statistics`` and the tf*idf score model.  Nothing
+observable may differ from statistics computed by their own probes over a
+fresh index, and the first run must find every probe already made.
+"""
+
+import pytest
+
+from repro.bench.params import QUERIES
+from repro.core import server as server_module
+from repro.core.engine import Engine
+from repro.query.predicates import component_predicates
+from repro.query.xpath import parse_xpath
+from repro.scoring.model import RandomScoreModel, TfIdfScoreModel
+from repro.scoring.tfidf import idf_table, predicate_statistics
+from repro.xmark.generator import generate_database
+from repro.xmark.schema import XMarkConfig
+from repro.xmldb.index import INDEX_BACKENDS, DatabaseIndex
+from repro.xmldb.stats import DatabaseStatistics
+from tests.conftest import run_fingerprint
+
+CASES = dict(
+    QUERIES,
+    eq="//item[./payment = 'cash' and ./mailbox/mail/text]",
+    contains="//item[./description/text ~= 'silver' and ./name]",
+)
+ITEMS = 40
+
+
+@pytest.fixture(scope="module")
+def xmark():
+    return generate_database(XMarkConfig(items=ITEMS, seed=7))
+
+
+@pytest.fixture
+def related_calls(monkeypatch):
+    """Every ``DatabaseIndex.related`` call made while the test runs."""
+    calls = []
+    related = DatabaseIndex.related
+
+    def counted(self, tag, anchor, axis):
+        calls.append((tag, anchor, axis))
+        return related(self, tag, anchor, axis)
+
+    monkeypatch.setattr(DatabaseIndex, "related", counted)
+    return calls
+
+
+def fresh_statistics(database, pattern, backend):
+    return DatabaseStatistics(DatabaseIndex(database, tags=pattern.tags(), backend=backend))
+
+
+@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+@pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "exact"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_model_and_statistics_equal_their_own_probes(xmark, case, relaxed, backend):
+    engine = Engine(xmark, CASES[case], relaxed=relaxed, index_backend=backend)
+    fresh = fresh_statistics(xmark, engine.pattern, backend)
+    # ``==`` on floats: the same integers went through the same arithmetic.
+    assert engine.score_model.contributions() == TfIdfScoreModel(engine.pattern, fresh).contributions()
+    for predicate in component_predicates(engine.pattern):
+        for relaxed_axis in (False, True):
+            ours = predicate_statistics(predicate, engine.statistics, relaxed_axis)
+            theirs = predicate_statistics(predicate, fresh, relaxed_axis)
+            assert ours.fanouts == theirs.fanouts, (predicate, relaxed_axis)
+            assert ours.axis == theirs.axis
+
+
+@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_default_engine_probes_once_per_server_and_root(xmark, related_calls, case, backend):
+    engine = Engine(xmark, CASES[case], index_backend=backend)
+    roots = [root.dewey for root in engine.index[engine.pattern.root.tag]]
+    assert len(roots) == ITEMS <= server_module.PROBE_MEMO_CAP
+    servers = engine.pattern.non_root_nodes()
+    assert sorted((tag, anchor) for tag, anchor, _ in related_calls) == sorted(
+        (node.tag, root) for node in servers for root in roots
+    )
+    del related_calls[:]
+    result = engine.run(5)
+    idf_table(engine.pattern, engine.statistics)
+    assert related_calls == []
+    assert result.stats.join_comparisons > 0  # the memo charged what a probe would
+
+
+@pytest.mark.parametrize("algorithm", ["whirlpool_s", "lockstep", "lockstep_noprun"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_capped_memo_changes_nothing_observable(xmark, monkeypatch, case, algorithm):
+    # A parent-style engine: the model from the statistics' own probes, the
+    # memo filled by the run.
+    pattern = parse_xpath(CASES[case])
+    lazy = Engine(
+        xmark, pattern, score_model=TfIdfScoreModel(pattern, fresh_statistics(xmark, pattern, None))
+    )
+    expected = run_fingerprint(lazy.run(5, algorithm=algorithm))
+
+    monkeypatch.setattr(server_module, "PROBE_MEMO_CAP", ITEMS // 3)
+    engine = Engine(xmark, CASES[case])
+    memos = engine._probe_memos["index"].values()
+    assert all(0 < len(memo) <= ITEMS // 3 for memo in memos)
+    for predicate in component_predicates(engine.pattern):  # counts outlive cleared entries
+        assert len(predicate_statistics(predicate, engine.statistics).fanouts) == ITEMS
+    assert run_fingerprint(engine.run(5, algorithm=algorithm)) == expected
+    assert run_fingerprint(engine.run(5, algorithm=algorithm)) == expected
+
+
+def test_engines_without_a_tfidf_model_to_build_leave_the_index_alone(xmark, related_calls):
+    pattern = parse_xpath(QUERIES["Q2"])
+    supplied = RandomScoreModel(pattern, seed=3)
+    for engine in (
+        Engine(xmark, pattern, scoring="random", seed=3),
+        Engine(xmark, pattern, score_model=supplied),
+    ):
+        assert related_calls == []
+        assert engine.statistics.cached_predicates() == 0
+        assert all(len(memo) == 0 for memo in engine._probe_memos["index"].values())
+        assert engine.score_model.contributions() == supplied.contributions()
+        engine.run(5)  # ... and probe as they go, at most once per (server, root)
+        assert 0 < len(related_calls) <= len(pattern.non_root_nodes()) * ITEMS
+        del related_calls[:]
