@@ -4,9 +4,9 @@ ROADMAP item 2: the repo has 22 bench scripts but, until PR 6, zero
 checked-in performance artifacts — so there was nothing for a later PR
 to diff against when a "refactor" quietly doubles a wall time.  This
 driver runs a small, representative subset (`fig10_vary_k` — the paper's
-headline execution-time figure — plus the observability-overhead bound)
-and writes a **normalized record schema** that future PRs can compare
-mechanically::
+headline execution-time figure — plus the observability-overhead bound
+and the cluster step path's codec counts) and writes a **normalized
+record schema** that future PRs can compare mechanically::
 
     {
       "schema_version": 1,
@@ -22,7 +22,7 @@ mechanically::
 Records are sorted by ``(bench, case, metric)`` so artifact diffs are
 line-stable.  ``scale`` captures ``REPRO_BENCH_SCALE`` — artifacts are
 only comparable at equal scale.  Times are *modeled* engine times (unit
-``model_s``) or wall seconds (``s``); counts are ``ops``/``sites``;
+``model_s``) or wall seconds (``s``); counts are ``ops``/``sites``/``calls``;
 ratios are dimensionless ``fraction``.
 
 ``--noisy-advisory`` splits the gate: deterministic metrics (and lost
@@ -55,6 +55,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.bench.experiments import fig10_backend_speedup, fig10_vary_k
 from repro.bench.obs_overhead import obs_overhead_payload
 from repro.bench.params import bench_scale
+from repro.bench.step_codec import cluster_step_codec
 
 SCHEMA_VERSION = 1
 
@@ -127,6 +128,17 @@ def obs_records(payload: Dict) -> Iterator[Dict]:
     )
 
 
+def step_codec_records(payload: Dict) -> Iterator[Dict]:
+    """Per-shard step-path counts (steps, checkpoints, match encodes,
+    restores) of the fixed sharded query — deterministic, so the gate
+    fails on any growth: a restore per step or a second encode of the
+    same match shows up here as a count, not as a slower wall."""
+    for shard_id, counts in payload["shards"].items():
+        case = f"{payload['query']}/k={payload['k']}/shard={shard_id}"
+        for metric, value in counts.items():
+            yield record("cluster_step_codec", case, metric, "calls", value)
+
+
 def build(
     pr: int,
     k_values: Sequence[int] = (3, 15, 75),
@@ -146,6 +158,7 @@ def build(
     records.extend(
         obs_records(obs_overhead_payload(obs_query, k=obs_k, rounds=obs_rounds))
     )
+    records.extend(step_codec_records(cluster_step_codec()))
     records.sort(key=lambda r: (r["bench"], r["case"], r["metric"]))
     return {
         "schema_version": SCHEMA_VERSION,

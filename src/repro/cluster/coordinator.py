@@ -9,7 +9,8 @@ proceeds in rounds:
 1. **scatter** — send every live, undominated, unfinished shard a
    ``step`` RPC (a fixed operation budget);
 2. **gather** — collect each reply under the retry/timeout ladder,
-   shipping the returned checkpoint into the coordinator's
+   storing the returned checkpoint — JSON text plus CRC-32, verified but
+   never parsed here — in the coordinator's
    :class:`~repro.recovery.store.RecoveryStore`;
 3. **merge** — fold the per-shard local top-k's and ``pending_bound``
    certificates through :mod:`repro.cluster.merge`; a shard whose bound
@@ -100,6 +101,7 @@ from repro.errors import (
     ConnectionLostError,
     EngineError,
     ProtocolError,
+    RecoveryError,
     WorkerLostError,
 )
 from repro.faults.plan import FaultPlan
@@ -225,6 +227,11 @@ class _ClusterMetrics:
         self.rebalances = registry.counter(
             "cluster_rebalances_total",
             "Checkpoint-shipping shard migrations off degraded workers.",
+            labels=("shard",),
+        )
+        self.checkpoint_rejects = registry.counter(
+            "cluster_checkpoint_rejects_total",
+            "Step checkpoints refused because the text did not match its CRC.",
             labels=("shard",),
         )
         self.connection_state = registry.gauge(
@@ -1165,7 +1172,17 @@ class Coordinator:
             handle.done = state.done
         checkpoint = reply.get("checkpoint")
         if checkpoint is not None:
-            self.checkpoints.save(self._store_key(handle.shard_id), checkpoint)
+            try:
+                self.checkpoints.save(
+                    self._store_key(handle.shard_id),
+                    checkpoint["text"],
+                    checkpoint["crc"],
+                )
+            except RecoveryError:
+                # Damaged above the frame layer: not stored.  The worker's
+                # own state is intact; a failover meanwhile restores an
+                # older generation and replays the steps in between.
+                self.metrics.checkpoint_rejects.labels(str(handle.shard_id)).inc()
         elif state.done:
             self.checkpoints.delete(self._store_key(handle.shard_id))
 

@@ -33,8 +33,8 @@ RPCs
     to the shipped one, or to none — so a plan never outlives the query
     that shipped it.
 ``begin``
-    Bind a query and reset the per-query state (resident snapshot,
-    operation count, lost bound): take the
+    Bind a query and reset the per-query state (live run, resident
+    snapshot, operation count, lost bound): take the
     :class:`~repro.core.engine.Engine` for what the frame ships —
     query, ``relaxed``, index backend and the coordinator's **global**
     score contributions (never shard-local idf — Dewey remapping aside,
@@ -42,13 +42,18 @@ RPCs
     the worker's engine cache, building it on a miss; optionally seed
     the resident snapshot from a failed-over checkpoint.
 ``step``
-    Advance the engine by an operation budget: run with
-    ``max_operations = resident ops + budget`` restoring from the
-    resident snapshot; the budget-exit checkpoint (taken by every
-    engine when a checkpoint policy is attached) becomes the new
-    resident snapshot and ships back in the reply, giving the
-    coordinator its failover point.  A finished run replies ``done``
-    with the final answers.
+    Advance the bound query's run by an operation budget.  The run stays
+    alive between steps: a budget exit parks it, and the next step
+    raises ``max_operations`` to ``resident ops + budget`` and runs the
+    same instance on — nothing is decoded or rebuilt.  Only when there is
+    no live run (the first step, after ``begin`` with ``restore``, after
+    an in-engine crash) is one opened, restored from the resident
+    snapshot if there is one.  The budget-exit checkpoint (one per step,
+    taken by every engine when a checkpoint policy is attached) becomes
+    the new resident snapshot and ships back in the reply as
+    ``{"text", "crc"}`` — its JSON text, serialized here once, and a
+    CRC-32 over it — giving the coordinator its failover point.  A
+    finished run replies ``done`` with the final answers.
 ``ping`` / ``shutdown``
     Liveness probe / exit the loop.
 
@@ -75,12 +80,13 @@ from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.protocol import encode_frame, read_frame_ex
 from repro.core.engine import Engine
-from repro.core.base import TopKResult
+from repro.core.base import EngineBase, TopKResult
 from repro.core.stats import monotonic_seconds
 from repro.errors import ClusterError, EngineCrashError, ProtocolError, ReproError
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.faults.supervisor import RetryPolicy
 from repro.recovery.codec import encode_match
+from repro.recovery.generations import seal
 from repro.recovery.policy import CheckpointPolicy
 from repro.scoring.model import ScoreModel
 import repro.sim.clock as simclock
@@ -171,7 +177,11 @@ class ShardWorker:
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.database: Optional[Database] = None
+        self.nodes = 0
         self.engine: Optional[Engine] = None
+        #: The bound query's run, alive between steps; ``None`` until the
+        #: first step opens it and again once it finished or crashed.
+        self.live_run: Optional[EngineBase] = None
         self.engines: Dict[Tuple[Any, ...], Engine] = {}
         self.k = 0
         self.algorithm = "whirlpool_s"
@@ -235,9 +245,11 @@ class ShardWorker:
         # A new query opens: unbind the last one, so a step that arrives
         # without this query's begin is refused, not run on stale state.
         self.engine = None
+        self.live_run = None
         documents = message.get("documents")
         if documents is not None:
             self.database = parse_forest(documents)
+            self.nodes = self.database.node_count()
             self.engines.clear()
         if self.database is None:
             return {"ok": False, "error": "init without documents"}, False
@@ -251,7 +263,7 @@ class ShardWorker:
             {
                 "ok": True,
                 "documents": len(self.database.documents),
-                "nodes": self.database.node_count(),
+                "nodes": self.nodes,
             },
             False,
         )
@@ -291,6 +303,7 @@ class ShardWorker:
         self.engine_retry = (
             RetryPolicy.from_dict(retry_payload) if retry_payload is not None else None
         )
+        self.live_run = None
         self.snapshot = message.get("restore")
         self.resident_ops = (
             int(self.snapshot["operations"]) if self.snapshot is not None else 0
@@ -304,22 +317,35 @@ class ShardWorker:
         budget = int(message.get("operations", self.step_default))
         fault_free = bool(message.get("fault_free", False))
         captured: List[Dict[str, Any]] = []
-        try:
-            result = self.engine.run(
+        # Taken out for the duration: a step that raises leaves no live run.
+        run, self.live_run = self.live_run, None
+        if run is None:
+            run = self.engine.open(
                 self.k,
                 algorithm=self.algorithm,
                 routing=self.routing,
-                max_operations=self.resident_ops + budget,
-                faults=None if fault_free else self.engine_faults,
                 retry_policy=self.engine_retry,
-                checkpoint_policy=CheckpointPolicy(every_operations=max(budget, 1)),
-                checkpoint_sink=captured.append,
                 restore_from=self.snapshot,
             )
+        # What is per step: the budget, the fault plan (armed from its
+        # first operation, so a seeded schedule fires where it always
+        # did), where this step's checkpoint goes, and a checkpoint
+        # interval of this step's budget counted from where the run stands
+        # — so the budget exit is the step's one checkpoint whatever
+        # budget earlier steps carried.
+        run.max_operations = self.resident_ops + budget
+        run.arm_faults(None if fault_free else self.engine_faults)
+        run.checkpoint_sink = captured.append
+        policy = CheckpointPolicy(every_operations=max(budget, 1))
+        policy.mark(run.stats)
+        run.checkpoint_policy = policy
+        try:
+            result = run.run()
         except EngineCrashError as exc:
-            # The resident snapshot did not advance; the coordinator
-            # retries this step (fault-free, mirroring the service's
-            # recovery contract: recovered runs re-execute clean).
+            # The live run died with the crash and the resident snapshot
+            # did not advance; the coordinator retries this step
+            # (fault-free, mirroring the service's recovery contract:
+            # recovered runs re-execute clean), which restores from it.
             return (
                 {
                     "ok": False,
@@ -334,9 +360,10 @@ class ShardWorker:
         # *resumable*, the final checkpoint holds them — and terminal
         # loss (abandoned or injector-dropped matches) in a run that
         # otherwise finished.  Only the former continues stepping; the
-        # latter's bound is remembered across steps (each run rebuilds
-        # its injector, so earlier drops would silently vanish from
-        # later reports) and keeps the final report degraded-but-done.
+        # latter's bound is remembered across steps (each step re-arms
+        # its injector and a restored run starts a fresh supervisor, so
+        # earlier losses could vanish from later reports) and keeps the
+        # final report degraded-but-done.
         if result.failure is not None:
             for failed in result.failure.failed_matches:
                 self.lost_bound = max(self.lost_bound, failed.upper_bound)
@@ -348,13 +375,19 @@ class ShardWorker:
             result.stats.server_operations >= self.resident_ops + budget
         )
         done = not (result.degraded and hit_budget and captured)
+        checkpoint: Optional[Dict[str, Any]] = None
         if not done:
+            self.live_run = run
             self.snapshot = captured[-1]
             self.resident_ops = int(self.snapshot["operations"])
-        return {**{"ok": True, "done": done}, **self._report(result, done)}, False
+            text, crc = seal(self.snapshot)
+            checkpoint = {"text": text, "crc": crc}
+        return {"ok": True, "done": done, **self._report(result, done, checkpoint)}, False
 
-    def _report(self, result: TopKResult, done: bool) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+    def _report(
+        self, result: TopKResult, done: bool, checkpoint: Optional[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        return {
             "answers": [
                 {
                     "root": dewey_str(answer.root_node.dewey),
@@ -367,9 +400,8 @@ class ShardWorker:
             "degraded": self.lost_bound > 0.0 or not done,
             "operations": result.stats.server_operations,
             "stats": result.stats.as_dict(),
-            "checkpoint": None if done else self.snapshot,
+            "checkpoint": checkpoint,
         }
-        return payload
 
     def _op_ping(self, message: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         return (

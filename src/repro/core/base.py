@@ -224,6 +224,8 @@ class EngineBase:
         #: the :class:`~repro.faults.report.FailureReport` so callers can
         #: tell a resumable failure from a total loss).
         self.last_checkpoint: Optional[Dict[str, Any]] = None
+        #: Matches the next :meth:`run` starts from instead of seeding:
+        #: decoded by :meth:`restore`, or parked live by a budget exit.
         self._restored: Optional[List[PartialMatch]] = None
         #: Loss inherited from a restored snapshot (work the *crashed*
         #: run dropped or abandoned before its last checkpoint).  The
@@ -284,12 +286,45 @@ class EngineBase:
         if self._restored is not None or self.stats.server_operations > 0:
             raise RecoveryError("restore() must be called once, before run()")
         self._restored = restore_engine_state(snapshot, self)
+        policy = self.checkpoint_policy
+        if policy is not None:
+            # The snapshot is the checkpoint at this operation count; the
+            # next one is due a full interval later.
+            policy.mark(self.stats)
+
+    def park(self, leftovers: List[PartialMatch]) -> float:
+        """Budget exit: keep the unprocessed live matches for the next
+        :meth:`run`, which continues from them (same ``match_id`` /
+        ``arrival``, so queue order is the uninterrupted run's) once the
+        budget is raised.  Engines park at every budget exit, an empty
+        list included — staged, it makes the next run finish this one
+        instead of seeding again.  Returns the leftovers' best upper
+        bound — the ``pending_bound`` of this exit."""
+        self._restored = leftovers
+        return max((match.upper_bound for match in leftovers), default=0.0)
 
     def take_restored(self) -> Optional[List[PartialMatch]]:
-        """The staged restore matches (once), or ``None`` for a fresh run."""
+        """The staged matches (once), or ``None`` for a fresh run."""
         restored = self._restored
         self._restored = None
         return restored
+
+    def arm_faults(self, faults: Optional[FaultPlan]) -> None:
+        """Start ``faults`` (or none) from its first operation — what a
+        re-entered run does per budget step, since a fault plan counts
+        operations from where it was armed.  What the outgoing injector
+        dropped stays in the ``pending_bound`` certificate."""
+        outgoing = self.fault_injector
+        if outgoing is not None and outgoing.dropped_count() > 0:
+            carried: Dict[str, Any] = dict(self.carried_loss or {})
+            carried["bound"] = max(
+                float(carried.get("bound", 0.0)), outgoing.max_dropped_bound()
+            )
+            self.carried_loss = carried
+        injector = FaultInjector(faults) if faults is not None else None
+        self.fault_injector = injector
+        for server in self.servers.values():
+            server.injector = injector
 
     def checkpoint_due(self) -> bool:
         """True when the policy wants a snapshot at this progress point."""

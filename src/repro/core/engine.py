@@ -12,7 +12,7 @@ Typical use::
 The facade owns everything derived from (database, query): the restricted
 tag index, the database statistics, the tf*idf score model and the servers'
 probe memos — the last three filled by one index probe per (server, root
-image) while the Engine is built.  Each :meth:`Engine.run` builds a fresh
+image) while the Engine is built.  Each :meth:`Engine.run` opens a fresh
 algorithm instance around them, so one Engine can be reused across k
 values, algorithms and routing strategies — which is precisely what the
 benchmark harness does — and answers without going back to the index.
@@ -180,7 +180,12 @@ class Engine:
                     self._path_summary = summary
         return summary
 
-    def run(
+    def run(self, k: int, algorithm: str = "whirlpool_s", **options: Any) -> TopKResult:
+        """Evaluate the top-k query: :meth:`open` a run (same parameters)
+        and drive it to completion or to its budget."""
+        return self.open(k, algorithm, **options).run()
+
+    def open(
         self,
         k: int,
         algorithm: str = "whirlpool_s",
@@ -197,8 +202,14 @@ class Engine:
         checkpoint_policy: Optional["CheckpointPolicy"] = None,
         checkpoint_sink: Optional[Any] = None,
         restore_from: Optional[Dict[str, Any]] = None,
-    ) -> TopKResult:
-        """Evaluate the top-k query with one algorithm/policy combination.
+    ) -> EngineBase:
+        """A run of one algorithm/policy combination, ready to ``run()``.
+
+        ``run()`` returns the :class:`TopKResult`.  After a budget exit
+        the instance can be run again: raise its ``max_operations`` (and
+        set what else is per step — ``checkpoint_sink``,
+        :meth:`~repro.core.base.EngineBase.arm_faults`) and ``run()``
+        continues from the parked matches, as the uninterrupted run would.
 
         Parameters
         ----------
@@ -297,7 +308,7 @@ class Engine:
             instance = engine_cls(**kwargs)
         if restore_from is not None:
             instance.restore(restore_from)
-        return instance.run()
+        return instance
 
     # -- oracles ----------------------------------------------------------------------
 

@@ -44,10 +44,10 @@ class LockStep(EngineBase):
         self.stats.start_clock()
         restored = self.take_restored()
         if restored is not None:
-            # Resuming a snapshot (possibly taken under another engine):
-            # top-k set and counters were replayed by restore(); the
-            # queued matches rejoin the lock-step sweep below, skipping
-            # servers they already visited.
+            # Continuing a parked run or resuming a snapshot (possibly
+            # taken under another engine): top-k set and counters are in
+            # place; the staged matches rejoin the lock-step sweep below,
+            # skipping servers they already visited.
             matches: List[PartialMatch] = list(restored)
         else:
             matches = list(self.seed_matches())
@@ -74,25 +74,28 @@ class LockStep(EngineBase):
                     self.put_or_abandon(queue, label, match)
             out_of_budget = False
             while True:
-                self.maybe_checkpoint(
-                    {f"server:{server_id}": queue}, loose=survivors
-                )
                 if self.budget_exhausted():
                     # Budget hit mid-server: everything still queued (plus
-                    # the survivors already spawned) is unreported work.
-                    # Snapshot it first when a checkpoint policy is on, so
-                    # a budget-stepped run can resume without loss.
+                    # the survivors already spawned) is unreported work,
+                    # parked for a caller that raises the budget.  Snapshot
+                    # it first when a checkpoint policy is on (once: this
+                    # test comes before the periodic one), so a
+                    # budget-stepped run can be failed over.  Nothing left
+                    # is parked too: the next run() must finish this run,
+                    # not seed a new one.
                     if self.checkpoint_policy is not None:
                         self.checkpoint(
                             {f"server:{server_id}": queue}, loose=survivors
                         )
                     snapshots[f"server:{server_id}"] = len(queue)
                     leftovers = queue.drain() + survivors
-                    if leftovers:
-                        degraded = True
-                        pending_bound = max(m.upper_bound for m in leftovers)
+                    degraded = bool(leftovers)
+                    pending_bound = self.park(leftovers)
                     out_of_budget = True
                     break
+                self.maybe_checkpoint(
+                    {f"server:{server_id}": queue}, loose=survivors
+                )
                 try:
                     match = queue.get_nowait()
                 except InjectedFaultError as exc:

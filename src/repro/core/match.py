@@ -19,7 +19,7 @@ against the current top-k threshold safe.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sized
 
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import XMLNode
@@ -42,6 +42,7 @@ class PartialMatch:
         "score",
         "upper_bound",
         "arrival",
+        "encoded",
     )
 
     def __init__(
@@ -60,6 +61,9 @@ class PartialMatch:
         self.score = score
         self.upper_bound = score  # refreshed via refresh_bound()
         self.arrival = self.match_id  # FIFO tiebreaker / arrival order
+        #: The snapshot codec's payload for this match, kept by
+        #: :func:`~repro.recovery.codec.encode_match` once it has built it.
+        self.encoded: Optional[Dict[str, Any]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -123,9 +127,10 @@ class PartialMatch:
         """Server node ids this match has not gone through yet."""
         return [node_id for node_id in server_ids if node_id not in self.visited]
 
-    def is_complete(self, server_ids: Iterable[int]) -> bool:
-        """True iff every server has processed this match."""
-        return all(node_id in self.visited for node_id in server_ids)
+    def is_complete(self, server_ids: Sized) -> bool:
+        """True iff every server has processed this match (``visited``
+        only ever holds server ids, so counting them is enough)."""
+        return len(self.visited) >= len(server_ids)
 
     def instantiated_nodes(self) -> Dict[int, XMLNode]:
         """Node id → data node for the non-deleted instantiations."""

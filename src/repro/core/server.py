@@ -219,7 +219,7 @@ class Server:
         self.score_model = score_model
         self.relaxed = relaxed
         self.join_algorithm = join_algorithm
-        self._injector = injector
+        self.injector = injector
         self._root_tag: Optional[str] = None
         # Whirlpool-M probes from every server thread, so the per-run
         # cached state below is read and written under this lock.
@@ -268,7 +268,7 @@ class Server:
         list in relaxed mode (the deleted extension survives); may in exact
         mode, which kills the match.
         """
-        injector = self._injector
+        injector = self.injector
         if injector is not None and not injector.on_server_op(self.spec.node_id, match):
             # Injected DROP: the operation silently loses the match.  The
             # injector recorded its upper bound, so the result certificate

@@ -432,11 +432,13 @@ class WhirlpoolM(EngineBase):
             self.stats.stop_clock()
             raise crashed[0]
 
-        # Anything still queued at shutdown is unreported work; its best
-        # upper bound is the degradation certificate.  Workers have joined,
-        # so this point is naturally quiesced: with a checkpoint policy on,
-        # snapshot the budget-exit state so a stepped run resumes lossless
-        # (puts on closed queues still land, so in-hand extensions are in).
+        # Anything still queued at shutdown is unreported work: its best
+        # upper bound is the degradation certificate, and it is parked for
+        # a caller that raises the budget.  Workers have joined, so this
+        # point is naturally quiesced: with a checkpoint policy on,
+        # snapshot the budget-exit state so a stepped run can be failed
+        # over (puts on closed queues still land, so in-hand extensions
+        # are in).
         if out_of_budget and policy_active:
             final_labelled: Dict[str, MatchQueue] = {"router": router_queue}
             for node_id, queue in server_queues.items():
@@ -449,11 +451,10 @@ class WhirlpoolM(EngineBase):
         for queue in server_queues.values():
             leftovers.extend(queue.drain())
 
-        degraded = out_of_budget and (bool(leftovers) or in_flight.count() > 0)
-        pending_bound = 0.0
-        if leftovers:
-            degraded = True
-            pending_bound = max(match.upper_bound for match in leftovers)
+        degraded = bool(leftovers) or (out_of_budget and in_flight.count() > 0)
+        # A budget exit parks even an empty set: the next run() must finish
+        # this run, not seed a new one.
+        pending_bound = self.park(leftovers) if out_of_budget or leftovers else 0.0
 
         self.stats.stop_clock()
         return self.make_result(

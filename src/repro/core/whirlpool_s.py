@@ -32,9 +32,9 @@ class WhirlpoolS(EngineBase):
         router_queue = self.make_router_queue()
         restored = self.take_restored()
         if restored is not None:
-            # Resuming a snapshot: the top-k set and counters were already
-            # replayed by restore(); whatever was queued anywhere in the
-            # crashed run re-enters through the router.
+            # Continuing a parked run or resuming a snapshot: the top-k
+            # set and counters are already in place; whatever was queued
+            # anywhere re-enters through the router.
             for match in restored:
                 self.put_or_abandon(router_queue, "queue:router", match)
         else:
@@ -48,21 +48,24 @@ class WhirlpoolS(EngineBase):
         pending_bound = 0.0
         snapshots = {"router": 0}
         while True:
-            self.maybe_checkpoint({"router": router_queue})
             if self.budget_exhausted():
                 # Deadline / operation budget hit: whatever is still queued
                 # becomes the anytime certificate — no unreported answer
-                # can beat the best queued upper bound.  With a checkpoint
-                # policy attached the same state is also snapshotted, so a
-                # budget-stepped run (the cluster worker) loses nothing.
+                # can beat the best queued upper bound — and is parked, so
+                # a caller that raises the budget continues this run.  With
+                # a checkpoint policy attached the same state is also
+                # snapshotted (once: this test comes before the periodic
+                # one), so a budget-stepped run can be failed over.  An
+                # empty queue is parked too: the next run() must finish
+                # this run, not seed a new one.
                 if self.checkpoint_policy is not None:
                     self.checkpoint({"router": router_queue})
                 snapshots["router"] = len(router_queue)
                 leftovers = router_queue.drain()
-                if leftovers:
-                    degraded = True
-                    pending_bound = max(m.upper_bound for m in leftovers)
+                degraded = bool(leftovers)
+                pending_bound = self.park(leftovers)
                 break
+            self.maybe_checkpoint({"router": router_queue})
             try:
                 match = router_queue.get_nowait()
             except InjectedFaultError as exc:

@@ -11,7 +11,10 @@ JSON-compatible dictionaries:
   the per-node :class:`~repro.scoring.model.MatchQuality` values, the
   visited set, and the score.  The upper bound is *not* stored: it is
   recomputed from the restoring engine's score model, so a snapshot can
-  never smuggle in a stale or forged bound;
+  never smuggle in a stale or forged bound.  A match is immutable, so
+  this dictionary is built once and kept on the match: successive
+  snapshots of one run share it (and must not edit it), and a
+  checkpoint pays only for the matches created since the last one;
 - the top-k set becomes its per-entry representative matches; restore
   replays :meth:`~repro.core.topk.TopKSet.observe` on the decoded copies,
   which reconstructs every entry score and the pruning threshold exactly;
@@ -27,6 +30,13 @@ constructors.  Lint rule WPL009 enforces this choice repo-wide.
 
 Every snapshot carries ``version``; :func:`restore_engine_state` rejects
 anything it does not understand instead of guessing.
+
+Restoring is the recovery path only — a crash, a failover, a migration,
+a restart.  A run that merely stopped on its budget is still alive: the
+engine parks its matches and ``run()`` continues them
+(:meth:`~repro.core.base.EngineBase.park`), so stepping a run never
+round-trips through this module; it only *takes* one snapshot per
+budget exit, for whoever may have to recover later.
 """
 
 from __future__ import annotations
@@ -50,7 +60,20 @@ Resolver = Callable[[Dewey], Optional[XMLNode]]
 
 
 def encode_match(match: PartialMatch) -> Dict[str, Any]:
-    """One partial match as a JSON-compatible dictionary."""
+    """One partial match as a JSON-compatible dictionary.
+
+    Built once per match and kept on it (matches are immutable once
+    created), so a checkpoint pays only for the matches created since
+    the previous one.  Callers share the dictionary and must not edit it.
+    """
+    payload = match.encoded
+    if payload is None:
+        payload = match.encoded = match_payload(match)
+    return payload
+
+
+def match_payload(match: PartialMatch) -> Dict[str, Any]:
+    """Build the dictionary :func:`encode_match` keeps — its slow path."""
     return {
         "root": dewey_str(match.root_node.dewey),
         "instantiations": {

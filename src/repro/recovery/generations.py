@@ -8,11 +8,13 @@ zero.  :class:`CheckpointGenerations` closes that gap by layering a
 small ring of generations over any :class:`~repro.recovery.store.RecoveryStore`,
 one store entry per generation:
 
-- ``save`` writes ``{"generation", "crc", "snapshot"}`` under
-  ``<key>.g<generation>`` — ``snapshot`` the snapshot's JSON text,
-  ``crc`` a CRC-32 over exactly that text — and deletes the entries
-  that fall out of the newest ``keep``: one snapshot serialized per
-  save, however long the ring, and the store only ever copies a string;
+- ``save`` takes a snapshot already serialized by its producer
+  (:func:`seal`: the JSON text plus a CRC-32 over exactly that text),
+  refuses a text that does not match its CRC, and writes
+  ``{"generation", "crc", "snapshot"}`` under ``<key>.g<generation>``
+  verbatim — nothing is parsed or re-serialized here, the store only
+  ever copies a string — then deletes the entries that fall out of the
+  newest ``keep``;
 - ``load`` walks newest → oldest and returns the first snapshot whose
   text still matches its CRC, skipping corrupt or unreadable entries;
 - ``delete`` removes every generation of the key.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import threading
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import RecoveryError
 from repro.recovery.store import RecoveryStore
@@ -37,6 +39,14 @@ from repro.recovery.store import RecoveryStore
 def _text_crc(text: str) -> int:
     """CRC-32 over a stored snapshot text's UTF-8 bytes."""
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+
+
+def seal(snapshot: Dict[str, Any]) -> Tuple[str, int]:
+    """Serialize a snapshot once: ``(compact JSON text, its CRC-32)`` —
+    what :meth:`CheckpointGenerations.save` stores and what a shard
+    worker ships in a step reply."""
+    text = json.dumps(snapshot, separators=(",", ":"))
+    return text, _text_crc(text)
 
 
 class CheckpointGenerations:
@@ -68,9 +78,13 @@ class CheckpointGenerations:
             if name.startswith(prefix) and name[len(prefix) :].isdigit()
         )
 
-    def save(self, key: str, snapshot: Dict[str, Any]) -> None:
-        """Store ``snapshot`` as the newest generation and retire the
-        ones beyond ``keep``."""
+    def save(self, key: str, text: str, crc: int) -> None:
+        """Store a :func:`seal`-ed snapshot as the newest generation and
+        retire the ones beyond ``keep``.  A text that does not match
+        ``crc`` was damaged on its way here: it raises
+        :class:`~repro.errors.RecoveryError` and leaves the ring as it was."""
+        if _text_crc(text) != crc:
+            raise RecoveryError(f"checkpoint for {key!r} does not match its CRC")
         with self._lock:
             primed = key in self._rings
         stored = [] if primed else self.generations(key)
@@ -80,8 +94,7 @@ class CheckpointGenerations:
             ring.append(generation)
             retired = ring[: -self.keep]
             del ring[: -self.keep]
-        text = json.dumps(snapshot, separators=(",", ":"))
-        entry = {"generation": generation, "crc": _text_crc(text), "snapshot": text}
+        entry = {"generation": generation, "crc": crc, "snapshot": text}
         self.store.save(f"{key}.g{generation}", entry)
         for old in retired:
             self.store.delete(f"{key}.g{old}")

@@ -274,12 +274,24 @@ class Ticket:
 
     def resolve(self, response: QueryResponse) -> bool:
         """Record the terminal outcome; ``False`` when already resolved."""
+        if not self.claim(response):
+            return False
+        self.publish()
+        return True
+
+    def claim(self, response: QueryResponse) -> bool:
+        """First half of :meth:`resolve`: fix ``response`` as the terminal
+        outcome (first-wins) without waking waiters yet, so the winner can
+        finish its book-keeping before anyone reads it back."""
         with self._lock:
             if self._response is not None:
                 return False
             self._response = response
-        self._event.set()
         return True
+
+    def publish(self) -> None:
+        """Second half of :meth:`resolve`: wake everyone in :meth:`result`."""
+        self._event.set()
 
     def done(self) -> bool:
         """Has a terminal outcome been recorded?"""

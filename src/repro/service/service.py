@@ -731,23 +731,28 @@ class WhirlpoolService:
             return cached
 
     def _finish(self, ticket: Ticket, response: QueryResponse) -> bool:
-        if not ticket.resolve(response):
+        if not ticket.claim(response):
             return False
-        self._counters.record_outcome(
-            response.outcome,
-            fallback=response.fallback_from is not None,
-            queue_wait=response.queue_wait_seconds,
-        )
-        span = ticket.span
-        if span is not None:
-            # resolve() was first-wins, so exactly one caller runs this
-            # block — request metrics record once per request.
-            response.span = span
-            span.annotate("outcome", response.outcome.value)
-            if response.reason:
-                span.annotate("reason", response.reason)
-            span.finish()
-            self._record_request(ticket, response, span)
+        # Record, then publish: a client that reads health() or the slow
+        # log right after result() must find this request already in them.
+        try:
+            self._counters.record_outcome(
+                response.outcome,
+                fallback=response.fallback_from is not None,
+                queue_wait=response.queue_wait_seconds,
+            )
+            span = ticket.span
+            if span is not None:
+                # claim() was first-wins, so exactly one caller runs this
+                # block — request metrics record once per request.
+                response.span = span
+                span.annotate("outcome", response.outcome.value)
+                if response.reason:
+                    span.annotate("reason", response.reason)
+                span.finish()
+                self._record_request(ticket, response, span)
+        finally:
+            ticket.publish()
         with self._idle_cond:
             self._idle_cond.notify_all()
         return True
@@ -755,7 +760,7 @@ class WhirlpoolService:
     def _record_request(
         self, ticket: Ticket, response: QueryResponse, span: Span
     ) -> None:
-        """Request-level metrics + slow-query capture (after resolution)."""
+        """Request-level metrics + slow-query capture (before waiters wake)."""
         request = ticket.request
         algorithm = response.algorithm_used or request.algorithm
         routing = request.routing

@@ -14,6 +14,7 @@ import pytest
 from repro.bench import experiments, trajectory
 from repro.bench.params import DEFAULTS, QUERIES, paper_doc_bytes
 from repro.bench.reporting import format_table, write_results
+from repro.bench.step_codec import cluster_step_codec
 from repro.bench.workloads import clear_cache, get_database, get_engine
 
 
@@ -157,7 +158,12 @@ class TestTrajectory:
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys)), "duplicate record keys"
         benches = {r["bench"] for r in payload["records"]}
-        assert benches == {"fig10_vary_k", "fig10_backend", "obs_overhead"}
+        assert benches == {
+            "fig10_vary_k",
+            "fig10_backend",
+            "obs_overhead",
+            "cluster_step_codec",
+        }
         for entry in payload["records"]:
             assert set(entry) == {"bench", "case", "metric", "unit", "value"}
 
@@ -259,7 +265,7 @@ class TestTrajectory:
         assert trajectory.serialize(payload) == trajectory.serialize(payload)
         assert trajectory.serialize(payload).endswith("\n")
 
-    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12])
+    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12, 16])
     def test_checked_in_artifact_matches_schema(self, pr):
         artifact = Path(__file__).parent.parent / f"BENCH_PR{pr}.json"
         payload = json.loads(artifact.read_text(encoding="utf-8"))
@@ -280,6 +286,39 @@ class TestTrajectory:
             payload = json.loads((root / f"BENCH_PR{pr}.json").read_text(encoding="utf-8"))
             fig10[pr] = [r for r in payload["records"] if r["bench"] == "fig10_vary_k"]
         assert fig10[12] and fig10[12] == fig10[9]
+
+    def test_pr16_keeps_pr15_counts_and_pins_the_step_path(self):
+        """PR 16 changed how a shard steps, not what the engines decide:
+        the deterministic fig10 records are PR 15's.  Its new records say
+        what a fault-free sharded query's step path costs — one checkpoint
+        per budget exit, no restore — and a fresh drive reproduces them."""
+        root = Path(__file__).parent.parent
+        old, new = (
+            json.loads((root / f"BENCH_PR{pr}.json").read_text(encoding="utf-8"))
+            for pr in (15, 16)
+        )
+
+        def counted(payload):
+            return [
+                r
+                for r in payload["records"]
+                if r["bench"] in ("fig10_vary_k", "fig10_backend")
+                and r["unit"] not in trajectory.NOISY_UNITS
+            ]
+
+        assert counted(new) and counted(new) == counted(old)
+        step_path = [r for r in new["records"] if r["bench"] == "cluster_step_codec"]
+        values = {(r["case"], r["metric"]): r["value"] for r in step_path}
+        for shard in (0, 1):
+            case = f"Q2/k=15/shard={shard}"
+            assert values[case, "steps"] > 2
+            assert values[case, "checkpoints_taken"] == values[case, "steps"] - 1
+            assert values[case, "restore_calls"] == 0
+        fresh = sorted(
+            trajectory.step_codec_records(cluster_step_codec()),
+            key=lambda r: (r["case"], r["metric"]),
+        )
+        assert fresh == step_path
 
 
 def _artifact(*records, scale=0.02, pr=6):

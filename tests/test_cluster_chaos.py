@@ -15,13 +15,17 @@ armed RPC #1 and the steps count from #2 — killing at ``nth ∈ [2, 4]``
 lands mid-query for the small step budgets used here.
 """
 
+import json
+
 import pytest
 
 from repro.cluster import Coordinator
+from repro.cluster.coordinator import ShardHandle
 from repro.cluster.net import TRANSPORTS
 from repro.core.engine import Engine
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.faults.supervisor import RetryPolicy
+from repro.obs import Observability
 from repro.recovery.store import MemoryRecoveryStore
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
@@ -128,6 +132,64 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
     # The matrix must actually exercise failover, not just schedule kills
     # that land after the query finished.
     assert failovers_seen >= KILLS_THAT_LAND[algorithm]
+
+
+def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
+    database, oracles, monkeypatch
+):
+    """A step reply whose checkpoint text was altered *before* framing
+    passes every frame CRC; the checkpoint's own CRC is what catches it.
+    The coordinator must not store it, and a later failover of the shard
+    restores the generation before — replaying the steps in between to
+    the fault-free answer."""
+    stored, loaded = [], []
+
+    class RecordingStore(MemoryRecoveryStore):
+        def save(self, key, entry):
+            stored.append(json.loads(entry["snapshot"])["operations"])
+            super().save(key, entry)
+
+    real_finish = ShardHandle.finish
+    steps_seen = {"count": 0}
+
+    def damaging_finish(handle, deadline_at=None):
+        reply = real_finish(handle, deadline_at=deadline_at)
+        if handle.shard_id == 0 and reply.get("op") == "step" and reply.get("checkpoint"):
+            steps_seen["count"] += 1
+            if steps_seen["count"] == 2:
+                text = reply["checkpoint"]["text"]
+                flipped = text.replace('"operations":60', '"operations":61', 1)
+                assert flipped != text
+                reply["checkpoint"]["text"] = flipped
+        return reply
+
+    monkeypatch.setattr(ShardHandle, "finish", damaging_finish)
+    with Coordinator(
+        database,
+        shards=2,
+        step_operations=30,
+        recovery_store=RecordingStore(),
+        observability=Observability(),
+        **FAST_LADDER,
+    ) as coordinator:
+        real_load = coordinator.checkpoints.load
+
+        def recording_load(key):
+            snapshot = real_load(key)
+            loaded.append(None if snapshot is None else snapshot["operations"])
+            return snapshot
+
+        monkeypatch.setattr(coordinator.checkpoints, "load", recording_load)
+        # begin is armed RPC 1: the kill lands on shard 0's third step.
+        result = coordinator.run_query(QUERY, K, process_faults=kill_plan(0, 4))
+    assert result.failovers == 1 and not result.degraded
+    assert answer_keys(result) == oracles["whirlpool_s"]
+    # Step 2's checkpoint (60 operations) never reached the store, so the
+    # failover restored step 1's and the shard re-did 30-60 on the way.
+    assert stored[:1] == [30] and 61 not in stored
+    assert loaded == [30]
+    assert stored.count(60) == 1
+    assert coordinator.metrics.checkpoint_rejects.labels("0").value() == 1
 
 
 def test_hang_past_liveness_deadline_fails_over(database, oracles):
