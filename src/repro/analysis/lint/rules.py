@@ -10,8 +10,7 @@ Static-analysis limits worth knowing:
 - *shared-state-guard* only sees **direct** ``self.attr`` writes in a
   method's own statements.  Writes inside nested functions / lambdas are
   skipped — whether the closure runs under a lock is a runtime property
-  (that is :mod:`repro.analysis.racecheck`'s job, and exactly how
-  ``ExecutionStats._locked`` routes its counter updates).
+  (that is :mod:`repro.analysis.racecheck`'s job).
 - *no-bare-thread* checks construction kwargs (``name=``, ``daemon=True``);
   it cannot prove the thread is joined — the racecheck stress test and the
   ``_InFlight`` counter cover liveness.
@@ -122,6 +121,13 @@ class SharedStateGuardRule(Rule):
     the object is not shared before construction completes).  A guard is a
     ``with`` on a ``self`` attribute whose name contains ``lock`` or
     ``cond`` (or is ``_not_empty``, the queue's condition).
+
+    A class may declare its lock optional — ``__init__`` assigns the
+    attribute ``None`` or ``<lock> if <flag> else None``
+    (``ExecutionStats(thread_safe=False)``): an instance built without the
+    lock is by that declaration never shared, so the body of
+    ``if self._lock is None:`` counts as guarded.  The ``else`` branch does
+    not, and neither does the same test in a class whose lock always exists.
     """
 
     code = "WPL001"
@@ -132,13 +138,43 @@ class SharedStateGuardRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef) or node.name not in SHARED_CLASSES:
                 continue
-            for item in node.body:
-                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
+            methods = [
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            optional_locks: Set[str] = set()
+            for item in methods:
+                if item.name == "__init__":
+                    optional_locks |= self._optional_locks(item)
+            for item in methods:
                 if item.name == "__init__":
                     continue
-                for finding in self._scan(module, node.name, item.body, False):
+                for finding in self._scan(
+                    module, node.name, item.body, False, optional_locks
+                ):
                     yield finding
+
+    @classmethod
+    def _optional_locks(cls, init: ast.AST) -> Set[str]:
+        """Guard attributes this ``__init__`` may leave ``None``."""
+        names: Set[str] = set()
+        for stmt in ast.walk(init):
+            targets: Sequence[ast.expr]
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            arms = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            if any(isinstance(arm, ast.Constant) and arm.value is None for arm in arms):
+                names.update(
+                    target.attr  # type: ignore[attr-defined]
+                    for target in targets
+                    if cls._is_guard(target)
+                )
+        return names
 
     # -- statement walk, tracking the guard state --------------------------------
 
@@ -148,17 +184,33 @@ class SharedStateGuardRule(Rule):
         class_name: str,
         stmts: Sequence[ast.stmt],
         guarded: bool,
+        optional_locks: Set[str],
     ) -> Iterator[Finding]:
         for stmt in stmts:
             # Nested defs run later, possibly under a lock taken by the
-            # caller (the ExecutionStats._locked idiom) — out of scope.
+            # caller — out of scope.
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 inner = guarded or any(
                     self._is_guard(item.context_expr) for item in stmt.items
                 )
-                for finding in self._scan(module, class_name, stmt.body, inner):
+                for finding in self._scan(
+                    module, class_name, stmt.body, inner, optional_locks
+                ):
+                    yield finding
+                continue
+            if isinstance(stmt, ast.If) and self._tests_lock_absent(
+                stmt.test, optional_locks
+            ):
+                # The instance was built without its lock: never shared.
+                for finding in self._scan(
+                    module, class_name, stmt.body, True, optional_locks
+                ):
+                    yield finding
+                for finding in self._scan(
+                    module, class_name, stmt.orelse, guarded, optional_locks
+                ):
                     yield finding
                 continue
             if not guarded:
@@ -170,7 +222,9 @@ class SharedStateGuardRule(Rule):
                         f"(wrap in `with self._lock:`)",
                     )
             for block in self._sub_blocks(stmt):
-                for finding in self._scan(module, class_name, block, guarded):
+                for finding in self._scan(
+                    module, class_name, block, guarded, optional_locks
+                ):
                     yield finding
 
     @staticmethod
@@ -186,6 +240,19 @@ class SharedStateGuardRule(Rule):
     def _is_guard(expr: ast.expr) -> bool:
         return _is_self_attr(expr) and (
             "lock" in expr.attr or "cond" in expr.attr or expr.attr == "_not_empty"  # type: ignore[attr-defined]
+        )
+
+    @staticmethod
+    def _tests_lock_absent(test: ast.expr, optional_locks: Set[str]) -> bool:
+        """``self.<optional lock> is None``."""
+        return (
+            isinstance(test, ast.Compare)
+            and _is_self_attr(test.left)
+            and test.left.attr in optional_locks  # type: ignore[attr-defined]
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
         )
 
     def _writes(self, stmt: ast.stmt) -> List[Tuple[str, ast.AST]]:

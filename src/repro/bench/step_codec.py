@@ -18,7 +18,7 @@ and no process is spawned.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import repro.core.base as core_base
 import repro.recovery.codec as codec
@@ -48,13 +48,21 @@ def fixed_forest() -> Database:
 
 
 @contextlib.contextmanager
-def counted(owner: Any, name: str, calls: List[int]) -> Iterator[None]:
-    """Count calls of ``owner.name`` into ``calls[0]`` while the block runs."""
+def counted(
+    owner: Any,
+    name: str,
+    calls: List[int],
+    when: Optional[Callable[[Any], bool]] = None,
+) -> Iterator[None]:
+    """Count calls of ``owner.name`` — those whose result satisfies
+    ``when``, if given — into ``calls[0]`` while the block runs."""
     original: Callable[..., Any] = getattr(owner, name)
 
     def counting(*args: Any, **kwargs: Any) -> Any:
-        calls[0] += 1
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        if when is None or when(result):
+            calls[0] += 1
+        return result
 
     setattr(owner, name, counting)
     try:

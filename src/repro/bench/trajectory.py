@@ -4,9 +4,10 @@ ROADMAP item 2: the repo has 22 bench scripts but, until PR 6, zero
 checked-in performance artifacts — so there was nothing for a later PR
 to diff against when a "refactor" quietly doubles a wall time.  This
 driver runs a small, representative subset (`fig10_vary_k` — the paper's
-headline execution-time figure — plus the observability-overhead bound
-and the cluster step path's codec counts) and writes a **normalized
-record schema** that future PRs can compare mechanically::
+headline execution-time figure — plus the observability-overhead bound,
+the cluster step path's codec counts and the adaptive core's
+per-extension work counts) and writes a **normalized record schema** that
+future PRs can compare mechanically::
 
     {
       "schema_version": 1,
@@ -22,7 +23,7 @@ record schema** that future PRs can compare mechanically::
 Records are sorted by ``(bench, case, metric)`` so artifact diffs are
 line-stable.  ``scale`` captures ``REPRO_BENCH_SCALE`` — artifacts are
 only comparable at equal scale.  Times are *modeled* engine times (unit
-``model_s``) or wall seconds (``s``); counts are ``ops``/``sites``/``calls``;
+``model_s``) or wall seconds (``s``); counts are ``ops``/``sites``/``calls``/``entries``;
 ratios are dimensionless ``fraction``.
 
 ``--noisy-advisory`` splits the gate: deterministic metrics (and lost
@@ -53,6 +54,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.bench.experiments import fig10_backend_speedup, fig10_vary_k
+from repro.bench.hot_path import hot_path_work
 from repro.bench.obs_overhead import obs_overhead_payload
 from repro.bench.params import bench_scale
 from repro.bench.step_codec import cluster_step_codec
@@ -139,6 +141,19 @@ def step_codec_records(payload: Dict) -> Iterator[Dict]:
             yield record("cluster_step_codec", case, metric, "calls", value)
 
 
+def hot_path_records(payload: Dict) -> Iterator[Dict]:
+    """Per-query counts of what Whirlpool-S pays per extension rather than
+    per server operation (:mod:`repro.bench.hot_path`) — deterministic, so
+    the gate fails on any growth: a second meeting with the top-k set per
+    completed sibling, a dict copied per extension or a closure per
+    counter shows up here as a count, not as a slower wall."""
+    for query, counts in payload["queries"].items():
+        case = f"{query}/k={payload['k']}"
+        for metric, value in counts.items():
+            unit = "entries" if metric == "bound_table_entries" else "calls"
+            yield record("hot_path_work", case, metric, unit, value)
+
+
 def build(
     pr: int,
     k_values: Sequence[int] = (3, 15, 75),
@@ -159,6 +174,7 @@ def build(
         obs_records(obs_overhead_payload(obs_query, k=obs_k, rounds=obs_rounds))
     )
     records.extend(step_codec_records(cluster_step_codec()))
+    records.extend(hot_path_records(hot_path_work()))
     records.sort(key=lambda r: (r["bench"], r["case"], r["metric"]))
     return {
         "schema_version": SCHEMA_VERSION,

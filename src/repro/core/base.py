@@ -16,7 +16,7 @@ implements the two steps every engine performs identically:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue, QueuePolicy
@@ -42,6 +42,12 @@ from repro.relax.plan import compile_plan
 from repro.scoring.model import MatchQuality, ScoreModel
 from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
+
+
+_NOT_SIBLINGS = (
+    "absorb_extensions takes the extensions of one server operation: "
+    "they must share one visited set"
+)
 
 
 class TopKResult:
@@ -203,6 +209,12 @@ class EngineBase:
             )
             for node_id in self.server_ids
         }
+        #: What every match that has been through the same servers shares,
+        #: filled as the run meets new visited sets (at most 2^servers):
+        #: visited -> (the unvisited servers' summed maximum contributions,
+        #: their ids in ``server_ids`` order).  Read through
+        #: :meth:`bound_entry`.
+        self.bound_table: Dict[FrozenSet[int], Tuple[float, Tuple[int, ...]]] = {}
         threshold_source = "all" if relaxed else "complete"
         self.topk = TopKSet(k, threshold_source=threshold_source)
         self.router: RoutingStrategy = router if router is not None else MinAliveRouter()
@@ -359,77 +371,127 @@ class EngineBase:
 
     # -- shared steps --------------------------------------------------------------
 
+    def bound_entry(self, visited: FrozenSet[int]) -> Tuple[float, Tuple[int, ...]]:
+        """``(remaining, unvisited)`` for a match that has been through
+        the servers in ``visited``: the most the other servers can still
+        add to its score, and which they are (none: the match is complete).
+
+        ``remaining`` is summed in ``max_contributions`` order from 0.0,
+        exactly as :meth:`PartialMatch.refresh_bound` sums it, so
+        ``score + remaining`` is the float ``refresh_bound`` stores.  An
+        entry is a pure function of ``visited``: Whirlpool-M's threads may
+        each build a missing one, and whichever is stored is the same.
+        """
+        entry = self.bound_table.get(visited)
+        if entry is None:
+            remaining = 0.0
+            unvisited: List[int] = []
+            for node_id, max_contribution in self.max_contributions.items():
+                if node_id not in visited:
+                    remaining += max_contribution
+                    unvisited.append(node_id)
+            entry = self.bound_table[visited] = (remaining, tuple(unvisited))
+        return entry
+
     def seed_matches(self) -> List[PartialMatch]:
         """Root-server output: one initial match per candidate root node."""
         root = self.pattern.root
+        remaining, unvisited = self.bound_entry(frozenset())
         seeds: List[PartialMatch] = []
         for node in self.index[root.tag].all():
             if not root.matches_value(node.value):
                 continue
             match = PartialMatch.initial(node)
-            match.refresh_bound(self.max_contributions)
+            match.upper_bound = match.score + remaining
             seeds.append(match)
         self.stats.record_created(len(seeds))
         for match in seeds:
-            self.topk.observe(match, complete=match.is_complete(self.server_ids))
+            threshold = self.topk.observe(match, complete=not unvisited)
             if self.observer is not None:
-                self.observer.on_seed(match, self.topk.threshold())
+                self.observer.on_seed(match, threshold)
         return seeds
-
-    def absorb_extension(
-        self, extension: PartialMatch, parent: Optional[PartialMatch] = None
-    ) -> Optional[PartialMatch]:
-        """Bound + report + completion + pruning for one fresh extension.
-
-        Returns the extension when it must continue through more servers,
-        ``None`` when it completed or was pruned.  ``parent`` is only used
-        to notify the observer (lineage tracking).
-        """
-        extension.refresh_bound(self.max_contributions)
-        complete = extension.is_complete(self.server_ids)
-        self.topk.observe(extension, complete)
-        if complete:
-            self.stats.record_completed()
-            self._notify_extension(parent, extension, "completed")
-            return None
-        if self.topk.is_pruned(extension):
-            self.stats.record_pruned()
-            self._notify_extension(parent, extension, "pruned")
-            return None
-        self._notify_extension(parent, extension, "alive")
-        return extension
 
     def absorb_extensions(
         self,
         extensions: Sequence[PartialMatch],
         parent: Optional[PartialMatch] = None,
+        prune: bool = True,
     ) -> List[PartialMatch]:
-        """Absorb one server operation's whole extension batch, in order.
+        """Bound + report + completion + pruning for the sibling
+        extensions of one server operation, in order; returns the ones
+        that must continue through more servers.
 
-        One queue pop produces every sibling extension of the popped match
-        at once (the server's probe memo already amortizes the index probe
-        across the router's sizing call and the operation itself); engines
-        absorb the batch through this single call so the pop → probe →
-        absorb unit stays one step, and only the surviving extensions come
-        back for re-queueing.
+        One queue pop produces every sibling at once, and siblings differ
+        only in candidate and score: they share the popped match's root
+        and one ``visited`` object (checked here — it is what makes the
+        rest valid), hence one :meth:`bound_entry` and one completeness,
+        read once for the batch.  Each unfinished sibling is reported to
+        the top-k set and tested against the threshold that report
+        returns — the value a separate ``is_pruned`` would read next.
+
+        A last-hop batch meets the top-k set once, through its *first
+        best* sibling.  Reporting each in turn would leave exactly that:
+        all siblings are complete and share the root's entry, a report
+        replaces the entry's match / complete match only on a strictly
+        higher score (an equal score replaces only a *less* instantiated
+        match, which no sibling is of another), so the first sibling to
+        reach the batch's top score holds both slots at the end; and the
+        k best scores depend only on each entry's final score — the
+        batch's maximum or what the entry already held.  Intermediate
+        states are seen by nobody: the engine absorbs a batch within one
+        step, and under Whirlpool-M a thread reading between two reports
+        would read a threshold no higher than the final one.
+
+        ``parent`` is only used to notify the observer: one
+        ``on_extension`` per sibling, with the threshold its report
+        returned — for completed siblings, the one after their batch.
+        ``prune=False`` keeps every unfinished sibling (LockStep-NoPrun).
         """
+        if not extensions:
+            return []
+        visited = extensions[0].visited
+        remaining, unvisited = self.bound_entry(visited)
+        observe = self.topk.observe
+        observer = self.observer
+        if not unvisited:
+            best = extensions[0]
+            for extension in extensions:
+                if extension.visited is not visited:
+                    raise EngineError(_NOT_SIBLINGS)
+                extension.upper_bound = extension.score + remaining
+                if extension.score > best.score:
+                    best = extension
+            threshold = observe(best, True)
+            self.stats.record_completed(len(extensions))
+            if observer is not None and parent is not None:
+                for extension in extensions:
+                    observer.on_extension(parent, extension, "completed", threshold)
+            return []
         survivors: List[PartialMatch] = []
         for extension in extensions:
-            survivor = self.absorb_extension(extension, parent=parent)
-            if survivor is not None:
-                survivors.append(survivor)
+            if extension.visited is not visited:
+                raise EngineError(_NOT_SIBLINGS)
+            bound = extension.upper_bound = extension.score + remaining
+            threshold = observe(extension, False)
+            if prune and bound < threshold:
+                outcome = "pruned"
+            else:
+                outcome = "alive"
+                survivors.append(extension)
+            if observer is not None and parent is not None:
+                observer.on_extension(parent, extension, outcome, threshold)
+        if len(survivors) < len(extensions):
+            self.stats.record_pruned(len(extensions) - len(survivors))
         return survivors
 
-    def _notify_extension(
-        self,
-        parent: Optional[PartialMatch],
-        extension: PartialMatch,
-        outcome: str,
-    ) -> None:
-        if self.observer is not None and parent is not None:
-            self.observer.on_extension(
-                parent, extension, outcome, self.topk.threshold()
-            )
+    def absorb_extension(
+        self, extension: PartialMatch, parent: Optional[PartialMatch] = None
+    ) -> Optional[PartialMatch]:
+        """:meth:`absorb_extensions` for a batch of one: the extension
+        when it must continue through more servers, ``None`` when it
+        completed or was pruned."""
+        survivors = self.absorb_extensions((extension,), parent=parent)
+        return survivors[0] if survivors else None
 
     def notify_route(self, match: PartialMatch, server_id: int) -> None:
         """Observer hook for a routing decision."""
@@ -555,13 +617,15 @@ class EngineBase:
             except InjectedFaultError as exc:
                 self.supervisor.record_component_error("router", exc)
                 fallback = True
-        unvisited = match.unvisited(self.server_ids)
+        unvisited: Sequence[int] = self.bound_entry(match.visited)[1]
         if not unvisited:
             raise EngineError(
                 f"match {match.match_id} is complete; it should not be routed"
             )
+        allowed = unvisited
         excluded = self.supervisor.excluded_for(match.match_id)
-        allowed = [nid for nid in unvisited if nid not in excluded] or unvisited
+        if excluded:
+            allowed = [nid for nid in unvisited if nid not in excluded] or unvisited
         if fallback:
             choice = allowed[0]
         else:
@@ -596,7 +660,7 @@ class EngineBase:
                 raise
             except Exception as exc:  # noqa: B902 — supervision boundary
                 alternatives = (
-                    can_requeue and len(match.unvisited(self.server_ids)) > 1
+                    can_requeue and len(self.bound_entry(match.visited)[1]) > 1
                 )
                 action = supervisor.on_error(match, server_id, exc, alternatives)
                 if action is FailureAction.RETRY:

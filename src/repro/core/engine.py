@@ -27,7 +27,7 @@ from repro.core.base import EngineBase, TopKResult
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
-from repro.core.server import ProbeMemo, Server, probe_every_root
+from repro.core.server import PROBE_MEMO_CAP, ProbeMemo, Server, probe_every_root
 from repro.core.trace import EngineObserver
 from repro.core.whirlpool_m import WhirlpoolM
 from repro.core.whirlpool_s import WhirlpoolS
@@ -88,7 +88,8 @@ class Engine:
     The Engine owns the probe memos: one
     :class:`~repro.core.server.ProbeMemo` per (server node id, join
     algorithm), shared by every run — concurrent ones included — and
-    bounded by :data:`~repro.core.server.PROBE_MEMO_CAP` entries each.
+    bounded by the document's root images (or
+    :data:`~repro.core.server.PROBE_MEMO_CAP`, when there are fewer) each.
     Memoized probes are pure functions of (database, query), and
     ``ExecutionStats`` charge hits and misses alike, so a warm run's
     result equals a cold run's.
@@ -115,9 +116,13 @@ class Engine:
             database, tags=self.pattern.tags(), backend=index_backend
         )
         self.statistics = DatabaseStatistics(self.index)
+        # A memo holds one entry per root image: sized below the root
+        # count it would clear itself during every run.
+        memo_capacity = max(PROBE_MEMO_CAP, len(self.index[self.pattern.root.tag]))
         self._probe_memos: Dict[str, Dict[int, ProbeMemo]] = {
             join_algorithm: {
-                node.node_id: ProbeMemo() for node in self.pattern.non_root_nodes()
+                node.node_id: ProbeMemo(memo_capacity)
+                for node in self.pattern.non_root_nodes()
             }
             for join_algorithm in Server.JOIN_ALGORITHMS
         }

@@ -116,17 +116,15 @@ class LockStep(EngineBase):
                 )
                 if extensions is None:  # abandoned; supervisor holds the bound
                     continue
-                if self.prune:
-                    survivors.extend(self.absorb_extensions(extensions, parent=match))
-                else:
-                    for extension in extensions:
-                        extension.refresh_bound(self.max_contributions)
-                        complete = extension.is_complete(self.server_ids)
-                        self.topk.observe(extension, complete)
-                        if complete:
-                            self.stats.record_completed()
-                        else:
-                            survivors.append(extension)
+                # NoPrun keeps every extension, and has never reported them
+                # to an observer.
+                survivors.extend(
+                    self.absorb_extensions(
+                        extensions,
+                        parent=match if self.prune else None,
+                        prune=self.prune,
+                    )
+                )
             if out_of_budget:
                 break
             matches = survivors

@@ -14,12 +14,26 @@ marker (leaf-deletion semantics).  It carries:
 Matches are immutable once created; servers spawn new extended matches.
 Scores are monotone along any extension chain, which is what makes pruning
 against the current top-k threshold safe.
+
+What a match stores.  An extension keeps its root, score, bound, visited
+set and the one step that made it — ``(parent, node id, candidate,
+quality)`` — so :meth:`PartialMatch.extend` is O(1) in the query size.
+``instantiations`` and ``qualities`` remain public dicts with the contents
+and key order an eager copy per ``extend`` would give, but exist only from
+their first read on (then they are kept, like ``encoded``): exact mode's
+conditional predicates, the snapshot codec, ``explain`` / ``describe`` and
+user code read them; a fault-free relaxed run without a trace never does.
+The sibling extensions of one server operation share one ``visited``
+frozenset *object*: it is immutable and no match rebinds its own, so
+sharing is invisible — and it is how
+:meth:`~repro.core.base.EngineBase.absorb_extensions` recognises a batch
+whose bound and completeness it may compute once.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sized
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sized, Tuple
 
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import XMLNode
@@ -29,6 +43,9 @@ _match_counter = itertools.count()
 DELETED = None
 """Instantiation marker for a deleted (optional, unmatched) query node."""
 
+#: One :meth:`PartialMatch.extend`: (parent, node id, candidate, quality).
+_Step = Tuple["PartialMatch", int, Optional[XMLNode], MatchQuality]
+
 
 class PartialMatch:
     """One tuple: root image + per-node instantiations, score, bound."""
@@ -36,27 +53,31 @@ class PartialMatch:
     __slots__ = (
         "match_id",
         "root_node",
-        "instantiations",
-        "qualities",
         "visited",
         "score",
         "upper_bound",
         "arrival",
         "encoded",
+        "_instantiations",
+        "_qualities",
+        "_step",
     )
 
     def __init__(
         self,
         root_node: XMLNode,
-        instantiations: Dict[int, Optional[XMLNode]],
-        qualities: Dict[int, MatchQuality],
+        instantiations: Optional[Dict[int, Optional[XMLNode]]],
+        qualities: Optional[Dict[int, MatchQuality]],
         visited: FrozenSet[int],
         score: float,
     ) -> None:
         self.match_id = next(_match_counter)
         self.root_node = root_node
-        self.instantiations = instantiations
-        self.qualities = qualities
+        self._instantiations = instantiations
+        self._qualities = qualities
+        #: ``(parent, node_id, candidate, quality)`` for a match made by
+        #: :meth:`extend`, whose dict views are built on first read.
+        self._step: Optional[_Step] = None
         self.visited = visited
         self.score = score
         self.upper_bound = score  # refreshed via refresh_bound()
@@ -84,20 +105,70 @@ class PartialMatch:
         candidate: Optional[XMLNode],
         quality: MatchQuality,
         contribution: float,
+        visited: Optional[FrozenSet[int]] = None,
     ) -> "PartialMatch":
         """Spawn the extension where ``node_id`` is instantiated by
-        ``candidate`` (or deleted when ``candidate is None``)."""
-        instantiations = dict(self.instantiations)
-        instantiations[node_id] = candidate
-        qualities = dict(self.qualities)
-        qualities[node_id] = quality
-        return PartialMatch(
-            root_node=self.root_node,
-            instantiations=instantiations,
-            qualities=qualities,
-            visited=self.visited | {node_id},
-            score=self.score + contribution,
+        ``candidate`` (or deleted when ``candidate is None``).
+
+        O(1): the extension records this one step and shares everything
+        else with ``self``.  ``visited`` is ``self.visited | {node_id}``
+        when the caller has built it already — a server operation builds
+        it once and hands the same frozenset to every sibling.
+        """
+        extension = PartialMatch(
+            self.root_node,
+            None,
+            None,
+            self.visited | {node_id} if visited is None else visited,
+            self.score + contribution,
         )
+        extension._step = (self, node_id, candidate, quality)
+        return extension
+
+    # -- the dict views --------------------------------------------------------
+
+    @property
+    def instantiations(self) -> Dict[int, Optional[XMLNode]]:
+        """Query node id → data node (``None``: deleted), in visit order."""
+        instantiations = self._instantiations
+        if instantiations is None:
+            instantiations = self._materialize()[0]
+        return instantiations
+
+    @property
+    def qualities(self) -> Dict[int, MatchQuality]:
+        """Query node id → match quality, in visit order."""
+        qualities = self._qualities
+        if qualities is None:
+            qualities = self._materialize()[1]
+        return qualities
+
+    def _materialize(
+        self,
+    ) -> Tuple[Dict[int, Optional[XMLNode]], Dict[int, MatchQuality]]:
+        """Build and keep both dict views: the nearest ancestor that has
+        them, copied, with the steps since replayed oldest first — the
+        contents and key order an eager copy per :meth:`extend` produced.
+        Two threads racing here build equal dicts; either pair may stay."""
+        steps: List[_Step] = []
+        match = self
+        while True:
+            inherited, inherited_qualities = match._instantiations, match._qualities
+            if inherited is not None and inherited_qualities is not None:
+                break
+            step = match._step
+            if step is None:
+                raise ValueError("a match built outside extend() needs its dicts")
+            steps.append(step)
+            match = step[0]
+        instantiations = dict(inherited)
+        qualities = dict(inherited_qualities)
+        for _, node_id, candidate, quality in reversed(steps):
+            instantiations[node_id] = candidate
+            qualities[node_id] = quality
+        self._instantiations = instantiations
+        self._qualities = qualities
+        return instantiations, qualities
 
     # -- bound management ------------------------------------------------------
 

@@ -37,6 +37,24 @@ class QueuePolicy(enum.Enum):
     MAX_FINAL_SCORE = "max_final_score"
 
 
+def _heap_key(
+    policy: QueuePolicy,
+    server_id: Optional[int],
+    max_contributions: Optional[Dict[int, float]],
+) -> Callable[[PartialMatch], float]:
+    """The min-heap key of ``policy``, picked once per queue."""
+    if policy is QueuePolicy.FIFO:
+        return lambda match: float(match.arrival)
+    if policy is QueuePolicy.CURRENT_SCORE:
+        return lambda match: -match.score
+    if policy is QueuePolicy.MAX_NEXT_SCORE:
+        if server_id is None or max_contributions is None:
+            raise ValueError("MAX_NEXT_SCORE requires server_id and max_contributions")
+        node_id, table = server_id, max_contributions  # narrowed for the lambda
+        return lambda match: -match.max_next_score(node_id, table)
+    return lambda match: -match.upper_bound
+
+
 class MatchQueue:
     """Thread-safe priority queue of partial matches under one policy.
 
@@ -77,33 +95,19 @@ class MatchQueue:
         on_drop: Optional[Callable[[PartialMatch], None]] = None,
         observer: Optional["EngineObserver"] = None,
     ) -> None:
-        if policy is QueuePolicy.MAX_NEXT_SCORE:
-            if server_id is None or max_contributions is None:
-                raise ValueError(
-                    "MAX_NEXT_SCORE requires server_id and max_contributions"
-                )
         self.policy = policy
-        self._server_id = server_id
-        self._max_contributions = max_contributions or {}
+        self._key = _heap_key(policy, server_id, max_contributions)
         self._heap: List = []
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
+        #: Getters blocked in :meth:`get` right now; a put notifies only
+        #: when there is one to wake.
+        self._waiters = 0
         self._closed = False
         self._injector = injector
         self._site = site
         self._on_drop = on_drop
         self._observer = observer
-
-    # -- ordering -------------------------------------------------------------
-
-    def _key(self, match: PartialMatch) -> float:
-        if self.policy is QueuePolicy.FIFO:
-            return float(match.arrival)
-        if self.policy is QueuePolicy.CURRENT_SCORE:
-            return -match.score
-        if self.policy is QueuePolicy.MAX_NEXT_SCORE:
-            return -match.max_next_score(self._server_id, self._max_contributions)
-        return -match.upper_bound
 
     # -- queue API -------------------------------------------------------------
 
@@ -123,7 +127,8 @@ class MatchQueue:
         with self._lock:
             heapq.heappush(self._heap, (self._key(match), match.arrival, match))
             depth = len(self._heap)
-            self._not_empty.notify()
+            if self._waiters:
+                self._not_empty.notify()
         observer = self._observer
         if observer is not None:
             observer.on_queue_depth(self._site, depth)
@@ -157,7 +162,12 @@ class MatchQueue:
                 while not self._heap:
                     if self._closed:
                         return None
-                    if not self._not_empty.wait(timeout):
+                    self._waiters += 1
+                    try:
+                        signalled = self._not_empty.wait(timeout)
+                    finally:
+                        self._waiters -= 1
+                    if not signalled:
                         return None
                 match = heapq.heappop(self._heap)[2]
             delivered = self._filter_get(match)

@@ -23,7 +23,7 @@ is exactly what makes the strategy adaptive.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
 from repro.errors import EngineError
@@ -42,15 +42,16 @@ class RoutingStrategy:
         """Return the node id of the next server for ``match``.
 
         ``engine`` exposes ``servers`` (node id → Server), ``server_ids``
-        (sorted), ``max_contributions`` (node id → float),
+        (sorted), ``max_contributions`` (node id → float), ``bound_entry``
+        (visited set → (remaining bound, unvisited server ids)),
         ``routing_table`` (node id → (server, exact contribution, relaxed
         contribution, max contribution)) and ``topk`` (the shared
         :class:`~repro.core.topk.TopKSet`).
         """
         raise NotImplementedError
 
-    def _unvisited(self, match: PartialMatch, engine: "EngineBase") -> List[int]:
-        unvisited = match.unvisited(engine.server_ids)
+    def _unvisited(self, match: PartialMatch, engine: "EngineBase") -> Tuple[int, ...]:
+        unvisited = engine.bound_entry(match.visited)[1]
         if not unvisited:
             raise EngineError(
                 f"match {match.match_id} is complete; it should not be routed"
@@ -128,6 +129,8 @@ class MinAliveRouter(RoutingStrategy):
 
     def choose(self, match: PartialMatch, engine: "EngineBase") -> int:
         unvisited = self._unvisited(match, engine)
+        if len(unvisited) == 1:
+            return unvisited[0]  # nothing to size: one server is left
         threshold = engine.topk.threshold()
         table = engine.routing_table
         rest_total = sum(table[node_id][3] for node_id in unvisited)

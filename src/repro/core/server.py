@@ -44,11 +44,12 @@ from repro.xmldb.model import XMLNode
 if TYPE_CHECKING:
     from repro.faults.inject import FaultInjector
 
-#: Probe-memo capacity per server.  The memo amortizes one index probe
-#: across the router's sizing call and the server operation(s) for the
-#: same root image; clearing wholesale at the cap keeps eviction
-#: deterministic (entries are pure functions of the root image, so a
-#: recompute after a clear returns identical values).
+#: Probe-memo capacity per server, unless its owner knows the document
+#: has more root images.  The memo amortizes one index probe across the
+#: router's sizing call and the server operation(s) for the same root
+#: image; clearing wholesale at the cap keeps eviction deterministic
+#: (entries are pure functions of the root image, so a recompute after a
+#: clear returns identical values).
 PROBE_MEMO_CAP = 512
 
 
@@ -74,14 +75,18 @@ class ProbeMemo:
     keeps one per (server node id, join algorithm) and hands it to every
     run's :class:`Server`, which is what lets warm runs, service workers
     sharing a cached engine and budget-stepped cluster workers skip the
-    index.  Never holds more than :data:`PROBE_MEMO_CAP` entries.
+    index.  Never holds more than ``capacity`` entries — a memo holds one
+    entry per root image, so the Engine sizes its memos to the document's
+    root images (at least :data:`PROBE_MEMO_CAP`): a smaller memo would
+    refill and clear on every run.
     """
 
-    __slots__ = ("_lock", "_entries")
+    __slots__ = ("_lock", "_entries", "_capacity")
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: int = PROBE_MEMO_CAP) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[Dewey, ProbeEntry] = {}
+        self._capacity = capacity
 
     def get(self, root_dewey: Dewey) -> Optional[ProbeEntry]:
         """The memoized probe for ``root_dewey``, if any."""
@@ -91,7 +96,7 @@ class ProbeMemo:
     def put(self, root_dewey: Dewey, entry: ProbeEntry) -> None:
         """Store one probe, clearing wholesale first when at the cap."""
         with self._lock:
-            if len(self._entries) >= PROBE_MEMO_CAP:
+            if len(self._entries) >= self._capacity:
                 self._entries.clear()
             self._entries[root_dewey] = entry
 
@@ -148,8 +153,8 @@ def probe_every_root(
     """Probe the index once per root image for one server: memoize every
     entry and return the per-root ``(total, exact)`` fan-out lists.
 
-    The lists are accumulated as the scan goes, so a forest with more roots
-    than :data:`PROBE_MEMO_CAP` loses memo entries to the cap, never counts.
+    The lists are accumulated as the scan goes, so a memo smaller than the
+    forest's roots loses entries to its cap, never counts.
     """
     exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
     totals: List[int] = []
@@ -281,6 +286,12 @@ class Server:
         root_dewey = match.root_node.dewey
         survivors, comparisons, _ = self._probe_shared(root_dewey)
 
+        # Every sibling of this operation has visited the same servers:
+        # build the set once and hand the same object to all of them
+        # (EngineBase.absorb_extensions checks that they share it).
+        node_id = spec.node_id
+        visited = match.visited | {node_id}
+        contribution_of = self.score_model.contribution
         extensions: List[PartialMatch] = []
         for candidate, exact in survivors:
             if not self.relaxed:
@@ -308,22 +319,25 @@ class Server:
             # invariant the cross-engine tests rely on.
 
             quality = MatchQuality.EXACT if exact else MatchQuality.RELAXED
-            contribution = self.score_model.contribution(
-                spec.node_id, quality, candidate
-            )
             extensions.append(
-                match.extend(spec.node_id, candidate, quality, contribution)
+                match.extend(
+                    node_id,
+                    candidate,
+                    quality,
+                    contribution_of(node_id, quality, candidate),
+                    visited,
+                )
             )
 
         if not extensions and self.relaxed:
             extensions.append(
-                match.extend(spec.node_id, None, MatchQuality.DELETED, 0.0)
+                match.extend(node_id, None, MatchQuality.DELETED, 0.0, visited)
             )
             if stats is not None:
                 stats.record_deleted_extension()
 
         if stats is not None:
-            stats.record_server_operation(spec.node_id, comparisons)
+            stats.record_server_operation(node_id, comparisons)
             stats.record_created(len(extensions))
         return extensions
 

@@ -10,15 +10,15 @@ Collected by every engine:
   ratio;
 - **pruned / completed / routing decisions** and per-server breakdowns.
 
-Counters increment through methods so Whirlpool-M can wrap them in a lock;
-the single-threaded engines use the lock-free default.
+Counters increment through methods so Whirlpool-M can take a lock around
+them; the single-threaded engines use the lock-free default.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import repro.sim.clock as simclock
 
@@ -80,63 +80,72 @@ class ExecutionStats:
 
     # -- counters ----------------------------------------------------------------
 
-    def _locked(self, fn: Callable[[], None]) -> None:
-        if self._lock is None:
-            fn()
-        else:
-            with self._lock:
-                fn()
+    # A counter update is a plain increment: directly when the bundle was
+    # built single-threaded (``self._lock is None`` — the branch WPL001
+    # reads as the declared unshared path), under the lock otherwise.
 
     def record_server_operation(self, server_id: int, comparisons: int) -> None:
         """One partial match processed at one server."""
-
-        def update() -> None:
+        per_server = self.per_server_operations
+        if self._lock is None:
             self.server_operations += 1
             self.join_comparisons += comparisons
-            self.per_server_operations[server_id] = (
-                self.per_server_operations.get(server_id, 0) + 1
-            )
-
-        self._locked(update)
+            per_server[server_id] = per_server.get(server_id, 0) + 1
+        else:
+            with self._lock:
+                self.server_operations += 1
+                self.join_comparisons += comparisons
+                per_server[server_id] = per_server.get(server_id, 0) + 1
 
     def record_created(self, count: int = 1) -> None:
         """New partial matches spawned (extensions or root seeds)."""
-
-        def update() -> None:
+        if self._lock is None:
             self.partial_matches_created += count
             self.extensions_generated += count
-
-        self._locked(update)
+        else:
+            with self._lock:
+                self.partial_matches_created += count
+                self.extensions_generated += count
 
     def record_deleted_extension(self) -> None:
         """A leaf-deletion (outer-join null) extension was emitted."""
-        self._locked(lambda: setattr(self, "deleted_extensions", self.deleted_extensions + 1))
+        if self._lock is None:
+            self.deleted_extensions += 1
+        else:
+            with self._lock:
+                self.deleted_extensions += 1
 
     def record_pruned(self, count: int = 1) -> None:
         """Partial matches discarded against the top-k threshold."""
-        self._locked(
-            lambda: setattr(
-                self, "partial_matches_pruned", self.partial_matches_pruned + count
-            )
-        )
+        if self._lock is None:
+            self.partial_matches_pruned += count
+        else:
+            with self._lock:
+                self.partial_matches_pruned += count
 
-    def record_completed(self) -> None:
-        """A match finished all servers."""
-        self._locked(
-            lambda: setattr(self, "completed_matches", self.completed_matches + 1)
-        )
+    def record_completed(self, count: int = 1) -> None:
+        """Matches that finished all servers."""
+        if self._lock is None:
+            self.completed_matches += count
+        else:
+            with self._lock:
+                self.completed_matches += count
 
     def record_routing_decision(self) -> None:
         """The router picked a next server for one match."""
-        self._locked(
-            lambda: setattr(self, "routing_decisions", self.routing_decisions + 1)
-        )
+        if self._lock is None:
+            self.routing_decisions += 1
+        else:
+            with self._lock:
+                self.routing_decisions += 1
 
     def record_checkpoint(self) -> None:
         """The engine serialized a recovery snapshot of its live state."""
-        self._locked(
-            lambda: setattr(self, "checkpoints_taken", self.checkpoints_taken + 1)
-        )
+        if self._lock is None:
+            self.checkpoints_taken += 1
+        else:
+            with self._lock:
+                self.checkpoints_taken += 1
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold a finished run's counters into this aggregate.
@@ -146,8 +155,8 @@ class ExecutionStats:
         report fleet-wide totals in the same units as a single run.
         ``other`` must no longer be mutating (its run has returned).
         """
-
-        def update() -> None:
+        per_server = self.per_server_operations
+        if self._lock is None:
             self.server_operations += other.server_operations
             self.join_comparisons += other.join_comparisons
             self.partial_matches_created += other.partial_matches_created
@@ -160,11 +169,22 @@ class ExecutionStats:
             self.wall_time_seconds += other.wall_time_seconds
             self.simulated_time += other.simulated_time
             for server_id, count in other.per_server_operations.items():
-                self.per_server_operations[server_id] = (
-                    self.per_server_operations.get(server_id, 0) + count
-                )
-
-        self._locked(update)
+                per_server[server_id] = per_server.get(server_id, 0) + count
+        else:
+            with self._lock:
+                self.server_operations += other.server_operations
+                self.join_comparisons += other.join_comparisons
+                self.partial_matches_created += other.partial_matches_created
+                self.partial_matches_pruned += other.partial_matches_pruned
+                self.extensions_generated += other.extensions_generated
+                self.deleted_extensions += other.deleted_extensions
+                self.completed_matches += other.completed_matches
+                self.routing_decisions += other.routing_decisions
+                self.checkpoints_taken += other.checkpoints_taken
+                self.wall_time_seconds += other.wall_time_seconds
+                self.simulated_time += other.simulated_time
+                for server_id, count in other.per_server_operations.items():
+                    per_server[server_id] = per_server.get(server_id, 0) + count
 
     # -- reporting ---------------------------------------------------------------
 
@@ -176,26 +196,25 @@ class ExecutionStats:
         mid-merge (the ``health()`` path) can never observe a torn
         half-merged counter set.
         """
-
-        def build() -> Dict[str, float]:
-            return {
-                "server_operations": self.server_operations,
-                "join_comparisons": self.join_comparisons,
-                "partial_matches_created": self.partial_matches_created,
-                "partial_matches_pruned": self.partial_matches_pruned,
-                "extensions_generated": self.extensions_generated,
-                "deleted_extensions": self.deleted_extensions,
-                "completed_matches": self.completed_matches,
-                "routing_decisions": self.routing_decisions,
-                "checkpoints_taken": self.checkpoints_taken,
-                "wall_time_seconds": self.wall_time_seconds,
-                "simulated_time": self.simulated_time,
-            }
-
         if self._lock is None:
-            return build()
+            return self._counters()
         with self._lock:
-            return build()
+            return self._counters()
+
+    def _counters(self) -> Dict[str, float]:
+        return {
+            "server_operations": self.server_operations,
+            "join_comparisons": self.join_comparisons,
+            "partial_matches_created": self.partial_matches_created,
+            "partial_matches_pruned": self.partial_matches_pruned,
+            "extensions_generated": self.extensions_generated,
+            "deleted_extensions": self.deleted_extensions,
+            "completed_matches": self.completed_matches,
+            "routing_decisions": self.routing_decisions,
+            "checkpoints_taken": self.checkpoints_taken,
+            "wall_time_seconds": self.wall_time_seconds,
+            "simulated_time": self.simulated_time,
+        }
 
     def modeled_time(self, operation_cost: float, routing_cost: float = 0.0) -> float:
         """Execution-time model used by the Figure 8 cost sweep.

@@ -40,14 +40,14 @@ class FixedThresholdSet:
         self.min_score = min_score
         self._best = {}
 
-    def observe(self, match: PartialMatch, complete: bool) -> None:
-        """Track the best complete tuple per root."""
-        if not complete or match.score < self.min_score:
-            return
-        key = match.root_node.dewey
-        current = self._best.get(key)
-        if current is None or match.score > current.score:
-            self._best[key] = match
+    def observe(self, match: PartialMatch, complete: bool) -> float:
+        """Track the best complete tuple per root; returns the bound."""
+        if complete and match.score >= self.min_score:
+            key = match.root_node.dewey
+            current = self._best.get(key)
+            if current is None or match.score > current.score:
+                self._best[key] = match
+        return self.min_score
 
     def threshold(self) -> float:
         """The constant bound (branch-and-bound pruning level)."""

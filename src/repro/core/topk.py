@@ -94,13 +94,18 @@ class TopKSet:
 
     # -- updates ---------------------------------------------------------------
 
-    def observe(self, match: PartialMatch, complete: bool) -> None:
-        """Record a tuple's current score against its root's entry.
+    def observe(self, match: PartialMatch, complete: bool) -> float:
+        """Record a tuple's current score against its root's entry and
+        return the threshold that results.
 
         Rule (i)/(ii) of Section 5.1: the new tuple updates or replaces the
         entry for its root when it improves on it; otherwise the entry is
         untouched (the tuple itself may still survive — survival is decided
-        by :meth:`is_pruned`, not here).
+        against the threshold, not here).  The threshold is returned from
+        under the lock this call already holds, so the caller's prune test
+        of a fresh extension needs no second locked read; under
+        Whirlpool-M a returned value can only be older, hence lower, than
+        a fresh :meth:`threshold` — it never prunes more.
         """
         key = match.root_node.dewey
         score = match.score
@@ -143,6 +148,7 @@ class TopKSet:
                     insort(best, new)
                 if len(best) == self.k:
                     self._threshold = best[0]
+            return self._threshold
 
     # -- threshold / pruning -------------------------------------------------------
 

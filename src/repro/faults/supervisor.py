@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import threading
 from random import Random
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.faults.report import FailedMatch
 import repro.sim.clock as simclock
@@ -118,6 +118,9 @@ class RetryPolicy:
         )
 
 
+_NO_EXCLUSIONS: FrozenSet[int] = frozenset()
+
+
 class Supervisor:
     """Shared failure book-keeping for one engine run."""
 
@@ -201,10 +204,16 @@ class Supervisor:
         """
         self._wakeup.set()
 
-    def excluded_for(self, match_id: int) -> Set[int]:
-        """Servers this match should avoid while alternatives exist."""
+    def excluded_for(self, match_id: int) -> AbstractSet[int]:
+        """Servers this match should avoid while alternatives exist.
+
+        Until some match has been requeued — for the whole of a fault-free
+        run — every answer is the one shared, immutable empty set.
+        """
         with self._lock:
-            return set(self._excluded.get(match_id, ()))
+            if not self._excluded:
+                return _NO_EXCLUSIONS
+            return frozenset(self._excluded.get(match_id, ()))
 
     # -- direct escalations (no retry path) -------------------------------------
 

@@ -47,6 +47,19 @@ class TestRuleFixtures:
         assert not lines & set(range(13, 17))
         assert not lines & set(range(23, 27))
 
+    def test_shared_state_guard_accepts_optional_lock_idiom(self):
+        # `if self._lock is None:` in a class whose __init__ may leave the
+        # lock None is the declared single-threaded path.
+        assert lint_paths([FIXTURES / "optional_lock_ok.py"]) == []
+
+    def test_shared_state_guard_optional_lock_exempts_only_the_none_branch(self):
+        findings = lint_paths([FIXTURES / "optional_lock_bad.py"])
+        assert codes_and_lines(findings) == [
+            ("WPL001", 21),  # else branch without `with self._lock`
+            ("WPL001", 22),  # after the if: either kind of instance
+            ("WPL001", 32),  # class whose lock is never None
+        ]
+
     def test_no_bare_thread_fires(self):
         findings = lint_paths([FIXTURES / "bare_thread.py"])
         assert codes_and_lines(findings) == [("WPL002", 15), ("WPL002", 16)]

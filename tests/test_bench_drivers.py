@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import experiments, trajectory
+from repro.bench.hot_path import hot_path_work
 from repro.bench.params import DEFAULTS, QUERIES, paper_doc_bytes
 from repro.bench.reporting import format_table, write_results
 from repro.bench.step_codec import cluster_step_codec
@@ -163,6 +164,7 @@ class TestTrajectory:
             "fig10_backend",
             "obs_overhead",
             "cluster_step_codec",
+            "hot_path_work",
         }
         for entry in payload["records"]:
             assert set(entry) == {"bench", "case", "metric", "unit", "value"}
@@ -265,7 +267,7 @@ class TestTrajectory:
         assert trajectory.serialize(payload) == trajectory.serialize(payload)
         assert trajectory.serialize(payload).endswith("\n")
 
-    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12, 16])
+    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12, 16, 17])
     def test_checked_in_artifact_matches_schema(self, pr):
         artifact = Path(__file__).parent.parent / f"BENCH_PR{pr}.json"
         payload = json.loads(artifact.read_text(encoding="utf-8"))
@@ -319,6 +321,52 @@ class TestTrajectory:
             key=lambda r: (r["case"], r["metric"]),
         )
         assert fresh == step_path
+
+
+    def test_pr17_keeps_pr16_counts_and_pins_the_hot_path(self):
+        """PR 17 changed what an extension costs, not what the engines
+        decide: every deterministic record of PR 16 repeats.  Its new
+        records say what a Whirlpool-S run still pays per extension —
+        no dict copy, no closure, no exclusion set, and fewer meetings
+        with the top-k set than matches made."""
+        root = Path(__file__).parent.parent
+        old, new = (
+            json.loads((root / f"BENCH_PR{pr}.json").read_text(encoding="utf-8"))
+            for pr in (16, 17)
+        )
+
+        def counted(payload):
+            return [
+                r
+                for r in payload["records"]
+                if r["bench"] in ("fig10_vary_k", "fig10_backend", "cluster_step_codec")
+                and r["unit"] not in trajectory.NOISY_UNITS
+            ]
+
+        assert counted(new) and counted(new) == counted(old)
+        committed = {
+            (r["case"], r["metric"]): r["value"]
+            for r in new["records"]
+            if r["bench"] == "hot_path_work"
+        }
+        assert {case for case, _ in committed} == {"Q2/k=15", "Q3/k=15"}
+        fresh = {
+            (f"{query}/k=15", metric): value
+            for query, counts in hot_path_work()["queries"].items()
+            for metric, value in counts.items()
+        }
+        assert set(fresh) == set(committed)
+        for values in (committed, fresh):  # the bench-scale and the test-scale document
+            for query in ("Q2", "Q3"):
+                case = f"{query}/k=15"
+                assert values[case, "match_materializations"] == 0
+                assert values[case, "exclusion_sets_allocated"] == 0
+                assert values[case, "stats_closures_built"] == 0
+                servers = len(get_engine(query).server_node_ids())
+                assert 0 < values[case, "bound_table_entries"] <= 2**servers
+        for query in ("Q2", "Q3"):
+            created = get_engine(query).run(15).stats.partial_matches_created
+            assert 0 < fresh[f"{query}/k=15", "observe_calls"] < created
 
 
 def _artifact(*records, scale=0.02, pr=6):

@@ -15,6 +15,7 @@ oracle and the brute-force ranking.
 import pytest
 
 from repro.core.engine import Engine
+from repro.core.trace import ExecutionTrace
 from repro.errors import EngineError, InjectedFaultError
 from repro.faults import (
     FailureAction,
@@ -207,12 +208,21 @@ class TestDeadServer:
                 )
             ]
         )
+        trace = ExecutionTrace()
         result = run_one(
-            engine, "whirlpool_s", retry_policy=FAST_RETRY, faults=plan
+            engine, "whirlpool_s", retry_policy=FAST_RETRY, faults=plan, observer=trace
         )
         assert result.failure is not None
         assert result.failure.requeues >= 1
         assert_contract(result, oracle, full_ranking)
+        # The match that failed at ``target`` is the first one routed there;
+        # its next routing decision must go somewhere else.
+        routes = [event for event in trace.events if event.kind == "route"]
+        failed = next(event for event in routes if event.server_id == target)
+        again = [event for event in routes if event.match_id == failed.match_id]
+        assert again[0] is failed and again[1].server_id != target
+        # ... and the empty answer every fault-free decision shares stayed empty.
+        assert Supervisor().excluded_for(failed.match_id) == frozenset()
 
 
 class TestBudgets:
@@ -289,9 +299,16 @@ class TestPlanAndSupervisorUnits:
         match = PartialMatch.initial(node)
         supervisor = Supervisor(RetryPolicy(max_attempts=2, requeue_limit=1))
         boom = RuntimeError("boom")
+        nothing_excluded = supervisor.excluded_for(match.match_id)
+        assert nothing_excluded == frozenset()
         assert supervisor.on_error(match, 1, boom, True) is FailureAction.RETRY
         assert supervisor.on_error(match, 1, boom, True) is FailureAction.REQUEUE
         assert 1 in supervisor.excluded_for(match.match_id)
+        # Before any requeue every caller gets one shared empty set: it is
+        # immutable, and an exclusion recorded later never shows up in it.
+        assert isinstance(nothing_excluded, frozenset) and not nothing_excluded
+        assert Supervisor().excluded_for(match.match_id) is nothing_excluded
+        assert supervisor.excluded_for(match.match_id + 1) == frozenset()
         assert supervisor.on_error(match, 1, boom, True) is FailureAction.ABANDON
         assert supervisor.abandoned_count() == 1
         assert supervisor.max_abandoned_bound() == match.upper_bound

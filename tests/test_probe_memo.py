@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.racecheck import RaceCheck
 from repro.bench.params import QUERIES
 from repro.core.engine import Engine
-from repro.core.server import PROBE_MEMO_CAP
+from repro.core.server import PROBE_MEMO_CAP, ProbeMemo
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
 from repro.xmldb.model import Database, XMLNode
@@ -65,6 +65,11 @@ class TestCap:
                 book.add_child(XMLNode("author"))
             roots.append(book)
         engine = Engine(Database.from_roots(roots), "//book[./title and ./author]")
+        # An Engine sizes its memos to its root images; what a Server built
+        # without one gets is the cap, which these roots overrun.
+        for by_server in engine._probe_memos.values():
+            for node_id in by_server:
+                by_server[node_id] = ProbeMemo()
         memos = [
             memo for by_server in engine._probe_memos.values() for memo in by_server.values()
         ]
@@ -76,6 +81,17 @@ class TestCap:
             assert max(len(memo) for memo in memos) <= PROBE_MEMO_CAP
             assert any(len(memo) > 0 for memo in memos)
         assert prints[0] == prints[1] == prints[2]
+
+    def test_more_root_images_than_the_cap_still_run_warm(self):
+        # 520 items > PROBE_MEMO_CAP: a memo capped at 512 refilled and
+        # cleared itself on every run (2,600 probes per warm Q2 run).
+        engine = Engine(generate_database(XMarkConfig(items=520, seed=7)), QUERIES["Q2"])
+        assert len(engine.index[engine.pattern.root.tag].all()) > PROBE_MEMO_CAP
+        first = engine.run(15)
+        engine.index.reset_probe_cost()
+        second = engine.run(15)
+        assert engine.index.probe_cost() == (0, 0)
+        assert run_fingerprint(second) == run_fingerprint(first)
 
 class TestSharedEngine:
     def test_concurrent_runs_of_one_engine_agree_without_race_findings(self, xmark):

@@ -10,6 +10,7 @@ fresh index, and the first run must find every probe already made.
 import pytest
 
 from repro.bench.params import QUERIES
+from repro.core import engine as engine_module
 from repro.core import server as server_module
 from repro.core.engine import Engine
 from repro.query.predicates import component_predicates
@@ -97,7 +98,10 @@ def test_capped_memo_changes_nothing_observable(xmark, monkeypatch, case, algori
     )
     expected = run_fingerprint(lazy.run(5, algorithm=algorithm))
 
-    monkeypatch.setattr(server_module, "PROBE_MEMO_CAP", ITEMS // 3)
+    # An Engine sizes its memos to its root images; hand it smaller ones.
+    monkeypatch.setattr(
+        engine_module, "ProbeMemo", lambda capacity: server_module.ProbeMemo(ITEMS // 3)
+    )
     engine = Engine(xmark, CASES[case])
     memos = engine._probe_memos["index"].values()
     assert all(0 < len(memo) <= ITEMS // 3 for memo in memos)

@@ -291,10 +291,13 @@ def comparable(reply):
 
 
 @pytest.mark.parametrize("algorithm", ["whirlpool_s", "lockstep", "whirlpool_m"])
-def test_worker_restores_only_after_a_crash(xmark_db, algorithm):
-    spec = build_shard_specs(xmark_db, 1)[0]
+def test_worker_restores_only_after_a_crash(xmark_db_large, algorithm):
+    # The larger document: Whirlpool-M enforces its budget from a polling
+    # main thread, and on the small one a whole run fits in a poll or two
+    # — the step to crash would sometimes have under ten operations left.
+    spec = build_shard_specs(xmark_db_large, 1)[0]
     documents = list(spec.xml_texts)
-    engine = Engine(xmark_db, QUERIES["Q2"])
+    engine = Engine(xmark_db_large, QUERIES["Q2"])
     begin = begin_frame(engine, K, 60, algorithm=algorithm)
     clean, restores = drive(ShardWorker(0), documents, begin)
     assert restores == 0
