@@ -58,10 +58,8 @@ SHARED_CLASSES: Set[str] = {
     "Coordinator",
     "ShardHandle",
     "ClusterBackend",
-    # Transports: send() sequences frames under the transport lock while
-    # the coordinator's reconnect/kill paths race it from failover.
-    "Transport",
-    "PipeTransport",
+    # The shard link: send() sequences frames under the transport lock
+    # while the coordinator's reconnect/kill paths race it from failover.
     "SocketTransport",
     # Index hot path: a server is shared by Whirlpool-M's threads, its
     # Engine-owned probe memo by every run of that engine (service workers

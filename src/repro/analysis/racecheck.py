@@ -230,7 +230,7 @@ def default_watched_classes() -> List[type]:
     from repro.core.topk import TopKSet, _Entry
     from repro.core.trace import ExecutionTrace
     from repro.cluster.coordinator import Coordinator, ShardHandle
-    from repro.cluster.net import PipeTransport, SocketTransport
+    from repro.cluster.net import SocketTransport
     from repro.cluster.service import ClusterBackend
     from repro.core.whirlpool_m import _InFlight
     from repro.obs.metrics import Counter, Gauge, Histogram
@@ -258,7 +258,6 @@ def default_watched_classes() -> List[type]:
         Coordinator,
         ShardHandle,
         ClusterBackend,
-        PipeTransport,
         SocketTransport,
         Server,
         ProbeMemo,

@@ -230,13 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "pipe at shard RPC boundaries; see docs/cluster.md)",
     )
     cluster.add_argument(
-        "--transport",
-        choices=("pipe", "socket"),
-        default="pipe",
-        help="worker transport: inherited stdio pipes, or loopback TCP "
-        "sockets with reconnect-and-replay session resume",
-    )
-    cluster.add_argument(
         "--net-chaos-seed",
         type=int,
         default=None,
@@ -250,13 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable live rebalancing: a persistently slow shard keeps "
         "its slice instead of being migrated via checkpoint shipping",
-    )
-    cluster.add_argument(
-        "--index-backend",
-        choices=("columnar", "object"),
-        default=None,
-        help="per-shard tag-index backend (default: $REPRO_INDEX_BACKEND, "
-        "then columnar); shipped to every worker so the fleet agrees",
     )
     cluster.add_argument(
         "--no-failover",
@@ -319,13 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dump then includes per-shard liveness, heartbeat ages and "
         "failover counters",
     )
-    metrics.add_argument(
-        "--cluster-transport",
-        choices=("pipe", "socket"),
-        default="pipe",
-        help="worker transport for the cluster backend (with "
-        "--cluster-shards)",
-    )
 
     recover = commands.add_parser(
         "recover",
@@ -387,12 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("engine", "cluster"),
         default="engine",
         help="explore: scenario kind (cluster adds worker/net faults)",
-    )
-    sim.add_argument(
-        "--transport",
-        choices=("pipe", "socket"),
-        default="pipe",
-        help="explore: cluster transport",
     )
     sim.add_argument(
         "--shards", type=int, default=2, help="explore: cluster shard count"
@@ -695,9 +668,7 @@ def _cmd_cluster(args) -> int:
         skew=args.skew,
         partition_seed=args.partition_seed,
         step_operations=args.step_ops,
-        transport=args.transport,
         rebalance=not args.no_rebalance,
-        index_backend=args.index_backend,
     ) as coordinator:
         result = coordinator.run_query(
             args.xpath,
@@ -737,7 +708,6 @@ def _cmd_cluster(args) -> int:
             "heartbeat_misses": result.heartbeat_misses,
             "reconnects": result.reconnects,
             "rebalances": result.rebalances,
-            "transport": result.transport,
             "rounds": result.rounds,
             "stats": result.stats.as_dict(),
             "health": health,
@@ -748,7 +718,7 @@ def _cmd_cluster(args) -> int:
     else:
         print(result.table())
         print(
-            f"\ncluster: {result.shards} shards ({result.transport}), "
+            f"\ncluster: {result.shards} shards, "
             f"{result.rounds} rounds, {result.failovers} failovers, "
             f"{result.heartbeat_misses} heartbeat misses, "
             f"{result.reconnects} reconnects, {result.rebalances} rebalances"
@@ -788,7 +758,6 @@ def _cmd_metrics(args) -> int:
             {"auction": database},
             shards=args.cluster_shards,
             observability=obs,
-            transport=args.cluster_transport,
         )
     service = WhirlpoolService(
         {"auction": database},
@@ -957,7 +926,6 @@ def _cmd_sim(args) -> int:
             k=args.k,
             xmark_items=args.items,
             shards=args.shards,
-            transport=args.transport,
         )
         harness = SimHarness(scenario, virtual=not args.real_clock)
         violations, stats = explore(

@@ -8,9 +8,9 @@ merges under a global threshold derived from per-shard ``pending_bound``
 certificates (:mod:`repro.cluster.merge`).
 
 Robustness is the design driver: CRC-checked, sequence-numbered frames
-with a hard size cap over pluggable transports (pipe or TCP socket,
-:mod:`repro.cluster.net`) with reconnect-and-idempotent-replay on the
-socket path; heartbeat/liveness deadlines and a retry/backoff ladder on
+with a hard size cap over a token-authenticated loopback TCP link
+(:mod:`repro.cluster.net`) with reconnect-and-idempotent-replay;
+heartbeat/liveness deadlines and a retry/backoff ladder on
 every RPC; periodic checkpoint shipping into CRC-validated generations
 (:class:`~repro.recovery.generations.CheckpointGenerations`) so a
 killed or hung worker fails over by respawn-and-restore (provably
@@ -19,7 +19,7 @@ rebalanced off the same way; and certified degraded answers — missing
 shards named, global ``pending_bound`` still sound — when failover is
 exhausted.
 
-See ``docs/cluster.md`` for the protocol, the transports, the failover
+See ``docs/cluster.md`` for the protocol, the link, the failover
 and connection state machines, and the soundness argument.
 """
 
@@ -37,14 +37,7 @@ from repro.cluster.merge import (
     lost_shard_bound,
     merge_answers,
 )
-from repro.cluster.net import (
-    TRANSPORTS,
-    NetFaultArm,
-    PipeTransport,
-    SocketTransport,
-    Transport,
-    create_transport,
-)
+from repro.cluster.net import NetFaultArm, SocketTransport
 from repro.cluster.partition import (
     ShardSpec,
     build_shard_specs,
@@ -76,12 +69,8 @@ __all__ = [
     "dominated",
     "lost_shard_bound",
     "global_pending_bound",
-    "TRANSPORTS",
     "NetFaultArm",
-    "PipeTransport",
     "SocketTransport",
-    "Transport",
-    "create_transport",
     "ShardSpec",
     "build_shard_specs",
     "partition_ordinals",

@@ -2,9 +2,9 @@
 
 The coordinator owns N :class:`ShardHandle`\\ s, each wrapping a worker
 subprocess (:mod:`repro.cluster.worker`) behind a
-:class:`~repro.cluster.net.Transport` (pipe or TCP socket) and bound to
-one partition of the forest (:mod:`repro.cluster.partition`).  A query
-proceeds in rounds:
+:class:`~repro.cluster.net.SocketTransport` (a token-authenticated
+loopback TCP link) and bound to one partition of the forest
+(:mod:`repro.cluster.partition`).  A query proceeds in rounds:
 
 1. **scatter** — send every live, undominated, unfinished shard a
    ``step`` RPC (a fixed operation budget);
@@ -31,11 +31,11 @@ Failure handling is the point of the design:
   :class:`~repro.faults.supervisor.RetryPolicy` shape); each expired
   window is a *heartbeat miss*, and a worker silent past its liveness
   deadline is killed and failed over;
-- a *lost connection* is distinguished from a lost worker: on a
-  reconnect-capable transport whose process is still alive, the handle
-  re-accepts the worker's redial and **replays** the in-flight request
-  — the worker's idempotent reply cache answers without re-executing —
-  so a network partition costs a pause, not a failover;
+- a *lost connection* is distinguished from a lost worker: while the
+  worker process is still alive, the handle re-accepts its redial and
+  **replays** the in-flight request — the worker's idempotent reply
+  cache answers without re-executing — so a network partition costs a
+  pause, not a failover;
 - failover respawns the worker, re-ships its cached partition, and
   restores the newest CRC-validated checkpoint *generation*
   (:class:`~repro.recovery.generations.CheckpointGenerations`; a
@@ -43,8 +43,7 @@ Failure handling is the point of the design:
   deterministic replay makes equivalent) — so the failed-over shard
   resumes exactly where its last ``step`` left off, and the final
   answer is bit-identical to the fault-free run (the chaos matrix in
-  ``tests/test_cluster_chaos.py`` proves this per seed × engine ×
-  transport);
+  ``tests/test_cluster_chaos.py`` proves this per seed × engine);
 - process-level fault plans live for one query on the worker that
   received them at query start: every ``init`` replaces the worker's
   plan (with none, when the query ships none), and a replacement worker
@@ -69,8 +68,8 @@ down, reconnect in flight) ``→ failed`` (shard lost) — surfaced through
 
 Locking discipline: the coordinator and handles guard their mutable
 counters with short ``self._lock`` sections (they are watched by WPL001
-and the runtime race detector) and *never* hold a lock across pipe or
-socket I/O — the graph analyzer's WPLG02 blocking-under-lock rule
+and the runtime race detector) and *never* hold a lock across socket
+I/O — the graph analyzer's WPLG02 blocking-under-lock rule
 applies to this package with no baseline entries.
 """
 
@@ -89,7 +88,7 @@ from repro.cluster.merge import (
     lost_shard_bound,
     merge_answers,
 )
-from repro.cluster.net import NetFaultArm, Transport, create_transport
+from repro.cluster.net import NetFaultArm, SocketTransport
 from repro.cluster.partition import ShardSpec, build_shard_specs, remap_match_payload
 from repro.cluster.protocol import FrameTimeout
 from repro.core.engine import ALGORITHMS, Engine
@@ -114,7 +113,6 @@ from repro.recovery.generations import CheckpointGenerations
 from repro.recovery.store import MemoryRecoveryStore, RecoveryStore
 import repro.sim.clock as simclock
 from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
-from repro.xmldb.index import resolve_index_backend
 from repro.xmldb.model import Database
 
 _STATS_COUNTERS = (
@@ -150,7 +148,6 @@ class ClusterResult(TopKResult):
         "shard_reports",
         "reconnects",
         "rebalances",
-        "transport",
     )
 
     def __init__(
@@ -165,7 +162,6 @@ class ClusterResult(TopKResult):
         shard_reports: Optional[Dict[int, Dict[str, Any]]] = None,
         reconnects: int = 0,
         rebalances: int = 0,
-        transport: str = "pipe",
         **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -178,7 +174,6 @@ class ClusterResult(TopKResult):
         self.shard_reports = dict(shard_reports or {})
         self.reconnects = reconnects
         self.rebalances = rebalances
-        self.transport = transport
 
 
 class _ClusterMetrics:
@@ -267,15 +262,12 @@ class ShardHandle:
         connected/degraded ──link lost──▶ partitioned
         partitioned ──redial accepted──▶ connected  (reconnect + replay)
         partitioned ──ladder exhausted──▶ failed    (failover or lost)
-
-    ``partitioned → connected`` exists only on transports that support
-    reconnection; a pipe goes ``partitioned → failed`` in one hop.
     """
 
     def __init__(
         self,
         spec: ShardSpec,
-        transport: Transport,
+        transport: SocketTransport,
         rpc_timeout_seconds: float,
         liveness_deadline_seconds: float,
         retry_policy: RetryPolicy,
@@ -441,10 +433,10 @@ class ShardHandle:
         """Restore the link to the *same* worker session and replay the
         in-flight frame.  Replay is safe because the worker's reply
         cache answers an already-executed RPC id without re-executing.
-        ``False`` when the transport cannot reconnect (pipe), the worker
-        process is dead, or ``give_up`` passes first."""
+        ``False`` when the worker process is dead or does not redial
+        before ``give_up``."""
         while monotonic_seconds() < give_up:
-            if not self.transport.supports_reconnect or not self.transport.alive():
+            if not self.transport.alive():
                 return False
             if not self.transport.reconnect(give_up):
                 return False
@@ -470,8 +462,7 @@ class ShardHandle:
     ) -> Dict[str, Any]:
         """The ladder: bounded wait windows with backoff, each expiry a
         heartbeat miss, the total capped by the liveness deadline; a
-        dropped connection reconnects-and-replays when the transport
-        supports it."""
+        dropped connection reconnects-and-replays."""
         rpc_id = frame["id"]
         give_up = self._give_up(started, deadline_at)
         attempt = 0
@@ -529,7 +520,6 @@ class ShardHandle:
             return {
                 "state": self.state,
                 "connection": self.connection,
-                "transport": self.transport.kind,
                 "failovers": self.failovers,
                 "heartbeat_misses": self.heartbeat_misses,
                 "reconnects": self.reconnects,
@@ -590,14 +580,12 @@ class Coordinator:
         recovery_store: Optional[RecoveryStore] = None,
         observability: Optional[Observability] = None,
         python_executable: Optional[str] = None,
-        transport: str = "pipe",
         worker_reconnect_window_seconds: float = 30.0,
         checkpoint_generations: int = 3,
         rebalance_latency_factor: float = 4.0,
         rebalance_min_latency_seconds: float = 0.25,
         rebalance_slow_rounds: int = 2,
         rebalance: bool = True,
-        index_backend: Optional[str] = None,
     ) -> None:
         if shards < 1:
             raise ClusterError(f"shards must be >= 1, got {shards}")
@@ -616,14 +604,8 @@ class Coordinator:
         self.database = database
         self.shards = shards
         self.step_operations = step_operations
-        # Resolved once here (explicit > $REPRO_INDEX_BACKEND > default)
-        # and shipped to every worker in the begin payload, so the whole
-        # fleet builds its shard indexes on one backend regardless of the
-        # workers' own environments.
-        self.index_backend = resolve_index_backend(index_backend)
         self.heartbeat_interval_seconds = heartbeat_interval_seconds
         self.max_failovers = max_failovers
-        self.transport = transport
         self.rebalance_enabled = rebalance
         self.rebalance_latency_factor = rebalance_latency_factor
         self.rebalance_min_latency_seconds = rebalance_min_latency_seconds
@@ -639,8 +621,7 @@ class Coordinator:
         self.handles = [
             ShardHandle(
                 spec,
-                create_transport(
-                    transport,
+                SocketTransport(
                     spec.shard_id,
                     python_executable=python_executable,
                     worker_reconnect_window_seconds=worker_reconnect_window_seconds,
@@ -712,7 +693,6 @@ class Coordinator:
         self.metrics.live_shards_child.set(float(live))
         return {
             "shards": self.shards,
-            "transport": self.transport,
             "live_shards": live,
             "per_shard": shard_rows,
             **totals,
@@ -1041,7 +1021,6 @@ class Coordinator:
             "relaxed": relaxed,
             "contributions": contributions,
             "step_operations": step_ops,
-            "index_backend": self.index_backend,
         }
         if engine_faults is not None:
             begin_payload["engine_faults"] = engine_faults.as_dict()
@@ -1393,7 +1372,6 @@ class Coordinator:
             dominated_shards=dominated_ids,
             reconnects=reconnects,
             rebalances=rebalances,
-            transport=self.transport,
             shard_reports={
                 shard_id: {
                     "done": state.done,
@@ -1418,9 +1396,7 @@ class Coordinator:
             engine = self._engines.get(key)
         if engine is not None:
             return engine
-        built = Engine(
-            self.database, query, relaxed=relaxed, index_backend=self.index_backend
-        )
+        built = Engine(self.database, query, relaxed=relaxed)
         with self._lock:
             engine = self._engines.setdefault(key, built)
         return engine

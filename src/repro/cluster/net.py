@@ -1,41 +1,34 @@
-"""Shard transports: how the coordinator reaches a worker process.
+"""The shard link: how the coordinator reaches a worker process.
 
-PR 7 hard-wired the coordinator to stdin/stdout pipes.  This module
-extracts that link behind a :class:`Transport` so the protocol layer
-(RPC ids, retry ladders, failover, checkpoint shipping) is transport
-agnostic, and adds the first *networked* implementation:
+:class:`SocketTransport` owns one shard's worker subprocess and the
+framed link to it.  The worker dials back to a coordinator-owned
+loopback TCP listener and authenticates with a per-spawn session token.
+A dropped connection is *not* a dead worker: the worker redials with
+exponential backoff, the coordinator re-accepts, and the in-flight RPC
+is replayed idempotently (the worker's reply cache answers duplicates
+without re-executing).  A stale worker — one superseded by failover —
+presents an old token, is refused at the handshake, and exits instead
+of split-braining the shard.  A worker that is gone, or that does not
+redial in time, is left to the coordinator's failover ladder.
 
-- :class:`PipeTransport` — the PR 7 behavior: worker subprocess, frames
-  over its stdin/stdout.  A broken pipe is unrecoverable (pipes cannot
-  redial), so every connection loss escalates straight to failover.
-- :class:`SocketTransport` — worker subprocess that dials back to a
-  coordinator-owned loopback TCP listener and authenticates with a
-  per-spawn session token.  A dropped connection is *not* a dead
-  worker: the worker redials with exponential backoff, the coordinator
-  re-accepts, and the in-flight RPC is replayed idempotently (the
-  worker's reply cache answers duplicates without re-executing).  A
-  stale worker — one superseded by failover — presents an old token,
-  is refused at the handshake, and exits instead of split-braining the
-  shard.
-
-Both transports sequence outbound frames per connection (duplicate
-delivery is dropped by the receiver's ``seq`` check) and carry the
-CRC-checked framing of :mod:`repro.cluster.protocol`, so a flipped bit
-anywhere on the link is detected, condemns the connection, and rides
-the same reconnect-or-failover path as a partition.
+Outbound frames are sequenced per connection (duplicate delivery is
+dropped by the receiver's ``seq`` check) and carry the CRC-checked
+framing of :mod:`repro.cluster.protocol`, so a flipped bit anywhere on
+the link is detected, condemns the connection, and rides the same
+reconnect-or-failover path as a partition.
 
 Network fault injection lives here too: :class:`NetFaultArm` evaluates
 seeded :attr:`~repro.faults.plan.FaultSite.NET` rules on the
 coordinator-side send path — PARTITION severs the link, CORRUPT_FRAME
 flips a bit in flight, DUP_FRAME delivers twice, RECONNECT_STORM severs
-on several consecutive sends — which is what the transport half of the
-chaos matrix in ``tests/test_cluster_chaos.py`` sweeps.
+on several consecutive sends — which is what the NET half of the chaos
+matrix in ``tests/test_cluster_chaos.py`` sweeps.
 
-Locking discipline: transports guard their mutable attributes with
-short ``self._lock`` sections (they are watched by WPL001 and the
-runtime race detector) and never hold a lock across pipe or socket I/O
-— the graph analyzer's WPLG02 blocking-under-lock rule applies to this
-module with no baseline entries.
+Locking discipline: the transport guards its mutable attributes with
+short ``self._lock`` sections (it is watched by WPL001 and the runtime
+race detector) and never holds a lock across socket I/O — the graph
+analyzer's WPLG02 blocking-under-lock rule applies to this module with
+no baseline entries.
 """
 
 from __future__ import annotations
@@ -58,10 +51,6 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
-
-#: Transport kinds accepted by :func:`create_transport` (and the CLI's
-#: ``--transport`` flag).
-TRANSPORTS = ("pipe", "socket")
 
 #: Total link severs a RECONNECT_STORM rule performs (the firing send
 #: plus this many minus one follow-ups), so one rule exercises several
@@ -126,238 +115,9 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-class Transport:
-    """One shard's worker process plus the framed link to it.
-
-    Subclasses own process lifecycle (:meth:`spawn` / :meth:`kill`) and
-    raw byte movement (:meth:`_write_bytes` / :meth:`recv`); this base
-    owns what both share — outbound sequence numbering and the NET
-    fault boundary on every send.
-    """
-
-    kind: str = "abstract"
-    supports_reconnect: bool = False
-
-    def __init__(self, shard_id: int, python_executable: Optional[str] = None) -> None:
-        self.shard_id = shard_id
-        self.python_executable = python_executable or sys.executable
-        self._lock = threading.Lock()
-        self._proc: Optional[subprocess.Popen] = None
-        self._out_seq = 0
-        self._net_arm: Optional[NetFaultArm] = None
-        self._storm_remaining = 0
-
-    # -- lifecycle (subclass responsibility) -------------------------------------
-
-    def spawn(self) -> None:
-        """Start (or restart) the worker and establish the link; raises
-        :class:`~repro.errors.WorkerLostError` when the worker never
-        comes up."""
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Tear down the worker process and the link (idempotent)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Final teardown; also releases listener resources."""
-        self.kill()
-
-    def alive(self) -> bool:
-        proc = self._proc
-        return proc is not None and proc.poll() is None
-
-    def connected(self) -> bool:
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:
-        """One health row for this link."""
-        return {"kind": self.kind, "connected": self.connected()}
-
-    # -- fault boundary -----------------------------------------------------------
-
-    def arm_net_faults(self, arm: Optional[NetFaultArm]) -> None:
-        """Install (or clear) the per-query NET fault schedule."""
-        with self._lock:
-            self._net_arm = arm
-            self._storm_remaining = 0
-
-    # -- frames -------------------------------------------------------------------
-
-    def send(self, payload: Dict[str, Any]) -> None:
-        """Encode, sequence, and deliver one frame through the NET fault
-        boundary; raises :class:`~repro.errors.ConnectionLostError` when
-        the link is (or just became) unusable."""
-        with self._lock:
-            self._out_seq += 1
-            seq = self._out_seq
-            arm = self._net_arm
-            storm = self._storm_remaining > 0
-            if storm:
-                self._storm_remaining -= 1
-        data = encode_frame(payload, seq=seq)
-        duplicate = False
-        if not storm and arm is not None:
-            rule = arm.arm()
-            if rule is not None:
-                if rule.action is FaultAction.CORRUPT_FRAME:
-                    data = corrupt_frame_bytes(data)
-                elif rule.action is FaultAction.DUP_FRAME:
-                    duplicate = True
-                elif rule.action is FaultAction.PARTITION:
-                    storm = True
-                elif rule.action is FaultAction.RECONNECT_STORM:
-                    with self._lock:
-                        self._storm_remaining = RECONNECT_STORM_DROPS - 1
-                    storm = True
-        if storm:
-            self._sever()
-            raise ConnectionLostError(self.shard_id, "partition")
-        self._write_bytes(data)
-        if duplicate:
-            self._write_bytes(data)
-
-    def recv(self, deadline_at: Optional[float]) -> Dict[str, Any]:
-        """One inbound frame; raises :class:`FrameTimeout` past the
-        deadline, the typed :class:`~repro.errors.ProtocolError` family
-        on corruption, :class:`~repro.errors.ConnectionLostError` on
-        EOF/reset."""
-        raise NotImplementedError
-
-    def reconnect(self, give_up_at: float) -> bool:
-        """Re-establish the link to the *same* worker session, waiting
-        until ``give_up_at`` at most.  Pipe links cannot; socket links
-        accept the worker's redial."""
-        return False
-
-    # -- subclass plumbing --------------------------------------------------------
-
-    def _write_bytes(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _sever(self) -> None:
-        """Drop the link (PARTITION semantics) without killing the
-        process."""
-        raise NotImplementedError
-
-    def _reap(self, timeout: float = 5.0) -> None:
-        """Kill and wait out the worker process, if any."""
-        proc = self._proc
-        if proc is None:
-            return
-        if proc.poll() is None:
-            proc.kill()
-        try:
-            proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL pending
-            pass
-        with self._lock:
-            self._proc = None
-
-
-class PipeTransport(Transport):
-    """Frames over the worker's stdin/stdout (the PR 7 link).
-
-    Single-host only, and severing is terminal: a pipe cannot be
-    redialed, so PARTITION/CORRUPT_FRAME faults (and real broken pipes)
-    surface as a lost worker and ride the failover ladder.
-    """
-
-    kind = "pipe"
-    supports_reconnect = False
-
-    def __init__(self, shard_id: int, python_executable: Optional[str] = None) -> None:
-        super().__init__(shard_id, python_executable)
-        self._reader: Optional[FrameReader] = None
-
-    def spawn(self) -> None:
-        proc = subprocess.Popen(
-            [
-                self.python_executable,
-                "-m",
-                "repro.cluster.worker",
-                "--shard",
-                str(self.shard_id),
-            ],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=None,  # inherit: worker tracebacks surface in our stderr
-            env=_worker_env(),
-        )
-        assert proc.stdout is not None
-        reader = FrameReader(proc.stdout.fileno())
-        with self._lock:
-            self._proc = proc
-            self._reader = reader
-            self._out_seq = 0
-
-    def kill(self) -> None:
-        with self._lock:
-            proc = self._proc
-            self._reader = None
-        if proc is None:
-            return
-        if proc.poll() is None:
-            proc.kill()
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL pending
-            pass
-        # close() flushes, and a flush into a SIGKILLed worker's pipe
-        # raises BrokenPipeError — the bytes are moot, the pipe is gone.
-        for stream in (proc.stdin, proc.stdout):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-        with self._lock:
-            self._proc = None
-
-    def connected(self) -> bool:
-        return self._reader is not None and self.alive()
-
-    def recv(self, deadline_at: Optional[float]) -> Dict[str, Any]:
-        reader = self._reader
-        if reader is None:
-            raise ConnectionLostError(self.shard_id, "not_connected")
-        try:
-            reply = reader.read(deadline_at)
-        except ProtocolError:
-            self._sever()
-            raise
-        if reply is None:
-            self._sever()
-            raise ConnectionLostError(self.shard_id, "eof")
-        return reply
-
-    def _write_bytes(self, data: bytes) -> None:
-        proc = self._proc
-        stream = proc.stdin if proc is not None else None
-        if stream is None:
-            raise ConnectionLostError(self.shard_id, "not_connected")
-        try:
-            stream.write(data)
-            stream.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise ConnectionLostError(self.shard_id, "eof") from exc
-
-    def _sever(self) -> None:
-        with self._lock:
-            proc = self._proc
-            self._reader = None
-        if proc is None:
-            return
-        for stream in (proc.stdin, proc.stdout):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-
-
-class SocketTransport(Transport):
-    """Frames over loopback TCP with token-authenticated redial.
+class SocketTransport:
+    """One shard's worker process plus the framed link to it: loopback
+    TCP with token-authenticated redial.
 
     The coordinator owns one listening socket per shard (bound once,
     port stable across respawns).  ``spawn`` mints a fresh session
@@ -368,9 +128,6 @@ class SocketTransport(Transport):
     from a replaced one (old token refused, process exits).
     """
 
-    kind = "socket"
-    supports_reconnect = True
-
     def __init__(
         self,
         shard_id: int,
@@ -378,11 +135,17 @@ class SocketTransport(Transport):
         connect_timeout_seconds: float = 10.0,
         worker_reconnect_window_seconds: float = 30.0,
     ) -> None:
-        super().__init__(shard_id, python_executable)
         if connect_timeout_seconds <= 0:
             raise ClusterError("connect timeout must be positive")
+        self.shard_id = shard_id
+        self.python_executable = python_executable or sys.executable
         self.connect_timeout_seconds = connect_timeout_seconds
         self.worker_reconnect_window_seconds = worker_reconnect_window_seconds
+        self._lock = threading.Lock()
+        self._proc: Optional[subprocess.Popen] = None
+        self._out_seq = 0
+        self._net_arm: Optional[NetFaultArm] = None
+        self._storm_remaining = 0
         self._listener: Optional[socket.socket] = None
         self._port = 0
         self._conn: Optional[socket.socket] = None
@@ -406,6 +169,9 @@ class SocketTransport(Transport):
         return sock
 
     def spawn(self) -> None:
+        """Start (or restart) the worker and establish the link; raises
+        :class:`~repro.errors.WorkerLostError` when the worker never
+        comes up."""
         self._ensure_listener()
         token = os.urandom(8).hex()
         with self._lock:
@@ -417,8 +183,6 @@ class SocketTransport(Transport):
                 "repro.cluster.worker",
                 "--shard",
                 str(self.shard_id),
-                "--transport",
-                "socket",
                 "--connect",
                 f"127.0.0.1:{self._port}",
                 "--token",
@@ -497,10 +261,22 @@ class SocketTransport(Transport):
             return True
 
     def kill(self) -> None:
+        """Tear down the worker process and the link (idempotent)."""
         self._sever()
-        self._reap()
+        proc = self._proc
+        if proc is None:
+            return
+        if proc.poll() is None:
+            proc.kill()
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL pending
+            pass
+        with self._lock:
+            self._proc = None
 
     def close(self) -> None:
+        """Final teardown; also releases the listener."""
         self.kill()
         with self._lock:
             listener = self._listener
@@ -511,12 +287,58 @@ class SocketTransport(Transport):
             except OSError:
                 pass
 
-    def connected(self) -> bool:
-        return self._conn is not None
+    def alive(self) -> bool:
+        proc = self._proc
+        return proc is not None and proc.poll() is None
+
+    # -- fault boundary -----------------------------------------------------------
+
+    def arm_net_faults(self, arm: Optional[NetFaultArm]) -> None:
+        """Install (or clear) the per-query NET fault schedule."""
+        with self._lock:
+            self._net_arm = arm
+            self._storm_remaining = 0
 
     # -- frames -------------------------------------------------------------------
 
+    def send(self, payload: Dict[str, Any]) -> None:
+        """Encode, sequence, and deliver one frame through the NET fault
+        boundary; raises :class:`~repro.errors.ConnectionLostError` when
+        the link is (or just became) unusable."""
+        with self._lock:
+            self._out_seq += 1
+            seq = self._out_seq
+            arm = self._net_arm
+            storm = self._storm_remaining > 0
+            if storm:
+                self._storm_remaining -= 1
+        data = encode_frame(payload, seq=seq)
+        duplicate = False
+        if not storm and arm is not None:
+            rule = arm.arm()
+            if rule is not None:
+                if rule.action is FaultAction.CORRUPT_FRAME:
+                    data = corrupt_frame_bytes(data)
+                elif rule.action is FaultAction.DUP_FRAME:
+                    duplicate = True
+                elif rule.action is FaultAction.PARTITION:
+                    storm = True
+                elif rule.action is FaultAction.RECONNECT_STORM:
+                    with self._lock:
+                        self._storm_remaining = RECONNECT_STORM_DROPS - 1
+                    storm = True
+        if storm:
+            self._sever()
+            raise ConnectionLostError(self.shard_id, "partition")
+        self._write_bytes(data)
+        if duplicate:
+            self._write_bytes(data)
+
     def recv(self, deadline_at: Optional[float]) -> Dict[str, Any]:
+        """One inbound frame; raises :class:`FrameTimeout` past the
+        deadline, the typed :class:`~repro.errors.ProtocolError` family
+        on corruption, :class:`~repro.errors.ConnectionLostError` on
+        EOF/reset."""
         reader = self._reader
         if reader is None:
             raise ConnectionLostError(self.shard_id, "not_connected")
@@ -531,6 +353,8 @@ class SocketTransport(Transport):
         return reply
 
     def reconnect(self, give_up_at: float) -> bool:
+        """Re-establish the link to the *same* worker session by
+        accepting its redial, waiting until ``give_up_at`` at most."""
         self._sever()
         return self._accept(give_up_at)
 
@@ -545,6 +369,8 @@ class SocketTransport(Transport):
             raise ConnectionLostError(self.shard_id, "reset") from exc
 
     def _sever(self) -> None:
+        """Drop the link (PARTITION semantics) without killing the
+        process."""
         with self._lock:
             conn = self._conn
             self._conn = None
@@ -555,41 +381,10 @@ class SocketTransport(Transport):
             except OSError:
                 pass
 
-    def describe(self) -> Dict[str, Any]:
-        row = super().describe()
-        row["port"] = self._port
-        return row
-
-
-def create_transport(
-    kind: str,
-    shard_id: int,
-    python_executable: Optional[str] = None,
-    connect_timeout_seconds: float = 10.0,
-    worker_reconnect_window_seconds: float = 30.0,
-) -> Transport:
-    """Build one shard's transport by name (``pipe`` or ``socket``)."""
-    if kind == "pipe":
-        return PipeTransport(shard_id, python_executable)
-    if kind == "socket":
-        return SocketTransport(
-            shard_id,
-            python_executable,
-            connect_timeout_seconds=connect_timeout_seconds,
-            worker_reconnect_window_seconds=worker_reconnect_window_seconds,
-        )
-    raise ClusterError(
-        f"unknown transport {kind!r}; expected one of {', '.join(TRANSPORTS)}"
-    )
-
 
 __all__: List[str] = [
-    "TRANSPORTS",
     "RECONNECT_STORM_DROPS",
     "NetFaultArm",
-    "Transport",
-    "PipeTransport",
     "SocketTransport",
-    "create_transport",
     "corrupt_frame_bytes",
 ]

@@ -16,7 +16,7 @@ The envelope is what lets the cluster trust a *hostile* link (PR 8):
 - a flipped bit anywhere else fails the magic or CRC check and raises
   :class:`~repro.errors.FrameCorruptError` — framing cannot be resumed
   after corruption, so the connection is condemned and the transport
-  layer reconnects (socket) or fails over (pipe);
+  layer reconnects (or, with the worker gone, fails over);
 - a duplicated frame re-arrives with the same ``seq`` and is silently
   dropped by the receiver (sequence numbers are per-connection and
   strictly increasing from each sender).
@@ -24,7 +24,7 @@ The envelope is what lets the cluster trust a *hostile* link (PR 8):
 Two read paths share the decoder:
 
 - :func:`read_frame` / :func:`read_frame_ex` — blocking, used by the
-  worker on its stdin or socket stream; a clean EOF at a frame boundary
+  worker on its socket stream; a clean EOF at a frame boundary
   returns ``None``.
 - :class:`FrameReader` — coordinator side, ``select()``-driven reads
   against a deadline so a hung worker can never wedge the coordinator;

@@ -63,7 +63,6 @@ class ClusterBackend:
         retry_policy: Optional[RetryPolicy] = None,
         recovery_store: Optional[RecoveryStore] = None,
         observability: Optional[Observability] = None,
-        transport: str = "pipe",
     ) -> None:
         if shards < 1:
             raise ClusterError(f"shards must be >= 1, got {shards}")
@@ -78,7 +77,6 @@ class ClusterBackend:
         self.max_failovers = max_failovers
         self.retry_policy = retry_policy
         self.recovery_store = recovery_store
-        self.transport = transport
         self.obs = observability if observability is not None else Observability.disabled()
         self._lock = threading.Lock()
         self._coordinators: Dict[str, Coordinator] = {}
@@ -122,7 +120,7 @@ class ClusterBackend:
             except ClusterError as exc:
                 # Coordinator busy with another worker's query: block on
                 # its idle condition until the slot frees (never a lock
-                # held across the cluster's pipe I/O, never a spin
+                # held across the cluster's socket I/O, never a spin
                 # poll).  Everything else is a real error.
                 if "one query at a time" not in str(exc):
                     raise
@@ -141,7 +139,6 @@ class ClusterBackend:
         return {
             "kind": "cluster",
             "shards": self.shards,
-            "transport": self.transport,
             "closed": closed,
             "documents": {
                 name: coordinator.health()
@@ -204,7 +201,6 @@ class ClusterBackend:
             retry_policy=self.retry_policy,
             recovery_store=self.recovery_store,
             observability=self.obs,
-            transport=self.transport,
         )
         with self._lock:
             cached = self._coordinators.setdefault(document, built)

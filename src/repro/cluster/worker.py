@@ -1,22 +1,17 @@
 """Shard worker: one subprocess, one partition, a full engine.
 
 Launched by the coordinator as ``python -m repro.cluster.worker --shard
-<id>`` and spoken to with the CRC-checked, sequence-numbered frames of
-:mod:`repro.cluster.protocol` over one of two transports (stderr
-carries tracebacks and is surfaced by the coordinator on failure):
-
-- **pipe** (default): frames over stdin/stdout.  EOF or a corrupt
-  frame ends the process — a pipe cannot be redialed, so the
-  coordinator's failover ladder is the only recovery.
-- **socket** (``--transport socket --connect host:port --token T``):
-  the worker dials the coordinator's listener, authenticates with its
-  per-spawn session token, and serves frames over TCP.  A dropped
-  connection does *not* end the session: the worker redials with
-  exponential backoff for ``--reconnect-window`` seconds, and a reply
-  cache keyed by RPC id answers replayed requests idempotently — a
-  step whose reply was lost in the partition is never re-executed.  A
-  *refused* handshake means the coordinator failed this session over
-  to a fresh worker; the stale worker exits instead of split-braining.
+<id> --connect host:port --token T`` and spoken to with the CRC-checked,
+sequence-numbered frames of :mod:`repro.cluster.protocol` (stderr
+carries tracebacks and is surfaced by the coordinator on failure).  The
+worker dials the coordinator's listener, authenticates with its
+per-spawn session token, and serves frames over TCP.  A dropped
+connection does *not* end the session: the worker redials with
+exponential backoff for ``--reconnect-window`` seconds, and a reply
+cache keyed by RPC id answers replayed requests idempotently — a step
+whose reply was lost in the partition is never re-executed.  A *refused*
+handshake means the coordinator failed this session over to a fresh
+worker; the stale worker exits instead of split-braining.
 
 The worker is a plain request loop — *all* policy (retries, liveness,
 failover, merging) lives in the coordinator; the worker's one
@@ -36,8 +31,8 @@ RPCs
     Bind a query and reset the per-query state (live run, resident
     snapshot, operation count, lost bound): take the
     :class:`~repro.core.engine.Engine` for what the frame ships —
-    query, ``relaxed``, index backend and the coordinator's **global**
-    score contributions (never shard-local idf — Dewey remapping aside,
+    query, ``relaxed`` and the coordinator's **global** score
+    contributions (never shard-local idf — Dewey remapping aside,
     shard scores must be bit-identical to a single-process run) — from
     the worker's engine cache, building it on a miss; optionally seed
     the resident snapshot from a failed-over checkpoint.
@@ -278,11 +273,7 @@ class ShardWorker:
         query = str(message["query"])
         relaxed = bool(message.get("relaxed", True))
         contributions = message["contributions"]
-        # Shipped by the coordinator so every shard builds its index on
-        # the same backend; absent (old coordinator) falls back to this
-        # worker's own environment/default.
-        index_backend = message.get("index_backend")
-        key = (query, relaxed, index_backend, json.dumps(contributions, sort_keys=True))
+        key = (query, relaxed, json.dumps(contributions, sort_keys=True))
         engine = self.engines.get(key)
         if engine is None:
             if len(self.engines) >= ENGINE_CACHE_CAP:
@@ -292,7 +283,6 @@ class ShardWorker:
                 query,
                 relaxed=relaxed,
                 score_model=ScoreModel.from_contributions(contributions),
-                index_backend=index_backend,
             )
         self.engine = engine
         faults_payload = message.get("engine_faults")
@@ -415,8 +405,8 @@ class ShardWorker:
 
 def serve(worker: ShardWorker, channel: FrameChannel) -> str:
     """Drain one connection; returns ``"shutdown"`` (clean exit asked)
-    or ``"lost"`` (EOF, reset, or condemned-by-corruption — the socket
-    main loop redials, the pipe main loop exits into failover)."""
+    or ``"lost"`` (EOF, reset, or condemned-by-corruption — the main
+    loop redials)."""
     while True:
         try:
             message = channel.read()
@@ -448,19 +438,6 @@ def serve(worker: ShardWorker, channel: FrameChannel) -> str:
             return "lost"  # reply undeliverable; it is cached for replay
 
 
-def run_pipe(worker: ShardWorker) -> int:
-    """Pipe mode: one connection, no second chances."""
-    stdout = sys.stdout.buffer
-    channel = FrameChannel(sys.stdin.buffer, lambda data: _write_flush(stdout, data))
-    serve(worker, channel)
-    return 0
-
-
-def _write_flush(stream: BinaryIO, data: bytes) -> None:
-    stream.write(data)
-    stream.flush()
-
-
 def run_socket(
     worker: ShardWorker,
     host: str,
@@ -468,7 +445,7 @@ def run_socket(
     token: str,
     reconnect_window_seconds: float,
 ) -> int:
-    """Socket mode: dial, authenticate, serve; redial with exponential
+    """Dial, authenticate, serve; redial with exponential
     backoff when the link drops, for at most the reconnect window per
     outage.  Exits 0 when told to shut down or when the coordinator
     refuses the token (this session was failed over — a stale worker
@@ -520,27 +497,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.cluster.worker")
     parser.add_argument("--shard", type=int, required=True, help="shard id")
     parser.add_argument(
-        "--transport",
-        choices=("pipe", "socket"),
-        default="pipe",
-        help="frame transport back to the coordinator",
-    )
-    parser.add_argument(
         "--connect",
-        default="",
+        required=True,
         metavar="HOST:PORT",
-        help="coordinator listener address (socket transport)",
+        help="coordinator listener address",
     )
     parser.add_argument(
         "--token",
-        default="",
-        help="session token presented in the hello handshake (socket transport)",
+        required=True,
+        help="session token presented in the hello handshake",
     )
     parser.add_argument(
         "--reconnect-window",
         type=float,
         default=30.0,
-        help="seconds to keep redialing after a lost connection (socket transport)",
+        help="seconds to keep redialing after a lost connection",
     )
     args = parser.parse_args(argv)
 
@@ -551,10 +522,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # real socket.  Simulated time is a coordinator-side illusion.
     set_clock(RealClock())
     worker = ShardWorker(args.shard)
-    if args.transport == "pipe":
-        return run_pipe(worker)
-    if not args.connect or not args.token:
-        parser.error("socket transport requires --connect and --token")
     host, _, port_text = args.connect.rpartition(":")
     try:
         port = int(port_text)

@@ -110,8 +110,8 @@ class Engine:
         self.pattern = parse_xpath(query) if isinstance(query, str) else query
         self.relaxed = relaxed
         # index_backend: "columnar" (flat array('I') Dewey arenas, the
-        # default) or "object" (per-node tuple lists); None defers to
-        # $REPRO_INDEX_BACKEND.  Both produce bit-identical answers.
+        # default) or "object" (per-node tuple lists).  Both produce
+        # bit-identical answers.
         self.index = DatabaseIndex(
             database, tags=self.pattern.tags(), backend=index_backend
         )

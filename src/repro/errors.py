@@ -210,8 +210,8 @@ class ProtocolError(ClusterError):
     Raised by :mod:`repro.cluster.protocol` when inbound bytes cannot be
     a well-formed frame: bad magic, an oversized length prefix, a CRC32
     mismatch, or a stream torn mid-frame.  A protocol error condemns the
-    *connection*, never the worker session — the socket transport
-    reconnects and replays idempotently, the pipe transport fails over.
+    *connection*, never the worker session — the transport reconnects
+    and replays idempotently.
 
     Attributes
     ----------
@@ -257,7 +257,7 @@ class FrameCorruptError(ProtocolError):
 class ConnectionLostError(ClusterError):
     """The transport connection to a shard worker broke (EOF, reset, or
     an injected PARTITION).  Unlike :class:`WorkerLostError` the worker
-    *process* may still be alive — the socket transport answers this by
+    *process* may still be alive — the transport answers this by
     accepting a redial from the same session, and only escalates to
     failover when the reconnect ladder is exhausted.
 

@@ -53,8 +53,8 @@ class FaultAction(enum.Enum):
     #: enough to recover without failover.
     SLOW_PIPE = "slow_pipe"
     #: Network-level: sever the coordinator↔worker link before the frame
-    #: leaves.  The worker process stays alive; a socket transport
-    #: reconnects and replays, a pipe transport fails over.  Only
+    #: leaves.  The worker process stays alive; the transport
+    #: reconnects and replays.  Only
     #: meaningful at :attr:`FaultSite.NET`; executed by the coordinator's
     #: transport (:mod:`repro.cluster.net`).
     PARTITION = "partition"

@@ -97,7 +97,6 @@ class SimScenario:
         checkpoint_every: int = 4,
         shards: int = 2,
         step_operations: int = 30,
-        transport: str = "pipe",
         fail_over: bool = True,
         max_failovers: int = 8,
     ) -> None:
@@ -112,7 +111,6 @@ class SimScenario:
         self.checkpoint_every = checkpoint_every
         self.shards = shards
         self.step_operations = step_operations
-        self.transport = transport
         self.fail_over = fail_over
         self.max_failovers = max_failovers
         self._database: Optional[Any] = None
@@ -150,14 +148,16 @@ class SimScenario:
             "checkpoint_every": self.checkpoint_every,
             "shards": self.shards,
             "step_operations": self.step_operations,
-            "transport": self.transport,
             "fail_over": self.fail_over,
             "max_failovers": self.max_failovers,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimScenario":
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a key this build does not know
+            raise SimError(f"bad scenario payload: {exc}") from exc
 
     def __repr__(self) -> str:
         return (
@@ -303,7 +303,6 @@ class SimHarness:
             scenario.database(),
             shards=scenario.shards,
             step_operations=scenario.step_operations,
-            transport=scenario.transport,
             recovery_store=MemoryRecoveryStore(),
             max_failovers=scenario.max_failovers,
             **SIM_LADDER,

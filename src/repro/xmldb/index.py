@@ -34,7 +34,6 @@ deterministic unit the bench trajectory's backend-speedup records gate).
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -45,10 +44,7 @@ from repro.xmldb.model import Database, XMLNode
 #: Selectable index backends, preferred first.
 INDEX_BACKENDS: Tuple[str, ...] = ("columnar", "object")
 
-#: Environment override consulted when no explicit backend is passed.
-INDEX_BACKEND_ENV = "REPRO_INDEX_BACKEND"
-
-#: Backend used when neither the caller nor the environment chooses.
+#: Backend used when the caller does not choose.
 DEFAULT_INDEX_BACKEND = "columnar"
 
 #: Largest Dewey component (sibling ordinal / document ordinal) the
@@ -57,10 +53,10 @@ MAX_ARENA_COMPONENT = 0xFFFFFFFF
 
 
 def resolve_index_backend(backend: Optional[str] = None) -> str:
-    """Resolve an index-backend choice: explicit > ``$REPRO_INDEX_BACKEND``
-    > :data:`DEFAULT_INDEX_BACKEND`.  Raises ``ValueError`` on unknown
+    """Resolve an index-backend choice: explicit >
+    :data:`DEFAULT_INDEX_BACKEND`.  Raises ``ValueError`` on unknown
     names so misconfiguration fails at index-build time, loudly."""
-    chosen = backend or os.environ.get(INDEX_BACKEND_ENV) or DEFAULT_INDEX_BACKEND
+    chosen = backend or DEFAULT_INDEX_BACKEND
     if chosen not in INDEX_BACKENDS:
         raise ValueError(
             f"unknown index backend {chosen!r}; expected one of {INDEX_BACKENDS}"
@@ -417,8 +413,7 @@ class DatabaseIndex:
         query's tag set reproduces that, while ``tags=None`` indexes
         everything (convenient for statistics and tests).  ``backend``
         picks the per-tag index implementation (``"columnar"`` or
-        ``"object"``); ``None`` defers to ``$REPRO_INDEX_BACKEND`` and
-        then the columnar default.
+        ``"object"``); ``None`` takes the columnar default.
         """
         self.database = database
         self.backend = resolve_index_backend(backend)

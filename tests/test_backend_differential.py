@@ -17,10 +17,7 @@ import pytest
 
 from repro.bench.params import QUERIES
 from repro.bench.workloads import get_database
-from repro.cluster import Coordinator
 from repro.core.engine import Engine
-from repro.xmark.generator import generate_database
-from repro.xmark.schema import XMarkConfig
 from repro.xmldb.model import Database, XMLNode
 from tests.conftest import run_fingerprint
 
@@ -100,28 +97,3 @@ class TestFig10Workloads:
         # The acceptance bar: >= 1.5x fewer modeled comparisons.
         assert totals["object"] >= 1.5 * totals["columnar"] > 0, totals
 
-
-class TestClusterSocket:
-    def test_backends_agree_across_socket_cluster(self):
-        database = generate_database(XMarkConfig(items=40, seed=7))
-        query = QUERIES["Q2"]
-        answers = {}
-        for backend in ("object", "columnar"):
-            with Coordinator(
-                database,
-                shards=2,
-                transport="socket",
-                index_backend=backend,
-            ) as coordinator:
-                result = coordinator.run_query(query, 4)
-            assert coordinator.index_backend == backend
-            answers[backend] = [
-                (tuple(answer.root_node.dewey), round(answer.score, 9))
-                for answer in result.answers
-            ]
-        assert answers["columnar"] == answers["object"]
-        single = [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in Engine(database, query).run(4).answers
-        ]
-        assert answers["columnar"] == single

@@ -21,7 +21,6 @@ import pytest
 
 from repro.cluster import Coordinator
 from repro.cluster.coordinator import ShardHandle
-from repro.cluster.net import TRANSPORTS
 from repro.core.engine import Engine
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.faults.supervisor import RetryPolicy
@@ -326,10 +325,10 @@ def test_failover_exhaustion_loses_the_shard(database):
 
 
 # ---------------------------------------------------------------------------
-# Network chaos: the transport matrix
+# Network chaos: the NET matrix
 # ---------------------------------------------------------------------------
 
-#: The explicit NET action schedule the transport matrix cycles through,
+#: The explicit NET action schedule the matrix cycles through,
 #: guaranteeing every seed set covers PARTITION and CORRUPT_FRAME.
 NET_ACTIONS = (
     FaultAction.PARTITION,
@@ -354,25 +353,20 @@ def net_plan(seed: int) -> FaultPlan:
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("algorithm", ENGINES)
-def test_net_matrix_converges_bit_identical(
-    database, oracles, transport, algorithm
-):
-    """20 seeds × 3 engines × 2 transports: every NET action (partition,
-    frame corruption, duplication, reconnect storm) lands mid-query and
-    the merged answer must still be bit-identical to the fault-free
-    single-process run — regardless of whether recovery rode socket
-    reconnect-and-replay or pipe checkpoint failover."""
+def test_net_matrix_converges_bit_identical(database, oracles, algorithm):
+    """20 seeds × 3 engines: every NET action (partition, frame
+    corruption, duplication, reconnect storm) lands mid-query and the
+    merged answer must still be bit-identical to the fault-free
+    single-process run."""
     recovered = 0
     for seed in SEEDS:
         with Coordinator(
             database,
             shards=2,
             step_operations=30,
-            transport=transport,
             recovery_store=MemoryRecoveryStore(),
-            max_failovers=8,  # a pipe reconnect storm burns several
+            max_failovers=8,
             **FAST_LADDER,
         ) as coordinator:
             result = coordinator.run_query(
@@ -381,13 +375,9 @@ def test_net_matrix_converges_bit_identical(
                 algorithm=algorithm,
                 net_faults=net_plan(seed),
             )
-        assert not result.degraded, (seed, transport, algorithm)
+        assert not result.degraded, (seed, algorithm)
         assert result.missing_shards == []
-        assert answer_keys(result) == oracles[algorithm], (
-            seed,
-            transport,
-            algorithm,
-        )
+        assert answer_keys(result) == oracles[algorithm], (seed, algorithm)
         recovered += result.failovers + result.reconnects
     # The matrix must actually disturb the link, not schedule faults
     # that land after the query finished (DUP_FRAME recovers silently,
@@ -395,18 +385,14 @@ def test_net_matrix_converges_bit_identical(
     assert recovered >= len(SEEDS) // 4
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("seed", range(6))
-def test_seeded_net_chaos_converges_bit_identical(
-    database, oracles, transport, seed
-):
+def test_seeded_net_chaos_converges_bit_identical(database, oracles, seed):
     """The randomized plan generator (multiple rules, seeded actions /
-    targets / trigger points) against both transports."""
+    targets / trigger points)."""
     with Coordinator(
         database,
         shards=2,
         step_operations=30,
-        transport=transport,
         recovery_store=MemoryRecoveryStore(),
         max_failovers=8,
         **FAST_LADDER,
@@ -414,8 +400,8 @@ def test_seeded_net_chaos_converges_bit_identical(
         result = coordinator.run_query(
             QUERY, K, net_faults=FaultPlan.net_chaos(seed, shards=2)
         )
-    assert not result.degraded, (seed, transport)
-    assert answer_keys(result) == oracles["whirlpool_s"], (seed, transport)
+    assert not result.degraded, seed
+    assert answer_keys(result) == oracles["whirlpool_s"], seed
 
 
 def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, oracles):

@@ -1,28 +1,28 @@
-"""Transport-layer tests: pipe vs. socket, partitions, frame damage.
+"""Transport-layer tests: partitions, frame damage, session tokens.
 
-The contract under test is the tentpole's: whatever the link does —
-partition mid-query, corrupt or duplicate frames, storm through
-reconnects — both transports converge on the bit-identical fault-free
-answer.  The recovery *mechanism* differs by transport and is asserted
-explicitly: a socket partition resumes the same worker session via
-reconnect + idempotent replay (zero failovers), while a pipe partition
-is unrecoverable in place and rides checkpoint-shipping failover
+The contract under test: whatever the link does — partition mid-query,
+corrupt or duplicate frames, storm through reconnects — the cluster
+converges on the bit-identical fault-free answer.  The recovery
+*mechanism* is asserted explicitly: a partition resumes the same worker
+session via reconnect + idempotent replay (zero failovers), and a
+severed link whose worker is gone rides checkpoint-shipping failover
 instead.
 """
+
+import socket
 
 import pytest
 
 from repro.cluster import Coordinator
 from repro.cluster.net import (
     RECONNECT_STORM_DROPS,
-    TRANSPORTS,
     NetFaultArm,
+    SocketTransport,
     corrupt_frame_bytes,
-    create_transport,
 )
-from repro.cluster.protocol import encode_frame, frame_crc
+from repro.cluster.protocol import FrameReader, encode_frame, frame_crc
 from repro.core.engine import Engine
-from repro.errors import ClusterError
+from repro.core.stats import monotonic_seconds
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.faults.supervisor import RetryPolicy
 from repro.recovery.store import MemoryRecoveryStore
@@ -74,18 +74,16 @@ def net_plan(action, shard=0, nth=3, times=1) -> FaultPlan:
     )
 
 
-def run(database, transport, plan, **overrides):
-    kwargs = dict(
+def run(database, plan, **query_faults):
+    with Coordinator(
+        database,
         shards=2,
         step_operations=30,
-        transport=transport,
         recovery_store=MemoryRecoveryStore(),
         max_failovers=8,
         **FAST_LADDER,
-    )
-    kwargs.update(overrides)
-    with Coordinator(database, **kwargs) as coordinator:
-        return coordinator.run_query(QUERY, K, net_faults=plan)
+    ) as coordinator:
+        return coordinator.run_query(QUERY, K, net_faults=plan, **query_faults)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +119,30 @@ def test_net_fault_arm_is_deterministic_and_targeted():
     ]
 
 
-def test_create_transport_rejects_unknown_kind():
-    with pytest.raises(ClusterError):
-        create_transport("carrier-pigeon", 0)
+def test_a_stale_session_token_is_refused_and_the_real_worker_resumes():
+    """A dial-in that presents anything but the current spawn's token —
+    a worker superseded by failover, an impostor — is told ``ok: False``
+    (its cue to exit); the accept loop keeps waiting for the session it
+    minted, and that one still answers."""
+    transport = SocketTransport(0)
+    transport.spawn()
+    stale = socket.create_connection(("127.0.0.1", transport._port), timeout=5.0)
+    try:
+        stale.sendall(
+            encode_frame({"op": "hello", "shard": 0, "token": "0" * 16}, seq=1)
+        )
+        # The stale dial-in is first in the listener's backlog; the real
+        # worker redials once reconnect() severs its connection.
+        assert transport.reconnect(monotonic_seconds() + 5.0)
+        ack = FrameReader(stale.fileno()).read(monotonic_seconds() + 5.0)
+        assert ack == {"op": "hello", "ok": False}
+        transport.send({"op": "ping", "id": 1})
+        reply = transport.recv(monotonic_seconds() + 5.0)
+        assert reply["ok"] and reply["shard"] == 0
+    finally:
+        stale.close()
+        transport.close()
+    assert not transport.alive()
 
 
 def test_net_chaos_plans_only_contain_net_rules():
@@ -138,42 +157,55 @@ def test_net_chaos_plans_only_contain_net_rules():
 
 
 # ---------------------------------------------------------------------------
-# Differential recovery semantics per transport
+# Recovery semantics of the link
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_fault_free_transports_agree_with_single_process(
-    database, oracle, transport
-):
-    result = run(database, transport, plan=None)
+def test_fault_free_cluster_agrees_with_single_process(database, oracle):
+    result = run(database, plan=None)
     assert not result.degraded
-    assert result.transport == transport
     assert result.failovers == 0
     assert result.reconnects == 0
     assert answer_keys(result) == oracle
 
 
 def test_socket_partition_resumes_session_without_failover(database, oracle):
-    result = run(database, "socket", net_plan(FaultAction.PARTITION))
+    result = run(database, net_plan(FaultAction.PARTITION))
     assert not result.degraded
     assert result.reconnects >= 1
     assert result.failovers == 0  # same worker, session resumed by replay
     assert answer_keys(result) == oracle
 
 
-def test_pipe_partition_fails_over_via_checkpoints(database, oracle):
-    result = run(database, "pipe", net_plan(FaultAction.PARTITION))
+def test_partition_with_the_worker_gone_fails_over_via_checkpoints(
+    database, oracle
+):
+    """A severed link that cannot be re-established: shard 0's fourth
+    step is partitioned away (NET frames: init, begin, three steps), and
+    the worker SIGKILLs itself on the replay of that same RPC (armed
+    RPCs: begin, four steps) — nobody is left to redial."""
+    kill = FaultPlan(
+        [
+            FaultRule(
+                site=FaultSite.WORKER_RPC,
+                action=FaultAction.KILL,
+                target="0",
+                nth=5,
+                times=1,
+            )
+        ],
+        seed=5,
+    )
+    result = run(
+        database, net_plan(FaultAction.PARTITION, nth=6), process_faults=kill
+    )
     assert not result.degraded
-    assert result.failovers >= 1  # pipes cannot reconnect: respawn+restore
+    assert result.failovers >= 1  # respawn + restore the shipped checkpoint
     assert answer_keys(result) == oracle
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_duplicated_frames_are_absorbed_silently(database, oracle, transport):
-    result = run(
-        database, transport, net_plan(FaultAction.DUP_FRAME, nth=2, times=3)
-    )
+def test_duplicated_frames_are_absorbed_silently(database, oracle):
+    result = run(database, net_plan(FaultAction.DUP_FRAME, nth=2, times=3))
     assert not result.degraded
     assert result.failovers == 0
     assert result.reconnects == 0
@@ -181,24 +213,18 @@ def test_duplicated_frames_are_absorbed_silently(database, oracle, transport):
     assert answer_keys(result) == oracle
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_corrupted_frames_are_detected_and_recovered(
-    database, oracle, transport
-):
-    result = run(database, transport, net_plan(FaultAction.CORRUPT_FRAME))
+def test_corrupted_frames_are_detected_and_recovered(database, oracle):
+    result = run(database, net_plan(FaultAction.CORRUPT_FRAME))
     assert not result.degraded
-    # The worker tears the connection down on a CRC mismatch; sockets
-    # resume the session, pipes fail over.
-    if transport == "socket":
-        assert result.reconnects >= 1
-        assert result.failovers == 0
-    else:
-        assert result.failovers >= 1
+    # The worker tears the connection down on a CRC mismatch and redials;
+    # the session resumes.
+    assert result.reconnects >= 1
+    assert result.failovers == 0
     assert answer_keys(result) == oracle
 
 
 def test_reconnect_storm_rides_the_backoff_ladder(database, oracle):
-    result = run(database, "socket", net_plan(FaultAction.RECONNECT_STORM))
+    result = run(database, net_plan(FaultAction.RECONNECT_STORM))
     assert not result.degraded
     assert result.reconnects == RECONNECT_STORM_DROPS
     assert result.failovers == 0
@@ -209,7 +235,6 @@ def test_health_surfaces_transport_and_connection_state(database):
     with Coordinator(
         database,
         shards=2,
-        transport="socket",
         recovery_store=MemoryRecoveryStore(),
         **FAST_LADDER,
     ) as coordinator:
@@ -218,10 +243,8 @@ def test_health_surfaces_transport_and_connection_state(database):
         )
         health = coordinator.health()
     assert result.reconnects >= 1
-    assert health["transport"] == "socket"
     assert health["reconnects"] == result.reconnects
     assert "rebalances" in health
     for row in health["per_shard"].values():
         assert row["connection"] in ("connected", "degraded", "partitioned", "failed")
-        assert row["transport"] == "socket"
     assert health["per_shard"][0]["reconnects"] >= 1

@@ -79,9 +79,8 @@ def kill_plan(shard: int, nth: int) -> FaultPlan:
     )
 
 
-@pytest.mark.parametrize("transport", net.TRANSPORTS)
-def test_workers_live_across_queries_and_die_with_close(database, oracle, transport):
-    coordinator = Coordinator(database, shards=2, step_operations=30, transport=transport)
+def test_workers_live_across_queries_and_die_with_close(database, oracle):
+    coordinator = Coordinator(database, shards=2, step_operations=30)
     try:
         pids = []
         for _ in range(3):
@@ -215,7 +214,6 @@ def begin_frame(database, query, rpc_id, **overrides):
         "k": K,
         "relaxed": True,
         "contributions": engine.score_model.contributions(),
-        "index_backend": None,
     }
     frame.update(overrides)
     return frame

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.xmldb.dewey import DepthRange
 from repro.xmldb.index import (
     DEFAULT_INDEX_BACKEND,
-    INDEX_BACKEND_ENV,
     INDEX_BACKENDS,
     MAX_ARENA_COMPONENT,
     ColumnarTagIndex,
@@ -108,24 +107,15 @@ class TestDatabaseIndex:
 
 
 class TestBackendSelection:
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv(INDEX_BACKEND_ENV, "object")
-        assert resolve_index_backend("columnar") == "columnar"
+    def test_explicit_choice_wins(self):
+        assert resolve_index_backend("object") == "object"
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(INDEX_BACKEND_ENV, "object")
-        assert resolve_index_backend() == "object"
-
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv(INDEX_BACKEND_ENV, raising=False)
+    def test_default_is_columnar(self):
         assert resolve_index_backend() == DEFAULT_INDEX_BACKEND == "columnar"
 
-    def test_unknown_backend_rejected(self, monkeypatch):
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_index_backend("btree")
-        monkeypatch.setenv(INDEX_BACKEND_ENV, "btree")
-        with pytest.raises(ValueError):
-            resolve_index_backend()
 
     def test_database_index_honours_backend(self, small_db):
         for backend in INDEX_BACKENDS:

@@ -178,3 +178,8 @@ class TestFixtureRoundTrip:
         path.write_text(mangled, encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported sim fixture version"):
             load_fixture(path)
+
+    def test_scenario_key_this_build_does_not_know_is_rejected(self, scenario):
+        # A fixture recorded before the one-link cluster names a transport.
+        with pytest.raises(SimError, match="transport"):
+            SimScenario.from_dict({**scenario.as_dict(), "transport": "pipe"})

@@ -290,6 +290,13 @@ def comparable(reply):
     return {**reply, "id": None, "stats": stats}
 
 
+def reply_keys(reply):
+    return [
+        (tuple(map(int, answer["root"].split("."))), round(answer["score"], 9))
+        for answer in reply["answers"]
+    ]
+
+
 @pytest.mark.parametrize("algorithm", ["whirlpool_s", "lockstep", "whirlpool_m"])
 def test_worker_restores_only_after_a_crash(xmark_db_large, algorithm):
     # The larger document: Whirlpool-M enforces its budget from a polling
@@ -301,17 +308,17 @@ def test_worker_restores_only_after_a_crash(xmark_db_large, algorithm):
     begin = begin_frame(engine, K, 60, algorithm=algorithm)
     clean, restores = drive(ShardWorker(0), documents, begin)
     assert restores == 0
-    assert [
-        (tuple(map(int, answer["root"].split("."))), round(answer["score"], 9))
-        for answer in clean["answers"]
-    ] == answer_keys(engine.run(K, algorithm=algorithm))
+    assert reply_keys(clean) == answer_keys(engine.run(K, algorithm=algorithm))
 
     # Crash the second step — there is a resident snapshot by then: the
     # live run is dropped, the retry restores from the snapshot, once.
     crashed, restores = drive(ShardWorker(0), documents, begin, crash_on_step=2)
     assert restores == 1
-    assert crashed["answers"] == clean["answers"]
+    assert reply_keys(crashed) == reply_keys(clean)
     if algorithm != "whirlpool_m":
+        # Whirlpool-M's thread interleaving may pick a different
+        # equal-score witness for the same root, so only the sequential
+        # engines are held to the full payload.
         assert comparable(crashed) == comparable(clean)
 
 
