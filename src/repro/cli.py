@@ -649,19 +649,15 @@ def _cmd_cluster(args) -> int:
     from repro.xmark.schema import XMarkConfig
 
     database = generate_database(XMarkConfig(items=args.items, seed=args.seed))
-    engine_faults = (
-        FaultPlan.chaos(args.chaos_seed) if args.chaos_seed is not None else None
-    )
-    process_faults = (
-        FaultPlan.worker_chaos(args.process_chaos_seed, args.shards)
-        if args.process_chaos_seed is not None
-        else None
-    )
-    net_faults = (
-        FaultPlan.net_chaos(args.net_chaos_seed, args.shards)
-        if args.net_chaos_seed is not None
-        else None
-    )
+    # One plan for all three fault boundaries: each seeded generator
+    # contributes the rules of its own sites.
+    rules = []
+    if args.chaos_seed is not None:
+        rules.extend(FaultPlan.chaos(args.chaos_seed).rules)
+    if args.process_chaos_seed is not None:
+        rules.extend(FaultPlan.worker_chaos(args.process_chaos_seed, args.shards).rules)
+    if args.net_chaos_seed is not None:
+        rules.extend(FaultPlan.net_chaos(args.net_chaos_seed, args.shards).rules)
     with Coordinator(
         database,
         shards=args.shards,
@@ -675,9 +671,7 @@ def _cmd_cluster(args) -> int:
             args.k,
             algorithm=args.algorithm,
             deadline_seconds=args.deadline,
-            engine_faults=engine_faults,
-            process_faults=process_faults,
-            net_faults=net_faults,
+            faults=FaultPlan(rules) if rules else None,
             fail_over=not args.no_failover,
         )
         health = coordinator.health()
@@ -933,7 +927,7 @@ def _cmd_sim(args) -> int:
         )
         reproducers = []
         for index, violation in enumerate(violations):
-            minimal = shrink(harness, violation.schedule)
+            minimal = shrink(harness, violation.plan)
             run = harness.run(minimal)
             entry = {
                 "schedule": minimal.describe(),

@@ -37,7 +37,7 @@ from repro.cluster.merge import (
     lost_shard_bound,
     merge_answers,
 )
-from repro.cluster.net import NetFaultArm, SocketTransport
+from repro.cluster.net import SocketTransport
 from repro.cluster.partition import (
     ShardSpec,
     build_shard_specs,
@@ -69,7 +69,6 @@ __all__ = [
     "dominated",
     "lost_shard_bound",
     "global_pending_bound",
-    "NetFaultArm",
     "SocketTransport",
     "ShardSpec",
     "build_shard_specs",

@@ -44,13 +44,14 @@ Failure handling is the point of the design:
   resumes exactly where its last ``step`` left off, and the final
   answer is bit-identical to the fault-free run (the chaos matrix in
   ``tests/test_cluster_chaos.py`` proves this per seed × engine);
-- process-level fault plans live for one query on the worker that
-  received them at query start: every ``init`` replaces the worker's
+- a query's fault plan is handed to each boundary by its rules' sites:
+  the ``WORKER_RPC`` rules live for one query on the worker that
+  received them at query start — every ``init`` replaces the worker's
   plan (with none, when the query ships none), and a replacement worker
   is never sent one (mirroring the service's "recovered runs re-execute
   fault-free" contract), so one injected kill cannot permanently wedge
-  a shard; injected *network* plans stay armed across failovers (the
-  network does not heal because a process was replaced);
+  a shard; the ``NET`` rules stay armed on the shard's link across
+  failovers (the network does not heal because a process was replaced);
 - the same ship-a-checkpoint machinery drives live **rebalancing**: a
   shard whose step latency stays far above the fleet median for
   consecutive rounds is retired and its checkpoint shipped to a fresh
@@ -88,7 +89,7 @@ from repro.cluster.merge import (
     lost_shard_bound,
     merge_answers,
 )
-from repro.cluster.net import NetFaultArm, SocketTransport
+from repro.cluster.net import SocketTransport
 from repro.cluster.partition import ShardSpec, build_shard_specs, remap_match_payload
 from repro.cluster.protocol import FrameTimeout
 from repro.core.engine import ALGORITHMS, Engine
@@ -103,6 +104,7 @@ from repro.errors import (
     RecoveryError,
     WorkerLostError,
 )
+from repro.faults.inject import FaultArm
 from repro.faults.plan import FaultPlan
 from repro.faults.supervisor import RetryPolicy
 from repro.obs import Observability
@@ -735,25 +737,25 @@ class Coordinator:
         routing: str = "min_alive",
         deadline_seconds: Optional[float] = None,
         step_operations: Optional[int] = None,
-        engine_faults: Optional[FaultPlan] = None,
+        faults: Optional[FaultPlan] = None,
         engine_retry_policy: Optional[RetryPolicy] = None,
-        process_faults: Optional[FaultPlan] = None,
-        net_faults: Optional[FaultPlan] = None,
         fail_over: bool = True,
     ) -> ClusterResult:
         """Evaluate one top-k query across the shard fleet.
 
-        ``engine_faults`` ships an in-engine chaos plan to every worker
-        (pair it with ``engine_retry_policy`` so workers recover injected
-        faults in-engine, as the single-process chaos tests do);
-        ``process_faults`` arms worker-boundary KILL/HANG/SLOW_PIPE
-        rules (:meth:`FaultPlan.worker_chaos`); ``net_faults`` arms
-        coordinator-side PARTITION/CORRUPT_FRAME/DUP_FRAME/
-        RECONNECT_STORM rules on each shard's link
-        (:meth:`FaultPlan.net_chaos`) — unlike process plans, net plans
-        stay armed across failovers.  ``fail_over=False`` turns every
-        worker loss into a lost shard — the degraded-answer path the
-        soundness tests exercise.
+        ``faults`` is one plan for all three fault boundaries; each gets
+        the rules of its own sites (:meth:`FaultPlan.select`).  Engine-site
+        rules ship to every worker and run in-engine (pair them with
+        ``engine_retry_policy`` so workers recover injected faults
+        in-engine, as the single-process chaos tests do); ``WORKER_RPC``
+        rules (KILL/HANG/SLOW_PIPE, :meth:`FaultPlan.worker_chaos`) arm
+        the worker's RPC boundary; ``NET`` rules (PARTITION/
+        CORRUPT_FRAME/DUP_FRAME/RECONNECT_STORM,
+        :meth:`FaultPlan.net_chaos`) arm each shard's link on the
+        coordinator side and — unlike the worker's — stay armed across
+        failovers.  ``fail_over=False`` turns every worker loss into a
+        lost shard — the degraded-answer path the soundness tests
+        exercise.
         """
         if algorithm not in ALGORITHMS:
             raise EngineError(
@@ -778,9 +780,15 @@ class Coordinator:
                     "shards": self.shards,
                 },
             )
+        # Each fault boundary gets the rules of its own sites.
+        engine_faults, process_faults, net_faults = (
+            faults.select(family) if faults is not None else None
+            for family in ("engine", "process", "net")
+        )
         for handle in self.handles:
+            # Seeded per shard: each link draws its own probability stream.
             handle.transport.arm_net_faults(
-                NetFaultArm(net_faults, handle.shard_id)
+                FaultArm(net_faults.rules, net_faults.seed ^ (handle.shard_id + 1))
                 if net_faults is not None
                 else None
             )

@@ -17,12 +17,13 @@ framing of :mod:`repro.cluster.protocol`, so a flipped bit anywhere on
 the link is detected, condemns the connection, and rides the same
 reconnect-or-failover path as a partition.
 
-Network fault injection lives here too: :class:`NetFaultArm` evaluates
-seeded :attr:`~repro.faults.plan.FaultSite.NET` rules on the
-coordinator-side send path — PARTITION severs the link, CORRUPT_FRAME
-flips a bit in flight, DUP_FRAME delivers twice, RECONNECT_STORM severs
-on several consecutive sends — which is what the NET half of the chaos
-matrix in ``tests/test_cluster_chaos.py`` sweeps.
+Network fault injection lives here too: the send path arms the query's
+:attr:`~repro.faults.plan.FaultSite.NET` rules once per outbound frame
+of *this shard* (so a shard's schedule does not depend on how rounds
+interleave across shards) and executes what fires — PARTITION severs
+the link, CORRUPT_FRAME flips a bit in flight, DUP_FRAME delivers twice,
+RECONNECT_STORM severs on several consecutive sends — which is what the
+NET half of the chaos matrix in ``tests/test_cluster_chaos.py`` sweeps.
 
 Locking discipline: the transport guards its mutable attributes with
 short ``self._lock`` sections (it is watched by WPL001 and the runtime
@@ -34,7 +35,6 @@ no baseline entries.
 from __future__ import annotations
 
 import os
-import random
 import select
 import socket
 import subprocess
@@ -50,7 +50,8 @@ from repro.errors import (
     ProtocolError,
     WorkerLostError,
 )
-from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
+from repro.faults.inject import FaultArm
+from repro.faults.plan import FaultAction, FaultSite
 
 #: Total link severs a RECONNECT_STORM rule performs (the firing send
 #: plus this many minus one follow-ups), so one rule exercises several
@@ -65,41 +66,6 @@ def corrupt_frame_bytes(data: bytes) -> bytes:
     if not data:
         return data
     return data[:-1] + bytes([data[-1] ^ 0x01])
-
-
-class NetFaultArm:
-    """Seeded trigger evaluation for NET rules on one shard's link.
-
-    The counting/trigger semantics mirror
-    :class:`repro.cluster.worker.ProcessFaultArm` — per-rule fire caps,
-    probability draws from a seeded RNG — but the counter is *this
-    shard's outbound frames*, so each shard's schedule is deterministic
-    regardless of how rounds interleave across shards.  Unlike process
-    fault plans, a NET arm stays armed across failovers: the network
-    does not get healthier because a worker was replaced (rule ``times``
-    caps keep every schedule finite).
-    """
-
-    def __init__(self, plan: FaultPlan, shard_id: int) -> None:
-        self.plan = plan
-        self.target = str(shard_id)
-        self._rng = random.Random(plan.seed ^ (shard_id + 1))
-        self._count = 0
-        self._fires: Dict[int, int] = {}
-
-    def arm(self) -> Optional[FaultRule]:
-        """Advance the send counter; return the rule firing, if any."""
-        self._count += 1
-        for index, rule in enumerate(self.plan.rules):
-            if not rule.matches(FaultSite.NET, self.target):
-                continue
-            fired = self._fires.get(index, 0)
-            if rule.times is not None and fired >= rule.times:
-                continue
-            if rule.triggers(self._count, self._rng):
-                self._fires[index] = fired + 1
-                return rule
-        return None
 
 
 def _worker_env() -> Dict[str, str]:
@@ -144,7 +110,7 @@ class SocketTransport:
         self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen] = None
         self._out_seq = 0
-        self._net_arm: Optional[NetFaultArm] = None
+        self._net_arm: Optional[FaultArm] = None
         self._storm_remaining = 0
         self._listener: Optional[socket.socket] = None
         self._port = 0
@@ -293,8 +259,11 @@ class SocketTransport:
 
     # -- fault boundary -----------------------------------------------------------
 
-    def arm_net_faults(self, arm: Optional[NetFaultArm]) -> None:
-        """Install (or clear) the per-query NET fault schedule."""
+    def arm_net_faults(self, arm: Optional[FaultArm]) -> None:
+        """Install (or clear) the per-query NET fault schedule.  It stays
+        armed across failovers — the network does not get healthier
+        because a worker was replaced — and rule ``times`` caps keep every
+        schedule finite."""
         with self._lock:
             self._net_arm = arm
             self._storm_remaining = 0
@@ -315,7 +284,7 @@ class SocketTransport:
         data = encode_frame(payload, seq=seq)
         duplicate = False
         if not storm and arm is not None:
-            rule = arm.arm()
+            rule = arm.arm(FaultSite.NET, str(self.shard_id))
             if rule is not None:
                 if rule.action is FaultAction.CORRUPT_FRAME:
                     data = corrupt_frame_bytes(data)
@@ -384,7 +353,6 @@ class SocketTransport:
 
 __all__: List[str] = [
     "RECONNECT_STORM_DROPS",
-    "NetFaultArm",
     "SocketTransport",
     "corrupt_frame_bytes",
 ]

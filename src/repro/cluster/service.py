@@ -114,7 +114,7 @@ class ClusterBackend:
                     relaxed=request.relaxed,
                     routing=request.routing,
                     deadline_seconds=deadline_seconds,
-                    engine_faults=request.faults,
+                    faults=request.faults,
                     engine_retry_policy=request.retry_policy,
                 )
             except ClusterError as exc:

@@ -67,7 +67,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import signal
 import socket
 import sys
@@ -78,7 +77,8 @@ from repro.core.engine import Engine
 from repro.core.base import EngineBase, TopKResult
 from repro.core.stats import monotonic_seconds
 from repro.errors import ClusterError, EngineCrashError, ProtocolError, ReproError
-from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
+from repro.faults.inject import FaultArm
+from repro.faults.plan import FaultAction, FaultPlan, FaultSite
 from repro.faults.supervisor import RetryPolicy
 from repro.recovery.codec import encode_match
 from repro.recovery.generations import seal
@@ -99,37 +99,6 @@ from repro.xmldb.parser import parse_forest
 #: query, so memory is measured with one cached engine per worker, and
 #: two is what alternating between a pair of queries needs.
 ENGINE_CACHE_CAP = 2
-
-
-class ProcessFaultArm:
-    """Seeded trigger evaluation for WORKER_RPC rules.
-
-    The counting/trigger semantics mirror
-    :meth:`repro.faults.inject.FaultInjector._arm` — per-(site, target)
-    operation counters, per-rule fire caps, probability draws from the
-    plan's seeded RNG — but the armed *actions* act on the process, so
-    execution lives in the worker loop, not in the injector.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._rng = random.Random(plan.seed)
-        self._count = 0
-        self._fires: Dict[int, int] = {}
-
-    def arm(self, target: str) -> Optional[FaultRule]:
-        """Advance the RPC counter; return the rule firing, if any."""
-        self._count += 1
-        for index, rule in enumerate(self.plan.rules):
-            if not rule.matches(FaultSite.WORKER_RPC, target):
-                continue
-            fired = self._fires.get(index, 0)
-            if rule.times is not None and fired >= rule.times:
-                continue
-            if rule.triggers(self._count, self._rng):
-                self._fires[index] = fired + 1
-                return rule
-        return None
 
 
 class FrameChannel:
@@ -187,7 +156,7 @@ class ShardWorker:
         self.snapshot: Optional[Dict[str, Any]] = None
         self.resident_ops = 0
         self.lost_bound = 0.0
-        self.process_faults: Optional[ProcessFaultArm] = None
+        self.process_faults: Optional[FaultArm] = None
         self.reply_delay = 0.0
         # Idempotent-replay cache: the last RPC id answered and its
         # reply.  After a reconnect the coordinator resends the in-flight
@@ -205,7 +174,7 @@ class ShardWorker:
         self.reply_delay = 0.0
         if self.process_faults is None or op in ("ping", "init"):
             return
-        rule = self.process_faults.arm(str(self.shard_id))
+        rule = self.process_faults.arm(FaultSite.WORKER_RPC, str(self.shard_id))
         if rule is None:
             return
         if rule.action is FaultAction.KILL:
@@ -248,12 +217,11 @@ class ShardWorker:
             self.engines.clear()
         if self.database is None:
             return {"ok": False, "error": "init without documents"}, False
+        self.process_faults = None
         plan_payload = message.get("process_faults")
-        self.process_faults = (
-            ProcessFaultArm(FaultPlan.from_dict(plan_payload))
-            if plan_payload is not None
-            else None
-        )
+        if plan_payload is not None:
+            plan = FaultPlan.from_dict(plan_payload)
+            self.process_faults = FaultArm(plan.rules, plan.seed)
         return (
             {
                 "ok": True,

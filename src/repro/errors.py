@@ -149,6 +149,12 @@ class EngineCrashError(EngineError):
         super().__init__(message or f"injected crash at {where}")
 
 
+class FaultPlanError(ReproError, ValueError):
+    """Raised for a fault rule or plan that cannot be built: an action its
+    site cannot execute, a bad trigger, a malformed payload.  Also a
+    ``ValueError``, which is what rule validation used to raise."""
+
+
 class RecoveryError(ReproError):
     """Raised for unusable snapshots: version/shape mismatches, dangling
     node references, or restoring into an incompatible engine (different

@@ -1,10 +1,16 @@
 """Runtime fault injection: counters, triggers, loss accounting.
 
-A :class:`FaultInjector` is the live counterpart of a
-:class:`~repro.faults.plan.FaultPlan`.  Engines thread one instance
-through their servers, queues and router; every hook costs a single
-``is None`` check when no plan is active, which is what
-``benchmarks/bench_fault_overhead.py`` measures.
+:class:`FaultArm` is the live counterpart of a plan's rule list and the
+one place a rule's trigger is evaluated: the in-engine
+:class:`FaultInjector` below, a shard worker's RPC loop
+(:mod:`repro.cluster.worker`) and a shard's link
+(:class:`repro.cluster.net.SocketTransport`) each hold one and differ
+only in what they do with the rule it returns.
+
+A :class:`FaultInjector` is what engines thread through their servers,
+queues and router; every hook costs a single ``is None`` check when no
+plan is active, which is what ``benchmarks/bench_fault_overhead.py``
+measures.
 
 The injector is also the book-keeper that keeps degradation *honest*:
 every match it loses (``DROP`` actions, and the match in hand when a
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineCrashError, InjectedFaultError
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
@@ -25,6 +31,56 @@ import repro.sim.clock as simclock
 
 if TYPE_CHECKING:
     from repro.core.match import PartialMatch
+
+
+class FaultArm:
+    """Trigger evaluation for one rule list at one fault boundary: an
+    operation counter per (site, target), a fire count per rule against
+    its ``times`` cap, and the seeded RNG probability rules draw from.
+
+    Not synchronized: :class:`FaultInjector` calls it under its own
+    lock, and a worker's RPC loop and a shard's send path are each
+    driven by one thread.
+    """
+
+    __slots__ = ("rules", "_rng", "_counts", "_fires")
+
+    def __init__(self, rules: Sequence[FaultRule], seed: int) -> None:
+        self.rules = rules
+        self._rng = Random(seed)
+        self._counts: Dict[Tuple[FaultSite, str], int] = {}
+        self._fires: Dict[int, int] = {}
+
+    def arm(self, site: FaultSite, target: str) -> Optional[FaultRule]:
+        """Advance the (site, target) counter; return the rule firing, if any."""
+        key = (site, target)
+        count = self._counts.get(key, 0) + 1
+        self._counts[key] = count
+        for index, rule in enumerate(self.rules):
+            if not rule.matches(site, target):
+                continue
+            fired = self._fires.get(index, 0)
+            if rule.times is not None and fired >= rule.times:
+                continue
+            if rule.triggers(count, self._rng):
+                self._fires[index] = fired + 1
+                return rule
+        return None
+
+    def fired_count(self) -> int:
+        """Total rule firings so far."""
+        return sum(self._fires.values())
+
+    def site_counts(self) -> Dict[str, int]:
+        """Operations observed per ``site:target``, sorted by key — the
+        run's *yield points*: every count is an ``nth`` a single-fire
+        rule could fire at, which the schedule explorer perturbs around."""
+        return {
+            f"{site.value}:{target}": count
+            for (site, target), count in sorted(
+                self._counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
+            )
+        }
 
 
 class DroppedMatch:
@@ -67,9 +123,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._lock = threading.Lock()
-        self._rng = Random(plan.seed)
-        self._counts: Dict[Tuple[FaultSite, str], int] = {}
-        self._fires: Dict[int, int] = {}
+        self._triggers = FaultArm(plan.rules, plan.seed)
         self._dropped: List[DroppedMatch] = []
         self._errors_injected = 0
         self._delays_injected = 0
@@ -77,38 +131,23 @@ class FaultInjector:
 
     # -- trigger machinery -------------------------------------------------------
 
-    def _arm(self, site: FaultSite, target: str) -> Optional[FaultRule]:
-        """Advance the (site, target) counter; return the rule firing, if any."""
-        with self._lock:
-            key = (site, target)
-            count = self._counts.get(key, 0) + 1
-            self._counts[key] = count
-            for index, rule in enumerate(self.plan.rules):
-                if not rule.matches(site, target):
-                    continue
-                fired = self._fires.get(index, 0)
-                if rule.times is not None and fired >= rule.times:
-                    continue
-                if rule.triggers(count, self._rng):
-                    self._fires[index] = fired + 1
-                    return rule
-        return None
-
     def _record_drop(self, match: "PartialMatch", site: FaultSite, target: str) -> None:
         with self._lock:
             self._dropped.append(
                 DroppedMatch(match.match_id, match.upper_bound, site.value, target)
             )
 
-    def _apply(
+    def _fire(
         self,
-        rule: Optional[FaultRule],
-        match: "PartialMatch",
         site: FaultSite,
         target: str,
+        match: "PartialMatch",
         record_on_error: bool = False,
     ) -> bool:
-        """Execute a fired rule's action; True = proceed, False = dropped."""
+        """Count one operation at (site, target) and execute the rule it
+        fires, if any; True = proceed, False = dropped."""
+        with self._lock:
+            rule = self._triggers.arm(site, target)
         if rule is None:
             return True
         if rule.action is FaultAction.DELAY:
@@ -125,28 +164,26 @@ class FaultInjector:
             with self._lock:
                 self._crashes_injected += 1
             raise EngineCrashError(site.value, target, rule.message)
-        # ERROR: when the caller cannot return the match to the system
-        # (a get already popped it), the match counts as lost too.
-        if record_on_error:
-            self._record_drop(match, site, target)
-        with self._lock:
-            self._errors_injected += 1
-        raise InjectedFaultError(site.value, target, rule.message)
+        if rule.action is FaultAction.ERROR:
+            # When the caller cannot return the match to the system (a
+            # get already popped it), the match counts as lost too.
+            if record_on_error:
+                self._record_drop(match, site, target)
+            with self._lock:
+                self._errors_injected += 1
+            raise InjectedFaultError(site.value, target, rule.message)
+        # FaultRule admits only ENGINE_ACTIONS at the sites armed here.
+        raise AssertionError(f"{rule!r} fired at an engine site")
 
     # -- hooks (one per instrumented component) ---------------------------------
 
     def on_server_op(self, server_id: int, match: "PartialMatch") -> bool:
         """Hook at the top of ``Server.process``; False = drop the match."""
-        target = str(server_id)
-        return self._apply(
-            self._arm(FaultSite.SERVER_OP, target), match, FaultSite.SERVER_OP, target
-        )
+        return self._fire(FaultSite.SERVER_OP, str(server_id), match)
 
     def on_put(self, label: str, match: "PartialMatch") -> bool:
         """Hook before a queue enqueue; False = the match is lost in transit."""
-        return self._apply(
-            self._arm(FaultSite.QUEUE_PUT, label), match, FaultSite.QUEUE_PUT, label
-        )
+        return self._fire(FaultSite.QUEUE_PUT, label, match)
 
     def on_get(self, label: str, match: "PartialMatch") -> bool:
         """Hook after a queue pop; False = the match is lost in transit.
@@ -154,19 +191,11 @@ class FaultInjector:
         An ERROR here also records the popped match as dropped — it has
         already left the queue and cannot be handed to the caller.
         """
-        return self._apply(
-            self._arm(FaultSite.QUEUE_GET, label),
-            match,
-            FaultSite.QUEUE_GET,
-            label,
-            record_on_error=True,
-        )
+        return self._fire(FaultSite.QUEUE_GET, label, match, record_on_error=True)
 
     def on_route(self, match: "PartialMatch") -> bool:
         """Hook before a routing decision; False = drop the match."""
-        return self._apply(
-            self._arm(FaultSite.ROUTER, "router"), match, FaultSite.ROUTER, "router"
-        )
+        return self._fire(FaultSite.ROUTER, "router", match)
 
     # -- accounting --------------------------------------------------------------
 
@@ -190,20 +219,7 @@ class FaultInjector:
     def fired_count(self) -> int:
         """Total rule firings (errors + delays + drops + crashes)."""
         with self._lock:
-            return sum(self._fires.values())
-
-    def site_counts(self) -> Dict[str, int]:
-        """Operations observed per ``site:target`` — the run's *yield
-        points*.  Every count is a step index a timing-precise
-        :class:`~repro.sim.schedule.SimTrigger` could fire at, which is
-        what the schedule explorer perturbs around."""
-        with self._lock:
-            return {
-                f"{site.value}:{target}": count
-                for (site, target), count in sorted(
-                    self._counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-                )
-            }
+            return self._triggers.fired_count()
 
     def crash_possible(self) -> bool:
         """True when the plan carries any CRASH rule (plans are immutable,
@@ -215,18 +231,12 @@ class FaultInjector:
         with self._lock:
             return {
                 "rules": [rule.describe() for rule in self.plan.rules],
-                "fires": sum(self._fires.values()),
+                "fires": self._triggers.fired_count(),
                 "errors_injected": self._errors_injected,
                 "delays_injected": self._delays_injected,
                 "crashes_injected": self._crashes_injected,
                 "matches_dropped": len(self._dropped),
-                "site_counts": {
-                    f"{site.value}:{target}": count
-                    for (site, target), count in sorted(
-                        self._counts.items(),
-                        key=lambda kv: (kv[0][0].value, kv[0][1]),
-                    )
-                },
+                "site_counts": self._triggers.site_counts(),
             }
 
     def __repr__(self) -> str:

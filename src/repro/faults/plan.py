@@ -8,7 +8,16 @@ run: a list of :class:`FaultRule` entries, each binding an injection
 seed 11").  Plans are pure data — the runtime counters live in
 :class:`repro.faults.inject.FaultInjector` — so the same plan can be
 replayed across engines and seeds, which is what the chaos matrix in
-``tests/test_faults.py`` does.
+``tests/test_faults.py`` does.  A rule's ``site`` says which of the three
+fault boundaries executes it (in-engine, a shard worker's RPC loop, a
+shard's link: :meth:`FaultRule.family`), and an action that boundary
+cannot execute is refused when the rule is built.
+
+A single-fire ``nth`` rule (``nth=N, times=1``) is the *timing-precise*
+form — "the Nth time this site is reached", pinned to the run's own
+progress rather than to wall time — which is what :mod:`repro.sim`
+draws, perturbs and shrinks; ``tests/fixtures/sim/`` is a corpus of such
+plans in their canonical JSON (:meth:`FaultPlan.to_json`).
 
 Everything is seeded and deterministic for a single-threaded engine;
 under Whirlpool-M the *schedule* is deterministic per (site, target)
@@ -19,8 +28,12 @@ which index.
 from __future__ import annotations
 
 import enum
+import json
 import random
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.errors import FaultPlanError
 
 
 class FaultAction(enum.Enum):
@@ -87,7 +100,7 @@ class FaultSite(enum.Enum):
     WORKER_RPC = "worker_rpc"
     #: One coordinator→worker frame *send* at the transport boundary;
     #: target = shard id as a string.  Armed by the coordinator-side
-    #: transport (:class:`repro.cluster.net.NetFaultArm`) on every
+    #: transport (:class:`repro.cluster.net.SocketTransport`) on every
     #: outbound frame, never by the in-engine injector or the worker.
     NET = "net"
 
@@ -105,6 +118,39 @@ ENGINE_SITES = (
     FaultSite.ROUTER,
 )
 
+#: What an engine site can execute (:class:`~repro.faults.inject.FaultInjector`).
+ENGINE_ACTIONS = (FaultAction.ERROR, FaultAction.DELAY, FaultAction.DROP, FaultAction.CRASH)
+
+#: The process-level actions :meth:`FaultPlan.worker_chaos` draws from.
+#: These act on a shard worker *process*, so they never appear in the
+#: in-engine pools.
+PROCESS_ACTIONS = (FaultAction.KILL, FaultAction.HANG, FaultAction.SLOW_PIPE)
+
+#: The network-level actions :meth:`FaultPlan.net_chaos` draws from.
+#: These act on the coordinator↔worker *link* (the worker process
+#: survives them), so they live in their own pool — adding them to the
+#: tuples above would reshuffle validated per-seed schedules.
+NET_ACTIONS = (
+    FaultAction.PARTITION,
+    FaultAction.CORRUPT_FRAME,
+    FaultAction.DUP_FRAME,
+    FaultAction.RECONNECT_STORM,
+)
+
+#: Which fault boundary executes a site's rules — the in-engine injector,
+#: the shard worker's RPC loop or the coordinator-side transport — and so
+#: which actions are legal there.
+_FAMILY: Dict[FaultSite, str] = {
+    **{site: "engine" for site in ENGINE_SITES},
+    FaultSite.WORKER_RPC: "process",
+    FaultSite.NET: "net",
+}
+_LEGAL: Dict[str, Tuple[FaultAction, ...]] = {
+    "engine": ENGINE_ACTIONS,
+    "process": PROCESS_ACTIONS,
+    "net": NET_ACTIONS,
+}
+
 
 class FaultRule:
     """One fault: site + target + action + trigger predicate.
@@ -112,13 +158,14 @@ class FaultRule:
     Parameters
     ----------
     site:
-        Which :class:`FaultSite` this rule arms.
+        Which :class:`FaultSite` this rule arms (or its string value).
     action:
-        Which :class:`FaultAction` fires.
+        Which :class:`FaultAction` fires (or its string value).
     target:
         Narrow the site to one instance: a server node id for
         ``SERVER_OP``, a queue label (``"router"`` / ``"server:<id>"``)
-        for the queue sites.  ``None`` matches every instance.
+        for the queue sites, a shard id for ``WORKER_RPC`` / ``NET``.
+        ``None`` matches every instance.
     nth:
         Fire on exactly the Nth matching operation (1-based).
     every:
@@ -129,7 +176,7 @@ class FaultRule:
     times:
         Cap on total fires for this rule (``None`` = unlimited).
     delay_seconds:
-        Sleep length for ``DELAY`` actions.
+        Sleep length for ``DELAY`` / ``HANG`` / ``SLOW_PIPE`` actions.
     message:
         Optional message carried by the injected error.
     """
@@ -148,8 +195,8 @@ class FaultRule:
 
     def __init__(
         self,
-        site: FaultSite,
-        action: FaultAction,
+        site: Union[FaultSite, str],
+        action: Union[FaultAction, str],
         target: Optional[Union[int, str]] = None,
         nth: Optional[int] = None,
         every: Optional[int] = None,
@@ -158,20 +205,29 @@ class FaultRule:
         delay_seconds: float = 0.001,
         message: str = "",
     ) -> None:
+        try:
+            self.site = FaultSite(site)
+            self.action = FaultAction(action)
+        except ValueError as exc:
+            raise FaultPlanError(str(exc)) from exc
+        legal = _LEGAL[_FAMILY[self.site]]
+        if self.action not in legal:
+            raise FaultPlanError(
+                f"action {self.action.value!r} is not valid at site "
+                f"{self.site.value!r} (allowed: {', '.join(a.value for a in legal)})"
+            )
         if nth is None and every is None and probability is None:
-            raise ValueError("a FaultRule needs a trigger: nth, every or probability")
+            raise FaultPlanError("a FaultRule needs a trigger: nth, every or probability")
         if nth is not None and nth < 1:
-            raise ValueError(f"nth is 1-based, got {nth}")
+            raise FaultPlanError(f"nth is 1-based, got {nth}")
         if every is not None and every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+            raise FaultPlanError(f"every must be >= 1, got {every}")
         if probability is not None and not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
+            raise FaultPlanError(f"probability must be in [0, 1], got {probability}")
         if times is not None and times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
+            raise FaultPlanError(f"times must be >= 1, got {times}")
         if delay_seconds < 0:
-            raise ValueError(f"delay_seconds must be >= 0, got {delay_seconds}")
-        self.site = site
-        self.action = action
+            raise FaultPlanError(f"delay_seconds must be >= 0, got {delay_seconds}")
         self.target = str(target) if target is not None else None
         self.nth = nth
         self.every = every
@@ -179,6 +235,11 @@ class FaultRule:
         self.times = times
         self.delay_seconds = delay_seconds
         self.message = message
+
+    def family(self) -> str:
+        """Which fault boundary executes this rule: ``"engine"``,
+        ``"process"`` or ``"net"``."""
+        return _FAMILY[self.site]
 
     def matches(self, site: FaultSite, target: str) -> bool:
         """Does this rule watch (``site``, ``target``)?"""
@@ -195,7 +256,7 @@ class FaultRule:
         return False
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly wire form (shipped to cluster workers)."""
+        """JSON-friendly form (shipped to cluster workers, stored in fixtures)."""
         return {
             "site": self.site.value,
             "action": self.action.value,
@@ -210,18 +271,29 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultRule":
-        """Inverse of :meth:`as_dict`; validates through ``__init__``."""
-        return cls(
-            site=FaultSite(payload["site"]),
-            action=FaultAction(payload["action"]),
-            target=payload.get("target"),
-            nth=payload.get("nth"),
-            every=payload.get("every"),
-            probability=payload.get("probability"),
-            times=payload.get("times"),
-            delay_seconds=float(payload.get("delay_seconds", 0.001)),
-            message=str(payload.get("message", "")),
-        )
+        """Inverse of :meth:`as_dict`; validates through ``__init__`` and
+        raises :class:`~repro.errors.FaultPlanError` on anything else a
+        payload from outside can get wrong (missing key, wrong type)."""
+        try:
+            return cls(
+                site=payload["site"],
+                action=payload["action"],
+                target=payload.get("target"),
+                nth=payload.get("nth"),
+                every=payload.get("every"),
+                probability=payload.get("probability"),
+                times=payload.get("times"),
+                delay_seconds=float(payload.get("delay_seconds", 0.001)),
+                message=str(payload.get("message", "")),
+            )
+        except FaultPlanError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FaultPlanError(f"malformed rule payload: {exc!r}") from exc
+
+    def replaced(self, **changes: Any) -> "FaultRule":
+        """A copy with some fields changed (validated like any rule)."""
+        return FaultRule.from_dict({**self.as_dict(), **changes})
 
     def describe(self) -> str:
         """One-line human description (used by FailureReport)."""
@@ -235,21 +307,33 @@ class FaultRule:
         cap = "" if self.times is None else f" times={self.times}"
         return f"{self.action.value}@{where} [{when}{cap}]"
 
+    def _key(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FaultRule) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
         return f"FaultRule({self.describe()})"
 
 
 class FaultPlan:
-    """A seeded, ordered collection of fault rules.
+    """A seeded, ordered collection of fault rules — pure data.
 
     The seed drives both probabilistic triggers and :meth:`chaos`
     schedule generation, so a plan is fully reproducible from
-    ``(seed, rules)``.
+    ``(seed, rules)``.  Rule order decides only which of two rules wins
+    an operation both would fire on; ``name`` is a label for fixtures
+    and reports and takes no part in equality.
     """
 
-    def __init__(self, rules: Sequence[FaultRule], seed: int = 0) -> None:
+    def __init__(self, rules: Sequence[FaultRule], seed: int = 0, name: str = "") -> None:
         self.rules: List[FaultRule] = list(rules)
         self.seed = seed
+        self.name = name
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -263,6 +347,17 @@ class FaultPlan:
         the crash-watch wait loop only runs when a crash can happen."""
         return any(rule.action is action for rule in self.rules)
 
+    def families(self) -> List[str]:
+        """The fault boundaries this plan touches (sorted, unique)."""
+        return sorted({rule.family() for rule in self.rules})
+
+    def select(self, family: str) -> Optional["FaultPlan"]:
+        """The sub-plan one fault boundary executes (same seed and name),
+        or ``None`` when no rule belongs to it — so a boundary with
+        nothing to do builds no evaluator."""
+        rules = [rule for rule in self.rules if rule.family() == family]
+        return FaultPlan(rules, seed=self.seed, name=self.name) if rules else None
+
     #: The actions :meth:`chaos` draws from by default.  Deliberately
     #: *not* ``list(FaultAction)``: CRASH kills the run instead of
     #: degrading it, so it is opt-in via ``actions=`` — and keeping this
@@ -270,21 +365,9 @@ class FaultPlan:
     #: chaos matrix was validated against.
     CHAOS_ACTIONS = (FaultAction.ERROR, FaultAction.DELAY, FaultAction.DROP)
 
-    #: The process-level actions :meth:`worker_chaos` draws from.  These
-    #: act on a shard worker *process*, so they never appear in the
-    #: in-engine pools above.
-    PROCESS_ACTIONS = (FaultAction.KILL, FaultAction.HANG, FaultAction.SLOW_PIPE)
-
-    #: The network-level actions :meth:`net_chaos` draws from.  These act
-    #: on the coordinator↔worker *link* (the worker process survives
-    #: them), so they live in their own pool — adding them to the tuples
-    #: above would reshuffle validated per-seed schedules.
-    NET_ACTIONS = (
-        FaultAction.PARTITION,
-        FaultAction.CORRUPT_FRAME,
-        FaultAction.DUP_FRAME,
-        FaultAction.RECONNECT_STORM,
-    )
+    #: The module-level pools, under the names callers already use.
+    PROCESS_ACTIONS = PROCESS_ACTIONS
+    NET_ACTIONS = NET_ACTIONS
 
     @classmethod
     def chaos(
@@ -327,6 +410,43 @@ class FaultPlan:
         return cls(rules, seed=seed)
 
     @classmethod
+    def _shard_chaos(
+        cls,
+        seed: int,
+        shards: int,
+        max_rules: int,
+        site: FaultSite,
+        pool: Sequence[FaultAction],
+        max_nth: int,
+        delay: Callable[[FaultAction], float],
+        label: str,
+    ) -> "FaultPlan":
+        """The body :meth:`worker_chaos` and :meth:`net_chaos` share: 1 to
+        ``max_rules`` single-fire rules at ``site``, each drawing — in
+        this order, which the per-seed schedules depend on — an action
+        from ``pool``, a shard, and an ``nth`` in [2, ``max_nth``]."""
+        if shards < 1:
+            raise FaultPlanError(f"shards must be >= 1, got {shards}")
+        rng = random.Random(seed)
+        rules: List[FaultRule] = []
+        for _ in range(rng.randint(1, max_rules)):
+            action = rng.choice(pool)
+            rules.append(
+                FaultRule(
+                    site=site,
+                    action=action,
+                    # Targets are compared as strings at the fault
+                    # boundary (it arms str(shard_id)).
+                    target=str(rng.randrange(shards)),
+                    nth=rng.randint(2, max_nth),
+                    times=1,
+                    delay_seconds=delay(action),
+                    message=f"{label} chaos seed={seed}",
+                )
+            )
+        return cls(rules, seed=seed)
+
+    @classmethod
     def worker_chaos(
         cls,
         seed: int,
@@ -345,27 +465,13 @@ class FaultPlan:
         must kill the hung process, it never waits the sleep out);
         ``slow_seconds`` only trips retry waits.
         """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        rng = random.Random(seed)
-        rules: List[FaultRule] = []
-        for _ in range(rng.randint(1, max_rules)):
-            action = rng.choice(cls.PROCESS_ACTIONS)
-            delay = hang_seconds if action is FaultAction.HANG else slow_seconds
-            rules.append(
-                FaultRule(
-                    site=FaultSite.WORKER_RPC,
-                    action=action,
-                    # Targets are compared as strings at the fault
-                    # boundary (the worker arms str(shard_id)).
-                    target=str(rng.randrange(shards)),
-                    nth=rng.randint(2, 6),
-                    times=1,
-                    delay_seconds=delay,
-                    message=f"worker chaos seed={seed}",
-                )
-            )
-        return cls(rules, seed=seed)
+
+        def delay(action: FaultAction) -> float:
+            return hang_seconds if action is FaultAction.HANG else slow_seconds
+
+        return cls._shard_chaos(
+            seed, shards, max_rules, FaultSite.WORKER_RPC, PROCESS_ACTIONS, 6, delay, "worker"
+        )
 
     @classmethod
     def net_chaos(
@@ -380,41 +486,68 @@ class FaultPlan:
         exactly once on a small outbound-frame index, drawing its action
         from :attr:`NET_ACTIONS` — each seed deterministically decides
         *which* link partitions/corrupts/duplicates and *when*.  The
-        frame counter is per-shard (see
-        :class:`repro.cluster.net.NetFaultArm`), so the schedule is
-        independent of cross-shard interleaving.
+        frame counter is per-shard, so the schedule is independent of
+        cross-shard interleaving.
         """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        rng = random.Random(seed)
-        rules: List[FaultRule] = []
-        for _ in range(rng.randint(1, max_rules)):
-            action = rng.choice(cls.NET_ACTIONS)
-            rules.append(
-                FaultRule(
-                    site=FaultSite.NET,
-                    action=action,
-                    # Targets are compared as strings at the fault
-                    # boundary (the transport arms str(shard_id)).
-                    target=str(rng.randrange(shards)),
-                    nth=rng.randint(2, 8),
-                    times=1,
-                    message=f"net chaos seed={seed}",
-                )
-            )
-        return cls(rules, seed=seed)
+        return cls._shard_chaos(
+            seed, shards, max_rules, FaultSite.NET, NET_ACTIONS, 8, lambda action: 0.001, "net"
+        )
+
+    # -- serialization -------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly wire form (shipped to cluster workers)."""
-        return {"seed": self.seed, "rules": [rule.as_dict() for rule in self.rules]}
+        """JSON-friendly form (shipped to cluster workers, stored in fixtures)."""
+        return {
+            "name": self.name,
+            "seed": self.seed,
+            "rules": [rule.as_dict() for rule in self.rules],
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            [FaultRule.from_dict(entry) for entry in payload.get("rules", ())],
-            seed=int(payload.get("seed", 0)),
+        """Inverse of :meth:`as_dict`; raises
+        :class:`~repro.errors.FaultPlanError` on a malformed payload."""
+        try:
+            return cls(
+                [FaultRule.from_dict(entry) for entry in payload.get("rules", ())],
+                seed=int(payload.get("seed", 0)),
+                name=str(payload.get("name", "")),
+            )
+        except FaultPlanError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise FaultPlanError(f"malformed plan payload: {exc!r}") from exc
+
+    def to_json(self) -> str:
+        """Canonical JSON (sorted keys, stable indent) — byte-for-byte
+        reproducible for fixture comparison."""
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "FaultPlan":
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FaultPlanError(f"plan is not valid JSON: {exc}") from exc
+        return cls.from_dict(payload)
+
+    def save(self, path: Union[str, Path]) -> None:
+        Path(path).write_text(self.to_json(), encoding="utf-8")
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "FaultPlan":
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, FaultPlan)
+            and self.seed == other.seed
+            and self.rules == other.rules
         )
 
+    def __hash__(self) -> int:
+        return hash((self.seed, tuple(self.rules)))
+
     def __repr__(self) -> str:
-        return f"FaultPlan({len(self.rules)} rules, seed={self.seed})"
+        label = f" {self.name!r}" if self.name else ""
+        return f"FaultPlan({len(self.rules)} rules, seed={self.seed}{label})"

@@ -1,23 +1,26 @@
 """Schedule search: randomize fault timing, then perturb around yield points.
 
 The chaos matrices sample fault *placement* from a seeded lottery; the
-explorer searches fault *timing*.  Two phases per budget:
+explorer searches fault *timing*.  Its plans hold only single-fire
+``nth`` rules (``nth=N, times=1``: "the Nth time this site is reached"),
+so every fault is pinned to the run's own progress, independent of wall
+clock and (for the single-threaded engines) of thread interleaving.  Two
+phases per budget:
 
-1. **Randomize** — draw schedules of 1–``max_triggers`` triggers with
-   sites, actions and steps sampled (seeded ``random.Random``, so a
-   given ``(scenario, seed, budget)`` explores the same schedules every
-   time) from the scenario's fault families and the observed operation
-   counts.
-2. **Perturb** — for every violating or near-miss schedule, and for the
-   most interesting clean ones, systematically shift each trigger's step
+1. **Randomize** — draw plans of 1–``max_triggers`` rules with sites,
+   actions and ``nth`` sampled (seeded ``random.Random``, so a given
+   ``(scenario, seed, budget)`` explores the same plans every time) from
+   the scenario's fault families and the observed operation counts.
+2. **Perturb** — for every violating or near-miss plan, and for the
+   most interesting clean ones, systematically shift each rule's ``nth``
    by ±1/±2 around the *yield points* the run actually observed (the
    injector's per-site operation counts).  Faults are only interesting
-   when they land next to a scheduling decision; stepping the trigger
+   when they land next to a scheduling decision; stepping the rule
    across adjacent operation indexes is exactly how a timing race is
    found once random search gets close.
 
 Every violating run is returned as a :class:`Violation` carrying the
-schedule and its invariant report; callers hand those to
+plan and its invariant report; callers hand those to
 :mod:`repro.sim.shrink` for minimization.
 """
 
@@ -26,20 +29,18 @@ from __future__ import annotations
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults.plan import ENGINE_SITES, FaultAction, FaultPlan, FaultSite
-from repro.sim.harness import SimHarness, SimRun, SimScenario
-from repro.sim.schedule import FaultSchedule, SimTrigger
-
-#: Engine-site action pool for random draws (CRASH included: the
-#: recovery path is part of the searched surface).
-_ENGINE_ACTIONS = (
-    FaultAction.ERROR,
-    FaultAction.DELAY,
-    FaultAction.DROP,
-    FaultAction.CRASH,
+from repro.faults.plan import (
+    ENGINE_ACTIONS,
+    ENGINE_SITES,
+    NET_ACTIONS,
+    PROCESS_ACTIONS,
+    FaultPlan,
+    FaultRule,
+    FaultSite,
 )
+from repro.sim.harness import SimHarness, SimRun, SimScenario
 
-#: Step window used for WORKER_RPC / NET triggers, whose operation
+#: ``nth`` window used for WORKER_RPC / NET rules, whose operation
 #: counters live in worker processes / transports and are not probeable
 #: in advance.  ``begin`` is armed RPC #1, steps count from #2, and the
 #: cluster chaos matrix shows nth ∈ [2, 6] lands mid-query for the step
@@ -48,15 +49,15 @@ _REMOTE_STEP_WINDOW = (2, 6)
 
 
 class Violation:
-    """One schedule that broke an invariant, with its evidence."""
+    """One plan that broke an invariant, with its evidence."""
 
     def __init__(self, run: SimRun) -> None:
-        self.schedule = run.schedule
+        self.plan = run.plan
         self.run = run
 
     def describe(self) -> str:
         names = ", ".join(v.name for v in self.run.report.violations()) if self.run.report else "?"
-        return f"{' + '.join(self.schedule.describe()) or '<empty>'} -> {names}"
+        return f"{' + '.join(self.plan.describe()) or '<empty>'} -> {names}"
 
     def __repr__(self) -> str:
         return f"Violation({self.describe()})"
@@ -96,7 +97,7 @@ class ExploreStats:
 
 
 class ScheduleExplorer:
-    """Budgeted random + perturbation search over fault schedules."""
+    """Budgeted random + perturbation search over single-fire ``nth`` plans."""
 
     def __init__(
         self,
@@ -136,104 +137,91 @@ class ScheduleExplorer:
             out = [(FaultSite.SERVER_OP, "0", _REMOTE_STEP_WINDOW[1])]
         return out
 
-    def _random_trigger(self) -> SimTrigger:
+    def _random_rule(self) -> FaultRule:
         families = self.harness.scenario.families()
         family = self._rng.choice(families)
         if family == "engine":
             site, target, count = self._rng.choice(self._engine_sites())
-            step = self._rng.randint(1, max(count, 1))
-            action = self._rng.choice(_ENGINE_ACTIONS)
+            nth = self._rng.randint(1, max(count, 1))
+            action = self._rng.choice(ENGINE_ACTIONS)
             # Targeted engine sites (server_op/queue_*) fire for a
-            # specific label; the schedule keeps the one we observed.
-            return SimTrigger(site, step, action, target=target or None)
+            # specific label; the rule keeps the one we observed.
+            return FaultRule(site, action, target=target or None, nth=nth, times=1)
         lo, hi = _REMOTE_STEP_WINDOW
-        step = self._rng.randint(lo, hi)
+        nth = self._rng.randint(lo, hi)
         shard = str(self._rng.randrange(self.harness.scenario.shards))
         if family == "process":
-            action = self._rng.choice(list(FaultPlan.PROCESS_ACTIONS))
-            return SimTrigger(FaultSite.WORKER_RPC, step, action, target=shard)
-        action = self._rng.choice(list(FaultPlan.NET_ACTIONS))
-        return SimTrigger(FaultSite.NET, step, action, target=shard)
+            action = self._rng.choice(PROCESS_ACTIONS)
+            return FaultRule(FaultSite.WORKER_RPC, action, target=shard, nth=nth, times=1)
+        action = self._rng.choice(NET_ACTIONS)
+        return FaultRule(FaultSite.NET, action, target=shard, nth=nth, times=1)
 
-    def random_schedule(self) -> FaultSchedule:
-        count = self._rng.randint(1, self.max_triggers)
-        triggers: List[SimTrigger] = []
-        seen = set()
-        for _ in range(count):
-            trigger = self._random_trigger()
-            if trigger.key() in seen:
-                continue
-            seen.add(trigger.key())
-            triggers.append(trigger)
-        return FaultSchedule(triggers)
+    def random_plan(self) -> FaultPlan:
+        rules: List[FaultRule] = []
+        for _ in range(self._rng.randint(1, self.max_triggers)):
+            rule = self._random_rule()
+            if rule not in rules:  # an equal second rule could never fire
+                rules.append(rule)
+        return FaultPlan(rules)
 
     # -- perturbation ------------------------------------------------------------
 
-    def perturbations(self, schedule: FaultSchedule) -> List[FaultSchedule]:
-        """Shift each trigger's step by ±1/±2 (one trigger at a time).
+    def perturbations(self, plan: FaultPlan) -> List[FaultPlan]:
+        """Shift each rule's ``nth`` by ±1/±2 (one rule at a time).
 
-        This is the systematic half of the search: once a schedule lands
+        This is the systematic half of the search: once a plan lands
         near a yield point, its neighbours in operation-index space are
         the timing races random search would need luck to hit.
         """
-        out: List[FaultSchedule] = []
-        for index, trigger in enumerate(schedule.triggers):
+        out: List[FaultPlan] = []
+        for index, rule in enumerate(plan.rules):
+            if rule.nth is None:
+                continue
             for delta in (-2, -1, 1, 2):
-                step = trigger.step + delta
-                if step < 1:
+                if rule.nth + delta < 1:
                     continue
-                shifted = SimTrigger(
-                    trigger.site,
-                    step,
-                    trigger.action,
-                    target=trigger.target,
-                    delay_seconds=trigger.delay_seconds,
-                    message=trigger.message,
-                )
-                triggers = list(schedule.triggers)
-                triggers[index] = shifted
-                candidate = FaultSchedule(triggers)
-                if candidate != schedule:
-                    out.append(candidate)
+                rules = list(plan.rules)
+                rules[index] = rule.replaced(nth=rule.nth + delta)
+                out.append(FaultPlan(rules))
         return out
 
     # -- the search loop ---------------------------------------------------------
 
     def explore(self, budget: int = 40) -> List[Violation]:
-        """Run up to ``budget`` simulated schedules; return all violations.
+        """Run up to ``budget`` simulated plans; return all violations.
 
         Roughly the first half of the budget is random draws; every
-        violating schedule (and the last clean random schedule, to keep
+        violating plan (and the last clean random plan, to keep
         the perturbation phase exercised even on healthy code) is then
-        perturbed around its steps until the budget runs out.
+        perturbed around its ``nth``s until the budget runs out.
         """
         violations: List[Violation] = []
-        frontier: List[FaultSchedule] = []
+        frontier: List[FaultPlan] = []
         tried = set()
         random_budget = max(budget // 2, 1)
 
-        def execute(schedule: FaultSchedule, perturbed: bool) -> Optional[SimRun]:
-            if schedule in tried or not schedule.triggers:
+        def execute(plan: FaultPlan, perturbed: bool) -> Optional[SimRun]:
+            if plan in tried or not plan.rules:
                 return None
-            tried.add(schedule)
-            run = self.harness.run(schedule)
+            tried.add(plan)
+            run = self.harness.run(plan)
             self.stats.record(run, perturbed)
             if not run.ok():
                 violations.append(Violation(run))
-                frontier.append(schedule)
+                frontier.append(plan)
             return run
 
-        last_clean: Optional[FaultSchedule] = None
+        last_clean: Optional[FaultPlan] = None
         while self.stats.runs < random_budget:
-            schedule = self.random_schedule()
-            run = execute(schedule, perturbed=False)
+            plan = self.random_plan()
+            run = execute(plan, perturbed=False)
             if run is not None and run.ok():
-                last_clean = schedule
+                last_clean = plan
         if not frontier and last_clean is not None:
             frontier.append(last_clean)
 
-        for schedule in list(frontier):
-            for candidate in self.perturbations(schedule):
+        for plan in list(frontier):
+            for candidate in self.perturbations(plan):
                 if self.stats.runs >= budget:
                     return violations
                 execute(candidate, perturbed=True)

@@ -1,8 +1,8 @@
-"""Run fault schedules against real engines/clusters and judge the result.
+"""Run fault plans against real engines/clusters and judge the result.
 
 :class:`SimHarness` is the execution half of the simulation layer: give
-it a :class:`~repro.sim.schedule.FaultSchedule` and it runs the
-scenario's workload under that schedule — on a :class:`VirtualClock` by
+it a :class:`~repro.faults.plan.FaultPlan` and it runs the
+scenario's workload under that plan — on a :class:`VirtualClock` by
 default, so injected delays, retry backoff and reconnect ladders warp
 virtual time instead of burning wall seconds — then checks the full
 invariant suite (:mod:`repro.sim.invariants`) against the fault-free
@@ -11,7 +11,7 @@ reference run.
 Two scenario kinds:
 
 - ``engine`` — a single-process run with in-engine faults.  A ``CRASH``
-  trigger exercises the checkpoint/restore path exactly the way the
+  rule exercises the checkpoint/restore path exactly the way the
   recovery matrix does: snapshot during the faulted run, restore the
   last checkpoint into a fault-free run, and demand the uninterrupted
   answer back.
@@ -21,7 +21,7 @@ Two scenario kinds:
   failover.
 
 The harness is deliberately deterministic: same scenario + same
-schedule ⇒ same invariant verdicts, which is what makes the explorer's
+plan ⇒ same invariant verdicts, which is what makes the explorer's
 counterexamples shrinkable and the fixture corpus replayable.
 
 ``invariant_tap`` is a test-only hook: a callable invoked with the
@@ -53,7 +53,6 @@ from repro.sim.invariants import (
     check_single_outcome,
     check_topk_identity,
 )
-from repro.sim.schedule import FaultSchedule
 
 #: In-engine recovery bounds for simulated runs — the same tight ladder
 #: the chaos matrices use, so injected ERRORs retry in (virtual)
@@ -72,7 +71,7 @@ SIM_LADDER: Dict[str, Any] = dict(
 
 
 class SimError(ReproError):
-    """A scenario/schedule combination the harness cannot run."""
+    """A scenario/plan combination the harness cannot run."""
 
 
 class SimScenario:
@@ -169,13 +168,12 @@ class SimScenario:
 class SimRun:
     """Everything one simulated run produced (pre- and post-judgement)."""
 
-    def __init__(self, schedule: FaultSchedule) -> None:
-        self.schedule = schedule
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
         self.result: Optional[TopKResult] = None
         self.crashed = False
         self.outcomes = 0
         self.leak: Optional[str] = None
-        self.yield_points: Dict[str, int] = {}
         self.wall_seconds = 0.0
         self.warped_seconds = 0.0
         self.report: Optional[InvariantReport] = None
@@ -185,11 +183,11 @@ class SimRun:
 
     def __repr__(self) -> str:
         verdict = "unchecked" if self.report is None else repr(self.report)
-        return f"SimRun({self.schedule!r}, crashed={self.crashed}, {verdict})"
+        return f"SimRun({self.plan!r}, crashed={self.crashed}, {verdict})"
 
 
 class SimHarness:
-    """Execute schedules for one scenario and check the invariant suite."""
+    """Execute fault plans for one scenario and check the invariant suite."""
 
     def __init__(
         self,
@@ -206,7 +204,7 @@ class SimHarness:
     # -- reference ---------------------------------------------------------------
 
     def reference(self) -> TopKResult:
-        """The fault-free single-process run every schedule is judged against."""
+        """The fault-free single-process run every plan is judged against."""
         if self._reference is None:
             self._reference = self.scenario.engine().run(
                 self.scenario.k, algorithm=self.scenario.algorithm
@@ -214,7 +212,7 @@ class SimHarness:
         return self._reference
 
     def probe_yield_points(self) -> Dict[str, int]:
-        """Observed operation counts per engine fault site — the step
+        """Observed operation counts per engine fault site — the ``nth``
         indexes the explorer perturbs.  Measured with an every-operation
         zero-delay DELAY plan so counters surface without changing the
         run's behaviour."""
@@ -239,16 +237,16 @@ class SimHarness:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self, schedule: FaultSchedule) -> SimRun:
-        """Execute ``schedule`` and judge it; returns the full record."""
-        unsupported = set(schedule.families()) - set(self.scenario.families())
+    def run(self, plan: FaultPlan) -> SimRun:
+        """Execute ``plan`` and judge it; returns the full record."""
+        unsupported = set(plan.families()) - set(self.scenario.families())
         if unsupported:
             raise SimError(
                 f"scenario kind {self.scenario.kind!r} cannot execute fault "
                 f"families {sorted(unsupported)}"
             )
         clock: Clock = VirtualClock() if self.virtual else RealClock()
-        run = SimRun(schedule)
+        run = SimRun(plan)
         started = monotonic_seconds()
         with use_clock(clock):
             if self.scenario.kind == SimScenario.ENGINE:
@@ -264,13 +262,12 @@ class SimHarness:
 
     def _run_engine(self, run: SimRun) -> None:
         engine = self.scenario.engine()
-        plan = run.schedule.engine_plan()
         snapshots: List[Dict[str, Any]] = []
         try:
             run.result = engine.run(
                 self.scenario.k,
                 algorithm=self.scenario.algorithm,
-                faults=plan,
+                faults=run.plan.select("engine"),
                 retry_policy=SIM_RETRY,
                 checkpoint_policy=CheckpointPolicy(
                     every_operations=self.scenario.checkpoint_every
@@ -287,7 +284,6 @@ class SimHarness:
                 restore_from=restore_from,
             )
             run.outcomes += 1
-        run.yield_points = self._injection_counts(run.result)
         # Leaked-state probe: a fault-free rerun on the same engine must
         # reproduce the reference bit-for-bit.
         rerun = engine.run(self.scenario.k, algorithm=self.scenario.algorithm)
@@ -311,10 +307,8 @@ class SimHarness:
                 scenario.query,
                 scenario.k,
                 algorithm=scenario.algorithm,
-                engine_faults=run.schedule.engine_plan(),
+                faults=run.plan,
                 engine_retry_policy=SIM_RETRY,
-                process_faults=run.schedule.process_plan(),
-                net_faults=run.schedule.net_plan(),
                 fail_over=scenario.fail_over,
             )
             run.result = result
@@ -371,11 +365,3 @@ class SimHarness:
             (tuple(answer.root_node.dewey), repr(answer.score))
             for answer in result.answers
         ]
-
-    @staticmethod
-    def _injection_counts(result: TopKResult) -> Dict[str, int]:
-        failure = result.failure
-        if failure is None or failure.injection is None:
-            return {}
-        counts = failure.injection.get("site_counts", {})
-        return {str(site): int(count) for site, count in counts.items()}

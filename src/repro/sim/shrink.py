@@ -1,27 +1,29 @@
-"""Delta-debugging shrinker: reduce a violating schedule to a minimal
+"""Delta-debugging shrinker: reduce a violating plan to a minimal
 reproducer.
 
-Given a schedule whose run violates the invariant suite, the shrinker
-finds a (locally) minimal sub-schedule that *still* violates it, in two
-passes:
+Given a :class:`~repro.faults.plan.FaultPlan` whose run violates the
+invariant suite — one the explorer drew, or any other: a
+``FaultPlan.chaos(seed)`` a chaos matrix failed on shrinks directly —
+the shrinker finds a (locally) minimal sub-plan that *still* violates
+it, in two passes:
 
-1. **Trigger minimization** — classic ddmin over the trigger list:
-   try dropping chunks of triggers (halves, then quarters, …) and keep
-   any reduction that still reproduces a violation.  Converges to a
-   1-minimal set: removing any single remaining trigger loses the bug.
-2. **Step minimization** — for each surviving trigger, walk its firing
-   step toward 1 (binary first, then linear) while the violation
+1. **Rule minimization** — classic ddmin over the rule list: try
+   dropping chunks of rules (halves, then quarters, …) and keep any
+   reduction that still reproduces a violation.  Converges to a
+   1-minimal set: removing any single remaining rule loses the bug.
+2. **Step minimization** — for each surviving ``nth`` rule, walk its
+   firing step toward 1 (binary first, then linear) while the violation
    persists, so the reproducer fires as early as possible and replays
    fast.
 
 "Still violates" means *any* invariant breaks, not necessarily the same
-one — for minimization purposes a schedule that trips a different
-invariant is still a counterexample worth keeping small.  (Callers that
-care can post-filter on the report.)
+one — for minimization purposes a plan that trips a different invariant
+is still a counterexample worth keeping small.  (Callers that care can
+post-filter on the report.)
 
 Minimal reproducers serialize to ``tests/fixtures/sim/`` via
 :func:`write_fixture`: one JSON document carrying the scenario, the
-shrunk schedule, and the invariant verdicts the replay test asserts
+shrunk plan, and the invariant verdicts the replay test asserts
 byte-for-byte.
 """
 
@@ -31,11 +33,12 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.sim.harness import SimHarness, SimRun, SimScenario
-from repro.sim.schedule import FaultSchedule, SimTrigger
 
-#: Fixture format version (bump on incompatible change).
-FIXTURE_VERSION = 1
+#: Fixture format version (bump on incompatible change).  2: the plan is
+#: stored in the one rule format (``"plan"`` with ``nth`` / ``times``).
+FIXTURE_VERSION = 2
 
 
 class ShrinkStats:
@@ -50,113 +53,101 @@ class ShrinkStats:
 
 
 class ScheduleShrinker:
-    """ddmin over triggers, then per-trigger step minimization."""
+    """ddmin over a plan's rules, then per-rule ``nth`` minimization."""
 
     def __init__(self, harness: SimHarness, max_runs: int = 200) -> None:
         self.harness = harness
         self.max_runs = max_runs
         self.stats = ShrinkStats()
-        self._cache: Dict[FaultSchedule, bool] = {}
+        self._cache: Dict[FaultPlan, bool] = {}
 
     # -- the oracle --------------------------------------------------------------
 
-    def _violates(self, schedule: FaultSchedule) -> bool:
-        if not schedule.triggers:
+    def _violates(self, rules: List[FaultRule], seed: int) -> bool:
+        if not rules:
             return False
-        cached = self._cache.get(schedule)
+        plan = FaultPlan(rules, seed=seed)
+        cached = self._cache.get(plan)
         if cached is not None:
             return cached
         if self.stats.runs >= self.max_runs:
             return False
         self.stats.runs += 1
-        verdict = not self.harness.run(schedule).ok()
-        self._cache[schedule] = verdict
+        verdict = not self.harness.run(plan).ok()
+        self._cache[plan] = verdict
         return verdict
 
-    # -- pass 1: ddmin over the trigger list -------------------------------------
+    # -- pass 1: ddmin over the rule list ----------------------------------------
 
-    def _ddmin(self, triggers: List[SimTrigger]) -> List[SimTrigger]:
+    def _ddmin(self, rules: List[FaultRule], seed: int) -> List[FaultRule]:
         granularity = 2
-        while len(triggers) >= 2:
-            chunk = max(len(triggers) // granularity, 1)
+        while len(rules) >= 2:
+            chunk = max(len(rules) // granularity, 1)
             reduced = False
             start = 0
-            while start < len(triggers):
-                candidate = triggers[:start] + triggers[start + chunk :]
-                if candidate and self._violates(FaultSchedule(candidate)):
-                    triggers = candidate
+            while start < len(rules):
+                candidate = rules[:start] + rules[start + chunk :]
+                if self._violates(candidate, seed):
+                    rules = candidate
                     granularity = max(granularity - 1, 2)
                     self.stats.reductions += 1
                     reduced = True
                     break
                 start += chunk
             if not reduced:
-                if granularity >= len(triggers):
+                if granularity >= len(rules):
                     break
-                granularity = min(granularity * 2, len(triggers))
-        return triggers
+                granularity = min(granularity * 2, len(rules))
+        return rules
 
-    # -- pass 2: pull each step toward 1 ----------------------------------------
+    # -- pass 2: pull each nth toward 1 ------------------------------------------
 
-    def _with_step(
-        self, triggers: List[SimTrigger], index: int, step: int
-    ) -> List[SimTrigger]:
-        out = list(triggers)
-        old = out[index]
-        out[index] = SimTrigger(
-            old.site,
-            step,
-            old.action,
-            target=old.target,
-            delay_seconds=old.delay_seconds,
-            message=old.message,
-        )
+    def _with_nth(self, rules: List[FaultRule], index: int, nth: int) -> List[FaultRule]:
+        out = list(rules)
+        out[index] = out[index].replaced(nth=nth)
         return out
 
-    def _minimize_steps(self, triggers: List[SimTrigger]) -> List[SimTrigger]:
-        for index in range(len(triggers)):
-            # Binary descent: biggest halving of the step that still fails.
-            while triggers[index].step > 1:
-                half = triggers[index].step // 2
-                candidate = self._with_step(triggers, index, half)
-                if self._violates(FaultSchedule(candidate)):
-                    triggers = candidate
-                    self.stats.reductions += 1
-                    continue
-                break
-            # Linear tail: step-1 probes catch the off-by-one boundary.
-            while triggers[index].step > 1:
-                candidate = self._with_step(triggers, index, triggers[index].step - 1)
-                if self._violates(FaultSchedule(candidate)):
-                    triggers = candidate
-                    self.stats.reductions += 1
-                    continue
-                break
-        return triggers
+    def _minimize_nth(self, rules: List[FaultRule], seed: int) -> List[FaultRule]:
+        for index in range(len(rules)):
+            nth = rules[index].nth
+            if nth is None:
+                continue  # an every/probability rule has no step to pull
+            # Binary descent: biggest halving of nth that still fails.
+            while nth > 1:
+                candidate = self._with_nth(rules, index, nth // 2)
+                if not self._violates(candidate, seed):
+                    break
+                rules, nth = candidate, nth // 2
+                self.stats.reductions += 1
+            # Linear tail: nth-1 probes catch the off-by-one boundary.
+            while nth > 1:
+                candidate = self._with_nth(rules, index, nth - 1)
+                if not self._violates(candidate, seed):
+                    break
+                rules, nth = candidate, nth - 1
+                self.stats.reductions += 1
+        return rules
 
     # -- entry point -------------------------------------------------------------
 
-    def shrink(self, schedule: FaultSchedule) -> FaultSchedule:
-        """Minimize ``schedule``; raises if it does not violate at all."""
-        if not self._violates(schedule):
+    def shrink(self, plan: FaultPlan) -> FaultPlan:
+        """Minimize ``plan``; raises if it does not violate at all."""
+        if not self._violates(plan.rules, plan.seed):
             raise ValueError(
-                "shrink() needs a violating schedule "
-                f"({' + '.join(schedule.describe()) or '<empty>'} passed all invariants)"
+                "shrink() needs a violating plan "
+                f"({' + '.join(plan.describe()) or '<empty>'} passed all invariants)"
             )
-        triggers = self._ddmin(list(schedule.triggers))
-        triggers = self._minimize_steps(triggers)
-        minimal = FaultSchedule(triggers, name=schedule.name)
+        rules = self._ddmin(list(plan.rules), plan.seed)
+        rules = self._minimize_nth(rules, plan.seed)
         # The result must still reproduce — guaranteed by construction,
         # but assert it so a future harness regression fails loudly here.
-        assert self._violates(minimal)
-        return minimal
+        assert self._violates(rules, plan.seed)
+        return FaultPlan(rules, seed=plan.seed, name=plan.name)
 
 
-def shrink(
-    harness: SimHarness, schedule: FaultSchedule, max_runs: int = 200
-) -> FaultSchedule:
+def shrink(harness: SimHarness, plan: FaultPlan, max_runs: int = 200) -> FaultPlan:
     """Convenience wrapper around :class:`ScheduleShrinker`."""
-    return ScheduleShrinker(harness, max_runs=max_runs).shrink(schedule)
+    return ScheduleShrinker(harness, max_runs=max_runs).shrink(plan)
 
 
 # -- fixture corpus -----------------------------------------------------------
@@ -165,14 +156,14 @@ def shrink(
 def fixture_payload(
     scenario: SimScenario, run: SimRun, name: str
 ) -> Dict[str, Any]:
-    """The JSON document a corpus fixture stores: scenario + schedule +
-    the invariant verdicts a replay must reproduce byte-for-byte."""
+    """The JSON document a corpus fixture stores: scenario + plan + the
+    invariant verdicts a replay must reproduce byte-for-byte."""
     assert run.report is not None
     return {
         "version": FIXTURE_VERSION,
         "name": name,
         "scenario": scenario.as_dict(),
-        "schedule": run.schedule.as_dict(),
+        "plan": run.plan.as_dict(),
         "verdicts": run.report.as_dict(),
     }
 
@@ -191,7 +182,7 @@ def write_fixture(
 
 
 def load_fixture(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse a corpus fixture back into (scenario, schedule, verdicts)."""
+    """Parse a corpus fixture back into (scenario, plan, verdicts)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = int(payload.get("version", FIXTURE_VERSION))
     if version != FIXTURE_VERSION:
@@ -202,7 +193,7 @@ def load_fixture(path: Union[str, Path]) -> Dict[str, Any]:
     return {
         "name": str(payload.get("name", "")),
         "scenario": SimScenario.from_dict(payload["scenario"]),
-        "schedule": FaultSchedule.from_dict(payload["schedule"]),
+        "plan": FaultPlan.from_dict(payload["plan"]),
         "verdicts": payload["verdicts"],
     }
 
@@ -219,7 +210,7 @@ def replay_fixture(
     """
     fixture = load_fixture(path)
     harness = SimHarness(fixture["scenario"], virtual=virtual)
-    run = harness.run(fixture["schedule"])
+    run = harness.run(fixture["plan"])
     assert run.report is not None
     return {
         "name": fixture["name"],

@@ -122,7 +122,7 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
                 QUERY,
                 K,
                 algorithm=algorithm,
-                process_faults=kill_plan(shard, nth),
+                faults=kill_plan(shard, nth),
             )
         assert not result.degraded, (seed, algorithm, result.missing_shards)
         assert result.missing_shards == []
@@ -180,7 +180,7 @@ def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
 
         monkeypatch.setattr(coordinator.checkpoints, "load", recording_load)
         # begin is armed RPC 1: the kill lands on shard 0's third step.
-        result = coordinator.run_query(QUERY, K, process_faults=kill_plan(0, 4))
+        result = coordinator.run_query(QUERY, K, faults=kill_plan(0, 4))
     assert result.failovers == 1 and not result.degraded
     assert answer_keys(result) == oracles["whirlpool_s"]
     # Step 2's checkpoint (60 operations) never reached the store, so the
@@ -212,7 +212,7 @@ def test_hang_past_liveness_deadline_fails_over(database, oracles):
         recovery_store=MemoryRecoveryStore(),
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, process_faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=plan)
     assert result.failovers >= 1
     assert result.heartbeat_misses >= 1
     assert not result.degraded
@@ -241,7 +241,7 @@ def test_slow_pipe_rides_the_retry_ladder_without_failover(database, oracles):
         step_operations=30,
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, process_faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=plan)
     assert result.failovers == 0
     assert result.heartbeat_misses >= 1
     assert not result.degraded
@@ -260,7 +260,7 @@ def test_no_failover_kill_degrades_with_sound_global_bound(database):
         result = coordinator.run_query(
             QUERY,
             K,
-            process_faults=kill_plan(shard=0, nth=2),
+            faults=kill_plan(shard=0, nth=2),
             fail_over=False,
         )
     assert result.degraded
@@ -298,7 +298,7 @@ def test_replacement_worker_runs_fault_free(database, oracles):
         recovery_store=MemoryRecoveryStore(),
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, process_faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=plan)
     assert not result.degraded
     assert result.failovers == 1
     assert answer_keys(result) == oracles["whirlpool_s"]
@@ -316,7 +316,7 @@ def test_failover_exhaustion_loses_the_shard(database):
         **FAST_LADDER,
     ) as coordinator:
         result = coordinator.run_query(
-            QUERY, K, process_faults=kill_plan(shard=0, nth=2)
+            QUERY, K, faults=kill_plan(shard=0, nth=2)
         )
     assert result.degraded
     assert result.missing_shards == [0]
@@ -373,7 +373,7 @@ def test_net_matrix_converges_bit_identical(database, oracles, algorithm):
                 QUERY,
                 K,
                 algorithm=algorithm,
-                net_faults=net_plan(seed),
+                faults=net_plan(seed),
             )
         assert not result.degraded, (seed, algorithm)
         assert result.missing_shards == []
@@ -398,7 +398,7 @@ def test_seeded_net_chaos_converges_bit_identical(database, oracles, seed):
         **FAST_LADDER,
     ) as coordinator:
         result = coordinator.run_query(
-            QUERY, K, net_faults=FaultPlan.net_chaos(seed, shards=2)
+            QUERY, K, faults=FaultPlan.net_chaos(seed, shards=2)
         )
     assert not result.degraded, seed
     assert answer_keys(result) == oracles["whirlpool_s"], seed
@@ -435,7 +435,7 @@ def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, oracles):
         rebalance_slow_rounds=2,
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, process_faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=plan)
         health = coordinator.health()
     assert result.rebalances >= 1, result.rounds
     assert health["rebalances"] == result.rebalances
@@ -471,7 +471,7 @@ def test_rebalance_disabled_keeps_the_slow_shard(database, oracles):
         rebalance=False,
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, process_faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=plan)
     assert result.rebalances == 0
     assert not result.degraded
     assert answer_keys(result) == oracles["whirlpool_s"]
@@ -494,7 +494,7 @@ def test_engine_level_chaos_terminates_with_sound_certificates(
         result = coordinator.run_query(
             QUERY,
             K,
-            engine_faults=FaultPlan.chaos(seed),
+            faults=FaultPlan.chaos(seed),
             engine_retry_policy=FAST_RETRY,
         )
     if result.degraded:

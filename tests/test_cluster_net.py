@@ -16,13 +16,13 @@ import pytest
 from repro.cluster import Coordinator
 from repro.cluster.net import (
     RECONNECT_STORM_DROPS,
-    NetFaultArm,
     SocketTransport,
     corrupt_frame_bytes,
 )
 from repro.cluster.protocol import FrameReader, encode_frame, frame_crc
 from repro.core.engine import Engine
 from repro.core.stats import monotonic_seconds
+from repro.faults.inject import FaultArm
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.faults.supervisor import RetryPolicy
 from repro.recovery.store import MemoryRecoveryStore
@@ -74,7 +74,7 @@ def net_plan(action, shard=0, nth=3, times=1) -> FaultPlan:
     )
 
 
-def run(database, plan, **query_faults):
+def run(database, plan):
     with Coordinator(
         database,
         shards=2,
@@ -83,7 +83,7 @@ def run(database, plan, **query_faults):
         max_failovers=8,
         **FAST_LADDER,
     ) as coordinator:
-        return coordinator.run_query(QUERY, K, net_faults=plan, **query_faults)
+        return coordinator.run_query(QUERY, K, faults=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +103,19 @@ def test_corrupt_frame_bytes_breaks_the_crc():
 
 def test_net_fault_arm_is_deterministic_and_targeted():
     plan = net_plan(FaultAction.PARTITION, shard=0, nth=3, times=1)
-    arm = NetFaultArm(plan, shard_id=0)
-    fired = [arm.arm() for _ in range(6)]
+    arm = FaultArm(plan.rules, plan.seed)
+    fired = [arm.arm(FaultSite.NET, "0") for _ in range(6)]
     assert [rule is not None for rule in fired] == [
         False, False, True, False, False, False,
     ]
     assert fired[2].action is FaultAction.PARTITION
-    # Another shard's link never fires a rule targeted at shard 0.
-    other = NetFaultArm(plan, shard_id=1)
-    assert all(other.arm() is None for _ in range(6))
+    # Another shard's link never fires a rule targeted at shard 0, and
+    # counts its own frames.
+    assert all(arm.arm(FaultSite.NET, "1") is None for _ in range(6))
+    assert arm.site_counts() == {"net:0": 6, "net:1": 6}
     # Same seed, same schedule: the replayed arm fires identically.
-    replay = NetFaultArm(plan, shard_id=0)
-    assert [replay.arm() is not None for _ in range(6)] == [
+    replay = FaultArm(plan.rules, plan.seed)
+    assert [replay.arm(FaultSite.NET, "0") is not None for _ in range(6)] == [
         rule is not None for rule in fired
     ]
 
@@ -184,21 +185,15 @@ def test_partition_with_the_worker_gone_fails_over_via_checkpoints(
     step is partitioned away (NET frames: init, begin, three steps), and
     the worker SIGKILLs itself on the replay of that same RPC (armed
     RPCs: begin, four steps) — nobody is left to redial."""
-    kill = FaultPlan(
-        [
-            FaultRule(
-                site=FaultSite.WORKER_RPC,
-                action=FaultAction.KILL,
-                target="0",
-                nth=5,
-                times=1,
-            )
-        ],
-        seed=5,
+    kill = FaultRule(
+        site=FaultSite.WORKER_RPC,
+        action=FaultAction.KILL,
+        target="0",
+        nth=5,
+        times=1,
     )
-    result = run(
-        database, net_plan(FaultAction.PARTITION, nth=6), process_faults=kill
-    )
+    partition = net_plan(FaultAction.PARTITION, nth=6)
+    result = run(database, FaultPlan(partition.rules + [kill], seed=partition.seed))
     assert not result.degraded
     assert result.failovers >= 1  # respawn + restore the shipped checkpoint
     assert answer_keys(result) == oracle
@@ -239,7 +234,7 @@ def test_health_surfaces_transport_and_connection_state(database):
         **FAST_LADDER,
     ) as coordinator:
         result = coordinator.run_query(
-            QUERY, K, net_faults=net_plan(FaultAction.PARTITION)
+            QUERY, K, faults=net_plan(FaultAction.PARTITION)
         )
         health = coordinator.health()
     assert result.reconnects >= 1

@@ -39,6 +39,8 @@ from repro.cluster.protocol import (
     read_frame_ex,
     write_frame,
 )
+from repro.cluster.worker import ShardWorker
+from repro.core.engine import Engine
 from repro.core.stats import monotonic_seconds
 from repro.errors import (
     ClusterError,
@@ -400,3 +402,42 @@ def test_worker_chaos_hang_outlasts_any_sane_liveness_deadline():
         for rule in plan.rules:
             if rule.action is FaultAction.HANG:
                 assert rule.delay_seconds == 30.0
+
+
+def test_worker_refuses_a_malformed_fault_plan_instead_of_dying():
+    """A plan payload the worker cannot build is a refused RPC (``ok:
+    False`` with the reason), never an exception out of the request
+    loop — a dead worker would be failed over into the same payload."""
+    database = generate_database(XMarkConfig(items=6, seed=7))
+    engine = Engine(database, "//item[./name]")
+    worker = ShardWorker(0)
+    documents = list(build_shard_specs(database, 1)[0].xml_texts)
+    illegal = {"site": "worker_rpc", "action": "error", "target": "0", "nth": 1}
+    for bad_plan, reason in (
+        ({"rules": [illegal]}, "not valid at site"),
+        ({"rules": [{"site": "warp_core", "action": "kill", "nth": 1}]}, "warp_core"),
+        ({"rules": [{"site": "worker_rpc"}]}, "malformed rule payload"),
+        ({"rules": [{**illegal, "action": "kill", "nth": "1"}]}, "malformed rule payload"),
+        ([illegal], "malformed plan payload"),
+    ):
+        reply, should_exit = worker.handle(
+            {"op": "init", "id": 1, "documents": documents, "process_faults": bad_plan}
+        )
+        assert not reply["ok"] and not should_exit
+        assert reply["kind"] == "FaultPlanError" and reason in reply["error"]
+        assert worker.process_faults is None
+    reply, _ = worker.handle({"op": "init", "id": 2, "documents": documents})
+    assert reply["ok"]
+    begin = {
+        "op": "begin",
+        "id": 3,
+        "query": engine.pattern.to_xpath(),
+        "k": 2,
+        "contributions": engine.score_model.contributions(),
+    }
+    reply, should_exit = worker.handle({**begin, "engine_faults": {"rules": [illegal]}})
+    assert not reply["ok"] and not should_exit
+    assert reply["kind"] == "FaultPlanError" and "not valid at site" in reply["error"]
+    # The loop is still serving: the same begin without the bad plan binds.
+    reply, _ = worker.handle({**begin, "id": 4})
+    assert reply["ok"]

@@ -128,7 +128,7 @@ def test_process_fault_plan_dies_with_its_query(database, oracle):
     worker's RPC counter would run on through the next queries and the
     KILL would land in one of them."""
     with Coordinator(database, shards=2, step_operations=1000, **FAST_LADDER) as coordinator:
-        first = coordinator.run_query(QUERY, K, process_faults=kill_plan(0, nth=6))
+        first = coordinator.run_query(QUERY, K, faults=kill_plan(0, nth=6))
         assert first.rounds < 5  # begin + steps stayed short of armed RPC #6
         assert first.failovers == 0
         pids = worker_pids(coordinator)
@@ -147,7 +147,7 @@ def test_four_queries_three_kills_counters_are_per_query(database, oracle):
     with Coordinator(database, shards=2, step_operations=30, **FAST_LADDER) as coordinator:
         reported, totals = [], []
         for plan in (kill_plan(0, 2), kill_plan(0, 3), kill_plan(0, 2), None):
-            result = coordinator.run_query(QUERY, K, process_faults=plan)
+            result = coordinator.run_query(QUERY, K, faults=plan)
             assert not result.degraded and result.missing_shards == []
             assert answer_keys(result) == oracle
             reported.append(result.failovers)

@@ -12,11 +12,14 @@ LockStep), checking both sides of that contract against a fault-free
 oracle and the brute-force ranking.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.engine import Engine
 from repro.core.trace import ExecutionTrace
-from repro.errors import EngineError, InjectedFaultError
+from repro.errors import EngineError, FaultPlanError, InjectedFaultError
 from repro.faults import (
     FailureAction,
     FaultAction,
@@ -136,6 +139,29 @@ class TestChaosMatrix:
             assert FaultPlan.chaos(seed).describe() == FaultPlan.chaos(seed).describe()
         # Different seeds produce different schedules at least once.
         assert len({tuple(FaultPlan.chaos(s).describe()) for s in CHAOS_SEEDS}) > 1
+
+    def test_per_seed_schedules_are_pinned(self):
+        """Every field of every rule the three seeded generators draw,
+        as captured before the generators were merged: a reshuffled draw
+        order would pass every matrix (each seed still equals itself)
+        while silently testing different schedules."""
+        golden = json.loads(
+            (Path(__file__).parent / "fixtures" / "faults" / "chaos_golden.json").read_text(
+                encoding="utf-8"
+            )
+        )
+
+        def drawn(plan):
+            return {"seed": plan.seed, "rules": [rule.as_dict() for rule in plan.rules]}
+
+        for seed in CHAOS_SEEDS:
+            assert drawn(FaultPlan.chaos(seed)) == golden["chaos"][str(seed)]
+            crash_pool = FaultPlan.chaos(seed, actions=(FaultAction.CRASH,))
+            assert drawn(crash_pool) == golden["chaos_crash"][str(seed)]
+            for shards in (2, 3):
+                key = f"{seed}/{shards}"
+                assert drawn(FaultPlan.worker_chaos(seed, shards)) == golden["worker_chaos"][key]
+                assert drawn(FaultPlan.net_chaos(seed, shards)) == golden["net_chaos"][key]
 
 
 class TestDeadServer:
@@ -266,6 +292,18 @@ class TestPlanAndSupervisorUnits:
     def test_rule_requires_a_trigger(self):
         with pytest.raises(ValueError):
             FaultRule(FaultSite.ROUTER, FaultAction.ERROR)
+
+    @pytest.mark.parametrize(
+        "site, action",
+        [
+            (FaultSite.SERVER_OP, FaultAction.KILL),  # used to run as an ERROR
+            (FaultSite.WORKER_RPC, FaultAction.ERROR),  # used to fire and do nothing
+            (FaultSite.NET, FaultAction.DROP),  # likewise
+        ],
+    )
+    def test_rule_rejects_an_action_its_site_cannot_execute(self, site, action):
+        with pytest.raises(FaultPlanError, match="not valid at site"):
+            FaultRule(site, action, target="0", nth=1)
 
     def test_rule_trigger_predicates(self):
         import random

@@ -1,6 +1,6 @@
 """The simulation harness: invariants, explorer, and shrinker.
 
-The flow under test is the whole counterexample pipeline: run schedules
+The flow under test is the whole counterexample pipeline: run plans
 against a real engine under a :class:`VirtualClock`, judge every run
 with the invariant suite, search fault timing with the explorer, and
 delta-debug any violation down to a minimal reproducer.  The violation
@@ -10,17 +10,22 @@ the pipeline is exercised end-to-end without needing a real bug.
 
 import pytest
 
+from repro.faults.plan import FaultAction, FaultPlan, FaultRule
 from repro.sim.harness import SimError, SimHarness, SimScenario
 from repro.sim.explore import ScheduleExplorer, explore
-from repro.sim.schedule import FaultSchedule, SimTrigger
 from repro.sim.shrink import (
+    FIXTURE_VERSION,
     ScheduleShrinker,
     load_fixture,
     replay_fixture,
+    shrink,
     write_fixture,
 )
 
-CRASH = FaultSchedule([SimTrigger("server_op", 10, "crash")], name="crash")
+CRASH = FaultPlan([FaultRule("server_op", "crash", nth=10, times=1)], name="crash")
+
+#: The default chaos pool plus CRASH, which the planted violation needs.
+CHAOS_WITH_CRASH = FaultPlan.CHAOS_ACTIONS + (FaultAction.CRASH,)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +66,7 @@ class TestInvariantJudgement:
         assert first.report.to_json() == second.report.to_json()
 
     def test_cluster_families_rejected_on_engine_scenario(self, harness):
-        remote = FaultSchedule([SimTrigger("worker_rpc", 2, "kill", target=0)])
+        remote = FaultPlan([FaultRule("worker_rpc", "kill", target=0, nth=2, times=1)])
         with pytest.raises(SimError, match="cannot execute fault families"):
             harness.run(remote)
 
@@ -70,13 +75,13 @@ class TestInvariantJudgement:
         # checkpoint followed by a CRASH.  Recovery must carry the lost
         # work (snapshot "lost" record) so the resumed run degrades with
         # a certificate instead of claiming exactness.
-        schedule = FaultSchedule(
+        plan = FaultPlan(
             [
-                SimTrigger("server_op", 31, "drop", target="2"),
-                SimTrigger("queue_get", 67, "crash", target="router"),
+                FaultRule("server_op", "drop", target="2", nth=31, times=1),
+                FaultRule("queue_get", "crash", target="router", nth=67, times=1),
             ]
         )
-        run = harness.run(schedule)
+        run = harness.run(plan)
         assert run.crashed
         assert run.result.degraded
         assert run.ok(), run.report.to_json()
@@ -112,9 +117,9 @@ class TestExplorer:
 
     def test_perturbations_shift_one_step_at_a_time(self, harness):
         explorer = ScheduleExplorer(harness)
-        schedule = FaultSchedule([SimTrigger("server_op", 5, "error")])
-        neighbours = explorer.perturbations(schedule)
-        steps = sorted(t.step for candidate in neighbours for t in candidate.triggers)
+        plan = FaultPlan([FaultRule("server_op", "error", nth=5, times=1)])
+        neighbours = explorer.perturbations(plan)
+        steps = sorted(rule.nth for candidate in neighbours for rule in candidate.rules)
         assert steps == [3, 4, 6, 7]
 
     def test_clean_code_yields_no_violations(self, harness):
@@ -129,11 +134,11 @@ class TestShrinker:
     def _noisy_schedule(self):
         # The planted bug needs only the crash; the delays are chaff the
         # shrinker must strip, and step 10 must descend to 1.
-        return FaultSchedule(
+        return FaultPlan(
             [
-                SimTrigger("server_op", 3, "delay", delay_seconds=0.001),
-                SimTrigger("server_op", 10, "crash"),
-                SimTrigger("queue_put", 6, "delay", delay_seconds=0.001),
+                FaultRule("server_op", "delay", nth=3, times=1, delay_seconds=0.001),
+                FaultRule("server_op", "crash", nth=10, times=1),
+                FaultRule("queue_put", "delay", nth=6, times=1, delay_seconds=0.001),
             ],
             name="noisy",
         )
@@ -142,8 +147,9 @@ class TestShrinker:
         tapped = SimHarness(scenario, virtual=True, invariant_tap=outcome_tap)
         shrinker = ScheduleShrinker(tapped)
         minimal = shrinker.shrink(self._noisy_schedule())
-        assert len(minimal.triggers) <= 3  # the acceptance bar...
-        assert minimal.describe() == ["crash@server_op#1"]  # ...and the fact
+        assert len(minimal.rules) <= 3  # the acceptance bar...
+        assert minimal.describe() == ["crash@server_op [nth=1 times=1]"]  # ...and the fact
+        assert minimal.name == "noisy"
         assert shrinker.stats.reductions >= 2
 
     def test_shrink_is_deterministic(self, scenario):
@@ -157,6 +163,32 @@ class TestShrinker:
         with pytest.raises(ValueError, match="passed all invariants"):
             ScheduleShrinker(harness).shrink(CRASH)
 
+    def test_a_chaos_matrix_plan_shrinks_directly(self, tmp_path, scenario, harness):
+        # The payoff of one vocabulary: a seeded chaos plan — every= and
+        # times= rules the explorer never draws — is what the shrinker
+        # takes, with no translation step in between.
+        chaos = FaultPlan.chaos(5, actions=CHAOS_WITH_CRASH)
+        assert chaos.describe() == [
+            "drop@queue_get [every=15 times=5]",
+            "delay@router [every=4 times=1]",
+            "crash@queue_put [every=11 times=2]",
+        ]
+        tapped = SimHarness(scenario, virtual=True, invariant_tap=outcome_tap)
+        minimal = shrink(tapped, chaos)
+        assert minimal.describe() == ["crash@queue_put [every=11 times=2]"]
+        assert minimal.seed == chaos.seed
+        violated = tapped.run(minimal).report.violations()
+        assert [verdict.name for verdict in violated] == ["single_outcome"]
+        # ...and it is a corpus reproducer like any other.  (Recorded on
+        # the untapped harness: the planted bug lives in the tap, and a
+        # replay has none.)
+        run = harness.run(minimal)
+        path = write_fixture(tmp_path / "chaos.json", scenario, run, "chaos")
+        assert load_fixture(path)["plan"] == minimal
+        replay = replay_fixture(path)
+        assert replay["run"].crashed
+        assert replay["matches"], (replay["recorded"], replay["replayed"])
+
 
 class TestFixtureRoundTrip:
     def test_write_load_replay(self, tmp_path, scenario, harness):
@@ -164,7 +196,7 @@ class TestFixtureRoundTrip:
         path = write_fixture(tmp_path / "crash.json", scenario, run, "crash")
         fixture = load_fixture(path)
         assert fixture["name"] == "crash"
-        assert fixture["schedule"] == CRASH
+        assert fixture["plan"] == CRASH
         assert fixture["scenario"].as_dict() == scenario.as_dict()
         replay = replay_fixture(path)
         assert replay["matches"], (replay["recorded"], replay["replayed"])
@@ -173,7 +205,7 @@ class TestFixtureRoundTrip:
         run = harness.run(CRASH)
         path = write_fixture(tmp_path / "crash.json", scenario, run, "crash")
         mangled = path.read_text(encoding="utf-8").replace(
-            '"version": 1', '"version": 99'
+            f'"version": {FIXTURE_VERSION}', '"version": 99'
         )
         path.write_text(mangled, encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported sim fixture version"):

@@ -2,7 +2,7 @@
 
 ``tests/fixtures/sim/`` is the corpus of minimal reproducers the
 explorer/shrinker pipeline wrote; each fixture pins a scenario, a
-schedule, and the invariant verdicts the run produced.  The replay
+plan, and the invariant verdicts the run produced.  The replay
 contract is byte-for-byte: re-running the fixture must reproduce the
 recorded verdicts exactly — including the detail strings — run after
 run.  Anything less and the corpus stops being a regression oracle.
@@ -31,7 +31,7 @@ def test_corpus_is_complete():
 def test_corpus_covers_all_three_fault_families():
     families = set()
     for name in NAMES:
-        families.update(load_fixture(fixture_path(name))["schedule"].families())
+        families.update(load_fixture(fixture_path(name))["plan"].families())
     assert families == {"engine", "net", "process"}
 
 
