@@ -21,7 +21,7 @@ here, in data, so the machinery in the sibling modules stays generic:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 #: Layer contract, bottom (most fundamental) to top.  A module in layer N
 #: may import layers <= N at runtime; importing a *higher* layer is a
@@ -177,9 +177,6 @@ class GraphConfig:
         self.return_types = {
             key: tuple(targets) for key, targets in return_types.items()
         }
-
-    def layer_names(self) -> List[str]:
-        return [name for name, _prefixes in self.layer_contract]
 
 
 DEFAULT_CONFIG = GraphConfig()

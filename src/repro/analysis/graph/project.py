@@ -140,15 +140,6 @@ class Project:
 
     # -- lookups -------------------------------------------------------------
 
-    def module_for(self, dotted: str) -> Optional[SourceModule]:
-        """The project module named ``dotted``, or its package, or None."""
-        while dotted:
-            module = self.modules.get(dotted)
-            if module is not None:
-                return module
-            dotted = dotted.rpartition(".")[0]
-        return None
-
     def owns(self, dotted: str) -> bool:
         """Is ``dotted`` inside this project's package?"""
         return dotted == self.root_name or dotted.startswith(self.root_name + ".")

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.params import DEFAULTS, QUERIES
 from repro.bench.workloads import get_engine
 from repro.core.engine import Engine
-from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
 from repro.simulate.cost import CostModel
@@ -111,16 +110,12 @@ def run_lockstep(
     queue_policy: QueuePolicy = QueuePolicy.MAX_FINAL_SCORE,
 ):
     """One LockStep / LockStep-NoPrun run; returns its TopKResult."""
-    engine_cls = LockStep if prune else LockStepNoPrun
-    runner = engine_cls(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=k,
-        order=order,
+    return engine.run(
+        k,
+        algorithm="lockstep" if prune else "lockstep_noprun",
+        static_order=order,
         queue_policy=queue_policy,
     )
-    return runner.run()
 
 
 def modeled_time(result, operation_cost: float = DEFAULT_COST) -> float:

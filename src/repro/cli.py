@@ -429,22 +429,23 @@ def _cmd_query(args) -> int:
         relaxed=not args.exact,
         normalization=args.normalization,
     )
-    if args.threshold is not None:
-        result = threshold_query(engine, min_score=args.threshold)
-    else:
-        faults = None
-        if args.chaos_seed is not None:
-            from repro.faults import FaultPlan
+    faults = None
+    if args.chaos_seed is not None:
+        from repro.faults import FaultPlan
 
-            faults = FaultPlan.chaos(args.chaos_seed)
-        result = engine.run(
-            args.k,
-            algorithm=args.algorithm,
-            routing=args.routing,
-            deadline_seconds=args.deadline,
-            max_operations=args.max_ops,
-            faults=faults,
-        )
+        faults = FaultPlan.chaos(args.chaos_seed)
+    run_options = dict(
+        routing=args.routing,
+        deadline_seconds=args.deadline,
+        max_operations=args.max_ops,
+        faults=faults,
+    )
+    if args.threshold is None:
+        result = engine.run(args.k, algorithm=args.algorithm, **run_options)
+    elif args.algorithm == "whirlpool_s":
+        result = threshold_query(engine, args.threshold, **run_options)
+    else:
+        raise ReproError(f"--threshold runs on whirlpool_s, not {args.algorithm}")
 
     if args.json:
         payload = {

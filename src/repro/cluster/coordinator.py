@@ -94,11 +94,12 @@ from repro.cluster.partition import ShardSpec, build_shard_specs, remap_match_pa
 from repro.cluster.protocol import FrameTimeout
 from repro.core.engine import ALGORITHMS, Engine
 from repro.core.base import TopKResult
-from repro.core.stats import ExecutionStats, monotonic_seconds
+from repro.core.stats import COUNTERS, ExecutionStats, monotonic_seconds
 from repro.core.topk import TopKAnswer
 from repro.errors import (
     ClusterError,
     ConnectionLostError,
+    CoordinatorBusyError,
     EngineError,
     ProtocolError,
     RecoveryError,
@@ -108,7 +109,7 @@ from repro.faults.inject import FaultArm
 from repro.faults.plan import FaultPlan
 from repro.faults.supervisor import RetryPolicy
 from repro.obs import Observability
-from repro.obs.spans import Span
+from repro.obs.spans import NULL_SPAN, Span
 from repro.query.pattern import TreePattern
 from repro.recovery.codec import decode_match
 from repro.recovery.generations import CheckpointGenerations
@@ -116,20 +117,6 @@ from repro.recovery.store import MemoryRecoveryStore, RecoveryStore
 import repro.sim.clock as simclock
 from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
 from repro.xmldb.model import Database
-
-_STATS_COUNTERS = (
-    "server_operations",
-    "join_comparisons",
-    "partial_matches_created",
-    "partial_matches_pruned",
-    "extensions_generated",
-    "deleted_extensions",
-    "completed_matches",
-    "routing_decisions",
-    "checkpoints_taken",
-    "wall_time_seconds",
-)
-
 
 class ClusterResult(TopKResult):
     """A :class:`~repro.core.base.TopKResult` plus cluster provenance.
@@ -288,15 +275,9 @@ class ShardHandle:
         self.state = "new"  # new | live | dead | lost
         self.connection = "partitioned"  # no link yet
         self.loaded = False  # this worker process holds the shard's documents
-        self.failovers = 0
-        self.heartbeat_misses = 0
-        self.reconnects = 0
-        self.rebalances = 0
-        self.operations = 0
-        self.done = False
         self.last_reply_at: Optional[float] = None
-        self.last_step_seconds: Optional[float] = None
         self._inflight: Optional[Tuple[Dict[str, Any], float]] = None
+        self.begin_query()
 
     # -- connection state machine ------------------------------------------------
 
@@ -340,7 +321,7 @@ class ShardHandle:
             self.rebalances = 0
             self.operations = 0
             self.done = False
-            self.last_step_seconds = None
+            self.last_step_seconds: Optional[float] = None
 
     def resident(self) -> bool:
         """A live worker that holds its documents and owes no reply —
@@ -563,6 +544,11 @@ class _ShardQueryState:
         self.stats: Dict[str, float] = {}
         self.reported = False
 
+    @property
+    def settled(self) -> bool:
+        """Nothing more will be asked of this shard in this query."""
+        return self.done or self.lost or self.is_dominated
+
 
 class Coordinator:
     """Fault-tolerant scatter-gather over N shard workers."""
@@ -766,20 +752,18 @@ class Coordinator:
             if self._closed:
                 raise ClusterError("coordinator is closed")
             if self._active:
-                raise ClusterError("coordinator runs one query at a time")
+                raise CoordinatorBusyError("coordinator runs one query at a time")
             self._active = True
             self._queries += 1
-        span: Optional[Span] = None
-        if self.obs.enabled:
-            span = Span(
-                "cluster_query",
-                {
-                    "xpath": str(query),
-                    "k": k,
-                    "algorithm": algorithm,
-                    "shards": self.shards,
-                },
-            )
+        span = self.obs.span(
+            "cluster_query",
+            lambda: {
+                "xpath": str(query),
+                "k": k,
+                "algorithm": algorithm,
+                "shards": self.shards,
+            },
+        )
         # Each fault boundary gets the rules of its own sites.
         engine_faults, process_faults, net_faults = (
             faults.select(family) if faults is not None else None
@@ -810,10 +794,9 @@ class Coordinator:
         finally:
             for handle in self.handles:
                 handle.transport.arm_net_faults(None)
-            if span is not None:
-                span.finish()
+            span.finish()
             with self._lock:
-                if span is not None:
+                if span is not NULL_SPAN:
                     self.last_span = span
                 self._active = False
                 # Wake every submit blocked on the slot (wait_idle).
@@ -922,15 +905,22 @@ class Coordinator:
             except WorkerLostError:
                 handle.kill()
 
+    def _lose_shard(self, handle: ShardHandle) -> None:
+        """The shard is lost for this query: stop its worker, say so."""
+        handle.kill()
+        with handle._lock:
+            handle.state = "lost"
+        handle._set_connection("failed")
+        self.metrics.lost_shards.labels(str(handle.shard_id)).inc()
+
     def _step_with_failover(
         self,
         handle: ShardHandle,
-        state: _ShardQueryState,
         begin_payload: Dict[str, Any],
         step_ops: int,
         deadline_at: Optional[float],
         fail_over: bool,
-        span: Optional[Span],
+        span: Span,
         sent: bool,
     ) -> Optional[Dict[str, Any]]:
         """Gather one step reply, failing over as needed.
@@ -963,35 +953,26 @@ class Coordinator:
                     with handle._lock:
                         handle.last_step_seconds = monotonic_seconds() - started_at
                     return reply
-                if span is not None:
-                    span.event(
-                        "step_crash_retry",
-                        shard=handle.shard_id,
-                        error=reply.get("error"),
-                    )
+                span.event(
+                    "step_crash_retry",
+                    shard=handle.shard_id,
+                    error=reply.get("error"),
+                )
                 fault_free = True
             except WorkerLostError as exc:
-                if span is not None:
-                    span.event(
-                        "worker_lost", shard=handle.shard_id, reason=exc.reason
-                    )
+                span.event("worker_lost", shard=handle.shard_id, reason=exc.reason)
                 over_deadline = (
                     deadline_at is not None and monotonic_seconds() >= deadline_at
                 )
                 with handle._lock:
                     exhausted = handle.failovers >= self.max_failovers
                 if not fail_over or exhausted or over_deadline:
-                    handle.kill()
-                    with handle._lock:
-                        handle.state = "lost"
-                    handle._set_connection("failed")
-                    self.metrics.lost_shards.labels(str(handle.shard_id)).inc()
+                    self._lose_shard(handle)
                     return None
                 with handle._lock:
                     handle.failovers += 1
                 self.metrics.failovers.labels(str(handle.shard_id)).inc()
-                if span is not None:
-                    span.event("failover", shard=handle.shard_id)
+                span.event("failover", shard=handle.shard_id)
                 restore = self.checkpoints.load(self._store_key(handle.shard_id))
                 try:
                     self._bootstrap(handle, begin_payload, restore, deadline_at)
@@ -1014,7 +995,7 @@ class Coordinator:
         engine_retry_policy: Optional[RetryPolicy],
         process_faults: Optional[FaultPlan],
         fail_over: bool,
-        span: Optional[Span],
+        span: Span,
     ) -> ClusterResult:
         started = monotonic_seconds()
         deadline_at = started + deadline_seconds if deadline_seconds else None
@@ -1047,11 +1028,7 @@ class Coordinator:
             if deadline_at is not None and monotonic_seconds() >= deadline_at:
                 break
             active = [
-                handle
-                for handle in self.handles
-                if not states[handle.shard_id].done
-                and not states[handle.shard_id].lost
-                and not states[handle.shard_id].is_dominated
+                handle for handle in self.handles if not states[handle.shard_id].settled
             ]
             if not active:
                 break
@@ -1073,7 +1050,6 @@ class Coordinator:
                 state = states[handle.shard_id]
                 reply = self._step_with_failover(
                     handle,
-                    state,
                     begin_payload,
                     step_ops,
                     deadline_at,
@@ -1084,11 +1060,7 @@ class Coordinator:
                 if reply is None or not reply.get("ok"):
                     if reply is not None:
                         # Non-resumable worker error: give the shard up.
-                        handle.kill()
-                        with handle._lock:
-                            handle.state = "lost"
-                        handle._set_connection("failed")
-                        self.metrics.lost_shards.labels(str(handle.shard_id)).inc()
+                        self._lose_shard(handle)
                     state.lost = True
                     continue
                 self._absorb(handle, state, reply)
@@ -1106,24 +1078,17 @@ class Coordinator:
                 self.metrics.merge_threshold_child.set(threshold)
             for handle in self.handles:
                 state = states[handle.shard_id]
-                if state.done or state.lost or state.is_dominated:
+                if state.settled:
                     continue
                 if dominated(state.bound, threshold):
                     state.is_dominated = True
-                    if span is not None:
-                        span.event(
-                            "shard_dominated",
-                            shard=handle.shard_id,
-                            bound=state.bound,
-                            threshold=threshold,
-                        )
-            if span is not None:
-                span.event(
-                    "round",
-                    number=rounds,
-                    threshold=threshold,
-                    active=len(active),
-                )
+                    span.event(
+                        "shard_dominated",
+                        shard=handle.shard_id,
+                        bound=state.bound,
+                        threshold=threshold,
+                    )
+            span.event("round", number=rounds, threshold=threshold, active=len(active))
             if self.rebalance_enabled and fail_over:
                 self._maybe_rebalance(
                     states, slow_rounds, begin_payload, deadline_at, span
@@ -1181,7 +1146,7 @@ class Coordinator:
         slow_rounds: Dict[int, int],
         begin_payload: Dict[str, Any],
         deadline_at: Optional[float],
-        span: Optional[Span],
+        span: Span,
     ) -> None:
         """Retire-and-migrate shards whose step latency stays far above
         the fleet.  The trigger is relative (``rebalance_latency_factor``
@@ -1197,7 +1162,7 @@ class Coordinator:
         latencies: Dict[int, float] = {}
         for handle in self.handles:
             state = states[handle.shard_id]
-            if state.done or state.lost or state.is_dominated:
+            if state.settled:
                 continue
             with handle._lock:
                 latency = handle.last_step_seconds
@@ -1231,7 +1196,7 @@ class Coordinator:
         handle: ShardHandle,
         begin_payload: Dict[str, Any],
         deadline_at: Optional[float],
-        span: Optional[Span],
+        span: Span,
     ) -> None:
         """Ship the shard's newest validated checkpoint to a fresh worker
         and retire the laggard — the failover machinery, reused for a
@@ -1241,8 +1206,7 @@ class Coordinator:
         with handle._lock:
             handle.rebalances += 1
         self.metrics.rebalances.labels(str(handle.shard_id)).inc()
-        if span is not None:
-            span.event("rebalance", shard=handle.shard_id)
+        span.event("rebalance", shard=handle.shard_id)
         restore = self.checkpoints.load(self._store_key(handle.shard_id))
         try:
             self._bootstrap(handle, begin_payload, restore, deadline_at)
@@ -1275,7 +1239,7 @@ class Coordinator:
         algorithm: str,
         started: float,
         rounds: int,
-        span: Optional[Span],
+        span: Span,
     ) -> ClusterResult:
         max_contributions = {
             node_id: engine.score_model.max_contribution(node_id)
@@ -1298,15 +1262,9 @@ class Coordinator:
         dominated_ids = sorted(
             shard_id for shard_id, state in states.items() if state.is_dominated
         )
-        unfinished = [
-            state
-            for state in states.values()
-            if not state.done and not state.lost and not state.is_dominated
-        ]
+        unfinished = [state for state in states.values() if not state.settled]
         live_bounds = [state.bound for state in unfinished if state.reported]
-        live_bounds.extend(
-            states[shard_id].bound for shard_id in dominated_ids
-        )
+        live_bounds.extend(states[shard_id].bound for shard_id in dominated_ids)
         lost_bounds = [
             lost_shard_bound(
                 state.bound if state.reported else None,
@@ -1345,12 +1303,8 @@ class Coordinator:
 
         stats = ExecutionStats()
         for state in states.values():
-            if not state.stats:
-                continue
-            for field in _STATS_COUNTERS:
-                value = state.stats.get(field)
-                if value is not None:
-                    setattr(stats, field, getattr(stats, field) + value)
+            for field in COUNTERS:
+                setattr(stats, field, getattr(stats, field) + state.stats.get(field, 0))
         stats.wall_time_seconds = monotonic_seconds() - started
 
         failovers = 0
@@ -1392,10 +1346,9 @@ class Coordinator:
                 for shard_id, state in states.items()
             },
         )
-        if span is not None:
-            span.annotate("degraded", degraded)
-            span.annotate("missing_shards", missing)
-            span.annotate("rounds", rounds)
+        span.annotate("degraded", degraded)
+        span.annotate("missing_shards", missing)
+        span.annotate("rounds", rounds)
         return result
 
     def _engine_for(self, query: Union[str, TreePattern], relaxed: bool) -> Engine:

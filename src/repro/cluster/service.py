@@ -29,7 +29,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.cluster.coordinator import ClusterResult, Coordinator
 from repro.core.stats import monotonic_seconds
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CoordinatorBusyError
 from repro.faults.supervisor import RetryPolicy
 from repro.obs import Observability
 from repro.recovery.store import RecoveryStore
@@ -117,13 +117,10 @@ class ClusterBackend:
                     faults=request.faults,
                     engine_retry_policy=request.retry_policy,
                 )
-            except ClusterError as exc:
-                # Coordinator busy with another worker's query: block on
-                # its idle condition until the slot frees (never a lock
-                # held across the cluster's socket I/O, never a spin
-                # poll).  Everything else is a real error.
-                if "one query at a time" not in str(exc):
-                    raise
+            except CoordinatorBusyError as exc:
+                # Busy with another worker's query: block on its idle
+                # condition until the slot frees (never a lock held across
+                # the cluster's socket I/O, never a spin poll).
                 remaining = give_up - monotonic_seconds()
                 if remaining <= 0 or not coordinator.wait_idle(remaining):
                     raise ClusterError(

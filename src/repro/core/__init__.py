@@ -42,8 +42,8 @@ from repro.core.whirlpool_s import WhirlpoolS
 from repro.core.whirlpool_m import WhirlpoolM
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.rewriting import RewritingEngine
-from repro.core.threshold import FixedThresholdSet, ThresholdWhirlpool, threshold_query
-from repro.core.anytime import AnytimeOutcome, AnytimeWhirlpool, anytime_topk
+from repro.core.threshold import FixedThresholdSet, threshold_query
+from repro.core.anytime import AnytimeOutcome, anytime_topk
 from repro.core.trace import EngineObserver, ExecutionTrace, FanoutObserver
 from repro.core.engine import Engine, TopKResult
 
@@ -72,10 +72,8 @@ __all__ = [
     "LockStepNoPrun",
     "RewritingEngine",
     "FixedThresholdSet",
-    "ThresholdWhirlpool",
     "threshold_query",
     "AnytimeOutcome",
-    "AnytimeWhirlpool",
     "anytime_topk",
     "EngineObserver",
     "ExecutionTrace",

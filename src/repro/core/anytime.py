@@ -19,30 +19,24 @@ anytime wrapper detects that, too (the classic Upper-style early stop).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional, Sized
 
-from repro.core.base import EngineBase, TopKResult
-from repro.core.topk import TopKAnswer
-from repro.core.queues import MatchQueue, QueuePolicy
-from repro.errors import EngineError
+from repro.core.base import TopKResult
+from repro.core.match import PartialMatch
+from repro.core.topk import TopKAnswer, TopKSet
 
 
 class AnytimeOutcome:
-    """Result of a budgeted run: answers + exactness certificate."""
+    """A budgeted run's :class:`TopKResult`, read as answers + exactness
+    certificate."""
 
     __slots__ = ("result", "is_final", "pending_bound", "operations_used")
 
-    def __init__(
-        self,
-        result: TopKResult,
-        is_final: bool,
-        pending_bound: float,
-        operations_used: int,
-    ) -> None:
+    def __init__(self, result: TopKResult) -> None:
         self.result = result
-        self.is_final = is_final
-        self.pending_bound = pending_bound
-        self.operations_used = operations_used
+        self.is_final = not result.degraded
+        self.pending_bound = result.pending_bound
+        self.operations_used = result.stats.server_operations
 
     @property
     def answers(self) -> List[TopKAnswer]:
@@ -66,88 +60,51 @@ class AnytimeOutcome:
         )
 
 
-class AnytimeWhirlpool(EngineBase):
-    """Whirlpool-S control flow with an operation budget and early stop."""
+class EarlyStopTopKSet(TopKSet):
+    """A top-k set that also closes *ties* once its k answers are final.
 
-    algorithm = "whirlpool_anytime"
+    Whirlpool-S pops matches in upper-bound order, so a popped match
+    bounds everything still queued.  When it only ties the k-th score and
+    the k best answers are all complete, no queued match can change the
+    top-k: it is pruned, and so is every match behind it, without another
+    server operation (the Upper-style early stop).  Plain
+    :class:`TopKSet` keeps ties, which Whirlpool-S then processes.
+    """
 
-    def __init__(self, *args, max_operations: Optional[int] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if max_operations is not None and max_operations < 0:
-            raise EngineError(
-                f"max_operations must be >= 0 or None, got {max_operations}"
+    def __init__(self, k: int, threshold_source: str, server_ids: Sized) -> None:
+        super().__init__(k, threshold_source)
+        self._server_ids = server_ids
+        #: Whether the k best answers are all complete; ``None`` = stale.
+        #: Draining the queue asks once, not once per tied match.
+        self._final: Optional[bool] = None
+
+    def observe(self, match: PartialMatch, complete: bool) -> float:
+        self._final = None
+        return super().observe(match, complete)
+
+    def is_pruned(self, match: PartialMatch) -> bool:
+        threshold = self.threshold()
+        if match.upper_bound != threshold:
+            return match.upper_bound < threshold
+        if self._final is None:
+            answers = self.answers()
+            self._final = len(answers) == self.k and all(
+                answer.match.is_complete(self._server_ids) for answer in answers
             )
-        self.max_operations = max_operations
-
-    def run_anytime(self) -> AnytimeOutcome:
-        """Run until exact, early-provable, or out of budget."""
-        self.stats.start_clock()
-        queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE)
-        for seed in self.seed_matches():
-            if self.server_ids:
-                queue.put(seed)
-            else:
-                self.stats.record_completed()
-
-        pending_bound = 0.0
-        status = "exact"  # exact (drained) | early (certificate) | budget
-        while True:
-            if (
-                self.max_operations is not None
-                and self.stats.server_operations >= self.max_operations
-            ):
-                head = queue.get_nowait()
-                if head is not None:
-                    status = "budget"
-                    pending_bound = head.upper_bound
-                break
-            match = queue.get_nowait()
-            if match is None:
-                break
-            if self.topk.is_pruned(match):
-                self.stats.record_pruned()
-                continue
-            # Early-stop certificate: the head of a max-final-score queue
-            # bounds every remaining candidate; once the k-th best known
-            # COMPLETE answer matches it, nothing can change the top-k.
-            answers = self.topk.answers()
-            if len(answers) >= self.k:
-                kth = answers[self.k - 1].score
-                all_complete = all(
-                    answer.match.is_complete(self.server_ids) for answer in answers
-                )
-                if all_complete and kth >= match.upper_bound:
-                    status = "early"
-                    pending_bound = match.upper_bound
-                    break
-            self.stats.record_routing_decision()
-            server_id = self.router.choose(match, self)
-            for extension in self.servers[server_id].process(match, self.stats):
-                survivor = self.absorb_extension(extension, parent=match)
-                if survivor is not None:
-                    queue.put(survivor)
-
-        self.stats.stop_clock()
-        return AnytimeOutcome(
-            result=self.make_result(),
-            is_final=status != "budget",
-            pending_bound=pending_bound,
-            operations_used=self.stats.server_operations,
-        )
+        return self._final
 
 
-def anytime_topk(
-    engine,
-    k: int,
-    max_operations: Optional[int] = None,
-) -> AnytimeOutcome:
-    """Budgeted top-k over an :class:`repro.core.engine.Engine`'s state."""
-    runner = AnytimeWhirlpool(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=k,
-        relaxed=engine.relaxed,
-        max_operations=max_operations,
-    )
-    return runner.run_anytime()
+def anytime_topk(engine, k: int, **run_options: Any) -> AnytimeOutcome:
+    """Budgeted top-k over an :class:`repro.core.engine.Engine`'s state.
+
+    A Whirlpool-S run (:meth:`repro.core.engine.Engine.open`, whose run
+    options — ``max_operations``, ``deadline_seconds``, ``routing``,
+    ``faults``, … — pass through) over an :class:`EarlyStopTopKSet`.
+    """
+    # The set must be in place before a snapshot's entries are replayed.
+    restore_from = run_options.pop("restore_from", None)
+    run = engine.open(k, "whirlpool_s", **run_options)
+    run.topk = EarlyStopTopKSet(k, run.topk.threshold_source, run.server_ids)
+    if restore_from is not None:
+        run.restore(restore_from)
+    return AnytimeOutcome(run.run())

@@ -484,15 +484,6 @@ class EngineBase:
             self.stats.record_pruned(len(extensions) - len(survivors))
         return survivors
 
-    def absorb_extension(
-        self, extension: PartialMatch, parent: Optional[PartialMatch] = None
-    ) -> Optional[PartialMatch]:
-        """:meth:`absorb_extensions` for a batch of one: the extension
-        when it must continue through more servers, ``None`` when it
-        completed or was pruned."""
-        survivors = self.absorb_extensions((extension,), parent=parent)
-        return survivors[0] if survivors else None
-
     def notify_route(self, match: PartialMatch, server_id: int) -> None:
         """Observer hook for a routing decision."""
         if self.observer is not None:

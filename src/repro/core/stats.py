@@ -41,6 +41,24 @@ def monotonic_seconds() -> float:
     return simclock.now()
 
 
+#: The integer counters of :class:`ExecutionStats`, in reporting order:
+#: what ``merge``, ``as_dict``, the snapshot codec and the cluster's
+#: per-shard sum iterate.  A new counter is this entry, its initial value
+#: and its ``record_*`` method.
+COUNTERS = (
+    "server_operations",
+    "join_comparisons",
+    "partial_matches_created",
+    "partial_matches_pruned",
+    "extensions_generated",
+    "deleted_extensions",
+    "completed_matches",
+    "routing_decisions",
+    "checkpoints_taken",
+)
+_SUMMED = COUNTERS + ("wall_time_seconds", "simulated_time")
+
+
 class ExecutionStats:
     """Mutable counter bundle; one instance per engine run."""
 
@@ -155,36 +173,18 @@ class ExecutionStats:
         report fleet-wide totals in the same units as a single run.
         ``other`` must no longer be mutating (its run has returned).
         """
-        per_server = self.per_server_operations
         if self._lock is None:
-            self.server_operations += other.server_operations
-            self.join_comparisons += other.join_comparisons
-            self.partial_matches_created += other.partial_matches_created
-            self.partial_matches_pruned += other.partial_matches_pruned
-            self.extensions_generated += other.extensions_generated
-            self.deleted_extensions += other.deleted_extensions
-            self.completed_matches += other.completed_matches
-            self.routing_decisions += other.routing_decisions
-            self.checkpoints_taken += other.checkpoints_taken
-            self.wall_time_seconds += other.wall_time_seconds
-            self.simulated_time += other.simulated_time
-            for server_id, count in other.per_server_operations.items():
-                per_server[server_id] = per_server.get(server_id, 0) + count
+            self._merge(other)
         else:
             with self._lock:
-                self.server_operations += other.server_operations
-                self.join_comparisons += other.join_comparisons
-                self.partial_matches_created += other.partial_matches_created
-                self.partial_matches_pruned += other.partial_matches_pruned
-                self.extensions_generated += other.extensions_generated
-                self.deleted_extensions += other.deleted_extensions
-                self.completed_matches += other.completed_matches
-                self.routing_decisions += other.routing_decisions
-                self.checkpoints_taken += other.checkpoints_taken
-                self.wall_time_seconds += other.wall_time_seconds
-                self.simulated_time += other.simulated_time
-                for server_id, count in other.per_server_operations.items():
-                    per_server[server_id] = per_server.get(server_id, 0) + count
+                self._merge(other)
+
+    def _merge(self, other: "ExecutionStats") -> None:
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        per_server = self.per_server_operations
+        for server_id, count in other.per_server_operations.items():
+            per_server[server_id] = per_server.get(server_id, 0) + count
 
     # -- reporting ---------------------------------------------------------------
 
@@ -202,19 +202,7 @@ class ExecutionStats:
             return self._counters()
 
     def _counters(self) -> Dict[str, float]:
-        return {
-            "server_operations": self.server_operations,
-            "join_comparisons": self.join_comparisons,
-            "partial_matches_created": self.partial_matches_created,
-            "partial_matches_pruned": self.partial_matches_pruned,
-            "extensions_generated": self.extensions_generated,
-            "deleted_extensions": self.deleted_extensions,
-            "completed_matches": self.completed_matches,
-            "routing_decisions": self.routing_decisions,
-            "checkpoints_taken": self.checkpoints_taken,
-            "wall_time_seconds": self.wall_time_seconds,
-            "simulated_time": self.simulated_time,
-        }
+        return {name: getattr(self, name) for name in _SUMMED}
 
     def modeled_time(self, operation_cost: float, routing_cost: float = 0.0) -> float:
         """Execution-time model used by the Figure 8 cost sweep.

@@ -19,11 +19,10 @@ first.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List
 
-from repro.core.base import EngineBase, TopKResult
+from repro.core.base import TopKResult
 from repro.core.match import PartialMatch
-from repro.core.queues import MatchQueue, QueuePolicy
 from repro.core.topk import TopKAnswer
 from repro.errors import EngineError
 
@@ -68,64 +67,26 @@ class FixedThresholdSet:
         ]
 
 
-class ThresholdWhirlpool(EngineBase):
-    """Whirlpool-S control flow with a fixed pruning threshold."""
-
-    algorithm = "threshold_whirlpool"
-
-    def __init__(self, *args, min_score: float = 0.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if min_score < 0:
-            raise EngineError(f"min_score must be >= 0, got {min_score}")
-        self.min_score = min_score
-        self.topk = FixedThresholdSet(min_score)
-
-    def run(self) -> TopKResult:
-        self.stats.start_clock()
-        queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE)
-        for seed in self.seed_matches():
-            if not self.server_ids:
-                self.stats.record_completed()
-            elif self.topk.is_pruned(seed):
-                self.stats.record_pruned()
-            else:
-                queue.put(seed)
-
-        while True:
-            match = queue.get_nowait()
-            if match is None:
-                break
-            self.stats.record_routing_decision()
-            server_id = self.router.choose(match, self)
-            self.notify_route(match, server_id)
-            for extension in self.servers[server_id].process(match, self.stats):
-                survivor = self.absorb_extension(extension, parent=match)
-                if survivor is not None:
-                    queue.put(survivor)
-
-        self.stats.stop_clock()
-        return TopKResult(
-            answers=self.topk.answers(),
-            stats=self.stats,
-            algorithm=self.algorithm,
-            k=self.k,
-            pattern=self.pattern,
-        )
-
-
-def threshold_query(engine, min_score: float, relaxed: Optional[bool] = None):
+def threshold_query(engine, min_score: float, **run_options: Any) -> TopKResult:
     """All answers of ``engine``'s query scoring at least ``min_score``.
 
-    ``engine`` is a :class:`repro.core.engine.Engine`; evaluation reuses
-    its pattern, index and score model.  Returns a :class:`TopKResult`
-    whose ``answers`` hold *every* qualifying root, best first.
+    A Whirlpool-S run (:meth:`repro.core.engine.Engine.open`, whose run
+    options — ``routing``, ``deadline_seconds``, ``max_operations``,
+    ``faults``, ``observer``, … — pass through) over a
+    :class:`FixedThresholdSet`: it shares the Engine's probe memos and
+    degrades like any other run.  Returns a :class:`TopKResult` whose
+    ``answers`` hold *every* qualifying root, best first.
+
+    A threshold run is not resumable — a snapshot has no field for
+    ``min_score``, so a restore could not tell which bound it continues —
+    and ``checkpoint_policy`` / ``restore_from`` are refused.
     """
-    runner = ThresholdWhirlpool(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=1,  # unused by the fixed-threshold set; EngineBase requires >= 1
-        relaxed=engine.relaxed if relaxed is None else relaxed,
-        min_score=min_score,
-    )
-    return runner.run()
+    if min_score < 0:
+        raise EngineError(f"min_score must be >= 0, got {min_score}")
+    for option in ("checkpoint_policy", "restore_from"):
+        if run_options.get(option) is not None:
+            raise EngineError(f"a threshold run takes no {option}: it is not resumable")
+    # k is unused by the fixed-threshold set; EngineBase requires >= 1.
+    run = engine.open(1, "whirlpool_s", **run_options)
+    run.topk = FixedThresholdSet(min_score)
+    return run.run()

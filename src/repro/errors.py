@@ -172,28 +172,6 @@ class ServiceError(ReproError):
     """
 
 
-class ServiceOverloadError(ServiceError):
-    """Raised when a caller opts into raise-on-overload submission.
-
-    Carries the admission decision so callers can tell a full queue from
-    a draining service.
-
-    Attributes
-    ----------
-    reason:
-        ``queue_full`` or ``draining``.
-    queue_depth:
-        Admission-queue depth at rejection time.
-    """
-
-    def __init__(self, reason: str, queue_depth: int = 0) -> None:
-        self.reason = reason
-        self.queue_depth = queue_depth
-        super().__init__(
-            f"request rejected ({reason}; queue depth {queue_depth})"
-        )
-
-
 class GeneratorError(ReproError):
     """Raised for invalid XMark generator parameters."""
 
@@ -208,6 +186,12 @@ class ClusterError(ReproError):
     failover is exhausted, degrades the answer with a sound global
     ``pending_bound`` instead of raising.
     """
+
+
+class CoordinatorBusyError(ClusterError):
+    """A :class:`~repro.cluster.coordinator.Coordinator` was handed a query
+    while it runs another.  Not a failure: the cluster backend catches
+    this type (never the message) and waits for the slot."""
 
 
 class ProtocolError(ClusterError):

@@ -19,7 +19,7 @@ guard or a shared no-op instrument — the overhead benchmark
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -31,7 +31,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.observer import MetricsEngineObserver, record_run
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog, routing_history
-from repro.obs.spans import Span, SpanEvent
+from repro.obs.spans import NULL_SPAN, Span, SpanEvent
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -41,6 +41,7 @@ __all__ = [
     "MetricFamily",
     "MetricsEngineObserver",
     "MetricsRegistry",
+    "NULL_SPAN",
     "Observability",
     "SlowQueryEntry",
     "SlowQueryLog",
@@ -94,6 +95,13 @@ class Observability:
     def disabled(cls) -> "Observability":
         """The no-op configuration (shared-instrument registry, no log)."""
         return cls(enabled=False)
+
+    def span(self, name: str, attributes: Callable[[], Dict[str, Any]]) -> Span:
+        """Open a span — or, when disabled, hand out :data:`NULL_SPAN`
+        without calling ``attributes``.  Publishers test ``span is not
+        NULL_SPAN``: nothing is exposed for a request that recorded
+        nothing."""
+        return Span(name, attributes()) if self.enabled else NULL_SPAN
 
     def engine_observer(
         self, algorithm: str, routing: str

@@ -150,3 +150,24 @@ class Span:
     def __repr__(self) -> str:
         state = f"{self.duration_seconds():.6f}s" if self.finished() else "open"
         return f"Span({self.name}, {state}, events={len(self.events())})"
+
+
+class _NullSpan(Span):
+    """What a disabled :class:`~repro.obs.Observability` opens: one shared
+    span that records nothing, so callers keep a single code path (the
+    null instruments of :mod:`repro.obs.metrics`, for spans)."""
+
+    def annotate(self, key: str, value: Any) -> None:
+        pass
+
+    def event(self, name: str, **attributes: Any) -> None:
+        pass
+
+    def child(self, name: str, attributes: Optional[Dict[str, Any]] = None) -> Span:
+        return self
+
+    def finish(self, end_seconds: Optional[float] = None) -> None:
+        pass
+
+
+NULL_SPAN: Span = _NullSpan("null")

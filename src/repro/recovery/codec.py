@@ -44,6 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.match import PartialMatch
+from repro.core.stats import COUNTERS
 from repro.errors import RecoveryError
 from repro.scoring.model import MatchQuality
 from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
@@ -130,19 +131,6 @@ def decode_match(
     return match
 
 
-_STATS_FIELDS = (
-    "server_operations",
-    "join_comparisons",
-    "partial_matches_created",
-    "partial_matches_pruned",
-    "extensions_generated",
-    "deleted_extensions",
-    "completed_matches",
-    "routing_decisions",
-    "checkpoints_taken",
-)
-
-
 def encode_engine_state(
     engine: "EngineBase",
     queues: Dict[str, "MatchQueue"],
@@ -190,7 +178,7 @@ def encode_engine_state(
         "queues": queued,
         "topk": topk_entries,
         "router": {"strategy": type(engine.router).__name__},
-        "stats": {field: int(stats[field]) for field in _STATS_FIELDS},
+        "stats": {field: int(stats[field]) for field in COUNTERS},
     }
     # Work the crashed run had *already lost* before this checkpoint —
     # injector-dropped operations and matches abandoned after exhausted
@@ -271,7 +259,7 @@ def restore_engine_state(
     counters = snapshot.get("stats", {})
     if counters:
         carried = type(engine.stats)()
-        for field in _STATS_FIELDS:
+        for field in COUNTERS:
             setattr(carried, field, int(counters.get(field, 0)))
         engine.stats.merge(carried)
     lost = snapshot.get("lost")

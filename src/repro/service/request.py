@@ -27,13 +27,13 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.engine import ALGORITHMS
 from repro.errors import ServiceError
+from repro.obs.spans import NULL_SPAN, Span
 
 if TYPE_CHECKING:
     from repro.core.base import TopKResult
     from repro.core.trace import ExecutionTrace
     from repro.faults.plan import FaultPlan
     from repro.faults.supervisor import RetryPolicy
-    from repro.obs.spans import Span
 
 #: Routing strategies a request may ask for.  ``static`` is excluded: it
 #: needs a ``static_order`` permutation the request envelope does not
@@ -222,7 +222,7 @@ class QueryResponse:
         self.fallback_from = fallback_from
         self.queue_wait_seconds = queue_wait_seconds
         self.degraded_by_service = degraded_by_service
-        self.span: Optional["Span"] = None
+        self.span: Optional[Span] = None
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly representation (answers elided; stats included)."""
@@ -262,7 +262,7 @@ class Ticket:
         # Observability carriers: the submit thread attaches the span, the
         # single executing worker attaches the trace; both are read only
         # after resolve() (first-wins) publishes the terminal outcome.
-        self.span: Optional["Span"] = None
+        self.span: Span = NULL_SPAN
         self.trace: Optional["ExecutionTrace"] = None
         # Recovery carrier: set (before the queue offer) when the request
         # resumes a persisted engine snapshot; the worker hands it to the

@@ -33,12 +33,12 @@ import itertools
 import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.engine import ALGORITHMS, Engine, fallback_chain
+from repro.core.engine import ALGORITHMS, Engine, TopKResult, fallback_chain
 from repro.core.stats import ExecutionStats, monotonic_seconds
 from repro.core.trace import EngineObserver, ExecutionTrace, FanoutObserver
 from repro.errors import RecoveryError, ReproError, ServiceError
 from repro.obs import Observability, SlowQueryEntry, record_run, routing_history
-from repro.obs.spans import Span
+from repro.obs.spans import NULL_SPAN, Span
 from repro.recovery.policy import CheckpointPolicy
 from repro.recovery.store import RecoveryStore
 from repro.service.breaker import CircuitBreaker
@@ -313,19 +313,18 @@ class WhirlpoolService:
         request_id = next(self._ids)
         ticket = Ticket(request, request_id)
         ticket.restore_from = restore_from
-        if self.obs.enabled:
-            ticket.span = Span(
-                "request",
-                {
-                    "request_id": request_id,
-                    "document": request.document,
-                    "xpath": request.xpath,
-                    "algorithm": request.algorithm,
-                    "routing": request.routing,
-                    "k": request.k,
-                    "priority": request.priority,
-                },
-            )
+        ticket.span = self.obs.span(
+            "request",
+            lambda: {
+                "request_id": request_id,
+                "document": request.document,
+                "xpath": request.xpath,
+                "algorithm": request.algorithm,
+                "routing": request.routing,
+                "k": request.k,
+                "priority": request.priority,
+            },
+        )
         self._counters.record_submitted()
         if self._stop.is_set() or self._draining.is_set():
             self._finish(
@@ -411,23 +410,14 @@ class WhirlpoolService:
             try:
                 self._execute(entry)
             except Exception as exc:  # crash containment: resolve, keep serving
-                self._finish(
-                    entry.ticket,
-                    QueryResponse(
-                        Outcome.FAILED,
-                        entry.ticket.request_id,
-                        reason="worker_crash",
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                )
+                self._fail(entry.ticket, "worker_crash", exc)
 
     def _execute(self, entry: AdmittedRequest) -> None:
         ticket = entry.ticket
         request = ticket.request
         wait = max(monotonic_seconds() - entry.admitted_at, 0.0)
         span = ticket.span
-        if span is not None:
-            span.event("dequeued", queue_wait_seconds=wait)
+        span.event("dequeued", queue_wait_seconds=wait)
 
         # Deadline propagation: queue wait already spent the budget.
         remaining: Optional[float] = None
@@ -450,8 +440,7 @@ class WhirlpoolService:
         if entry.degrade:
             remaining, k = self._degrade.apply(remaining, k)
             degraded_by_service = True
-            if span is not None:
-                span.event("service_degrade", k=k, remaining_seconds=remaining)
+            span.event("service_degrade", k=k, remaining_seconds=remaining)
 
         drain_deadline = self._drain_deadline_snapshot()
         if drain_deadline is not None:
@@ -485,16 +474,7 @@ class WhirlpoolService:
             )
             return
         except ReproError as exc:
-            self._finish(
-                ticket,
-                QueryResponse(
-                    Outcome.FAILED,
-                    ticket.request_id,
-                    reason="bad_request",
-                    error=f"{type(exc).__name__}: {exc}",
-                    queue_wait_seconds=wait,
-                ),
-            )
+            self._fail(ticket, "bad_request", exc, queue_wait_seconds=wait)
             return
 
         chosen: Optional[str] = None
@@ -521,14 +501,14 @@ class WhirlpoolService:
             )
             return
         fallback_from = request.algorithm if chosen != request.algorithm else None
-        if fallback_from is not None and span is not None:
+        if fallback_from is not None:
             span.event("breaker_fallback", requested=fallback_from, chosen=chosen)
 
         # One trace + metrics observer per run, fanned out behind the
         # engine's single observer hook; the trace feeds the slow-query
         # log's routing history.
         observer: Optional[EngineObserver] = None
-        engine_span: Optional[Span] = None
+        engine_span = NULL_SPAN
         if self.obs.enabled:
             trace = ExecutionTrace()
             ticket.trace = trace
@@ -538,11 +518,9 @@ class WhirlpoolService:
                 if metrics_observer is not None
                 else trace
             )
-            if span is not None:
-                engine_span = span.child(
-                    "engine",
-                    {"algorithm": chosen, "routing": request.routing, "k": k},
-                )
+            engine_span = span.child(
+                "engine", {"algorithm": chosen, "routing": request.routing, "k": k}
+            )
 
         # Recovery wiring: each run gets a fresh checkpoint-policy copy
         # and a sink that persists every engine snapshot under this
@@ -578,34 +556,22 @@ class WhirlpoolService:
                 restore_from=ticket.restore_from,
             )
         except Exception as exc:
-            if engine_span is not None:
-                engine_span.annotate("error", f"{type(exc).__name__}: {exc}")
-                engine_span.finish()
             self._breakers[chosen].record_failure()
             # A mid-run checkpoint (if any) is already persisted and
             # holds real engine state; otherwise fall back to an
             # envelope-only snapshot so the request is still resumable.
             if not engine_snapshot_saved[0]:
                 self._save_snapshot(ticket, "engine_error", deadline_at=deadline_at)
-            self._finish(
+            self._fail(
                 ticket,
-                QueryResponse(
-                    Outcome.FAILED,
-                    ticket.request_id,
-                    reason="engine_error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    algorithm_used=chosen,
-                    fallback_from=fallback_from,
-                    queue_wait_seconds=wait,
-                ),
+                "engine_error",
+                exc,
+                engine_span,
+                algorithm_used=chosen,
+                fallback_from=fallback_from,
+                queue_wait_seconds=wait,
             )
             return
-        self._discard_snapshot(ticket.request_id)
-        if engine_span is not None:
-            engine_span.annotate("server_operations", result.stats.server_operations)
-            engine_span.annotate("routing_decisions", result.stats.routing_decisions)
-            engine_span.annotate("degraded", result.degraded)
-            engine_span.finish()
 
         # Breaker health: a raise or abandoned work is a failure; a
         # budget-degraded anytime result is the contract working.
@@ -614,28 +580,8 @@ class WhirlpoolService:
             self._breakers[chosen].record_failure()
         else:
             self._breakers[chosen].record_success()
-        self._engine_stats.merge(result.stats)
-
-        outcome = (
-            Outcome.DEGRADED
-            if (result.degraded or degraded_by_service)
-            else Outcome.SERVED
-        )
-        if self.obs.enabled:
-            record_run(
-                self.obs.registry, chosen, request.routing, outcome.value, result
-            )
-        self._finish(
-            ticket,
-            QueryResponse(
-                outcome,
-                ticket.request_id,
-                result=result,
-                algorithm_used=chosen,
-                fallback_from=fallback_from,
-                queue_wait_seconds=wait,
-                degraded_by_service=degraded_by_service,
-            ),
+        self._serve(
+            ticket, result, engine_span, chosen, fallback_from, wait, degraded_by_service
         )
 
     def _execute_on_backend(
@@ -646,7 +592,7 @@ class WhirlpoolService:
         remaining: Optional[float],
         wait: float,
         degraded_by_service: bool,
-        span: Optional[Span],
+        span: Span,
     ) -> None:
         """Run one admitted request on the configured execution backend.
 
@@ -656,11 +602,9 @@ class WhirlpoolService:
         and a backend result's ``degraded`` flag already certifies any
         partial answer via its ``pending_bound``.
         """
-        backend_span: Optional[Span] = None
-        if span is not None:
-            backend_span = span.child(
-                "backend", {"algorithm": request.algorithm, "k": k}
-            )
+        backend_span = span.child("backend")
+        backend_span.annotate("algorithm", request.algorithm)
+        backend_span.annotate("k", k)
         try:
             result = self._backend.run_query(
                 request,
@@ -669,47 +613,11 @@ class WhirlpoolService:
                 restore_from=ticket.restore_from,
             )
         except ReproError as exc:
-            if backend_span is not None:
-                backend_span.annotate("error", f"{type(exc).__name__}: {exc}")
-                backend_span.finish()
-            self._finish(
-                ticket,
-                QueryResponse(
-                    Outcome.FAILED,
-                    ticket.request_id,
-                    reason="backend_error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    queue_wait_seconds=wait,
-                ),
-            )
+            self._fail(ticket, "backend_error", exc, backend_span, queue_wait_seconds=wait)
             return
-        self._discard_snapshot(ticket.request_id)
         algorithm_used = getattr(result, "algorithm", request.algorithm)
-        if backend_span is not None:
-            backend_span.annotate("algorithm_used", algorithm_used)
-            backend_span.annotate("server_operations", result.stats.server_operations)
-            backend_span.annotate("degraded", result.degraded)
-            backend_span.finish()
-        self._engine_stats.merge(result.stats)
-        outcome = (
-            Outcome.DEGRADED
-            if (result.degraded or degraded_by_service)
-            else Outcome.SERVED
-        )
-        if self.obs.enabled:
-            record_run(
-                self.obs.registry, algorithm_used, request.routing, outcome.value, result
-            )
-        self._finish(
-            ticket,
-            QueryResponse(
-                outcome,
-                ticket.request_id,
-                result=result,
-                algorithm_used=algorithm_used,
-                queue_wait_seconds=wait,
-                degraded_by_service=degraded_by_service,
-            ),
+        self._serve(
+            ticket, result, backend_span, algorithm_used, None, wait, degraded_by_service
         )
 
     # -- internals ---------------------------------------------------------------
@@ -730,6 +638,65 @@ class WhirlpoolService:
             cached = self._engines.setdefault(key, built)
             return cached
 
+    def _serve(
+        self,
+        ticket: Ticket,
+        result: TopKResult,
+        run_span: Span,
+        algorithm_used: str,
+        fallback_from: Optional[str],
+        wait: float,
+        degraded_by_service: bool,
+    ) -> None:
+        """A run returned: close its span, fold it into the aggregates
+        and resolve its ticket."""
+        self._discard_snapshot(ticket.request_id)
+        run_span.annotate("algorithm_used", algorithm_used)
+        run_span.annotate("server_operations", result.stats.server_operations)
+        run_span.annotate("routing_decisions", result.stats.routing_decisions)
+        run_span.annotate("degraded", result.degraded)
+        run_span.finish()
+        self._engine_stats.merge(result.stats)
+        degraded = result.degraded or degraded_by_service
+        outcome = Outcome.DEGRADED if degraded else Outcome.SERVED
+        if self.obs.enabled:
+            record_run(
+                self.obs.registry,
+                algorithm_used,
+                ticket.request.routing,
+                outcome.value,
+                result,
+            )
+        self._finish(
+            ticket,
+            QueryResponse(
+                outcome,
+                ticket.request_id,
+                result=result,
+                algorithm_used=algorithm_used,
+                fallback_from=fallback_from,
+                queue_wait_seconds=wait,
+                degraded_by_service=degraded_by_service,
+            ),
+        )
+
+    def _fail(
+        self,
+        ticket: Ticket,
+        reason: str,
+        exc: Exception,
+        run_span: Span = NULL_SPAN,
+        **fields: Any,
+    ) -> None:
+        """Resolve ``ticket`` as FAILED on ``exc``, which ends ``run_span``."""
+        error = f"{type(exc).__name__}: {exc}"
+        run_span.annotate("error", error)
+        run_span.finish()
+        self._finish(
+            ticket,
+            QueryResponse(Outcome.FAILED, ticket.request_id, reason=reason, error=error, **fields),
+        )
+
     def _finish(self, ticket: Ticket, response: QueryResponse) -> bool:
         if not ticket.claim(response):
             return False
@@ -742,7 +709,7 @@ class WhirlpoolService:
                 queue_wait=response.queue_wait_seconds,
             )
             span = ticket.span
-            if span is not None:
+            if span is not NULL_SPAN:
                 # claim() was first-wins, so exactly one caller runs this
                 # block — request metrics record once per request.
                 response.span = span

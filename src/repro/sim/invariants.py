@@ -32,7 +32,7 @@ The five invariants:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import TopKResult
 
@@ -53,10 +53,6 @@ class Verdict:
 
     def as_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Verdict":
-        return cls(str(payload["name"]), bool(payload["ok"]), str(payload["detail"]))
 
     def __repr__(self) -> str:
         flag = "ok" if self.ok else "VIOLATED"
@@ -81,10 +77,6 @@ class InvariantReport:
     def to_json(self) -> str:
         """Canonical JSON — the byte-for-byte replay comparison form."""
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_payload(cls, payload: Sequence[Mapping[str, Any]]) -> "InvariantReport":
-        return cls([Verdict.from_dict(entry) for entry in payload])
 
     def __repr__(self) -> str:
         bad = len(self.violations())

@@ -30,8 +30,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.base import EngineBase, TopKResult
 from repro.core.match import PartialMatch
-from repro.core.queues import MatchQueue, QueuePolicy
-from repro.errors import EngineError
+from repro.core.queues import MatchQueue
+from repro.errors import EngineError, InjectedFaultError
 from repro.simulate.cost import CostModel
 
 _ROUTER = -1  # thread id of the router (servers use their node ids)
@@ -100,14 +100,14 @@ class SimulatedWhirlpoolM(EngineBase):
     def simulate(self) -> SimulationResult:
         """Run the DES and return answers + makespan."""
         self.stats.start_clock()
-        router_queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE)
+        router_queue = self.make_router_queue()
         server_queues: Dict[int, MatchQueue] = {
             node_id: self.make_server_queue(node_id) for node_id in self.server_ids
         }
 
         for seed in self.seed_matches():
             if self.server_ids:
-                router_queue.put(seed)
+                self.put_or_abandon(router_queue, "queue:router", seed)
             else:
                 self.stats.record_completed()
 
@@ -124,6 +124,9 @@ class SimulatedWhirlpoolM(EngineBase):
         def queue_of(thread_id: int) -> MatchQueue:
             return router_queue if thread_id == _ROUTER else server_queues[thread_id]
 
+        def label_of(thread_id: int) -> str:
+            return "queue:router" if thread_id == _ROUTER else f"queue:server:{thread_id}"
+
         def capacity(thread_id: int) -> int:
             return 1 if thread_id == _ROUTER else self.threads_per_server
 
@@ -136,11 +139,17 @@ class SimulatedWhirlpoolM(EngineBase):
                 ready_set.add(thread_id)
                 ready.append(thread_id)
 
-        def next_unpruned(queue: MatchQueue) -> Optional[PartialMatch]:
+        def next_unpruned(thread_id: int) -> Optional[PartialMatch]:
             """Pop until a live match (pruned ones cost nothing, as in the
             real engine where the check precedes the operation)."""
+            queue = queue_of(thread_id)
             while True:
-                match = queue.get_nowait()
+                try:
+                    match = queue.get_nowait()
+                except InjectedFaultError as exc:
+                    # Recorded as dropped by the queue hook.
+                    self.supervisor.record_component_error(label_of(thread_id), exc)
+                    continue
                 if match is None:
                     return None
                 if self.topk.is_pruned(match):
@@ -155,7 +164,7 @@ class SimulatedWhirlpoolM(EngineBase):
             while ready and (free is None or free > 0):
                 thread_id = ready.popleft()
                 ready_set.discard(thread_id)
-                match = next_unpruned(queue_of(thread_id))
+                match = next_unpruned(thread_id)
                 if match is None:
                     continue
                 cost = (
@@ -176,17 +185,20 @@ class SimulatedWhirlpoolM(EngineBase):
         def complete(thread_id: int, match: PartialMatch) -> None:
             """Apply the effects of one finished operation."""
             if thread_id == _ROUTER:
-                self.stats.record_routing_decision()
-                server_id = self.router.choose(match, self)
-                self.notify_route(match, server_id)
-                server_queues[server_id].put(match)
+                server_id = self.choose_server(match)
+                if server_id is None:  # dropped in routing; bound recorded
+                    return
+                self.put_or_abandon(server_queues[server_id], label_of(server_id), match)
                 mark_ready(server_id)
                 return
-            for extension in self.servers[thread_id].process(match, self.stats):
-                survivor = self.absorb_extension(extension, parent=match)
-                if survivor is not None:
-                    router_queue.put(survivor)
-                    mark_ready(_ROUTER)
+            extensions, outcome = self.process_with_recovery(thread_id, match)
+            if outcome == "requeue":
+                survivors = [match]
+            else:  # abandoned (extensions is None): the supervisor holds the bound
+                survivors = self.absorb_extensions(extensions or (), parent=match)
+            for survivor in survivors:
+                self.put_or_abandon(router_queue, "queue:router", survivor)
+            mark_ready(_ROUTER)
 
         mark_ready(_ROUTER)
         dispatch()

@@ -70,11 +70,6 @@ def is_descendant(ancestor: Dewey, descendant: Dewey) -> bool:
     )
 
 
-def is_ancestor(descendant: Dewey, ancestor: Dewey) -> bool:
-    """True iff ``ancestor`` lies strictly above ``descendant``."""
-    return is_descendant(ancestor, descendant)
-
-
 def is_descendant_or_self(ancestor: Dewey, node: Dewey) -> bool:
     """True iff ``node`` equals ``ancestor`` or lies below it."""
     return node[: len(ancestor)] == ancestor

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.anytime import AnytimeWhirlpool, anytime_topk
+from repro.bench.params import QUERIES
+from repro.core.anytime import anytime_topk
 from repro.core.engine import Engine
 from repro.errors import EngineError
 
@@ -83,14 +84,78 @@ class TestBudgeted:
 class TestValidation:
     def test_negative_budget_rejected(self, engine):
         with pytest.raises(EngineError):
-            AnytimeWhirlpool(
-                pattern=engine.pattern,
-                index=engine.index,
-                score_model=engine.score_model,
-                k=1,
-                max_operations=-1,
-            )
+            anytime_topk(engine, 1, max_operations=-1)
 
     def test_repr(self, engine):
         outcome = anytime_topk(engine, k=3, max_operations=10)
         assert "ops" in repr(outcome)
+
+
+#: ``anytime_topk(engine, k).operations_used`` for k = 1, 3, 15, 75 on
+#: ``XMarkConfig(items=300, seed=7)``, as ``AnytimeWhirlpool.run_anytime``
+#: counted them before it was folded into Whirlpool-S.
+GOLDEN_OPERATIONS = {
+    "Q1": [301, 303, 315, 375],
+    "Q2": [647, 668, 734, 1091],
+    "Q3": [1217, 1277, 1436, 2810],
+}
+
+
+@pytest.fixture(scope="module")
+def golden_db():
+    from repro.xmark import XMarkConfig, generate_database
+
+    return generate_database(XMarkConfig(items=300, seed=7))
+
+
+class TestFold:
+    """Anytime is Whirlpool-S over a tie-closing top-k set."""
+
+    @pytest.mark.parametrize("query", sorted(GOLDEN_OPERATIONS))
+    def test_golden_operation_counts(self, golden_db, query):
+        engine = Engine(golden_db, QUERIES[query])
+        operations = []
+        for k in (1, 3, 15, 75):
+            outcome = anytime_topk(engine, k)
+            assert outcome.is_final
+            assert outcome.result.scores() == engine.run(k).scores()
+            operations.append(outcome.operations_used)
+        assert operations == GOLDEN_OPERATIONS[query]
+        # The stop rule earns its place: Whirlpool-S works the ties off.
+        assert engine.run(15).stats.server_operations > operations[2]
+
+    def test_warm_engine_is_not_probed(self, engine):
+        before = engine.index.probe_cost()
+        outcome = anytime_topk(engine, k=10)
+        assert outcome.operations_used > 0
+        assert engine.index.probe_cost() == before
+
+    def test_run_options_reach_the_run(self, engine):
+        from repro.core.trace import ExecutionTrace
+        from repro.faults import FaultPlan
+
+        trace = ExecutionTrace()
+        outcome = anytime_topk(engine, k=3, routing="max_score", observer=trace)
+        assert outcome.is_final
+        assert any(event.kind == "prune" for event in trace.events)
+        chaotic = anytime_topk(engine, k=3, faults=FaultPlan.chaos(3))
+        assert chaotic.result.failure is not None
+        assert chaotic.result.failure.injection is not None
+
+    def test_checkpoint_resumes_to_the_same_answer(self, engine):
+        from repro.recovery import CheckpointPolicy
+
+        snapshots = []
+        partial = anytime_topk(
+            engine,
+            k=5,
+            max_operations=40,
+            checkpoint_policy=CheckpointPolicy(every_operations=25),
+            checkpoint_sink=snapshots.append,
+        )
+        assert not partial.is_final and snapshots
+        resumed = anytime_topk(engine, k=5, restore_from=snapshots[-1])
+        straight = anytime_topk(engine, k=5)
+        assert resumed.is_final
+        assert resumed.result.root_deweys() == straight.result.root_deweys()
+        assert resumed.operations_used == straight.operations_used

@@ -117,6 +117,30 @@ class TestDrivers:
         for row in payload["percentages"].values():
             assert 0 < row["1M"] <= 100.0 + 1e-9
 
+    def test_lockstep_sweeps_run_on_the_warm_engine(self):
+        """Every permutation shares the Engine's probe memos, and counts
+        what a hand-built LockStep with private memos counts."""
+        from repro.core.lockstep import LockStep, LockStepNoPrun
+
+        engine = get_engine("Q2", "1M")
+        before = engine.index.probe_cost()
+        for order in experiments.static_orders(engine.server_node_ids(), budget=4):
+            for prune, engine_cls in ((True, LockStep), (False, LockStepNoPrun)):
+                warm = experiments.run_lockstep(engine, 5, order=order, prune=prune)
+                assert engine.index.probe_cost() == before
+                cold = engine_cls(
+                    pattern=engine.pattern,
+                    index=engine.index,
+                    score_model=engine.score_model,
+                    k=5,
+                    order=order,
+                ).run()
+                before = engine.index.probe_cost()
+                assert warm.root_deweys() == cold.root_deweys()
+                assert warm.scores() == cold.scores()
+                for counter in ("server_operations", "join_comparisons"):
+                    assert getattr(warm.stats, counter) == getattr(cold.stats, counter)
+
     def test_static_orders_budget(self):
         orders = experiments.static_orders([1, 2, 3], budget=3)
         assert len(orders) == 3

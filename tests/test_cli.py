@@ -52,6 +52,28 @@ class TestQuery:
         assert code == 0
         assert len(payload["answers"]) == 3
 
+    def test_threshold_mode_honours_run_options(self, books_file, capsys):
+        query = "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']"
+        flags = ["--threshold", "0.0", "--json"]
+        code = main(["query", books_file, query, "--max-ops", "1", *flags])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["degraded"] is True
+        assert payload["stats"]["server_operations"] == 1
+        code = main(["query", books_file, query, "--chaos-seed", "3", *flags])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["failure"]["injection"]
+        code = main(["query", books_file, query, "--routing", "no_such", *flags])
+        assert code == 2
+
+    def test_threshold_mode_is_whirlpool_s_only(self, books_file, capsys):
+        code = main(
+            ["query", books_file, "/book[.//title]", "--threshold", "0.0",
+             "--algorithm", "lockstep"]
+        )
+        assert code == 2
+        assert "--threshold" in capsys.readouterr().err
+
     def test_explain_flag(self, books_file, capsys):
         query = "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']"
         code = main(["query", books_file, query, "--explain", "-k", "3"])

@@ -83,6 +83,22 @@ def test_small_steps_take_many_rounds_same_answer(database, oracles):
     assert not result.degraded
 
 
+def test_last_span_only_when_observability_is_on(database):
+    from repro.obs import Observability
+
+    with Coordinator(database, shards=2, step_operations=40) as coordinator:
+        coordinator.run_query(QUERY, K)
+        assert coordinator.last_span is None
+    with Coordinator(
+        database, shards=2, step_operations=40, observability=Observability()
+    ) as coordinator:
+        result = coordinator.run_query(QUERY, K)
+        span = coordinator.last_span
+    assert span is not None and span.finished()
+    assert span.attributes()["rounds"] == result.rounds
+    assert sum(event.name == "round" for event in span.events()) == result.rounds
+
+
 def test_match_provenance_survives_remap(database):
     with Coordinator(database, shards=4, skew=1.0, partition_seed=1) as coordinator:
         result = coordinator.run_query(QUERY, K)

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster import ClusterResult
 from repro.cluster.service import ClusterBackend
 from repro.core.engine import Engine
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CoordinatorBusyError
 from repro.service import QueryRequest, WhirlpoolService
 from repro.service.request import Outcome
 from repro.xmark.generator import generate_database
@@ -142,6 +142,48 @@ def test_blocked_submit_wakes_promptly_when_slot_frees(database):
         assert not holder.is_alive()
         assert result.answers
         assert woke_at - finished["at"] < 1.0  # woke with the notify, not a poll
+    finally:
+        backend.close()
+
+
+def test_two_submits_one_coordinator_wait_by_type_not_by_wording(database, monkeypatch):
+    # The busy slot is a type.  Whatever the message says, the backend
+    # waits and retries; a ClusterError that merely reads like the old
+    # sentence is a real error and reaches the client.
+    backend = ClusterBackend({"auction": database}, shards=1)
+    request = QueryRequest("auction", QUERY, k=K)
+    try:
+        coordinator = backend._coordinator_for("auction")
+        real_run_query = coordinator.run_query
+        with coordinator._lock:
+            coordinator._active = True  # another submit holds the slot
+        with pytest.raises(CoordinatorBusyError):
+            real_run_query(QUERY, K)
+        with coordinator._lock:
+            coordinator._active = False
+        attempts = []
+
+        def reworded(*args, **kwargs):
+            attempts.append(args)
+            if len(attempts) == 1:
+                raise CoordinatorBusyError("slot taken")
+            return real_run_query(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "run_query", reworded)
+        with WhirlpoolService(
+            {"auction": database}, workers=1, backend=backend
+        ) as service:
+            response = service.submit(request).result(timeout=30.0)
+            assert response.outcome is Outcome.SERVED
+            assert len(attempts) == 2
+
+            def sounds_busy(*args, **kwargs):
+                raise ClusterError("coordinator runs one query at a time")
+
+            monkeypatch.setattr(coordinator, "run_query", sounds_busy)
+            response = service.submit(request).result(timeout=30.0)
+            assert response.outcome is Outcome.FAILED
+            assert response.reason == "backend_error"
     finally:
         backend.close()
 

@@ -351,6 +351,23 @@ class TestObservabilityBundle:
         assert obs.slow_log is None
         assert obs.engine_observer("whirlpool_s", "min_alive") is None
 
+    def test_disabled_bundle_opens_the_null_span(self):
+        from repro.obs import NULL_SPAN
+
+        def attributes():
+            raise AssertionError("a disabled span must not build its attributes")
+
+        span = Observability.disabled().span("request", attributes)
+        assert span is NULL_SPAN
+        span.annotate("k", 3)
+        span.event("dequeued", queue_wait_seconds=0.1)
+        assert span.child("engine", {"k": 3}) is span
+        span.finish()
+        assert span.attributes() == {} and span.events() == [] and span.children() == []
+        assert not span.finished()
+        opened = Observability().span("request", lambda: {"k": 3})
+        assert opened is not NULL_SPAN and opened.attributes() == {"k": 3}
+
     def test_bring_your_own_registry(self):
         registry = MetricsRegistry()
         obs = Observability(registry=registry)

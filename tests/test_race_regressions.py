@@ -145,6 +145,26 @@ class TestExecutionStatsSnapshot:
         assert all(final[key] == 3000 for key in _MERGED_KEYS)
 
 
+class TestOneCounterList:
+    def test_counters_drive_as_dict_and_merge(self):
+        from repro.core.stats import COUNTERS
+
+        stats = ExecutionStats()
+        for value, name in enumerate(COUNTERS, start=1):
+            assert getattr(stats, name) == 0
+            setattr(stats, name, value)
+        stats.per_server_operations = {3: 2}
+        assert list(stats.as_dict()) == [*COUNTERS, "wall_time_seconds", "simulated_time"]
+        for total in (ExecutionStats(), ExecutionStats(thread_safe=True)):
+            total.merge(stats)
+            total.merge(stats)
+            merged = total.as_dict()
+            assert [merged[name] for name in COUNTERS] == [
+                2 * value for value in range(1, len(COUNTERS) + 1)
+            ]
+            assert total.per_server_operations == {3: 4}
+
+
 class TestServiceCountersSnapshot:
     def test_snapshot_never_tears_mid_record(self):
         counters = ServiceCounters()

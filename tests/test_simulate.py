@@ -127,3 +127,45 @@ class TestParallelPruningEffect:
         noprun_ops = engine.run(5, algorithm="lockstep_noprun").stats.server_operations
         for count in ops.values():
             assert 0 < count <= noprun_ops
+
+
+class TestSupervisedStep:
+    """The scheduler is its own control flow over the engines' one step."""
+
+    def test_every_queue_comes_from_the_engine(self, engine):
+        from repro.core.trace import EngineObserver
+
+        class Sites(EngineObserver):
+            def __init__(self):
+                self.seen = set()
+
+            def on_queue_depth(self, site, depth):
+                self.seen.add(site)
+
+        sites = Sites()
+        outcome = _simulator(engine, observer=sites).simulate()
+        assert outcome.makespan == _simulator(engine).simulate().makespan
+        # The router queue is the engine's (observed, injector-aware) one.
+        assert "router" in sites.seen
+        assert any(site.startswith("server:") for site in sites.seen)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chaos_is_supervised_not_fatal(self, engine, seed):
+        from repro.faults import FaultPlan
+
+        reference = _simulator(engine).simulate().result
+        result = _simulator(engine, faults=FaultPlan.chaos(seed)).simulate().result
+        assert result.failure is not None
+        truth = dict(
+            (answer.root_node.dewey, answer.score)
+            for answer in engine.run(len(engine.index["item"])).answers
+        )
+        for answer in result.answers:
+            assert answer.score <= truth[answer.root_node.dewey] + 1e-9
+        if not result.degraded:
+            assert result.scores() == reference.scores()
+        else:
+            reported = set(result.root_deweys())
+            for answer in reference.answers:
+                if answer.root_node.dewey not in reported:
+                    assert answer.score <= result.pending_bound + 1e-9

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import Engine
-from repro.core.threshold import FixedThresholdSet, ThresholdWhirlpool, threshold_query
+from repro.core.threshold import FixedThresholdSet, threshold_query
 from repro.errors import EngineError
 
 PAPER_QUERY = "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']"
@@ -89,16 +89,94 @@ class TestThresholdQuery:
     def test_negative_threshold_rejected(self, books_db):
         engine = Engine(books_db, PAPER_QUERY)
         with pytest.raises(EngineError):
-            ThresholdWhirlpool(
-                pattern=engine.pattern,
-                index=engine.index,
-                score_model=engine.score_model,
-                k=1,
-                min_score=-0.5,
-            )
+            threshold_query(engine, -0.5)
 
     def test_answers_sorted(self, books_db):
         engine = Engine(books_db, PAPER_QUERY)
         result = threshold_query(engine, min_score=0.0)
         scores = [a.score for a in result.answers]
         assert scores == sorted(scores, reverse=True)
+
+
+#: (server operations, answers) of ``threshold_query`` at the 15th-best
+#: score on ``XMarkConfig(items=300, seed=7)``, as ``ThresholdWhirlpool``
+#: counted them before it was folded into Whirlpool-S.
+GOLDEN = {"Q1": (430, 130), "Q2": (940, 82), "Q3": (2056, 64)}
+
+
+@pytest.fixture(scope="module")
+def golden_db():
+    from repro.xmark import XMarkConfig, generate_database
+
+    return generate_database(XMarkConfig(items=300, seed=7))
+
+
+@pytest.fixture(scope="module")
+def q2(golden_db):
+    from repro.bench.params import QUERIES
+
+    engine = Engine(golden_db, QUERIES["Q2"])
+    return engine, engine.run(15).answers[14].score
+
+
+class TestFold:
+    """A threshold query is Whirlpool-S over a constant threshold."""
+
+    @pytest.mark.parametrize("query", sorted(GOLDEN))
+    def test_golden_counts(self, golden_db, query):
+        from repro.bench.params import QUERIES
+
+        engine = Engine(golden_db, QUERIES[query])
+        full = engine.run(len(engine.index["item"]), algorithm="lockstep_noprun")
+        bound = full.answers[14].score
+        result = threshold_query(engine, bound)
+        assert (result.stats.server_operations, len(result.answers)) == GOLDEN[query]
+        assert not result.degraded
+        assert result.scores() == [s for s in full.scores() if s >= bound]
+
+    def test_warm_engine_is_not_probed(self, q2):
+        engine, bound = q2
+        before = engine.index.probe_cost()
+        assert threshold_query(engine, bound).answers
+        assert engine.index.probe_cost() == before
+
+    def test_budget_degrades_with_a_sound_bound(self, q2):
+        engine, bound = q2
+        full = threshold_query(engine, bound)
+        result = threshold_query(engine, bound, max_operations=5)
+        assert result.degraded
+        assert result.stats.server_operations == 5
+        reported = set(result.root_deweys())
+        missing = [a.score for a in full.answers if a.root_node.dewey not in reported]
+        assert missing and max(missing) <= result.pending_bound
+
+    def test_faults_and_observer_reach_the_run(self, q2):
+        from repro.core.trace import ExecutionTrace
+        from repro.faults import FaultPlan
+
+        engine, bound = q2
+        result = threshold_query(
+            engine, bound, faults=FaultPlan.chaos(3), routing="max_score"
+        )
+        assert result.failure is not None and result.failure.injection is not None
+        # Out of reach: every seed is pruned at its pop, and the observer hears it.
+        trace = ExecutionTrace()
+        ceiling = engine.score_model.max_total()
+        assert threshold_query(engine, ceiling + 1.0, observer=trace).answers == []
+        prunes = [event for event in trace.events if event.kind == "prune"]
+        assert len(prunes) == len(engine.index["item"])
+
+    def test_not_resumable(self, q2):
+        """Refused up front, not an AttributeError on ``export_state``."""
+        from repro.recovery import CheckpointPolicy
+
+        engine, bound = q2
+        with pytest.raises(EngineError, match="checkpoint_policy"):
+            threshold_query(
+                engine,
+                bound,
+                max_operations=5,
+                checkpoint_policy=CheckpointPolicy(every_operations=2),
+            )
+        with pytest.raises(EngineError, match="restore_from"):
+            threshold_query(engine, bound, restore_from={})
