@@ -10,14 +10,21 @@ global top-k over the forest is exactly the k best of the union of the
 shard-local top-k's, under the engines' own total order
 ``(-score, dewey)`` (:meth:`repro.core.topk.TopKSet.answers`).
 
-Soundness of early termination (mirrors ``TopKSet.is_pruned``'s strict
-``<``): once the merged k-th score strictly dominates a shard's bound,
-no unreported or future match from that shard can reach the global
-top-k — a future score is ≤ the shard bound < the k-th score, and ties
-never displace an incumbent.  The same algebra produces the degraded
-certificate: for a *lost* shard the coordinator still holds its last
-reported top-k and bound, so ``max(last bound, last k-th local score)``
-bounds anything the dead worker knew that we do not.
+Soundness of early termination: once the merged k-th score strictly
+dominates a shard's bound, no unreported or future match from that shard
+can reach the global top-k — a future score is ≤ the shard bound < the
+k-th score, and ties never displace an incumbent.  The comparison is
+strict where ``TopKSet.is_pruned`` is not: the set closes a match that
+can at best *tie* because it knows k *completed* matches hold that
+score, whereas the merged k-th score is a shard's word for its best
+known entries — in relaxed mode a step's answers may still be partial
+matches — so equality here proves nothing about what the shard will
+finish with.  Inside each shard the set closes ties against its local
+k-th completed score, which never exceeds the forest's, so a shard
+prunes no more than the single-process run would.  The same algebra
+produces the degraded certificate: for a *lost* shard the coordinator
+still holds its last reported top-k and bound, so ``max(last bound, last
+k-th local score)`` bounds anything the dead worker knew that we do not.
 
 Everything here is pure data-in/data-out — no processes, no locks — so
 the differential tests can hammer it without spawning a cluster.
@@ -63,10 +70,11 @@ def dominated(shard_bound: float, threshold: Optional[float]) -> bool:
     """May this shard still contribute to the global top-k?
 
     Strict ``<`` on purpose: at equality an unreported match could tie
-    the current k-th answer, and although a tie never *displaces* an
-    incumbent under ``(-score, dewey)``, the incumbent set itself is not
-    final until every potential tie with a smaller Dewey is ruled out.
-    Strictness keeps the certificate independent of arrival order.
+    the current k-th answer, and the merged k-th may itself rest on a
+    partial match (module docstring) — the top-k set's tie-closing
+    argument needs k completed incumbents, which the coordinator cannot
+    see.  Strictness also keeps the certificate independent of arrival
+    order.
     """
     return threshold is not None and shard_bound < threshold
 
@@ -95,8 +103,10 @@ def lost_shard_bound(
 def global_pending_bound(
     live_bounds: Sequence[float], lost_bounds: Sequence[float]
 ) -> float:
-    """The cluster-wide anytime certificate: no unreported answer —
-    queued on a live shard or stranded on a lost one — can score above
-    this."""
+    """The cluster-wide ``pending_bound``: no answer still queued on a
+    live shard or stranded on a lost one can score above this.  (Roots a
+    live shard has finished with and left out of its local top-k are
+    covered by the other half of the certificate, the merged k-th score —
+    :func:`repro.core.topk.certificate_ceiling`.)"""
     bounds = [*live_bounds, *lost_bounds]
     return max(bounds) if bounds else 0.0

@@ -44,6 +44,9 @@ from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
 
 
+#: The closing level of a run that keeps every sibling (LockStep-NoPrun).
+_NEVER_CLOSES = float("-inf")
+
 _NOT_SIBLINGS = (
     "absorb_extensions takes the extensions of one server operation: "
     "they must share one visited set"
@@ -56,9 +59,12 @@ class TopKResult:
     ``degraded`` flags runs that finished without full processing — a
     deadline or operation budget expired, matches were abandoned after
     exhausted recovery, or injected faults dropped work.  Degraded
-    results still carry the anytime certificate: no unreported answer
-    can score above ``pending_bound``, and ``failure`` explains what was
-    lost.
+    results still carry the anytime certificate
+    (:func:`~repro.core.topk.certificate_ceiling`): no unreported root
+    can score above ``max(pending_bound, k-th reported score)`` —
+    ``pending_bound`` covers the work left undone, the k-th reported
+    score the roots that were finished or closed as ties below it — and
+    ``failure`` explains what was lost.
     """
 
     __slots__ = (
@@ -426,8 +432,11 @@ class EngineBase:
         and one ``visited`` object (checked here — it is what makes the
         rest valid), hence one :meth:`bound_entry` and one completeness,
         read once for the batch.  Each unfinished sibling is reported to
-        the top-k set and tested against the threshold that report
-        returns — the value a separate ``is_pruned`` would read next.
+        the top-k set and tested as ``is_pruned`` would test it next:
+        against the threshold that report returns, and against the closing
+        level read once for the batch (by a run that prunes) — reports of
+        unfinished siblings cannot move it (under Whirlpool-M another
+        thread can only raise it, and the older value prunes less).
 
         A last-hop batch meets the top-k set once, through its *first
         best* sibling.  Reporting each in turn would leave exactly that:
@@ -468,12 +477,13 @@ class EngineBase:
                     observer.on_extension(parent, extension, "completed", threshold)
             return []
         survivors: List[PartialMatch] = []
+        closing = self.topk.closing_level() if prune else _NEVER_CLOSES
         for extension in extensions:
             if extension.visited is not visited:
                 raise EngineError(_NOT_SIBLINGS)
             bound = extension.upper_bound = extension.score + remaining
             threshold = observe(extension, False)
-            if prune and bound < threshold:
+            if prune and (bound < threshold or bound <= closing):
                 outcome = "pruned"
             else:
                 outcome = "alive"

@@ -52,6 +52,10 @@ class FixedThresholdSet:
         """The constant bound (branch-and-bound pruning level)."""
         return self.min_score
 
+    def closing_level(self) -> float:
+        """No k, hence no k-th completed answer to tie: ties are kept."""
+        return float("-inf")
+
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple can no longer reach the bound."""
         return match.upper_bound < self.min_score

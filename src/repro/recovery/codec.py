@@ -233,8 +233,8 @@ def restore_engine_state(
 ) -> List[PartialMatch]:
     """Replay a snapshot into a fresh engine; return the queued matches.
 
-    Validates, replays the top-k entries through ``observe`` (so the
-    threshold is live before the first restored match is processed),
+    Validates, replays the top-k entries through ``observe`` (so both
+    pruning levels are live before the first restored match is processed),
     folds the crashed run's operation counters into the fresh stats
     bundle, and returns the decoded queue contents (all labels folded —
     the resuming engine re-routes them however it likes).
@@ -243,15 +243,18 @@ def restore_engine_state(
     database = engine.index.database
     resolve: Resolver = database.node_by_dewey
     max_contributions = engine.max_contributions
-    for entry in snapshot.get("topk", []):
-        match = decode_match(entry["match"], resolve, max_contributions)
-        engine.topk.observe(match, complete=match.is_complete(engine.server_ids))
-        complete_payload = entry.get("complete")
-        if complete_payload is not None:
-            complete_match = decode_match(
-                complete_payload, resolve, max_contributions
+    engine.topk.restore_state(
+        (
+            (
+                decode_match(entry["match"], resolve, max_contributions),
+                None
+                if entry.get("complete") is None
+                else decode_match(entry["complete"], resolve, max_contributions),
             )
-            engine.topk.observe(complete_match, complete=True)
+            for entry in snapshot.get("topk", [])
+        ),
+        engine.server_ids,
+    )
     matches: List[PartialMatch] = []
     for payloads in snapshot.get("queues", {}).values():
         for payload in payloads:

@@ -6,7 +6,7 @@ scenario's workload under that plan — on a :class:`VirtualClock` by
 default, so injected delays, retry backoff and reconnect ladders warp
 virtual time instead of burning wall seconds — then checks the full
 invariant suite (:mod:`repro.sim.invariants`) against the fault-free
-reference run.
+``lockstep_noprun`` ranking.
 
 Two scenario kinds:
 
@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.base import TopKResult
 from repro.core.engine import Engine
 from repro.core.stats import monotonic_seconds
+from repro.core.topk import Ranked, ranked, topk_mismatch
 from repro.errors import EngineCrashError, ReproError
 from repro.faults.plan import ENGINE_SITES, FaultAction, FaultPlan, FaultRule
 from repro.faults.supervisor import RetryPolicy
@@ -200,6 +201,7 @@ class SimHarness:
         #: Test-only hook: mutate the :class:`SimRun` before judgement.
         self.invariant_tap = invariant_tap
         self._reference: Optional[TopKResult] = None
+        self._ranking: Optional[Ranked] = None
 
     # -- reference ---------------------------------------------------------------
 
@@ -210,6 +212,23 @@ class SimHarness:
                 self.scenario.k, algorithm=self.scenario.algorithm
             )
         return self._reference
+
+    def ranking(self) -> Ranked:
+        """Every root with its fault-free final score, best first — what
+        answers are judged against.  LockStep-NoPrun: it prunes nothing, so
+        which ties a run happened to close cannot show up as a difference."""
+        if self._ranking is None:
+            self._ranking = ranked(
+                self.scenario.engine().run(10**9, algorithm="lockstep_noprun").answers
+            )
+        return self._ranking
+
+    def _diverged(self, rerun: TopKResult) -> bool:
+        """Leaked-state probe: is a fault-free rerun no longer a top-k?"""
+        return (
+            topk_mismatch(self.ranking(), ranked(rerun.answers), self.scenario.k)
+            is not None
+        )
 
     def probe_yield_points(self) -> Dict[str, int]:
         """Observed operation counts per engine fault site — the ``nth``
@@ -285,9 +304,9 @@ class SimHarness:
             )
             run.outcomes += 1
         # Leaked-state probe: a fault-free rerun on the same engine must
-        # reproduce the reference bit-for-bit.
+        # still return the baseline top-k.
         rerun = engine.run(self.scenario.k, algorithm=self.scenario.algorithm)
-        if self._keys(rerun) != self._keys(self.reference()):
+        if self._diverged(rerun):
             run.leak = "fault-free rerun after the schedule diverged from baseline"
 
     def _run_cluster(self, run: SimRun) -> None:
@@ -326,7 +345,7 @@ class SimHarness:
                     rerun = coordinator.run_query(
                         scenario.query, scenario.k, algorithm=scenario.algorithm
                     )
-                    if self._keys(rerun) != self._keys(self.reference()):
+                    if self._diverged(rerun):
                         run.leak = (
                             "fault-free rerun after the schedule diverged "
                             "from baseline"
@@ -343,8 +362,8 @@ class SimHarness:
                 Verdict("topk_identity", False, "run produced no result at all")
             )
         else:
-            verdicts.append(check_topk_identity(reference, result))
-            verdicts.append(check_pending_bound_sound(reference, result))
+            verdicts.append(check_topk_identity(self.ranking(), result))
+            verdicts.append(check_pending_bound_sound(self.ranking(), result))
         verdicts.append(check_single_outcome(run.outcomes))
         verdicts.append(check_no_leaked_state(run.leak))
         if self.scenario.kind == SimScenario.CLUSTER and result is not None:
@@ -356,12 +375,3 @@ class SimHarness:
                 )
             )
         return InvariantReport(verdicts)
-
-    # -- helpers -----------------------------------------------------------------
-
-    @staticmethod
-    def _keys(result: TopKResult) -> List[Any]:
-        return [
-            (tuple(answer.root_node.dewey), repr(answer.score))
-            for answer in result.answers
-        ]

@@ -12,11 +12,14 @@ The five invariants:
 
 - ``reference_clean`` — the fault-free baseline itself ran undegraded
   (a broken baseline would vacuously pass everything else);
-- ``topk_identity`` — a run that does not claim degradation returns the
-  *bit-identical* top-k (roots and scores) of the fault-free run;
-- ``pending_bound_sound`` — a degraded run's certificate covers every
-  fault-free answer it lost: no missing answer scores above
-  ``pending_bound``;
+- ``topk_identity`` — a run that does not claim degradation returns a
+  correct top-k of the fault-free ``lockstep_noprun`` ranking: the same
+  scores, the same roots except among roots tied at the k-th score
+  (:func:`repro.core.topk.topk_mismatch` — the one definition, which a
+  fault that reorders a run cannot flake);
+- ``pending_bound_sound`` — a run's certificate covers every root it
+  left out: none scores above ``max(pending_bound, k-th reported score)``
+  (:func:`repro.core.topk.certificate_ceiling`);
 - ``single_outcome`` — the harness observed exactly one terminal
   outcome for the run (one result, or one crash resolved by exactly one
   recovery) — the engine-level mirror of the service's
@@ -32,13 +35,10 @@ The five invariants:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.base import TopKResult
-
-#: Score comparisons tolerate only float-formatting noise, nothing
-#: semantic: identity checks round-trip through ``repr`` equality.
-_EPS = 1e-9
+from repro.core.topk import Ranked, certificate_breach, ranked, topk_mismatch
 
 
 class Verdict:
@@ -83,14 +83,6 @@ class InvariantReport:
         return f"InvariantReport({len(self.verdicts)} checks, {bad} violated)"
 
 
-def _answer_keys(result: TopKResult) -> List[Tuple[str, str]]:
-    """(dewey, repr(score)) pairs — the bit-identity comparison key."""
-    return [
-        (".".join(str(c) for c in answer.root_node.dewey), repr(answer.score))
-        for answer in result.answers
-    ]
-
-
 # -- the checks ----------------------------------------------------------------
 
 
@@ -106,56 +98,39 @@ def check_reference_clean(reference: TopKResult) -> Verdict:
     )
 
 
-def check_topk_identity(reference: TopKResult, result: TopKResult) -> Verdict:
-    """A non-degraded run must equal the fault-free run bit-for-bit."""
+def check_topk_identity(ranking: Ranked, result: TopKResult) -> Verdict:
+    """A non-degraded run must return a top-k of the fault-free ranking."""
     if result.degraded:
         return Verdict(
             "topk_identity",
             True,
             "run is degraded: identity waived, certificate checked instead",
         )
-    want, got = _answer_keys(reference), _answer_keys(result)
-    if want == got:
+    mismatch = topk_mismatch(ranking, ranked(result.answers), result.k)
+    if mismatch is None:
         return Verdict(
-            "topk_identity", True, f"{len(got)} answers bit-identical to baseline"
+            "topk_identity",
+            True,
+            f"{len(result.answers)} answers are a top-{result.k} of the baseline ranking",
         )
-    missing = [key[0] for key in want if key not in got]
-    extra = [key[0] for key in got if key not in want]
     return Verdict(
-        "topk_identity",
-        False,
-        f"undegraded run diverged from baseline (missing={missing!r}, "
-        f"unexpected={extra!r})",
+        "topk_identity", False, f"undegraded run diverged from baseline: {mismatch}"
     )
 
 
-def check_pending_bound_sound(reference: TopKResult, result: TopKResult) -> Verdict:
-    """Nothing the run lost may score above its ``pending_bound``."""
+def check_pending_bound_sound(ranking: Ranked, result: TopKResult) -> Verdict:
+    """Nothing the run left out may score above what it certifies."""
     bound = result.pending_bound
     if bound < 0.0 or bound == float("inf"):
         return Verdict(
             "pending_bound_sound", False, f"certificate is not finite/sane: {bound!r}"
         )
-    reported = {key[0] for key in _answer_keys(result)}
-    worst: Optional[Tuple[str, float]] = None
-    for answer in reference.answers:
-        dewey = ".".join(str(c) for c in answer.root_node.dewey)
-        if dewey in reported:
-            continue
-        if answer.score > bound + _EPS and (worst is None or answer.score > worst[1]):
-            worst = (dewey, answer.score)
-    if worst is not None:
-        return Verdict(
-            "pending_bound_sound",
-            False,
-            f"lost answer {worst[0]} scores {worst[1]!r} above "
-            f"pending_bound {bound!r}",
-        )
-    lost = len(reference.answers) - sum(
-        1
-        for answer in reference.answers
-        if ".".join(str(c) for c in answer.root_node.dewey) in reported
-    )
+    answers = ranked(result.answers)
+    breach = certificate_breach(ranking, answers, result.k, bound)
+    if breach is not None:
+        return Verdict("pending_bound_sound", False, breach)
+    reported = {dewey for dewey, _ in answers}
+    lost = sum(1 for dewey, _ in ranking[: result.k] if dewey not in reported)
     return Verdict(
         "pending_bound_sound",
         True,

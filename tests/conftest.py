@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.topk import certificate_breach, ranked, topk_mismatch
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import Database
 from repro.xmldb.parser import parse_document
@@ -63,6 +64,43 @@ def run_fingerprint(result):
         round(result.pending_bound, 9),
         stats,
     )
+
+
+def full_ranking(engine):
+    """(root Dewey, final score) of every root of ``engine``'s query, best
+    first — the oracle side of :func:`assert_same_topk` /
+    :func:`assert_certified`.  LockStep-NoPrun reads neither pruning level,
+    so it shares no pruning bug with the engines under test."""
+    return ranked(engine.run(10**9, algorithm="lockstep_noprun").answers)
+
+
+def assert_same_topk(ranking, result, case=None):
+    """``result`` is a correct top-k of ``ranking``: the shared rule
+    (:func:`repro.core.topk.topk_mismatch` — scores equal, roots equal
+    except among roots holding the k-th score, no root twice).  ``case``
+    names the loop iteration in the failure message."""
+    mismatch = topk_mismatch(ranking, ranked(result.answers), result.k)
+    assert mismatch is None, (mismatch, case)
+
+
+def assert_certified(ranking, result, case=None):
+    """The degraded certificate, as stated once in
+    :func:`repro.core.topk.certificate_ceiling`: no root ``result`` leaves
+    out scores above ``max(pending_bound, k-th reported score)``."""
+    assert result.pending_bound >= 0.0
+    breach = certificate_breach(
+        ranking, ranked(result.answers), result.k, result.pending_bound
+    )
+    assert breach is None, (breach, case)
+
+
+def assert_exact_or_certified(ranking, result, case=None):
+    """The contract of any run, faulted or budgeted: a correct top-k, or
+    flagged ``degraded`` with a sound certificate."""
+    if result.degraded:
+        assert_certified(ranking, result, case)
+    else:
+        assert_same_topk(ranking, result, case)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from repro.bench.params import QUERIES
 from repro.core.anytime import anytime_topk
 from repro.core.engine import Engine
 from repro.errors import EngineError
+from tests.conftest import assert_same_topk, full_ranking, run_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +92,18 @@ class TestValidation:
         assert "ops" in repr(outcome)
 
 
-#: ``anytime_topk(engine, k).operations_used`` for k = 1, 3, 15, 75 on
-#: ``XMarkConfig(items=300, seed=7)``, as ``AnytimeWhirlpool.run_anytime``
-#: counted them before it was folded into Whirlpool-S.
+#: ``engine.run(k).stats.server_operations`` for k = 1, 3, 15, 75 on
+#: ``XMarkConfig(items=300, seed=7)``.  The Whirlpool-S rows are what
+#: ``AnytimeWhirlpool.run_anytime`` counted before its early stop became
+#: the top-k set's closing level; a strict (ties kept) Whirlpool-S did
+#: 430 / 1,149 / 2,313 whatever the k (3,561 on Q3 at k = 75), a strict
+#: LockStep 600 on Q1.
 GOLDEN_OPERATIONS = {
     "Q1": [301, 303, 315, 375],
     "Q2": [647, 668, 734, 1091],
     "Q3": [1217, 1277, 1436, 2810],
 }
+GOLDEN_LOCKSTEP_Q1 = [304, 309, 334, 454]
 
 
 @pytest.fixture(scope="module")
@@ -109,20 +114,33 @@ def golden_db():
 
 
 class TestFold:
-    """Anytime is Whirlpool-S over a tie-closing top-k set."""
+    """Anytime is a budgeted Whirlpool-S run: the early stop is every run's."""
 
     @pytest.mark.parametrize("query", sorted(GOLDEN_OPERATIONS))
     def test_golden_operation_counts(self, golden_db, query):
         engine = Engine(golden_db, QUERIES[query])
+        ranking = full_ranking(engine)
         operations = []
         for k in (1, 3, 15, 75):
+            result = engine.run(k)
+            assert_same_topk(ranking, result)
             outcome = anytime_topk(engine, k)
             assert outcome.is_final
-            assert outcome.result.scores() == engine.run(k).scores()
+            assert run_fingerprint(outcome.result) == run_fingerprint(result)
             operations.append(outcome.operations_used)
         assert operations == GOLDEN_OPERATIONS[query]
-        # The stop rule earns its place: Whirlpool-S works the ties off.
-        assert engine.run(15).stats.server_operations > operations[2]
+        # Fig. 10's shape: work grows with k.
+        assert operations == sorted(set(operations))
+
+    def test_lockstep_closes_ties_too(self, golden_db):
+        engine = Engine(golden_db, QUERIES["Q1"])
+        ranking = full_ranking(engine)
+        operations = []
+        for k in (1, 3, 15, 75):
+            result = engine.run(k, algorithm="lockstep")
+            assert_same_topk(ranking, result)
+            operations.append(result.stats.server_operations)
+        assert operations == GOLDEN_LOCKSTEP_Q1
 
     def test_warm_engine_is_not_probed(self, engine):
         before = engine.index.probe_cost()

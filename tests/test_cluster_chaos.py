@@ -2,8 +2,9 @@
 
 The differential guarantee under test: a query that loses a worker to
 SIGKILL (or a hang past the liveness deadline) and fails over via
-checkpoint shipping returns *exactly* the top-k — same roots, same
-scores — as the uninterrupted single-process run.  With failover
+checkpoint shipping returns a correct top-k of the single-process
+LockStep-NoPrun ranking — same scores, same roots except among roots tied
+at the k-th score (``repro.core.topk.topk_mismatch``).  With failover
 disabled, the degraded answer must instead name the missing shards and
 certify them with a sound global ``pending_bound``.
 
@@ -28,6 +29,12 @@ from repro.obs import Observability
 from repro.recovery.store import MemoryRecoveryStore
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
+from tests.conftest import (
+    assert_certified,
+    assert_exact_or_certified,
+    assert_same_topk,
+    full_ranking,
+)
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 K = 4
@@ -54,15 +61,9 @@ def database():
 
 
 @pytest.fixture(scope="module")
-def oracles(database):
-    engine = Engine(database, QUERY)
-    return {
-        algorithm: [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in engine.run(K, algorithm=algorithm).answers
-        ]
-        for algorithm in ENGINES
-    }
+def ranking(database):
+    """The single-process LockStep-NoPrun ranking every answer is held to."""
+    return full_ranking(Engine(database, QUERY))
 
 
 #: Kills of the 20-seed matrix below (``shard = seed % 2``, ``nth = 2 +
@@ -77,13 +78,6 @@ KILLS_THAT_LAND = {
     "lockstep": 13,
     "whirlpool_m": sum(1 for seed in SEEDS if seed % 3 == 0),
 }
-
-
-def answer_keys(result):
-    return [
-        (tuple(answer.root_node.dewey), round(answer.score, 9))
-        for answer in result.answers
-    ]
 
 
 def kill_plan(shard: int, nth: int) -> FaultPlan:
@@ -103,7 +97,7 @@ def kill_plan(shard: int, nth: int) -> FaultPlan:
 
 @pytest.mark.parametrize("algorithm", ENGINES)
 def test_kill_matrix_failover_reproduces_fault_free_topk(
-    database, oracles, algorithm
+    database, ranking, algorithm
 ):
     """20 seeds per engine: SIGKILL a shard mid-query, demand the exact
     fault-free answer back."""
@@ -126,7 +120,7 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
             )
         assert not result.degraded, (seed, algorithm, result.missing_shards)
         assert result.missing_shards == []
-        assert answer_keys(result) == oracles[algorithm], (seed, algorithm)
+        assert_same_topk(ranking, result, (seed, algorithm))
         failovers_seen += result.failovers
     # The matrix must actually exercise failover, not just schedule kills
     # that land after the query finished.
@@ -134,7 +128,7 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
 
 
 def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
-    database, oracles, monkeypatch
+    database, ranking, monkeypatch
 ):
     """A step reply whose checkpoint text was altered *before* framing
     passes every frame CRC; the checkpoint's own CRC is what catches it.
@@ -182,7 +176,7 @@ def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
         # begin is armed RPC 1: the kill lands on shard 0's third step.
         result = coordinator.run_query(QUERY, K, faults=kill_plan(0, 4))
     assert result.failovers == 1 and not result.degraded
-    assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_same_topk(ranking, result)
     # Step 2's checkpoint (60 operations) never reached the store, so the
     # failover restored step 1's and the shard re-did 30-60 on the way.
     assert stored[:1] == [30] and 61 not in stored
@@ -191,7 +185,7 @@ def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
     assert coordinator.metrics.checkpoint_rejects.labels("0").value() == 1
 
 
-def test_hang_past_liveness_deadline_fails_over(database, oracles):
+def test_hang_past_liveness_deadline_fails_over(database, ranking):
     plan = FaultPlan(
         [
             FaultRule(
@@ -216,10 +210,10 @@ def test_hang_past_liveness_deadline_fails_over(database, oracles):
     assert result.failovers >= 1
     assert result.heartbeat_misses >= 1
     assert not result.degraded
-    assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_same_topk(ranking, result)
 
 
-def test_slow_pipe_rides_the_retry_ladder_without_failover(database, oracles):
+def test_slow_pipe_rides_the_retry_ladder_without_failover(database, ranking):
     # Reply delay sits between the RPC timeout (miss) and the liveness
     # deadline (failover): the ladder should absorb it.
     plan = FaultPlan(
@@ -245,10 +239,10 @@ def test_slow_pipe_rides_the_retry_ladder_without_failover(database, oracles):
     assert result.failovers == 0
     assert result.heartbeat_misses >= 1
     assert not result.degraded
-    assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_same_topk(ranking, result)
 
 
-def test_no_failover_kill_degrades_with_sound_global_bound(database):
+def test_no_failover_kill_degrades_with_sound_global_bound(database, ranking):
     """With failover disabled a killed shard is lost; the survivors'
     answer must name it and bound everything it could have held."""
     with Coordinator(
@@ -268,14 +262,10 @@ def test_no_failover_kill_degrades_with_sound_global_bound(database):
     assert result.failovers == 0
     # Soundness: every fault-free answer the degraded response does not
     # report scores at or below the certified global bound.
-    oracle = Engine(database, QUERY).run(K)
-    reported = {tuple(answer.root_node.dewey) for answer in result.answers}
-    for answer in oracle.answers:
-        if tuple(answer.root_node.dewey) not in reported:
-            assert answer.score <= result.pending_bound + 1e-9
+    assert_certified(ranking, result)
 
 
-def test_replacement_worker_runs_fault_free(database, oracles):
+def test_replacement_worker_runs_fault_free(database, ranking):
     """A fault plan dies with the worker it killed: the replacement is
     deliberately not re-armed (mirroring the service's recovered-runs-
     re-execute-clean contract), so even an every-RPC kill schedule is
@@ -301,7 +291,7 @@ def test_replacement_worker_runs_fault_free(database, oracles):
         result = coordinator.run_query(QUERY, K, faults=plan)
     assert not result.degraded
     assert result.failovers == 1
-    assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_same_topk(ranking, result)
 
 
 def test_failover_exhaustion_loses_the_shard(database):
@@ -354,11 +344,12 @@ def net_plan(seed: int) -> FaultPlan:
 
 
 @pytest.mark.parametrize("algorithm", ENGINES)
-def test_net_matrix_converges_bit_identical(database, oracles, algorithm):
+def test_net_matrix_converges_bit_identical(database, ranking, algorithm):
     """20 seeds × 3 engines: every NET action (partition, frame
     corruption, duplication, reconnect storm) lands mid-query and the
-    merged answer must still be bit-identical to the fault-free
-    single-process run."""
+    merged answer must still be a correct top-k of the single-process
+    ranking (the name predates closed ties: roots tied at the k-th score
+    may stand in for one another)."""
     recovered = 0
     for seed in SEEDS:
         with Coordinator(
@@ -377,7 +368,7 @@ def test_net_matrix_converges_bit_identical(database, oracles, algorithm):
             )
         assert not result.degraded, (seed, algorithm)
         assert result.missing_shards == []
-        assert answer_keys(result) == oracles[algorithm], (seed, algorithm)
+        assert_same_topk(ranking, result, (seed, algorithm))
         recovered += result.failovers + result.reconnects
     # The matrix must actually disturb the link, not schedule faults
     # that land after the query finished (DUP_FRAME recovers silently,
@@ -386,7 +377,7 @@ def test_net_matrix_converges_bit_identical(database, oracles, algorithm):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_seeded_net_chaos_converges_bit_identical(database, oracles, seed):
+def test_seeded_net_chaos_converges_bit_identical(database, ranking, seed):
     """The randomized plan generator (multiple rules, seeded actions /
     targets / trigger points)."""
     with Coordinator(
@@ -401,10 +392,10 @@ def test_seeded_net_chaos_converges_bit_identical(database, oracles, seed):
             QUERY, K, faults=FaultPlan.net_chaos(seed, shards=2)
         )
     assert not result.degraded, seed
-    assert answer_keys(result) == oracles["whirlpool_s"], seed
+    assert_same_topk(ranking, result)
 
 
-def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, oracles):
+def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, ranking):
     """Live rebalancing: a skewed partition plus a persistently throttled
     shard (SLOW_PIPE on every RPC, delay below the RPC timeout so the
     retry ladder never trips) must trigger migration — the coordinator
@@ -441,10 +432,10 @@ def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, oracles):
     assert health["rebalances"] == result.rebalances
     assert result.failovers == 0  # migration, not crash recovery
     assert not result.degraded
-    assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_same_topk(ranking, result)
 
 
-def test_rebalance_disabled_keeps_the_slow_shard(database, oracles):
+def test_rebalance_disabled_keeps_the_slow_shard(database, ranking):
     plan = FaultPlan(
         [
             FaultRule(
@@ -474,12 +465,12 @@ def test_rebalance_disabled_keeps_the_slow_shard(database, oracles):
         result = coordinator.run_query(QUERY, K, faults=plan)
     assert result.rebalances == 0
     assert not result.degraded
-    assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_same_topk(ranking, result)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_engine_level_chaos_terminates_with_sound_certificates(
-    database, oracles, seed
+    database, ranking, seed
 ):
     """Engine-internal faults (queue errors, crashes, drops) inside the
     workers: the cluster query always terminates, and any degradation is
@@ -497,11 +488,4 @@ def test_engine_level_chaos_terminates_with_sound_certificates(
             faults=FaultPlan.chaos(seed),
             engine_retry_policy=FAST_RETRY,
         )
-    if result.degraded:
-        oracle = Engine(database, QUERY).run(K)
-        reported = {tuple(answer.root_node.dewey) for answer in result.answers}
-        for answer in oracle.answers:
-            if tuple(answer.root_node.dewey) not in reported:
-                assert answer.score <= result.pending_bound + 1e-9
-    else:
-        assert answer_keys(result) == oracles["whirlpool_s"]
+    assert_exact_or_certified(ranking, result)

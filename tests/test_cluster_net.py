@@ -28,6 +28,7 @@ from repro.faults.supervisor import RetryPolicy
 from repro.recovery.store import MemoryRecoveryStore
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
+from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 K = 4
@@ -45,18 +46,9 @@ def database():
 
 
 @pytest.fixture(scope="module")
-def oracle(database):
-    return [
-        (tuple(answer.root_node.dewey), round(answer.score, 9))
-        for answer in Engine(database, QUERY).run(K).answers
-    ]
-
-
-def answer_keys(result):
-    return [
-        (tuple(answer.root_node.dewey), round(answer.score, 9))
-        for answer in result.answers
-    ]
+def ranking(database):
+    """The single-process LockStep-NoPrun ranking every answer is held to."""
+    return full_ranking(Engine(database, QUERY))
 
 
 def net_plan(action, shard=0, nth=3, times=1) -> FaultPlan:
@@ -162,24 +154,24 @@ def test_net_chaos_plans_only_contain_net_rules():
 # ---------------------------------------------------------------------------
 
 
-def test_fault_free_cluster_agrees_with_single_process(database, oracle):
+def test_fault_free_cluster_agrees_with_single_process(database, ranking):
     result = run(database, plan=None)
     assert not result.degraded
     assert result.failovers == 0
     assert result.reconnects == 0
-    assert answer_keys(result) == oracle
+    assert_same_topk(ranking, result)
 
 
-def test_socket_partition_resumes_session_without_failover(database, oracle):
+def test_socket_partition_resumes_session_without_failover(database, ranking):
     result = run(database, net_plan(FaultAction.PARTITION))
     assert not result.degraded
     assert result.reconnects >= 1
     assert result.failovers == 0  # same worker, session resumed by replay
-    assert answer_keys(result) == oracle
+    assert_same_topk(ranking, result)
 
 
 def test_partition_with_the_worker_gone_fails_over_via_checkpoints(
-    database, oracle
+    database, ranking
 ):
     """A severed link that cannot be re-established: shard 0's fourth
     step is partitioned away (NET frames: init, begin, three steps), and
@@ -196,34 +188,34 @@ def test_partition_with_the_worker_gone_fails_over_via_checkpoints(
     result = run(database, FaultPlan(partition.rules + [kill], seed=partition.seed))
     assert not result.degraded
     assert result.failovers >= 1  # respawn + restore the shipped checkpoint
-    assert answer_keys(result) == oracle
+    assert_same_topk(ranking, result)
 
 
-def test_duplicated_frames_are_absorbed_silently(database, oracle):
+def test_duplicated_frames_are_absorbed_silently(database, ranking):
     result = run(database, net_plan(FaultAction.DUP_FRAME, nth=2, times=3))
     assert not result.degraded
     assert result.failovers == 0
     assert result.reconnects == 0
     assert result.heartbeat_misses == 0
-    assert answer_keys(result) == oracle
+    assert_same_topk(ranking, result)
 
 
-def test_corrupted_frames_are_detected_and_recovered(database, oracle):
+def test_corrupted_frames_are_detected_and_recovered(database, ranking):
     result = run(database, net_plan(FaultAction.CORRUPT_FRAME))
     assert not result.degraded
     # The worker tears the connection down on a CRC mismatch and redials;
     # the session resumes.
     assert result.reconnects >= 1
     assert result.failovers == 0
-    assert answer_keys(result) == oracle
+    assert_same_topk(ranking, result)
 
 
-def test_reconnect_storm_rides_the_backoff_ladder(database, oracle):
+def test_reconnect_storm_rides_the_backoff_ladder(database, ranking):
     result = run(database, net_plan(FaultAction.RECONNECT_STORM))
     assert not result.degraded
     assert result.reconnects == RECONNECT_STORM_DROPS
     assert result.failovers == 0
-    assert answer_keys(result) == oracle
+    assert_same_topk(ranking, result)
 
 
 def test_health_surfaces_transport_and_connection_state(database):

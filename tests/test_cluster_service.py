@@ -17,6 +17,7 @@ from repro.service import QueryRequest, WhirlpoolService
 from repro.service.request import Outcome
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
+from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 K = 4
@@ -39,22 +40,12 @@ def test_backend_serves_exact_answers_through_service(database):
             ),
         ]
         responses = [ticket.result(timeout=30.0) for ticket in tickets]
-    oracle = {
-        algorithm: [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in Engine(database, QUERY).run(K, algorithm=algorithm).answers
-        ]
-        for algorithm in ("whirlpool_s", "lockstep")
-    }
+    ranking = full_ranking(Engine(database, QUERY))
     for response, algorithm in zip(responses, ("whirlpool_s", "lockstep")):
         assert response.outcome is Outcome.SERVED
         assert response.algorithm_used == f"cluster:{algorithm}"
         assert isinstance(response.result, ClusterResult)
-        got = [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in response.result.answers
-        ]
-        assert got == oracle[algorithm]
+        assert_same_topk(ranking, response.result)
 
 
 def test_health_carries_backend_fleet(database):
@@ -195,15 +186,7 @@ def test_register_document_replaces_coordinator(database):
         first = backend.run_query(QueryRequest("auction", QUERY, k=K), K)
         backend.register_document("auction", other)
         second = backend.run_query(QueryRequest("auction", QUERY, k=K), K)
-        oracle = [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in Engine(other, QUERY).run(K).answers
-        ]
-        got = [
-            (tuple(answer.root_node.dewey), round(answer.score, 9))
-            for answer in second.answers
-        ]
-        assert got == oracle
+        assert_same_topk(full_ranking(Engine(other, QUERY)), second)
         assert first.answers  # the pre-replacement run was real too
     finally:
         backend.close()

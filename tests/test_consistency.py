@@ -1,9 +1,10 @@
 """Cross-engine integration tests on XMark workloads.
 
 These are the repository's strongest correctness checks: all four engines
-(plus the simulator) must return identical top-k answers on the paper's
-queries over generated auction data, under every routing strategy and both
-scoring normalizations; exact mode must agree with the exhaustive matcher;
+(plus the simulator) must return the same top-k — the shared rule of
+``repro.core.topk.topk_mismatch``, against the LockStep-NoPrun ranking — on
+the paper's queries over generated auction data, under every routing
+strategy and both scoring normalizations; exact mode must agree with the exhaustive matcher;
 and relaxed answers must be a superset of exact answers.
 """
 
@@ -14,6 +15,7 @@ from repro.query.matcher import distinct_roots, find_matches
 from repro.query.xpath import parse_xpath
 from repro.simulate.cost import CostModel
 from repro.simulate.scheduler import SimulatedWhirlpoolM
+from tests.conftest import assert_same_topk, full_ranking
 
 QUERIES = {
     "Q1": "//item[./description/parlist]",
@@ -25,40 +27,27 @@ QUERIES = {
 }
 
 
-def _signature(result):
-    """Tie-robust comparison key: the exact score list, plus the root of
-    every answer whose score is unique within the result (roots of tied
-    answers are legitimately engine-dependent at the k boundary)."""
-    scores = [round(a.score, 9) for a in result.answers]
-    unique_roots = [
-        a.root_node.dewey
-        for a in result.answers
-        if scores.count(round(a.score, 9)) == 1
-    ]
-    return scores, unique_roots
-
-
 @pytest.fixture(scope="module", params=sorted(QUERIES))
 def engine(request, xmark_db_large):
     return Engine(xmark_db_large, QUERIES[request.param])
 
 
+@pytest.fixture(scope="module")
+def ranking(engine):
+    return full_ranking(engine)
+
+
 class TestAllEnginesAgree:
     @pytest.mark.parametrize("k", [1, 5, 15])
-    def test_algorithms_identical_answers(self, engine, k):
-        reference = _signature(engine.run(k, algorithm="lockstep_noprun"))
+    def test_algorithms_identical_answers(self, engine, ranking, k):
         for algorithm in ("whirlpool_s", "whirlpool_m", "lockstep"):
-            got = _signature(engine.run(k, algorithm=algorithm))
-            assert got == reference, algorithm
+            assert_same_topk(ranking, engine.run(k, algorithm=algorithm))
 
     @pytest.mark.parametrize("routing", ["min_alive", "max_score", "min_score"])
-    def test_routing_strategies_identical_answers(self, engine, routing):
-        reference = _signature(engine.run(5, algorithm="whirlpool_s"))
-        got = _signature(engine.run(5, algorithm="whirlpool_s", routing=routing))
-        assert got == reference
+    def test_routing_strategies_identical_answers(self, engine, ranking, routing):
+        assert_same_topk(ranking, engine.run(5, algorithm="whirlpool_s", routing=routing))
 
-    def test_simulator_identical_answers(self, engine):
-        reference = _signature(engine.run(5, algorithm="whirlpool_s"))
+    def test_simulator_identical_answers(self, engine, ranking):
         for processors in (1, 3, None):
             sim = SimulatedWhirlpoolM(
                 pattern=engine.pattern,
@@ -68,7 +57,7 @@ class TestAllEnginesAgree:
                 n_processors=processors,
                 cost_model=CostModel(),
             )
-            assert _signature(sim.run()) == reference
+            assert_same_topk(ranking, sim.run())
 
 
 class TestExactVsRelaxed:
@@ -129,9 +118,7 @@ class TestNormalizations:
     @pytest.mark.parametrize("normalization", ["sparse", "dense", "raw"])
     def test_ranking_stable_across_engines(self, xmark_db_large, normalization):
         engine = Engine(xmark_db_large, QUERIES["Q2"], normalization=normalization)
-        reference = _signature(engine.run(5, algorithm="lockstep_noprun"))
-        got = _signature(engine.run(5, algorithm="whirlpool_s"))
-        assert got == reference
+        assert_same_topk(full_ranking(engine), engine.run(5, algorithm="whirlpool_s"))
 
 
 class TestScalingBehaviour:

@@ -11,18 +11,24 @@ which is computable with no search at all — a completely different code
 path from the engines.
 """
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import Coordinator
 from repro.core.engine import Engine
+from repro.core.router import make_router
+from repro.core.whirlpool_m import WhirlpoolM
 from repro.query.matcher import distinct_roots, find_matches
 from repro.query.pattern import Axis, PatternNode, TreePattern
 from repro.query.predicates import composed_axis
 from repro.scoring.model import MatchQuality
 from repro.xmldb.index import DatabaseIndex
+from repro.recovery.policy import CheckpointPolicy
 from repro.xmldb.model import Database, XMLNode
+from tests.conftest import assert_exact_or_certified, assert_same_topk, full_ranking
 
 TAGS = ("r", "x", "y", "z")
 
@@ -155,3 +161,125 @@ class TestRandomScoreModels:
         got = {a.root_node.dewey: a.score for a in result.answers}
         for dewey, score in oracle.items():
             assert got[dewey] == pytest.approx(score)
+
+
+# -- closed ties ------------------------------------------------------------------------
+
+#: Where an ``r`` keeps its ``a`` / ``b``: nowhere, as a child (an exact
+#: match of ``./a``), or under a ``w`` (a relaxed one).  Every ``r`` has a
+#: ``z`` child, so the ``z`` server's idf — its maximum contribution — is 0:
+#: a match can reach ``score == upper_bound`` before it is complete.  With
+#: two contribution values per server and a handful of shapes, most roots
+#: tie, at the k-th score too.
+_PLACEMENTS = st.sampled_from(["none", "child", "deep"])
+_TIED_FORESTS = st.lists(
+    st.lists(st.tuples(_PLACEMENTS, _PLACEMENTS), min_size=1, max_size=6),
+    min_size=2,
+    max_size=4,
+)
+_TIED_QUERIES = st.sampled_from(["//r[./a and ./b and ./z]", "//r[./z and ./b and ./a]"])
+
+
+def _tied_database(forest) -> Database:
+    documents = []
+    for items in forest:
+        document = XMLNode("d")
+        for placements in items:
+            item = document.child("r")
+            item.child("z")
+            for tag, where in zip("ab", placements):
+                if where == "child":
+                    item.child(tag)
+                elif where == "deep":
+                    item.child("w").child(tag)
+        documents.append(document)
+    return Database.from_roots(documents)
+
+
+def _judge(engine, ranking, result):
+    """A finished run is a correct top-k of complete matches; a degraded
+    exit carries a sound certificate."""
+    assert_exact_or_certified(ranking, result)
+    if not result.degraded:
+        server_ids = engine.server_node_ids()
+        assert all(answer.match.is_complete(server_ids) for answer in result.answers)
+
+
+class TestClosedTies:
+    """Every way of running a query closes ties soundly: the shared
+    same-top-k rule against LockStep-NoPrun, which closes none."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_TIED_FORESTS, _TIED_QUERIES, st.integers(1, 8), st.integers(1, 12))
+    def test_single_process_runs(self, forest, query, k, budget):
+        engine = Engine(_tied_database(forest), query)
+        ranking = full_ranking(engine)
+        assert 0.0 in map(engine.score_model.max_contribution, engine.server_node_ids())
+        for algorithm in ("whirlpool_s", "lockstep", "whirlpool_m"):
+            _judge(engine, ranking, engine.run(k, algorithm=algorithm))
+        for threads in (1, 2):
+            threaded = WhirlpoolM(
+                pattern=engine.pattern,
+                index=engine.index,
+                score_model=engine.score_model,
+                k=k,
+                router=make_router("min_alive"),
+                threads_per_server=threads,
+            )
+            _judge(engine, ranking, threaded.run())
+        for algorithm in ("whirlpool_s", "lockstep"):
+            # Stepped by ``budget`` operations on one instance, every exit
+            # judged; then a fresh instance restored from the first exit's
+            # snapshot, as a failover would.
+            snapshots = []
+            run = engine.open(
+                k,
+                algorithm,
+                max_operations=budget,
+                checkpoint_policy=CheckpointPolicy(every_operations=10**9),
+                checkpoint_sink=snapshots.append,
+            )
+            while True:
+                result = run.run()
+                _judge(engine, ranking, result)
+                if not result.degraded:
+                    break
+                run.max_operations = result.stats.server_operations + budget
+            if snapshots:
+                snapshot = json.loads(json.dumps(snapshots[0]))
+                restored = engine.run(k, algorithm=algorithm, restore_from=snapshot)
+                assert not restored.degraded
+                _judge(engine, ranking, restored)
+
+    @settings(max_examples=6, deadline=None)
+    @given(_TIED_FORESTS, _TIED_QUERIES, st.integers(1, 8))
+    def test_two_shard_coordinator(self, forest, query, k):
+        database = _tied_database(forest)
+        ranking = full_ranking(Engine(database, query))
+        with Coordinator(database, shards=2, step_operations=5) as coordinator:
+            result = coordinator.run_query(query, k)
+        assert not result.degraded
+        assert_same_topk(ranking, result)
+
+    def test_answers_stay_backed_by_complete_matches(self, xmark_db):
+        """The corner closed ties open (found on the benchmark's
+        ``build_forest(5, 260)``, Q2, k = 200; the same shape here at k =
+        45): every item has a ``description``, so that server's maximum
+        contribution is 0.0 and a match that has been everywhere else has
+        ``score == upper_bound``.  When that ties the k-th completed score
+        the match is closed one hop short, and stays its root's
+        representative; ranked in document order alone, three such roots
+        were returned.  ``answers()`` prefers a complete representative
+        among equal scores, and enough exist."""
+        engine = Engine(xmark_db, "//item[./description/parlist and ./mailbox/mail/text]")
+        run = engine.open(45)
+        assert min(run.max_contributions.values()) == 0.0
+        result = run.run()
+        assert_same_topk(full_ranking(engine), result)
+        partial = [
+            entry
+            for entry, _ in run.topk.export_state()
+            if not entry.is_complete(run.server_ids) and entry.score == result.answers[-1].score
+        ]
+        assert partial, "no root is left with a closed, partial representative"
+        assert all(answer.match.is_complete(run.server_ids) for answer in result.answers)

@@ -20,10 +20,14 @@ views are rebuilt across whole ancestor chains), every reported threshold
 equal to the live one, and after every completed batch the top-k set's
 ``export_state()`` identical — same match objects — to the shadow's.
 
-The golden table (``tests/fixtures/hot_path/golden.json``) was taken from
-the parent commit by running this file as a script against it: per case
-the event sequence, ``ExecutionStats``, answers, ``pending_bound`` and the
-bytes of a snapshot taken mid-run.  One field is left out of the event
+The golden table (``tests/fixtures/hot_path/golden.json``) is taken by
+running this file as a script: per case the event sequence,
+``ExecutionStats``, answers, ``pending_bound`` and the bytes of a snapshot
+taken mid-run.  It was taken from PR 17's parent commit, and retaken once
+at PR 22, whose change — a match that can at best tie k completed answers
+is pruned — moves every count by design (CHANGES.md has them side by
+side); the oracle checks above, which compare a run with itself, held
+through that change unedited.  One field is left out of the event
 digest on purpose: the threshold carried by a *completed* sibling's event.
 A last-hop batch now meets the top-k set once, so all its siblings report
 the threshold after the batch, where the parent reported the threshold
@@ -35,7 +39,9 @@ mutant cannot outlive the line it mutates — must each fail the checks:
 
 - ``last_best`` — the *last* of the best completed siblings is shown to the
   top-k set, not the first;
-- ``prunes_ties`` — ``<=`` for ``<`` in the batch prune test;
+- ``keeps_ties`` — ``<`` for ``<=`` against the closing level in the batch
+  prune test: the rule before PR 22, right for answers and wrong for every
+  count in the table;
 - ``bound_by_size`` — one ``remaining`` reused for every visited set of the
   same size.
 """
@@ -292,17 +298,20 @@ def test_hot_path_matches_old_code_on_generated_databases(seed):
 
 # -- the test bites -------------------------------------------------------------------
 
-#: name -> (EngineBase method, [(old text, new text), ...])
+#: name -> (class, method, [(old text, new text), ...])
 MUTANTS = {
     "last_best": (
+        EngineBase,
         "absorb_extensions",
         [("if extension.score > best.score:", "if extension.score >= best.score:")],
     ),
-    "prunes_ties": (
-        "absorb_extensions",
-        [("if prune and bound < threshold:", "if prune and bound <= threshold:")],
+    "keeps_ties": (
+        TopKSet,
+        "is_pruned",
+        [("bound <= self._closing", "bound < self._closing")],
     ),
     "bound_by_size": (
+        EngineBase,
         "bound_entry",
         [
             (
@@ -313,24 +322,46 @@ MUTANTS = {
     ),
 }
 
-#: Enough of the matrix to meet a tie among completed siblings, a bound
-#: equal to the threshold, and two visited sets of one size that differ in
-#: what is left to add.
+#: Enough of the matrix to meet a tie among completed siblings, a queue
+#: closed at the k-th completed score, and two visited sets of one size that
+#: differ in what is left to add.
 MUTANT_CASES = {"relaxed/Q2/k=15/whirlpool_s", "relaxed/Q3/k=15/lockstep"}
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_identity_checks_kill_hand_mutants(name, monkeypatch):
-    method, edits = MUTANTS[name]
-    source = textwrap.dedent(inspect.getsource(getattr(EngineBase, method)))
+    owner, method, edits = MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(getattr(owner, method)))
     for old, new in edits:
-        assert old in source, f"mutation site {old!r} left EngineBase.{method}: update MUTANTS"
+        assert old in source, f"mutation site {old!r} left {owner.__name__}.{method}: update MUTANTS"
         source = source.replace(old, new)
-    namespace = dict(vars(base_module))
-    exec(compile(source, f"<mutant of EngineBase.{method}>", "exec"), namespace)
-    monkeypatch.setattr(EngineBase, method, namespace[method])
+    namespace = dict(vars(sys.modules[owner.__module__]))
+    exec(compile(source, f"<mutant of {owner.__name__}.{method}>", "exec"), namespace)
+    monkeypatch.setattr(owner, method, namespace[method])
     with pytest.raises(AssertionError):
         check_golden(only=MUTANT_CASES)
+
+
+def test_a_sibling_that_can_only_tie_is_closed_as_it_is_absorbed(xmark_db):
+    """The rule's second site.  Whirlpool-S and LockStep never reach it
+    with a tie — what they pop bounds what it spawns, and is closed first —
+    so no golden row can pin it; Whirlpool-M's threads do (on the
+    ``fig10_single`` documents, 269 of one Q2 run's 2,101 unfinished
+    siblings).  Here: a finished k = 1 run, whose answer matches the query
+    exactly, is handed that root's seed again.  Its extensions can at best
+    tie the answer: all are closed, where the strict rule kept the exact
+    one."""
+    engine = Engine(xmark_db, QUERIES["Q2"])
+    run = engine.open(1)
+    best = run.run().answers[0]
+    assert best.score == engine.score_model.max_total() == run.topk.closing_level()
+    seed = PartialMatch.initial(best.root_node)
+    server_id = run.server_ids[0]
+    siblings = run.servers[server_id].process(seed, run.stats)
+    pruned = run.stats.partial_matches_pruned
+    assert run.absorb_extensions(siblings) == []
+    assert max(sibling.upper_bound for sibling in siblings) == run.topk.threshold()
+    assert run.stats.partial_matches_pruned == pruned + len(siblings)
 
 
 if __name__ == "__main__":

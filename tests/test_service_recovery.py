@@ -18,10 +18,12 @@ import threading
 
 import pytest
 
+from repro.core.engine import Engine
 from repro.errors import ServiceError
 from repro.faults import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.recovery import CheckpointPolicy, JsonFileRecoveryStore, MemoryRecoveryStore
 from repro.service import Outcome, QueryRequest, WhirlpoolService
+from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 
@@ -112,12 +114,9 @@ class TestCrashPersists:
         successor.drain()
         assert recovered.outcome is Outcome.SERVED
         assert recovered.result is not None
-        assert recovered.result.scores() == pytest.approx(
-            oracle_response.result.scores(), abs=1e-9
-        )
-        assert (
-            recovered.result.root_deweys() == oracle_response.result.root_deweys()
-        )
+        ranking = full_ranking(Engine(xmark_db, QUERY))
+        assert_same_topk(ranking, oracle_response.result)
+        assert_same_topk(ranking, recovered.result)
 
     def test_crash_without_checkpoint_saves_envelope(self, xmark_db):
         store = MemoryRecoveryStore()
@@ -135,8 +134,6 @@ class TestCrashPersists:
     def test_failure_report_marks_resumable(self, xmark_db):
         """Satellite: the engine abandon path attaches the last checkpoint
         so callers can tell 'lost' from 'resumable'."""
-        from repro.core.engine import Engine
-
         engine = Engine(xmark_db, QUERY)
         snapshots = []
         # A mostly-dead server: enough errors to abandon matches, enough

@@ -22,6 +22,7 @@ from repro.faults.supervisor import RetryPolicy
 from repro.sim.clock import RealClock, VirtualClock, get_clock, set_clock, use_clock
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
+from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 K = 4
@@ -204,4 +205,6 @@ class TestChaosUnderVirtualClock:
             )
         assert virtual.degraded == real.degraded
         if not real.degraded:
-            assert answer_keys(virtual) == answer_keys(real)
+            ranking = full_ranking(engine)
+            assert_same_topk(ranking, real)
+            assert_same_topk(ranking, virtual)

@@ -6,6 +6,7 @@ from repro.core.engine import Engine
 from repro.errors import EngineError
 from repro.simulate.cost import CostModel
 from repro.simulate.scheduler import SimulatedWhirlpoolM
+from tests.conftest import assert_exact_or_certified, full_ranking
 
 
 def _simulator(engine, k=5, n_processors=2, cost_model=None, **kwargs):
@@ -153,19 +154,10 @@ class TestSupervisedStep:
     def test_chaos_is_supervised_not_fatal(self, engine, seed):
         from repro.faults import FaultPlan
 
-        reference = _simulator(engine).simulate().result
+        ranking = full_ranking(engine)
         result = _simulator(engine, faults=FaultPlan.chaos(seed)).simulate().result
         assert result.failure is not None
-        truth = dict(
-            (answer.root_node.dewey, answer.score)
-            for answer in engine.run(len(engine.index["item"])).answers
-        )
+        truth = dict(ranking)
         for answer in result.answers:
             assert answer.score <= truth[answer.root_node.dewey] + 1e-9
-        if not result.degraded:
-            assert result.scores() == reference.scores()
-        else:
-            reported = set(result.root_deweys())
-            for answer in reference.answers:
-                if answer.root_node.dewey not in reported:
-                    assert answer.score <= result.pending_bound + 1e-9
+        assert_exact_or_certified(ranking, result)

@@ -70,12 +70,36 @@ class TestPruning:
         assert topk.is_pruned(doomed)
 
     def test_keep_at_threshold(self):
-        """Strict comparison: potential ties survive."""
+        """A potential tie with an *unfinished* answer survives: that
+        answer is not evidence yet (and in exact mode may never be)."""
         roots = _roots(2)
         topk = TopKSet(1)
         topk.observe(_match(roots[0], 0.9), complete=False)
         tie = _match(roots[1], 0.2, bound=0.9)
+        assert topk.closing_level() == float("-inf")
         assert not topk.is_pruned(tie)
+
+    def test_tie_with_k_completed_answers_is_closed(self):
+        roots = _roots(3)
+        topk = TopKSet(2)
+        topk.observe(_match(roots[0], 0.9), complete=True)
+        tie = _match(roots[2], 0.2, bound=0.7)
+        assert not topk.is_pruned(tie)  # one completed answer, k = 2
+        topk.observe(_match(roots[1], 0.7), complete=True)
+        assert topk.closing_level() == topk.threshold() == pytest.approx(0.7)
+        assert topk.is_pruned(tie)
+        assert not topk.is_pruned(_match(roots[2], 0.2, bound=0.71))
+
+    def test_closing_level_lags_the_threshold(self):
+        """Entry scores move the threshold, completed scores the closing
+        level: a tie with the threshold alone is kept."""
+        roots = _roots(3)
+        topk = TopKSet(1)
+        topk.observe(_match(roots[0], 0.5), complete=True)
+        topk.observe(_match(roots[1], 0.8), complete=False)
+        assert (topk.threshold(), topk.closing_level()) == (0.8, 0.5)
+        assert not topk.is_pruned(_match(roots[2], 0.1, bound=0.8))
+        assert topk.is_pruned(_match(roots[2], 0.1, bound=0.5))
 
     def test_keep_above_threshold(self):
         roots = _roots(2)
@@ -130,6 +154,14 @@ class TestAnswersAndSnapshot:
         topk.observe(_match(roots[1], 0.9), complete=True)
         answers = topk.answers()
         assert [a.root_node.dewey for a in answers] == [(1,), (0,), (2,)]
+
+    def test_answers_prefer_a_complete_representative_among_ties(self):
+        roots = _roots(3)
+        topk = TopKSet(2)
+        topk.observe(_match(roots[0], 0.5), complete=False)
+        topk.observe(_match(roots[1], 0.9), complete=True)
+        topk.observe(_match(roots[2], 0.5), complete=True)
+        assert [a.root_node.dewey for a in topk.answers()] == [(1,), (2,)]
 
     def test_answers_capped_at_k(self):
         roots = _roots(5)
