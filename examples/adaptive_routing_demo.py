@@ -12,8 +12,8 @@ Run from the repository root::
 
 import itertools
 
+from repro.bench.makespan import CostModel
 from repro.core.engine import Engine
-from repro.simulate.cost import CostModel
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
 

@@ -13,9 +13,8 @@ Run from the repository root::
 import time
 
 import repro
+from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
 from repro.core.engine import Engine
-from repro.simulate.cost import CostModel
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
 from repro.xmldb.serializer import document_size_bytes

@@ -21,8 +21,8 @@ Package map: :mod:`repro.xmldb` (XML substrate), :mod:`repro.xmark`
 :mod:`repro.core` (engines), :mod:`repro.recovery` (checkpoint /
 restore snapshots), :mod:`repro.service` (embedded query service:
 admission control, circuit breakers, graceful drain, crash recovery),
-:mod:`repro.simulate` (parallelism model), :mod:`repro.bench`
-(experiment harness).
+:mod:`repro.bench` (experiment harness and the Whirlpool-M
+makespan model).
 """
 
 from repro.core.engine import Engine, topk

@@ -31,7 +31,7 @@ from typing import Dict, Sequence, Tuple
 LAYER_CONTRACT: Sequence[Tuple[str, Sequence[str]]] = (
     ("foundation", ("errors",)),
     # The clock seam sits below everything timed: ``sim.clock`` imports
-    # only the stdlib, and core/faults/simulate/cluster all route their
+    # only the stdlib, and core/faults/bench/cluster all route their
     # sleeps and deadline reads through it (as ``import repro.sim.clock``
     # so the edge targets this prefix, not the package).  Entries match
     # in contract order (see ``layers.py``), so this one must precede
@@ -45,7 +45,6 @@ LAYER_CONTRACT: Sequence[Tuple[str, Sequence[str]]] = (
     ("scoring", ("scoring",)),
     ("relax", ("relax",)),
     ("core", ("core",)),
-    ("simulate", ("simulate",)),
     ("faults", ("faults",)),
     ("obs", ("obs",)),
     ("recovery", ("recovery",)),

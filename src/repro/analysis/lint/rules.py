@@ -422,7 +422,7 @@ class NoWallclockInCoreRule(Rule):
     wall-clock coupling in control flow makes runs non-reproducible and
     benchmarks dishonest.  Timing belongs to ``core/stats.py`` (which
     carries the sanctioned ``# wpl: noqa=WPL001`` clock writes) and to
-    :mod:`repro.simulate` for modeled latency.
+    :mod:`repro.bench.makespan` for modeled latency.
     """
 
     code = "WPL004"
@@ -443,7 +443,7 @@ class NoWallclockInCoreRule(Rule):
                     module,
                     node,
                     "core/ must not import from `time` (keep timing in stats.py "
-                    "or repro.simulate)",
+                    "or repro.bench.makespan)",
                 )
         for node in ast.walk(module.tree):
             if (

@@ -1,8 +1,11 @@
-"""Benchmark harness: workloads, parameters and experiment drivers.
+"""Benchmark harness: workloads, parameters, experiment drivers and models.
 
-One driver function per paper artifact (Figures 3, 5–11; Table 2); the
-modules under ``benchmarks/`` are thin pytest wrappers that call these
-drivers, print the paper-shaped rows and feed pytest-benchmark.
+One driver function per paper artifact (Figures 3, 5–11; Table 2) plus
+the Whirlpool-M makespan model (:mod:`repro.bench.makespan`) and the
+injected-latency index (:mod:`repro.bench.latency`) they run on.
+``benchmarks/test_paper_artifacts.py`` holds the table of artifacts: each
+entry names its driver, the table it renders and the shape claims it
+asserts.
 
 Scaling: the paper's documents are 1/10/50 Mb XMark files.  The drivers
 default to documents scaled down by ``REPRO_BENCH_SCALE`` (default 0.02,

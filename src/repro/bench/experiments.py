@@ -1,10 +1,11 @@
 """Experiment drivers — one function per paper figure/table.
 
 Each driver returns a plain-dict payload with the series the paper plots;
-the ``benchmarks/`` modules print them as tables and persist them via
-:func:`repro.bench.reporting.write_results`.  All drivers are deterministic
-given the seed (Whirlpool-M always runs through the discrete-event
-simulator here; the threaded engine is exercised by tests and examples).
+the table of artifacts under ``benchmarks/`` renders them as tables and
+persists them via :func:`repro.bench.reporting.write_results`.  All
+drivers are deterministic given the seed (Whirlpool-M always runs through
+the discrete-event simulator here; the threaded engine is exercised by
+tests and examples).
 
 Conventions:
 
@@ -23,13 +24,12 @@ import itertools
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
 from repro.bench.params import DEFAULTS, QUERIES
 from repro.bench.workloads import get_engine
 from repro.core.engine import Engine
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
-from repro.simulate.cost import CostModel
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 
 #: Per-operation thread-scheduling overhead charged to Whirlpool-M in the
 #: simulator (the paper's "threading overhead" that penalizes small

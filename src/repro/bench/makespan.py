@@ -1,4 +1,13 @@
-"""Discrete-event simulation of Whirlpool-M on ``n`` processors.
+"""Makespan model of Whirlpool-M: a discrete-event simulation on ``n`` processors.
+
+The paper measures Whirlpool-M on machines with 1, 2, 4 and "infinite"
+processors (Figure 9) and sweeps the per-operation cost to locate the point
+where adaptivity pays (Figure 8).  CPython's GIL rules out measuring real
+CPU parallelism, so the benchmark drivers substitute this simulation: the
+same servers, router, queues, score model and top-k set as the real engine,
+scheduled over an explicit processor count with the per-event costs of a
+:class:`CostModel`.  The simulated makespan plays the role of wall-clock
+time.
 
 The simulated system has one logical thread per server plus a router
 thread, exactly like the real Whirlpool-M (the paper: "the number of
@@ -32,9 +41,42 @@ from repro.core.base import EngineBase, TopKResult
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue
 from repro.errors import EngineError, InjectedFaultError
-from repro.simulate.cost import CostModel
 
 _ROUTER = -1  # thread id of the router (servers use their node ids)
+
+
+class CostModel:
+    """Per-event costs, in (simulated) seconds.
+
+    The paper reports results "for the case where join operations cost
+    around 1.8 msecs each" (Section 6.3.3) and sweeps that cost from 10 µs
+    to 1 s in Figure 8; routing decisions carry their own (much smaller)
+    overhead — the "cost of adaptivity".
+    """
+
+    __slots__ = ("operation_cost", "routing_cost")
+
+    #: The paper's default join-operation cost (Section 6.3.3).
+    DEFAULT_OPERATION_COST = 0.0018
+
+    def __init__(
+        self,
+        operation_cost: float = DEFAULT_OPERATION_COST,
+        routing_cost: float = 0.0,
+    ) -> None:
+        if operation_cost < 0 or routing_cost < 0:
+            raise ValueError("costs must be non-negative")
+        self.operation_cost = operation_cost
+        self.routing_cost = routing_cost
+
+    def sequential_time(self, operations: int, routings: int) -> float:
+        """Time a purely sequential engine (Whirlpool-S) would take."""
+        return operations * self.operation_cost + routings * self.routing_cost
+
+    def __repr__(self) -> str:
+        return (
+            f"CostModel(op={self.operation_cost!r}, routing={self.routing_cost!r})"
+        )
 
 
 class SimulationResult:

@@ -1,37 +1,32 @@
-"""Plain-text tables and result persistence for the benchmark harness.
+"""Markdown tables and result persistence for the benchmark harness.
 
-Every bench prints the rows/series the corresponding paper figure or table
-reports, and appends a machine-readable copy under ``bench_results/`` so
-EXPERIMENTS.md can be regenerated from artifacts.
+Every paper artifact renders the rows/series the corresponding figure or
+table reports as one markdown table, and persists its payload under
+``bench_results/`` so EXPERIMENTS.md can be regenerated from artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR", "bench_results")
 
 
-def format_table(
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence],
-) -> str:
-    """Fixed-width text table with a title line."""
-    cells = [[str(value) for value in row] for row in rows]
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in cells)) if cells else len(headers[col])
-        for col in range(len(headers))
-    ]
+def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A markdown table: header line, delimiter line, one line per row.
 
-    def render_row(row: Sequence[str]) -> str:
-        return "  ".join(value.rjust(widths[col]) for col, value in enumerate(row))
+    Float cells show four significant digits; any other cell its ``str``.
+    """
 
-    lines = [title, render_row(list(headers)), render_row(["-" * width for width in widths])]
-    lines.extend(render_row(row) for row in cells)
-    return "\n".join(lines)
+    def cell(value) -> str:
+        return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+    def line(cells: Sequence) -> str:
+        return "| " + " | ".join(map(cell, cells)) + " |"
+
+    return "\n".join([line(headers), "|" + "---|" * len(headers), *map(line, rows)])
 
 
 def write_results(name: str, payload: Dict) -> str:
@@ -43,14 +38,11 @@ def write_results(name: str, payload: Dict) -> str:
     return path
 
 
-def fmt(value: float, digits: int = 3) -> str:
-    """Compact float formatting for table cells."""
-    return f"{value:.{digits}f}"
-
-
-def emit(text: str) -> None:
-    """Print a bench table (visible under ``pytest -s``) and archive it."""
-    print("\n" + text)
+def write_tables(tables: Sequence[Tuple[str, str]]) -> str:
+    """(Re)write ``tables.md``: one ``## title`` section per rendered table."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "tables.txt"), "a") as handle:
-        handle.write(text + "\n\n")
+    path = os.path.join(RESULTS_DIR, "tables.md")
+    with open(path, "w") as handle:
+        handle.write("\n".join(f"## {title}\n\n{table}\n" for title, table in tables))
+    return path
+

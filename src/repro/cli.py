@@ -1,4 +1,4 @@
-"""Command-line interface: query documents, generate data, run experiments.
+"""Command-line interface: query documents, generate data, drive the demos.
 
 Installed as ``python -m repro``::
 
@@ -11,7 +11,6 @@ Installed as ``python -m repro``::
     python -m repro sim explore --budget 40
     python -m repro sim replay --corpus tests/fixtures/sim
     python -m repro sim walltime --seeds 6 --json
-    python -m repro bench fig5
 
 Every subcommand is a thin shell over the library API; anything the CLI
 prints can be obtained programmatically from :mod:`repro`.
@@ -400,16 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="explore/replay: run on the real clock instead of warping",
     )
     sim.add_argument("--json", action="store_true", help="machine-readable output")
-
-    bench = commands.add_parser("bench", help="run one experiment driver")
-    bench.add_argument(
-        "experiment",
-        choices=(
-            "fig5", "fig6", "fig8", "fig9", "fig10", "fig11",
-            "table2", "queues", "scoring", "all",
-        ),
-        help="which paper artifact to regenerate ('all' runs every driver)",
-    )
     return parser
 
 
@@ -1033,28 +1022,6 @@ def _cmd_sim(args) -> int:
     return 0 if equivalent else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import experiments
-
-    drivers = {
-        "fig5": experiments.fig5_routing_strategies,
-        "fig6": experiments.fig6_7_adaptive_vs_static,
-        "fig8": experiments.fig8_adaptivity_cost,
-        "fig9": experiments.fig9_parallelism,
-        "fig10": experiments.fig10_vary_k,
-        "fig11": experiments.fig11_vary_docsize,
-        "table2": experiments.table2_scalability,
-        "queues": experiments.queue_policy_ablation,
-        "scoring": experiments.scoring_function_ablation,
-    }
-    if args.experiment == "all":
-        payload = {name: driver() for name, driver in drivers.items()}
-    else:
-        payload = drivers[args.experiment]()
-    print(json.dumps(payload, indent=2, default=str))
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
@@ -1068,7 +1035,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "metrics": _cmd_metrics,
         "recover": _cmd_recover,
         "sim": _cmd_sim,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

@@ -196,7 +196,7 @@ class Server:
       test the structural predicate per node.
 
     Both return identical candidates; they differ only in comparisons
-    performed, which ``bench_join_algorithms.py`` measures — the comparison
+    performed, which the ``join_algorithms`` artifact measures — the comparison
     the paper explicitly skips ("since we are not comparing join algorithm
     performance").
     """

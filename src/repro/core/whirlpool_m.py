@@ -20,7 +20,7 @@ CPython's GIL means this implementation demonstrates the *concurrent
 architecture* (and its different, parallelism-driven pruning behaviour —
 the top-k threshold grows in a different order than under Whirlpool-S)
 rather than true CPU speedup; the deterministic processor-count model for
-the paper's parallelism experiments lives in :mod:`repro.simulate`.
+the paper's parallelism experiments lives in :mod:`repro.bench.makespan`.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class WhirlpoolM(EngineBase):
     ("increasing the number of threads per server for maximal
     parallelism"): each server queue is drained by that many worker
     threads.  With GIL-releasing operation costs (e.g. the latency-injected
-    index of :mod:`repro.simulate.latency`), extra threads overlap more
+    index of :mod:`repro.bench.latency`), extra threads overlap more
     waits on the hottest servers.
     """
 

@@ -9,8 +9,8 @@ only in what they do with the rule it returns.
 
 A :class:`FaultInjector` is what engines thread through their servers,
 queues and router; every hook costs a single ``is None`` check when no
-plan is active, which is what ``benchmarks/bench_fault_overhead.py``
-measures.
+plan is active, which is what the ``fault_overhead`` paper artifact
+under ``benchmarks/`` measures.
 
 The injector is also the book-keeper that keeps degradation *honest*:
 every match it loses (``DROP`` actions, and the match in hand when a

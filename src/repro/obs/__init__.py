@@ -12,8 +12,8 @@ Three pieces, one switch:
 :class:`Observability` bundles them into the single configuration object
 :class:`~repro.service.service.WhirlpoolService` accepts.  Disabled (the
 default for embedding), every hot-path hook degrades to an ``is None``
-guard or a shared no-op instrument — the overhead benchmark
-(``benchmarks/bench_obs_overhead.py``) bounds the cost.  See
+guard or a shared no-op instrument — the ``obs_overhead`` paper
+artifact under ``benchmarks/`` bounds the cost.  See
 ``docs/observability.md``.
 """
 

@@ -2,7 +2,7 @@
 
 These verify the harness plumbing (payload shapes, caching, reporting) so
 benchmark failures mean a *claim* regressed, not the harness.  The shape
-assertions themselves live in ``benchmarks/``.
+claims themselves live in ``benchmarks/test_paper_artifacts.py``.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from repro.bench import experiments, trajectory
 from repro.bench.hot_path import hot_path_work
 from repro.bench.params import DEFAULTS, QUERIES, paper_doc_bytes
-from repro.bench.reporting import format_table, write_results
+from repro.bench.reporting import format_table, write_results, write_tables
 from repro.bench.step_codec import cluster_step_codec
 from repro.bench.workloads import clear_cache, get_database, get_engine
 
@@ -151,16 +151,16 @@ class TestDrivers:
 
 class TestReporting:
     def test_format_table(self):
-        table = format_table("T", ["a", "bb"], [["1", "2"], ["33", "4"]])
-        lines = table.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[1] and "bb" in lines[1]
-        # title + header + separator + 2 data rows
-        assert len(lines) == 5
+        table = format_table(["a", "bb"], [["1", 2], ["33", 0.123456]])
+        assert table.splitlines() == [
+            "| a | bb |",
+            "|---|---|",
+            "| 1 | 2 |",
+            "| 33 | 0.1235 |",
+        ]
 
     def test_format_table_empty_rows(self):
-        table = format_table("T", ["col"], [])
-        assert "col" in table
+        assert format_table(["col"], []) == "| col |\n|---|"
 
     def test_write_results(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -169,6 +169,12 @@ class TestReporting:
         path = write_results("unit", {"x": 1})
         with open(path) as handle:
             assert json.load(handle) == {"x": 1}
+
+    def test_write_tables_overwrites(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.bench.reporting.RESULTS_DIR", str(tmp_path))
+        write_tables([("Old", "| a |\n|---|")])
+        path = write_tables([("T", "| b |\n|---|")])
+        assert Path(path).read_text() == "## T\n\n| b |\n|---|\n"
 
 
 class TestTrajectory:

@@ -149,19 +149,6 @@ class TestGenerate:
         assert first == second
 
 
-class TestBench:
-    def test_bench_fig5_json(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.003")
-        from repro.bench.workloads import clear_cache
-
-        clear_cache()
-        code = main(["bench", "fig5"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert "series" in payload
-        clear_cache()
-
-
 class TestSim:
     def test_explore_clean_code_exits_zero(self, capsys):
         code = main(["sim", "explore", "--budget", "6", "--items", "30", "--json"])

@@ -10,11 +10,10 @@ and relaxed answers must be a superset of exact answers.
 
 import pytest
 
+from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
 from repro.core.engine import Engine
 from repro.query.matcher import distinct_roots, find_matches
 from repro.query.xpath import parse_xpath
-from repro.simulate.cost import CostModel
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 from tests.conftest import assert_same_topk, full_ranking
 
 QUERIES = {

@@ -3,11 +3,10 @@ adaptivity") and multi-threaded servers in the simulator."""
 
 import pytest
 
+from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
 from repro.core.engine import Engine
 from repro.core.router import BatchingRouter, MinAliveRouter
 from repro.errors import EngineError
-from repro.simulate.cost import CostModel
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
+from repro.bench.latency import LatencyIndex
 from repro.core.engine import Engine
 from repro.core.whirlpool_s import WhirlpoolS
-from repro.simulate.latency import LatencyIndex
 from repro.xmldb.dewey import DepthRange
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.parser import parse_document

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
 from repro.core.engine import Engine
 from repro.errors import EngineError
-from repro.simulate.cost import CostModel
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 from tests.conftest import assert_exact_or_certified, full_ranking
 
 

@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
 from repro.core.engine import Engine
-from repro.simulate.cost import CostModel
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
 

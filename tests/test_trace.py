@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.bench.makespan import SimulatedWhirlpoolM
 from repro.core.engine import Engine
 from repro.core.trace import EngineObserver, ExecutionTrace
-from repro.simulate.scheduler import SimulatedWhirlpoolM
 
 PAPER_QUERY = "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']"
 
