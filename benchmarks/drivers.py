@@ -12,7 +12,7 @@ import time
 
 from repro.bench.experiments import run_whirlpool_m_sim, run_whirlpool_s, static_orders
 from repro.bench.latency import LatencyIndex
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.bench.motivating import sweep
 from repro.bench.obs_overhead import guard_overhead
 from repro.bench.params import QUERIES
@@ -272,18 +272,12 @@ def threaded_wallclock():
 def future_threads_per_server():
     """Simulated makespan (Q2, unbounded processors) per threads/server."""
     engine = get_engine("Q2")
-    return {
-        str(threads): SimulatedWhirlpoolM(
-            pattern=engine.pattern,
-            index=engine.index,
-            score_model=engine.score_model,
-            k=K,
-            n_processors=None,
-            threads_per_server=threads,
-            cost_model=CostModel(),
-        ).simulate().makespan
-        for threads in (1, 2, 4, 8)
-    }
+    makespans = {}
+    for threads in (1, 2, 4, 8):
+        run = engine.open(K, "whirlpool_m")
+        run.threads_per_server = threads
+        makespans[str(threads)] = simulate(run, n_processors=None, cost_model=CostModel()).makespan
+    return makespans
 
 
 def future_bulk_adaptivity():

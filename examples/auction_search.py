@@ -13,7 +13,7 @@ Run from the repository root::
 import time
 
 import repro
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.core.engine import Engine
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
@@ -65,14 +65,7 @@ def main() -> None:
                 raise AssertionError(f"{algorithm} disagreed on the top-{k}!")
 
         # The simulated multi-processor Whirlpool-M (deterministic).
-        sim = SimulatedWhirlpoolM(
-            pattern=engine.pattern,
-            index=engine.index,
-            score_model=engine.score_model,
-            k=k,
-            n_processors=4,
-            cost_model=CostModel(),
-        ).simulate()
+        sim = simulate(engine.open(k, "whirlpool_m"), n_processors=4, cost_model=CostModel())
         print(
             f"  {'whirlpool_m @4cpu':<17}{sim.result.stats.server_operations:>8}"
             f"{sim.result.stats.partial_matches_created:>9}"

@@ -24,12 +24,12 @@ import itertools
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.bench.params import DEFAULTS, QUERIES
 from repro.bench.workloads import get_engine
 from repro.core.engine import Engine
 from repro.core.queues import QueuePolicy
-from repro.core.router import make_router
+from repro.core.whirlpool_m import WhirlpoolM
 
 #: Per-operation thread-scheduling overhead charged to Whirlpool-M in the
 #: simulator (the paper's "threading overhead" that penalizes small
@@ -89,17 +89,18 @@ def run_whirlpool_m_sim(
     queue_policy: QueuePolicy = QueuePolicy.MAX_FINAL_SCORE,
 ):
     """One simulated Whirlpool-M run; returns its SimulationResult."""
-    simulator = SimulatedWhirlpoolM(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=k,
-        router=make_router(routing, order=order),
+    run = engine.open(
+        k,
+        "whirlpool_m",
+        routing=routing,
+        static_order=order,
         queue_policy=queue_policy,
+    )
+    return simulate(
+        run,
         n_processors=n_processors,
         cost_model=CostModel(operation_cost=operation_cost + thread_overhead),
     )
-    return simulator.simulate()
 
 
 def run_lockstep(
@@ -400,7 +401,11 @@ def fig10_backend_speedup(
             started = _time.perf_counter()
             for k in k_values:
                 run_whirlpool_s(engine, k)
-                run_whirlpool_m_sim(engine, k)
+                # Runs from Engine.open probe nothing (the Engine's memos
+                # are warm): the probes counted are a cold run's, built
+                # with private memos.
+                cold = WhirlpoolM(engine.pattern, engine.index, engine.score_model, k)
+                simulate(cold, cost_model=CostModel(DEFAULT_COST + THREAD_OVERHEAD))
             wall = _time.perf_counter() - started
             units, probes = engine.index.probe_cost()
             per_backend[backend] = {

@@ -12,6 +12,11 @@ implements the two steps every engine performs identically:
   set of partial matches");
 - **absorbing extensions** — refresh bound, report to the top-k set,
   detect completion, prune.
+
+The adaptive engines' step is built from it too: pop → :meth:`EngineBase.admit`
+→ :meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put.
+Whirlpool-S runs it in one loop, Whirlpool-M in real threads or under the
+makespan model's scheduler (:func:`repro.bench.makespan.simulate`).
 """
 
 from __future__ import annotations
@@ -399,6 +404,20 @@ class EngineBase:
             entry = self.bound_table[visited] = (remaining, tuple(unvisited))
         return entry
 
+    def start_matches(self) -> List[PartialMatch]:
+        """What a run puts in its router queue first: the staged matches
+        of a restored snapshot or a parked budget exit, else fresh seeds.
+        A pattern without servers completes its seeds here and starts
+        with nothing."""
+        restored = self.take_restored()
+        if restored is not None:
+            return restored
+        seeds = self.seed_matches()
+        if self.server_ids:
+            return seeds
+        self.stats.record_completed(len(seeds))
+        return []
+
     def seed_matches(self) -> List[PartialMatch]:
         """Root-server output: one initial match per candidate root node."""
         root = self.pattern.root
@@ -493,6 +512,27 @@ class EngineBase:
         if len(survivors) < len(extensions):
             self.stats.record_pruned(len(extensions) - len(survivors))
         return survivors
+
+    def admit(self, match: PartialMatch) -> bool:
+        """The pruning check a popped match passes before any work is
+        spent on it; a pruned match is counted and shown to the observer."""
+        if self.topk.is_pruned(match):
+            self.stats.record_pruned()
+            self.notify_prune(match)
+            return False
+        return True
+
+    def serve(self, server_id: int, match: PartialMatch) -> List[PartialMatch]:
+        """One supervised server operation on an admitted match; returns
+        what goes back to the router: the match itself when recovery
+        requeues it, nothing when it is abandoned (the supervisor holds
+        its bound), else the absorbed extensions that must continue."""
+        extensions, outcome = self.process_with_recovery(server_id, match)
+        if outcome == "requeue":
+            return [match]
+        if extensions is None:
+            return []
+        return self.absorb_extensions(extensions, parent=match)
 
     def notify_route(self, match: PartialMatch, server_id: int) -> None:
         """Observer hook for a routing decision."""

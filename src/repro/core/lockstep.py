@@ -42,19 +42,10 @@ class LockStep(EngineBase):
 
     def run(self) -> TopKResult:
         self.stats.start_clock()
-        restored = self.take_restored()
-        if restored is not None:
-            # Continuing a parked run or resuming a snapshot (possibly
-            # taken under another engine): top-k set and counters are in
-            # place; the staged matches rejoin the lock-step sweep below,
-            # skipping servers they already visited.
-            matches: List[PartialMatch] = list(restored)
-        else:
-            matches = list(self.seed_matches())
-        if not self.server_ids:
-            for _ in matches:
-                self.stats.record_completed()
-            matches = []
+        # Matches staged by a parked run or a snapshot (possibly taken
+        # under another engine) rejoin the lock-step sweep below, skipping
+        # servers they already visited.
+        matches = self.start_matches()
 
         degraded = False
         pending_bound = 0.0
@@ -103,9 +94,7 @@ class LockStep(EngineBase):
                     continue
                 if match is None:
                     break
-                if self.prune and self.topk.is_pruned(match):
-                    self.stats.record_pruned()
-                    self.notify_prune(match)
+                if self.prune and not self.admit(match):
                     continue
                 self.notify_route(match, server_id)
                 # Lock-step visits servers in a fixed order, so there is

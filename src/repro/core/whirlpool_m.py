@@ -7,6 +7,13 @@ thread-safe; termination is detected by an in-flight counter that tracks
 every partial match living in any queue or being processed — when it drops
 to zero, no component can ever produce new work.
 
+Every thread runs one step, :meth:`WhirlpoolM.step`: pop a match from its
+queue, ``admit`` it against the top-k set, then route it (the router) or
+serve it (a server), and put the output into the next thread's queue.  The
+makespan model (:func:`repro.bench.makespan.simulate`) schedules the same
+step over a modeled processor count: the threads and the model run one
+engine.
+
 Worker bodies are *supervised*: every dequeued match is processed under
 ``try/finally`` so the in-flight count is decremented no matter what the
 body raises (a crashed worker iteration can therefore never stall
@@ -26,13 +33,21 @@ the paper's parallelism experiments lives in :mod:`repro.bench.makespan`.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.base import EngineBase, TopKResult
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue
 from repro.core.stats import monotonic_seconds
-from repro.errors import EngineCrashError, EngineDeadlockError, InjectedFaultError
+from repro.errors import (
+    EngineCrashError,
+    EngineDeadlockError,
+    EngineError,
+    InjectedFaultError,
+)
+
+#: The router's thread id; a server thread's is its server's node id.
+ROUTER = -1
 
 _POLL_SECONDS = 0.02
 
@@ -55,6 +70,11 @@ _CHECKPOINT_POLL_SECONDS = 0.005
 _WAIT_BACKSTOP_SECONDS = 60.0
 
 _ThreadNames = Union[Callable[[], List[str]], Sequence[str], None]
+
+
+def thread_label(thread: int) -> str:
+    """A thread's queue site, checkpoint label and failure-report name."""
+    return "router" if thread == ROUTER else f"server:{thread}"
 
 
 class _InFlight:
@@ -141,7 +161,8 @@ class WhirlpoolM(EngineBase):
     parallelism"): each server queue is drained by that many worker
     threads.  With GIL-releasing operation costs (e.g. the latency-injected
     index of :mod:`repro.bench.latency`), extra threads overlap more
-    waits on the hottest servers.
+    waits on the hottest servers (and the makespan model runs that many
+    operations of one server at once).
     """
 
     algorithm = "whirlpool_m"
@@ -150,12 +171,32 @@ class WhirlpoolM(EngineBase):
         kwargs.setdefault("thread_safe_stats", True)
         super().__init__(*args, **kwargs)
         if threads_per_server < 1:
-            from repro.errors import EngineError
-
             raise EngineError(
                 f"threads_per_server must be >= 1, got {threads_per_server}"
             )
         self.threads_per_server = threads_per_server
+
+    def make_queues(
+        self, on_drop: Optional[Callable[[PartialMatch], None]] = None
+    ) -> Dict[int, MatchQueue]:
+        """One inbox per thread id: the router's, then every server's."""
+        queues: Dict[int, MatchQueue] = {ROUTER: self.make_router_queue(on_drop)}
+        for node_id in self.server_ids:
+            queues[node_id] = self.make_server_queue(node_id, on_drop)
+        return queues
+
+    def step(self, thread: int, match: PartialMatch) -> Tuple[int, List[PartialMatch]]:
+        """What ``thread`` does with a match it admitted: returns the
+        thread whose queue receives the output, and the output.  The
+        router routes the match to a server (or drops it in routing, its
+        bound recorded); a server serves it and hands the router what
+        must continue."""
+        if thread != ROUTER:
+            return ROUTER, self.serve(thread, match)
+        server_id = self.choose_server(match)
+        if server_id is None:
+            return ROUTER, []
+        return server_id, [match]
 
     def run(self) -> TopKResult:
         self.stats.start_clock()
@@ -195,87 +236,34 @@ class WhirlpoolM(EngineBase):
             # drop cannot stall termination.
             in_flight.dec()
 
-        router_queue = self.make_router_queue(on_drop=dec_on_drop)
-        server_queues: Dict[int, MatchQueue] = {
-            node_id: self.make_server_queue(node_id, on_drop=dec_on_drop)
-            for node_id in self.server_ids
-        }
+        queues = self.make_queues(on_drop=dec_on_drop)
+        labelled = {thread_label(thread): queue for thread, queue in queues.items()}
 
-        def safe_put(queue: MatchQueue, label: str, match: PartialMatch) -> None:
+        def safe_put(thread: int, match: PartialMatch) -> None:
             # inc() BEFORE the put: the consumer may dec() the instant the
             # match lands.  A failed put abandons the match (bound
             # recorded) and releases the count; a drop releases it via
             # ``dec_on_drop``.
             in_flight.inc()
             try:
-                queue.put(match)
+                queues[thread].put(match)
             except EngineCrashError:
                 in_flight.dec()
                 raise
             except Exception as exc:
-                self.supervisor.record_abandoned(match, label, exc)
+                self.supervisor.record_abandoned(match, f"queue:{thread_label(thread)}", exc)
                 in_flight.dec()
 
-        def route_one(match: PartialMatch) -> None:
-            if self.topk.is_pruned(match):
-                self.stats.record_pruned()
-                self.notify_prune(match)
-                return
-            server_id = self.choose_server(match)
-            if server_id is None:  # dropped in routing; bound recorded
-                return
-            safe_put(server_queues[server_id], f"queue:server:{server_id}", match)
-
-        def process_one(node_id: int, match: PartialMatch) -> None:
-            if self.topk.is_pruned(match):
-                self.stats.record_pruned()
-                self.notify_prune(match)
-                return
-            extensions, outcome = self.process_with_recovery(node_id, match)
-            if outcome == "requeue":
-                safe_put(router_queue, "queue:router", match)
-                return
-            if extensions is None:  # abandoned; supervisor holds the bound
-                return
-            for survivor in self.absorb_extensions(extensions, parent=match):
-                safe_put(router_queue, "queue:router", survivor)
-
-        def router_loop() -> None:
-            while not stop.is_set():
-                park_if_paused()
-                try:
-                    match = router_queue.get(timeout=_POLL_SECONDS)
-                except InjectedFaultError as exc:
-                    # The popped match was recorded as dropped (and its
-                    # count released) by the queue hook.
-                    self.supervisor.record_component_error("queue:router", exc)
-                    continue
-                except EngineCrashError as exc:
-                    note_crash(exc)
-                    return
-                if match is None:
-                    continue
-                try:
-                    route_one(match)
-                except EngineCrashError as exc:
-                    # The run is dead; the match in hand is lost with it.
-                    # Recovery is a checkpoint restore, not supervision.
-                    note_crash(exc)
-                except Exception as exc:
-                    # Crash containment: an unexpected router failure
-                    # abandons only the match in hand.
-                    self.supervisor.record_abandoned(match, "router", exc)
-                finally:
-                    in_flight.dec()
-
-        def server_loop(node_id: int) -> None:
-            queue = server_queues[node_id]
-            label = f"server:{node_id}"
+        def worker_loop(thread: int) -> None:
+            queue = queues[thread]
+            label = thread_label(thread)
             while not stop.is_set():
                 park_if_paused()
                 try:
                     match = queue.get(timeout=_POLL_SECONDS)
                 except InjectedFaultError as exc:
+                    # The popped match was recorded as dropped (and its
+                    # count released) by the queue hook.
                     self.supervisor.record_component_error(f"queue:{label}", exc)
                     continue
                 except EngineCrashError as exc:
@@ -284,19 +272,26 @@ class WhirlpoolM(EngineBase):
                 if match is None:
                     continue
                 try:
-                    process_one(node_id, match)
+                    if self.admit(match):
+                        target, output = self.step(thread, match)
+                        for produced in output:
+                            safe_put(target, produced)
                 except EngineCrashError as exc:
+                    # The run is dead; the match in hand is lost with it.
+                    # Recovery is a checkpoint restore, not supervision.
                     note_crash(exc)
                 except Exception as exc:
+                    # Crash containment: an unexpected failure abandons
+                    # only the match in hand.
                     self.supervisor.record_abandoned(match, label, exc)
                 finally:
                     in_flight.dec()
 
-        def run_worker(body: Callable[[], None]) -> None:
+        def run_worker(thread: int) -> None:
             # The barrier must know how many workers can still park, so
             # every exit path (stop, crash, unexpected error) counts.
             try:
-                body()
+                worker_loop(thread)
             finally:
                 with barrier:
                     exited[0] += 1
@@ -305,7 +300,7 @@ class WhirlpoolM(EngineBase):
         threads: List[threading.Thread] = [
             threading.Thread(
                 target=run_worker,
-                args=(router_loop,),
+                args=(ROUTER,),
                 name="whirlpool-router",
                 daemon=True,
             )
@@ -313,7 +308,7 @@ class WhirlpoolM(EngineBase):
         threads.extend(
             threading.Thread(
                 target=run_worker,
-                args=(lambda node_id=node_id: server_loop(node_id),),
+                args=(node_id,),
                 name=f"whirlpool-server-{node_id}-{worker}",
                 daemon=True,
             )
@@ -341,9 +336,6 @@ class WhirlpoolM(EngineBase):
                         ):
                             return
                         barrier.wait(_POLL_SECONDS)
-                    labelled: Dict[str, MatchQueue] = {"router": router_queue}
-                    for node_id, queue in server_queues.items():
-                        labelled[f"server:{node_id}"] = queue
                     self.checkpoint(labelled)
             finally:
                 pause.clear()
@@ -358,18 +350,8 @@ class WhirlpoolM(EngineBase):
         policy_active = self.checkpoint_policy is not None
         out_of_budget = False
         try:
-            restored = self.take_restored()
-            if restored is not None:
-                for match in restored:
-                    safe_put(router_queue, "queue:router", match)
-            else:
-                seeds = self.seed_matches()
-                if self.server_ids:
-                    for seed in seeds:
-                        safe_put(router_queue, "queue:router", seed)
-                else:
-                    for _ in seeds:
-                        self.stats.record_completed()
+            for match in self.start_matches():
+                safe_put(ROUTER, match)
 
             if (
                 self.deadline_seconds is None
@@ -418,8 +400,7 @@ class WhirlpoolM(EngineBase):
                         break
         finally:
             stop.set()
-            router_queue.close()
-            for queue in server_queues.values():
+            for queue in queues.values():
                 queue.close()
             for thread in threads:
                 thread.join(timeout=5.0)
@@ -440,16 +421,9 @@ class WhirlpoolM(EngineBase):
         # over (puts on closed queues still land, so in-hand extensions
         # are in).
         if out_of_budget and policy_active:
-            final_labelled: Dict[str, MatchQueue] = {"router": router_queue}
-            for node_id, queue in server_queues.items():
-                final_labelled[f"server:{node_id}"] = queue
-            self.checkpoint(final_labelled)
-        snapshots: Dict[str, int] = {"router": len(router_queue)}
-        for node_id, queue in server_queues.items():
-            snapshots[f"server:{node_id}"] = len(queue)
-        leftovers = router_queue.drain()
-        for queue in server_queues.values():
-            leftovers.extend(queue.drain())
+            self.checkpoint(labelled)
+        snapshots = {label: len(queue) for label, queue in labelled.items()}
+        leftovers = [match for queue in queues.values() for match in queue.drain()]
 
         degraded = bool(leftovers) or (out_of_budget and in_flight.count() > 0)
         # A budget exit parks even an empty set: the next run() must finish

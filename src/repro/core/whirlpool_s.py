@@ -6,10 +6,13 @@ matches are only kept in the router's queue", ordered by maximum possible
 final score.  The loop is:
 
 1. pop the partial match with the highest maximum possible final score;
-2. re-check it against the (possibly grown) top-k threshold;
-3. ask the routing strategy for its next server, process it there;
-4. absorb the extensions (report / complete / prune) and push survivors
-   back into the router queue.
+2. re-check it against the (possibly grown) top-k threshold (``admit``);
+3. ask the routing strategy for its next server (``choose_server``);
+4. process it there and absorb the extensions — report / complete /
+   prune (``serve``) — and push survivors back into the router queue.
+
+Whirlpool-M's threads run the same steps, split between its router and
+its servers.
 
 This mirrors Upper/MPro's "process the tuple with the highest possible
 final score first", with Whirlpool's join model (one operation produces all
@@ -30,19 +33,10 @@ class WhirlpoolS(EngineBase):
     def run(self) -> TopKResult:
         self.stats.start_clock()
         router_queue = self.make_router_queue()
-        restored = self.take_restored()
-        if restored is not None:
-            # Continuing a parked run or resuming a snapshot: the top-k
-            # set and counters are already in place; whatever was queued
-            # anywhere re-enters through the router.
-            for match in restored:
-                self.put_or_abandon(router_queue, "queue:router", match)
-        else:
-            for seed in self.seed_matches():
-                if self.server_ids:
-                    self.put_or_abandon(router_queue, "queue:router", seed)
-                else:
-                    self.stats.record_completed()
+        # A parked run or a restored snapshot has its top-k set and
+        # counters in place; whatever was queued anywhere re-enters here.
+        for match in self.start_matches():
+            self.put_or_abandon(router_queue, "queue:router", match)
 
         degraded = False
         pending_bound = 0.0
@@ -75,21 +69,12 @@ class WhirlpoolS(EngineBase):
                 continue
             if match is None:
                 break
-            if self.topk.is_pruned(match):
-                self.stats.record_pruned()
-                self.notify_prune(match)
+            if not self.admit(match):
                 continue
-
             server_id = self.choose_server(match)
             if server_id is None:  # dropped in routing; bound recorded
                 continue
-            extensions, outcome = self.process_with_recovery(server_id, match)
-            if outcome == "requeue":
-                self.put_or_abandon(router_queue, "queue:router", match)
-                continue
-            if extensions is None:  # abandoned; supervisor holds the bound
-                continue
-            for survivor in self.absorb_extensions(extensions, parent=match):
+            for survivor in self.serve(server_id, match):
                 self.put_or_abandon(router_queue, "queue:router", survivor)
 
         self.stats.stop_clock()

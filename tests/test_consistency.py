@@ -10,7 +10,7 @@ and relaxed answers must be a superset of exact answers.
 
 import pytest
 
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.core.engine import Engine
 from repro.query.matcher import distinct_roots, find_matches
 from repro.query.xpath import parse_xpath
@@ -48,15 +48,10 @@ class TestAllEnginesAgree:
 
     def test_simulator_identical_answers(self, engine, ranking):
         for processors in (1, 3, None):
-            sim = SimulatedWhirlpoolM(
-                pattern=engine.pattern,
-                index=engine.index,
-                score_model=engine.score_model,
-                k=5,
-                n_processors=processors,
-                cost_model=CostModel(),
+            sim = simulate(
+                engine.open(5, "whirlpool_m"), n_processors=processors, cost_model=CostModel()
             )
-            assert_same_topk(ranking, sim.run())
+            assert_same_topk(ranking, sim.result)
 
 
 class TestExactVsRelaxed:

@@ -17,6 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.makespan import simulate
 from repro.cluster import Coordinator
 from repro.core.engine import Engine
 from repro.core.router import make_router
@@ -227,6 +228,11 @@ class TestClosedTies:
                 threads_per_server=threads,
             )
             _judge(engine, ranking, threaded.run())
+            for processors in (1, 2, None):
+                # The same step, on a modeled schedule.
+                modeled = engine.open(k, "whirlpool_m")
+                modeled.threads_per_server = threads
+                _judge(engine, ranking, simulate(modeled, n_processors=processors).result)
         for algorithm in ("whirlpool_s", "lockstep"):
             # Stepped by ``budget`` operations on one instance, every exit
             # judged; then a fresh instance restored from the first exit's

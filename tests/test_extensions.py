@@ -3,7 +3,7 @@ adaptivity") and multi-threaded servers in the simulator."""
 
 import pytest
 
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.core.engine import Engine
 from repro.core.router import BatchingRouter, MinAliveRouter
 from repro.errors import EngineError
@@ -66,16 +66,9 @@ class TestBatchingRouter:
 
 class TestThreadsPerServer:
     def _simulate(self, engine, threads, processors=None):
-        sim = SimulatedWhirlpoolM(
-            pattern=engine.pattern,
-            index=engine.index,
-            score_model=engine.score_model,
-            k=10,
-            n_processors=processors,
-            threads_per_server=threads,
-            cost_model=CostModel(operation_cost=1.0),
-        )
-        return sim.simulate()
+        run = engine.open(10, "whirlpool_m")
+        run.threads_per_server = threads
+        return simulate(run, n_processors=processors, cost_model=CostModel(operation_cost=1.0))
 
     def test_validates_threads(self, engine):
         with pytest.raises(EngineError):

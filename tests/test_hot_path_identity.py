@@ -27,7 +27,12 @@ taken mid-run.  It was taken from PR 17's parent commit, and retaken once
 at PR 22, whose change — a match that can at best tie k completed answers
 is pruned — moves every count by design (CHANGES.md has them side by
 side); the oracle checks above, which compare a run with itself, held
-through that change unedited.  One field is left out of the event
+through that change unedited.  Whirlpool-M has rows too, ``whirlpool_m@1``:
+its step scheduled on one modeled processor (``repro.bench.makespan``), a
+deterministic interleaving of the real engine code.  They were taken from
+the parent of the commit that made the scheduler drive the engine's step
+(with the simulator that had its own copy of it), and have no snapshot, since
+a simulated run takes no checkpoint policy.  One field is left out of the event
 digest on purpose: the threshold carried by a *completed* sibling's event.
 A last-hop batch now meets the top-k set once, so all its siblings report
 the threshold after the batch, where the parent reported the threshold
@@ -59,6 +64,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.makespan import CostModel, simulate
 from repro.bench.params import QUERIES
 from repro.core import base as base_module
 from repro.core.base import EngineBase
@@ -73,6 +79,8 @@ from tests.test_differential import _random_database, _random_pattern
 
 GOLDEN = Path(__file__).parent / "fixtures" / "hot_path" / "golden.json"
 ALGORITHMS = ("whirlpool_s", "lockstep")
+#: Whirlpool-M's step, scheduled on one modeled processor.
+SIMULATED = "whirlpool_m@1"
 K_VALUES = (3, 15, 75)
 
 
@@ -193,12 +201,22 @@ def _items(instantiations):
     return [(node_id, id(node)) for node_id, node in instantiations.items()]
 
 
+def open_case(engine, k, algorithm, observer):
+    return engine.open(k, algorithm=algorithm.split("@")[0], observer=observer)
+
+
+def drive(run, algorithm):
+    if algorithm == SIMULATED:
+        return simulate(run, n_processors=1, cost_model=CostModel()).result
+    return run.run()
+
+
 def run_with_oracle(engine, k, algorithm):
     oracle = HotPathOracle()
-    run = engine.open(k, algorithm=algorithm, observer=oracle)
+    run = open_case(engine, k, algorithm, oracle)
     oracle.attach(run)
     with oracle.recording_extends():
-        result = run.run()
+        result = drive(run, algorithm)
     oracle.finish()
     return oracle, result
 
@@ -233,14 +251,7 @@ def fingerprint(engine, k, algorithm, trace, result):
     same function runs against the parent commit."""
     stats = result.stats.as_dict()
     del stats["wall_time_seconds"]
-    stepped = engine.open(
-        k,
-        algorithm=algorithm,
-        max_operations=max(int(stats["server_operations"]) // 2, 1),
-        checkpoint_policy=CheckpointPolicy(every_operations=10**9),
-    )
-    stepped.run()
-    return {
+    row = {
         "events": _digest(json.dumps(event_rows(trace))),
         "event_count": len(trace.events),
         "stats": stats,
@@ -248,8 +259,17 @@ def fingerprint(engine, k, algorithm, trace, result):
             json.dumps([[list(a.root_node.dewey), a.score.hex()] for a in result.answers])
         ),
         "pending_bound": result.pending_bound.hex(),
-        "snapshot": _digest(json.dumps(stepped.last_checkpoint)),
     }
+    if algorithm != SIMULATED:  # a simulated run takes no checkpoint policy
+        stepped = engine.open(
+            k,
+            algorithm=algorithm,
+            max_operations=max(int(stats["server_operations"]) // 2, 1),
+            checkpoint_policy=CheckpointPolicy(every_operations=10**9),
+        )
+        stepped.run()
+        row["snapshot"] = _digest(json.dumps(stepped.last_checkpoint))
+    return row
 
 
 def golden_cases():
@@ -258,7 +278,7 @@ def golden_cases():
         for query, xpath in QUERIES.items():
             engine = Engine(database, xpath, relaxed=relaxed)
             for k in K_VALUES:
-                for algorithm in ALGORITHMS:
+                for algorithm in ALGORITHMS + (SIMULATED,):
                     mode = "relaxed" if relaxed else "exact"
                     yield f"{mode}/{query}/k={k}/{algorithm}", engine, k, algorithm
 
@@ -370,7 +390,8 @@ if __name__ == "__main__":
     table = {}
     for case, case_engine, case_k, case_algorithm in golden_cases():
         case_trace = ExecutionTrace()
-        case_result = case_engine.run(case_k, algorithm=case_algorithm, observer=case_trace)
+        case_run = open_case(case_engine, case_k, case_algorithm, case_trace)
+        case_result = drive(case_run, case_algorithm)
         table[case] = fingerprint(case_engine, case_k, case_algorithm, case_trace, case_result)
     json.dump(table, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.core.engine import Engine
+from repro.core.trace import ExecutionTrace
 from repro.errors import EngineError
-from tests.conftest import assert_exact_or_certified, full_ranking
+from repro.recovery.policy import CheckpointPolicy
+from tests.conftest import assert_exact_or_certified, assert_same_topk, full_ranking
 
 
-def _simulator(engine, k=5, n_processors=2, cost_model=None, **kwargs):
-    return SimulatedWhirlpoolM(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=k,
+def _simulate(
+    engine, k=5, n_processors=2, cost_model=None, algorithm="whirlpool_m", **options
+):
+    return simulate(
+        engine.open(k, algorithm, **options),
         n_processors=n_processors,
         cost_model=cost_model or CostModel(operation_cost=1.0, routing_cost=0.0),
-        **kwargs,
     )
 
 
@@ -42,8 +42,8 @@ class TestCostModel:
 
 class TestSimulator:
     def test_deterministic(self, engine):
-        a = _simulator(engine).simulate()
-        b = _simulator(engine).simulate()
+        a = _simulate(engine)
+        b = _simulate(engine)
         assert a.makespan == b.makespan
         assert a.result.stats.server_operations == b.result.stats.server_operations
         assert [ans.score for ans in a.result.answers] == [
@@ -52,7 +52,7 @@ class TestSimulator:
 
     def test_same_answers_as_whirlpool_s(self, engine):
         sequential = engine.run(5, algorithm="whirlpool_s")
-        sim = _simulator(engine).simulate()
+        sim = _simulate(engine)
         assert [round(a.score, 9) for a in sim.result.answers] == [
             round(a.score, 9) for a in sequential.answers
         ]
@@ -60,7 +60,7 @@ class TestSimulator:
     def test_one_processor_equals_total_work(self, engine):
         """With one processor the makespan is exactly the serialized cost
         of every operation performed (routing is free here)."""
-        sim = _simulator(engine, n_processors=1).simulate()
+        sim = _simulate(engine, n_processors=1)
         assert sim.makespan == pytest.approx(
             sim.result.stats.server_operations * 1.0
         )
@@ -72,7 +72,7 @@ class TestSimulator:
         paper's Section 6.3.5 effect), so we assert the endpoints and a
         small tolerance between steps."""
         makespans = [
-            _simulator(engine, n_processors=p).simulate().makespan
+            _simulate(engine, n_processors=p).makespan
             for p in (1, 2, 4, None)
         ]
         assert makespans[-1] < makespans[0]
@@ -83,35 +83,35 @@ class TestSimulator:
     def test_speedup_bounded_by_thread_count(self, engine):
         """Speedup cannot exceed #servers + 1 (router), the simulated
         thread count doing work."""
-        serial = _simulator(engine, n_processors=1).simulate()
-        unbounded = _simulator(engine, n_processors=None).simulate()
+        serial = _simulate(engine, n_processors=1)
+        unbounded = _simulate(engine, n_processors=None)
         thread_count = len(engine.server_node_ids()) + 1
         assert serial.makespan / unbounded.makespan <= thread_count + 1e-9
 
     def test_utilization(self, engine):
-        sim = _simulator(engine, n_processors=2).simulate()
+        sim = _simulate(engine, n_processors=2)
         assert 0.0 < sim.utilization() <= 1.0
-        unbounded = _simulator(engine, n_processors=None).simulate()
+        unbounded = _simulate(engine, n_processors=None)
         assert unbounded.utilization() == 0.0  # undefined -> reported as 0
 
     def test_routing_cost_extends_makespan(self, engine):
-        free = _simulator(engine).simulate()
-        costly = _simulator(
+        free = _simulate(engine)
+        costly = _simulate(
             engine, cost_model=CostModel(operation_cost=1.0, routing_cost=0.5)
-        ).simulate()
+        )
         assert costly.makespan > free.makespan
 
     def test_invalid_processors_rejected(self, engine):
         with pytest.raises(EngineError):
-            _simulator(engine, n_processors=0)
+            _simulate(engine, n_processors=0)
 
     def test_simulated_time_recorded_in_stats(self, engine):
-        sim = _simulator(engine).simulate()
+        sim = _simulate(engine)
         assert sim.result.stats.simulated_time == pytest.approx(sim.makespan)
 
     def test_run_interface_returns_result(self, engine):
-        result = _simulator(engine).run()
-        assert result.algorithm == "whirlpool_m_simulated"
+        result = _simulate(engine).result
+        assert result.algorithm == "whirlpool_m"
         assert len(result.answers) == 5
 
 
@@ -121,12 +121,53 @@ class TestParallelPruningEffect:
         operation counts may differ — the effect behind the paper's
         Section 6.3.5 observation.  (They must stay in a sane band.)"""
         ops = {
-            p: _simulator(engine, n_processors=p).simulate().result.stats.server_operations
+            p: _simulate(engine, n_processors=p).result.stats.server_operations
             for p in (1, 2, None)
         }
         noprun_ops = engine.run(5, algorithm="lockstep_noprun").stats.server_operations
         for count in ops.values():
             assert 0 < count <= noprun_ops
+
+
+class TestRunOptions:
+    """A simulation drives a run from ``Engine.open``: what the run
+    carries, the schedule honours or refuses."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_operations", 5),
+            ("deadline_seconds", 1.0),
+            ("checkpoint_policy", CheckpointPolicy(every_operations=8)),
+            ("algorithm", "whirlpool_s"),
+        ],
+    )
+    def test_budgets_and_checkpoints_are_refused(self, engine, option, value):
+        """A modeled schedule has no wall clock or quiesce point.  A budget
+        used to be ignored: ``max_operations=5`` ran all 316 operations
+        and reported a result that was not degraded.  Only a Whirlpool-M
+        run has server threads to schedule."""
+        with pytest.raises(EngineError, match=option):
+            _simulate(engine, k=15, **{option: value})
+
+    def test_restored_run_continues_from_the_snapshot(self, engine):
+        """A run restored from a Whirlpool-S budget exit finishes that
+        run.  It used to seed all 60 roots again on top of it, creating
+        1,490 matches where a fresh run creates 1,390."""
+        snapshots = []
+        engine.run(
+            15,
+            max_operations=40,
+            checkpoint_policy=CheckpointPolicy(every_operations=10**9),
+            checkpoint_sink=snapshots.append,
+        )
+        (snapshot,) = snapshots
+        trace = ExecutionTrace()
+        restored = _simulate(engine, k=15, restore_from=snapshot, observer=trace).result
+        fresh = _simulate(engine, k=15).result
+        assert "seed" not in trace.counts()
+        assert restored.stats.partial_matches_created <= fresh.stats.partial_matches_created
+        assert_same_topk(full_ranking(engine), restored)
 
 
 class TestSupervisedStep:
@@ -143,8 +184,8 @@ class TestSupervisedStep:
                 self.seen.add(site)
 
         sites = Sites()
-        outcome = _simulator(engine, observer=sites).simulate()
-        assert outcome.makespan == _simulator(engine).simulate().makespan
+        outcome = _simulate(engine, observer=sites)
+        assert outcome.makespan == _simulate(engine).makespan
         # The router queue is the engine's (observed, injector-aware) one.
         assert "router" in sites.seen
         assert any(site.startswith("server:") for site in sites.seen)
@@ -154,7 +195,7 @@ class TestSupervisedStep:
         from repro.faults import FaultPlan
 
         ranking = full_ranking(engine)
-        result = _simulator(engine, faults=FaultPlan.chaos(seed)).simulate().result
+        result = _simulate(engine, faults=FaultPlan.chaos(seed)).result
         assert result.failure is not None
         truth = dict(ranking)
         for answer in result.answers:

@@ -3,23 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.makespan import CostModel, SimulatedWhirlpoolM
+from repro.bench.makespan import CostModel, simulate
 from repro.core.engine import Engine
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
 
 
-def _simulate(engine, processors, op_cost=1.0, routing_cost=0.0, threads=1):
-    sim = SimulatedWhirlpoolM(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=8,
+def _simulate(engine, processors, op_cost=1.0, routing_cost=0.0):
+    return simulate(
+        engine.open(8, "whirlpool_m"),
         n_processors=processors,
-        threads_per_server=threads,
         cost_model=CostModel(operation_cost=op_cost, routing_cost=routing_cost),
     )
-    return sim.simulate()
 
 
 class TestWorkConservation:

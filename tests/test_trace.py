@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.makespan import SimulatedWhirlpoolM
+from repro.bench.makespan import simulate
 from repro.core.engine import Engine
 from repro.core.trace import EngineObserver, ExecutionTrace
 
@@ -40,14 +40,7 @@ class TestEventCapture:
 
     def test_simulator_events(self, engine):
         trace = ExecutionTrace()
-        sim = SimulatedWhirlpoolM(
-            pattern=engine.pattern,
-            index=engine.index,
-            score_model=engine.score_model,
-            k=2,
-            observer=trace,
-        )
-        sim.simulate()
+        simulate(engine.open(2, "whirlpool_m", observer=trace))
         assert trace.counts()["seed"] == 3
         assert trace.counts().get("route", 0) > 0
 
