@@ -348,9 +348,9 @@ def fault_overhead():
     """Hooks disabled (``faults=None``) vs an armed-but-inert plan vs chaos."""
     database = generate_database(XMarkConfig(items=60, seed=5))
     configurations = {
-        "disabled": dict,
-        "inert_plan": lambda: {"faults": INERT_PLAN},
-        "chaos_plan": lambda: {"faults": CHAOS_PLAN},
+        "disabled": lambda run: run(),
+        "inert_plan": lambda run: run(faults=INERT_PLAN),
+        "chaos_plan": lambda run: run(faults=CHAOS_PLAN),
     }
     return {
         "query": QUERIES["Q2"],
@@ -407,8 +407,10 @@ def checkpoint_overhead():
     """No checkpoint policy vs every-8-operations, and the snapshot profile."""
     engine = get_engine("Q2")
     configurations = {
-        "no_policy": dict,
-        "every_8_operations": lambda: {"checkpoint_policy": CheckpointPolicy(every_operations=8)},
+        "no_policy": lambda run: run(),
+        "every_8_operations": lambda run: run(
+            checkpoint_policy=CheckpointPolicy(every_operations=8)
+        ),
     }
     payload = {
         "query": "Q2",

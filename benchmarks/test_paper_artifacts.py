@@ -614,8 +614,7 @@ ARTIFACTS = (
         _overhead_rows(
             {
                 "no_observer": "no observer (disabled)",
-                "metrics_observer": "metrics observer",
-                "trace_and_metrics": "trace + metrics fan-out",
+                "trace_and_metrics": "trace, then record_run fold",
             }
         ),
         {"disabled_bound_under_2pct": lambda p: p["overhead_bound"] < 0.02},

@@ -12,7 +12,10 @@ caller's deliberately over-counted number of site executions in a
 representative run, and divides by the run's wall time — a deterministic
 *upper bound* on the disabled overhead.  Median end-to-end walls of the
 caller's run configurations (the first one is the disabled baseline)
-give the enabled-cost context.
+give the enabled-cost context.  A configuration is one timed run: it gets
+``run(**options)``, a Whirlpool-S run of the engine at the payload's k,
+and may do more around it — the observability one folds the run's trace
+into a registry, as the query service does.
 
 :func:`obs_overhead_payload` is the observability instance, shared by
 the ``obs_overhead`` paper claim under ``benchmarks/`` and the
@@ -22,17 +25,18 @@ the same numbers measured the same way.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Any, Callable, Dict, Mapping
 
 from repro.bench.workloads import get_engine
-from repro.core import ExecutionTrace, FanoutObserver
-from repro.obs import MetricsEngineObserver, MetricsRegistry
+from repro.core import ExecutionTrace
+from repro.obs import MetricsRegistry, record_run
 
 GUARD_SAMPLES = 200_000
 
-#: A run configuration: called once per run, returns ``engine.run`` options.
-RunOptions = Callable[[], Dict[str, Any]]
+#: A run configuration: one timed run, given ``run(**options)``.
+RunOnce = Callable[[Callable[..., Any]], Any]
 
 
 class HookSite:
@@ -67,14 +71,14 @@ def time_disabled_guard(samples: int = GUARD_SAMPLES) -> float:
     return measurements[len(measurements) // 2]
 
 
-def median_wall(engine, k: int, rounds: int, options: RunOptions):
+def median_wall(engine, k: int, rounds: int, configuration: RunOnce):
     """The last result and the median wall of ``rounds`` Whirlpool-S runs."""
     walls = []
     result = None
+    run = functools.partial(engine.run, k, algorithm="whirlpool_s")
     for _ in range(rounds):
-        kwargs = options()
         start = time.perf_counter()
-        result = engine.run(k, algorithm="whirlpool_s", **kwargs)
+        result = configuration(run)
         walls.append(time.perf_counter() - start)
     walls.sort()
     return result, walls[len(walls) // 2]
@@ -84,7 +88,7 @@ def guard_overhead(
     engine,
     k: int,
     rounds: int,
-    configurations: Mapping[str, RunOptions],
+    configurations: Mapping[str, RunOnce],
     site_count: Callable[[Any], int],
 ) -> Dict:
     """Median wall per configuration, the guard cost, and the bound.
@@ -94,8 +98,8 @@ def guard_overhead(
     """
     results: Dict[str, Any] = {}
     walls: Dict[str, float] = {}
-    for name, options in configurations.items():
-        results[name], walls[name] = median_wall(engine, k, rounds, options)
+    for name, configuration in configurations.items():
+        results[name], walls[name] = median_wall(engine, k, rounds, configuration)
     baseline = next(iter(configurations))
     guard_cost = time_disabled_guard()
     sites = site_count(results[baseline].stats)
@@ -125,19 +129,20 @@ def hook_site_count(stats) -> int:
     )
 
 
-def metrics_observer() -> MetricsEngineObserver:
-    registry = MetricsRegistry()
-    return MetricsEngineObserver(registry, "whirlpool_s", "min_alive")
+def trace_and_metrics(run: Callable[..., Any]) -> Any:
+    """What an enabled service pays per run: a traced run, then its
+    fold into a fresh registry."""
+    trace = ExecutionTrace()
+    result = run(observer=trace)
+    record_run(MetricsRegistry(), "whirlpool_s", "min_alive", "served", result, trace)
+    return result
 
 
 def obs_overhead_payload(query: str = "Q2", k: int = 15, rounds: int = 5) -> Dict:
     """The observability overhead: walls, guard cost, and the bound."""
-    configurations: Dict[str, RunOptions] = {
-        "no_observer": dict,
-        "metrics_observer": lambda: {"observer": metrics_observer()},
-        "trace_and_metrics": lambda: {
-            "observer": FanoutObserver(ExecutionTrace(), metrics_observer())
-        },
+    configurations: Dict[str, RunOnce] = {
+        "no_observer": lambda run: run(),
+        "trace_and_metrics": trace_and_metrics,
     }
     return {
         "query": query,

@@ -44,7 +44,7 @@ from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.rewriting import RewritingEngine
 from repro.core.threshold import FixedThresholdSet, threshold_query
 from repro.core.anytime import AnytimeOutcome, anytime_topk
-from repro.core.trace import EngineObserver, ExecutionTrace, FanoutObserver
+from repro.core.trace import EngineObserver, ExecutionTrace
 from repro.core.engine import Engine, TopKResult
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "anytime_topk",
     "EngineObserver",
     "ExecutionTrace",
-    "FanoutObserver",
     "Engine",
     "TopKResult",
 ]

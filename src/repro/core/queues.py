@@ -79,9 +79,11 @@ class MatchQueue:
         Whirlpool-M uses it to keep its in-flight counter exact.
     observer:
         Optional :class:`~repro.core.trace.EngineObserver` whose
-        ``on_queue_depth`` hook receives the post-put depth — the
-        metrics layer's server-queue-depth histograms.  Like
-        ``injector``, ``None`` costs one attribute check per put.
+        ``on_queue_depth`` hook receives the post-put depth — an
+        :class:`~repro.core.trace.ExecutionTrace` keeps it in its
+        ``queue_depths`` list, which the service folds into the
+        queue-depth histograms after the run.  Like ``injector``,
+        ``None`` costs one attribute check per put.
     """
 
     def __init__(

@@ -18,13 +18,17 @@ Usage::
 
 All engines accept the observer; events carry a monotone sequence number
 (and the thread name under Whirlpool-M, where interleaving is real).
+Queue depths after each put are kept beside the events, in
+``queue_depths``.  The query service attaches one trace per run and
+folds its engine metrics from it afterwards
+(:func:`repro.obs.observer.record_run`).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.match import PartialMatch
 
@@ -87,51 +91,14 @@ class EngineObserver:
         """A queue at ``site`` reached ``depth`` entries after a put."""
 
 
-class FanoutObserver(EngineObserver):
-    """Forward every hook to several observers, in order.
-
-    The query service attaches one :class:`ExecutionTrace` (for the
-    slow-query log's routing history) *and* one metrics observer per
-    request; engines still see a single ``observer`` argument.  A hook
-    that raises aborts the fan-out — observers are trusted in-process
-    code, same as single observers.
-    """
-
-    def __init__(self, *observers: EngineObserver) -> None:
-        self.observers = tuple(observers)
-
-    def on_seed(self, match: PartialMatch, threshold: float) -> None:
-        for observer in self.observers:
-            observer.on_seed(match, threshold)
-
-    def on_route(self, match: PartialMatch, server_id: int, threshold: float) -> None:
-        for observer in self.observers:
-            observer.on_route(match, server_id, threshold)
-
-    def on_extension(
-        self,
-        parent: PartialMatch,
-        extension: PartialMatch,
-        outcome: str,
-        threshold: float,
-    ) -> None:
-        for observer in self.observers:
-            observer.on_extension(parent, extension, outcome, threshold)
-
-    def on_prune(self, match: PartialMatch, threshold: float) -> None:
-        for observer in self.observers:
-            observer.on_prune(match, threshold)
-
-    def on_queue_depth(self, site: str, depth: int) -> None:
-        for observer in self.observers:
-            observer.on_queue_depth(site, depth)
-
-
 class ExecutionTrace(EngineObserver):
     """Observer that records everything (thread-safe)."""
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
+        #: ``(site, depth)`` after each queue put — not events, so they
+        #: never show in ``events``, ``counts()`` or a failure's tail.
+        self.queue_depths: List[Tuple[str, int]] = []
         self._parents: Dict[int, int] = {}
         self._seq = itertools.count()
         self._lock = threading.Lock()
@@ -178,6 +145,10 @@ class ExecutionTrace(EngineObserver):
 
     def on_prune(self, match: PartialMatch, threshold: float) -> None:
         self._record("prune", match, None, threshold)
+
+    def on_queue_depth(self, site: str, depth: int) -> None:
+        with self._lock:
+            self.queue_depths.append((site, depth))
 
     # -- analysis ----------------------------------------------------------------
 

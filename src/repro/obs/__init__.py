@@ -10,11 +10,13 @@ Three pieces, one switch:
   requests with their full routing history.
 
 :class:`Observability` bundles them into the single configuration object
-:class:`~repro.service.service.WhirlpoolService` accepts.  Disabled (the
-default for embedding), every hot-path hook degrades to an ``is None``
-guard or a shared no-op instrument — the ``obs_overhead`` paper
-artifact under ``benchmarks/`` bounds the cost.  See
-``docs/observability.md``.
+:class:`~repro.service.service.WhirlpoolService` accepts.  Enabled, the
+service attaches one :class:`~repro.core.trace.ExecutionTrace` per engine
+run and :func:`~repro.obs.observer.record_run` folds the engine metrics
+from it after the run.  Disabled (the default for embedding), no
+observer is attached, so every hot-path hook is an ``is None`` guard —
+the ``obs_overhead`` paper artifact under ``benchmarks/`` bounds the
+cost.  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.observer import MetricsEngineObserver, record_run
+from repro.obs.observer import record_run
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog, routing_history
 from repro.obs.spans import NULL_SPAN, Span, SpanEvent
 
@@ -39,7 +41,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricFamily",
-    "MetricsEngineObserver",
     "MetricsRegistry",
     "NULL_SPAN",
     "Observability",
@@ -69,8 +70,6 @@ class Observability:
         log with their routing history.
     slow_query_capacity:
         Ring size of the slow-query log.
-    stripes:
-        Stripe-lock count for a registry built here.
     """
 
     def __init__(
@@ -79,14 +78,9 @@ class Observability:
         registry: Optional[MetricsRegistry] = None,
         slow_query_seconds: float = 0.25,
         slow_query_capacity: int = 32,
-        stripes: int = 8,
     ) -> None:
         self.enabled = enabled
-        self.registry = (
-            registry
-            if registry is not None
-            else MetricsRegistry(enabled=enabled, stripes=stripes)
-        )
+        self.registry = registry if registry is not None else MetricsRegistry(enabled=enabled)
         self.slow_log: Optional[SlowQueryLog] = (
             SlowQueryLog(slow_query_seconds, slow_query_capacity) if enabled else None
         )
@@ -102,14 +96,6 @@ class Observability:
         NULL_SPAN``: nothing is exposed for a request that recorded
         nothing."""
         return Span(name, attributes()) if self.enabled else NULL_SPAN
-
-    def engine_observer(
-        self, algorithm: str, routing: str
-    ) -> Optional[MetricsEngineObserver]:
-        """A per-run metrics observer, or ``None`` when disabled."""
-        if not self.enabled:
-            return None
-        return MetricsEngineObserver(self.registry, algorithm, routing)
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

@@ -51,6 +51,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     10.0,
 )
 
+#: Stripe locks per registry; children are hashed onto them.
+STRIPES = 8
+
 _NAME_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:"
 )
@@ -276,17 +279,13 @@ class MetricsRegistry:
         ``False`` hands out shared no-op instruments: registration still
         works (callers keep one code path) but recording costs a single
         empty method call and exports render empty.
-    stripes:
-        Number of stripe locks children are hashed onto.
     """
 
-    def __init__(self, enabled: bool = True, stripes: int = 8) -> None:
-        if stripes < 1:
-            raise ReproError(f"stripes must be >= 1, got {stripes}")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._registry_lock = threading.Lock()
         self._stripes: Tuple[threading.Lock, ...] = tuple(
-            threading.Lock() for _ in range(stripes)
+            threading.Lock() for _ in range(STRIPES)
         )
         self._families: Dict[str, MetricFamily] = {}
 

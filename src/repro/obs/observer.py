@@ -1,29 +1,28 @@
-"""Bridging engine events into the metrics registry.
+"""Folding finished engine runs into the metrics registry.
 
-:class:`MetricsEngineObserver` is an :class:`~repro.core.trace.EngineObserver`
-that turns the hot-path hooks (seed / route / extension / prune, plus the
-queue-depth hook from :class:`~repro.core.queues.MatchQueue`) into counter
-bumps and histogram samples.  All label children are resolved **once**, at
-construction, so each hook call is a dict-free increment under a stripe
-lock — the fixed per-event cost the overhead benchmark bounds.
+:func:`record_run` runs once per request, after the engine returns, so
+it resolves labels on the fly.  It folds three things:
 
-:func:`record_run` is the cold-path complement: after an engine run
-returns, it folds the run's :class:`~repro.core.stats.ExecutionStats`
-counters and any :class:`~repro.faults.report.FailureReport` into per-run
-aggregate metrics.  It runs once per request, so it resolves labels on the
-fly.
+- the run's :class:`~repro.core.trace.ExecutionTrace` — the only observer
+  the query service attaches — into event counts, one top-k threshold
+  sample per routing decision and one queue-depth sample per put;
+- the run's :class:`~repro.core.stats.ExecutionStats` counters and wall
+  time;
+- any :class:`~repro.faults.report.FailureReport`.
+
+Nothing here runs on the engine's hot path: the trace is all an enabled
+run pays for while it runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.match import PartialMatch
-from repro.core.trace import EngineObserver
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.core.base import TopKResult
+    from repro.core.trace import ExecutionTrace
 
 #: Top-k threshold histogram buckets — tf*idf scores normalise into low
 #: single digits; the growth curve (Section 6.1.2's adaptivity driver) is
@@ -36,76 +35,6 @@ THRESHOLD_BUCKETS: Tuple[float, ...] = (
 DEPTH_BUCKETS: Tuple[float, ...] = (1, 2, 5, 10, 25, 50, 100, 250, 1000)
 
 
-class MetricsEngineObserver(EngineObserver):
-    """Per-run observer recording engine events against one registry.
-
-    One instance is created per request (cheap: seven child lookups) with
-    the request's ``algorithm`` / ``routing`` labels baked in, then
-    attached to the engine — usually alongside an
-    :class:`~repro.core.trace.ExecutionTrace` via
-    :class:`~repro.core.trace.FanoutObserver`.
-    """
-
-    def __init__(
-        self, registry: MetricsRegistry, algorithm: str, routing: str
-    ) -> None:
-        self.registry = registry
-        events = registry.counter(
-            "whirlpool_engine_events_total",
-            "Engine observer events by kind.",
-            labels=("event", "algorithm", "routing"),
-        )
-        self._seed = events.labels("seed", algorithm, routing)
-        self._route = events.labels("route", algorithm, routing)
-        self._prune = events.labels("prune", algorithm, routing)
-        self._extension_alive = events.labels("extension_alive", algorithm, routing)
-        self._extension_completed = events.labels(
-            "extension_completed", algorithm, routing
-        )
-        self._extension_pruned = events.labels("extension_pruned", algorithm, routing)
-        self._threshold = registry.histogram(
-            "whirlpool_topk_threshold",
-            "Top-k threshold observed at each routing decision.",
-            labels=("algorithm", "routing"),
-            buckets=THRESHOLD_BUCKETS,
-        ).labels(algorithm, routing)
-        self._depth_family = registry.histogram(
-            "whirlpool_queue_depth",
-            "Router/server queue depth sampled after each put.",
-            labels=("site",),
-            buckets=DEPTH_BUCKETS,
-        )
-
-    # -- hot-path hooks ----------------------------------------------------------
-
-    def on_seed(self, match: PartialMatch, threshold: float) -> None:
-        self._seed.inc()
-
-    def on_route(self, match: PartialMatch, server_id: int, threshold: float) -> None:
-        self._route.inc()
-        self._threshold.observe(threshold)
-
-    def on_extension(
-        self,
-        parent: PartialMatch,
-        extension: PartialMatch,
-        outcome: str,
-        threshold: float,
-    ) -> None:
-        if outcome == "completed":
-            self._extension_completed.inc()
-        elif outcome == "pruned":
-            self._extension_pruned.inc()
-        else:
-            self._extension_alive.inc()
-
-    def on_prune(self, match: PartialMatch, threshold: float) -> None:
-        self._prune.inc()
-
-    def on_queue_depth(self, site: str, depth: int) -> None:
-        self._depth_family.labels(site).observe(depth)
-
-
 #: ExecutionStats attributes bridged into the per-run counter family.
 _STAT_KINDS: Tuple[str, ...] = (
     "server_operations",
@@ -116,6 +45,52 @@ _STAT_KINDS: Tuple[str, ...] = (
     "routing_decisions",
 )
 
+#: Event labels of ``whirlpool_engine_events_total``: a trace event's
+#: kind, with an extension's outcome appended.  Every label gets a series
+#: once a run is folded, zero counts included.
+_EVENT_LABELS: Tuple[str, ...] = (
+    "seed",
+    "route",
+    "prune",
+    "extension_alive",
+    "extension_completed",
+    "extension_pruned",
+)
+
+
+def _fold_trace(
+    registry: MetricsRegistry, algorithm: str, routing: str, trace: "ExecutionTrace"
+) -> None:
+    threshold = registry.histogram(
+        "whirlpool_topk_threshold",
+        "Top-k threshold observed at each routing decision.",
+        labels=("algorithm", "routing"),
+        buckets=THRESHOLD_BUCKETS,
+    ).labels(algorithm, routing)
+    counts: Dict[str, int] = dict.fromkeys(_EVENT_LABELS, 0)
+    for event in trace.events:
+        kind = event.kind
+        if kind == "extension":
+            kind = "extension_" + event.detail
+        elif kind == "route":
+            threshold.observe(event.threshold)
+        counts[kind] += 1
+    events = registry.counter(
+        "whirlpool_engine_events_total",
+        "Engine observer events by kind.",
+        labels=("event", "algorithm", "routing"),
+    )
+    for label, count in counts.items():
+        events.labels(label, algorithm, routing).inc(count)
+    depths = registry.histogram(
+        "whirlpool_queue_depth",
+        "Router/server queue depth sampled after each put.",
+        labels=("site",),
+        buckets=DEPTH_BUCKETS,
+    )
+    for site, depth in trace.queue_depths:
+        depths.labels(site).observe(depth)
+
 
 def record_run(
     registry: MetricsRegistry,
@@ -123,14 +98,19 @@ def record_run(
     routing: str,
     outcome: str,
     result: Optional["TopKResult"],
+    trace: Optional["ExecutionTrace"],
 ) -> None:
-    """Fold one finished engine run into the registry (cold path).
+    """Fold one engine run into the registry (cold path).
 
-    ``result`` may be ``None`` (rejected / evicted requests never ran an
-    engine) — only the run counter is recorded then, by the caller's
-    request-level metrics, so this becomes a no-op.
+    ``trace`` is the run's trace, or ``None`` when none was attached (a
+    backend-served run).  ``result`` is ``None`` when the run raised: its
+    trace is still folded, and the per-result families are skipped.
     """
-    if not registry.enabled or result is None:
+    if not registry.enabled:
+        return
+    if trace is not None:
+        _fold_trace(registry, algorithm, routing, trace)
+    if result is None:
         return
     operations = registry.counter(
         "whirlpool_engine_operations_total",

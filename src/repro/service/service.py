@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.engine import ALGORITHMS, Engine, TopKResult, fallback_chain
 from repro.core.stats import ExecutionStats, monotonic_seconds
-from repro.core.trace import EngineObserver, ExecutionTrace, FanoutObserver
+from repro.core.trace import ExecutionTrace
 from repro.errors import RecoveryError, ReproError, ServiceError
 from repro.obs import Observability, SlowQueryEntry, record_run, routing_history
 from repro.obs.spans import NULL_SPAN, Span
@@ -87,9 +87,10 @@ class WhirlpoolService:
         derived from ``seed`` so probe schedules decorrelate.
     observability:
         Optional :class:`~repro.obs.Observability` bundle.  When enabled
-        the service opens one span per request, attaches a per-run
-        metrics observer + execution trace to every engine run, records
-        request latency / queue-wait / breaker-transition metrics, and
+        the service opens one span per request, attaches one execution
+        trace to every engine run and folds the engine metrics from it
+        after the run, records request latency / queue-wait /
+        breaker-transition metrics, and
         captures over-budget requests in the slow-query log.  Omitted
         (the default) every hook degrades to an ``is None`` test.
     auto_start:
@@ -504,20 +505,13 @@ class WhirlpoolService:
         if fallback_from is not None:
             span.event("breaker_fallback", requested=fallback_from, chosen=chosen)
 
-        # One trace + metrics observer per run, fanned out behind the
-        # engine's single observer hook; the trace feeds the slow-query
-        # log's routing history.
-        observer: Optional[EngineObserver] = None
+        # One trace per run, the engine's only observer: record_run folds
+        # the engine metrics from it after the run, and it feeds the
+        # slow-query log's routing history and failure-report tails.
+        trace: Optional[ExecutionTrace] = None
         engine_span = NULL_SPAN
         if self.obs.enabled:
-            trace = ExecutionTrace()
-            ticket.trace = trace
-            metrics_observer = self.obs.engine_observer(chosen, request.routing)
-            observer = (
-                FanoutObserver(trace, metrics_observer)
-                if metrics_observer is not None
-                else trace
-            )
+            trace = ticket.trace = ExecutionTrace()
             engine_span = span.child(
                 "engine", {"algorithm": chosen, "routing": request.routing, "k": k}
             )
@@ -550,7 +544,7 @@ class WhirlpoolService:
                 deadline_seconds=remaining,
                 faults=request.faults,
                 retry_policy=request.retry_policy,
-                observer=observer,
+                observer=trace,
                 checkpoint_policy=run_policy,
                 checkpoint_sink=checkpoint_sink,
                 restore_from=ticket.restore_from,
@@ -562,6 +556,11 @@ class WhirlpoolService:
             # envelope-only snapshot so the request is still resumable.
             if not engine_snapshot_saved[0]:
                 self._save_snapshot(ticket, "engine_error", deadline_at=deadline_at)
+            if trace is not None:
+                # The run's events count even though it raised.
+                record_run(
+                    self.obs.registry, chosen, request.routing, Outcome.FAILED.value, None, trace
+                )
             self._fail(
                 ticket,
                 "engine_error",
@@ -666,6 +665,7 @@ class WhirlpoolService:
                 ticket.request.routing,
                 outcome.value,
                 result,
+                ticket.trace,
             )
         self._finish(
             ticket,

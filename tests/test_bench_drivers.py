@@ -297,7 +297,7 @@ class TestTrajectory:
         assert trajectory.serialize(payload) == trajectory.serialize(payload)
         assert trajectory.serialize(payload).endswith("\n")
 
-    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12, 16, 17, 22])
+    @pytest.mark.parametrize("pr", [6, 7, 8, 9, 12, 16, 17, 22, 27])
     def test_checked_in_artifact_matches_schema(self, pr):
         artifact = Path(__file__).parent.parent / f"BENCH_PR{pr}.json"
         payload = json.loads(artifact.read_text(encoding="utf-8"))

@@ -1,8 +1,9 @@
 """Unit tests for the observability primitives (repro.obs).
 
 Registry semantics (counters / gauges / histograms, label discipline,
-disabled no-op instruments, Prometheus + JSON export), span trees, and
-the slow-query log ring — all independent of the query service, which
+disabled no-op instruments, Prometheus + JSON export), span trees, the
+slow-query log ring and the ``record_run`` fold of a trace — all
+independent of the query service, which
 ``tests/test_obs_service.py`` covers end to end.
 """
 
@@ -20,6 +21,7 @@ from repro.obs import (
     SlowQueryEntry,
     SlowQueryLog,
     Span,
+    record_run,
     routing_history,
 )
 from repro.obs.metrics import _NULL_COUNTER, _NULL_GAUGE, _NULL_HISTOGRAM
@@ -112,10 +114,6 @@ class TestRegistration:
             with pytest.raises(ReproError):
                 registry.counter(bad)
 
-    def test_stripes_must_be_positive(self):
-        with pytest.raises(ReproError):
-            MetricsRegistry(stripes=0)
-
 
 class TestDisabledRegistry:
     def test_children_are_shared_null_instruments(self):
@@ -193,7 +191,7 @@ class TestExports:
         assert histogram["bounds"] == [0.1, 1.0]
 
     def test_concurrent_increments_are_lossless(self):
-        registry = MetricsRegistry(stripes=4)
+        registry = MetricsRegistry()
         family = registry.counter("c_total", labels=("worker",))
         per_thread = 2000
 
@@ -334,6 +332,42 @@ class TestSlowQueryLog:
         assert payload[0]["span"] is None
 
 
+class TestRecordRun:
+    def test_a_raised_run_folds_its_trace_only(self):
+        trace = ExecutionTrace()
+        trace.events.append(_route_event(0, 10, 2, 0.25))
+        trace.events.append(TraceEvent(1, "extension", 11, None, 0.4, 0.9, 0.25, "pruned"))
+        trace.on_queue_depth("router", 3)
+        registry = MetricsRegistry()
+        record_run(registry, "whirlpool_s", "min_alive", "failed", None, trace)
+        snapshot = registry.as_dict()
+        assert sorted(snapshot) == [
+            "whirlpool_engine_events_total",
+            "whirlpool_queue_depth",
+            "whirlpool_topk_threshold",
+        ]
+        events = {
+            entry["labels"]["event"]: entry["value"]
+            for entry in snapshot["whirlpool_engine_events_total"]["series"]
+        }
+        assert events == {
+            "seed": 0,
+            "route": 1,
+            "prune": 0,
+            "extension_alive": 0,
+            "extension_completed": 0,
+            "extension_pruned": 1,
+        }
+        (threshold,) = snapshot["whirlpool_topk_threshold"]["series"]
+        assert (threshold["count"], threshold["sum"]) == (1, 0.25)
+        (depth,) = snapshot["whirlpool_queue_depth"]["series"]
+        assert depth["labels"] == {"site": "router"}
+        assert (depth["count"], depth["sum"]) == (1, 3)
+        # A depth is kept beside the events, never as one.
+        assert trace.queue_depths == [("router", 3)]
+        assert trace.counts() == {"route": 1, "extension": 1}
+
+
 class TestObservabilityBundle:
     def test_enabled_bundle(self):
         obs = Observability(slow_query_seconds=0.1, slow_query_capacity=4)
@@ -341,15 +375,12 @@ class TestObservabilityBundle:
         assert obs.registry.enabled
         assert obs.slow_log is not None
         assert obs.slow_log.budget_seconds == 0.1
-        observer = obs.engine_observer("whirlpool_s", "min_alive")
-        assert observer is not None
 
     def test_disabled_bundle(self):
         obs = Observability.disabled()
         assert not obs.enabled
         assert not obs.registry.enabled
         assert obs.slow_log is None
-        assert obs.engine_observer("whirlpool_s", "min_alive") is None
 
     def test_disabled_bundle_opens_the_null_span(self):
         from repro.obs import NULL_SPAN

@@ -9,15 +9,40 @@ engine-cache entry with zero race-detector findings.
 
 import json
 import re
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.racecheck import RaceCheck
+from repro.faults import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.obs import Observability
 from repro.service import Outcome, QueryRequest, WhirlpoolService
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
+
+#: The engine metric families folded from each run's trace, pinned in
+#: ``ENGINE_FAMILIES_GOLDEN`` for the request list below.
+ENGINE_FAMILIES = (
+    "whirlpool_engine_events_total",
+    "whirlpool_topk_threshold",
+    "whirlpool_queue_depth",
+)
+ENGINE_FAMILIES_GOLDEN = Path(__file__).parent / "fixtures" / "obs" / "engine_families.json"
+
+#: A crash at the ninth server operation: the run raises, so the request
+#: takes the service's ``engine_error`` exit after recording events.
+CRASH_PLAN = FaultPlan([FaultRule(FaultSite.SERVER_OP, FaultAction.CRASH, nth=9, times=1)])
+
+#: Deterministic engines only: Whirlpool-M's event order varies per run.
+ENGINE_FAMILY_REQUESTS = (
+    {"algorithm": "whirlpool_s", "routing": "min_alive"},
+    {"algorithm": "whirlpool_s", "routing": "max_score"},
+    {"algorithm": "whirlpool_s", "routing": "min_score"},
+    {"algorithm": "lockstep"},
+    {"algorithm": "whirlpool_s", "routing": "min_score", "faults": CRASH_PLAN},
+)
 
 #: One Prometheus exposition line: name{labels} value  (comments aside).
 _PROM_LINE = re.compile(
@@ -102,6 +127,49 @@ class TestMetricsExport:
             operations.labels("server_operations", "whirlpool_s", "min_alive").value()
             == 3 * result.stats.server_operations
         )
+
+
+def engine_families(database):
+    """Serve ``ENGINE_FAMILY_REQUESTS`` in order; the series of the
+    trace-derived engine families, as ``as_dict`` renders them."""
+    obs = Observability()
+    with WhirlpoolService({"auction": database}, workers=1, observability=obs) as service:
+        reasons = [
+            service.submit(QueryRequest("auction", QUERY, k=5, **options))
+            .result(timeout=30.0)
+            .reason
+            for options in ENGINE_FAMILY_REQUESTS
+        ]
+    assert reasons == ["", "", "", "", "engine_error"]
+    snapshot = obs.registry.as_dict()
+    return {name: snapshot[name]["series"] for name in ENGINE_FAMILIES}
+
+
+class TestEngineFamilies:
+    def test_engine_families_match_the_golden_series(self, xmark_db):
+        """Event counts, threshold and queue-depth histograms (sums
+        included, exactly) for a fixed request list — the crashed run's
+        events counted too."""
+        golden = json.loads(ENGINE_FAMILIES_GOLDEN.read_text())
+        assert engine_families(xmark_db) == golden
+
+
+class TestFailureReports:
+    def test_failure_report_keeps_the_trace_tail(self, xmark_db):
+        with WhirlpoolService(
+            {"auction": xmark_db}, workers=1, observability=Observability()
+        ) as service:
+            ticket = service.submit(
+                QueryRequest("auction", QUERY, k=5, faults=FaultPlan.chaos(4))
+            )
+            response = ticket.result(timeout=30.0)
+        assert response.result is not None
+        failure = response.result.failure
+        assert failure is not None
+        assert failure.trace_tail
+        assert ticket.trace is not None
+        tail = ticket.trace.events[-len(failure.trace_tail):]
+        assert failure.trace_tail == [repr(event) for event in tail]
 
 
 class TestRequestSpans:
@@ -244,3 +312,13 @@ class TestRoutingValidation:
 
         with pytest.raises(ServiceError):
             QueryRequest("auction", QUERY, routing="static")
+
+
+if __name__ == "__main__":
+    # Regenerate the engine-family golden series: run from the root of a
+    # checkout of the commit to take it from, with its src on PYTHONPATH.
+    from repro.xmark import XMarkConfig, generate_database
+
+    families = engine_families(generate_database(XMarkConfig(items=60, seed=11)))
+    json.dump(families, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
