@@ -366,9 +366,9 @@ def checkpoint_guard_sites(stats):
     """Over-count of ``maybe_checkpoint`` guard executions in one run.
 
     The single-threaded engines test the guard once per loop pass —
-    bounded by routing decisions plus server operations — and Whirlpool-M's
-    router tests it per routed match.  Counting both everywhere
-    over-counts, which is the right direction for an upper bound.
+    bounded by routing decisions plus server operations — and Whirlpool-M
+    once per thread segment.  Counting both twice over-counts, which is
+    the right direction for an upper bound.
     """
     return 2 * (stats.routing_decisions + stats.server_operations)
 

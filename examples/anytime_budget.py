@@ -2,16 +2,16 @@
 
 Adaptive, bound-driven evaluation degrades gracefully: interrupt it at any
 point and the current top-k set plus a correctness bound is a meaningful
-partial answer.  This example runs the same query under growing budgets
-and shows the answers converging to the exact top-k — with the certificate
-(`guarantee()`) telling you how much could still change.
+partial answer.  This example runs the same query under growing
+``max_operations`` budgets and shows the answers converging to the exact
+top-k — with the certificate (``pending_bound``) telling you how much
+could still change.
 
 Run from the repository root::
 
     python examples/anytime_budget.py
 """
 
-from repro.core.anytime import anytime_topk
 from repro.core.engine import Engine
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
@@ -34,30 +34,20 @@ def main() -> None:
 
     print(f"{'budget':>8}  {'final?':>6}  {'bound':>7}  answers (scores)")
     for budget in (10, 50, 150, 400, 1000, None):
-        outcome = anytime_topk(engine, k=K, max_operations=budget)
-        scores = [round(a.score, 3) for a in outcome.answers]
+        result = engine.run(K, algorithm="whirlpool_s", max_operations=budget)
+        scores = [round(a.score, 3) for a in result.answers]
         label = "inf" if budget is None else str(budget)
         print(
-            f"{label:>8}  {str(outcome.is_final):>6}  "
-            f"{outcome.guarantee():>7.3f}  {scores}"
+            f"{label:>8}  {str(not result.degraded):>6}  "
+            f"{result.pending_bound:>7.3f}  {scores}"
         )
-        if outcome.is_final and budget is not None:
+        if not result.degraded and budget is not None:
             print(
                 f"\nconverged at budget {label} "
-                f"({outcome.operations_used} operations actually used; "
+                f"({result.stats.server_operations} operations actually used; "
                 f"the top-k set closed the rest of the queue as ties)"
             )
             break
-
-    final = anytime_topk(engine, k=K)
-    assert [round(a.score, 9) for a in final.answers] == [
-        round(a.score, 9) for a in exact.answers
-    ]
-    print(
-        f"\nunbudgeted anytime run: {final.operations_used} ops, the "
-        f"{exact.stats.server_operations} of plain Whirlpool-S "
-        f"(the early stop is every run's)"
-    )
 
 
 if __name__ == "__main__":

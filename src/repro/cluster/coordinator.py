@@ -748,6 +748,8 @@ class Coordinator:
                 f"unknown algorithm {algorithm!r}; expected one of "
                 f"{', '.join(sorted(ALGORITHMS))}"
             )
+        if deadline_seconds is not None and deadline_seconds <= 0:
+            raise ClusterError(f"deadline_seconds must be positive, got {deadline_seconds}")
         with self._lock:
             if self._closed:
                 raise ClusterError("coordinator is closed")
@@ -998,7 +1000,7 @@ class Coordinator:
         span: Span,
     ) -> ClusterResult:
         started = monotonic_seconds()
-        deadline_at = started + deadline_seconds if deadline_seconds else None
+        deadline_at = started + deadline_seconds if deadline_seconds is not None else None
         engine = self._engine_for(query, relaxed)
         contributions = engine.score_model.contributions()
         max_total = engine.score_model.max_total()

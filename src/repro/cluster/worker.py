@@ -288,15 +288,14 @@ class ShardWorker:
         # What is per step: the budget, the fault plan (armed from its
         # first operation, so a seeded schedule fires where it always
         # did), where this step's checkpoint goes, and a checkpoint
-        # interval of this step's budget counted from where the run stands
-        # — so the budget exit is the step's one checkpoint whatever
-        # budget earlier steps carried.
+        # interval of this step's budget.  The run stands where its last
+        # checkpoint (the previous step's budget exit) or restored
+        # snapshot left it, so the budget exit is the step's one
+        # checkpoint whatever budget earlier steps carried.
         run.max_operations = self.resident_ops + budget
         run.arm_faults(None if fault_free else self.engine_faults)
         run.checkpoint_sink = captured.append
-        policy = CheckpointPolicy(every_operations=max(budget, 1))
-        policy.mark(run.stats)
-        run.checkpoint_policy = policy
+        run.checkpoint_policy = CheckpointPolicy(every_operations=max(budget, 1))
         try:
             result = run.run()
         except EngineCrashError as exc:

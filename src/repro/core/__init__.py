@@ -43,7 +43,6 @@ from repro.core.whirlpool_m import WhirlpoolM
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.rewriting import RewritingEngine
 from repro.core.threshold import FixedThresholdSet, threshold_query
-from repro.core.anytime import AnytimeOutcome, anytime_topk
 from repro.core.trace import EngineObserver, ExecutionTrace
 from repro.core.engine import Engine, TopKResult
 
@@ -73,8 +72,6 @@ __all__ = [
     "RewritingEngine",
     "FixedThresholdSet",
     "threshold_query",
-    "AnytimeOutcome",
-    "anytime_topk",
     "EngineObserver",
     "ExecutionTrace",
     "Engine",

@@ -21,7 +21,18 @@ makespan model's scheduler (:func:`repro.bench.makespan.simulate`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue, QueuePolicy
@@ -42,11 +53,13 @@ from repro.faults.report import FailureReport
 from repro.faults.supervisor import FailureAction, RetryPolicy, Supervisor
 from repro.query.pattern import TreePattern
 from repro.recovery.codec import encode_engine_state, restore_engine_state
-from repro.recovery.policy import CheckpointPolicy
 from repro.relax.plan import compile_plan
 from repro.scoring.model import MatchQuality, ScoreModel
 from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
+
+if TYPE_CHECKING:
+    from repro.recovery.policy import CheckpointPolicy
 
 
 #: The closing level of a run that keeps every sibling (LockStep-NoPrun).
@@ -234,9 +247,12 @@ class EngineBase:
         #: seed / route / extension / prune events.
         self.observer: Optional[EngineObserver] = observer
         #: When set, engines serialize recovery snapshots at their
-        #: quiesce points whenever the policy says one is due.  ``None``
-        #: (the default) costs a single attribute test per loop pass.
+        #: quiesce points (:meth:`maybe_checkpoint`).  ``None`` (the
+        #: default) costs a single attribute test per loop pass.
         self.checkpoint_policy: Optional[CheckpointPolicy] = checkpoint_policy
+        #: Operation count of this run's last checkpoint or restored
+        #: snapshot: the next periodic checkpoint is an interval past it.
+        self.checkpointed_at = 0
         #: Optional callback receiving every snapshot taken — the query
         #: service points this at a :class:`~repro.recovery.store.RecoveryStore`.
         #: A failing sink is recorded as a component error, never fatal.
@@ -272,20 +288,14 @@ class EngineBase:
         :attr:`last_checkpoint`, counted in the stats, shown to the
         supervisor (for the failure report), and pushed to the
         :attr:`checkpoint_sink` when one is attached.  Engines call this
-        only from a quiesced vantage point: single-threaded loop tops, or
-        inside Whirlpool-M's pause barrier.
+        only from a quiesced vantage point: a single-threaded loop pass,
+        or between two of Whirlpool-M's thread segments.
         """
         snapshot = encode_engine_state(self, queues, loose)
         self.stats.record_checkpoint()
+        self.checkpointed_at = self.stats.server_operations
         self.last_checkpoint = snapshot
         self.supervisor.note_checkpoint(snapshot)
-        policy = self.checkpoint_policy
-        if policy is not None:
-            policy.mark(
-                self.stats,
-                self.deadline_seconds,
-                self._fault_events() if policy.on_fault else 0,
-            )
         sink = self.checkpoint_sink
         if sink is not None:
             try:
@@ -309,11 +319,9 @@ class EngineBase:
         if self._restored is not None or self.stats.server_operations > 0:
             raise RecoveryError("restore() must be called once, before run()")
         self._restored = restore_engine_state(snapshot, self)
-        policy = self.checkpoint_policy
-        if policy is not None:
-            # The snapshot is the checkpoint at this operation count; the
-            # next one is due a full interval later.
-            policy.mark(self.stats)
+        # The snapshot is the checkpoint at this operation count; the
+        # next one is due a full interval later.
+        self.checkpointed_at = self.stats.server_operations
 
     def park(self, leftovers: List[PartialMatch]) -> float:
         """Budget exit: keep the unprocessed live matches for the next
@@ -350,35 +358,27 @@ class EngineBase:
             server.injector = injector
 
     def checkpoint_due(self) -> bool:
-        """True when the policy wants a snapshot at this progress point."""
+        """True once the policy's interval has passed since
+        :attr:`checkpointed_at`."""
         policy = self.checkpoint_policy
-        if policy is None:
-            return False
-        return policy.due(
-            self.stats,
-            self.deadline_seconds,
-            self._fault_events() if policy.on_fault else 0,
+        return (
+            policy is not None
+            and self.stats.server_operations - self.checkpointed_at
+            >= policy.every_operations
         )
 
     def maybe_checkpoint(
         self,
         queues: Dict[str, MatchQueue],
         loose: Sequence[PartialMatch] = (),
-    ) -> bool:
-        """Checkpoint iff one is due.  The single-threaded engines call
-        this every loop pass; with no policy it costs one attribute test."""
-        if self.checkpoint_policy is None:
-            return False
-        if not self.checkpoint_due():
-            return False
-        self.checkpoint(queues, loose)
-        return True
-
-    def _fault_events(self) -> int:
-        """Fault activity counter feeding the on-fault checkpoint trigger."""
-        injector = self.fault_injector
-        fired = injector.fired_count() if injector is not None else 0
-        return fired + self.supervisor.error_count()
+        budget_exit: bool = False,
+    ) -> None:
+        """The checkpoint rule, applied at a quiesce point: with a policy,
+        snapshot at a budget exit or once the interval has passed.  Every
+        engine calls this once per quiesce point; with no policy it costs
+        one attribute test."""
+        if self.checkpoint_policy is not None and (budget_exit or self.checkpoint_due()):
+            self.checkpoint(queues, loose)
 
     # -- shared steps --------------------------------------------------------------
 

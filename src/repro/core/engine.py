@@ -261,7 +261,8 @@ class Engine:
         checkpoint_policy:
             Optional :class:`~repro.recovery.CheckpointPolicy` — when set,
             the engine snapshots its resumable state (queues, top-k set,
-            counters) whenever the policy says a checkpoint is due.
+            counters) every ``every_operations`` operations and at every
+            budget exit.
         checkpoint_sink:
             Optional callable receiving each snapshot dict as it is taken
             (e.g. ``store.save``); sink errors are recorded, not raised.

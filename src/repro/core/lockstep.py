@@ -55,6 +55,7 @@ class LockStep(EngineBase):
             # Within the server, matches are consumed in priority-queue
             # order (Section 6.1.3; max-final-score by default).
             queue = self.make_server_queue(server_id)
+            labelled = {f"server:{server_id}": queue}
             survivors: List[PartialMatch] = []
             for match in matches:
                 if server_id in match.visited:
@@ -65,28 +66,20 @@ class LockStep(EngineBase):
                     self.put_or_abandon(queue, label, match)
             out_of_budget = False
             while True:
-                if self.budget_exhausted():
+                exhausted = self.budget_exhausted()
+                self.maybe_checkpoint(labelled, survivors, budget_exit=exhausted)
+                if exhausted:
                     # Budget hit mid-server: everything still queued (plus
                     # the survivors already spawned) is unreported work,
-                    # parked for a caller that raises the budget.  Snapshot
-                    # it first when a checkpoint policy is on (once: this
-                    # test comes before the periodic one), so a
-                    # budget-stepped run can be failed over.  Nothing left
-                    # is parked too: the next run() must finish this run,
-                    # not seed a new one.
-                    if self.checkpoint_policy is not None:
-                        self.checkpoint(
-                            {f"server:{server_id}": queue}, loose=survivors
-                        )
+                    # parked for a caller that raises the budget.  Nothing
+                    # left is parked too: the next run() must finish this
+                    # run, not seed a new one.
                     snapshots[f"server:{server_id}"] = len(queue)
                     leftovers = queue.drain() + survivors
                     degraded = bool(leftovers)
                     pending_bound = self.park(leftovers)
                     out_of_budget = True
                     break
-                self.maybe_checkpoint(
-                    {f"server:{server_id}": queue}, loose=survivors
-                )
                 try:
                     match = queue.get_nowait()
                 except InjectedFaultError as exc:

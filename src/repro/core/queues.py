@@ -193,6 +193,11 @@ class MatchQueue:
             self._closed = True
             self._not_empty.notify_all()
 
+    def reopen(self) -> None:
+        """Undo :meth:`close`: gets on an empty queue block again."""
+        with self._lock:
+            self._closed = False
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)

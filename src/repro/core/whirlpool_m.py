@@ -14,6 +14,13 @@ makespan model (:func:`repro.bench.makespan.simulate`) schedules the same
 step over a modeled processor count: the threads and the model run one
 engine.
 
+The threads live for one *segment*: the main thread ends it when the
+work drains, the budget is spent or a checkpoint is due, and joins them.
+With every thread joined, each match is in a queue, so the run applies
+the checkpoint rule (:meth:`~repro.core.base.EngineBase.maybe_checkpoint`)
+there, as the single-threaded engines do at a loop pass, and then stops
+or starts a fresh segment.
+
 Worker bodies are *supervised*: every dequeued match is processed under
 ``try/finally`` so the in-flight count is decremented no matter what the
 body raises (a crashed worker iteration can therefore never stall
@@ -49,18 +56,13 @@ from repro.errors import (
 #: The router's thread id; a server thread's is its server's node id.
 ROUTER = -1
 
-_POLL_SECONDS = 0.02
-
-#: How long the quiesced-checkpoint barrier waits for every worker to
-#: park before giving up on that snapshot (workers finish their match in
-#: hand first, so this only expires when a worker is wedged — in which
-#: case skipping the checkpoint is the safe choice).
-_BARRIER_TIMEOUT_SECONDS = 2.0
-
-#: Main-thread wait slice while a checkpoint policy is active — small so
-#: due checkpoints are taken close to the operation count that made them
-#: due.
+#: Main-thread wait slice while a checkpoint policy is active — small so a
+#: segment ends close to the operation count that made a checkpoint due.
 _CHECKPOINT_POLL_SECONDS = 0.005
+
+#: Main-thread wait slice under an operation budget or a possible injected
+#: CRASH, which only the main thread can act on.
+_BUDGET_POLL_SECONDS = 0.05
 
 #: Deadlock backstop for :meth:`_InFlight.wait_zero`.  Termination is
 #: notification-driven (``dec()`` notifies on the zero crossing), so this
@@ -201,66 +203,90 @@ class WhirlpoolM(EngineBase):
     def run(self) -> TopKResult:
         self.stats.start_clock()
         in_flight = _InFlight()
-        stop = threading.Event()
+        # A match the injector discards in transit still holds an
+        # in-flight count from its producer; the drop releases it, so it
+        # cannot stall termination.
+        queues = self.make_queues(on_drop=lambda match: in_flight.dec())
+        labelled = {thread_label(thread): queue for thread, queue in queues.items()}
+        for match in self.start_matches():
+            self._put(queues, in_flight, ROUTER, match)
 
-        # Quiesced-barrier state: when ``pause`` is set, workers park
-        # between iterations (never holding a match), so a checkpoint
-        # taken with every worker parked sees all live matches in queues.
-        # ``crashed`` holds the first injected CRASH; it aborts the run.
-        pause = threading.Event()
-        barrier = threading.Condition()
-        parked = [0]
-        exited = [0]
+        # Between two thread segments every thread is joined: each pass is
+        # a quiesce point, where the checkpoint rule applies and the run
+        # either stops or continues in a fresh segment.
+        while True:
+            exhausted = self.budget_exhausted()
+            self.maybe_checkpoint(labelled, budget_exit=exhausted)
+            if exhausted or in_flight.count() == 0:
+                break
+            crash = self._segment(queues, in_flight)
+            if crash is not None:
+                # The injected CRASH killed this run; matches still queued
+                # are lost with it.  Callers resume from last_checkpoint
+                # (also on the supervisor for FailureReport attachment) —
+                # see repro.recovery.
+                self.stats.stop_clock()
+                raise crash
+
+        # Anything still queued is unreported work: its best upper bound is
+        # the degradation certificate, and a budget exit parks it — an
+        # empty set too: the next run() must finish this run, not seed a
+        # new one.
+        snapshots = {label: len(queue) for label, queue in labelled.items()}
+        degraded = in_flight.count() > 0
+        leftovers = [match for queue in queues.values() for match in queue.drain()]
+        pending_bound = self.park(leftovers) if exhausted else 0.0
+
+        self.stats.stop_clock()
+        return self.make_result(
+            degraded=degraded,
+            pending_bound=pending_bound,
+            queue_snapshots=snapshots,
+        )
+
+    def _put(
+        self,
+        queues: Dict[int, MatchQueue],
+        in_flight: _InFlight,
+        thread: int,
+        match: PartialMatch,
+    ) -> None:
+        """Put ``match`` into ``thread``'s queue.  inc() comes BEFORE the
+        put: the consumer may dec() the instant the match lands.  A failed
+        put abandons the match (bound recorded) and releases the count; a
+        drop releases it through the queue's ``on_drop``."""
+        in_flight.inc()
+        try:
+            queues[thread].put(match)
+        except EngineCrashError:
+            in_flight.dec()
+            raise
+        except Exception as exc:
+            self.supervisor.record_abandoned(match, f"queue:{thread_label(thread)}", exc)
+            in_flight.dec()
+
+    def _segment(
+        self, queues: Dict[int, MatchQueue], in_flight: _InFlight
+    ) -> Optional[BaseException]:
+        """Serve ``queues`` with a router thread and ``threads_per_server``
+        threads per server until the work drains, the budget is spent, the
+        checkpoint interval has passed, or a thread meets an injected
+        CRASH.  Returns with every thread joined — each finishes the match
+        in hand first, and a put on a closed queue still lands, so every
+        live match is in a queue — and the crash, if there was one."""
+        stop = threading.Event()
         crashed: List[BaseException] = []
 
         def note_crash(exc: BaseException) -> None:
-            with barrier:
-                if not crashed:
-                    crashed.append(exc)
+            crashed.append(exc)  # atomic: crashed[0] is the first crash
             stop.set()
-
-        def park_if_paused() -> None:
-            if not pause.is_set():
-                return
-            with barrier:
-                parked[0] += 1
-                barrier.notify_all()
-                while pause.is_set() and not stop.is_set():
-                    barrier.wait(_POLL_SECONDS)
-                parked[0] -= 1
-                barrier.notify_all()
-
-        def dec_on_drop(match: PartialMatch) -> None:
-            # A match the injector discarded in transit still held an
-            # in-flight count from its producer; release it here so the
-            # drop cannot stall termination.
-            in_flight.dec()
-
-        queues = self.make_queues(on_drop=dec_on_drop)
-        labelled = {thread_label(thread): queue for thread, queue in queues.items()}
-
-        def safe_put(thread: int, match: PartialMatch) -> None:
-            # inc() BEFORE the put: the consumer may dec() the instant the
-            # match lands.  A failed put abandons the match (bound
-            # recorded) and releases the count; a drop releases it via
-            # ``dec_on_drop``.
-            in_flight.inc()
-            try:
-                queues[thread].put(match)
-            except EngineCrashError:
-                in_flight.dec()
-                raise
-            except Exception as exc:
-                self.supervisor.record_abandoned(match, f"queue:{thread_label(thread)}", exc)
-                in_flight.dec()
 
         def worker_loop(thread: int) -> None:
             queue = queues[thread]
             label = thread_label(thread)
             while not stop.is_set():
-                park_if_paused()
                 try:
-                    match = queue.get(timeout=_POLL_SECONDS)
+                    match = queue.get()
                 except InjectedFaultError as exc:
                     # The popped match was recorded as dropped (and its
                     # count released) by the queue hook.
@@ -269,13 +295,13 @@ class WhirlpoolM(EngineBase):
                 except EngineCrashError as exc:
                     note_crash(exc)
                     return
-                if match is None:
+                if match is None:  # the segment closed the queue
                     continue
                 try:
                     if self.admit(match):
                         target, output = self.step(thread, match)
                         for produced in output:
-                            safe_put(target, produced)
+                            self._put(queues, in_flight, target, produced)
                 except EngineCrashError as exc:
                     # The run is dead; the match in hand is lost with it.
                     # Recovery is a checkpoint restore, not supervision.
@@ -287,27 +313,14 @@ class WhirlpoolM(EngineBase):
                 finally:
                     in_flight.dec()
 
-        def run_worker(thread: int) -> None:
-            # The barrier must know how many workers can still park, so
-            # every exit path (stop, crash, unexpected error) counts.
-            try:
-                worker_loop(thread)
-            finally:
-                with barrier:
-                    exited[0] += 1
-                    barrier.notify_all()
-
-        threads: List[threading.Thread] = [
+        threads = [
             threading.Thread(
-                target=run_worker,
-                args=(ROUTER,),
-                name="whirlpool-router",
-                daemon=True,
+                target=worker_loop, args=(ROUTER,), name="whirlpool-router", daemon=True
             )
         ]
         threads.extend(
             threading.Thread(
-                target=run_worker,
+                target=worker_loop,
                 args=(node_id,),
                 name=f"whirlpool-server-{node_id}-{worker}",
                 daemon=True,
@@ -319,120 +332,34 @@ class WhirlpoolM(EngineBase):
         def alive_names() -> List[str]:
             return [thread.name for thread in threads if thread.is_alive()]
 
-        def quiesce_and_checkpoint() -> None:
-            # The quiesced barrier: park every worker between iterations
-            # (each finishes the match in hand first), snapshot with all
-            # live matches sitting in queues, then release.  Called from
-            # the main thread only.
-            pause.set()
-            try:
-                give_up_at = monotonic_seconds() + _BARRIER_TIMEOUT_SECONDS
-                with barrier:
-                    while parked[0] < len(threads) - exited[0]:
-                        if (
-                            stop.is_set()
-                            or crashed
-                            or monotonic_seconds() >= give_up_at
-                        ):
-                            return
-                        barrier.wait(_POLL_SECONDS)
-                    self.checkpoint(labelled)
-            finally:
-                pause.clear()
-                with barrier:
-                    barrier.notify_all()
-
+        # The main thread waits for the drain in slices when something else
+        # can end the segment, so it re-reads the budget, the checkpoint
+        # interval and the crash list; under a pure deadline each slice is
+        # the time left.
+        injector = self.fault_injector
+        window: Optional[float] = None
+        if self.checkpoint_policy is not None:
+            window = _CHECKPOINT_POLL_SECONDS
+        elif self.max_operations is not None or (
+            injector is not None and injector.crash_possible()
+        ):
+            window = _BUDGET_POLL_SECONDS
+        for queue in queues.values():
+            queue.reopen()
         for thread in threads:
             thread.start()
-
-        injector = self.fault_injector
-        crash_possible = injector is not None and injector.crash_possible()
-        policy_active = self.checkpoint_policy is not None
-        out_of_budget = False
         try:
-            for match in self.start_matches():
-                safe_put(ROUTER, match)
-
-            if (
-                self.deadline_seconds is None
-                and self.max_operations is None
-                and not crash_possible
-                and not policy_active
-            ):
-                in_flight.wait_zero(thread_names=alive_names)
-            else:
-                # Budget / crash / checkpoint enforcement: wait in slices
-                # so the operation counter, the crash flag and the
-                # checkpoint policy are re-checked; under a pure deadline
-                # each slice is simply the remaining time.
-                while True:
-                    if crashed:
-                        break
-                    if self.budget_exhausted():
-                        out_of_budget = True
-                        break
-                    if policy_active and self.checkpoint_due():
-                        quiesce_and_checkpoint()
-                    if (
-                        self.max_operations is not None
-                        or policy_active
-                        or crash_possible
-                    ):
-                        window = (
-                            _CHECKPOINT_POLL_SECONDS if policy_active else 0.05
-                        )
-                        if self.deadline_seconds is not None:
-                            window = min(
-                                window,
-                                max(
-                                    self.deadline_seconds
-                                    - self.stats.elapsed_seconds(),
-                                    0.001,
-                                ),
-                            )
-                    else:
-                        assert self.deadline_seconds is not None
-                        window = max(
-                            self.deadline_seconds - self.stats.elapsed_seconds(),
-                            0.001,
-                        )
-                    if in_flight.wait_zero(timeout=window, thread_names=alive_names):
-                        break
+            while not (crashed or self.budget_exhausted() or self.checkpoint_due()):
+                wait = window
+                if self.deadline_seconds is not None:
+                    left = max(self.deadline_seconds - self.stats.elapsed_seconds(), 0.001)
+                    wait = left if wait is None else min(wait, left)
+                if in_flight.wait_zero(timeout=wait, thread_names=alive_names):
+                    break
         finally:
             stop.set()
             for queue in queues.values():
                 queue.close()
             for thread in threads:
                 thread.join(timeout=5.0)
-
-        if crashed:
-            # The injected CRASH killed this run; matches still queued are
-            # lost with it.  Callers resume from last_checkpoint (also on
-            # the supervisor for FailureReport attachment) — see
-            # repro.recovery.
-            self.stats.stop_clock()
-            raise crashed[0]
-
-        # Anything still queued at shutdown is unreported work: its best
-        # upper bound is the degradation certificate, and it is parked for
-        # a caller that raises the budget.  Workers have joined, so this
-        # point is naturally quiesced: with a checkpoint policy on,
-        # snapshot the budget-exit state so a stepped run can be failed
-        # over (puts on closed queues still land, so in-hand extensions
-        # are in).
-        if out_of_budget and policy_active:
-            self.checkpoint(labelled)
-        snapshots = {label: len(queue) for label, queue in labelled.items()}
-        leftovers = [match for queue in queues.values() for match in queue.drain()]
-
-        degraded = bool(leftovers) or (out_of_budget and in_flight.count() > 0)
-        # A budget exit parks even an empty set: the next run() must finish
-        # this run, not seed a new one.
-        pending_bound = self.park(leftovers) if out_of_budget or leftovers else 0.0
-
-        self.stats.stop_clock()
-        return self.make_result(
-            degraded=degraded,
-            pending_bound=pending_bound,
-            queue_snapshots=snapshots,
-        )
+        return crashed[0] if crashed else None

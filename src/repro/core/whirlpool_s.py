@@ -41,25 +41,22 @@ class WhirlpoolS(EngineBase):
         degraded = False
         pending_bound = 0.0
         snapshots = {"router": 0}
+        labelled = {"router": router_queue}
         while True:
-            if self.budget_exhausted():
+            exhausted = self.budget_exhausted()
+            self.maybe_checkpoint(labelled, budget_exit=exhausted)
+            if exhausted:
                 # Deadline / operation budget hit: whatever is still queued
                 # becomes the anytime certificate — no unreported answer
                 # can beat the best queued upper bound — and is parked, so
-                # a caller that raises the budget continues this run.  With
-                # a checkpoint policy attached the same state is also
-                # snapshotted (once: this test comes before the periodic
-                # one), so a budget-stepped run can be failed over.  An
+                # a caller that raises the budget continues this run.  An
                 # empty queue is parked too: the next run() must finish
                 # this run, not seed a new one.
-                if self.checkpoint_policy is not None:
-                    self.checkpoint({"router": router_queue})
                 snapshots["router"] = len(router_queue)
                 leftovers = router_queue.drain()
                 degraded = bool(leftovers)
                 pending_bound = self.park(leftovers)
                 break
-            self.maybe_checkpoint({"router": router_queue})
             try:
                 match = router_queue.get_nowait()
             except InjectedFaultError as exc:

@@ -267,11 +267,6 @@ class Supervisor:
                 return 0.0
             return max(failed.upper_bound for failed in self._abandoned)
 
-    def error_count(self) -> int:
-        """All errors observed, recovered or not."""
-        with self._lock:
-            return sum(self._error_counts.values())
-
     def counters(self) -> Tuple[Dict[str, int], int, int]:
         """(error counts by component, retries, requeues) — one snapshot."""
         with self._lock:

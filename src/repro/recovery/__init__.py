@@ -9,9 +9,9 @@ into machinery:
 - :mod:`~repro.recovery.codec` — versioned, pickle-free snapshot
   encode/decode (Dewey-id node references, quality strings, recomputed
   bounds);
-- :mod:`~repro.recovery.policy` — :class:`CheckpointPolicy` deciding
-  *when* engines snapshot (every N operations / approaching deadline /
-  after faults);
+- :mod:`~repro.recovery.policy` — :class:`CheckpointPolicy`, the one
+  number behind *when* engines snapshot: every N server operations, and
+  at every budget exit;
 - :mod:`~repro.recovery.store` — :class:`RecoveryStore` backends
   (in-memory, JSON files) keyed by request id for the service layer's
   drain / crash / restart story;

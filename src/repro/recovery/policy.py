@@ -1,117 +1,30 @@
-"""When to checkpoint — operation-count, deadline, and fault triggers.
+"""When to checkpoint: every N server operations, and at a budget exit.
 
-A :class:`CheckpointPolicy` is consulted by the engines at their natural
-quiesce points (loop top for the single-threaded engines, the barrier
-windows of Whirlpool-M) against the run's
-:class:`~repro.core.stats.ExecutionStats`:
-
-- **every_operations=N** — a checkpoint becomes due every time the run
-  completes another N server operations since the last one;
-- **deadline_fraction=f** — one checkpoint becomes due once elapsed time
-  crosses ``f × deadline_seconds``, so a run about to degrade leaves a
-  resumable snapshot behind before the budget expires;
-- **on_fault=True** — a checkpoint becomes due whenever supervised
-  errors or injected faults have fired since the last one (the state
-  most worth protecting is the state that is already under attack).
-
-Policies are cheap, mutable, single-run objects: the engine marks them
-after each checkpoint.  Long-lived holders (the query service) keep one
-configured instance and call :meth:`fresh` per run.
+A :class:`CheckpointPolicy` is one number.  An engine run holding one
+takes a snapshot at a quiesce point — a loop pass of the single-threaded
+engines, the gap between two thread segments of Whirlpool-M — once
+``every_operations`` server operations have passed since its last
+checkpoint (or the snapshot it was restored from), and whenever it stops
+on its operation budget or deadline.  The run keeps the count
+(:attr:`~repro.core.base.EngineBase.checkpointed_at`); the policy holds
+no state, so one instance serves any number of runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.core.stats import ExecutionStats
 from repro.errors import RecoveryError
 
 
+@dataclass(frozen=True)
 class CheckpointPolicy:
-    """Decides when an engine should serialize a recovery snapshot."""
+    """Snapshot every ``every_operations`` server operations."""
 
-    def __init__(
-        self,
-        every_operations: Optional[int] = None,
-        deadline_fraction: Optional[float] = None,
-        on_fault: bool = False,
-    ) -> None:
-        if every_operations is not None and every_operations <= 0:
+    every_operations: int
+
+    def __post_init__(self) -> None:
+        if self.every_operations <= 0:
             raise RecoveryError(
-                f"every_operations must be positive, got {every_operations}"
+                f"every_operations must be positive, got {self.every_operations}"
             )
-        if deadline_fraction is not None and not 0.0 < deadline_fraction <= 1.0:
-            raise RecoveryError(
-                f"deadline_fraction must be in (0, 1], got {deadline_fraction}"
-            )
-        if every_operations is None and deadline_fraction is None and not on_fault:
-            raise RecoveryError(
-                "CheckpointPolicy needs at least one trigger: "
-                "every_operations, deadline_fraction, or on_fault"
-            )
-        self.every_operations = every_operations
-        self.deadline_fraction = deadline_fraction
-        self.on_fault = on_fault
-        self._last_operations = 0
-        self._last_fault_events = 0
-        self._deadline_fired = False
-
-    def fresh(self) -> "CheckpointPolicy":
-        """A new policy with the same triggers and pristine state."""
-        return CheckpointPolicy(
-            every_operations=self.every_operations,
-            deadline_fraction=self.deadline_fraction,
-            on_fault=self.on_fault,
-        )
-
-    def due(
-        self,
-        stats: ExecutionStats,
-        deadline_seconds: Optional[float] = None,
-        fault_events: int = 0,
-    ) -> bool:
-        """True when any configured trigger has fired since the last mark."""
-        if (
-            self.every_operations is not None
-            and stats.server_operations - self._last_operations
-            >= self.every_operations
-        ):
-            return True
-        if (
-            self.deadline_fraction is not None
-            and deadline_seconds is not None
-            and not self._deadline_fired
-            and stats.elapsed_seconds()
-            >= self.deadline_fraction * deadline_seconds
-        ):
-            return True
-        if self.on_fault and fault_events > self._last_fault_events:
-            return True
-        return False
-
-    def mark(
-        self,
-        stats: ExecutionStats,
-        deadline_seconds: Optional[float] = None,
-        fault_events: int = 0,
-    ) -> None:
-        """Record that a checkpoint was just taken at this progress point."""
-        self._last_operations = stats.server_operations
-        self._last_fault_events = fault_events
-        if (
-            self.deadline_fraction is not None
-            and deadline_seconds is not None
-            and stats.elapsed_seconds()
-            >= self.deadline_fraction * deadline_seconds
-        ):
-            self._deadline_fired = True
-
-    def __repr__(self) -> str:
-        parts = []
-        if self.every_operations is not None:
-            parts.append(f"every_operations={self.every_operations}")
-        if self.deadline_fraction is not None:
-            parts.append(f"deadline_fraction={self.deadline_fraction}")
-        if self.on_fault:
-            parts.append("on_fault=True")
-        return f"CheckpointPolicy({', '.join(parts)})"

@@ -106,10 +106,9 @@ class WhirlpoolService:
         and retry policies are not serialized: recovered runs re-execute
         fault-free.
     checkpoint_policy:
-        Optional :class:`~repro.recovery.CheckpointPolicy` template; each
-        run gets a :meth:`~repro.recovery.CheckpointPolicy.fresh` copy so
-        per-run trigger state never leaks between requests.  Only
-        meaningful together with ``recovery_store``.
+        Optional :class:`~repro.recovery.CheckpointPolicy` every run is
+        given (it holds no per-run state).  Only meaningful together with
+        ``recovery_store``.
     backend:
         Optional execution backend.  When set, admitted requests run on
         it instead of the in-process engine cache: the service still
@@ -516,9 +515,9 @@ class WhirlpoolService:
                 "engine", {"algorithm": chosen, "routing": request.routing, "k": k}
             )
 
-        # Recovery wiring: each run gets a fresh checkpoint-policy copy
-        # and a sink that persists every engine snapshot under this
-        # request's key, stamped with the deadline left at save time.
+        # Recovery wiring: each run gets the checkpoint policy and a sink
+        # that persists every engine snapshot under this request's key,
+        # stamped with the deadline left at save time.
         deadline_at = (
             monotonic_seconds() + remaining if remaining is not None else None
         )
@@ -526,7 +525,7 @@ class WhirlpoolService:
         checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None
         engine_snapshot_saved = [False]
         if self._recovery_store is not None and self._checkpoint_policy is not None:
-            run_policy = self._checkpoint_policy.fresh()
+            run_policy = self._checkpoint_policy
 
             def _sink(snapshot: Dict[str, Any]) -> None:
                 engine_snapshot_saved[0] = True

@@ -105,6 +105,16 @@ def test_deadline_returns_degraded_with_sound_bound(database, ranking):
     assert_exact_or_certified(ranking, result)
 
 
+def test_non_positive_deadline_rejected(database):
+    """A budget must be positive, as ``Engine.run``'s is: 0.0 is not
+    "unbounded" and -1.0 is not "give up at once"."""
+    with Coordinator(database, shards=2) as coordinator:
+        for deadline in (0.0, -1.0):
+            with pytest.raises(ClusterError):
+                coordinator.run_query(QUERY, K, deadline_seconds=deadline)
+        assert coordinator.health()["queries"] == 0
+
+
 def test_shard_reports_and_health(database):
     with Coordinator(database, shards=2) as coordinator:
         result = coordinator.run_query(QUERY, K)

@@ -8,8 +8,8 @@ the top-k set, and the ``pending_bound`` certificate.  The contract under
 test: **restore + resume produces a correct top-k** (the shared rule of
 ``repro.core.topk.topk_mismatch`` against LockStep-NoPrun: the scores, and
 the roots up to ties at the k-th), for every chaos seed, on all three engines — and
-Whirlpool-M's quiesced barrier snapshot does it with zero race-detector
-findings.
+Whirlpool-M, which snapshots between thread segments, does it with zero
+race-detector findings.
 """
 
 import pytest
@@ -167,10 +167,11 @@ class TestCrashMatrix:
         assert lingering == set()
 
 
-class TestQuiescedBarrierRaceFreedom:
+class TestSegmentRaceFreedom:
     def test_m_checkpoint_and_crash_have_zero_findings(self, xmark_db):
         """Whirlpool-M under checkpoints + a crash, watched by the race
-        detector: the barrier snapshot must be fully quiesced."""
+        detector: a snapshot is taken only with the segment's threads
+        joined."""
         with RaceCheck() as check:
             engine = Engine(xmark_db, QUERY)
             ranking = full_ranking(engine)

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.bench.params import QUERIES
 from repro.core.engine import Engine
 from repro.errors import RecoveryError
 from repro.recovery import (
@@ -170,56 +171,92 @@ class TestCodec:
 
 
 class TestCheckpointPolicy:
-    def test_every_operations_trigger(self):
-        from repro.core.stats import ExecutionStats
-
-        policy = CheckpointPolicy(every_operations=3)
-        stats = ExecutionStats()
-        assert not policy.due(stats)
-        for _ in range(3):
-            stats.record_server_operation(0, 0)
-        assert policy.due(stats)
-        policy.mark(stats)
-        assert not policy.due(stats)
-
-    def test_deadline_fraction_fires_once(self):
-        from repro.core.stats import ExecutionStats
-
-        policy = CheckpointPolicy(deadline_fraction=0.0000001)
-        stats = ExecutionStats()
-        stats.start_clock()
-        assert policy.due(stats, deadline_seconds=0.0000001)
-        policy.mark(stats, deadline_seconds=0.0000001)
-        assert not policy.due(stats, deadline_seconds=0.0000001)
-
-    def test_on_fault_trigger(self):
-        from repro.core.stats import ExecutionStats
-
-        policy = CheckpointPolicy(on_fault=True)
-        stats = ExecutionStats()
-        assert not policy.due(stats, fault_events=0)
-        assert policy.due(stats, fault_events=1)
-        policy.mark(stats, fault_events=1)
-        assert not policy.due(stats, fault_events=1)
-        assert policy.due(stats, fault_events=2)
+    def test_every_operations_trigger(self, engine):
+        """A snapshot every N operations, and one at the budget exit."""
+        snapshots = []
+        result = engine.run(
+            K,
+            algorithm="whirlpool_s",
+            max_operations=10,
+            checkpoint_policy=CheckpointPolicy(every_operations=3),
+            checkpoint_sink=snapshots.append,
+        )
+        assert [snapshot["operations"] for snapshot in snapshots] == [3, 6, 9, 10]
+        assert result.stats.checkpoints_taken == 4
 
     def test_invalid_configurations_rejected(self):
-        with pytest.raises(RecoveryError):
+        with pytest.raises(TypeError):
             CheckpointPolicy()
-        with pytest.raises(RecoveryError):
-            CheckpointPolicy(every_operations=0)
-        with pytest.raises(RecoveryError):
-            CheckpointPolicy(deadline_fraction=1.5)
+        for every in (0, -3):
+            with pytest.raises(RecoveryError):
+                CheckpointPolicy(every_operations=every)
 
-    def test_fresh_returns_pristine_copy(self):
-        from repro.core.stats import ExecutionStats
+    def test_one_policy_serves_interleaved_runs(self, engine):
+        """The policy holds no per-run state: attached to two Whirlpool-S
+        runs stepped alternately, it has each take the snapshots it takes
+        alone.  The interval (3) is shorter than a step (8), so periodic
+        snapshots fall between the budget exits."""
 
-        policy = CheckpointPolicy(every_operations=1)
-        stats = ExecutionStats()
-        stats.record_server_operation(0, 0)
-        policy.mark(stats)
-        assert not policy.due(stats)
-        assert policy.fresh().due(stats)
+        def open_run(k, policy, sink):
+            return engine.open(
+                k,
+                algorithm="whirlpool_s",
+                max_operations=8,
+                checkpoint_policy=policy,
+                checkpoint_sink=sink,
+            )
+
+        def step(run):
+            """Advance ``run`` by one budget; False once it has finished."""
+            if not run.run().degraded:
+                return False
+            run.max_operations += 8
+            return True
+
+        alone = {}
+        for k in (K, 3):
+            alone[k] = []
+            run = open_run(k, CheckpointPolicy(every_operations=3), alone[k].append)
+            while step(run):
+                pass
+        shared = CheckpointPolicy(every_operations=3)
+        taken = {k: [] for k in alone}
+        live = [open_run(k, shared, taken[k].append) for k in alone]
+        while live:
+            live = [run for run in live if step(run)]
+        assert taken == alone
+        assert all(len(snapshots) > 3 for snapshots in alone.values())
+
+    def test_whirlpool_m_snapshots_an_interval_apart(self, xmark_db_large):
+        """Whirlpool-M checkpoints between thread segments: at least N
+        operations apart (the budget exit excepted), all counted, and each
+        restores to the oracle top-k.  (Its main thread ends a segment
+        between polls, so the run must be long enough for several.)"""
+        engine = Engine(xmark_db_large, QUERIES["Q3"])
+        every = 25
+        snapshots = []
+        result = engine.run(
+            15,
+            algorithm="whirlpool_m",
+            max_operations=1000,
+            checkpoint_policy=CheckpointPolicy(every_operations=every),
+            checkpoint_sink=snapshots.append,
+        )
+        operations = [snapshot["operations"] for snapshot in snapshots]
+        assert result.stats.checkpoints_taken == len(snapshots) >= 2
+        periodic = operations[:-1] if result.degraded else operations
+        assert periodic[0] >= every
+        for earlier, later in zip(periodic, periodic[1:]):
+            assert later - earlier >= every, operations
+        if result.degraded:
+            assert operations[-1] == result.stats.server_operations
+        ranking = full_ranking(engine)
+        for snapshot in snapshots:
+            resumed = engine.run(
+                15, algorithm="whirlpool_m", restore_from=json.loads(json.dumps(snapshot))
+            )
+            assert not resumed.degraded
+            assert_same_topk(ranking, resumed)
 
 
 class TestStores:

@@ -1,12 +1,14 @@
 """Stress tests for the threaded Whirlpool-M: repetition, thread counts,
 concurrent engine instances — hunting races and termination bugs."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.core.engine import Engine
 from repro.core.whirlpool_m import WhirlpoolM
+from repro.recovery import CheckpointPolicy
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,38 @@ class TestRepeatedRuns:
             )
             result = runner.run()
             assert [round(a.score, 9) for a in result.answers] == reference
+
+
+    def test_segments_under_a_short_switch_interval(self, engine, reference):
+        """A checkpoint every 10 operations ends a thread segment each
+        time; with four threads per server and a 100 µs switch interval,
+        every run keeps the reference scores, its counters add up, and its
+        snapshots are counted and at least an interval apart."""
+        every = 10
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for _ in range(5):
+                snapshots = []
+                runner = WhirlpoolM(
+                    pattern=engine.pattern,
+                    index=engine.index,
+                    score_model=engine.score_model,
+                    k=12,
+                    threads_per_server=4,
+                    checkpoint_policy=CheckpointPolicy(every_operations=every),
+                    checkpoint_sink=snapshots.append,
+                )
+                result = runner.run()
+                assert [round(a.score, 9) for a in result.answers] == reference
+                stats = result.stats
+                assert sum(stats.per_server_operations.values()) == stats.server_operations
+                assert stats.checkpoints_taken == len(snapshots) > 0
+                operations = [snapshot["operations"] for snapshot in snapshots]
+                assert operations[0] >= every
+                assert all(b - a >= every for a, b in zip(operations, operations[1:]))
+        finally:
+            sys.setswitchinterval(saved)
 
 
 class TestConcurrentEngines:
