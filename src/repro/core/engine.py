@@ -11,9 +11,11 @@ Typical use::
 
 The facade owns everything derived from (database, query): the restricted
 tag index, the database statistics, the tf*idf score model and the servers'
-probe memos — the last three filled by one index probe per (server, root
-image) while the Engine is built.  Each :meth:`Engine.run` opens a fresh
-algorithm instance around them, so one Engine can be reused across k
+probe memos — the last three filled while the Engine is built by one
+forward merge per server of its tag index with the root images
+(:meth:`~repro.xmldb.index.DatabaseIndex.related_each`).  Each
+:meth:`Engine.run` opens a fresh algorithm instance around them, so one
+Engine can be reused across k
 values, algorithms and routing strategies — which is precisely what the
 benchmark harness does — and answers without going back to the index.
 """
@@ -90,6 +92,8 @@ class Engine:
     algorithm), shared by every run — concurrent ones included — and
     bounded by the document's root images (or
     :data:`~repro.core.server.PROBE_MEMO_CAP`, when there are fewer) each.
+    Building a tf*idf Engine fills every ``"index"`` memo with every root
+    image in one index sweep per server, so its first run probes nothing.
     Memoized probes are pure functions of (database, query), and
     ``ExecutionStats`` charge hits and misses alike, so a warm run's
     result equals a cold run's.
@@ -144,12 +148,13 @@ class Engine:
     def _probed_statistics(self) -> DatabaseStatistics:
         """``self.statistics``, holding every component predicate's fan-outs.
 
-        One index probe per (server, root image) fills the ``"index"`` probe
-        memos, and the entries' counts *are* the fan-outs a tf*idf model
-        asks the statistics for: ``total`` under the server's probe axis,
-        ``exact`` under its exact root axis (:func:`probe_root`).  In exact
-        mode the two axes coincide and the model's relaxed-axis statistics
-        come from the statistics' own lazy probes.
+        One index sweep per server over every root image
+        (:func:`~repro.core.server.probe_every_root`) fills the ``"index"``
+        probe memos, and the entries' counts *are* the fan-outs a tf*idf
+        model asks the statistics for: ``total`` under the server's probe
+        axis, ``exact`` under its exact root axis.  In exact mode the two
+        axes coincide and the model's relaxed-axis statistics come from the
+        statistics' own lazy sweep — the same merge, once per predicate.
         """
         root_tag = self.pattern.root.tag
         roots = self.index[root_tag].all()

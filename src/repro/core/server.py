@@ -135,6 +135,18 @@ def probe_root(
             node for node in all_nodes if spec.probe_axis.matches(root_dewey, node.dewey)
         ]
         comparisons = len(all_nodes)
+    return _probe_entry(spec, exact_test, root_dewey, candidates, comparisons)
+
+
+def _probe_entry(
+    spec: ServerPredicates,
+    exact_test: AxisTest,
+    root_dewey: Dewey,
+    candidates: List[XMLNode],
+    comparisons: int,
+) -> ProbeEntry:
+    """The memo entry for one root image's probe candidates: value filter,
+    exact-quality flags and :class:`CandidateCounts`."""
     survivors = tuple(
         (candidate, exact_test(root_dewey, candidate.dewey))
         for candidate in candidates
@@ -150,18 +162,23 @@ def probe_root(
 def probe_every_root(
     spec: ServerPredicates, index: DatabaseIndex, roots: List[XMLNode], memo: ProbeMemo
 ) -> Tuple[List[int], List[int]]:
-    """Probe the index once per root image for one server: memoize every
-    entry and return the per-root ``(total, exact)`` fan-out lists.
+    """One server's probe of every root image in one index merge
+    (:meth:`~repro.xmldb.index.DatabaseIndex.related_each`): memoize every
+    entry — each equal to :func:`probe_root`'s — and return the per-root
+    ``(total, exact)`` fan-out lists.
 
-    The lists are accumulated as the scan goes, so a memo smaller than the
-    forest's roots loses entries to its cap, never counts.
+    The lists are accumulated as the sweep goes, so a memo smaller than
+    the forest's roots loses entries to its cap, never counts.
     """
     exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
+    anchors = [root.dewey for root in roots]
     totals: List[int] = []
     exacts: List[int] = []
-    for root in roots:
-        entry = probe_root(spec, index, "index", exact_test, root.dewey)
-        memo.put(root.dewey, entry)
+    for root_dewey, candidates in zip(
+        anchors, index.related_each(spec.tag, anchors, spec.probe_axis)
+    ):
+        entry = _probe_entry(spec, exact_test, root_dewey, candidates, len(candidates))
+        memo.put(root_dewey, entry)
         totals.append(entry[2].total)
         exacts.append(entry[2].exact)
     return totals, exacts

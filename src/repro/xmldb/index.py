@@ -11,7 +11,15 @@ the subtree of an ancestor, found by binary search over the Dewey order,
 optionally filtered by a :class:`~repro.xmldb.dewey.DepthRange` (so the same
 probe serves ``pc``, ``ad`` and composed depth-bounded axes).
 
-Two interchangeable backends implement the probe:
+Its bulk form, :meth:`TagIndex.related_each`, answers a whole document-
+ordered anchor list in one forward merge with the tag's node list — the
+structural-join idea, used to fill an Engine's probe memos and the
+statistics' fan-outs in one pass per (tag, axis).  It reads ``node.dewey``, so both backends share it;
+:meth:`TagIndex.related` stays the on-demand single probe (memo misses,
+``scan`` joins, the matcher).  :class:`DatabaseIndex` buckets the forest in
+one explicit-stack walk.
+
+Two interchangeable backends implement the single probe:
 
 - :class:`TagIndex` (``"object"``) — the reference implementation: a sorted
   list of per-node Dewey *tuples*, C-level ``bisect`` for the range, then a
@@ -36,7 +44,8 @@ from __future__ import annotations
 import bisect
 import threading
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.xmldb.dewey import DepthRange, Dewey, subtree_interval
 from repro.xmldb.model import Database, XMLNode
@@ -96,11 +105,11 @@ class ProbeCost:
         self.units = 0
         self.probes = 0
 
-    def charge(self, units: int) -> None:
-        """Account one probe costing ``units`` modeled comparisons."""
+    def charge(self, units: int, probes: int = 1) -> None:
+        """Account ``probes`` probes costing ``units`` modeled comparisons."""
         with self._lock:
             self.units += units
-            self.probes += 1
+            self.probes += probes
 
     def snapshot(self) -> Tuple[int, int]:
         """(units, probes) read atomically."""
@@ -201,6 +210,57 @@ class TagIndex:
         )
         return [node for node in candidates if axis.matches(anchor, node.dewey)]
 
+    def related_each(self, anchors: Sequence[Dewey], axis: DepthRange) -> List[List[XMLNode]]:
+        """``[self.related(anchor, axis) for anchor in anchors]``, in one merge.
+
+        Anchors and indexed nodes are both in document order, so one
+        forward pass serves every anchor: a start pointer only moves
+        forward, to each anchor's subtree interval, and the interval's end
+        is scanned forward from it — no binary search.  Reads ``node.dewey``,
+        so both backends share it.  Charges one probe per anchor and one
+        unit per index position stepped over; raises ``ValueError`` when an
+        anchor precedes the one before it.
+        """
+        nodes = self.nodes
+        count = len(nodes)
+        lo, hi = axis.lo, axis.hi
+        results: List[List[XMLNode]] = []
+        start = 0
+        scanned = 0
+        previous: Optional[Dewey] = None
+        for anchor in anchors:
+            if previous is not None and anchor < previous:
+                raise ValueError(
+                    f"anchor {anchor} follows {previous}: anchors must be in document order"
+                )
+            previous = anchor
+            _, successor = subtree_interval(anchor)
+            while start < count and nodes[start].dewey < anchor:
+                start += 1
+            at_anchor = start < count and nodes[start].dewey == anchor
+            if hi == 0:  # the self axis: the anchor itself, or nothing
+                results.append([nodes[start]] if at_anchor else [])
+                continue
+            end = start
+            while end < count and nodes[end].dewey < successor:
+                end += 1
+            scanned += end - start
+            first = start + 1 if lo and at_anchor else start
+            if hi is None and lo <= 1:
+                results.append(nodes[first:end])
+                continue
+            low = len(anchor) + lo
+            high = None if hi is None else len(anchor) + hi
+            results.append(
+                [
+                    node
+                    for node in nodes[first:end]
+                    if low <= len(node.dewey) and (high is None or len(node.dewey) <= high)
+                ]
+            )
+        self.cost.charge(start + scanned, len(results))
+        return results
+
     def count_in_subtree(self, ancestor: Dewey) -> int:
         """Number of indexed nodes strictly inside ``ancestor``'s subtree."""
         start, end = self._range(ancestor)
@@ -221,17 +281,15 @@ def _build_columns(nodes: List[XMLNode]) -> Tuple[array, array]:
     (strictly *at* too: the subtree-interval successor key adds one to the
     last component and must still fit an arena slot).
     """
-    arena = array("I")
-    offsets = array("I", [0])
-    for node in nodes:
-        dewey = node.dewey
-        if any(component >= MAX_ARENA_COMPONENT for component in dewey):
+    deweys = [node.dewey for node in nodes]
+    for dewey in deweys:
+        if dewey and max(dewey) >= MAX_ARENA_COMPONENT:
             raise ValueError(
                 f"Dewey {dewey} exceeds the columnar arena component capacity "
                 f"({MAX_ARENA_COMPONENT}); use the object index backend"
             )
-        arena.extend(dewey)
-        offsets.append(len(arena))
+    arena = array("I", chain.from_iterable(deweys))
+    offsets = array("I", accumulate(map(len, deweys), initial=0))
     return arena, offsets
 
 
@@ -418,18 +476,22 @@ class DatabaseIndex:
         self.database = database
         self.backend = resolve_index_backend(backend)
         index_cls = _BACKEND_CLASSES[self.backend]
-        wanted = set(tags) if tags is not None else None
-        buckets: Dict[str, List[XMLNode]] = {}
-        for node in database.iter_nodes():
-            if wanted is not None and node.tag not in wanted:
-                continue
-            buckets.setdefault(node.tag, []).append(node)
+        # One explicit-stack walk of the forest in document order; every
+        # wanted tag gets a bucket up front, so absent ones index empty.
+        buckets: Dict[str, List[XMLNode]] = {} if tags is None else {tag: [] for tag in tags}
+        stack = [document.root for document in reversed(database.documents)]
+        while stack:
+            node = stack.pop()
+            bucket = buckets.get(node.tag)
+            if bucket is not None:
+                bucket.append(node)
+            elif tags is None:
+                buckets[node.tag] = [node]
+            if node.children:
+                stack.extend(reversed(node.children))
         self.indexes: Dict[str, TagIndex] = {
             tag: index_cls(tag, nodes) for tag, nodes in buckets.items()
         }
-        if wanted is not None:
-            for tag in wanted:
-                self.indexes.setdefault(tag, index_cls(tag))
 
     def __getitem__(self, tag: str) -> TagIndex:
         """The tag's index, or the shared empty index when absent.
@@ -463,6 +525,16 @@ class DatabaseIndex:
         if index is None:
             return []
         return index.related(anchor, axis)
+
+    def related_each(
+        self, tag: str, anchors: Sequence[Dewey], axis: DepthRange
+    ) -> List[List[XMLNode]]:
+        """:meth:`TagIndex.related_each` on ``tag``'s index; an absent tag
+        answers (and checks the anchor order) as an empty index would."""
+        index = self.indexes.get(tag)
+        if index is None:
+            index = TagIndex(tag)  # private: the shared empty index stays unwritten
+        return index.related_each(anchors, axis)
 
     # -- probe accounting --------------------------------------------------
 

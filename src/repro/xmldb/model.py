@@ -125,10 +125,14 @@ class XMLDocument:
 
     __slots__ = ("root", "ordinal")
 
-    def __init__(self, root: XMLNode, ordinal: int = 0) -> None:
+    def __init__(self, root: XMLNode, ordinal: int = 0, *, stamped: bool = False) -> None:
+        """Adopt ``root`` as document ``ordinal``, stamping its subtree —
+        unless ``stamped``: its builder (the parser) stamped every node for
+        ``ordinal`` as it attached it."""
         self.root = root
         self.ordinal = ordinal
-        root._assign_deweys((ordinal,))
+        if not stamped:
+            root._assign_deweys((ordinal,))
 
     def iter_nodes(self) -> Iterator[XMLNode]:
         """All nodes of this document in document order."""
@@ -175,9 +179,14 @@ class Database:
             database.add_document(root)
         return database
 
-    def add_document(self, root: XMLNode) -> XMLDocument:
-        """Attach a tree to the forest, re-stamping its Dewey ids."""
-        document = XMLDocument(root, ordinal=len(self.documents))
+    def add_document(self, root: XMLNode, *, stamped: bool = False) -> XMLDocument:
+        """Attach a tree to the forest, re-stamping its Dewey ids.
+
+        ``stamped`` is for a tree that was just built stamped for the next
+        ordinal (what :func:`~repro.xmldb.parser.parse_forest` produces); any
+        other tree — one detached and re-attached included — is re-stamped.
+        """
+        document = XMLDocument(root, ordinal=len(self.documents), stamped=stamped)
         self.documents.append(document)
         return document
 

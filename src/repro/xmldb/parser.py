@@ -6,7 +6,9 @@ alternation (:data:`_TOKEN`) recognises a whole token — a leaf element
 tag, a comment, a CDATA section or a processing instruction — together
 with the character data that follows it, and the loop keeps the open
 elements on an explicit stack.  Nothing recurses, so nesting depth is
-bounded by memory only.  Only when no token matches does
+bounded by memory only.  Each node is stamped with its Dewey id as it is
+attached (its parent's plus its sibling ordinal), so a parsed forest needs
+no second walk.  Only when no token matches does
 :func:`_diagnose` look at the input again to say why.
 
 Accepted: elements, attributes (single- or double-quoted), character data,
@@ -126,8 +128,11 @@ def _skip_misc(text: str, position: int) -> int:
     return misc.end()
 
 
-def _parse_tree(text: str, what: str) -> XMLNode:
-    """The one element in ``text``, as an unattached tree (the shared loop)."""
+def _parse_tree(text: str, what: str, ordinal: int = 0) -> XMLNode:
+    """The one element in ``text``, as a tree stamped with the Dewey ids of
+    document ``ordinal`` (the shared loop).  Every node is stamped as it is
+    attached — its parent's Dewey plus its sibling ordinal — so the tree
+    needs no second walk to join a forest at ``ordinal``."""
     scan = _TOKEN.match
     position = _skip_misc(text, 0)
     if position == len(text):
@@ -135,6 +140,7 @@ def _parse_tree(text: str, what: str) -> XMLNode:
     # ``top`` stands in as the parent of the document element, so attaching
     # a child is the same statement at every depth.
     top = node = XMLNode("#top")
+    root_dewey = (ordinal,)
     parts: List[str] = []  # direct text of ``node``, in source order
     stack: List[Tuple[XMLNode, List[str]]] = []  # enclosing (node, parts)
     while True:
@@ -147,10 +153,12 @@ def _parse_tree(text: str, what: str) -> XMLNode:
             if "&" in value:
                 value = _decode(value, text, token.start(2))
             child = XMLNode(tag, value.strip() or None)
+            child.dewey = root_dewey if node is top else node.dewey + (len(node.children),)
             child.parent = node
             node.children.append(child)
         elif kind == _OPEN:
             child = XMLNode(token.group(4))
+            child.dewey = root_dewey if node is top else node.dewey + (len(node.children),)
             child.parent = node
             node.children.append(child)
             if token.group(5):
@@ -191,18 +199,27 @@ def _parse_tree(text: str, what: str) -> XMLNode:
 
 def parse_document(text: str) -> Database:
     """Parse one XML document into a single-document :class:`Database`."""
-    return Database.from_roots([_parse_tree(text, "document")])
+    return parse_forest([text])
 
 
 def parse_forest(texts: Iterable[str]) -> Database:
     """Parse several XML documents into one forest :class:`Database`.
 
     ``texts`` is an iterable of document strings; documents join the forest
-    in iteration order, which fixes their Dewey document ordinals.
+    in iteration order, which fixes their Dewey document ordinals.  Each
+    tree is parsed stamped for its ordinal, so the forest adopts it as is.
     """
-    return Database.from_roots(_parse_tree(text, "document") for text in texts)
+    database = Database()
+    for text in texts:
+        database.add_document(
+            _parse_tree(text, "document", len(database.documents)), stamped=True
+        )
+    return database
 
 
 def parse_fragment(text: str) -> XMLNode:
     """Parse a standalone element into a bare (unattached) node tree."""
-    return _parse_tree(text, "fragment")
+    root = _parse_tree(text, "fragment")
+    for node in root.iter_subtree():
+        node.dewey = ()
+    return root

@@ -115,8 +115,9 @@ class DatabaseStatistics:
 
     A predicate's fan-outs come from one of two places: :meth:`record`, when
     the caller already holds them (an :class:`~repro.core.engine.Engine`
-    counts them in the scan that fills its probe memos), or one index probe
-    per anchor node the first time the predicate is asked for.
+    counts them in the sweep that fills its probe memos), or one index sweep
+    over every anchor node (:meth:`~repro.xmldb.index.DatabaseIndex.related_each`)
+    the first time the predicate is asked for.
     """
 
     def __init__(self, index: DatabaseIndex) -> None:
@@ -171,15 +172,13 @@ class DatabaseStatistics:
             return cached
         from repro.query.pattern import value_test
 
-        fanouts = []
-        for anchor in self.index[anchor_tag]:
-            related = self.index.related(target_tag, anchor.dewey, axis)
-            if value is None:
-                fanouts.append(len(related))
-            else:
-                fanouts.append(
-                    sum(1 for node in related if value_test(value_op, value, node.value))
-                )
+        anchors = [anchor.dewey for anchor in self.index[anchor_tag]]
+        fanouts = [
+            len(related)
+            if value is None
+            else sum(1 for node in related if value_test(value_op, value, node.value))
+            for related in self.index.related_each(target_tag, anchors, axis)
+        ]
         return self.record(anchor_tag, target_tag, axis, fanouts, value, value_op)
 
     def tag_count(self, tag: str) -> int:

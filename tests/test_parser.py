@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import XMLParseError
-from repro.xmldb.model import XMLNode
+from repro.xmldb.model import Database, XMLNode
 from repro.xmldb.parser import parse_document, parse_forest, parse_fragment
 from repro.xmldb.serializer import serialize
 
@@ -122,6 +122,71 @@ class TestForestAndFragment:
         assert isinstance(node, XMLNode)
         assert node.dewey == ()
         assert node.children[0].tag == "y"
+
+
+def _fresh_deweys(root: XMLNode, ordinal: int):
+    """(node, Dewey) in document order, as a fresh ``_assign_deweys`` stamps."""
+    pairs = []
+    stack = [(root, (ordinal,))]
+    while stack:
+        node, dewey = stack.pop()
+        pairs.append((node, dewey))
+        children = list(enumerate(node.children))
+        stack.extend((child, dewey + (position,)) for position, child in reversed(children))
+    return pairs
+
+
+def _assert_freshly_stamped(database):
+    for document in database.documents:
+        for node, dewey in _fresh_deweys(document.root, document.ordinal):
+            assert node.dewey == dewey, (node.tag, node.dewey, dewey)
+
+
+class TestDeweyStamping:
+    """The parser stamps Deweys as it attaches nodes; a forest adopts its
+    trees without a second walk, and re-stamps every tree it did not parse."""
+
+    TEXT = (
+        '<site><regions><africa><item id="i0"><name>a</name><text>x</text></item></africa>'
+        '<asia><item id="i1"><name>b</name></item><item id="i2"/></asia></regions></site>'
+    )
+
+    def test_parse_document(self):
+        _assert_freshly_stamped(parse_document(self.TEXT))
+
+    def test_parse_forest_stamps_each_document_with_its_ordinal(self):
+        texts = [self.TEXT, "<a><b>x</b><c/></a>", self.TEXT]
+        database = parse_forest(texts)
+        assert [document.root.dewey for document in database.documents] == [(0,), (1,), (2,)]
+        _assert_freshly_stamped(database)
+
+    def test_parse_fragment_stays_unstamped(self):
+        root = parse_fragment(self.TEXT)
+        assert {node.dewey for node in root.iter_subtree()} == {()}
+
+    def test_detached_items_under_a_new_root_are_restamped(self):
+        # The perf workloads' forest builder: detach items, re-add them
+        # under new roots, attach those roots.
+        items = [
+            item
+            for region in parse_document(self.TEXT).documents[0].root.children[0].children
+            for item in region.children
+        ]
+        roots = []
+        for share in (items[2:], items[:2]):
+            root = XMLNode("site")
+            for item in share:
+                item.parent = None
+                root.add_child(item)
+            roots.append(root)
+        _assert_freshly_stamped(Database.from_roots(roots))
+
+    def test_edited_tree_reattached_at_ordinal_zero_is_restamped(self):
+        root = parse_document(self.TEXT).documents[0].root
+        asia = root.children[0].children[1]
+        del asia.children[0]  # shifts the remaining item's sibling ordinal
+        asia.child("item")
+        _assert_freshly_stamped(Database.from_roots([root]))
 
 
 class TestDepth:

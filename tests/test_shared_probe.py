@@ -1,10 +1,11 @@
-"""One index probe per (server, root image), shared three ways.
+"""One index sweep per server over every root image, shared three ways.
 
-Building a default :class:`Engine` scans the root-tag index once per
-server; the scan's entries are the probe memo, and their counts are the
-fan-outs behind ``engine.statistics`` and the tf*idf score model.  Nothing
-observable may differ from statistics computed by their own probes over a
-fresh index, and the first run must find every probe already made.
+Building a default :class:`Engine` merges each server's tag index with the
+root-tag index once (``related_each``); the sweep's entries are the probe
+memo, and their counts are the fan-outs behind ``engine.statistics`` and the
+tf*idf score model.  Nothing observable may differ from statistics computed
+by one ``related()`` probe per anchor over a fresh index, and the first run
+must find every probe already made.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.bench.params import QUERIES
 from repro.core import engine as engine_module
 from repro.core import server as server_module
 from repro.core.engine import Engine
+from repro.query.pattern import value_test
 from repro.query.predicates import component_predicates
 from repro.query.xpath import parse_xpath
 from repro.scoring.model import RandomScoreModel, TfIdfScoreModel
@@ -50,8 +52,39 @@ def related_calls(monkeypatch):
     return calls
 
 
-def fresh_statistics(database, pattern, backend):
-    return DatabaseStatistics(DatabaseIndex(database, tags=pattern.tags(), backend=backend))
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every ``DatabaseIndex.related_each`` call made while the test runs."""
+    calls = []
+    related_each = DatabaseIndex.related_each
+
+    def counted(self, tag, anchors, axis):
+        calls.append((tag, tuple(anchors), axis))
+        return related_each(self, tag, anchors, axis)
+
+    monkeypatch.setattr(DatabaseIndex, "related_each", counted)
+    return calls
+
+
+class PerAnchorStatistics(DatabaseStatistics):
+    """The oracle: fan-outs from one ``related()`` probe per anchor node,
+    independent of the sweep both an Engine and a fresh
+    :class:`DatabaseStatistics` count theirs with."""
+
+    def value_predicate(self, anchor_tag, target_tag, axis, value, value_op="eq"):
+        fanouts = [
+            sum(
+                1
+                for node in self.index.related(target_tag, anchor.dewey, axis)
+                if value is None or value_test(value_op, value, node.value)
+            )
+            for anchor in self.index[anchor_tag]
+        ]
+        return self.record(anchor_tag, target_tag, axis, fanouts, value, value_op)
+
+
+def fresh_statistics(database, pattern, backend, statistics=DatabaseStatistics):
+    return statistics(DatabaseIndex(database, tags=pattern.tags(), backend=backend))
 
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
@@ -59,7 +92,7 @@ def fresh_statistics(database, pattern, backend):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_model_and_statistics_equal_their_own_probes(xmark, case, relaxed, backend):
     engine = Engine(xmark, CASES[case], relaxed=relaxed, index_backend=backend)
-    fresh = fresh_statistics(xmark, engine.pattern, backend)
+    fresh = fresh_statistics(xmark, engine.pattern, backend, PerAnchorStatistics)
     # ``==`` on floats: the same integers went through the same arithmetic.
     assert engine.score_model.contributions() == TfIdfScoreModel(engine.pattern, fresh).contributions()
     for predicate in component_predicates(engine.pattern):
@@ -72,18 +105,24 @@ def test_model_and_statistics_equal_their_own_probes(xmark, case, relaxed, backe
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_default_engine_probes_once_per_server_and_root(xmark, related_calls, case, backend):
+def test_default_engine_probes_once_per_server_and_root(
+    xmark, related_calls, sweeps, case, backend
+):
     engine = Engine(xmark, CASES[case], index_backend=backend)
-    roots = [root.dewey for root in engine.index[engine.pattern.root.tag]]
+    roots = tuple(root.dewey for root in engine.index[engine.pattern.root.tag])
     assert len(roots) == ITEMS <= server_module.PROBE_MEMO_CAP
     servers = engine.pattern.non_root_nodes()
-    assert sorted((tag, anchor) for tag, anchor, _ in related_calls) == sorted(
-        (node.tag, root) for node in servers for root in roots
+    # The build is one sweep per server over every root, and no probe.
+    assert related_calls == []
+    assert sorted((tag, anchors) for tag, anchors, _ in sweeps) == sorted(
+        (node.tag, roots) for node in servers
     )
-    del related_calls[:]
+    memos = engine._probe_memos["index"]
+    assert all(memos[node.node_id].get(root) is not None for node in servers for root in roots)
+    del sweeps[:]
     result = engine.run(5)
     idf_table(engine.pattern, engine.statistics)
-    assert related_calls == []
+    assert related_calls == [] and sweeps == []
     assert result.stats.join_comparisons > 0  # the memo charged what a probe would
 
 
