@@ -7,7 +7,7 @@ engine subclasses honour the :class:`~repro.core.base.EngineBase`
 contract — and this package *verifies* them instead of trusting review:
 
 - :mod:`repro.analysis.lint` — a custom AST rule engine with repo-specific
-  rules (codes ``WPL001``–``WPL006``), line-level ``# wpl: noqa=CODE``
+  rules (codes ``WPL001``–``WPL010``), line-level ``# wpl: noqa=CODE``
   suppressions, and human/JSON output;
 - :mod:`repro.analysis.racecheck` — a runtime lock-coverage (lockset)
   race detector that instruments ``threading`` locks and the shared

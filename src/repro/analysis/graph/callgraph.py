@@ -415,16 +415,8 @@ def lock_ctor_kind(module: SourceModule, value: ast.expr) -> Optional[str]:
     """``threading.Lock()`` / bare imported ``Condition(...)`` → kind."""
     if not isinstance(value, ast.Call):
         return None
-    func = value.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        if func.value.id in module.threading_aliases:
-            return _LOCK_CTORS.get(func.attr)
-        return None
-    if isinstance(func, ast.Name):
-        original = module.threading_names.get(func.id)
-        if original is not None:
-            return _LOCK_CTORS.get(original)
-    return None
+    source, _, ctor = (module.external_name(value.func) or "").rpartition(".")
+    return _LOCK_CTORS.get(ctor) if source == "threading" else None
 
 
 def _annotation_lock_kind(annotation: Optional[ast.expr]) -> Optional[str]:
@@ -478,20 +470,8 @@ class Resolver:
             resolved = self.symbols._resolve_dotted(module, node)
             if resolved is not None and resolved in self.symbols.classes:
                 return frozenset({resolved})
-            if isinstance(node, ast.Name):
-                original = module.threading_names.get(node.id)
-                if original is not None:
-                    return frozenset({f"{EXT}threading.{original}"})
-            if isinstance(node, ast.Attribute) and isinstance(
-                node.value, ast.Name
-            ):
-                base = node.value.id
-                if base in module.threading_aliases:
-                    return frozenset({f"{EXT}threading.{node.attr}"})
-                ext = module.ext_modules.get(base)
-                if ext is not None:
-                    return frozenset({f"{EXT}{ext}.{node.attr}"})
-            return _EMPTY
+            external = module.external_name(node)
+            return frozenset({EXT + external}) if external is not None else _EMPTY
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
             # PEP 604 unions: ``X | None``.
             return self.annotation_types(module, node.left) | self.annotation_types(
@@ -676,11 +656,12 @@ class Resolver:
         if resolved is not None:
             self._add_dotted_target(resolved, res)
             return
-        # 5. ``from threading import Thread`` style names.
-        original = module.threading_names.get(name)
-        if original is not None:
-            res.ext_callable = f"threading.{original}"
-            res.result_types = frozenset({f"{EXT}threading.{original}"})
+        # 5. Names from-imported from other modules (``from threading
+        #    import Thread``, ``from os import replace``).
+        external = module.external.get(name)
+        if external is not None:
+            res.ext_callable = external
+            res.result_types = frozenset({EXT + external})
 
     def _add_dotted_target(self, dotted: str, res: CallResolution) -> None:
         symbols = self.symbols
@@ -708,14 +689,10 @@ class Resolver:
         # Module-alias calls: threading.X(), time.sleep(), os.replace(),
         # and project-module functions (reporting.write_results(...)).
         if isinstance(value, ast.Name):
-            if value.id in module.threading_aliases:
-                res.ext_callable = f"threading.{target.attr}"
-                res.result_types = frozenset({f"{EXT}threading.{target.attr}"})
-                return
-            ext = module.ext_modules.get(value.id)
-            if ext is not None and value.id not in env:
-                res.ext_callable = f"{ext}.{target.attr}"
-                res.result_types = frozenset({f"{EXT}{ext}.{target.attr}"})
+            external = module.external_name(target)
+            if external is not None and value.id not in env:
+                res.ext_callable = external
+                res.result_types = frozenset({EXT + external})
                 return
             bound = self.symbols._resolve_dotted(module, value)
             if bound is not None and bound in self.symbols.project.modules:

@@ -1,9 +1,9 @@
-"""Project loading for the whole-program analyzer.
+"""Parsed source modules, shared by the lint rules and the graph analyzer.
 
-A :class:`Project` is the parsed view of one Python package tree: every
-module's AST, its dotted module name, its intraproject import edges, and
-its ``# wpl: noqa`` suppression map (shared with the lint engine, so the
-suppression syntax is identical across both analyzers).
+A :class:`SourceModule` is one parsed file: its AST, its ``# wpl: noqa``
+suppression map, its intraproject import edges, and the one name map
+both analyzers resolve Python names through.  A :class:`Project` is every
+module of one package tree plus the project import graph.
 
 Module naming is rooted at the *package directory* handed to
 :meth:`Project.load` — scanning ``src/repro`` yields modules named
@@ -16,10 +16,41 @@ without living inside the real package.
 from __future__ import annotations
 
 import ast
+import re
+import tokenize
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.analysis.lint.engine import _collect_noqa
+#: ``# wpl: noqa`` / ``# wpl: noqa=WPL001,WPLG02`` (codes case-insensitive).
+_NOQA_RE = re.compile(
+    r"#\s*wpl:\s*noqa(?:\s*=\s*(?P<codes>[A-Za-z0-9]+(?:\s*,\s*[A-Za-z0-9]+)*))?",
+)
+
+
+def _collect_noqa(text: str) -> Dict[int, Optional[Set[str]]]:
+    """Map line numbers to the rule codes suppressed there (``None`` = all).
+
+    Uses the tokenizer (not a per-line regex) so the directive is only
+    honoured inside real comments, never inside string literals.
+    """
+    out: Dict[int, Optional[Set[str]]] = {}
+    lines = iter(text.splitlines(keepends=True))
+    try:
+        tokens = list(tokenize.generate_tokens(lambda: next(lines, "")))
+    except tokenize.TokenError:
+        return out
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _NOQA_RE.search(token.string)
+        if match is None:
+            continue
+        codes = match.group("codes")
+        # One comment per line, so one directive per line.
+        out[token.start[0]] = (
+            None if codes is None else {code.strip().upper() for code in codes.split(",")}
+        )
+    return out
 
 
 class ImportEdge:
@@ -29,26 +60,28 @@ class ImportEdge:
     they do not exist at runtime, so the layering contract ignores them.
     ``deferred`` marks function-level imports (a runtime edge, but one
     that was usually placed there deliberately to break an import cycle —
-    the report says so).
+    the report says so).  ``stmt`` is the import statement.
     """
 
-    __slots__ = ("src", "dst", "line", "col", "typecheck_only", "deferred")
+    __slots__ = ("src", "dst", "stmt", "typecheck_only", "deferred")
 
     def __init__(
         self,
         src: str,
         dst: str,
-        line: int,
-        col: int,
+        stmt: ast.stmt,
         typecheck_only: bool,
         deferred: bool,
     ) -> None:
         self.src = src
         self.dst = dst
-        self.line = line
-        self.col = col
+        self.stmt = stmt
         self.typecheck_only = typecheck_only
         self.deferred = deferred
+
+    @property
+    def line(self) -> int:
+        return self.stmt.lineno
 
     def __repr__(self) -> str:
         flags = []
@@ -60,27 +93,53 @@ class ImportEdge:
         return f"ImportEdge({self.src} -> {self.dst}{suffix})"
 
 
-class SourceModule:
-    """One parsed module: AST, names, suppressions, import edges."""
+class ExternalImport:
+    """One name a non-project import binds: ``local`` stands for ``target``.
 
-    def __init__(self, name: str, path: Path, tree: ast.Module, text: str) -> None:
+    ``import time as t`` binds ``t`` to ``time``; ``from time import sleep
+    as nap`` binds ``nap`` to ``time.sleep``.  ``stmt`` is the import
+    statement, where findings about the import itself are anchored.
+    """
+
+    __slots__ = ("local", "target", "stmt")
+
+    def __init__(self, local: str, target: str, stmt: ast.stmt) -> None:
+        self.local = local
+        self.target = target
+        self.stmt = stmt
+
+    def __repr__(self) -> str:
+        return f"ExternalImport({self.local} = {self.target})"
+
+
+class SourceModule:
+    """One parsed module: AST, suppressions, import edges, name map."""
+
+    def __init__(
+        self, name: str, path: Path, tree: ast.Module, text: str, root_name: str
+    ) -> None:
         self.name = name
         self.path = path
         self.tree = tree
         self.text = text
-        #: line -> suppressed codes (``None`` = all), lint-engine syntax.
+        #: line -> suppressed codes (``None`` = all).
         self.noqa = _collect_noqa(text)
         self.imports: List[ImportEdge] = []
         #: ``name in this module -> fully dotted target`` (module, class,
-        #: or function qname) built from import statements.
+        #: or function qname) built from module-level project imports.
         self.bindings: Dict[str, str] = {}
-        #: Local aliases of the ``threading`` module (usually {"threading"}).
-        self.threading_aliases: Set[str] = set()
-        #: ``from threading import Lock as L`` -> {"L": "Lock"}.
-        self.threading_names: Dict[str, str] = {}
-        #: Non-project ``import X [as Y]`` aliases -> dotted module (os,
-        #: time, queue, ...) — the blocking-call catalog keys off these.
-        self.ext_modules: Dict[str, str] = {}
+        #: Every name a non-project import binds, in source order.
+        self.external_imports: List[ExternalImport] = []
+        #: Local name -> dotted non-project target (``time``,
+        #: ``threading.Lock``, ``queue.SimpleQueue``); the last binding wins.
+        self.external: Dict[str, str] = {}
+        _collect_imports(self, root_name)
+
+    @classmethod
+    def parse(cls, path: Path, name: str, root_name: str) -> "SourceModule":
+        """Read and parse one file (raises :class:`SyntaxError`)."""
+        text = path.read_text(encoding="utf-8")
+        return cls(name, path, ast.parse(text, filename=str(path)), text, root_name)
 
     @property
     def package(self) -> str:
@@ -89,12 +148,39 @@ class SourceModule:
             return self.name
         return self.name.rpartition(".")[0]
 
+    def external_name(self, node: ast.expr) -> Optional[str]:
+        """The non-project dotted name ``node`` spells, through this
+        module's imports: ``t.sleep`` -> ``time.sleep`` after ``import
+        time as t``, ``Thread`` -> ``threading.Thread`` after ``from
+        threading import Thread``.  ``None`` for anything else."""
+        if isinstance(node, ast.Name):
+            return self.external.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self.external_name(node.value)
+            if base is not None:
+                return f"{base}.{node.attr}"
+        return None
+
     def suppressed(self, line: int, code: str) -> bool:
         """Is ``code`` silenced on ``line`` by a ``# wpl: noqa`` comment?"""
         if line not in self.noqa:
             return False
         codes = self.noqa[line]
         return codes is None or code.upper() in codes
+
+    # -- path roles (lint rules scope themselves by where the file lives) ----
+
+    def in_package(self, name: str) -> bool:
+        """True when a path component equals ``name`` (e.g. ``core``)."""
+        return name in self.path.parts
+
+    def is_core(self) -> bool:
+        """Part of :mod:`repro.core`."""
+        return self.in_package("core")
+
+    def is_benchmark(self) -> bool:
+        """A benchmark driver (``benchmarks/`` dir or ``bench_*.py``)."""
+        return self.in_package("benchmarks") or self.path.name.startswith("bench_")
 
     def __repr__(self) -> str:
         return f"SourceModule({self.name})"
@@ -126,15 +212,12 @@ class Project:
         root = Path(root).resolve()
         project = cls(root, root_name or root.name)
         for path in sorted(root.rglob("*.py")):
-            text = path.read_text(encoding="utf-8")
+            name = _module_name(root, path, project.root_name)
             try:
-                tree = ast.parse(text, filename=str(path))
+                module = SourceModule.parse(path, name, project.root_name)
             except SyntaxError as exc:
                 project.parse_errors[path] = exc.msg or "syntax error"
                 continue
-            name = _module_name(root, path, project.root_name)
-            module = SourceModule(name, path, tree, text)
-            _collect_imports(module, project.root_name)
             project.modules[name] = module
         return project
 
@@ -170,7 +253,10 @@ def _is_typecheck_test(node: ast.expr) -> bool:
 
 
 def _collect_imports(module: SourceModule, root_name: str) -> None:
-    """Record intraproject import edges and the module's name bindings."""
+    """Record the module's import edges, project bindings and external names."""
+
+    def owned(dotted: str) -> bool:
+        return dotted == root_name or dotted.startswith(root_name + ".")
 
     def resolve_from(node: ast.ImportFrom) -> Optional[str]:
         if node.level == 0:
@@ -185,63 +271,42 @@ def _collect_imports(module: SourceModule, root_name: str) -> None:
             anchor.append(node.module)
         return ".".join(anchor)
 
+    def external(local: str, target: str, stmt: ast.stmt) -> None:
+        module.external_imports.append(ExternalImport(local, target, stmt))
+        if local != "*":
+            module.external[local] = target
+
     def walk(stmts: Sequence[ast.stmt], typecheck: bool, deferred: bool) -> None:
         for stmt in stmts:
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
-                    if alias.name == "threading":
-                        module.threading_aliases.add(alias.asname or alias.name)
-                    if alias.name == root_name or alias.name.startswith(
-                        root_name + "."
-                    ):
-                        module.imports.append(
-                            ImportEdge(
-                                module.name,
-                                alias.name,
-                                stmt.lineno,
-                                stmt.col_offset,
-                                typecheck,
-                                deferred,
-                            )
-                        )
-                        if not deferred:
-                            bound = alias.asname or alias.name.split(".")[0]
-                            target = alias.name if alias.asname else alias.name.split(".")[0]
-                            module.bindings[bound] = target
-                    else:
-                        module.ext_modules[alias.asname or alias.name.split(".")[0]] = (
-                            alias.name
-                        )
-            elif isinstance(stmt, ast.ImportFrom):
-                target = resolve_from(stmt)
-                if target is not None and (
-                    target == root_name or target.startswith(root_name + ".")
-                ):
+                    # ``import a.b`` binds ``a``; ``import a.b as c`` binds a.b.
+                    local = alias.asname or alias.name.split(".")[0]
+                    target = alias.name if alias.asname else local
+                    if not owned(alias.name):
+                        external(local, target, stmt)
+                        continue
                     module.imports.append(
-                        ImportEdge(
-                            module.name,
-                            target,
-                            stmt.lineno,
-                            stmt.col_offset,
-                            typecheck,
-                            deferred,
-                        )
+                        ImportEdge(module.name, alias.name, stmt, typecheck, deferred)
                     )
                     if not deferred:
-                        for alias in stmt.names:
-                            if alias.name == "*":
-                                continue
-                            module.bindings[alias.asname or alias.name] = (
-                                f"{target}.{alias.name}"
-                            )
-                elif target == "threading":
-                    # ``from threading import Lock [as L]`` — record the
-                    # local names so lock classification can resolve bare
-                    # ``Lock()`` / ``Condition()`` constructor calls.
+                        module.bindings[local] = target
+            elif isinstance(stmt, ast.ImportFrom):
+                source = resolve_from(stmt)
+                if source is None:
+                    continue
+                if not owned(source):
+                    for alias in stmt.names:
+                        external(alias.asname or alias.name, f"{source}.{alias.name}", stmt)
+                    continue
+                module.imports.append(
+                    ImportEdge(module.name, source, stmt, typecheck, deferred)
+                )
+                if not deferred:
                     for alias in stmt.names:
                         if alias.name != "*":
-                            module.threading_names[alias.asname or alias.name] = (
-                                alias.name
+                            module.bindings[alias.asname or alias.name] = (
+                                f"{source}.{alias.name}"
                             )
             elif isinstance(stmt, ast.If):
                 branch_typecheck = typecheck or _is_typecheck_test(stmt.test)

@@ -7,18 +7,7 @@ Quick use::
     findings = lint_paths(["src/repro"])
     print(format_human(findings))
 
-Rule catalog (details in ``docs/static_analysis.md``):
-
-========  ========================  =====================================
-Code      Rule                      Invariant
-========  ========================  =====================================
-WPL001    shared-state-guard        shared-class writes under ``self._lock``
-WPL002    no-bare-thread            threads are named daemons
-WPL003    engine-contract           EngineBase subclasses stay conformant
-WPL004    no-wallclock-in-core      no wall clock in ``core/`` bar stats.py
-WPL005    bench-imports-public-api  benches use ``repro.core`` exports only
-WPL900    syntax-error              file must parse (engine-emitted)
-========  ========================  =====================================
+The rule catalog (``WPL001``–``WPL010``) is in ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations
@@ -29,7 +18,6 @@ from typing import Iterable, List, Union
 from repro.analysis.lint.engine import (
     Finding,
     LintEngine,
-    Module,
     Rule,
     format_human,
     format_json,
@@ -52,7 +40,6 @@ def lint_paths(paths: Iterable[Union[str, Path]]) -> List[Finding]:
 __all__ = [
     "Finding",
     "LintEngine",
-    "Module",
     "Rule",
     "format_human",
     "format_json",

@@ -1,7 +1,9 @@
 """The lint rule engine: rule registry, noqa suppressions, reporting.
 
-A *rule* inspects one parsed module and yields :class:`Finding` objects.
-The engine owns everything around that: discovering files, parsing them
+A *rule* inspects one parsed
+:class:`~repro.analysis.graph.project.SourceModule` — the module type the
+graph analyzer reads too — and yields :class:`Finding` objects.  The
+engine owns everything around that: discovering files, parsing them
 once, dispatching every registered rule, and dropping findings whose line
 carries a matching suppression comment.
 
@@ -20,15 +22,14 @@ from __future__ import annotations
 
 import ast
 import json
-import re
-import tokenize
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-#: ``# wpl: noqa`` / ``# wpl: noqa=WPL001,WPL002`` (codes case-insensitive).
-_NOQA_RE = re.compile(
-    r"#\s*wpl:\s*noqa(?:\s*=\s*(?P<codes>[A-Za-z0-9]+(?:\s*,\s*[A-Za-z0-9]+)*))?",
-)
+from repro.analysis.graph.project import SourceModule
+
+#: The package whose imports count as project imports (``WPL005`` reads
+#: them); every other import lands in the module's external-name map.
+ROOT_PACKAGE = "repro"
 
 
 class Finding:
@@ -61,78 +62,6 @@ class Finding:
         return f"Finding({self.code} {self.path}:{self.line}:{self.col})"
 
 
-class Module:
-    """One source file under lint: path, text, AST, suppression map."""
-
-    def __init__(self, path: Path, text: str, tree: ast.Module) -> None:
-        self.path = path
-        self.text = text
-        self.tree = tree
-        #: line number -> suppressed codes; ``None`` means "all codes".
-        self.noqa: Dict[int, Optional[Set[str]]] = _collect_noqa(text)
-
-    @classmethod
-    def parse(cls, path: Path) -> "Module":
-        text = path.read_text(encoding="utf-8")
-        return cls(path, text, ast.parse(text, filename=str(path)))
-
-    # -- path roles (rules scope themselves by where the file lives) -----------
-
-    def in_package(self, name: str) -> bool:
-        """True when a path component equals ``name`` (e.g. ``core``)."""
-        return name in self.path.parts
-
-    def is_core(self) -> bool:
-        """Part of :mod:`repro.core`."""
-        return self.in_package("core")
-
-    def is_benchmark(self) -> bool:
-        """A benchmark driver (``benchmarks/`` dir or ``bench_*.py``)."""
-        return self.in_package("benchmarks") or self.path.name.startswith("bench_")
-
-    def suppressed(self, line: int, code: str) -> bool:
-        """Is ``code`` silenced on ``line`` by a ``# wpl: noqa`` comment?"""
-        codes = self.noqa.get(line, _MISSING)
-        if codes is _MISSING:
-            return False
-        return codes is None or code.upper() in codes
-
-
-_MISSING: Any = object()
-
-
-def _collect_noqa(text: str) -> Dict[int, Optional[Set[str]]]:
-    """Map line numbers to the rule codes suppressed there.
-
-    Uses the tokenizer (not a per-line regex) so the directive is only
-    honoured inside real comments, never inside string literals.
-    """
-    out: Dict[int, Optional[Set[str]]] = {}
-    lines = iter(text.splitlines(keepends=True))
-    try:
-        tokens = list(tokenize.generate_tokens(lambda: next(lines, "")))
-    except tokenize.TokenError:
-        return out
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _NOQA_RE.search(token.string)
-        if match is None:
-            continue
-        codes = match.group("codes")
-        line = token.start[0]
-        if codes is None:
-            out[line] = None
-        else:
-            parsed = {code.strip().upper() for code in codes.split(",") if code.strip()}
-            existing = out.get(line, _MISSING)
-            if existing is _MISSING:
-                out[line] = parsed
-            elif existing is not None:
-                existing.update(parsed)
-    return out
-
-
 class Rule:
     """Base class: one named, coded check over a parsed module."""
 
@@ -140,11 +69,11 @@ class Rule:
     name = "abstract"
     description = ""
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         """Yield findings for ``module``."""
         raise NotImplementedError
 
-    def finding(self, module: Module, node: ast.AST, message: str) -> Finding:
+    def finding(self, module: SourceModule, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
         return Finding(
             code=self.code,
@@ -178,7 +107,7 @@ class LintEngine:
 
     # -- running ---------------------------------------------------------------
 
-    def lint_module(self, module: Module) -> List[Finding]:
+    def lint_module(self, module: SourceModule) -> List[Finding]:
         """All non-suppressed findings for one parsed module."""
         findings: List[Finding] = []
         for rule in self.rules:
@@ -191,7 +120,7 @@ class LintEngine:
     def lint_file(self, path: Path) -> List[Finding]:
         """Parse and lint one file; syntax errors become ``WPL900``."""
         try:
-            module = Module.parse(path)
+            module = SourceModule.parse(path, path.stem, ROOT_PACKAGE)
         except SyntaxError as exc:
             return [
                 Finding(

@@ -5,6 +5,11 @@ suite's honesty) rests on.  They are deliberately narrow: a rule that
 over-approximates gets suppressed into noise, a rule that encodes exactly
 the discipline the code review would enforce stays load-bearing.
 
+Rules resolve names through the module's one external-name map
+(:meth:`~repro.analysis.graph.project.SourceModule.external_name`), so
+``import m``, ``import m as x``, ``from m import f`` and ``from m import f
+as g`` all name the same ``m.f``; no rule walks imports of its own.
+
 Static-analysis limits worth knowing:
 
 - *shared-state-guard* only sees **direct** ``self.attr`` writes in a
@@ -19,61 +24,67 @@ Static-analysis limits worth knowing:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.lint.engine import Finding, Module, Rule
+from repro.analysis.graph.project import ExternalImport, SourceModule
+from repro.analysis.lint.engine import Finding, Rule
 
 #: Classes whose internals are shared across Whirlpool-M threads, or
-#: across the query service's worker pool and its submitting clients.
-SHARED_CLASSES: Set[str] = {
-    "TopKSet",
-    "ExecutionStats",
-    "EngineStats",
-    "ExecutionTrace",
-    "MatchQueue",
-    "_InFlight",
-    "FaultInjector",
-    "Supervisor",
-    "AdmissionQueue",
-    "CircuitBreaker",
-    "ServiceCounters",
-    "Ticket",
-    "WhirlpoolService",
+#: across the query service's worker pool and its submitting clients, as
+#: dotted paths.  The one list: WPL001 checks every class of these names,
+#: and :mod:`repro.analysis.racecheck` watches these classes at runtime.
+SHARED_CLASSES: Tuple[str, ...] = (
+    "repro.core.topk.TopKSet",
+    "repro.core.topk._Entry",
+    "repro.core.stats.ExecutionStats",
+    "repro.core.trace.ExecutionTrace",
+    "repro.core.queues.MatchQueue",
+    "repro.core.whirlpool_m._InFlight",
+    "repro.faults.inject.FaultInjector",
+    "repro.faults.supervisor.Supervisor",
+    "repro.service.queue.AdmissionQueue",
+    "repro.service.breaker.CircuitBreaker",
+    "repro.service.health.ServiceCounters",
+    "repro.service.request.Ticket",
+    "repro.service.service.WhirlpoolService",
     # Observability layer: instruments are bumped by every worker thread,
     # spans cross the submit-thread → worker handoff, the slow-query log
     # and registry are read by health() while workers write.
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Span",
-    "SlowQueryLog",
+    "repro.obs.metrics.MetricsRegistry",
+    "repro.obs.metrics.Counter",
+    "repro.obs.metrics.Gauge",
+    "repro.obs.metrics.Histogram",
+    "repro.obs.spans.Span",
+    "repro.obs.slowlog.SlowQueryLog",
     # Recovery stores: checkpoint sinks write from worker threads while
     # drain / recover() / health() read concurrently.
-    "MemoryRecoveryStore",
-    "JsonFileRecoveryStore",
+    "repro.recovery.store.MemoryRecoveryStore",
+    "repro.recovery.store.JsonFileRecoveryStore",
     # Cluster layer: the coordinator is driven by one query thread while
     # health()/probe() read per-shard counters from others, and the
     # backend maps documents to coordinators under service workers.
-    "Coordinator",
-    "ShardHandle",
-    "ClusterBackend",
+    "repro.cluster.coordinator.Coordinator",
+    "repro.cluster.coordinator.ShardHandle",
+    "repro.cluster.service.ClusterBackend",
     # The shard link: send() sequences frames under the transport lock
     # while the coordinator's reconnect/kill paths race it from failover.
-    "SocketTransport",
+    "repro.cluster.net.SocketTransport",
     # Index hot path: a server is shared by Whirlpool-M's threads, its
     # Engine-owned probe memo by every run of that engine (service workers
     # reuse cached engines), columnar indexes rebuild their arenas on
     # insert, and probe-cost accounting is bumped from every server thread.
-    "Server",
-    "ProbeMemo",
-    "ColumnarTagIndex",
-    "ProbeCost",
+    "repro.core.server.Server",
+    "repro.core.server.ProbeMemo",
+    "repro.xmldb.index.ColumnarTagIndex",
+    "repro.xmldb.index.ProbeCost",
     # Simulation layer: the installed clock is process-global — every
     # engine/service/cluster thread reads it, and a VirtualClock's warp
     # offset is bumped from whichever thread sleeps first.
-    "VirtualClock",
-}
+    "repro.sim.clock.VirtualClock",
+)
+
+#: The class names WPL001 matches (fixtures reuse the real names).
+_SHARED_NAMES: Set[str] = {path.rpartition(".")[2] for path in SHARED_CLASSES}
 
 #: Mutating container methods that count as writes when called on a
 #: ``self.<attr>`` of a shared class.
@@ -94,13 +105,13 @@ _MUTATORS: Set[str] = {
 
 #: ``time`` module members that read the wall clock or block on it.
 _WALLCLOCK = {
-    "time",
-    "time_ns",
-    "sleep",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
+    "time.time",
+    "time.time_ns",
+    "time.sleep",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
 }
 
 
@@ -110,6 +121,30 @@ def _is_self_attr(node: ast.AST) -> bool:
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
     )
+
+
+def _external_calls(module: SourceModule) -> Iterator[Tuple[ast.Call, str]]:
+    """Every call whose callee names a non-project object, with its dotted
+    name (``time.sleep``, ``threading.Thread``, ``queue.SimpleQueue``)."""
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            target = module.external_name(node.func)
+            if target is not None:
+                yield node, target
+
+
+def _imports_of(
+    module: SourceModule, wanted: Callable[[str], bool]
+) -> Iterator[ExternalImport]:
+    """The module's external imports whose target ``wanted`` accepts; a
+    ``from`` statement counts once, however many names it binds."""
+    seen: Set[ast.stmt] = set()
+    for record in module.external_imports:
+        if not wanted(record.target) or record.stmt in seen:
+            continue
+        if isinstance(record.stmt, ast.ImportFrom):
+            seen.add(record.stmt)
+        yield record
 
 
 class SharedStateGuardRule(Rule):
@@ -132,9 +167,9 @@ class SharedStateGuardRule(Rule):
     name = "shared-state-guard"
     description = "write to shared-class state outside a `with self._lock` block"
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) or node.name not in SHARED_CLASSES:
+            if not isinstance(node, ast.ClassDef) or node.name not in _SHARED_NAMES:
                 continue
             methods = [
                 item
@@ -178,7 +213,7 @@ class SharedStateGuardRule(Rule):
 
     def _scan(
         self,
-        module: Module,
+        module: SourceModule,
         class_name: str,
         stmts: Sequence[ast.stmt],
         guarded: bool,
@@ -303,12 +338,9 @@ class NoBareThreadRule(Rule):
     name = "no-bare-thread"
     description = "thread constructed without name= and daemon=True"
 
-    def check(self, module: Module) -> Iterator[Finding]:
-        thread_names = self._thread_references(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not self._is_thread_ctor(node.func, thread_names):
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        for node, target in _external_calls(module):
+            if target != "threading.Thread":
                 continue
             missing = []
             keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg}
@@ -325,34 +357,6 @@ class NoBareThreadRule(Rule):
                     + " and ".join(missing),
                 )
 
-    @staticmethod
-    def _thread_references(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
-        """(module aliases of ``threading``, direct names bound to ``Thread``)."""
-        modules: Set[str] = set()
-        names: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "threading":
-                        modules.add(alias.asname or alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module == "threading":
-                for alias in node.names:
-                    if alias.name == "Thread":
-                        names.add(alias.asname or alias.name)
-        return modules, names
-
-    @staticmethod
-    def _is_thread_ctor(func: ast.expr, refs: Tuple[Set[str], Set[str]]) -> bool:
-        modules, names = refs
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "Thread"
-            and isinstance(func.value, ast.Name)
-            and func.value.id in modules
-        ):
-            return True
-        return isinstance(func, ast.Name) and func.id in names
-
 
 class EngineContractRule(Rule):
     """WPL003: direct ``EngineBase`` subclasses honour the engine contract.
@@ -367,7 +371,7 @@ class EngineContractRule(Rule):
     name = "engine-contract"
     description = "EngineBase subclass missing `algorithm` or overriding make_server_queue"
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -429,35 +433,22 @@ class NoWallclockInCoreRule(Rule):
     name = "no-wallclock-in-core"
     description = "wall-clock use (time.time/sleep/...) in core/ outside stats.py"
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.is_core() or module.path.name == "stats.py":
             return
-        time_aliases: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        time_aliases.add(alias.asname or alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
+        for record in _imports_of(module, lambda target: target.startswith("time.")):
+            yield self.finding(
+                module,
+                record.stmt,
+                "core/ must not import from `time` (keep timing in stats.py "
+                "or repro.bench.makespan)",
+            )
+        for node, target in _external_calls(module):
+            if target in _WALLCLOCK:
                 yield self.finding(
                     module,
                     node,
-                    "core/ must not import from `time` (keep timing in stats.py "
-                    "or repro.bench.makespan)",
-                )
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _WALLCLOCK
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in time_aliases
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"wall-clock call time.{node.func.attr}() in core/ "
-                    f"(allowed only in stats.py)",
+                    f"wall-clock call {target}() in core/ (allowed only in stats.py)",
                 )
 
 
@@ -474,26 +465,17 @@ class BenchImportsPublicApiRule(Rule):
     name = "bench-imports-public-api"
     description = "benchmark imports a repro.core submodule instead of the public API"
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.is_benchmark():
             return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module is not None and node.module.startswith("repro.core."):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"import from `repro.core` (public API), not "
-                        f"`{node.module}`",
-                    )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith("repro.core."):
-                        yield self.finding(
-                            module,
-                            node,
-                            f"import `repro.core` (public API), not `{alias.name}`",
-                        )
+        for edge in module.imports:
+            if edge.dst.startswith("repro.core."):
+                spelled = "from " if isinstance(edge.stmt, ast.ImportFrom) else ""
+                yield self.finding(
+                    module,
+                    edge.stmt,
+                    f"import {spelled}`repro.core` (public API), not `{edge.dst}`",
+                )
 
 
 class InFlightPairingRule(Rule):
@@ -517,7 +499,7 @@ class InFlightPairingRule(Rule):
     name = "inflight-pairing"
     description = "loop-body in_flight.dec() outside try/finally, or bare except, in core/"
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.is_core():
             return
         for node in ast.walk(module.tree):
@@ -533,7 +515,7 @@ class InFlightPairingRule(Rule):
 
     def _scan(
         self,
-        module: Module,
+        module: SourceModule,
         stmts: Sequence[ast.stmt],
         in_loop: bool,
         in_finally: bool,
@@ -607,15 +589,12 @@ class UnboundedServiceQueueRule(Rule):
     #: Constructors with no capacity bound at all.
     _UNBOUNDED = {"SimpleQueue"}
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.in_package("service"):
             return
-        modules, names = self._queue_references(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            ctor = self._ctor_name(node.func, modules, names)
-            if ctor is None:
+        for node, target in _external_calls(module):
+            source, _, ctor = target.rpartition(".")
+            if source != "queue" or ctor not in self._SIZED | self._UNBOUNDED:
                 continue
             if ctor in self._UNBOUNDED:
                 yield self.finding(
@@ -645,41 +624,6 @@ class UnboundedServiceQueueRule(Rule):
                 )
 
     @staticmethod
-    def _queue_references(tree: ast.Module) -> Tuple[Set[str], Dict[str, str]]:
-        """(aliases of the ``queue`` module, local name → ctor name)."""
-        modules: Set[str] = set()
-        names: Dict[str, str] = {}
-        interesting = (
-            UnboundedServiceQueueRule._SIZED | UnboundedServiceQueueRule._UNBOUNDED
-        )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "queue":
-                        modules.add(alias.asname or alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module == "queue":
-                for alias in node.names:
-                    if alias.name in interesting:
-                        names[alias.asname or alias.name] = alias.name
-        return modules, names
-
-    @classmethod
-    def _ctor_name(
-        cls, func: ast.expr, modules: Set[str], names: Dict[str, str]
-    ) -> Optional[str]:
-        watched = cls._SIZED | cls._UNBOUNDED
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in watched
-            and isinstance(func.value, ast.Name)
-            and func.value.id in modules
-        ):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return names.get(func.id)
-        return None
-
-    @staticmethod
     def _maxsize_argument(node: ast.Call) -> Optional[ast.expr]:
         if node.args:
             return node.args[0]
@@ -704,51 +648,29 @@ class NoWallclockDurationRule(Rule):
     name = "no-wallclock-duration"
     description = "time.time()/time.time_ns() in repro code (use monotonic_seconds)"
 
-    _FORBIDDEN = {"time", "time_ns"}
+    _FORBIDDEN = {"time.time", "time.time_ns"}
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.in_package("repro"):
             return
-        time_aliases: Set[str] = set()
-        direct_names: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        time_aliases.add(alias.asname or alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in self._FORBIDDEN:
-                        direct_names.add(alias.asname or alias.name)
-                        yield self.finding(
-                            module,
-                            node,
-                            f"importing time.{alias.name} invites wall-clock "
-                            f"durations (use repro.core.stats.monotonic_seconds)",
-                        )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+        for record in module.external_imports:
+            if record.target in self._FORBIDDEN:
+                yield self.finding(
+                    module,
+                    record.stmt,
+                    f"importing {record.target} invites wall-clock "
+                    f"durations (use repro.core.stats.monotonic_seconds)",
+                )
+        for node, target in _external_calls(module):
+            if target not in self._FORBIDDEN:
                 continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in self._FORBIDDEN
-                and isinstance(func.value, ast.Name)
-                and func.value.id in time_aliases
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"time.{func.attr}() measures the wall clock; durations "
-                    f"must use repro.core.stats.monotonic_seconds",
-                )
-            elif isinstance(func, ast.Name) and func.id in direct_names:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{func.id}() is time.time — durations must use "
-                    f"repro.core.stats.monotonic_seconds",
-                )
+            if isinstance(node.func, ast.Name):
+                message = f"{node.func.id}() is {target} — durations must use "
+            else:
+                message = f"{target}() measures the wall clock; durations must use "
+            yield self.finding(
+                module, node, message + "repro.core.stats.monotonic_seconds"
+            )
 
 
 class NoPickleSnapshotRule(Rule):
@@ -770,31 +692,25 @@ class NoPickleSnapshotRule(Rule):
 
     _FORBIDDEN = {"pickle", "cPickle", "marshal", "shelve", "dill"}
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.in_package("repro"):
             return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in self._FORBIDDEN:
-                        yield self.finding(
-                            module,
-                            node,
-                            f"import {alias.name}: snapshots must use the "
-                            f"versioned JSON codec (repro.recovery.codec), "
-                            f"not {root}",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                root = node.module.split(".")[0]
-                if root in self._FORBIDDEN:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"from {node.module} import ...: snapshots must use "
-                        f"the versioned JSON codec (repro.recovery.codec), "
-                        f"not {root}",
-                    )
+        for record in _imports_of(
+            module, lambda target: target.split(".")[0] in self._FORBIDDEN
+        ):
+            root = record.target.split(".")[0]
+            stmt = record.stmt
+            spelled = (
+                f"from {stmt.module} import ..."
+                if isinstance(stmt, ast.ImportFrom)
+                else f"import {record.target}"
+            )
+            yield self.finding(
+                module,
+                stmt,
+                f"{spelled}: snapshots must use the versioned JSON codec "
+                f"(repro.recovery.codec), not {root}",
+            )
 
 
 class NoDirectSleepRule(Rule):
@@ -815,51 +731,29 @@ class NoDirectSleepRule(Rule):
     name = "no-direct-sleep"
     description = "direct time.sleep in repro code (route through repro.sim.clock)"
 
-    def check(self, module: Module) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.in_package("repro"):
             return
         if module.path.name == "clock.py" and module.in_package("sim"):
             return
-        time_aliases: Set[str] = set()
-        direct_names: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        time_aliases.add(alias.asname or alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name == "sleep":
-                        direct_names.add(alias.asname or alias.name)
-                        yield self.finding(
-                            module,
-                            node,
-                            "importing time.sleep bypasses the clock seam "
-                            "(use repro.sim.clock.sleep)",
-                        )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+        for record in module.external_imports:
+            if record.target == "time.sleep":
+                yield self.finding(
+                    module,
+                    record.stmt,
+                    "importing time.sleep bypasses the clock seam "
+                    "(use repro.sim.clock.sleep)",
+                )
+        for node, target in _external_calls(module):
+            if target != "time.sleep":
                 continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "sleep"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in time_aliases
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "direct time.sleep() is invisible to the VirtualClock; "
-                    "route the wait through repro.sim.clock",
-                )
-            elif isinstance(func, ast.Name) and func.id in direct_names:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{func.id}() is time.sleep — route the wait through "
-                    f"repro.sim.clock",
-                )
+            if isinstance(node.func, ast.Name):
+                message = f"{node.func.id}() is time.sleep — "
+            else:
+                message = "direct time.sleep() is invisible to the VirtualClock; "
+            yield self.finding(
+                module, node, message + "route the wait through repro.sim.clock"
+            )
 
 
 def default_rules() -> List[Rule]:

@@ -9,14 +9,14 @@ manager is active it:
   is held (``threading.Condition`` is covered transitively: it acquires
   through the lock object it wraps, including the ``RLock`` it allocates
   by default);
-- patches ``__setattr__`` on the watched classes (by default the
-  Whirlpool-M shared state: :class:`~repro.core.topk.TopKSet` and its
-  entries, :class:`~repro.core.stats.ExecutionStats`,
-  :class:`~repro.core.trace.ExecutionTrace`,
-  :class:`~repro.core.queues.MatchQueue`, and the engine's ``_InFlight``
-  counter) so every field *write* records ``(thread, object, field,
-  locks-held)``; writes during ``__init__`` are exempt — an object is not
-  shared before construction completes.
+- patches ``__setattr__`` on the watched classes (by default every class
+  :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names — the top-k
+  set and its entries, statistics, trace, queues, the ``_InFlight``
+  counter, and the fault, service, observability, recovery, cluster,
+  index and clock classes that WPL001 guards) so every field *write*
+  records ``(thread, object, field, locks-held)``; writes during
+  ``__init__`` are exempt — an object is not shared before construction
+  completes.
 
 Findings:
 
@@ -40,8 +40,9 @@ inside the context participate in locksets.  Create the engine inside the
 
 from __future__ import annotations
 
+import importlib
 import threading
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["RaceCheck", "RaceFinding", "default_watched_classes"]
 
@@ -224,47 +225,15 @@ class _Registry:
 
 
 def default_watched_classes() -> List[type]:
-    """The Whirlpool-M and observability shared-state classes (lazy imports)."""
-    from repro.core.queues import MatchQueue
-    from repro.core.stats import ExecutionStats
-    from repro.core.topk import TopKSet, _Entry
-    from repro.core.trace import ExecutionTrace
-    from repro.cluster.coordinator import Coordinator, ShardHandle
-    from repro.cluster.net import SocketTransport
-    from repro.cluster.service import ClusterBackend
-    from repro.core.whirlpool_m import _InFlight
-    from repro.obs.metrics import Counter, Gauge, Histogram
-    from repro.obs.slowlog import SlowQueryLog
-    from repro.core.server import ProbeMemo, Server
-    from repro.obs.spans import Span
-    from repro.recovery.store import JsonFileRecoveryStore, MemoryRecoveryStore
-    from repro.sim.clock import VirtualClock
-    from repro.xmldb.index import ColumnarTagIndex, ProbeCost
+    """The shared-state classes :data:`~repro.analysis.lint.rules.SHARED_CLASSES`
+    names — the list WPL001 checks statically (lazy imports)."""
+    from repro.analysis.lint.rules import SHARED_CLASSES
 
-    return [
-        TopKSet,
-        _Entry,
-        ExecutionStats,
-        ExecutionTrace,
-        MatchQueue,
-        _InFlight,
-        Counter,
-        Gauge,
-        Histogram,
-        Span,
-        SlowQueryLog,
-        MemoryRecoveryStore,
-        JsonFileRecoveryStore,
-        Coordinator,
-        ShardHandle,
-        ClusterBackend,
-        SocketTransport,
-        Server,
-        ProbeMemo,
-        ColumnarTagIndex,
-        ProbeCost,
-        VirtualClock,
-    ]
+    classes = []
+    for path in SHARED_CLASSES:
+        module, _, name = path.rpartition(".")
+        classes.append(getattr(importlib.import_module(module), name))
+    return classes
 
 
 class RaceCheck:

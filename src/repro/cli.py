@@ -252,8 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--compare-single",
         action="store_true",
-        help="also run the query single-process and diff the answers "
-        "(exit 3 on mismatch)",
+        help="also rank every root single-process and check the answers are "
+        "a top-k of it, or within their certificate when degraded (exit 3 "
+        "on mismatch)",
     )
     cluster.add_argument(
         "--stats", action="store_true", help="print merged execution statistics"
@@ -666,13 +667,21 @@ def _cmd_cluster(args) -> int:
         )
         health = coordinator.health()
 
-    mismatch = False
-    single = None
+    # Roots tied at the k-th score are interchangeable, so the sharded
+    # answer is judged against a single-process ranking of every root, not
+    # root for root against another top-k run.
+    mismatch = None
     if args.compare_single:
-        single = Engine(database, args.xpath).run(args.k, algorithm=args.algorithm)
-        got = [(tuple(a.root_node.dewey), round(a.score, 9)) for a in result.answers]
-        want = [(tuple(a.root_node.dewey), round(a.score, 9)) for a in single.answers]
-        mismatch = got != want
+        from repro.core.topk import certificate_breach, ranked, topk_mismatch
+
+        engine = Engine(database, args.xpath)
+        ranking = ranked(engine.run(10**9, algorithm="lockstep_noprun").answers)
+        if result.degraded:
+            mismatch = certificate_breach(
+                ranking, ranked(result.answers), args.k, result.pending_bound
+            )
+        else:
+            mismatch = topk_mismatch(ranking, ranked(result.answers), args.k)
 
     if args.json:
         payload = {
@@ -697,7 +706,7 @@ def _cmd_cluster(args) -> int:
             "health": health,
         }
         if args.compare_single:
-            payload["matches_single_process"] = not mismatch
+            payload["matches_single_process"] = mismatch is None
         print(json.dumps(payload, indent=2))
     else:
         print(result.table())
@@ -715,7 +724,7 @@ def _cmd_cluster(args) -> int:
                 file=sys.stderr,
             )
         if args.compare_single:
-            verdict = "MISMATCH" if mismatch else "identical"
+            verdict = f"MISMATCH ({mismatch})" if mismatch else "same top-k"
             print(f"single-process comparison: {verdict}")
         if args.stats:
             print("\nmerged execution statistics:")

@@ -722,7 +722,6 @@ class Coordinator:
         relaxed: bool = True,
         routing: str = "min_alive",
         deadline_seconds: Optional[float] = None,
-        step_operations: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         engine_retry_policy: Optional[RetryPolicy] = None,
         fail_over: bool = True,
@@ -786,7 +785,6 @@ class Coordinator:
                 relaxed,
                 routing,
                 deadline_seconds,
-                step_operations or self.step_operations,
                 engine_faults,
                 engine_retry_policy,
                 process_faults,
@@ -919,7 +917,6 @@ class Coordinator:
         self,
         handle: ShardHandle,
         begin_payload: Dict[str, Any],
-        step_ops: int,
         deadline_at: Optional[float],
         fail_over: bool,
         span: Span,
@@ -943,7 +940,7 @@ class Coordinator:
                 if not sent:
                     handle.post(
                         "step",
-                        {"operations": step_ops, "fault_free": fault_free},
+                        {"operations": self.step_operations, "fault_free": fault_free},
                         deadline_at=deadline_at,
                     )
                 sent = False
@@ -992,7 +989,6 @@ class Coordinator:
         relaxed: bool,
         routing: str,
         deadline_seconds: Optional[float],
-        step_ops: int,
         engine_faults: Optional[FaultPlan],
         engine_retry_policy: Optional[RetryPolicy],
         process_faults: Optional[FaultPlan],
@@ -1011,7 +1007,7 @@ class Coordinator:
             "routing": routing,
             "relaxed": relaxed,
             "contributions": contributions,
-            "step_operations": step_ops,
+            "step_operations": self.step_operations,
         }
         if engine_faults is not None:
             begin_payload["engine_faults"] = engine_faults.as_dict()
@@ -1041,7 +1037,7 @@ class Coordinator:
                 try:
                     handle.post(
                         "step",
-                        {"operations": step_ops, "fault_free": False},
+                        {"operations": self.step_operations, "fault_free": False},
                         deadline_at=deadline_at,
                     )
                     pending.append((handle, True))
@@ -1053,7 +1049,6 @@ class Coordinator:
                 reply = self._step_with_failover(
                     handle,
                     begin_payload,
-                    step_ops,
                     deadline_at,
                     fail_over,
                     span,

@@ -11,4 +11,4 @@ from time import perf_counter  # line 8: WPL004 (from-time import)
 def measure():
     started = time.perf_counter()  # line 12: WPL004
     time.sleep(0.01)  # line 13: WPL004
-    return perf_counter() - started
+    return perf_counter() - started  # line 14: WPL004 (bare imported call)

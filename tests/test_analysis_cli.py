@@ -37,7 +37,8 @@ class TestLintExit:
     def test_fixture_violations_fail(self):
         proc = run_analysis("--skip-racecheck", str(FIXTURES))
         assert proc.returncode == 1
-        for code in ("WPL001", "WPL002", "WPL003", "WPL004", "WPL005"):
+        for number in range(1, 11):
+            code = f"WPL{number:03d}"
             assert code in proc.stdout, code
 
     def test_missing_path_clean_error(self):

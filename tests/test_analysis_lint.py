@@ -5,6 +5,8 @@ imported, only parsed); each test asserts the expected rule code fires at
 the expected line — and nowhere else.
 """
 
+import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from repro.analysis.lint import (
     lint_paths,
 )
 from repro.analysis.lint.engine import Finding, Rule
+from repro.analysis.lint.rules import SHARED_CLASSES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 REPO_SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -77,6 +80,7 @@ class TestRuleFixtures:
             ("WPL004", 8),
             ("WPL004", 12),
             ("WPL004", 13),
+            ("WPL004", 14),  # perf_counter() through `from time import`
         ]
 
     def test_wallclock_rule_is_path_scoped(self, tmp_path):
@@ -209,6 +213,56 @@ class TestRuleFixtures:
         copy = seam / "clock.py"
         copy.write_text("import time\n\n\ndef nap():\n    time.sleep(0.01)\n")
         assert lint_paths([copy]) == []
+
+
+#: (code, directory that puts a file in scope, module, callee, arguments)
+#: for every rule that bans a call.
+CALL_BANS = [
+    ("WPL002", "", "threading", "Thread", "target=print"),
+    ("WPL004", "core", "time", "perf_counter", ""),
+    ("WPL007", "service", "queue", "SimpleQueue", ""),
+    ("WPL008", "repro", "time", "time", ""),
+    ("WPL010", "repro", "time", "sleep", "0"),
+]
+
+#: The four ways to bind a name from module ``m``: (import, callee).
+SPELLINGS = {
+    "import m": ("import {m}", "{m}.{f}"),
+    "import m as x": ("import {m} as x", "x.{f}"),
+    "from m import f": ("from {m} import {f}", "{f}"),
+    "from m import f as g": ("from {m} import {f} as g", "g"),
+}
+
+
+class TestNameResolution:
+    @pytest.mark.parametrize("spelling", list(SPELLINGS))
+    @pytest.mark.parametrize(
+        "code, directory, module, callee, arguments",
+        CALL_BANS,
+        ids=[ban[0] for ban in CALL_BANS],
+    )
+    def test_call_ban_fires_through_every_import_spelling(
+        self, tmp_path, spelling, code, directory, module, callee, arguments
+    ):
+        statement, call = SPELLINGS[spelling]
+        folder = tmp_path / directory
+        folder.mkdir(exist_ok=True)
+        path = folder / "spelled.py"
+        path.write_text(
+            statement.format(m=module, f=callee)
+            + "\n\n\ndef go():\n"
+            + f"    return {call.format(m=module, f=callee)}({arguments})\n"
+        )
+        lines = {f.line for f in lint_paths([path]) if f.code == code}
+        assert 5 in lines, (code, spelling)
+
+    def test_shared_classes_name_real_classes(self):
+        # The one shared-class list: WPL001 matches these names and
+        # racecheck imports these classes, so each must exist.
+        for dotted in SHARED_CLASSES:
+            module, _, name = dotted.rpartition(".")
+            cls = getattr(importlib.import_module(module), name, None)
+            assert inspect.isclass(cls) and cls.__module__ == module, dotted
 
 
 class TestSuppressions:

@@ -13,6 +13,7 @@ coordinator's lifecycle/health surface.  Fault injection lives in
 import pytest
 
 from repro.cluster import ClusterResult, Coordinator
+from repro.cluster.coordinator import ShardHandle
 from repro.core.engine import Engine
 from repro.errors import ClusterError, EngineError
 from repro.recovery.store import MemoryRecoveryStore
@@ -113,6 +114,17 @@ def test_non_positive_deadline_rejected(database):
             with pytest.raises(ClusterError):
                 coordinator.run_query(QUERY, K, deadline_seconds=deadline)
         assert coordinator.health()["queries"] == 0
+
+
+@pytest.mark.parametrize("step_operations", [0, -1])
+def test_non_positive_step_operations_rejected(database, monkeypatch, step_operations):
+    """The step size is set once, at construction, and a step of no
+    operations is refused there, before any worker spawns."""
+    spawned = []
+    monkeypatch.setattr(ShardHandle, "spawn", lambda handle: spawned.append(handle))
+    with pytest.raises(ClusterError):
+        Coordinator(database, shards=2, step_operations=step_operations)
+    assert spawned == []
 
 
 def test_shard_reports_and_health(database):
