@@ -53,7 +53,6 @@ from repro.cluster.protocol import (
     FrameTimeout,
     encode_frame,
     frame_crc,
-    read_frame,
     read_frame_ex,
     write_frame,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "FrameTimeout",
     "encode_frame",
     "frame_crc",
-    "read_frame",
     "read_frame_ex",
     "write_frame",
 ]

@@ -19,11 +19,12 @@ loopback TCP link) and bound to one partition of the forest
 
 A worker lives as long as its coordinator: spawning it, shipping its
 partition and parsing it happen once per worker *process* (first query,
-failover replacement, rebalance replacement).  Every query still opens
-with ``init`` → ``begin`` on every shard — so seeded per-RPC fault
-schedules count the same RPCs whether the process is fresh or resident —
-but ``init`` carries documents only to a process that does not hold
-them yet, and ``begin`` finds the worker's engine for the query warm.
+failover replacement, rebalance replacement).  One boot serves all three
+(:meth:`Coordinator._boot`): every query still opens with ``init`` →
+``begin`` on every shard — so seeded per-RPC fault schedules count the
+same RPCs whether the process is fresh or resident — but ``init``
+carries documents only to a process that does not hold them yet, and
+``begin`` finds the worker's engine for the query warm.
 
 Failure handling is the point of the design:
 
@@ -55,7 +56,7 @@ Failure handling is the point of the design:
 - the same ship-a-checkpoint machinery drives live **rebalancing**: a
   shard whose step latency stays far above the fleet median for
   consecutive rounds is retired and its checkpoint shipped to a fresh
-  worker (see ``rebalance_*`` knobs on :class:`Coordinator`);
+  worker;
 - when failover is disabled or exhausted, the shard is *lost*: the
   query still returns, degraded, with the missing shards named and a
   sound global ``pending_bound`` from
@@ -117,6 +118,23 @@ from repro.recovery.store import MemoryRecoveryStore, RecoveryStore
 import repro.sim.clock as simclock
 from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
 from repro.xmldb.model import Database
+
+#: A shard that finished early is pinged once its last reply is this old,
+#: so ``health()`` keeps reporting it honestly.
+HEARTBEAT_INTERVAL_SECONDS = 1.0
+
+#: Checkpoint generations kept per shard: a corrupted newest one falls
+#: back to an older one.
+CHECKPOINT_GENERATIONS = 3
+
+#: The rebalancing trigger (:meth:`Coordinator._maybe_rebalance`): a step
+#: latency of at least ``REBALANCE_LATENCY_FACTOR`` × the median of the
+#: other active shards', and of at least ``REBALANCE_MIN_LATENCY_SECONDS``,
+#: for ``REBALANCE_SLOW_ROUNDS`` consecutive rounds migrates the shard.
+REBALANCE_LATENCY_FACTOR = 4.0
+REBALANCE_MIN_LATENCY_SECONDS = 0.25
+REBALANCE_SLOW_ROUNDS = 2
+
 
 class ClusterResult(TopKResult):
     """A :class:`~repro.core.base.TopKResult` plus cluster provenance.
@@ -562,17 +580,11 @@ class Coordinator:
         step_operations: int = 200,
         rpc_timeout_seconds: float = 1.0,
         liveness_deadline_seconds: float = 4.0,
-        heartbeat_interval_seconds: float = 1.0,
         max_failovers: int = 2,
         retry_policy: Optional[RetryPolicy] = None,
         recovery_store: Optional[RecoveryStore] = None,
         observability: Optional[Observability] = None,
         python_executable: Optional[str] = None,
-        worker_reconnect_window_seconds: float = 30.0,
-        checkpoint_generations: int = 3,
-        rebalance_latency_factor: float = 4.0,
-        rebalance_min_latency_seconds: float = 0.25,
-        rebalance_slow_rounds: int = 2,
         rebalance: bool = True,
     ) -> None:
         if shards < 1:
@@ -581,25 +593,13 @@ class Coordinator:
             raise ClusterError(f"step_operations must be >= 1, got {step_operations}")
         if rpc_timeout_seconds <= 0 or liveness_deadline_seconds <= 0:
             raise ClusterError("rpc timeout and liveness deadline must be positive")
-        if rebalance_latency_factor < 1.0:
-            raise ClusterError(
-                f"rebalance_latency_factor must be >= 1, got {rebalance_latency_factor}"
-            )
-        if rebalance_slow_rounds < 1:
-            raise ClusterError(
-                f"rebalance_slow_rounds must be >= 1, got {rebalance_slow_rounds}"
-            )
         self.database = database
         self.shards = shards
         self.step_operations = step_operations
-        self.heartbeat_interval_seconds = heartbeat_interval_seconds
         self.max_failovers = max_failovers
         self.rebalance_enabled = rebalance
-        self.rebalance_latency_factor = rebalance_latency_factor
-        self.rebalance_min_latency_seconds = rebalance_min_latency_seconds
-        self.rebalance_slow_rounds = rebalance_slow_rounds
         self.store = recovery_store if recovery_store is not None else MemoryRecoveryStore()
-        self.checkpoints = CheckpointGenerations(self.store, keep=checkpoint_generations)
+        self.checkpoints = CheckpointGenerations(self.store, keep=CHECKPOINT_GENERATIONS)
         self.obs = observability if observability is not None else Observability.disabled()
         self.metrics = _ClusterMetrics(self.obs)
         policy = retry_policy if retry_policy is not None else RetryPolicy(
@@ -609,11 +609,7 @@ class Coordinator:
         self.handles = [
             ShardHandle(
                 spec,
-                SocketTransport(
-                    spec.shard_id,
-                    python_executable=python_executable,
-                    worker_reconnect_window_seconds=worker_reconnect_window_seconds,
-                ),
+                SocketTransport(spec.shard_id, python_executable=python_executable),
                 rpc_timeout_seconds,
                 liveness_deadline_seconds,
                 policy,
@@ -684,18 +680,6 @@ class Coordinator:
             "live_shards": live,
             "per_shard": shard_rows,
             **totals,
-        }
-
-    def probe(self, deadline_seconds: Optional[float] = None) -> Dict[int, bool]:
-        """Explicit heartbeat sweep over live workers (used between
-        queries; during a query the step traffic is the heartbeat)."""
-        deadline_at = (
-            monotonic_seconds() + deadline_seconds if deadline_seconds else None
-        )
-        return {
-            handle.shard_id: handle.ping(deadline_at=deadline_at)
-            for handle in self.handles
-            if handle.alive()
         }
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
@@ -810,100 +794,102 @@ class Coordinator:
         self.metrics.queries.labels("degraded" if result.degraded else "ok").inc()
         return result
 
-    # The worker boot sequence ([spawn →] init → begin) and one step, all
-    # under the failover ladder.
+    # The worker boot ([spawn →] init → begin), a worker's replacement, and
+    # one step under the failover ladder.
 
     def _store_key(self, shard_id: int) -> str:
         return f"cluster-shard-{shard_id}"
 
-    def _post_init(
+    def _boot(
         self,
-        handle: ShardHandle,
-        process_faults: Optional[FaultPlan],
-        deadline_at: Optional[float],
-    ) -> None:
-        """Send ``init``, respawning first unless the worker is resident.
-        Documents ship only to a process that does not hold them yet;
-        the process-fault plan is (re)set on every ``init`` — to ``None``
-        unless this query ships one — so it never outlives its query."""
-        if not handle.resident():
-            handle.kill()
-            handle.spawn()
-        payload: Dict[str, Any] = {
-            "process_faults": (
-                process_faults.as_dict() if process_faults is not None else None
-            )
-        }
-        if not handle.loaded:
-            payload["documents"] = list(handle.spec.xml_texts)
-        handle.post("init", payload, deadline_at=deadline_at)
-
-    def _finish_ok(self, handle: ShardHandle, deadline_at: Optional[float]) -> None:
-        """Gather a boot RPC's reply; a refusal counts as a lost worker."""
-        reply = handle.finish(deadline_at=deadline_at)
-        if not reply.get("ok"):
-            raise WorkerLostError(handle.shard_id, "spawn_failed")
-
-    def _finish_init(self, handle: ShardHandle, deadline_at: Optional[float]) -> None:
-        """Gather ``init``: the process now holds the shard's documents."""
-        self._finish_ok(handle, deadline_at)
-        with handle._lock:
-            handle.loaded = True
-
-    def _bootstrap(
-        self,
-        handle: ShardHandle,
+        handles: Sequence[ShardHandle],
         begin_payload: Dict[str, Any],
+        process_faults: Optional[FaultPlan],
         restore: Optional[Dict[str, Any]],
         deadline_at: Optional[float],
-    ) -> None:
-        """Replace one worker: spawn + init + begin(restore).  A
-        replacement is never sent a process-fault plan — it must not
-        re-arm the fault that killed its predecessor."""
-        handle.kill()
-        self._post_init(handle, None, deadline_at)
-        self._finish_init(handle, deadline_at)
-        payload = dict(begin_payload)
-        if restore is not None:
-            payload["restore"] = restore
-        handle.post("begin", payload, deadline_at=deadline_at)
-        self._finish_ok(handle, deadline_at)
+    ) -> List[ShardHandle]:
+        """Open the query on ``handles``: ``init``, then ``begin``, each
+        scattered to all of them before it is gathered, so workers that
+        must spawn and parse do it concurrently.  A worker that is not
+        resident is respawned first; documents ship only to a process
+        that does not hold them yet; ``process_faults`` is (re)set on
+        every ``init`` — to ``None`` unless given — so a plan never
+        outlives its query; ``restore`` rides ``begin``.
 
-    def _boot_fleet(
+        Returns the handles whose boot was lost (a refusal counts), each
+        killed: a resident worker that missed ``init`` or ``begin`` is
+        still bound to the previous query and must not be stepped.  That
+        leaves it to the step ladder — its first step cannot be
+        delivered, and failover replaces it."""
+        lost: List[ShardHandle] = []
+
+        def gather(posted: List[ShardHandle]) -> List[ShardHandle]:
+            """The handles whose reply came back ``ok``; the rest are lost."""
+            replied = []
+            for handle in posted:
+                try:
+                    ok = bool(handle.finish(deadline_at=deadline_at).get("ok"))
+                except WorkerLostError:
+                    ok = False
+                (replied if ok else lost).append(handle)
+            return replied
+
+        faults = process_faults.as_dict() if process_faults is not None else None
+        posted: List[ShardHandle] = []
+        for handle in handles:
+            try:
+                if not handle.resident():
+                    handle.kill()
+                    handle.spawn()
+                init: Dict[str, Any] = {"process_faults": faults}
+                if not handle.loaded:
+                    init["documents"] = list(handle.spec.xml_texts)
+                handle.post("init", init, deadline_at=deadline_at)
+                posted.append(handle)
+            except WorkerLostError:
+                lost.append(handle)
+        begin = dict(begin_payload)
+        if restore is not None:
+            begin["restore"] = restore
+        loaded = gather(posted)
+        posted = []
+        for handle in loaded:
+            with handle._lock:
+                handle.loaded = True
+            try:
+                handle.post("begin", begin, deadline_at=deadline_at)
+                posted.append(handle)
+            except WorkerLostError:
+                lost.append(handle)
+        gather(posted)
+        for handle in lost:
+            handle.kill()
+        return lost
+
+    def _replace(
         self,
+        handle: ShardHandle,
+        reason: str,
         begin_payload: Dict[str, Any],
-        process_faults: Optional[FaultPlan],
         deadline_at: Optional[float],
+        span: Span,
     ) -> None:
-        """Open the query on every shard: ``init`` then ``begin``, each
-        scattered to the whole fleet before it is gathered, so shards
-        that must spawn and parse do it concurrently.  A shard whose
-        boot was lost is killed — a resident worker that missed ``init``
-        or ``begin`` is still bound to the previous query and must not
-        be stepped — which leaves it to the step ladder: its first step
-        cannot be delivered, and failover replaces it."""
-        booting: List[ShardHandle] = []
-        for handle in self.handles:
-            handle.begin_query()
-            self.checkpoints.delete(self._store_key(handle.shard_id))
-            try:
-                self._post_init(handle, process_faults, deadline_at)
-                booting.append(handle)
-            except WorkerLostError:
-                handle.kill()
-        begun: List[ShardHandle] = []
-        for handle in booting:
-            try:
-                self._finish_init(handle, deadline_at)
-                handle.post("begin", begin_payload, deadline_at=deadline_at)
-                begun.append(handle)
-            except WorkerLostError:
-                handle.kill()
-        for handle in begun:
-            try:
-                self._finish_ok(handle, deadline_at)
-            except WorkerLostError:
-                handle.kill()
+        """Boot a fresh worker for the shard from its newest validated
+        checkpoint generation — a ``"failover"`` (the worker was lost) or
+        a ``"rebalance"`` (it was slow), each charged to its own per-query
+        budget.  The replacement is never sent a process-fault plan: it
+        must not re-arm the fault that killed (or throttled) its
+        predecessor, which is exactly what migrates off a SLOW_PIPE'd
+        worker.  One that fails to come up is killed, so the next step's
+        failover ladder owns its recovery."""
+        counter = reason + "s"  # failovers | rebalances
+        with handle._lock:
+            setattr(handle, counter, getattr(handle, counter) + 1)
+        getattr(self.metrics, counter).labels(str(handle.shard_id)).inc()
+        span.event(reason, shard=handle.shard_id)
+        restore = self.checkpoints.load(self._store_key(handle.shard_id))
+        handle.kill()
+        self._boot([handle], begin_payload, None, restore, deadline_at)
 
     def _lose_shard(self, handle: ShardHandle) -> None:
         """The shard is lost for this query: stop its worker, say so."""
@@ -968,17 +954,11 @@ class Coordinator:
                 if not fail_over or exhausted or over_deadline:
                     self._lose_shard(handle)
                     return None
-                with handle._lock:
-                    handle.failovers += 1
-                self.metrics.failovers.labels(str(handle.shard_id)).inc()
-                span.event("failover", shard=handle.shard_id)
-                restore = self.checkpoints.load(self._store_key(handle.shard_id))
-                try:
-                    self._bootstrap(handle, begin_payload, restore, deadline_at)
-                except WorkerLostError:
-                    continue  # charge another failover (or exhaust) next loop
+                self._replace(handle, "failover", begin_payload, deadline_at, span)
                 # Re-issue the step ourselves; the engine-level fault that
-                # crashed a step (vs. killed the process) retries clean.
+                # crashed a step (vs. killed the process) retries clean.  A
+                # replacement that did not come up is dead, so that step
+                # charges another failover (or exhausts) next loop.
                 fault_free = True
 
     def _run(
@@ -1017,7 +997,10 @@ class Coordinator:
         states: Dict[int, _ShardQueryState] = {
             handle.shard_id: _ShardQueryState() for handle in self.handles
         }
-        self._boot_fleet(begin_payload, process_faults, deadline_at)
+        for handle in self.handles:
+            handle.begin_query()
+            self.checkpoints.delete(self._store_key(handle.shard_id))
+        self._boot(self.handles, begin_payload, process_faults, None, deadline_at)
 
         rounds = 0
         merged: List[MergedAnswer] = []
@@ -1146,11 +1129,11 @@ class Coordinator:
         span: Span,
     ) -> None:
         """Retire-and-migrate shards whose step latency stays far above
-        the fleet.  The trigger is relative (``rebalance_latency_factor``
+        the fleet.  The trigger is relative (:data:`REBALANCE_LATENCY_FACTOR`
         × the median of the *other* still-active shards' latencies) with
-        an absolute floor (``rebalance_min_latency_seconds``) so healthy
-        microsecond jitter can never look like degradation, and must
-        hold for ``rebalance_slow_rounds`` consecutive rounds.  A shard
+        an absolute floor (:data:`REBALANCE_MIN_LATENCY_SECONDS`) so
+        healthy microsecond jitter can never look like degradation, and
+        must hold for :data:`REBALANCE_SLOW_ROUNDS` consecutive rounds.  A shard
         grinding alone — its siblings already done or dominated — is
         judged against the floor only.  Each shard's migrations share
         the failover budget, so a slice that is legitimately huge (and
@@ -1171,11 +1154,10 @@ class Coordinator:
             if shard_id not in latencies:
                 continue
             others = [lat for sid, lat in latencies.items() if sid != shard_id]
-            threshold = self.rebalance_min_latency_seconds
+            threshold = REBALANCE_MIN_LATENCY_SECONDS
             if others:
                 threshold = max(
-                    threshold,
-                    self.rebalance_latency_factor * statistics.median(others),
+                    threshold, REBALANCE_LATENCY_FACTOR * statistics.median(others)
                 )
             if latencies[shard_id] >= threshold:
                 slow_rounds[shard_id] += 1
@@ -1183,36 +1165,12 @@ class Coordinator:
                 slow_rounds[shard_id] = 0
             with handle._lock:
                 spent = handle.rebalances
-            if slow_rounds[shard_id] >= self.rebalance_slow_rounds:
+            if slow_rounds[shard_id] >= REBALANCE_SLOW_ROUNDS:
                 slow_rounds[shard_id] = 0
                 if spent < budget:
-                    self._rebalance(handle, begin_payload, deadline_at, span)
-
-    def _rebalance(
-        self,
-        handle: ShardHandle,
-        begin_payload: Dict[str, Any],
-        deadline_at: Optional[float],
-        span: Span,
-    ) -> None:
-        """Ship the shard's newest validated checkpoint to a fresh worker
-        and retire the laggard — the failover machinery, reused for a
-        worker that is alive but degraded.  The replacement never
-        re-arms process faults (same contract as failover), which is
-        exactly what migrates off a SLOW_PIPE'd worker."""
-        with handle._lock:
-            handle.rebalances += 1
-        self.metrics.rebalances.labels(str(handle.shard_id)).inc()
-        span.event("rebalance", shard=handle.shard_id)
-        restore = self.checkpoints.load(self._store_key(handle.shard_id))
-        try:
-            self._bootstrap(handle, begin_payload, restore, deadline_at)
-        except WorkerLostError:
-            # The replacement failed to come up; the next step's failover
-            # ladder (which this shard will now enter) owns recovery.
-            pass
-        with handle._lock:
-            handle.last_step_seconds = None
+                    self._replace(handle, "rebalance", begin_payload, deadline_at, span)
+                    with handle._lock:
+                        handle.last_step_seconds = None
 
     def _probe_idle(
         self, states: Dict[int, _ShardQueryState], deadline_at: Optional[float]
@@ -1224,7 +1182,7 @@ class Coordinator:
             if not (state.done or state.is_dominated) or not handle.alive():
                 continue
             age = handle.last_heartbeat_age()
-            if age is not None and age >= self.heartbeat_interval_seconds:
+            if age is not None and age >= HEARTBEAT_INTERVAL_SECONDS:
                 handle.ping(deadline_at=deadline_at)
 
     def _finalize(

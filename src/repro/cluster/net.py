@@ -99,14 +99,12 @@ class SocketTransport:
         shard_id: int,
         python_executable: Optional[str] = None,
         connect_timeout_seconds: float = 10.0,
-        worker_reconnect_window_seconds: float = 30.0,
     ) -> None:
         if connect_timeout_seconds <= 0:
             raise ClusterError("connect timeout must be positive")
         self.shard_id = shard_id
         self.python_executable = python_executable or sys.executable
         self.connect_timeout_seconds = connect_timeout_seconds
-        self.worker_reconnect_window_seconds = worker_reconnect_window_seconds
         self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen] = None
         self._out_seq = 0
@@ -153,8 +151,6 @@ class SocketTransport:
                 f"127.0.0.1:{self._port}",
                 "--token",
                 token,
-                "--reconnect-window",
-                str(self.worker_reconnect_window_seconds),
             ],
             stdin=subprocess.DEVNULL,
             stdout=None,

@@ -23,9 +23,8 @@ The envelope is what lets the cluster trust a *hostile* link (PR 8):
 
 Two read paths share the decoder:
 
-- :func:`read_frame` / :func:`read_frame_ex` — blocking, used by the
-  worker on its socket stream; a clean EOF at a frame boundary
-  returns ``None``.
+- :func:`read_frame_ex` — blocking, used by the worker on its socket
+  stream; a clean EOF at a frame boundary returns ``None``.
 - :class:`FrameReader` — coordinator side, ``select()``-driven reads
   against a deadline so a hung worker can never wedge the coordinator;
   a timeout raises :class:`FrameTimeout` *without* discarding partial
@@ -143,18 +142,9 @@ def read_frame_ex(stream: BinaryIO) -> Optional[Tuple[Dict[str, Any], int]]:
     return decode_body(body), seq
 
 
-def read_frame(stream: BinaryIO) -> Optional[Dict[str, Any]]:
-    """Blocking read of one message; ``None`` on clean EOF at a frame
-    boundary.  Sequence-number-blind — callers that need duplicate
-    suppression use :func:`read_frame_ex` and track the sender sequence
-    themselves (the worker serve loop does)."""
-    result = read_frame_ex(stream)
-    return None if result is None else result[0]
-
-
 class FrameReader:
     """Deadline-capable, integrity-checking frame reads from a file
-    descriptor (pipe or socket).
+    descriptor (the coordinator side of a shard's socket).
 
     Buffers whatever ``select`` hands us; :meth:`read` assembles at most
     one frame per call, verifies magic/length/CRC through the same typed
@@ -186,7 +176,7 @@ class FrameReader:
         # the loop in read() comes back for the rest.  A reset connection
         # is EOF for framing purposes — there is nothing left to resync.
         try:
-            chunk = _read_fd(self._fd)
+            chunk = os.read(self._fd, 1 << 16)
         except OSError:
             chunk = b""
         if not chunk:
@@ -222,7 +212,3 @@ class FrameReader:
                 return None
             self._fill(deadline_at)
 
-
-def _read_fd(fd: int, size: int = 1 << 16) -> bytes:
-    """``os.read`` isolated for monkeypatching in pipe-fault tests."""
-    return os.read(fd, size)

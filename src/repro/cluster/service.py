@@ -24,15 +24,13 @@ submit wakes the instant the slot frees.
 
 from __future__ import annotations
 
+import inspect
 import threading
 from typing import Any, Dict, Mapping, Optional
 
 from repro.cluster.coordinator import ClusterResult, Coordinator
 from repro.core.stats import monotonic_seconds
 from repro.errors import ClusterError, CoordinatorBusyError
-from repro.faults.supervisor import RetryPolicy
-from repro.obs import Observability
-from repro.recovery.store import RecoveryStore
 from repro.service.request import QueryRequest
 from repro.xmldb.model import Database
 
@@ -44,40 +42,25 @@ _DEFAULT_SLOT_WAIT_SECONDS = 30.0
 class ClusterBackend:
     """Route service queries to sharded coordinator clusters.
 
-    Parameters mirror :class:`~repro.cluster.coordinator.Coordinator`;
-    every document handle gets its own coordinator (lazily, on first
-    query) built with the same tuning.
+    ``coordinator_options`` are :class:`~repro.cluster.coordinator.Coordinator`'s
+    own keyword arguments, checked here and passed on unchanged: every
+    document handle gets its own coordinator (lazily, on first query)
+    built with the same tuning.
     """
 
     def __init__(
         self,
         documents: Optional[Mapping[str, Database]] = None,
         shards: int = 2,
-        skew: float = 0.0,
-        partition_seed: int = 0,
-        step_operations: int = 200,
-        rpc_timeout_seconds: float = 1.0,
-        liveness_deadline_seconds: float = 4.0,
-        heartbeat_interval_seconds: float = 1.0,
-        max_failovers: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
-        recovery_store: Optional[RecoveryStore] = None,
-        observability: Optional[Observability] = None,
+        **coordinator_options: Any,
     ) -> None:
         if shards < 1:
             raise ClusterError(f"shards must be >= 1, got {shards}")
+        # A misspelt option fails here, not at the first query.
+        inspect.signature(Coordinator).bind(None, shards=shards, **coordinator_options)
         self._documents: Dict[str, Database] = dict(documents or {})
         self.shards = shards
-        self.skew = skew
-        self.partition_seed = partition_seed
-        self.step_operations = step_operations
-        self.rpc_timeout_seconds = rpc_timeout_seconds
-        self.liveness_deadline_seconds = liveness_deadline_seconds
-        self.heartbeat_interval_seconds = heartbeat_interval_seconds
-        self.max_failovers = max_failovers
-        self.retry_policy = retry_policy
-        self.recovery_store = recovery_store
-        self.obs = observability if observability is not None else Observability.disabled()
+        self.coordinator_options = coordinator_options
         self._lock = threading.Lock()
         self._coordinators: Dict[str, Coordinator] = {}
         self._closed = False
@@ -185,20 +168,7 @@ class ClusterBackend:
             database = self._documents.get(document)
         if database is None:
             raise ClusterError(f"unknown document {document!r}")
-        built = Coordinator(
-            database,
-            shards=self.shards,
-            skew=self.skew,
-            partition_seed=self.partition_seed,
-            step_operations=self.step_operations,
-            rpc_timeout_seconds=self.rpc_timeout_seconds,
-            liveness_deadline_seconds=self.liveness_deadline_seconds,
-            heartbeat_interval_seconds=self.heartbeat_interval_seconds,
-            max_failovers=self.max_failovers,
-            retry_policy=self.retry_policy,
-            recovery_store=self.recovery_store,
-            observability=self.obs,
-        )
+        built = Coordinator(database, shards=self.shards, **self.coordinator_options)
         with self._lock:
             cached = self._coordinators.setdefault(document, built)
         if cached is not built:

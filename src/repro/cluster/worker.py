@@ -7,8 +7,8 @@ carries tracebacks and is surfaced by the coordinator on failure).  The
 worker dials the coordinator's listener, authenticates with its
 per-spawn session token, and serves frames over TCP.  A dropped
 connection does *not* end the session: the worker redials with
-exponential backoff for ``--reconnect-window`` seconds, and a reply
-cache keyed by RPC id answers replayed requests idempotently — a step
+exponential backoff for :data:`WORKER_RECONNECT_WINDOW_SECONDS`, and a
+reply cache keyed by RPC id answers replayed requests idempotently — a step
 whose reply was lost in the partition is never re-executed.  A *refused*
 handshake means the coordinator failed this session over to a fresh
 worker; the stale worker exits instead of split-braining.
@@ -99,6 +99,11 @@ from repro.xmldb.parser import parse_forest
 #: query, so memory is measured with one cached engine per worker, and
 #: two is what alternating between a pair of queries needs.
 ENGINE_CACHE_CAP = 2
+
+#: How long a worker keeps redialing after its link drops before it
+#: gives the session up.  Partitions the coordinator rides out last well
+#: under this; a coordinator gone for longer is gone.
+WORKER_RECONNECT_WINDOW_SECONDS = 30.0
 
 
 class FrameChannel:
@@ -405,19 +410,13 @@ def serve(worker: ShardWorker, channel: FrameChannel) -> str:
             return "lost"  # reply undeliverable; it is cached for replay
 
 
-def run_socket(
-    worker: ShardWorker,
-    host: str,
-    port: int,
-    token: str,
-    reconnect_window_seconds: float,
-) -> int:
-    """Dial, authenticate, serve; redial with exponential
-    backoff when the link drops, for at most the reconnect window per
-    outage.  Exits 0 when told to shut down or when the coordinator
+def run_socket(worker: ShardWorker, host: str, port: int, token: str) -> int:
+    """Dial, authenticate, serve; redial with exponential backoff when
+    the link drops, for at most :data:`WORKER_RECONNECT_WINDOW_SECONDS`
+    per outage.  Exits 0 when told to shut down or when the coordinator
     refuses the token (this session was failed over — a stale worker
     must die quietly, not contest the shard)."""
-    give_up_at = monotonic_seconds() + reconnect_window_seconds
+    give_up_at = monotonic_seconds() + WORKER_RECONNECT_WINDOW_SECONDS
     backoff = 0.05
     while True:
         if monotonic_seconds() >= give_up_at:
@@ -457,7 +456,7 @@ def run_socket(
             pass
         if outcome == "shutdown":
             return 0
-        give_up_at = monotonic_seconds() + reconnect_window_seconds
+        give_up_at = monotonic_seconds() + WORKER_RECONNECT_WINDOW_SECONDS
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -474,12 +473,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         required=True,
         help="session token presented in the hello handshake",
     )
-    parser.add_argument(
-        "--reconnect-window",
-        type=float,
-        default=30.0,
-        help="seconds to keep redialing after a lost connection",
-    )
     args = parser.parse_args(argv)
 
     # Workers always run on real time, even when the coordinator process
@@ -494,7 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         port = int(port_text)
     except ValueError:
         parser.error(f"bad --connect address {args.connect!r}")
-    return run_socket(worker, host or "127.0.0.1", port, args.token, args.reconnect_window)
+    return run_socket(worker, host or "127.0.0.1", port, args.token)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ The five invariants:
   (a broken baseline would vacuously pass everything else);
 - ``topk_identity`` — a run that does not claim degradation returns a
   correct top-k of the fault-free ``lockstep_noprun`` ranking: the same
-  scores, the same roots except among roots tied at the k-th score
-  (:func:`repro.core.topk.topk_mismatch` — the one definition, which a
-  fault that reorders a run cannot flake);
+  scores, the same roots per score level except among roots tied at the
+  k-th score (:func:`repro.core.topk.topk_mismatch` — the one
+  definition, which a fault that reorders a run cannot flake);
 - ``pending_bound_sound`` — a run's certificate covers every root it
   left out: none scores above ``max(pending_bound, k-th reported score)``
   (:func:`repro.core.topk.certificate_ceiling`);

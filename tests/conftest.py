@@ -76,9 +76,10 @@ def full_ranking(engine):
 
 def assert_same_topk(ranking, result, case=None):
     """``result`` is a correct top-k of ``ranking``: the shared rule
-    (:func:`repro.core.topk.topk_mismatch` — scores equal, roots equal
-    except among roots holding the k-th score, no root twice).  ``case``
-    names the loop iteration in the failure message."""
+    (:func:`repro.core.topk.topk_mismatch` — scores equal position by
+    position, each score level's roots equal as a set, any roots of the
+    k-th level, no root twice).  ``case`` names the loop iteration in the
+    failure message."""
     mismatch = topk_mismatch(ranking, ranked(result.answers), result.k)
     assert mismatch is None, (mismatch, case)
 

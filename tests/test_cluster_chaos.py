@@ -20,9 +20,12 @@ import json
 
 import pytest
 
+import repro.cluster.coordinator as coordinator_module
 from repro.cluster import Coordinator
 from repro.cluster.coordinator import ShardHandle
+from repro.cluster.net import SocketTransport
 from repro.core.engine import Engine
+from repro.errors import WorkerLostError
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.faults.supervisor import RetryPolicy
 from repro.obs import Observability
@@ -395,38 +398,49 @@ def test_seeded_net_chaos_converges_bit_identical(database, ranking, seed):
     assert_same_topk(ranking, result)
 
 
-def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, ranking):
+#: Shard 0 answers every RPC 0.15 s late: below the RPC timeout, so the
+#: retry ladder never trips, and above the lowered latency floor.
+SLOW_SHARD_0 = FaultPlan(
+    [
+        FaultRule(
+            site=FaultSite.WORKER_RPC,
+            action=FaultAction.SLOW_PIPE,
+            target="0",
+            every=1,
+            times=100,
+            delay_seconds=0.15,
+        )
+    ],
+    seed=4,
+)
+
+#: Skew piles documents onto shard 0, which ``SLOW_SHARD_0`` throttles.
+SKEWED = dict(skew=0.6, partition_seed=3, step_operations=10)
+
+
+@pytest.fixture
+def eager_rebalance(monkeypatch):
+    """A rebalancing trigger quicker than the production one."""
+    monkeypatch.setattr(coordinator_module, "REBALANCE_MIN_LATENCY_SECONDS", 0.1)
+    monkeypatch.setattr(coordinator_module, "REBALANCE_LATENCY_FACTOR", 2.0)
+    monkeypatch.setattr(coordinator_module, "REBALANCE_SLOW_ROUNDS", 2)
+
+
+def test_slow_shard_is_rebalanced_by_checkpoint_shipping(
+    database, ranking, eager_rebalance
+):
     """Live rebalancing: a skewed partition plus a persistently throttled
-    shard (SLOW_PIPE on every RPC, delay below the RPC timeout so the
-    retry ladder never trips) must trigger migration — the coordinator
-    ships the shard's newest checkpoint generation to a fresh worker —
-    and the answer must still match the single-process run."""
-    plan = FaultPlan(
-        [
-            FaultRule(
-                site=FaultSite.WORKER_RPC,
-                action=FaultAction.SLOW_PIPE,
-                target="0",
-                every=1,
-                times=100,
-                delay_seconds=0.15,
-            )
-        ],
-        seed=4,
-    )
+    shard must trigger migration — the coordinator ships the shard's
+    newest checkpoint generation to a fresh worker — and the answer must
+    still match the single-process run."""
     with Coordinator(
         database,
         shards=2,
-        skew=0.6,  # pile documents onto shard 0, then throttle it
-        partition_seed=3,
-        step_operations=10,
         recovery_store=MemoryRecoveryStore(),
-        rebalance_min_latency_seconds=0.1,
-        rebalance_latency_factor=2.0,
-        rebalance_slow_rounds=2,
+        **SKEWED,
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=SLOW_SHARD_0)
         health = coordinator.health()
     assert result.rebalances >= 1, result.rounds
     assert health["rebalances"] == result.rebalances
@@ -435,35 +449,48 @@ def test_slow_shard_is_rebalanced_by_checkpoint_shipping(database, ranking):
     assert_same_topk(ranking, result)
 
 
-def test_rebalance_disabled_keeps_the_slow_shard(database, ranking):
-    plan = FaultPlan(
-        [
-            FaultRule(
-                site=FaultSite.WORKER_RPC,
-                action=FaultAction.SLOW_PIPE,
-                target="0",
-                every=1,
-                times=100,
-                delay_seconds=0.15,
-            )
-        ],
-        seed=4,
-    )
+def test_rebalance_disabled_keeps_the_slow_shard(database, ranking, eager_rebalance):
     with Coordinator(
         database,
         shards=2,
-        skew=0.6,
-        partition_seed=3,
-        step_operations=10,
         recovery_store=MemoryRecoveryStore(),
-        rebalance_min_latency_seconds=0.1,
-        rebalance_latency_factor=2.0,
-        rebalance_slow_rounds=2,
         rebalance=False,
+        **SKEWED,
         **FAST_LADDER,
     ) as coordinator:
-        result = coordinator.run_query(QUERY, K, faults=plan)
+        result = coordinator.run_query(QUERY, K, faults=SLOW_SHARD_0)
     assert result.rebalances == 0
+    assert not result.degraded
+    assert_same_topk(ranking, result)
+
+
+def test_rebalance_replacement_that_fails_to_spawn_is_failed_over(
+    database, ranking, eager_rebalance, monkeypatch
+):
+    """The replacement a rebalance boots never comes up: the shard is
+    left to the next step's failover ladder, which boots another."""
+    real_spawn = SocketTransport.spawn
+    spawns = {"0": 0}
+
+    def spawn_once_failing(self):
+        if self.shard_id == 0:
+            spawns["0"] += 1
+            if spawns["0"] == 2:  # the first replacement
+                raise WorkerLostError(0, "spawn_failed")
+        real_spawn(self)
+
+    monkeypatch.setattr(SocketTransport, "spawn", spawn_once_failing)
+    with Coordinator(
+        database,
+        shards=2,
+        recovery_store=MemoryRecoveryStore(),
+        **SKEWED,
+        **FAST_LADDER,
+    ) as coordinator:
+        result = coordinator.run_query(QUERY, K, faults=SLOW_SHARD_0)
+    assert spawns["0"] >= 3
+    assert result.rebalances >= 1
+    assert result.failovers >= 1
     assert not result.degraded
     assert_same_topk(ranking, result)
 

@@ -35,7 +35,6 @@ from repro.cluster.protocol import (
     FrameTimeout,
     decode_body,
     encode_frame,
-    read_frame,
     read_frame_ex,
     write_frame,
 )
@@ -67,9 +66,9 @@ def test_frame_round_trip():
     write_frame(stream, payload)
     write_frame(stream, {"op": "ping", "id": 8})
     stream.seek(0)
-    assert read_frame(stream) == payload
-    assert read_frame(stream) == {"op": "ping", "id": 8}
-    assert read_frame(stream) is None  # clean EOF
+    assert read_frame_ex(stream) == (payload, 0)
+    assert read_frame_ex(stream) == ({"op": "ping", "id": 8}, 0)
+    assert read_frame_ex(stream) is None  # clean EOF
 
 
 def test_frame_sequence_numbers_round_trip():
@@ -86,9 +85,9 @@ def test_read_frame_rejects_torn_stream():
     write_frame(stream, {"op": "ping"})
     data = stream.getvalue()
     with pytest.raises(ProtocolError):
-        read_frame(io.BytesIO(data[: len(data) - 2]))  # truncated body
+        read_frame_ex(io.BytesIO(data[: len(data) - 2]))  # truncated body
     with pytest.raises(ProtocolError):
-        read_frame(io.BytesIO(data[:2]))  # truncated header
+        read_frame_ex(io.BytesIO(data[:2]))  # truncated header
 
 
 def test_oversize_length_prefix_is_rejected_before_any_read():
@@ -97,7 +96,7 @@ def test_oversize_length_prefix_is_rejected_before_any_read():
     # from the header alone, as a typed error, on both read paths.
     header = struct.pack(">HIII", FRAME_MAGIC, MAX_FRAME_BYTES + 1, 0, 0)
     with pytest.raises(FrameTooLargeError) as exc_info:
-        read_frame(io.BytesIO(header))
+        read_frame_ex(io.BytesIO(header))
     assert exc_info.value.declared_bytes == MAX_FRAME_BYTES + 1
     assert exc_info.value.reason == "oversize"
 
@@ -115,12 +114,12 @@ def test_bad_magic_and_crc_mismatch_are_typed_errors():
     frame = bytearray(encode_frame({"op": "ping"}, seq=1))
     flipped_magic = bytes([frame[0] ^ 0xFF]) + bytes(frame[1:])
     with pytest.raises(FrameCorruptError) as exc_info:
-        read_frame(io.BytesIO(flipped_magic))
+        read_frame_ex(io.BytesIO(flipped_magic))
     assert exc_info.value.reason == "bad_magic"
 
     flipped_body = bytes(frame[:-1]) + bytes([frame[-1] ^ 0x01])
     with pytest.raises(FrameCorruptError) as exc_info:
-        read_frame(io.BytesIO(flipped_body))
+        read_frame_ex(io.BytesIO(flipped_body))
     assert exc_info.value.reason == "crc_mismatch"
 
 

@@ -8,10 +8,14 @@ strategy and both scoring normalizations; exact mode must agree with the exhaust
 and relaxed answers must be a superset of exact answers.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.makespan import CostModel, simulate
 from repro.core.engine import Engine
+from repro.core.topk import topk_mismatch
 from repro.query.matcher import distinct_roots, find_matches
 from repro.query.xpath import parse_xpath
 from tests.conftest import assert_same_topk, full_ranking
@@ -129,3 +133,58 @@ class TestScalingBehaviour:
             for k in (1, 5, 25)
         ]
         assert ops[0] <= ops[1] <= ops[2]
+
+
+class TestTiesAboveTheKth:
+    """Roots tied *above* the k-th score are interchangeable too.  A
+    match's score is summed in the order its servers were visited, and
+    float addition is not associative: on the Fig. 10 document ten Q3
+    roots score 6.2521, above the k-th 6.0, and a route can sum one of
+    them one ulp higher than LockStep-NoPrun does, so it ranks ahead of
+    roots it ties with.  The rule compares each score level's roots as a
+    set."""
+
+    @pytest.fixture(scope="class")
+    def fig10(self):
+        from repro.bench.workloads import get_engine
+
+        engine = get_engine("Q3")
+        return engine, full_ranking(engine)
+
+    @pytest.mark.parametrize("k", [60, 70, 75])
+    @pytest.mark.parametrize("algorithm", ["whirlpool_s", "whirlpool_m", "lockstep"])
+    def test_fig10_q3(self, fig10, algorithm, k):
+        engine, ranking = fig10
+        assert_same_topk(ranking, engine.run(k, algorithm=algorithm), (algorithm, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=2, max_size=6),
+        st.integers(1, 24),
+        st.randoms(use_true_random=False),
+    )
+    def test_rule_reads_levels_not_positions(self, sizes, k, rng):
+        """A correct answer with each level's roots in any order, and
+        each score an ulp off LockStep-NoPrun's, is accepted; the same
+        answer with one root moved to another level is not."""
+        levels = [float(len(sizes) - level) * 1.1 for level in range(len(sizes))]
+        ranking, ordinal = [], 0
+        for level, size in zip(levels, sizes):
+            for _ in range(size):
+                ranking.append(((0, ordinal), level))
+                ordinal += 1
+        k = min(k, len(ranking))
+        kth = ranking[k - 1][1]
+        answers = []
+        for level in levels:
+            if level < kth:
+                break
+            roots = [dewey for dewey, score in ranking if score == level]
+            wanted = sum(1 for _, score in ranking[:k] if score == level)
+            for dewey in rng.sample(roots, wanted):
+                answers.append((dewey, rng.choice([math.nextafter(level, 0), level])))
+        assert topk_mismatch(ranking, answers, k) is None
+        score, (outsider, outsider_score) = answers[0][1], ranking[-1]
+        if round(outsider_score, 9) != round(score, 9):
+            answers[0] = (outsider, score)
+            assert topk_mismatch(ranking, answers, k) is not None

@@ -13,6 +13,7 @@ path from the engines.
 
 import json
 import random
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,12 +167,12 @@ class TestRandomScoreModels:
 
 # -- closed ties ------------------------------------------------------------------------
 
-#: Where an ``r`` keeps its ``a`` / ``b``: nowhere, as a child (an exact
-#: match of ``./a``), or under a ``w`` (a relaxed one).  Every ``r`` has a
-#: ``z`` child, so the ``z`` server's idf — its maximum contribution — is 0:
-#: a match can reach ``score == upper_bound`` before it is complete.  With
-#: two contribution values per server and a handful of shapes, most roots
-#: tie, at the k-th score too.
+#: Where an ``r`` keeps each of its query children: nowhere, as a child
+#: (an exact match of ``./a``), or under a ``w`` (a relaxed one).  Every
+#: ``r`` has a ``z`` child, so the ``z`` server's idf — its maximum
+#: contribution — is 0: a match can reach ``score == upper_bound`` before
+#: it is complete.  With few contribution values per server and a handful
+#: of shapes, most roots tie, at the k-th score too.
 _PLACEMENTS = st.sampled_from(["none", "child", "deep"])
 _TIED_FORESTS = st.lists(
     st.lists(st.tuples(_PLACEMENTS, _PLACEMENTS), min_size=1, max_size=6),
@@ -179,6 +180,17 @@ _TIED_FORESTS = st.lists(
     max_size=4,
 )
 _TIED_QUERIES = st.sampled_from(["//r[./a and ./b and ./z]", "//r[./z and ./b and ./a]"])
+#: Three or more servers that contribute: a tied score is then a sum of
+#: three or more terms, which the order the servers were visited in can
+#: round one ulp apart — so tie groups sit above the k-th score too.
+_WIDE_FORESTS = st.lists(
+    st.lists(st.tuples(*[_PLACEMENTS] * 4), min_size=5, max_size=10),
+    min_size=3,
+    max_size=4,
+)
+_WIDE_QUERIES = st.sampled_from(
+    ["//r[./a and ./b and ./c and ./d and ./z]", "//r[./z and ./d and ./c and ./b and ./a]"]
+)
 
 
 def _tied_database(forest) -> Database:
@@ -188,7 +200,7 @@ def _tied_database(forest) -> Database:
         for placements in items:
             item = document.child("r")
             item.child("z")
-            for tag, where in zip("ab", placements):
+            for tag, where in zip("abcd", placements):
                 if where == "child":
                     item.child(tag)
                 elif where == "deep":
@@ -206,6 +218,60 @@ def _judge(engine, ranking, result):
         assert all(answer.match.is_complete(server_ids) for answer in result.answers)
 
 
+def _judge_every_run(engine, ranking, k, budget):
+    """Every engine, W-M's threads and its modeled schedule, and stepped
+    and restored runs, each judged against LockStep-NoPrun's ranking."""
+    assert 0.0 in map(engine.score_model.max_contribution, engine.server_node_ids())
+    for algorithm in ("whirlpool_s", "lockstep", "whirlpool_m"):
+        _judge(engine, ranking, engine.run(k, algorithm=algorithm))
+    for threads in (1, 2):
+        threaded = WhirlpoolM(
+            pattern=engine.pattern,
+            index=engine.index,
+            score_model=engine.score_model,
+            k=k,
+            router=make_router("min_alive"),
+            threads_per_server=threads,
+        )
+        _judge(engine, ranking, threaded.run())
+        for processors in (1, 2, None):
+            # The same step, on a modeled schedule.
+            modeled = engine.open(k, "whirlpool_m")
+            modeled.threads_per_server = threads
+            _judge(engine, ranking, simulate(modeled, n_processors=processors).result)
+    for algorithm in ("whirlpool_s", "lockstep"):
+        # Stepped by ``budget`` operations on one instance, every exit
+        # judged; then a fresh instance restored from the first exit's
+        # snapshot, as a failover would.
+        snapshots = []
+        run = engine.open(
+            k,
+            algorithm,
+            max_operations=budget,
+            checkpoint_policy=CheckpointPolicy(every_operations=10**9),
+            checkpoint_sink=snapshots.append,
+        )
+        while True:
+            result = run.run()
+            _judge(engine, ranking, result)
+            if not result.degraded:
+                break
+            run.max_operations = result.stats.server_operations + budget
+        if snapshots:
+            snapshot = json.loads(json.dumps(snapshots[0]))
+            restored = engine.run(k, algorithm=algorithm, restore_from=snapshot)
+            assert not restored.degraded
+            _judge(engine, ranking, restored)
+
+
+def _ks_below_a_tie(ranking):
+    """Every k whose k-th root sits one score level below a group of two
+    or more tied roots."""
+    sizes = [len(list(group)) for _, group in groupby(round(s, 9) for _, s in ranking)]
+    ends = list(accumulate(sizes))
+    return [end + 1 for size, end in zip(sizes[:-1], ends) if size >= 2]
+
+
 class TestClosedTies:
     """Every way of running a query closes ties soundly: the shared
     same-top-k rule against LockStep-NoPrun, which closes none."""
@@ -214,48 +280,17 @@ class TestClosedTies:
     @given(_TIED_FORESTS, _TIED_QUERIES, st.integers(1, 8), st.integers(1, 12))
     def test_single_process_runs(self, forest, query, k, budget):
         engine = Engine(_tied_database(forest), query)
+        _judge_every_run(engine, full_ranking(engine), k, budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_WIDE_FORESTS, _WIDE_QUERIES, st.integers(0, 10**6), st.integers(1, 12))
+    def test_ties_above_the_kth(self, forest, query, pick, budget):
+        """k is chosen one level below a tie group, so the group must be
+        returned whole, in whichever order the route summed it."""
+        engine = Engine(_tied_database(forest), query)
         ranking = full_ranking(engine)
-        assert 0.0 in map(engine.score_model.max_contribution, engine.server_node_ids())
-        for algorithm in ("whirlpool_s", "lockstep", "whirlpool_m"):
-            _judge(engine, ranking, engine.run(k, algorithm=algorithm))
-        for threads in (1, 2):
-            threaded = WhirlpoolM(
-                pattern=engine.pattern,
-                index=engine.index,
-                score_model=engine.score_model,
-                k=k,
-                router=make_router("min_alive"),
-                threads_per_server=threads,
-            )
-            _judge(engine, ranking, threaded.run())
-            for processors in (1, 2, None):
-                # The same step, on a modeled schedule.
-                modeled = engine.open(k, "whirlpool_m")
-                modeled.threads_per_server = threads
-                _judge(engine, ranking, simulate(modeled, n_processors=processors).result)
-        for algorithm in ("whirlpool_s", "lockstep"):
-            # Stepped by ``budget`` operations on one instance, every exit
-            # judged; then a fresh instance restored from the first exit's
-            # snapshot, as a failover would.
-            snapshots = []
-            run = engine.open(
-                k,
-                algorithm,
-                max_operations=budget,
-                checkpoint_policy=CheckpointPolicy(every_operations=10**9),
-                checkpoint_sink=snapshots.append,
-            )
-            while True:
-                result = run.run()
-                _judge(engine, ranking, result)
-                if not result.degraded:
-                    break
-                run.max_operations = result.stats.server_operations + budget
-            if snapshots:
-                snapshot = json.loads(json.dumps(snapshots[0]))
-                restored = engine.run(k, algorithm=algorithm, restore_from=snapshot)
-                assert not restored.degraded
-                _judge(engine, ranking, restored)
+        ks = _ks_below_a_tie(ranking) or [len(ranking)]
+        _judge_every_run(engine, ranking, ks[pick % len(ks)], budget)
 
     @settings(max_examples=6, deadline=None)
     @given(_TIED_FORESTS, _TIED_QUERIES, st.integers(1, 8))
