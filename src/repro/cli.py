@@ -599,7 +599,7 @@ def _cmd_serve_demo(args) -> int:
                     "outcomes": dict(sorted(outcomes.items())),
                     "unresolved": unresolved,
                     "drained_within_budget": drained,
-                    "health": health.as_dict(),
+                    "health": health,
                 },
                 indent=2,
             )
@@ -612,7 +612,7 @@ def _cmd_serve_demo(args) -> int:
             print(f"  UNRESOLVED {unresolved}")
         print(f"drain within {args.drain_seconds:g}s budget: {drained}")
         print("\nhealth snapshot:")
-        for key, value in health.as_dict().items():
+        for key, value in health.items():
             if key == "breakers":
                 assert isinstance(value, dict)
                 for name, snap in value.items():
@@ -747,11 +747,7 @@ def _cmd_metrics(args) -> int:
     if args.cluster_shards is not None:
         from repro.cluster.service import ClusterBackend
 
-        backend = ClusterBackend(
-            {"auction": database},
-            shards=args.cluster_shards,
-            observability=obs,
-        )
+        backend = ClusterBackend(shards=args.cluster_shards, observability=obs)
     service = WhirlpoolService(
         {"auction": database},
         workers=args.workers,
@@ -761,7 +757,7 @@ def _cmd_metrics(args) -> int:
     )
 
     rng = random.Random(args.seed)
-    for _ in range(args.requests):
+    tickets = [
         service.submit(
             QueryRequest(
                 document="auction",
@@ -770,8 +766,13 @@ def _cmd_metrics(args) -> int:
                 algorithm=rng.choice(["whirlpool_s", "whirlpool_m", "lockstep"]),
             )
         )
-    # Capture backend liveness before drain tears the worker fleet down.
-    backend_health = service.health().backend
+        for _ in range(args.requests)
+    ]
+    # Capture backend liveness once the requests have run on it, and
+    # before drain tears the worker fleet down.
+    for ticket in tickets:
+        ticket.result(timeout=30.0)
+    backend_health = service.health()["backend"]
     service.drain(30.0)
 
     if args.format == "json":

@@ -53,8 +53,6 @@ from repro.cluster.protocol import (
     FrameTimeout,
     encode_frame,
     frame_crc,
-    read_frame_ex,
-    write_frame,
 )
 
 __all__ = [
@@ -81,6 +79,4 @@ __all__ = [
     "FrameTimeout",
     "encode_frame",
     "frame_crc",
-    "read_frame_ex",
-    "write_frame",
 ]

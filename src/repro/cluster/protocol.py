@@ -21,15 +21,14 @@ The envelope is what lets the cluster trust a *hostile* link (PR 8):
   dropped by the receiver (sequence numbers are per-connection and
   strictly increasing from each sender).
 
-Two read paths share the decoder:
-
-- :func:`read_frame_ex` — blocking, used by the worker on its socket
-  stream; a clean EOF at a frame boundary returns ``None``.
-- :class:`FrameReader` — coordinator side, ``select()``-driven reads
-  against a deadline so a hung worker can never wedge the coordinator;
-  a timeout raises :class:`FrameTimeout` *without* discarding partial
-  bytes — the next call resumes mid-frame, which is what lets the
-  retry ladder keep waiting for a slow worker's reply.
+One reader decodes frames on both ends of the link:
+:class:`FrameReader` makes ``select()``-driven reads from a file
+descriptor, against a deadline so a hung worker can never wedge the
+coordinator (the worker reads with no deadline, blocking until the next
+frame or EOF).  A timeout raises :class:`FrameTimeout` *without*
+discarding partial bytes — the next call resumes mid-frame, which is
+what lets the retry ladder keep waiting for a slow worker's reply; a
+clean EOF at a frame boundary returns ``None``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import os
 import select
 import struct
 import zlib
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.stats import monotonic_seconds
 from repro.errors import (
@@ -115,43 +114,16 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-def write_frame(stream: BinaryIO, payload: Dict[str, Any], seq: int = 0) -> None:
-    """Write one message and flush (small frames; blocking is fine)."""
-    stream.write(encode_frame(payload, seq=seq))
-    stream.flush()
-
-
-def read_frame_ex(stream: BinaryIO) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Blocking read of one verified message; ``(payload, seq)``, or
-    ``None`` on clean EOF at a frame boundary (mid-frame EOF is a
-    :class:`~repro.errors.ProtocolError`)."""
-    header = stream.read(HEADER_BYTES)
-    if not header:
-        return None
-    if len(header) < HEADER_BYTES:
-        raise ProtocolError("truncated", "truncated frame header")
-    length, seq, crc = decode_header(header)
-    body = b""
-    while len(body) < length:
-        chunk = stream.read(length - len(body))
-        if not chunk:
-            raise ProtocolError("truncated", "EOF mid-frame")
-        body += chunk
-    if frame_crc(seq, body) != crc:
-        raise FrameCorruptError("crc_mismatch", "frame CRC mismatch")
-    return decode_body(body), seq
-
-
 class FrameReader:
     """Deadline-capable, integrity-checking frame reads from a file
-    descriptor (the coordinator side of a shard's socket).
+    descriptor (either end of a shard's socket).
 
     Buffers whatever ``select`` hands us; :meth:`read` assembles at most
-    one frame per call, verifies magic/length/CRC through the same typed
-    errors as the blocking path, and silently drops duplicated frames
-    (``seq`` at or below the highest already delivered).  All state is
-    single-owner (the coordinator thread driving this shard), so there
-    is no locking here — the owning transport serializes access.
+    one frame per call, verifies magic/length/CRC through the typed
+    protocol errors, and silently drops duplicated frames (``seq`` at or
+    below the highest already delivered).  All state is single-owner
+    (the coordinator thread driving this shard, or the worker's request
+    loop), so there is no locking here.
     """
 
     __slots__ = ("_fd", "_buffer", "_eof", "_last_seq")

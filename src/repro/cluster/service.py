@@ -1,20 +1,27 @@
 """The cluster execution backend for :class:`~repro.service.service.WhirlpoolService`.
 
 The service's backend hook is duck-typed — anything with
-``run_query(request, k, deadline_seconds, restore_from)``, ``health()``
-and ``close()`` — so ``repro.service`` never imports this package (the
+``run_query(request, database, k, deadline_seconds)``, ``health()`` and
+``close()`` — so ``repro.service`` never imports this package (the
 layer contract puts ``cluster`` *above* ``service``; the dependency
 points down, and a cluster-backed service is assembled by the caller):
 
-    backend = ClusterBackend({"auction": db}, shards=4)
+    backend = ClusterBackend(shards=4)
     service = WhirlpoolService({"auction": db}, backend=backend)
 
-One :class:`~repro.cluster.coordinator.Coordinator` is built lazily per
-registered document handle and reused across requests — the expensive
-parts (forest partitioning/serialization, per-query engine facades for
-the global score model) amortize the same way the service's engine cache
-does.  A coordinator serves one query at a time; concurrent service
-workers contend by blocking on the coordinator's own idle condition
+The service owns the document registry and hands each request's
+resolved :class:`~repro.xmldb.model.Database` to
+:meth:`ClusterBackend.run_query`; the backend keeps no handle map of its
+own.  One :class:`~repro.cluster.coordinator.Coordinator` is built
+lazily per document handle and reused while the handle still names the
+database it was built over — the expensive parts (forest
+partitioning/serialization, per-query engine facades for the global
+score model) amortize the same way, and under the same rule, as the
+service's engine cache.  A handle re-registered with another database
+gets a fresh coordinator, and the stale one is closed.
+
+A coordinator serves one query at a time; concurrent service workers
+contend by blocking on the coordinator's own idle condition
 (:meth:`~repro.cluster.coordinator.Coordinator.wait_idle`, a progress
 wait on the clock seam) — never on a lock held across subprocess I/O,
 which keeps the package clean under the graph analyzer's
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import inspect
 import threading
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.cluster.coordinator import ClusterResult, Coordinator
 from repro.core.stats import monotonic_seconds
@@ -48,17 +55,11 @@ class ClusterBackend:
     built with the same tuning.
     """
 
-    def __init__(
-        self,
-        documents: Optional[Mapping[str, Database]] = None,
-        shards: int = 2,
-        **coordinator_options: Any,
-    ) -> None:
+    def __init__(self, shards: int = 2, **coordinator_options: Any) -> None:
         if shards < 1:
             raise ClusterError(f"shards must be >= 1, got {shards}")
         # A misspelt option fails here, not at the first query.
         inspect.signature(Coordinator).bind(None, shards=shards, **coordinator_options)
-        self._documents: Dict[str, Database] = dict(documents or {})
         self.shards = shards
         self.coordinator_options = coordinator_options
         self._lock = threading.Lock()
@@ -70,19 +71,19 @@ class ClusterBackend:
     def run_query(
         self,
         request: QueryRequest,
+        database: Database,
         k: int,
         deadline_seconds: Optional[float] = None,
-        restore_from: Optional[Dict[str, Any]] = None,
     ) -> ClusterResult:
-        """Execute one admitted request on its document's cluster.
+        """Execute one admitted request on the cluster over ``database``,
+        the document the service resolved ``request.document`` to.
 
-        ``restore_from`` (a single-process engine snapshot from the
-        service's recovery envelope) is ignored: the cluster ships its
-        own per-shard checkpoints through the coordinator's recovery
-        store, and a recovered request simply re-executes — the anytime
-        certificate, not the snapshot, is the contract that survives.
+        A recovered request re-executes from scratch: the cluster ships
+        its own per-shard checkpoints through the coordinator's recovery
+        store, and the anytime certificate, not a single-process engine
+        snapshot, is the contract that survives.
         """
-        coordinator = self._coordinator_for(request.document)
+        coordinator = self._coordinator_for(request.document, database)
         give_up = monotonic_seconds() + (
             deadline_seconds
             if deadline_seconds is not None
@@ -144,33 +145,24 @@ class ClusterBackend:
 
     # -- internals ---------------------------------------------------------------
 
-    def register_document(self, name: str, database: Database) -> None:
-        """Add (or replace) a document handle (mirrors the service API).
-
-        Replacing a handle closes its existing coordinator; in-flight
-        queries on it finish first (close waits on the query lock only
-        in the sense that teardown kills workers — the active query then
-        degrades, which is the documented replace-under-load behavior).
-        """
-        with self._lock:
-            self._documents[name] = database
-            stale = self._coordinators.pop(name, None)
-        if stale is not None:
-            stale.close()
-
-    def _coordinator_for(self, document: str) -> Coordinator:
+    def _coordinator_for(self, document: str, database: Database) -> Coordinator:
+        """The coordinator cached under ``document``, rebuilt (and the
+        stale one closed) when the handle now names another database."""
         with self._lock:
             if self._closed:
                 raise ClusterError("cluster backend is closed")
             coordinator = self._coordinators.get(document)
-            if coordinator is not None:
-                return coordinator
-            database = self._documents.get(document)
-        if database is None:
-            raise ClusterError(f"unknown document {document!r}")
+        if coordinator is not None and coordinator.database is database:
+            return coordinator
         built = Coordinator(database, shards=self.shards, **self.coordinator_options)
         with self._lock:
-            cached = self._coordinators.setdefault(document, built)
-        if cached is not built:
-            built.close()
+            # Two workers may have built concurrently; first one wins.
+            cached = self._coordinators.get(document)
+            if cached is None or cached.database is not database:
+                self._coordinators[document] = built
+                cached, discard = built, cached
+            else:
+                discard = built
+        if discard is not None:
+            discard.close()
         return cached

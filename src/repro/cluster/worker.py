@@ -70,9 +70,9 @@ import os
 import signal
 import socket
 import sys
-from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.protocol import encode_frame, read_frame_ex
+from repro.cluster.protocol import FrameReader, encode_frame
 from repro.core.engine import Engine
 from repro.core.base import EngineBase, TopKResult
 from repro.core.stats import monotonic_seconds
@@ -108,7 +108,8 @@ WORKER_RECONNECT_WINDOW_SECONDS = 30.0
 
 class FrameChannel:
     """One connection's frame plumbing on the worker side: blocking
-    reads with duplicate suppression, sequence-numbered writes.
+    reads through the same :class:`FrameReader` the coordinator uses
+    (it drops duplicated frames), sequence-numbered writes.
 
     Per-connection by design — a reconnect builds a fresh channel (both
     peers restart their sequence spaces with the new connection) while
@@ -116,28 +117,18 @@ class FrameChannel:
     the :class:`ShardWorker`.
     """
 
-    def __init__(self, rx: BinaryIO, send_bytes: Callable[[bytes], None]) -> None:
-        self._rx = rx
-        self._send_bytes = send_bytes
-        self._last_seq = 0
+    def __init__(self, sock: socket.socket) -> None:
+        self._reader = FrameReader(sock.fileno())
+        self._sock = sock
         self._out_seq = 0
 
     def read(self) -> Optional[Dict[str, Any]]:
         """Next non-duplicate message; ``None`` on clean EOF."""
-        while True:
-            got = read_frame_ex(self._rx)
-            if got is None:
-                return None
-            payload, seq = got
-            if seq and seq <= self._last_seq:
-                continue  # duplicated delivery: drop, keep reading
-            if seq:
-                self._last_seq = seq
-            return payload
+        return self._reader.read(None)
 
     def write(self, payload: Dict[str, Any]) -> None:
         self._out_seq += 1
-        self._send_bytes(encode_frame(payload, seq=self._out_seq))
+        self._sock.sendall(encode_frame(payload, seq=self._out_seq))
 
 
 class ShardWorker:
@@ -431,7 +422,7 @@ def run_socket(worker: ShardWorker, host: str, port: int, token: str) -> int:
             backoff = min(backoff * 2, 1.0)
             continue
         sock.settimeout(None)
-        channel = FrameChannel(sock.makefile("rb"), sock.sendall)
+        channel = FrameChannel(sock)
         try:
             channel.write({"op": "hello", "shard": worker.shard_id, "token": token})
             ack = channel.read()

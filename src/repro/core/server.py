@@ -410,10 +410,6 @@ class Server:
                 self._estimates_cache = estimates
             return self._estimates_cache
 
-    def estimated_fanout(self) -> float:
-        """Mean candidate count per root image (shortcut for tests)."""
-        return self.routing_estimates().fanout_total
-
     def candidate_counts(self, root_dewey: Dewey) -> "CandidateCounts":
         """(total, exact-quality) candidate counts for one root image.
 

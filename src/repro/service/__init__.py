@@ -12,8 +12,8 @@ robustness a single engine run cannot provide:
   :data:`repro.core.engine.FALLBACK_CHAIN`;
 - :mod:`repro.service.request` — the request / ticket / response
   envelope enforcing **exactly one terminal outcome per request**;
-- :mod:`repro.service.health` — outcome counters and the ``health()``
-  snapshot;
+- :mod:`repro.service.health` — the outcome counters ``health()``
+  reports;
 - :mod:`repro.service.service` — deadline propagation (queue wait is
   charged against the request budget), graceful drain shutdown, and
   (with a :class:`~repro.recovery.RecoveryStore` attached)
@@ -29,8 +29,8 @@ See ``docs/serving.md`` for the architecture and the drain semantics.
 
 from repro.obs import Observability
 from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.health import HealthSnapshot, ServiceCounters
-from repro.service.policies import DegradeSettings, OverloadPolicy
+from repro.service.health import ServiceCounters
+from repro.service.policies import OverloadPolicy
 from repro.service.queue import AdmissionQueue, AdmittedRequest
 from repro.service.request import (
     ROUTING_STRATEGIES,
@@ -46,8 +46,6 @@ __all__ = [
     "AdmittedRequest",
     "BreakerState",
     "CircuitBreaker",
-    "DegradeSettings",
-    "HealthSnapshot",
     "Observability",
     "Outcome",
     "OverloadPolicy",

@@ -3,13 +3,16 @@
 One breaker guards each engine algorithm the service can run.  The state
 machine is the classic three states:
 
-- **CLOSED** — requests flow; outcomes feed a sliding window.  When the
-  window holds at least ``min_calls`` outcomes and the failure rate
-  reaches ``failure_threshold``, the breaker trips.
+- **CLOSED** — requests flow; outcomes feed a sliding window of
+  :data:`WINDOW` outcomes.  When it holds at least :data:`MIN_CALLS` of
+  them and the failure rate reaches :data:`FAILURE_THRESHOLD`, the
+  breaker trips.
 - **OPEN** — requests are refused (the service walks the fallback chain
-  instead).  The open interval is *seeded probe scheduling*: base
-  duration, doubled per consecutive trip (capped), plus seeded jitter so
-  a fleet of services never probes a struggling engine in lockstep.
+  instead).  The open interval is *seeded probe scheduling*:
+  :data:`OPEN_SECONDS`, doubled per consecutive trip (at most
+  :data:`MAX_BACKOFF_DOUBLINGS` times), plus up to :data:`PROBE_JITTER`
+  of seeded jitter so a fleet of services never probes a struggling
+  engine in lockstep.
 - **HALF_OPEN** — after the open interval one probe request is let
   through; success closes the breaker (window reset), failure re-opens
   it with the next, longer interval.
@@ -18,6 +21,9 @@ What counts as *failure* is the caller's judgement — the service counts
 an engine raise, and a result whose supervision abandoned matches, as
 failures; a merely budget-degraded result is the anytime contract
 working, not an unhealthy engine.
+
+The tuning values are module constants; tests that need others
+monkeypatch them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,19 @@ from random import Random
 from typing import Callable, Deque, Dict, Optional
 
 from repro.core.stats import monotonic_seconds
-from repro.errors import ServiceError
+
+#: Failure rate over the window at which a closed breaker trips.
+FAILURE_THRESHOLD = 0.5
+#: Outcomes the sliding window holds.
+WINDOW = 8
+#: Outcomes the window must hold before its failure rate can trip it.
+MIN_CALLS = 4
+#: Open interval after a first trip, before jitter.
+OPEN_SECONDS = 0.25
+#: Consecutive trips double the open interval at most this many times.
+MAX_BACKOFF_DOUBLINGS = 5
+#: Seeded jitter: each open interval is stretched by up to this fraction.
+PROBE_JITTER = 0.5
 
 
 class BreakerState(enum.Enum):
@@ -41,41 +59,21 @@ class BreakerState(enum.Enum):
 
 
 class CircuitBreaker:
-    """Sliding-window failure-rate breaker with seeded probe scheduling."""
+    """Sliding-window failure-rate breaker with seeded probe scheduling.
+
+    ``seed`` drives the probe jitter, ``clock`` is the time source (unit
+    tests pass a fake one) and ``listener`` is the transition callback
+    described below.
+    """
 
     def __init__(
         self,
         name: str,
-        failure_threshold: float = 0.5,
-        window: int = 8,
-        min_calls: int = 4,
-        open_seconds: float = 0.25,
-        max_backoff_doublings: int = 5,
-        probe_jitter: float = 0.5,
         seed: int = 0,
         clock: Callable[[], float] = monotonic_seconds,
         listener: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
-        if not 0.0 < failure_threshold <= 1.0:
-            raise ServiceError(
-                f"failure_threshold must be in (0, 1], got {failure_threshold}"
-            )
-        if window < 1 or min_calls < 1:
-            raise ServiceError("window and min_calls must be >= 1")
-        if min_calls > window:
-            raise ServiceError(
-                f"min_calls ({min_calls}) cannot exceed window ({window})"
-            )
-        if open_seconds <= 0:
-            raise ServiceError(f"open_seconds must be positive, got {open_seconds}")
-        if not 0.0 <= probe_jitter <= 1.0:
-            raise ServiceError(f"probe_jitter must be in [0, 1], got {probe_jitter}")
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.min_calls = min_calls
-        self.open_seconds = open_seconds
-        self.max_backoff_doublings = max_backoff_doublings
-        self.probe_jitter = probe_jitter
         self._clock = clock
         #: Optional ``(name, old_state, new_state)`` callback fired on every
         #: state transition, **while holding the breaker lock** — listeners
@@ -86,7 +84,7 @@ class CircuitBreaker:
         # Reentrant: _trip() re-acquires under the recording methods.
         self._lock = threading.RLock()
         self._rng = Random(seed)
-        self._outcomes: Deque[bool] = deque(maxlen=window)
+        self._outcomes: Deque[bool] = deque(maxlen=WINDOW)
         self._state = BreakerState.CLOSED
         self._opened_at = 0.0
         self._open_for = 0.0
@@ -156,7 +154,7 @@ class CircuitBreaker:
             self._outcomes.append(False)
             total = len(self._outcomes)
             failures = sum(1 for ok in self._outcomes if not ok)
-            if total >= self.min_calls and failures / total >= self.failure_threshold:
+            if total >= MIN_CALLS and failures / total >= FAILURE_THRESHOLD:
                 self._trip()
 
     def _trip(self) -> None:
@@ -167,9 +165,9 @@ class CircuitBreaker:
             self._transition(BreakerState.OPEN)
             self._consecutive_trips += 1
             self._trips += 1
-            doublings = min(self._consecutive_trips - 1, self.max_backoff_doublings)
-            base = self.open_seconds * (2.0**doublings)
-            self._open_for = base * (1.0 + self.probe_jitter * self._rng.random())
+            doublings = min(self._consecutive_trips - 1, MAX_BACKOFF_DOUBLINGS)
+            base = OPEN_SECONDS * (2.0**doublings)
+            self._open_for = base * (1.0 + PROBE_JITTER * self._rng.random())
             self._opened_at = self._clock()
             self._outcomes.clear()
 

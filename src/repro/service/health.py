@@ -1,4 +1,4 @@
-"""Service observability: outcome counters and the health snapshot.
+"""Service observability: the outcome counters ``health()`` reports.
 
 :class:`ServiceCounters` follows ``core/stats.py`` conventions —
 counters increment through methods so the lock can wrap them, and
@@ -10,7 +10,7 @@ one instance lives for the whole service, so it is always thread-safe.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Dict
 
 from repro.service.request import Outcome
 
@@ -84,126 +84,3 @@ class ServiceCounters:
         snapshot = self.as_dict()
         parts = ", ".join(f"{key}={value}" for key, value in snapshot.items())
         return f"ServiceCounters({parts})"
-
-
-class HealthSnapshot:
-    """One consistent view of service health (``service.health()``).
-
-    Attributes
-    ----------
-    queue_depth / queue_capacity:
-        Admission-queue fill level.
-    overload_policy:
-        The configured policy's CLI spelling.
-    draining / stopped:
-        Lifecycle flags — a draining service rejects new work.
-    workers_alive / workers_total:
-        Worker-pool liveness.
-    breakers:
-        Algorithm name → :meth:`~repro.service.breaker.CircuitBreaker.snapshot`.
-    counters:
-        :meth:`ServiceCounters.as_dict` at snapshot time.
-    engine_stats:
-        Aggregate :meth:`~repro.core.stats.ExecutionStats.as_dict` merged
-        over every completed engine run.
-    metrics:
-        :meth:`~repro.obs.metrics.MetricsRegistry.as_dict` when the
-        service runs with observability enabled, else ``None``.
-    slow_queries:
-        :meth:`~repro.obs.slowlog.SlowQueryLog.as_dicts` when enabled,
-        else ``None``.
-    recovery:
-        ``{"pending_snapshots": <count>}`` when the service runs with a
-        :class:`~repro.recovery.RecoveryStore`, else ``None`` — non-zero
-        pending snapshots after a restart means ``recover()`` has work.
-    backend:
-        The execution backend's own ``health()`` dictionary when the
-        service delegates runs to one (e.g. the sharded cluster backend:
-        per-shard liveness, last-heartbeat age, failover counters), else
-        ``None`` for in-process engine execution.
-    """
-
-    __slots__ = (
-        "queue_depth",
-        "queue_capacity",
-        "overload_policy",
-        "draining",
-        "stopped",
-        "workers_alive",
-        "workers_total",
-        "breakers",
-        "counters",
-        "engine_stats",
-        "metrics",
-        "slow_queries",
-        "recovery",
-        "backend",
-    )
-
-    def __init__(
-        self,
-        queue_depth: int,
-        queue_capacity: int,
-        overload_policy: str,
-        draining: bool,
-        stopped: bool,
-        workers_alive: int,
-        workers_total: int,
-        breakers: Dict[str, Dict[str, object]],
-        counters: Dict[str, float],
-        engine_stats: Dict[str, float],
-        metrics: Optional[Dict[str, Dict[str, object]]] = None,
-        slow_queries: Optional[List[Dict[str, Any]]] = None,
-        recovery: Optional[Dict[str, Any]] = None,
-        backend: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.queue_depth = queue_depth
-        self.queue_capacity = queue_capacity
-        self.overload_policy = overload_policy
-        self.draining = draining
-        self.stopped = stopped
-        self.workers_alive = workers_alive
-        self.workers_total = workers_total
-        self.breakers = breakers
-        self.counters = counters
-        self.engine_stats = engine_stats
-        self.metrics = metrics
-        self.slow_queries = slow_queries
-        self.recovery = recovery
-        self.backend = backend
-
-    def ok(self) -> bool:
-        """Liveness verdict: accepting work and the pool is intact."""
-        return (
-            not self.draining
-            and not self.stopped
-            and self.workers_alive == self.workers_total
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly representation (stable key order)."""
-        return {
-            "ok": self.ok(),
-            "queue_depth": self.queue_depth,
-            "queue_capacity": self.queue_capacity,
-            "overload_policy": self.overload_policy,
-            "draining": self.draining,
-            "stopped": self.stopped,
-            "workers_alive": self.workers_alive,
-            "workers_total": self.workers_total,
-            "breakers": {name: dict(snap) for name, snap in sorted(self.breakers.items())},
-            "counters": dict(self.counters),
-            "engine_stats": dict(self.engine_stats),
-            "metrics": self.metrics,
-            "slow_queries": self.slow_queries,
-            "recovery": self.recovery,
-            "backend": self.backend,
-        }
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok() else "degraded"
-        return (
-            f"HealthSnapshot({verdict}, queue={self.queue_depth}/"
-            f"{self.queue_capacity}, workers={self.workers_alive}/"
-            f"{self.workers_total})"
-        )

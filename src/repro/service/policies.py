@@ -13,9 +13,12 @@ The service's backpressure story (docs/serving.md §2):
   a lower-priority one.
 - ``degrade`` — absorb pressure with Whirlpool's anytime machinery
   instead of dropping work: past a queue-depth watermark, admitted
-  requests get a tightened deadline and a shrunk ``k`` so each one holds
-  a worker for less time; a full queue still rejects (bounded means
-  bounded).
+  requests get a tightened deadline and a shrunk ``k`` (:func:`degrade`)
+  so each one holds a worker for less time; a full queue still rejects
+  (bounded means bounded).
+
+The ``degrade`` transform is tuned by the ``DEGRADE_*`` module
+constants; tests that need other values monkeypatch them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,21 @@ import enum
 from typing import Optional, Tuple
 
 from repro.errors import ServiceError
+
+#: Queue-depth fraction of capacity (measured before insertion) from
+#: which the ``degrade`` policy degrades admitted requests.
+DEGRADE_WATERMARK_FRACTION = 0.5
+#: Multiplier on a degraded request's remaining deadline.
+DEGRADE_DEADLINE_FACTOR = 0.5
+#: Deadline imposed on a degraded request that arrived without one — an
+#: unbounded request cannot absorb pressure.
+DEGRADE_FALLBACK_DEADLINE_SECONDS = 0.25
+#: Floor under the tightened deadline, so a degraded run can still
+#: produce a usable anytime result.
+DEGRADE_MIN_DEADLINE_SECONDS = 0.01
+#: Multiplier on a degraded request's ``k``, and its floor.
+DEGRADE_K_FACTOR = 0.5
+DEGRADE_MIN_K = 1
 
 
 class OverloadPolicy(enum.Enum):
@@ -46,82 +64,12 @@ class OverloadPolicy(enum.Enum):
         )
 
 
-class DegradeSettings:
-    """Knobs for the ``degrade`` policy's pressure-absorption transform.
-
-    Parameters
-    ----------
-    watermark_fraction:
-        Queue-depth fraction of capacity at which admitted requests start
-        being degraded (depth is measured before insertion).
-    deadline_factor:
-        Multiplier applied to the request's remaining deadline.
-    fallback_deadline:
-        Deadline imposed on requests that arrived without one — an
-        unbounded request cannot absorb pressure.
-    min_deadline:
-        Floor under the tightened deadline so a degraded run can still
-        produce a usable anytime result.
-    k_factor / min_k:
-        ``k`` shrink multiplier and its floor.
-    """
-
-    __slots__ = (
-        "watermark_fraction",
-        "deadline_factor",
-        "fallback_deadline",
-        "min_deadline",
-        "k_factor",
-        "min_k",
-    )
-
-    def __init__(
-        self,
-        watermark_fraction: float = 0.5,
-        deadline_factor: float = 0.5,
-        fallback_deadline: float = 0.25,
-        min_deadline: float = 0.01,
-        k_factor: float = 0.5,
-        min_k: int = 1,
-    ) -> None:
-        if not 0.0 <= watermark_fraction <= 1.0:
-            raise ServiceError(
-                f"watermark_fraction must be in [0, 1], got {watermark_fraction}"
-            )
-        if not 0.0 < deadline_factor <= 1.0:
-            raise ServiceError(
-                f"deadline_factor must be in (0, 1], got {deadline_factor}"
-            )
-        if fallback_deadline <= 0 or min_deadline <= 0:
-            raise ServiceError("degrade deadlines must be positive")
-        if not 0.0 < k_factor <= 1.0:
-            raise ServiceError(f"k_factor must be in (0, 1], got {k_factor}")
-        if min_k < 1:
-            raise ServiceError(f"min_k must be >= 1, got {min_k}")
-        self.watermark_fraction = watermark_fraction
-        self.deadline_factor = deadline_factor
-        self.fallback_deadline = fallback_deadline
-        self.min_deadline = min_deadline
-        self.k_factor = k_factor
-        self.min_k = min_k
-
-    def watermark(self, capacity: int) -> int:
-        """Queue depth (pre-insert) at which degradation kicks in."""
-        return int(capacity * self.watermark_fraction)
-
-    def apply(
-        self, deadline_seconds: Optional[float], k: int
-    ) -> Tuple[float, int]:
-        """(tightened deadline, shrunk k) for one degraded request."""
-        if deadline_seconds is None:
-            deadline = self.fallback_deadline
-        else:
-            deadline = max(deadline_seconds * self.deadline_factor, self.min_deadline)
-        shrunk_k = max(int(k * self.k_factor), self.min_k)
-        return deadline, shrunk_k
-
-    def __repr__(self) -> str:
-        return (
-            f"DegradeSettings(watermark={self.watermark_fraction:g}, "
-            f"deadline×{self.deadline_factor:g}, k×{self.k_factor:g})"
+def degrade(deadline_seconds: Optional[float], k: int) -> Tuple[float, int]:
+    """(tightened deadline, shrunk k) for one degraded request."""
+    if deadline_seconds is None:
+        deadline = DEGRADE_FALLBACK_DEADLINE_SECONDS
+    else:
+        deadline = max(
+            deadline_seconds * DEGRADE_DEADLINE_FACTOR, DEGRADE_MIN_DEADLINE_SECONDS
         )
+    return deadline, max(int(k * DEGRADE_K_FACTOR), DEGRADE_MIN_K)

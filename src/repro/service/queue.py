@@ -20,7 +20,8 @@ from typing import List, Optional, Tuple
 
 from repro.core.stats import monotonic_seconds
 from repro.errors import ServiceError
-from repro.service.policies import DegradeSettings, OverloadPolicy
+from repro.service import policies
+from repro.service.policies import OverloadPolicy
 from repro.service.request import Ticket
 
 #: :meth:`AdmissionQueue.offer` verdicts.
@@ -63,16 +64,12 @@ class AdmissionQueue:
     """Bounded, priority-aware queue with pluggable overload policies."""
 
     def __init__(
-        self,
-        capacity: int,
-        policy: OverloadPolicy = OverloadPolicy.REJECT,
-        degrade: Optional[DegradeSettings] = None,
+        self, capacity: int, policy: OverloadPolicy = OverloadPolicy.REJECT
     ) -> None:
         if capacity < 1:
             raise ServiceError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.policy = policy
-        self.degrade_settings = degrade if degrade is not None else DegradeSettings()
         self._cond = threading.Condition()
         self._entries: List[AdmittedRequest] = []
         self._closed = False
@@ -97,10 +94,9 @@ class AdmissionQueue:
         with self._cond:
             if self._closed:
                 return REJECTED, None
+            watermark = int(self.capacity * policies.DEGRADE_WATERMARK_FRACTION)
             degrade = (
-                self.policy is OverloadPolicy.DEGRADE
-                and len(self._entries)
-                >= self.degrade_settings.watermark(self.capacity)
+                self.policy is OverloadPolicy.DEGRADE and len(self._entries) >= watermark
             )
             evicted: Optional[AdmittedRequest] = None
             if len(self._entries) >= self.capacity:

@@ -250,10 +250,11 @@ class QueryResponse:
 class Ticket:
     """Single-assignment future for one submitted request.
 
-    :meth:`resolve` is first-wins and returns whether this call was the
-    one that resolved the ticket — the service increments its outcome
-    counters only on ``True``, which is what makes "exactly one terminal
-    outcome per request" an enforced invariant rather than a convention.
+    :meth:`claim` is first-wins and returns whether this call was the one
+    that fixed the outcome — the service increments its outcome counters
+    only on ``True``, then wakes waiters with :meth:`publish`; that is
+    what makes "exactly one terminal outcome per request" an enforced
+    invariant rather than a convention.
     """
 
     def __init__(self, request: QueryRequest, request_id: int) -> None:
@@ -261,7 +262,7 @@ class Ticket:
         self.request_id = request_id
         # Observability carriers: the submit thread attaches the span, the
         # single executing worker attaches the trace; both are read only
-        # after resolve() (first-wins) publishes the terminal outcome.
+        # after claim() (first-wins) fixes the terminal outcome.
         self.span: Span = NULL_SPAN
         self.trace: Optional["ExecutionTrace"] = None
         # Recovery carrier: set (before the queue offer) when the request
@@ -272,17 +273,10 @@ class Ticket:
         self._event = threading.Event()
         self._response: Optional[QueryResponse] = None
 
-    def resolve(self, response: QueryResponse) -> bool:
-        """Record the terminal outcome; ``False`` when already resolved."""
-        if not self.claim(response):
-            return False
-        self.publish()
-        return True
-
     def claim(self, response: QueryResponse) -> bool:
-        """First half of :meth:`resolve`: fix ``response`` as the terminal
-        outcome (first-wins) without waking waiters yet, so the winner can
-        finish its book-keeping before anyone reads it back."""
+        """Fix ``response`` as the terminal outcome (first-wins; ``False``
+        when already claimed) without waking waiters yet, so the winner
+        can finish its book-keeping before anyone reads it back."""
         with self._lock:
             if self._response is not None:
                 return False
@@ -290,7 +284,8 @@ class Ticket:
         return True
 
     def publish(self) -> None:
-        """Second half of :meth:`resolve`: wake everyone in :meth:`result`."""
+        """Wake everyone in :meth:`result` once the claimed outcome is
+        recorded."""
         self._event.set()
 
     def done(self) -> bool:
@@ -315,7 +310,7 @@ class Ticket:
             )
         with self._lock:
             response = self._response
-        assert response is not None  # resolve() set the event
+        assert response is not None  # claim() ran before publish()
         return response
 
     def __repr__(self) -> str:

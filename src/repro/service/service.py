@@ -3,6 +3,11 @@
 ``WhirlpoolService`` turns the one-shot :class:`~repro.core.engine.Engine`
 facade into a request-serving stack:
 
+- **one document registry** — the service alone maps a request's
+  document handle to its :class:`~repro.xmldb.model.Database`, once per
+  request, for the in-process engines and an execution backend alike;
+  a cached engine (or backend coordinator) is reused only while it was
+  built over the database the handle names now;
 - **admission** — a bounded :class:`~repro.service.queue.AdmissionQueue`
   with a pluggable :class:`~repro.service.policies.OverloadPolicy`;
 - **deadline propagation** — a request's ``deadline_seconds`` is measured
@@ -22,8 +27,8 @@ facade into a request-serving stack:
   budget (see :mod:`repro.recovery`).
 
 The exactly-one-outcome invariant is structural:
-:meth:`~repro.service.request.Ticket.resolve` is first-wins, counters
-increment only on the winning resolution, and every code path that takes
+:meth:`~repro.service.request.Ticket.claim` is first-wins, counters
+increment only on the winning claim, and every code path that takes
 ownership of a ticket ends in :meth:`WhirlpoolService._finish`.
 """
 
@@ -42,8 +47,8 @@ from repro.obs.spans import NULL_SPAN, Span
 from repro.recovery.policy import CheckpointPolicy
 from repro.recovery.store import RecoveryStore
 from repro.service.breaker import CircuitBreaker
-from repro.service.health import HealthSnapshot, ServiceCounters
-from repro.service.policies import DegradeSettings, OverloadPolicy
+from repro.service.health import ServiceCounters
+from repro.service.policies import OverloadPolicy, degrade
 from repro.service.queue import REJECTED, SHED, AdmissionQueue, AdmittedRequest
 from repro.service.request import Outcome, QueryRequest, QueryResponse, Ticket
 from repro.xmldb.model import Database
@@ -80,11 +85,9 @@ class WhirlpoolService:
     overload_policy:
         What admission does at capacity — see
         :class:`~repro.service.policies.OverloadPolicy`.
-    degrade:
-        Transform knobs for the ``degrade`` policy.
-    breaker_* / seed:
-        Circuit-breaker tuning; each algorithm's breaker gets a seed
-        derived from ``seed`` so probe schedules decorrelate.
+    seed:
+        Each algorithm's circuit breaker gets a seed derived from it, so
+        probe schedules decorrelate.
     observability:
         Optional :class:`~repro.obs.Observability` bundle.  When enabled
         the service opens one span per request, attaches one execution
@@ -117,10 +120,12 @@ class WhirlpoolService:
         execution (e.g. the sharded cluster coordinator of
         ``repro.cluster.service.ClusterBackend``, with its own failover
         and certificates).  The hook is duck-typed — anything with
-        ``run_query(request, k, deadline_seconds, restore_from)``,
+        ``run_query(request, database, k, deadline_seconds)``,
         ``health()`` and ``close()`` — so this module never imports the
-        higher ``cluster`` layer.  Breakers and the engine cache are
-        bypassed on the backend path; ``drain`` closes the backend.
+        higher ``cluster`` layer.  The service resolves ``database``
+        from the request's handle, so the backend keeps no registry of
+        its own.  Breakers and the engine cache are bypassed on the
+        backend path; ``drain`` closes the backend.
     """
 
     def __init__(
@@ -129,11 +134,6 @@ class WhirlpoolService:
         workers: int = 2,
         queue_depth: int = 16,
         overload_policy: OverloadPolicy = OverloadPolicy.REJECT,
-        degrade: Optional[DegradeSettings] = None,
-        breaker_failure_threshold: float = 0.5,
-        breaker_window: int = 8,
-        breaker_min_calls: int = 4,
-        breaker_open_seconds: float = 0.25,
         seed: int = 0,
         observability: Optional[Observability] = None,
         auto_start: bool = True,
@@ -147,8 +147,7 @@ class WhirlpoolService:
         self._recovery_store = recovery_store
         self._checkpoint_policy = checkpoint_policy
         self._backend = backend
-        self._queue = AdmissionQueue(queue_depth, policy=overload_policy, degrade=degrade)
-        self._degrade = self._queue.degrade_settings
+        self._queue = AdmissionQueue(queue_depth, policy=overload_policy)
         self.obs = observability if observability is not None else Observability.disabled()
         # Request-level metric families, registered up front (a disabled
         # registry hands back no-op instruments, keeping one code path).
@@ -203,15 +202,7 @@ class WhirlpoolService:
         self._m_recovered_child = self._m_recovered.labels()
         breaker_listener = self._on_breaker_transition if self.obs.enabled else None
         self._breakers: Dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(
-                name,
-                failure_threshold=breaker_failure_threshold,
-                window=breaker_window,
-                min_calls=breaker_min_calls,
-                open_seconds=breaker_open_seconds,
-                seed=seed + offset,
-                listener=breaker_listener,
-            )
+            name: CircuitBreaker(name, seed=seed + offset, listener=breaker_listener)
             for offset, name in enumerate(sorted(ALGORITHMS))
         }
         self._counters = ServiceCounters()
@@ -290,7 +281,11 @@ class WhirlpoolService:
     # -- admission ---------------------------------------------------------------
 
     def register_document(self, name: str, database: Database) -> None:
-        """Add (or replace) a document handle requests can address."""
+        """Add (or replace) a document handle requests can address.
+
+        A replaced handle's cached engines (and backend coordinator) are
+        rebuilt over ``database`` at the next request that names it.
+        """
         with self._engine_lock:
             self._documents[name] = database
 
@@ -353,34 +348,44 @@ class WhirlpoolService:
 
     # -- observability -----------------------------------------------------------
 
-    def health(self) -> HealthSnapshot:
-        """One consistent snapshot of queue, breakers, workers, counters."""
-        return HealthSnapshot(
-            queue_depth=self._queue.depth(),
-            queue_capacity=self._queue.capacity,
-            overload_policy=self._queue.policy.value,
-            draining=self._draining.is_set(),
-            stopped=self._stopped.is_set(),
-            workers_alive=sum(1 for thread in self._threads if thread.is_alive()),
-            workers_total=len(self._threads),
-            breakers={
-                name: breaker.snapshot() for name, breaker in self._breakers.items()
+    def health(self) -> Dict[str, Any]:
+        """One consistent snapshot of queue, breakers, workers, counters.
+
+        ``ok`` is the liveness verdict: accepting work with the pool
+        intact.  ``metrics`` and ``slow_queries`` are ``None`` without
+        observability, ``recovery`` (``{"pending_snapshots": n}``) without
+        a recovery store, and ``backend`` (the backend's own ``health()``)
+        for in-process execution.
+        """
+        draining = self._draining.is_set()
+        stopped = self._stopped.is_set()
+        workers_alive = sum(1 for thread in self._threads if thread.is_alive())
+        workers_total = len(self._threads)
+        return {
+            "ok": not draining and not stopped and workers_alive == workers_total,
+            "queue_depth": self._queue.depth(),
+            "queue_capacity": self._queue.capacity,
+            "overload_policy": self._queue.policy.value,
+            "draining": draining,
+            "stopped": stopped,
+            "workers_alive": workers_alive,
+            "workers_total": workers_total,
+            "breakers": {
+                name: breaker.snapshot() for name, breaker in sorted(self._breakers.items())
             },
-            counters=self._counters.as_dict(),
-            engine_stats=self._engine_stats.as_dict(),
-            metrics=self.obs.registry.as_dict() if self.obs.enabled else None,
-            slow_queries=(
+            "counters": self._counters.as_dict(),
+            "engine_stats": self._engine_stats.as_dict(),
+            "metrics": self.obs.registry.as_dict() if self.obs.enabled else None,
+            "slow_queries": (
                 self.obs.slow_log.as_dicts() if self.obs.slow_log is not None else None
             ),
-            recovery=(
+            "recovery": (
                 {"pending_snapshots": self._recovery_store.count()}
                 if self._recovery_store is not None
                 else None
             ),
-            backend=(
-                self._backend.health() if self._backend is not None else None
-            ),
-        )
+            "backend": self._backend.health() if self._backend is not None else None,
+        }
 
     def metrics_text(self) -> str:
         """Prometheus text exposition (empty when observability is off)."""
@@ -438,7 +443,7 @@ class WhirlpoolService:
         k = request.k
         degraded_by_service = False
         if entry.degrade:
-            remaining, k = self._degrade.apply(remaining, k)
+            remaining, k = degrade(remaining, k)
             degraded_by_service = True
             span.event("service_degrade", k=k, remaining_seconds=remaining)
 
@@ -453,26 +458,25 @@ class WhirlpoolService:
         if remaining is not None:
             remaining = max(remaining, _MIN_DEADLINE_SECONDS)
 
+        with self._engine_lock:
+            database = self._documents.get(request.document)
+        if database is None:
+            self._fail(
+                ticket,
+                "unknown_document",
+                ServiceError(f"unknown document {request.document!r}"),
+                queue_wait_seconds=wait,
+            )
+            return
+
         if self._backend is not None:
             self._execute_on_backend(
-                ticket, request, k, remaining, wait, degraded_by_service, span
+                ticket, request, database, k, remaining, wait, degraded_by_service, span
             )
             return
 
         try:
-            engine = self._engine_for(request)
-        except ServiceError as exc:
-            self._finish(
-                ticket,
-                QueryResponse(
-                    Outcome.FAILED,
-                    ticket.request_id,
-                    reason="unknown_document",
-                    error=str(exc),
-                    queue_wait_seconds=wait,
-                ),
-            )
-            return
+            engine = self._engine_for(request, database)
         except ReproError as exc:
             self._fail(ticket, "bad_request", exc, queue_wait_seconds=wait)
             return
@@ -586,6 +590,7 @@ class WhirlpoolService:
         self,
         ticket: Ticket,
         request: QueryRequest,
+        database: Database,
         k: int,
         remaining: Optional[float],
         wait: float,
@@ -605,10 +610,7 @@ class WhirlpoolService:
         backend_span.annotate("k", k)
         try:
             result = self._backend.run_query(
-                request,
-                k,
-                deadline_seconds=remaining,
-                restore_from=ticket.restore_from,
+                request, database, k, deadline_seconds=remaining
             )
         except ReproError as exc:
             self._fail(ticket, "backend_error", exc, backend_span, queue_wait_seconds=wait)
@@ -620,20 +622,22 @@ class WhirlpoolService:
 
     # -- internals ---------------------------------------------------------------
 
-    def _engine_for(self, request: QueryRequest) -> Engine:
+    def _engine_for(self, request: QueryRequest, database: Database) -> Engine:
+        """The cached engine for ``request``, rebuilt when its document's
+        handle now names another database (the one replacement rule
+        ``ClusterBackend`` follows for its coordinators too)."""
         key = (request.document, request.xpath, request.relaxed)
         with self._engine_lock:
             engine = self._engines.get(key)
-            if engine is not None:
-                return engine
-            database = self._documents.get(request.document)
-        if database is None:
-            raise ServiceError(f"unknown document {request.document!r}")
+        if engine is not None and engine.database is database:
+            return engine
         built = Engine(database, request.xpath, relaxed=request.relaxed)
         with self._engine_lock:
             # Two workers may have built concurrently; first one wins so
             # cached runs share one index / score model.
-            cached = self._engines.setdefault(key, built)
+            cached = self._engines.get(key)
+            if cached is None or cached.database is not database:
+                self._engines[key] = cached = built
             return cached
 
     def _serve(

@@ -129,3 +129,20 @@ def xmark_db() -> Database:
 def xmark_db_large() -> Database:
     """A medium XMark document for integration tests (~150 items)."""
     return generate_database(XMarkConfig(items=150, seed=7))
+
+
+@pytest.fixture
+def service_constants(monkeypatch):
+    """Set service tuning constants for one test: ``service_constants(
+    MIN_CALLS=2, OPEN_SECONDS=60.0)``.  Each name is looked up in
+    ``repro.service.breaker`` (the breaker tuning) and then
+    ``repro.service.policies`` (the ``DEGRADE_*`` transform)."""
+    from repro.service import breaker, policies
+
+    def apply(**constants):
+        for name, value in constants.items():
+            module = breaker if hasattr(breaker, name) else policies
+            assert hasattr(module, name), name
+            monkeypatch.setattr(module, name, value)
+
+    return apply

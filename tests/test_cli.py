@@ -167,6 +167,54 @@ class TestCluster:
             assert len(payload["answers"]) == k
 
 
+#: The ``health`` object ``serve-demo --json`` prints, key for key.
+SERVICE_HEALTH_KEYS = [
+    "ok",
+    "queue_depth",
+    "queue_capacity",
+    "overload_policy",
+    "draining",
+    "stopped",
+    "workers_alive",
+    "workers_total",
+    "breakers",
+    "counters",
+    "engine_stats",
+    "metrics",
+    "slow_queries",
+    "recovery",
+    "backend",
+]
+
+
+class TestServiceDemos:
+    def test_serve_demo_resolves_every_request(self, capsys):
+        code = main(["serve-demo", "--requests", "12", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert sum(payload["outcomes"].values()) == 12
+        assert payload["unresolved"] == 0
+        assert list(payload["health"]) == SERVICE_HEALTH_KEYS
+
+    def test_metrics_on_a_cluster_backend(self, capsys):
+        code = main(
+            ["metrics", "--requests", "6", "--format", "json", "--cluster-shards", "1"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["backend"]["kind"] == "cluster"
+        assert payload["backend"]["documents"]["auction"]["live_shards"] == 1
+        assert "whirlpool_requests_total" in payload["metrics"]
+
+    def test_recover_replays_every_populated_request(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        code = main(["recover", "--store", store, "--populate", "4", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        got = [payload[key] for key in ("populated", "recovered", "invalid", "pending_after")]
+        assert got == [4, 4, 0, 0]
+
+
 class TestSim:
     def test_explore_clean_code_exits_zero(self, capsys):
         code = main(["sim", "explore", "--budget", "6", "--items", "30", "--json"])

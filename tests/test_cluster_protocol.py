@@ -7,7 +7,6 @@ process-level tests in ``test_cluster.py`` / ``test_cluster_chaos.py``
 only have to exercise orchestration.
 """
 
-import io
 import os
 import random
 import struct
@@ -34,9 +33,8 @@ from repro.cluster.protocol import (
     FrameReader,
     FrameTimeout,
     decode_body,
+    decode_header,
     encode_frame,
-    read_frame_ex,
-    write_frame,
 )
 from repro.cluster.worker import ShardWorker
 from repro.core.engine import Engine
@@ -58,69 +56,88 @@ from repro.xmark.schema import XMarkConfig
 # ---------------------------------------------------------------------------
 
 
+def _feed_reader(data: bytes):
+    """Run ``data`` through a pipe-backed FrameReader to exhaustion,
+    collecting every outcome (decoded frame, EOF, or typed error)."""
+    read_fd, write_fd = os.pipe()
+    outcomes = []
+    try:
+        os.write(write_fd, data)
+        os.close(write_fd)
+        write_fd = -1
+        reader = FrameReader(read_fd)
+        while True:
+            try:
+                frame = reader.read(deadline_at=monotonic_seconds() + 1.0)
+            except ProtocolError as exc:
+                outcomes.append(exc)
+                return outcomes
+            except ClusterError as exc:  # read past EOF after an error
+                outcomes.append(exc)
+                return outcomes
+            if frame is None:
+                outcomes.append(None)
+                return outcomes
+            outcomes.append(frame)
+    finally:
+        os.close(read_fd)
+        if write_fd >= 0:
+            os.close(write_fd)
+
+
 def test_frame_round_trip():
     payload = {"op": "step", "id": 7, "nested": {"k": [1, 2, 3]}, "text": "héllo"}
     assert decode_body(encode_frame(payload)[HEADER_BYTES:]) == payload
 
-    stream = io.BytesIO()
-    write_frame(stream, payload)
-    write_frame(stream, {"op": "ping", "id": 8})
-    stream.seek(0)
-    assert read_frame_ex(stream) == (payload, 0)
-    assert read_frame_ex(stream) == ({"op": "ping", "id": 8}, 0)
-    assert read_frame_ex(stream) is None  # clean EOF
+    stream = encode_frame(payload) + encode_frame({"op": "ping", "id": 8})
+    # Both frames, then a clean EOF.
+    assert _feed_reader(stream) == [payload, {"op": "ping", "id": 8}, None]
 
 
 def test_frame_sequence_numbers_round_trip():
-    stream = io.BytesIO()
-    write_frame(stream, {"op": "step"}, seq=41)
-    stream.seek(0)
-    got = read_frame_ex(stream)
-    assert got is not None
-    assert got == ({"op": "step"}, 41)
+    frame = encode_frame({"op": "step"}, seq=41)
+    assert decode_header(frame[:HEADER_BYTES])[1] == 41
+    # The reader delivers seq 41 once and then the next sequence number.
+    after = encode_frame({"op": "ping"}, seq=42)
+    assert _feed_reader(frame + frame + after) == [{"op": "step"}, {"op": "ping"}, None]
 
 
 def test_read_frame_rejects_torn_stream():
-    stream = io.BytesIO()
-    write_frame(stream, {"op": "ping"})
-    data = stream.getvalue()
-    with pytest.raises(ProtocolError):
-        read_frame_ex(io.BytesIO(data[: len(data) - 2]))  # truncated body
-    with pytest.raises(ProtocolError):
-        read_frame_ex(io.BytesIO(data[:2]))  # truncated header
+    data = encode_frame({"op": "ping"})
+    for torn in (data[: len(data) - 2], data[:2]):  # truncated body, then header
+        (outcome,) = _feed_reader(torn)
+        assert isinstance(outcome, ProtocolError)
+        assert outcome.reason == "truncated"
 
 
 def test_oversize_length_prefix_is_rejected_before_any_read():
     # Regression: a corrupted 4-byte length prefix used to drive an
     # unbounded read/allocation.  The declared length must be rejected
-    # from the header alone, as a typed error, on both read paths.
+    # from the header alone, as a typed error.
     header = struct.pack(">HIII", FRAME_MAGIC, MAX_FRAME_BYTES + 1, 0, 0)
-    with pytest.raises(FrameTooLargeError) as exc_info:
-        read_frame_ex(io.BytesIO(header))
-    assert exc_info.value.declared_bytes == MAX_FRAME_BYTES + 1
-    assert exc_info.value.reason == "oversize"
-
     read_fd, write_fd = os.pipe()
     try:
         os.write(write_fd, header)
-        with pytest.raises(FrameTooLargeError):
+        with pytest.raises(FrameTooLargeError) as exc_info:
             FrameReader(read_fd).read(deadline_at=monotonic_seconds() + 1.0)
     finally:
         os.close(read_fd)
         os.close(write_fd)
+    assert exc_info.value.declared_bytes == MAX_FRAME_BYTES + 1
+    assert exc_info.value.reason == "oversize"
 
 
 def test_bad_magic_and_crc_mismatch_are_typed_errors():
     frame = bytearray(encode_frame({"op": "ping"}, seq=1))
     flipped_magic = bytes([frame[0] ^ 0xFF]) + bytes(frame[1:])
-    with pytest.raises(FrameCorruptError) as exc_info:
-        read_frame_ex(io.BytesIO(flipped_magic))
-    assert exc_info.value.reason == "bad_magic"
+    (outcome,) = _feed_reader(flipped_magic)
+    assert isinstance(outcome, FrameCorruptError)
+    assert outcome.reason == "bad_magic"
 
     flipped_body = bytes(frame[:-1]) + bytes([frame[-1] ^ 0x01])
-    with pytest.raises(FrameCorruptError) as exc_info:
-        read_frame_ex(io.BytesIO(flipped_body))
-    assert exc_info.value.reason == "crc_mismatch"
+    (outcome,) = _feed_reader(flipped_body)
+    assert isinstance(outcome, FrameCorruptError)
+    assert outcome.reason == "crc_mismatch"
 
 
 def test_encode_frame_enforces_the_cap():
@@ -171,35 +188,6 @@ def test_frame_reader_drops_duplicated_frames():
     finally:
         os.close(read_fd)
         os.close(write_fd)
-
-
-def _feed_reader(data: bytes):
-    """Run ``data`` through a pipe-backed FrameReader to exhaustion,
-    collecting every outcome (decoded frame, EOF, or typed error)."""
-    read_fd, write_fd = os.pipe()
-    outcomes = []
-    try:
-        os.write(write_fd, data)
-        os.close(write_fd)
-        write_fd = -1
-        reader = FrameReader(read_fd)
-        while True:
-            try:
-                frame = reader.read(deadline_at=monotonic_seconds() + 1.0)
-            except ProtocolError as exc:
-                outcomes.append(exc)
-                return outcomes
-            except ClusterError as exc:  # read past EOF after an error
-                outcomes.append(exc)
-                return outcomes
-            if frame is None:
-                outcomes.append(None)
-                return outcomes
-            outcomes.append(frame)
-    finally:
-        os.close(read_fd)
-        if write_fd >= 0:
-            os.close(write_fd)
 
 
 def test_frame_reader_fuzz_never_returns_garbage():

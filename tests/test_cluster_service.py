@@ -29,7 +29,7 @@ def database():
 
 
 def test_backend_serves_exact_answers_through_service(database):
-    backend = ClusterBackend({"auction": database}, shards=2, skew=1.0)
+    backend = ClusterBackend(shards=2, skew=1.0)
     with WhirlpoolService(
         {"auction": database}, workers=2, backend=backend
     ) as service:
@@ -49,45 +49,44 @@ def test_backend_serves_exact_answers_through_service(database):
 
 
 def test_health_carries_backend_fleet(database):
-    backend = ClusterBackend({"auction": database}, shards=2)
+    backend = ClusterBackend(shards=2)
     with WhirlpoolService(
         {"auction": database}, workers=1, backend=backend
     ) as service:
         service.submit(QueryRequest("auction", QUERY, k=K)).result(timeout=30.0)
-        snapshot = service.health()
-        assert snapshot.backend is not None
-        assert snapshot.backend["kind"] == "cluster"
-        doc = snapshot.backend["documents"]["auction"]
+        backend_health = service.health()["backend"]
+        assert backend_health is not None
+        assert backend_health["kind"] == "cluster"
+        doc = backend_health["documents"]["auction"]
         assert doc["live_shards"] == 2
         assert set(doc["per_shard"]) == {0, 1}
         for row in doc["per_shard"].values():
             assert "last_heartbeat_age_seconds" in row
             assert "failovers" in row
-        assert snapshot.as_dict()["backend"]["kind"] == "cluster"
     # Drain closed the backend.
     assert backend.health()["closed"]
     with pytest.raises(ClusterError):
-        backend.run_query(QueryRequest("auction", QUERY, k=K), K)
+        backend.run_query(QueryRequest("auction", QUERY, k=K), database, K)
 
 
 def test_backend_unknown_document_fails_request(database):
-    backend = ClusterBackend({"auction": database}, shards=1)
-    with WhirlpoolService(
-        {"auction": database, "ghost": database}, workers=1, backend=backend
-    ) as service:
-        # "ghost" passes service admission (it is registered there) but
-        # the backend has no handle for it → FAILED backend_error.
+    # The service resolves the handle before the backend sees the
+    # request: a handle it does not know fails the same way in process
+    # and on the cluster, and the backend builds no coordinator for it.
+    backend = ClusterBackend(shards=1)
+    with WhirlpoolService({"auction": database}, workers=1, backend=backend) as service:
         response = service.submit(
             QueryRequest("ghost", QUERY, k=K)
         ).result(timeout=30.0)
+        assert backend.health()["documents"] == {}
     assert response.outcome is Outcome.FAILED
-    assert response.reason == "backend_error"
+    assert response.reason == "unknown_document"
 
 
 def test_concurrent_submissions_serialize_on_the_coordinator(database):
     # More in-flight requests than coordinator slots (one): the busy
     # poll-retry path must serve all of them, none lost or deadlocked.
-    backend = ClusterBackend({"auction": database}, shards=2)
+    backend = ClusterBackend(shards=2)
     with WhirlpoolService(
         {"auction": database}, workers=3, queue_depth=8, backend=backend
     ) as service:
@@ -106,9 +105,9 @@ def test_blocked_submit_wakes_promptly_when_slot_frees(database):
     import threading
     import time
 
-    backend = ClusterBackend({"auction": database}, shards=2)
+    backend = ClusterBackend(shards=2)
     try:
-        coordinator = backend._coordinator_for("auction")
+        coordinator = backend._coordinator_for("auction", database)
         assert coordinator.wait_idle(timeout=1.0) is True  # idle: immediate
         finished = {}
 
@@ -126,7 +125,7 @@ def test_blocked_submit_wakes_promptly_when_slot_frees(database):
             # While the slot is held, a bounded wait times out (False)...
             assert coordinator.wait_idle(timeout=0.05) is False
             # ...and a blocked submit rides the condition to completion.
-            result = backend.run_query(QueryRequest("auction", QUERY, k=K), K)
+            result = backend.run_query(QueryRequest("auction", QUERY, k=K), database, K)
             woke_at = time.monotonic()
         finally:
             holder.join(timeout=30.0)
@@ -141,10 +140,10 @@ def test_two_submits_one_coordinator_wait_by_type_not_by_wording(database, monke
     # The busy slot is a type.  Whatever the message says, the backend
     # waits and retries; a ClusterError that merely reads like the old
     # sentence is a real error and reaches the client.
-    backend = ClusterBackend({"auction": database}, shards=1)
+    backend = ClusterBackend(shards=1)
     request = QueryRequest("auction", QUERY, k=K)
     try:
-        coordinator = backend._coordinator_for("auction")
+        coordinator = backend._coordinator_for("auction", database)
         real_run_query = coordinator.run_query
         with coordinator._lock:
             coordinator._active = True  # another submit holds the slot
@@ -180,13 +179,17 @@ def test_two_submits_one_coordinator_wait_by_type_not_by_wording(database, monke
 
 
 def test_register_document_replaces_coordinator(database):
+    # Re-registering a handle through the service rebuilds the backend's
+    # coordinator over the new document and closes the stale one.
     other = generate_database(XMarkConfig(items=20, seed=9))
-    backend = ClusterBackend({"auction": database}, shards=1)
-    try:
-        first = backend.run_query(QueryRequest("auction", QUERY, k=K), K)
-        backend.register_document("auction", other)
-        second = backend.run_query(QueryRequest("auction", QUERY, k=K), K)
-        assert_same_topk(full_ranking(Engine(other, QUERY)), second)
-        assert first.answers  # the pre-replacement run was real too
-    finally:
-        backend.close()
+    backend = ClusterBackend(shards=1)
+    with WhirlpoolService({"auction": database}, workers=1, backend=backend) as service:
+        first = service.submit(QueryRequest("auction", QUERY, k=K)).result(timeout=30.0)
+        stale = backend._coordinators["auction"]
+        service.register_document("auction", other)
+        second = service.submit(QueryRequest("auction", QUERY, k=K)).result(timeout=30.0)
+        assert backend._coordinators["auction"].database is other
+        assert stale.health()["closed"]
+    assert first.outcome is Outcome.SERVED and first.result.answers
+    assert second.outcome is Outcome.SERVED
+    assert_same_topk(full_ranking(Engine(other, QUERY)), second.result)

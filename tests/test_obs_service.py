@@ -19,6 +19,7 @@ from repro.analysis.racecheck import RaceCheck
 from repro.faults import FaultAction, FaultPlan, FaultRule, FaultSite
 from repro.obs import Observability
 from repro.service import Outcome, QueryRequest, WhirlpoolService
+from repro.service import breaker as breaker_module
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 
@@ -66,20 +67,20 @@ class TestMetricsExport:
         ) as service:
             serve_one(service)
             health = service.health()
-        assert health.metrics is not None
-        assert "whirlpool_requests_total" in health.metrics
-        assert health.slow_queries is not None and health.slow_queries
+        assert health["metrics"] is not None
+        assert "whirlpool_requests_total" in health["metrics"]
+        assert health["slow_queries"] is not None and health["slow_queries"]
         # The whole snapshot must survive JSON round-tripping (the point
         # of the one-export model).
-        payload = json.loads(json.dumps(health.as_dict()))
+        payload = json.loads(json.dumps(health))
         assert payload["metrics"]["whirlpool_requests_total"]["kind"] == "counter"
 
     def test_disabled_observability_is_invisible(self, xmark_db):
         with WhirlpoolService({"auction": xmark_db}, workers=1) as service:
             response = serve_one(service)
             health = service.health()
-        assert health.metrics is None
-        assert health.slow_queries is None
+        assert health["metrics"] is None
+        assert health["slow_queries"] is None
         assert response.span is None
         assert service.metrics_text() == ""
         assert service.slow_queries() == []
@@ -241,7 +242,7 @@ class TestBreakerMetrics:
             {"auction": xmark_db}, workers=1, observability=obs
         ) as service:
             breaker = service.breaker("whirlpool_s")
-            for _ in range(breaker.min_calls):
+            for _ in range(breaker_module.MIN_CALLS):
                 breaker.record_failure()
         transitions = obs.registry.counter(
             "whirlpool_breaker_transitions_total",

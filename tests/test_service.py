@@ -10,12 +10,13 @@ import time
 
 import pytest
 
+from repro.cluster.service import ClusterBackend
+from repro.core.engine import Engine
 from repro.errors import ServiceError
 from repro.service import (
     AdmissionQueue,
     BreakerState,
     CircuitBreaker,
-    DegradeSettings,
     Outcome,
     OverloadPolicy,
     QueryRequest,
@@ -23,7 +24,11 @@ from repro.service import (
     Ticket,
     WhirlpoolService,
 )
+from repro.service.policies import degrade
 from repro.service.queue import ADMITTED, REJECTED, SHED
+from repro.xmark.generator import generate_database
+from repro.xmark.schema import XMarkConfig
+from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 
@@ -123,47 +128,35 @@ class FakeClock:
         self.now += seconds
 
 
-def make_breaker(clock, **kwargs):
-    defaults = dict(
-        failure_threshold=0.5,
-        window=4,
-        min_calls=2,
-        open_seconds=1.0,
-        probe_jitter=0.0,
-        seed=3,
-        clock=clock,
-    )
-    defaults.update(kwargs)
-    return CircuitBreaker("test", **defaults)
+@pytest.fixture
+def make_breaker(service_constants):
+    """Breakers over a small window, a 1 s open interval and no jitter;
+    keyword arguments override the tuning constants."""
+
+    def make(clock, seed=3, **constants):
+        tuning = dict(WINDOW=4, MIN_CALLS=2, OPEN_SECONDS=1.0, PROBE_JITTER=0.0)
+        tuning.update(constants)
+        service_constants(**tuning)
+        return CircuitBreaker("test", seed=seed, clock=clock)
+
+    return make
 
 
 class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            CircuitBreaker("x", failure_threshold=0.0)
-        with pytest.raises(ServiceError):
-            CircuitBreaker("x", window=0)
-        with pytest.raises(ServiceError):
-            CircuitBreaker("x", window=2, min_calls=3)
-        with pytest.raises(ServiceError):
-            CircuitBreaker("x", open_seconds=0.0)
-        with pytest.raises(ServiceError):
-            CircuitBreaker("x", probe_jitter=2.0)
-
-    def test_stays_closed_below_min_calls(self):
-        breaker = make_breaker(FakeClock(), min_calls=3)
+    def test_stays_closed_below_min_calls(self, make_breaker):
+        breaker = make_breaker(FakeClock(), MIN_CALLS=3)
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state() is BreakerState.CLOSED
         assert breaker.allow()
 
-    def test_stays_closed_below_failure_threshold(self):
-        breaker = make_breaker(FakeClock(), failure_threshold=0.75, min_calls=4)
+    def test_stays_closed_below_failure_threshold(self, make_breaker):
+        breaker = make_breaker(FakeClock(), FAILURE_THRESHOLD=0.75, MIN_CALLS=4)
         for healthy in (False, True, True, False):
             breaker.record_success() if healthy else breaker.record_failure()
         assert breaker.state() is BreakerState.CLOSED  # 2/4 < 0.75
 
-    def test_trips_at_threshold_and_blocks(self):
+    def test_trips_at_threshold_and_blocks(self, make_breaker):
         clock = FakeClock()
         breaker = make_breaker(clock)
         breaker.record_failure()
@@ -172,12 +165,12 @@ class TestCircuitBreaker:
         assert not breaker.allow()
         assert breaker.snapshot()["trips"] == 1
 
-    def test_half_open_probe_success_closes(self):
+    def test_half_open_probe_success_closes(self, make_breaker):
         clock = FakeClock()
         breaker = make_breaker(clock)
         breaker.record_failure()
         breaker.record_failure()
-        clock.advance(1.01)  # past open_seconds (jitter disabled)
+        clock.advance(1.01)  # past OPEN_SECONDS (jitter disabled)
         assert breaker.allow()  # the single probe
         assert breaker.state() is BreakerState.HALF_OPEN
         assert not breaker.allow()  # second caller blocked while probing
@@ -185,7 +178,7 @@ class TestCircuitBreaker:
         assert breaker.state() is BreakerState.CLOSED
         assert breaker.allow()
 
-    def test_half_open_probe_failure_reopens_longer(self):
+    def test_half_open_probe_failure_reopens_longer(self, make_breaker):
         clock = FakeClock()
         breaker = make_breaker(clock)
         breaker.record_failure()
@@ -199,9 +192,9 @@ class TestCircuitBreaker:
         clock.advance(0.6)  # 2.1 total > 2.0
         assert breaker.allow()
 
-    def test_open_interval_doubling_caps(self):
+    def test_open_interval_doubling_caps(self, make_breaker):
         clock = FakeClock()
-        breaker = make_breaker(clock, max_backoff_doublings=1)
+        breaker = make_breaker(clock, MAX_BACKOFF_DOUBLINGS=1)
         for _ in range(5):  # many consecutive trips
             breaker.record_failure()
             breaker.record_failure()
@@ -211,18 +204,18 @@ class TestCircuitBreaker:
         remaining = breaker.snapshot()["open_remaining_seconds"]
         assert remaining is not None and remaining <= 2.0  # capped at one doubling
 
-    def test_probe_jitter_is_seeded_and_bounded(self):
+    def test_probe_jitter_is_seeded_and_bounded(self, make_breaker):
         spans = []
         for _ in range(2):
             clock = FakeClock()
-            breaker = make_breaker(clock, probe_jitter=0.5, seed=7)
+            breaker = make_breaker(clock, PROBE_JITTER=0.5, seed=7)
             breaker.record_failure()
             breaker.record_failure()
             spans.append(breaker.snapshot()["open_remaining_seconds"])
         assert spans[0] == spans[1]  # same seed, same schedule
         assert 1.0 <= spans[0] <= 1.5
 
-    def test_snapshot_shape(self):
+    def test_snapshot_shape(self, make_breaker):
         breaker = make_breaker(FakeClock())
         breaker.record_failure()
         snap = breaker.snapshot()
@@ -236,8 +229,9 @@ class TestTicket:
         ticket = make_ticket(1)
         first = QueryResponse(Outcome.SERVED, 1)
         second = QueryResponse(Outcome.FAILED, 1, reason="engine_error")
-        assert ticket.resolve(first)
-        assert not ticket.resolve(second)
+        assert ticket.claim(first)
+        assert not ticket.claim(second)
+        ticket.publish()
         assert ticket.peek() is first
         assert ticket.result(timeout=0.1).outcome is Outcome.SERVED
 
@@ -263,21 +257,21 @@ class TestRequestValidation:
 
 
 class TestDegradeSettings:
+    """The ``degrade`` transform under the ``DEGRADE_*`` constants."""
+
     def test_apply_tightens_deadline_and_shrinks_k(self):
-        settings = DegradeSettings(deadline_factor=0.5, k_factor=0.5, min_k=1)
-        deadline, k = settings.apply(2.0, 8)
+        deadline, k = degrade(2.0, 8)
         assert deadline == pytest.approx(1.0)
         assert k == 4
 
     def test_apply_imposes_fallback_deadline_on_unbounded(self):
-        settings = DegradeSettings(fallback_deadline=0.25)
-        deadline, k = settings.apply(None, 1)
+        deadline, k = degrade(None, 1)
         assert deadline == pytest.approx(0.25)
         assert k == 1
 
-    def test_floors(self):
-        settings = DegradeSettings(min_deadline=0.01, min_k=2)
-        deadline, k = settings.apply(0.001, 2)
+    def test_floors(self, service_constants):
+        service_constants(DEGRADE_MIN_K=2)
+        deadline, k = degrade(0.001, 2)
         assert deadline == pytest.approx(0.01)
         assert k == 2
 
@@ -285,7 +279,7 @@ class TestDegradeSettings:
 class TestServiceLifecycle:
     def test_happy_path_and_drain(self, xmark_db):
         with WhirlpoolService({"auction": xmark_db}, workers=2) as service:
-            assert service.health().ok()
+            assert service.health()["ok"]
             ticket = service.submit(QueryRequest("auction", QUERY, k=5))
             response = ticket.result(timeout=30.0)
         assert response.outcome is Outcome.SERVED
@@ -293,8 +287,8 @@ class TestServiceLifecycle:
         assert response.algorithm_used == "whirlpool_s"
         assert response.fallback_from is None
         health = service.health()
-        assert health.stopped and not health.ok()
-        assert health.counters["served"] == 1
+        assert health["stopped"] and not health["ok"]
+        assert health["counters"]["served"] == 1
 
     def test_submit_after_drain_is_rejected(self, xmark_db):
         service = WhirlpoolService({"auction": xmark_db}, workers=1)
@@ -333,6 +327,26 @@ class TestServiceLifecycle:
         assert response.outcome is Outcome.FAILED
         assert response.reason == "bad_request"
         assert response.error
+
+
+class TestReregisteredDocument:
+    """``register_document`` under a served handle: the next request is
+    answered over the new database, in process and on a cluster."""
+
+    @pytest.mark.parametrize("on_cluster", [False, True], ids=["in_process", "cluster"])
+    def test_second_answer_comes_from_the_new_database(self, on_cluster):
+        old = generate_database(XMarkConfig(items=40, seed=7))
+        new = generate_database(XMarkConfig(items=20, seed=9))
+        backend = ClusterBackend(shards=1) if on_cluster else None
+        with WhirlpoolService({"auction": old}, workers=1, backend=backend) as service:
+            first = service.submit(QueryRequest("auction", QUERY, k=5)).result(timeout=60.0)
+            service.register_document("auction", new)
+            second = service.submit(QueryRequest("auction", QUERY, k=5)).result(timeout=60.0)
+        assert first.outcome is Outcome.SERVED and first.result.answers
+        assert second.outcome is Outcome.SERVED
+        for answer in second.result.answers:
+            assert new.node_by_dewey(answer.root_node.dewey) is answer.root_node
+        assert_same_topk(full_ranking(Engine(new, QUERY)), second.result)
 
 
 class TestDeadlinePropagation:
@@ -394,14 +408,9 @@ class TestDegradeUnderLoad:
 
 
 class TestBreakerFallback:
-    def test_open_breaker_reroutes_and_records(self, xmark_db):
-        service = WhirlpoolService(
-            {"auction": xmark_db},
-            workers=1,
-            breaker_min_calls=2,
-            breaker_window=4,
-            breaker_open_seconds=60.0,
-        )
+    def test_open_breaker_reroutes_and_records(self, xmark_db, service_constants):
+        service_constants(MIN_CALLS=2, WINDOW=4, OPEN_SECONDS=60.0)
+        service = WhirlpoolService({"auction": xmark_db}, workers=1)
         breaker = service.breaker("whirlpool_m")
         breaker.record_failure()
         breaker.record_failure()
@@ -412,17 +421,12 @@ class TestBreakerFallback:
         assert response.outcome is Outcome.SERVED
         assert response.fallback_from == "whirlpool_m"
         assert response.algorithm_used == "whirlpool_s"
-        assert service.health().counters["fallbacks"] == 1
+        assert service.health()["counters"]["fallbacks"] == 1
         assert service.drain(budget_seconds=5.0)
 
-    def test_whole_chain_open_fails_structurally(self, xmark_db):
-        service = WhirlpoolService(
-            {"auction": xmark_db},
-            workers=1,
-            breaker_min_calls=2,
-            breaker_window=4,
-            breaker_open_seconds=60.0,
-        )
+    def test_whole_chain_open_fails_structurally(self, xmark_db, service_constants):
+        service_constants(MIN_CALLS=2, WINDOW=4, OPEN_SECONDS=60.0)
+        service = WhirlpoolService({"auction": xmark_db}, workers=1)
         for name in ("whirlpool_m", "whirlpool_s", "lockstep"):
             service.breaker(name).record_failure()
             service.breaker(name).record_failure()

@@ -81,9 +81,9 @@ def test_chaos_matrix_exactly_one_outcome_and_clean_drain(xmark_db):
 
     # Exactly one terminal outcome per request: re-resolving always loses.
     for ticket, response in zip(tickets, responses):
-        assert not ticket.resolve(response)
+        assert not ticket.claim(response)
 
-    counters = service.health().counters
+    counters = service.health()["counters"]
     assert counters["submitted"] == len(tickets)
     assert sum(counters[outcome.value] for outcome in Outcome) == len(tickets)
 
@@ -100,19 +100,17 @@ def test_chaos_matrix_exactly_one_outcome_and_clean_drain(xmark_db):
             assert response.reason
 
 
-def test_tripped_breaker_serves_via_fallback(xmark_db):
+def test_tripped_breaker_serves_via_fallback(xmark_db, service_constants):
+    service_constants(MIN_CALLS=2, WINDOW=4, OPEN_SECONDS=60.0)  # stays open throughout
     service = WhirlpoolService(
         {"auction": xmark_db},
         workers=1,  # serialize so breaker state between requests is deterministic
         queue_depth=16,
-        breaker_min_calls=2,
-        breaker_window=4,
-        breaker_open_seconds=60.0,  # stays open for the whole test
         seed=1,
     )
 
     # Two hostile whirlpool_m runs: each abandons all matches, and two
-    # abandonment failures reach min_calls at a 100% failure rate.
+    # abandonment failures reach MIN_CALLS at a 100% failure rate.
     hostile = [
         service.submit(
             QueryRequest(
@@ -142,7 +140,7 @@ def test_tripped_breaker_serves_via_fallback(xmark_db):
     assert response.fallback_from == "whirlpool_m"
     assert response.algorithm_used in ("whirlpool_s", "lockstep")
     assert response.result is not None and response.result.answers
-    assert service.health().counters["fallbacks"] >= 1
+    assert service.health()["counters"]["fallbacks"] >= 1
 
     assert service.drain(budget_seconds=10.0)
 
@@ -172,7 +170,7 @@ def test_chaos_with_saturation_still_conserves(xmark_db, seed):
         for index in range(12)
     ]
     assert service.drain(budget_seconds=60.0)
-    counters = service.health().counters
+    counters = service.health()["counters"]
     assert counters["submitted"] == len(tickets)
     assert sum(counters[outcome.value] for outcome in Outcome) == len(tickets)
     for ticket in tickets:

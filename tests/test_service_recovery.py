@@ -50,7 +50,7 @@ class TestDrainPersists:
         outcomes = [ticket.result(1.0).outcome for ticket in tickets]
         assert outcomes == [Outcome.SHED] * 5
         assert store.count() == 5
-        assert service.health().recovery == {"pending_snapshots": 5}
+        assert service.health()["recovery"] == {"pending_snapshots": 5}
 
         successor = make_service(xmark_db, store)
         summary = successor.recover()
@@ -62,7 +62,7 @@ class TestDrainPersists:
             assert response.outcome is Outcome.SERVED
             assert response.result is not None and response.result.answers
         assert store.count() == 0
-        counters = successor.health().counters
+        counters = successor.health()["counters"]
         assert counters["recovered"] == 5
         successor.drain()
 
@@ -270,7 +270,7 @@ class TestSubmitVsDrainHammer:
         responses = [ticket.result(timeout=10.0) for ticket in tickets]
         assert len(responses) == 48
         # Counters conserve: everything submitted was resolved, once.
-        counters = service.health().counters
+        counters = service.health()["counters"]
         assert counters["submitted"] == 48
         resolved = sum(counters[outcome.value] for outcome in Outcome)
         assert resolved == 48

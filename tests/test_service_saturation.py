@@ -77,7 +77,7 @@ def test_saturation_conserves_every_request(xmark_db, policy, seed):
     # Conservation: the five terminal outcomes partition the burst.
     tally = Counter(response.outcome for response in responses)
     assert sum(tally.values()) == BURST
-    counters = service.health().counters
+    counters = service.health()["counters"]
     assert counters["submitted"] == BURST
     assert (
         counters["served"]
@@ -93,8 +93,8 @@ def test_saturation_conserves_every_request(xmark_db, policy, seed):
 
     # No duplicates: a second resolution of any ticket must lose.
     for ticket, response in zip(tickets, responses):
-        assert not ticket.resolve(response)
-    assert service.health().counters["submitted"] == BURST  # counters untouched
+        assert not ticket.claim(response)
+    assert service.health()["counters"]["submitted"] == BURST  # counters untouched
 
     # Nothing failed — saturation is an overload scenario, not an error.
     assert tally.get(Outcome.FAILED, 0) == 0
@@ -129,4 +129,4 @@ def test_reject_policy_serves_exactly_the_queued_prefix(xmark_db, seed):
     # requests are admitted and everything after them is rejected.
     assert all(outcome in RAN for outcome in outcomes[:CAPACITY])
     assert all(outcome is Outcome.REJECTED for outcome in outcomes[CAPACITY:])
-    assert service.health().counters["rejected"] == BURST - CAPACITY
+    assert service.health()["counters"]["rejected"] == BURST - CAPACITY
