@@ -10,8 +10,9 @@ that for two fixed queries so the trajectory gate
   unfinished extension, one per *batch* of completed siblings;
 - ``match_materializations`` — ``instantiations`` / ``qualities`` dicts
   built; a fault-free relaxed run without a trace reads none (0);
-- ``bound_table_entries`` — distinct visited sets the run met (at most
-  2^servers), each summed once;
+- ``bound_table_entries`` — distinct visited sets the run looked its
+  unvisited servers up for (at most 2^servers; the remaining bound each
+  leaves is summed once per root, in the root's row of the bound table);
 - ``exclusion_sets_allocated`` — routing decisions answered with anything
   but the supervisor's shared empty set (0 without faults);
 - ``stats_closures_built`` — functions ``ExecutionStats.record_*`` built

@@ -1196,16 +1196,11 @@ class Coordinator:
         rounds: int,
         span: Span,
     ) -> ClusterResult:
-        max_contributions = {
-            node_id: engine.score_model.max_contribution(node_id)
-            for node_id in engine.score_model.node_ids()
-        }
         answers: List[TopKAnswer] = []
         for dewey, score, shard_id in merged:
+            # An answer's match is a record: nothing reads its bound.
             payload = states[shard_id].match_payloads[dewey_str(dewey)]
-            match = decode_match(
-                payload, self.database.node_by_dewey, max_contributions
-            )
+            match = decode_match(payload, self.database.node_by_dewey)
             root = self.database.node_by_dewey(dewey)
             if root is None:  # pragma: no cover - remap guarantees presence
                 raise ClusterError(f"merged answer references unknown root {dewey}")

@@ -2,16 +2,24 @@
 
 All four algorithms (Whirlpool-S, Whirlpool-M, LockStep, LockStep-NoPrun)
 share everything except their control flow: the compiled plan, one
-:class:`~repro.core.server.Server` per non-root query node, the score
-model's per-server maximum contributions (bound material), the shared
-top-k set, and the statistics bundle.  :class:`EngineBase` holds that and
-implements the two steps every engine performs identically:
+:class:`~repro.core.server.Server` per non-root query node, the bound
+material, the shared top-k set, and the statistics bundle.  :class:`EngineBase`
+holds that and implements the two steps every engine performs identically:
 
 - **seeding** — the root server generates one initial partial match per
   candidate root node (Section 5.1: "the book server ... initializes the
   set of partial matches");
-- **absorbing extensions** — refresh bound, report to the top-k set,
-  detect completion, prune.
+- **absorbing extensions** — bound, report to the top-k set, detect
+  completion, prune.
+
+Bound material is per root: a match's upper bound is its score plus what
+its unvisited servers can still add *for its root* — their caps in the
+root's row of the Engine's bound table (:class:`~repro.core.server.RootBounds`,
+filled by the Engine's probe sweep), which the seed hands to every match
+it spawns.  At the seed of a relaxed run that bound is the root's best
+final score.  A run built without the table (private probe memos) bounds
+every root by one shared row of the model's ``max_contribution`` — the
+same code path, with database-wide maxima.
 
 The adaptive engines' step is built from it too: pop → :meth:`EngineBase.admit`
 → :meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put.
@@ -37,7 +45,7 @@ from typing import (
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue, QueuePolicy
 from repro.core.router import MinAliveRouter, RoutingStrategy
-from repro.core.server import ProbeMemo, Server
+from repro.core.server import CapRow, ProbeMemo, RootBounds, Server
 from repro.core.stats import ExecutionStats
 from repro.core.topk import TopKAnswer, TopKSet
 from repro.core.trace import EngineObserver
@@ -172,6 +180,7 @@ class EngineBase:
         checkpoint_policy: Optional[CheckpointPolicy] = None,
         checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
         probe_memos: Optional[Mapping[int, ProbeMemo]] = None,
+        root_bounds: Optional[Mapping[Dewey, RootBounds]] = None,
     ) -> None:
         if k <= 0:
             raise EngineError(f"k must be positive, got {k}")
@@ -233,12 +242,16 @@ class EngineBase:
             )
             for node_id in self.server_ids
         }
-        #: What every match that has been through the same servers shares,
-        #: filled as the run meets new visited sets (at most 2^servers):
-        #: visited -> (the unvisited servers' summed maximum contributions,
-        #: their ids in ``server_ids`` order).  Read through
-        #: :meth:`bound_entry`.
-        self.bound_table: Dict[FrozenSet[int], Tuple[float, Tuple[int, ...]]] = {}
+        #: root Dewey -> that root's row of the Engine's bound table (empty
+        #: without an Engine); :attr:`default_bounds` serves every other root.
+        self.root_bounds: Mapping[Dewey, RootBounds] = (
+            root_bounds if root_bounds is not None else {}
+        )
+        #: The row of every root without one: database-wide maxima.
+        self.default_bounds = RootBounds(CapRow(dict(self.max_contributions)))
+        #: visited -> the unvisited servers' ids in ``server_ids`` order,
+        #: filled as the run meets new visited sets (at most 2^servers).
+        self.bound_table: Dict[FrozenSet[int], Tuple[int, ...]] = {}
         threshold_source = "all" if relaxed else "complete"
         self.topk = TopKSet(k, threshold_source=threshold_source)
         self.router: RoutingStrategy = router if router is not None else MinAliveRouter()
@@ -382,27 +395,52 @@ class EngineBase:
 
     # -- shared steps --------------------------------------------------------------
 
-    def bound_entry(self, visited: FrozenSet[int]) -> Tuple[float, Tuple[int, ...]]:
-        """``(remaining, unvisited)`` for a match that has been through
-        the servers in ``visited``: the most the other servers can still
-        add to its score, and which they are (none: the match is complete).
+    def unvisited(self, visited: FrozenSet[int]) -> Tuple[int, ...]:
+        """The servers a match that has been through ``visited`` has still
+        to visit, in ``server_ids`` order (none: the match is complete)."""
+        unvisited = self.bound_table.get(visited)
+        if unvisited is None:
+            unvisited = self.bound_table[visited] = tuple(
+                node_id for node_id in self.server_ids if node_id not in visited
+            )
+        return unvisited
 
-        ``remaining`` is summed in ``max_contributions`` order from 0.0,
-        exactly as :meth:`PartialMatch.refresh_bound` sums it, so
-        ``score + remaining`` is the float ``refresh_bound`` stores.  An
-        entry is a pure function of ``visited``: Whirlpool-M's threads may
-        each build a missing one, and whichever is stored is the same.
+    def bounds_for(self, match: PartialMatch) -> RootBounds:
+        """``match``'s row of the bound table, handed down from its seed —
+        looked up (and kept) for a match made any other way."""
+        bounds = match.root_bounds
+        if bounds is None:
+            bounds = match.root_bounds = self.root_bounds.get(
+                match.root_node.dewey, self.default_bounds
+            )
+        return bounds
+
+    def bound_entry(
+        self, visited: FrozenSet[int], caps: CapRow
+    ) -> Tuple[float, Tuple[int, ...]]:
+        """``(remaining, unvisited)`` for a match, with caps ``caps``, that
+        has been through the servers in ``visited``: the most the other
+        servers can still add for its root, and which they are (none: the
+        match is complete).
+
+        Both halves are kept, per visited set — ``unvisited`` in the run's
+        :attr:`bound_table`, ``remaining`` in the cap row — so a batch of
+        siblings reads them once, with no summing and no key but
+        ``visited``.  Each is a pure function of its table and ``visited``:
+        Whirlpool-M's threads may each build a missing one, and whichever is
+        stored is the same.
         """
-        entry = self.bound_table.get(visited)
-        if entry is None:
-            remaining = 0.0
-            unvisited: List[int] = []
-            for node_id, max_contribution in self.max_contributions.items():
-                if node_id not in visited:
-                    remaining += max_contribution
-                    unvisited.append(node_id)
-            entry = self.bound_table[visited] = (remaining, tuple(unvisited))
-        return entry
+        unvisited = self.unvisited(visited)
+        remaining = caps.remaining.get(visited)
+        if remaining is None:
+            remaining = caps.remaining[visited] = caps.remaining_for(unvisited)
+        return remaining, unvisited
+
+    def bind(self, match: PartialMatch) -> None:
+        """Give a match with no parent — a seed, or one decoded from a
+        snapshot — its root's row and its upper bound."""
+        remaining = self.bound_entry(match.visited, self.bounds_for(match).caps)[0]
+        match.upper_bound = match.score + remaining
 
     def start_matches(self) -> List[PartialMatch]:
         """What a run puts in its router queue first: the staged matches
@@ -421,17 +459,27 @@ class EngineBase:
     def seed_matches(self) -> List[PartialMatch]:
         """Root-server output: one initial match per candidate root node."""
         root = self.pattern.root
-        remaining, unvisited = self.bound_entry(frozenset())
+        rows = self.root_bounds
+        default = self.default_bounds
+        unseen: FrozenSet[int] = frozenset()
+        every_server = self.unvisited(unseen)
         seeds: List[PartialMatch] = []
         for node in self.index[root.tag].all():
             if not root.matches_value(node.value):
                 continue
             match = PartialMatch.initial(node)
+            # What :meth:`bind` does, without two calls per root.
+            bounds = match.root_bounds = rows.get(node.dewey, default)
+            caps = bounds.caps
+            remaining = caps.remaining.get(unseen)
+            if remaining is None:
+                remaining = caps.remaining[unseen] = caps.remaining_for(every_server)
             match.upper_bound = match.score + remaining
             seeds.append(match)
         self.stats.record_created(len(seeds))
+        complete = not self.server_ids
         for match in seeds:
-            threshold = self.topk.observe(match, complete=not unvisited)
+            threshold = self.topk.observe(match, complete=complete)
             if self.observer is not None:
                 self.observer.on_seed(match, threshold)
         return seeds
@@ -448,14 +496,15 @@ class EngineBase:
 
         One queue pop produces every sibling at once, and siblings differ
         only in candidate and score: they share the popped match's root
-        and one ``visited`` object (checked here — it is what makes the
-        rest valid), hence one :meth:`bound_entry` and one completeness,
-        read once for the batch.  Each unfinished sibling is reported to
-        the top-k set and tested as ``is_pruned`` would test it next:
-        against the threshold that report returns, and against the closing
-        level read once for the batch (by a run that prunes) — reports of
-        unfinished siblings cannot move it (under Whirlpool-M another
-        thread can only raise it, and the older value prunes less).
+        (hence its row of the bound table) and one ``visited`` object
+        (checked here — it is what makes the rest valid), hence one
+        :meth:`bound_entry` and one completeness, read once for the batch.
+        Each unfinished sibling is reported to the top-k set and tested as
+        ``is_pruned`` would test it next: against the threshold that report
+        returns, and against the closing level read once for the batch (by
+        a run that prunes) — reports of unfinished siblings cannot move it
+        (under Whirlpool-M another thread can only raise it, and the older
+        value prunes less).
 
         A last-hop batch meets the top-k set once, through its *first
         best* sibling.  Reporting each in turn would leave exactly that:
@@ -477,17 +526,24 @@ class EngineBase:
         """
         if not extensions:
             return []
-        visited = extensions[0].visited
-        remaining, unvisited = self.bound_entry(visited)
+        best = extensions[0]
+        visited = best.visited
+        bounds = best.root_bounds
+        if bounds is None:
+            bounds = self.bounds_for(best)
+        # :meth:`bound_entry`, read in place: two lookups, no call.
+        unvisited = self.bound_table.get(visited)
+        remaining = bounds.caps.remaining.get(visited)
+        if unvisited is None or remaining is None:
+            remaining, unvisited = self.bound_entry(visited, bounds.caps)
         observe = self.topk.observe
         observer = self.observer
         if not unvisited:
-            best = extensions[0]
             for extension in extensions:
                 if extension.visited is not visited:
                     raise EngineError(_NOT_SIBLINGS)
-                extension.upper_bound = extension.score + remaining
-                if extension.score > best.score:
+                score = extension.upper_bound = extension.score
+                if score > best.score:
                     best = extension
             threshold = observe(best, True)
             self.stats.record_completed(len(extensions))
@@ -658,7 +714,7 @@ class EngineBase:
             except InjectedFaultError as exc:
                 self.supervisor.record_component_error("router", exc)
                 fallback = True
-        unvisited: Sequence[int] = self.bound_entry(match.visited)[1]
+        unvisited: Sequence[int] = self.unvisited(match.visited)
         if not unvisited:
             raise EngineError(
                 f"match {match.match_id} is complete; it should not be routed"
@@ -700,9 +756,7 @@ class EngineBase:
                 # and only a checkpoint restore brings the work back.
                 raise
             except Exception as exc:  # noqa: B902 — supervision boundary
-                alternatives = (
-                    can_requeue and len(self.bound_entry(match.visited)[1]) > 1
-                )
+                alternatives = can_requeue and len(self.unvisited(match.visited)) > 1
                 action = supervisor.on_error(match, server_id, exc, alternatives)
                 if action is FailureAction.RETRY:
                     supervisor.backoff(

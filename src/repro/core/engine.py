@@ -10,14 +10,19 @@ Typical use::
         print(answer.score, answer.root_node)
 
 The facade owns everything derived from (database, query): the restricted
-tag index, the database statistics, the tf*idf score model and the servers'
-probe memos — the last three filled while the Engine is built by one
-forward merge per server of its tag index with the root images
-(:meth:`~repro.xmldb.index.DatabaseIndex.related_each`).  Each
-:meth:`Engine.run` opens a fresh algorithm instance around them, so one
-Engine can be reused across k
-values, algorithms and routing strategies — which is precisely what the
-benchmark harness does — and answers without going back to the index.
+tag index, the database statistics, the score model, the servers' probe
+memos and the bound table.  Building an Engine merges each server's tag
+index with the root images once
+(:meth:`~repro.xmldb.index.DatabaseIndex.related_each`): the sweep fills
+the memos, its counts are the statistics a tf*idf model is built from, and
+with the model it gives every root its row of the bound table
+(:class:`~repro.core.server.RootBounds`) — per server, the root's candidate
+counts and the most that server can add for it.  A match is bounded by its
+score plus what its root's row leaves to its unvisited servers, not by
+database-wide maxima.  Each :meth:`Engine.run` opens a fresh algorithm
+instance around them, so one Engine can be reused across k values,
+algorithms and routing strategies — which is precisely what the benchmark
+harness does — and answers without going back to the index.
 """
 
 from __future__ import annotations
@@ -29,7 +34,16 @@ from repro.core.base import EngineBase, TopKResult
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
-from repro.core.server import PROBE_MEMO_CAP, ProbeMemo, Server, probe_every_root
+from repro.core.server import (
+    PROBE_MEMO_CAP,
+    CandidateCounts,
+    CapRow,
+    ProbeEntry,
+    ProbeMemo,
+    RootBounds,
+    Server,
+    probe_every_root,
+)
 from repro.core.trace import EngineObserver
 from repro.core.whirlpool_m import WhirlpoolM
 from repro.core.whirlpool_s import WhirlpoolS
@@ -39,6 +53,7 @@ from repro.query.xpath import parse_xpath
 from repro.relax.plan import compile_plan
 from repro.scoring.model import ScoreModel, build_score_model
 from repro.scoring.tfidf import score_all_answers
+from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import Database, XMLNode
 from repro.xmldb.stats import DatabaseStatistics
@@ -92,11 +107,13 @@ class Engine:
     algorithm), shared by every run — concurrent ones included — and
     bounded by the document's root images (or
     :data:`~repro.core.server.PROBE_MEMO_CAP`, when there are fewer) each.
-    Building a tf*idf Engine fills every ``"index"`` memo with every root
-    image in one index sweep per server, so its first run probes nothing.
-    Memoized probes are pure functions of (database, query), and
-    ``ExecutionStats`` charge hits and misses alike, so a warm run's
-    result equals a cold run's.
+    Building an Engine fills every ``"index"`` memo with every root image
+    in one index sweep per server, so its first run probes nothing, and
+    builds :attr:`root_bounds` from the same sweep.  Memoized probes are
+    pure functions of (database, query), and ``ExecutionStats`` charge hits
+    and misses alike.  A run built without the Engine (private memos, no
+    table) bounds every root by ``max_contribution``: its operation counts
+    are its own, its answers the same.
     """
 
     def __init__(
@@ -130,44 +147,55 @@ class Engine:
             }
             for join_algorithm in Server.JOIN_ALGORITHMS
         }
+        root_tag = self.pattern.root.tag
+        roots = self.index[root_tag].all()
+        specs = list(compile_plan(self.pattern, relaxed).servers.values())
+        memos = self._probe_memos["index"]
+        probes: Dict[int, List[ProbeEntry]] = {
+            spec.node_id: probe_every_root(spec, self.index, roots, memos[spec.node_id])
+            for spec in specs
+        }
+
+        def probed_statistics() -> DatabaseStatistics:
+            # The sweep's counts *are* the fan-outs a tf*idf model asks the
+            # statistics for: ``total`` under the server's probe axis,
+            # ``exact`` under its exact root axis, keyed by axis — where the
+            # two coincide (exact mode, or an axis relaxation does not
+            # weaken) the lists are equal and one is kept.  In exact mode
+            # the model's relaxed-axis statistics come from the statistics'
+            # own lazy sweep — the same merge, once per predicate.
+            for spec in specs:
+                entries = probes[spec.node_id]
+                totals = [counts.total for _, _, counts in entries]
+                exacts = [counts.exact for _, _, counts in entries]
+                for axis, fanouts in {
+                    spec.probe_axis: totals,
+                    spec.exact_root_axis: exacts,
+                }.items():
+                    self.statistics.record(
+                        root_tag, spec.tag, axis, fanouts, spec.value, spec.value_op
+                    )
+            return self.statistics
+
         if score_model is not None:
             self.score_model = score_model
         else:
             self.score_model = build_score_model(
                 self.pattern,
-                stats=self._probed_statistics,
+                stats=probed_statistics,
                 kind=scoring,
                 normalization=normalization,
                 seed=seed,
             )
+        #: The bound table: root Dewey -> :class:`~repro.core.server.RootBounds`,
+        #: every run's bound material (:meth:`EngineBase.bound_entry`).
+        self.root_bounds: Dict[Dewey, RootBounds] = _bound_table(
+            roots, probes, self.score_model, relaxed
+        )
         self._path_summary: Optional["PathSummary"] = None
         # Engines are shared across service worker threads; the lazy
         # path-summary build must publish exactly one instance.
         self._summary_lock = threading.Lock()
-
-    def _probed_statistics(self) -> DatabaseStatistics:
-        """``self.statistics``, holding every component predicate's fan-outs.
-
-        One index sweep per server over every root image
-        (:func:`~repro.core.server.probe_every_root`) fills the ``"index"``
-        probe memos, and the entries' counts *are* the fan-outs a tf*idf
-        model asks the statistics for: ``total`` under the server's probe
-        axis, ``exact`` under its exact root axis.  In exact mode the two
-        axes coincide and the model's relaxed-axis statistics come from the
-        statistics' own lazy sweep — the same merge, once per predicate.
-        """
-        root_tag = self.pattern.root.tag
-        roots = self.index[root_tag].all()
-        memos = self._probe_memos["index"]
-        for spec in compile_plan(self.pattern, self.relaxed).servers.values():
-            totals, exacts = probe_every_root(spec, self.index, roots, memos[spec.node_id])
-            # Keyed by axis: where the two coincide (exact mode, or an axis
-            # relaxation does not weaken) the lists are equal and one is kept.
-            for axis, fanouts in {spec.probe_axis: totals, spec.exact_root_axis: exacts}.items():
-                self.statistics.record(
-                    root_tag, spec.tag, axis, fanouts, spec.value, spec.value_op
-                )
-        return self.statistics
 
     # -- running -------------------------------------------------------------------
 
@@ -301,6 +329,7 @@ class Engine:
             checkpoint_sink=checkpoint_sink,
             # An unknown join algorithm is rejected by Server below.
             probe_memos=self._probe_memos.get(join_algorithm),
+            root_bounds=self.root_bounds,
         )
         if engine_cls in (LockStep, LockStepNoPrun):
             instance: EngineBase = engine_cls(order=static_order, **kwargs)
@@ -330,6 +359,40 @@ class Engine:
     def server_node_ids(self) -> List[int]:
         """Preorder ids of the query's server nodes (for static orders)."""
         return [node.node_id for node in self.pattern.non_root_nodes()]
+
+
+def _bound_table(
+    roots: List[XMLNode],
+    probes: Dict[int, List[ProbeEntry]],
+    score_model: ScoreModel,
+    relaxed: bool,
+) -> Dict[Dewey, RootBounds]:
+    """One :class:`~repro.core.server.RootBounds` per root image, from each
+    server's probe sweep (``probes``: server node id -> one entry per root,
+    in ``roots`` order) and the model's caps for them.  Equal rows, and
+    equal cap rows within them, are one object: a document has few
+    distinct ones, and a cap row's ``remaining`` is then shared too."""
+    server_ids = sorted(probes)
+    caps = {
+        node_id: score_model.caps(node_id, probes[node_id], relaxed)
+        for node_id in server_ids
+    }
+    cap_rows: Dict[Tuple[float, ...], CapRow] = {}
+    rows: Dict[Tuple[Tuple[float, ...], Tuple[CandidateCounts, ...]], RootBounds] = {}
+    table: Dict[Dewey, RootBounds] = {}
+    for i, root in enumerate(roots):
+        cap_key = tuple(caps[node_id][i] for node_id in server_ids)
+        count_key = tuple(probes[node_id][i][2] for node_id in server_ids)
+        row = rows.get((cap_key, count_key))
+        if row is None:
+            cap_row = cap_rows.get(cap_key)
+            if cap_row is None:
+                cap_row = cap_rows[cap_key] = CapRow(dict(zip(server_ids, cap_key)))
+            row = rows[cap_key, count_key] = RootBounds(
+                cap_row, dict(zip(server_ids, count_key))
+            )
+        table[root.dewey] = row
+    return table
 
 
 def topk(

@@ -7,16 +7,18 @@ marker (leaf-deletion semantics).  It carries:
 - its **current score** — the sum of the contributions granted so far;
 - its **visited set** — which servers have processed it (the paper's bit
   vector; here a frozenset of node ids);
-- its **upper bound** — current score plus the maximum contribution of
-  every unvisited server: the *maximum possible final score* that drives
-  both pruning and the adaptive priority queues.
+- its **upper bound** — current score plus the most every unvisited
+  server can still add for its root: the *maximum possible final score*
+  that drives both pruning and the adaptive priority queues;
+- its root's **row of the bound table** (``root_bounds``), which the seed
+  is given and every extension inherits.
 
 Matches are immutable once created; servers spawn new extended matches.
 Scores are monotone along any extension chain, which is what makes pruning
 against the current top-k threshold safe.
 
-What a match stores.  An extension keeps its root, score, bound, visited
-set and the one step that made it — ``(parent, node id, candidate,
+What a match stores.  An extension keeps its root, its row, score, bound,
+visited set and the one step that made it — ``(parent, node id, candidate,
 quality)`` — so :meth:`PartialMatch.extend` is O(1) in the query size.
 ``instantiations`` and ``qualities`` remain public dicts with the contents
 and key order an eager copy per ``extend`` would give, but exist only from
@@ -33,10 +35,13 @@ whose bound and completeness it may compute once.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sized, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Sized, Tuple
 
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import XMLNode
+
+if TYPE_CHECKING:
+    from repro.core.server import RootBounds
 
 _match_counter = itertools.count()
 
@@ -53,6 +58,7 @@ class PartialMatch:
     __slots__ = (
         "match_id",
         "root_node",
+        "root_bounds",
         "visited",
         "score",
         "upper_bound",
@@ -73,6 +79,9 @@ class PartialMatch:
     ) -> None:
         self.match_id = next(_match_counter)
         self.root_node = root_node
+        #: The root's :class:`~repro.core.server.RootBounds`, set by the
+        #: engine that seeds or decodes the match; extensions inherit it.
+        self.root_bounds: Optional["RootBounds"] = None
         self._instantiations = instantiations
         self._qualities = qualities
         #: ``(parent, node_id, candidate, quality)`` for a match made by
@@ -80,7 +89,9 @@ class PartialMatch:
         self._step: Optional[_Step] = None
         self.visited = visited
         self.score = score
-        self.upper_bound = score  # refreshed via refresh_bound()
+        #: Set by the engine (``EngineBase.bind`` for a seed or a decoded
+        #: match, ``EngineBase.absorb_extensions`` for an extension).
+        self.upper_bound = score
         self.arrival = self.match_id  # FIFO tiebreaker / arrival order
         #: The snapshot codec's payload for this match, kept by
         #: :func:`~repro.recovery.codec.encode_match` once it has built it.
@@ -123,6 +134,7 @@ class PartialMatch:
             self.score + contribution,
         )
         extension._step = (self, node_id, candidate, quality)
+        extension.root_bounds = self.root_bounds
         return extension
 
     # -- the dict views --------------------------------------------------------
@@ -171,20 +183,6 @@ class PartialMatch:
         return instantiations, qualities
 
     # -- bound management ------------------------------------------------------
-
-    def refresh_bound(self, max_contributions: Dict[int, float]) -> float:
-        """Recompute the maximum possible final score.
-
-        ``max_contributions`` maps every server node id to the largest
-        contribution that server can grant.  The bound is admissible because
-        contributions are non-negative and bounded by their per-server max.
-        """
-        remaining = 0.0
-        for node_id, max_contribution in max_contributions.items():
-            if node_id not in self.visited:
-                remaining += max_contribution
-        self.upper_bound = self.score + remaining
-        return self.upper_bound
 
     def max_next_score(
         self, node_id: int, max_contributions: Dict[int, float]

@@ -23,13 +23,14 @@ is exactly what makes the strategy adaptive.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
     from repro.core.base import EngineBase
+    from repro.core.server import CandidateCounts
     from repro.xmldb.summary import PathSummary
 
 
@@ -42,8 +43,9 @@ class RoutingStrategy:
         """Return the node id of the next server for ``match``.
 
         ``engine`` exposes ``servers`` (node id → Server), ``server_ids``
-        (sorted), ``max_contributions`` (node id → float), ``bound_entry``
-        (visited set → (remaining bound, unvisited server ids)),
+        (sorted), ``max_contributions`` (node id → float), ``unvisited``
+        (visited set → unvisited server ids), ``bounds_for`` (match → its
+        root's row of the bound table),
         ``routing_table`` (node id → (server, exact contribution, relaxed
         contribution, max contribution)) and ``topk`` (the shared
         :class:`~repro.core.topk.TopKSet`).
@@ -51,7 +53,7 @@ class RoutingStrategy:
         raise NotImplementedError
 
     def _unvisited(self, match: PartialMatch, engine: "EngineBase") -> Tuple[int, ...]:
-        unvisited = engine.bound_entry(match.visited)[1]
+        unvisited = engine.unvisited(match.visited)
         if not unvisited:
             raise EngineError(
                 f"match {match.match_id} is complete; it should not be routed"
@@ -134,6 +136,9 @@ class MinAliveRouter(RoutingStrategy):
         threshold = engine.topk.threshold()
         table = engine.routing_table
         rest_total = sum(table[node_id][3] for node_id in unvisited)
+        # The root's counts from its row of the bound table, read without
+        # a lock (None without a table: each server's memo has them).
+        counts = engine.bounds_for(match).counts
 
         # Primary: fewest alive extensions.  Ties break toward the server
         # with the largest maximum contribution — among equally-sized
@@ -142,7 +147,9 @@ class MinAliveRouter(RoutingStrategy):
         best_key = None
         best_id = unvisited[0]
         for node_id in unvisited:
-            alive = self._estimated_alive(match, engine, node_id, rest_total, threshold)
+            alive = self._estimated_alive(
+                match, engine, node_id, rest_total, threshold, counts
+            )
             key = (alive, -table[node_id][3], node_id)
             if best_key is None or key < best_key:
                 best_key = key
@@ -156,11 +163,15 @@ class MinAliveRouter(RoutingStrategy):
         node_id: int,
         rest_total: float,
         threshold: float,
+        root_counts: Optional[Mapping[int, "CandidateCounts"]],
     ) -> float:
         server, exact_contribution, relaxed_contribution, max_contribution = (
             engine.routing_table[node_id]
         )
-        counts = server.candidate_counts(match.root_node.dewey)
+        if root_counts is not None:
+            counts = root_counts[node_id]
+        else:
+            counts = server.candidate_counts(match.root_node.dewey)
         # Maximum the *other* unvisited servers can still add afterwards.
         rest = rest_total - max_contribution
         score = match.score
@@ -201,6 +212,7 @@ class EstimatedMinAliveRouter(MinAliveRouter):
         node_id: int,
         rest_total: float,
         threshold: float,
+        root_counts: Optional[Mapping[int, "CandidateCounts"]],
     ) -> float:
         server, exact_contribution, relaxed_contribution, max_contribution = (
             engine.routing_table[node_id]

@@ -30,7 +30,7 @@ filters.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
 from repro.core.stats import ExecutionStats
@@ -161,27 +161,72 @@ def _probe_entry(
 
 def probe_every_root(
     spec: ServerPredicates, index: DatabaseIndex, roots: List[XMLNode], memo: ProbeMemo
-) -> Tuple[List[int], List[int]]:
+) -> List[ProbeEntry]:
     """One server's probe of every root image in one index merge
     (:meth:`~repro.xmldb.index.DatabaseIndex.related_each`): memoize every
-    entry — each equal to :func:`probe_root`'s — and return the per-root
-    ``(total, exact)`` fan-out lists.
+    entry — each equal to :func:`probe_root`'s — and return them all, in
+    ``roots`` order.
 
-    The lists are accumulated as the sweep goes, so a memo smaller than
-    the forest's roots loses entries to its cap, never counts.
+    The list is the sweep's own, so a memo smaller than the forest's roots
+    loses entries to its cap, never fan-outs or caps.
     """
     exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
     anchors = [root.dewey for root in roots]
-    totals: List[int] = []
-    exacts: List[int] = []
+    entries: List[ProbeEntry] = []
     for root_dewey, candidates in zip(
         anchors, index.related_each(spec.tag, anchors, spec.probe_axis)
     ):
         entry = _probe_entry(spec, exact_test, root_dewey, candidates, len(candidates))
         memo.put(root_dewey, entry)
-        totals.append(entry[2].total)
-        exacts.append(entry[2].exact)
-    return totals, exacts
+        entries.append(entry)
+    return entries
+
+
+class CapRow:
+    """What each server can still add, for every root whose caps are these.
+
+    ``caps`` maps every server node id, in ``server_ids`` order, to its
+    cap (:meth:`~repro.scoring.model.ScoreModel.caps`) — or, in the row an
+    engine without a bound table bounds every root by, to its
+    ``max_contribution``.  Roots with equal caps share one row, hence one
+    ``remaining``: visited -> :meth:`remaining_for` its unvisited servers,
+    filled as runs meet visited sets — a pure function of both, so
+    concurrent fills store equal values.
+    """
+
+    __slots__ = ("caps", "remaining")
+
+    def __init__(self, caps: Dict[int, float]) -> None:
+        self.caps = caps
+        self.remaining: Dict[FrozenSet[int], float] = {}
+
+    def remaining_for(self, unvisited: Sequence[int]) -> float:
+        """The most the servers in ``unvisited`` can still add: their caps,
+        summed in ``server_ids`` order from 0.0."""
+        remaining = 0.0
+        caps = self.caps
+        for node_id in unvisited:
+            remaining += caps[node_id]
+        return remaining
+
+
+class RootBounds:
+    """One root's row of an :class:`~repro.core.engine.Engine`'s bound
+    table, built once from the probe sweep that fills its memos: per
+    server, the root's cap (``caps``, a :class:`CapRow`) and its
+    :class:`CandidateCounts` (``counts``; ``None`` in the row an engine
+    without a table uses, whose router then asks the server).  Roots whose
+    caps and counts are equal share one row.  A match carries its root's
+    row from its seed on.
+    """
+
+    __slots__ = ("caps", "counts")
+
+    def __init__(
+        self, caps: CapRow, counts: Optional[Dict[int, CandidateCounts]] = None
+    ) -> None:
+        self.caps = caps
+        self.counts = counts
 
 
 class RoutingEstimates:
@@ -413,13 +458,14 @@ class Server:
     def candidate_counts(self, root_dewey: Dewey) -> "CandidateCounts":
         """(total, exact-quality) candidate counts for one root image.
 
-        This is the size-based router's per-match signal: how many
+        This is the size-based router's per-match signal — how many
         extensions this server would spawn for a match anchored at
-        ``root_dewey``.  The counts ride in the shared probe memo's entry
-        — so sizing a server is one locked read, and the sizing probe and
-        the eventual server operation pay for one index probe between
-        them (the "cost of adaptivity" the paper's Figure 8 charges is
-        the memo fill).
+        ``root_dewey`` — when its engine has no bound table (whose rows
+        carry the same counts).  The counts ride in the shared probe
+        memo's entry — so sizing a server is one locked read, and the
+        sizing probe and the eventual server operation pay for one index
+        probe between them (the "cost of adaptivity" the paper's Figure 8
+        charges is the memo fill).
         """
         return self._probe_shared(root_dewey)[2]
 

@@ -29,6 +29,40 @@ entry scores of unfinished tuples are not guaranteed achievable; the set
 therefore supports ``threshold_source="complete"``, where only completed
 matches raise the threshold.
 
+What a bound is.  A tuple's upper bound is its score plus, for each server
+it has not visited, that server's *cap* for the tuple's root — the best
+contribution among the root's probe survivors (exact ones only, in exact
+mode), 0 when there are none — summed in ``server_ids`` order
+(:class:`~repro.core.server.RootBounds`).  Every contribution a server can
+grant the root is at most its cap, so in real arithmetic the bound is never
+below any final score the tuple can reach.  At a relaxed-mode seed it *is*
+the root's best final score: quality is root-anchored, so the best
+completion takes every cap, and the float equals the decomposed oracle's
+(``tests/test_differential.py``) bit for bit — the same terms in the same
+order.  A run without the Engine's table (private probe memos) caps every
+server at its ``max_contribution``, the bound every run used before.
+
+What rounding leaves.  A final score is summed in *visit* order, the bound
+in server order, so the float a root completes at can exceed a bound of
+its chain by the rounding of the additions still to come: a few ulps, and
+only where the terms do not add exactly (Q2 on the ``fig10_single``
+benchmark document: 0 + 0.9999999999999999 × 3 + 1.0 is
+3.9999999999999996 in server order and 4.0 when the 1.0 comes first — the
+database-wide maxima rounded the same way).  A tuple pruned or closed on
+such a bound can lose a root only if that root finishes within those ulps
+of the level it was judged against: it ties that level to nine digits,
+the precision :func:`topk_mismatch` and :func:`certificate_breach`
+compare at, so it is one of the k-th level's interchangeable ties (unless
+the two floats straddle a nine-digit rounding boundary: the hole ROADMAP
+item 1 closes).  The bound is not stepped up by the rounding error on
+purpose: a bound above the float its tie group completes at never closes
+a tie (``tests/test_hot_path_identity.py`` pins one that must close), and
+scores summed canonically — bit-identical per root, with exact bounds —
+turn every tie group into equal queue keys that the maximum-final-score
+queues work off breadth-first (on the same document Q2 at k = 3 went from
+66 to 554 Whirlpool-S operations, 110 before per-root bounds).  Making
+scores route-independent is item 1, and needs a tie-break with it.
+
 Why ``upper_bound <= closing level`` loses none either (closing ties).  Let
 c be the closing level when a tuple bounded by c is dropped.  k distinct
 roots already hold *completed* scores >= c, and entry scores only rise, so
@@ -51,11 +85,13 @@ only prunes less:
   or the threads produce — the argument needs no order; a Whirlpool-M
   thread holding a level read before another thread raised it holds a
   stale, lower c;
-- a *shard* closes against its local c, the k-th completed score among its
-  own roots, which is <= the forest's; the coordinator's merge
-  (``cluster/merge.dominated``) stays strict because it is shown scores,
-  not whether the matches behind them are complete, and this argument
-  needs k *completed* incumbents;
+- a *shard* bounds its tuples by its own Engine's caps — a root's caps
+  depend only on its own document and the coordinator's score model, so
+  they are the forest's — and closes against its local c, the k-th
+  completed score among its own roots, which is <= the forest's; the
+  coordinator's merge (``cluster/merge.dominated``) stays strict because it
+  is shown scores, not whether the matches behind them are complete, and
+  this argument needs k *completed* incumbents;
 - a *restored* run's c is rebuilt by replaying ``observe`` on the
   snapshot's entries (``export_state``): completed matches are replayed as
   completed, so c comes back exactly — and a snapshot that lost some would

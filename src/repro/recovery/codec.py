@@ -93,13 +93,15 @@ def match_payload(match: PartialMatch) -> Dict[str, Any]:
 def decode_match(
     payload: Dict[str, Any],
     resolve: Resolver,
-    max_contributions: Dict[int, float],
+    bind: Optional[Callable[[PartialMatch], None]] = None,
 ) -> PartialMatch:
     """Rebuild a partial match, reattaching nodes through ``resolve``.
 
     The decoded match gets a fresh ``match_id``/``arrival`` (those are
-    process-local queue tiebreakers, not semantics) and a freshly
-    recomputed upper bound.
+    process-local queue tiebreakers, not semantics).  ``bind`` — the
+    resuming engine's :meth:`~repro.core.base.EngineBase.bind` — gives it
+    its root's row and upper bound, exactly as its seed got them; without
+    it the match is a record (its bound is its score).
     """
     root_dewey = parse_dewey(payload["root"])
     root = resolve(root_dewey)
@@ -127,7 +129,8 @@ def decode_match(
         visited=frozenset(int(node_id) for node_id in payload["visited"]),
         score=float(payload["score"]),
     )
-    match.refresh_bound(max_contributions)
+    if bind is not None:
+        bind(match)
     return match
 
 
@@ -242,14 +245,14 @@ def restore_engine_state(
     validate_snapshot(snapshot, engine)
     database = engine.index.database
     resolve: Resolver = database.node_by_dewey
-    max_contributions = engine.max_contributions
+    bind = engine.bind
     engine.topk.restore_state(
         (
             (
-                decode_match(entry["match"], resolve, max_contributions),
+                decode_match(entry["match"], resolve, bind),
                 None
                 if entry.get("complete") is None
-                else decode_match(entry["complete"], resolve, max_contributions),
+                else decode_match(entry["complete"], resolve, bind),
             )
             for entry in snapshot.get("topk", [])
         ),
@@ -258,7 +261,7 @@ def restore_engine_state(
     matches: List[PartialMatch] = []
     for payloads in snapshot.get("queues", {}).values():
         for payload in payloads:
-            matches.append(decode_match(payload, resolve, max_contributions))
+            matches.append(decode_match(payload, resolve, bind))
     counters = snapshot.get("stats", {})
     if counters:
         carried = type(engine.stats)()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScoringError
 from repro.query.pattern import TreePattern
@@ -31,6 +31,13 @@ from repro.query.predicates import component_predicates
 from repro.scoring.tfidf import predicate_idf, predicate_statistics
 from repro.xmldb.model import XMLNode
 from repro.xmldb.stats import DatabaseStatistics
+
+
+#: One server's probe of one root image, as the engines memoize it:
+#: ``(survivors, comparisons, (total, exact))`` — the value-filtered
+#: candidates paired with their exact-quality verdicts, the comparisons
+#: paid, and the survivors' counts (:data:`repro.core.server.ProbeEntry`).
+Probe = Tuple[Sequence[Tuple[XMLNode, bool]], int, Tuple[int, int]]
 
 
 class MatchQuality(enum.Enum):
@@ -73,6 +80,26 @@ class ScoreModel:
     def max_contribution(self, node_id: int) -> float:
         """Largest contribution ``node_id`` can ever add (bound material)."""
         return max(self._exact.get(node_id, 0.0), self._relaxed.get(node_id, 0.0))
+
+    def caps(
+        self, node_id: int, probes: Iterable[Probe], relaxed: bool
+    ) -> List[float]:
+        """Per probe of ``node_id``'s server (one root image each), the
+        most the server can add for that root: the best contribution among
+        the probe's survivors — in exact mode its exact survivors only —
+        and 0.0 when none qualifies (bound material per root,
+        :class:`~repro.core.server.RootBounds`).  Contributions here
+        depend on node and quality alone, so each probe's counts decide in
+        O(1); a per-candidate model iterates the survivors instead."""
+        exact_contribution = self.contribution(node_id, MatchQuality.EXACT)
+        relaxed_contribution = self.contribution(node_id, MatchQuality.RELAXED)
+        caps: List[float] = []
+        for _, _, (total, exact) in probes:
+            cap = exact_contribution if exact else 0.0
+            if relaxed and total > exact and relaxed_contribution > cap:
+                cap = relaxed_contribution
+            caps.append(cap)
+        return caps
 
     def node_ids(self) -> List[int]:
         """All node ids the model has contributions for."""
@@ -248,6 +275,19 @@ class TableScoreModel(ScoreModel):
     def max_contribution(self, node_id: int) -> float:
         table_max = self._per_node_max.get(node_id, 0.0)
         return max(table_max, super().max_contribution(node_id))
+
+    def caps(
+        self, node_id: int, probes: Iterable[Probe], relaxed: bool
+    ) -> List[float]:
+        caps: List[float] = []
+        for survivors, _, _ in probes:
+            cap = 0.0
+            for candidate, exact in survivors:
+                if exact or relaxed:
+                    quality = MatchQuality.EXACT if exact else MatchQuality.RELAXED
+                    cap = max(cap, self.contribution(node_id, quality, candidate))
+            caps.append(cap)
+        return caps
 
 
 def build_score_model(

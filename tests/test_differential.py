@@ -8,7 +8,9 @@ tuple for a root decomposes per query node as
                            default 0 (deletion) )
 
 which is computable with no search at all — a completely different code
-path from the engines.
+path from the engines.  The same sum is what the engines bound a root's
+seed by (its row of the bound table), so ``TestPerRootBounds`` holds every
+seed's bound to it.
 """
 
 import json
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.makespan import simulate
+from repro.bench.params import QUERIES
 from repro.cluster import Coordinator
 from repro.core.engine import Engine
 from repro.core.router import make_router
@@ -93,39 +96,51 @@ class TestRelaxedModeDifferential:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 100_000))
     def test_engine_scores_equal_decomposed_oracle(self, seed):
-        rng = random.Random(seed)
-        database = _random_database(rng)
-        pattern = _random_pattern(rng)
-        engine = Engine(database, pattern)
-        root_count = len(engine.index[pattern.root.tag])
-        if root_count == 0:
-            return
-        result = engine.run(root_count, algorithm="whirlpool_s")
-        oracle = _oracle_best_scores(engine)
-        got = {a.root_node.dewey: a.score for a in result.answers}
-        assert set(got) == set(oracle)
-        for dewey, score in oracle.items():
-            assert got[dewey] == pytest.approx(score), (dewey, pattern.to_xpath())
+        check_scores_equal_oracle(seed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_all_algorithms_agree_on_random_inputs(self, seed):
-        rng = random.Random(seed)
-        database = _random_database(rng)
-        pattern = _random_pattern(rng)
-        engine = Engine(database, pattern)
-        if len(engine.index[pattern.root.tag]) == 0:
-            return
-        k = rng.randint(1, 4)
-        reference = sorted(
-            round(a.score, 9)
-            for a in engine.run(k, algorithm="lockstep_noprun").answers
+        check_algorithms_agree(seed)
+
+
+def check_scores_equal_oracle(seed):
+    """Whirlpool-S, asked for every root, scores each as the decomposed
+    oracle does, on the random database and pattern of ``seed``."""
+    rng = random.Random(seed)
+    database = _random_database(rng)
+    pattern = _random_pattern(rng)
+    engine = Engine(database, pattern)
+    root_count = len(engine.index[pattern.root.tag])
+    if root_count == 0:
+        return
+    result = engine.run(root_count, algorithm="whirlpool_s")
+    oracle = _oracle_best_scores(engine)
+    got = {a.root_node.dewey: a.score for a in result.answers}
+    assert set(got) == set(oracle)
+    for dewey, score in oracle.items():
+        assert got[dewey] == pytest.approx(score), (dewey, pattern.to_xpath())
+
+
+def check_algorithms_agree(seed):
+    """Whirlpool-S and LockStep return LockStep-NoPrun's top-k scores on
+    the random database and pattern of ``seed``."""
+    rng = random.Random(seed)
+    database = _random_database(rng)
+    pattern = _random_pattern(rng)
+    engine = Engine(database, pattern)
+    if len(engine.index[pattern.root.tag]) == 0:
+        return
+    k = rng.randint(1, 4)
+    reference = sorted(
+        round(a.score, 9)
+        for a in engine.run(k, algorithm="lockstep_noprun").answers
+    )
+    for algorithm in ("whirlpool_s", "lockstep"):
+        got = sorted(
+            round(a.score, 9) for a in engine.run(k, algorithm=algorithm).answers
         )
-        for algorithm in ("whirlpool_s", "lockstep"):
-            got = sorted(
-                round(a.score, 9) for a in engine.run(k, algorithm=algorithm).answers
-            )
-            assert got == reference, (algorithm, pattern.to_xpath())
+        assert got == reference, (algorithm, pattern.to_xpath())
 
 
 class TestExactModeDifferential:
@@ -324,3 +339,51 @@ class TestClosedTies:
         ]
         assert partial, "no root is left with a closed, partial representative"
         assert all(answer.match.is_complete(run.server_ids) for answer in result.answers)
+
+
+# -- per-root bounds ------------------------------------------------------------------
+
+
+def check_seed_bounds(engine):
+    """Every seed is bounded by its root's best final score: in relaxed
+    mode at least the decomposed oracle's sum (a visit-order float sum of
+    the same terms) and equal to it to nine digits; in exact mode at least
+    the root's final score, for every root that completes."""
+    seeds = engine.open(1).seed_matches()
+    if engine.relaxed:
+        best = _oracle_best_scores(engine)
+        for seed in seeds:
+            expected = best[seed.root_node.dewey]
+            assert expected <= seed.upper_bound <= expected + 1e-9, (
+                seed.root_node.dewey,
+                seed.upper_bound,
+                expected,
+            )
+    else:
+        final = dict(full_ranking(engine))
+        for seed in seeds:
+            if seed.root_node.dewey in final:
+                assert seed.upper_bound >= final[seed.root_node.dewey], seed.root_node.dewey
+
+
+class TestPerRootBounds:
+    """A root's seed is bounded by what each server can add *for it*: the
+    root's best score, not the database-wide maxima the bound used to sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans(), st.sampled_from(["tfidf", "random"]))
+    def test_random_inputs(self, seed, relaxed, scoring):
+        rng = random.Random(seed)
+        database = _random_database(rng)
+        pattern = _random_pattern(rng)
+        check_seed_bounds(Engine(database, pattern, relaxed=relaxed, scoring=scoring, seed=seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_WIDE_FORESTS, _WIDE_QUERIES, st.booleans())
+    def test_wide_forests(self, forest, query, relaxed):
+        check_seed_bounds(Engine(_tied_database(forest), query, relaxed=relaxed))
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_xmark_queries(self, xmark_db, query, relaxed):
+        check_seed_bounds(Engine(xmark_db, QUERIES[query], relaxed=relaxed))

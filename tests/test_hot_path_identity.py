@@ -7,8 +7,10 @@ made ``extend`` O(1) by building the ``instantiations`` / ``qualities``
 dicts on first read.  The code that went is kept here as the oracle, the
 way ``test_topk_threshold_property.py`` kept the sort-everything threshold:
 
-- :func:`reference_bound` — ``refresh_bound``'s sum over the unvisited
-  servers, per extension;
+- :func:`reference_bound` — the sum over the unvisited servers, per
+  extension, of what each can still add for the match's root, with each
+  cap taken afresh from the server's probe and the model's
+  ``contribution``;
 - :func:`eager_extend` — ``extend``'s two dict copies, per extension;
 - a shadow :class:`TopKSet` that is shown *every* sibling in turn.
 
@@ -27,7 +29,12 @@ taken mid-run.  It was taken from PR 17's parent commit, and retaken once
 at PR 22, whose change — a match that can at best tie k completed answers
 is pruned — moves every count by design (CHANGES.md has them side by
 side); the oracle checks above, which compare a run with itself, held
-through that change unedited.  Whirlpool-M has rows too, ``whirlpool_m@1``:
+through that change unedited.  It was retaken once more when bounds became
+per root (a match is bounded by what its unvisited servers can still add
+for *its* root, not by database-wide maxima): that moves every count and
+bound by design, and :func:`reference_bound` moved with it — from the
+database-wide ``refresh_bound`` sum to the per-root one — while the other
+checks held unedited.  Whirlpool-M has rows too, ``whirlpool_m@1``:
 its step scheduled on one modeled processor (``repro.bench.makespan``), a
 deterministic interleaving of the real engine code.  They were taken from
 the parent of the commit that made the scheduler drive the engine's step
@@ -39,7 +46,7 @@ the threshold after the batch, where the parent reported the threshold
 after each sibling; the oracle pins what they report instead (the live
 threshold at the time of the call).
 
-**The test bites.**  Three hand mutants — textual edits of the source, so a
+**The test bites.**  Four hand mutants — textual edits of the source, so a
 mutant cannot outlive the line it mutates — must each fail the checks:
 
 - ``last_best`` — the *last* of the best completed siblings is shown to the
@@ -48,7 +55,10 @@ mutant cannot outlive the line it mutates — must each fail the checks:
   prune test: the rule before PR 22, right for answers and wrong for every
   count in the table;
 - ``bound_by_size`` — one ``remaining`` reused for every visited set of the
-  same size.
+  same size;
+- ``cap_too_low`` — a root's cap takes the relaxed contribution for an
+  exact survivor.  It must also fail the per-root bound property and the
+  differential battery of ``tests/test_differential.py``.
 """
 
 import contextlib
@@ -73,9 +83,15 @@ from repro.core.match import PartialMatch
 from repro.core.topk import TopKSet
 from repro.core.trace import ExecutionTrace
 from repro.recovery.policy import CheckpointPolicy
+from repro.scoring.model import MatchQuality, ScoreModel
 from repro.xmark.generator import generate_database
 from repro.xmark.schema import XMarkConfig
-from tests.test_differential import _random_database, _random_pattern
+from tests.test_differential import (
+    _random_database,
+    _random_pattern,
+    check_algorithms_agree,
+    check_seed_bounds,
+)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "hot_path" / "golden.json"
 ALGORITHMS = ("whirlpool_s", "lockstep")
@@ -87,12 +103,32 @@ K_VALUES = (3, 15, 75)
 # -- the code that went, kept as the oracle ---------------------------------------
 
 
-def reference_bound(match, max_contributions):
-    """``PartialMatch.refresh_bound`` as every extension used to run it."""
+def reference_cap(engine, node_id, root):
+    """The most ``node_id``'s server can add for ``root``: the best
+    contribution among its probe's survivors (exact ones only in exact
+    mode), 0.0 for none — from the probe and ``contribution`` directly."""
+    survivors = engine.servers[node_id]._probe_shared(root.dewey)[0]
+    model = engine.score_model
+    return max(
+        (
+            model.contribution(
+                node_id, MatchQuality.EXACT if exact else MatchQuality.RELAXED, candidate
+            )
+            for candidate, exact in survivors
+            if exact or engine.relaxed
+        ),
+        default=0.0,
+    )
+
+
+def reference_bound(match, engine):
+    """``match``'s score plus what its unvisited servers can still add for
+    its root, summed afresh in ``server_ids`` order from :func:`reference_cap`
+    — per extension, with nothing kept."""
     remaining = 0.0
-    for node_id, max_contribution in max_contributions.items():
+    for node_id in engine.server_ids:
         if node_id not in match.visited:
-            remaining += max_contribution
+            remaining += reference_cap(engine, node_id, match.root_node)
     return match.score + remaining
 
 
@@ -155,9 +191,7 @@ class HotPathOracle(ExecutionTrace):
     def on_seed(self, match, threshold):
         super().on_seed(match, threshold)
         self.shadow.observe(match, complete=not self.engine.server_ids)
-        assert match.upper_bound.hex() == reference_bound(
-            match, self.engine.max_contributions
-        ).hex()
+        assert match.upper_bound.hex() == reference_bound(match, self.engine).hex()
         self._live(threshold)
 
     def on_route(self, match, server_id, threshold):
@@ -176,9 +210,7 @@ class HotPathOracle(ExecutionTrace):
         server_id = self._routed[parent.match_id]
         assert extension.visited == parent.visited | {server_id}
         assert len(extension.visited) == len(parent.visited) + 1
-        assert extension.upper_bound.hex() == reference_bound(
-            extension, self.engine.max_contributions
-        ).hex()
+        assert extension.upper_bound.hex() == reference_bound(extension, self.engine).hex()
         complete = outcome == "completed"
         assert complete == extension.is_complete(self.engine.server_ids)
         self.shadow.observe(extension, complete)
@@ -323,7 +355,7 @@ MUTANTS = {
     "last_best": (
         EngineBase,
         "absorb_extensions",
-        [("if extension.score > best.score:", "if extension.score >= best.score:")],
+        [("if score > best.score:", "if score >= best.score:")],
     ),
     "keeps_ties": (
         TopKSet,
@@ -335,8 +367,19 @@ MUTANTS = {
         "bound_entry",
         [
             (
-                "(remaining, tuple(unvisited))",
-                "(self.bound_table.setdefault(len(visited), remaining), tuple(unvisited))",
+                "caps.remaining[visited] = caps.remaining_for(unvisited)",
+                "caps.remaining[visited] = caps.remaining.setdefault("
+                "len(visited), caps.remaining_for(unvisited))",
+            )
+        ],
+    ),
+    "cap_too_low": (
+        ScoreModel,
+        "caps",
+        [
+            (
+                "cap = exact_contribution if exact else 0.0",
+                "cap = relaxed_contribution if exact else 0.0",
             )
         ],
     ),
@@ -344,12 +387,19 @@ MUTANTS = {
 
 #: Enough of the matrix to meet a tie among completed siblings, a queue
 #: closed at the k-th completed score, and two visited sets of one size that
-#: differ in what is left to add.
-MUTANT_CASES = {"relaxed/Q2/k=15/whirlpool_s", "relaxed/Q3/k=15/lockstep"}
+#: differ in what is left to add.  The last needs one root met in two
+#: orders: bound rows are per root and kept by the Engine across runs, and
+#: one run routes a root's matches alike, so Q2 is run by Whirlpool-S and
+#: then by LockStep, on the same Engine.
+MUTANT_CASES = {
+    "relaxed/Q2/k=15/whirlpool_s",
+    "relaxed/Q2/k=15/lockstep",
+    "relaxed/Q3/k=15/lockstep",
+}
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_identity_checks_kill_hand_mutants(name, monkeypatch):
+def apply_mutant(name, monkeypatch):
+    """Swap in the mutated method for the rest of the test."""
     owner, method, edits = MUTANTS[name]
     source = textwrap.dedent(inspect.getsource(getattr(owner, method)))
     for old, new in edits:
@@ -358,8 +408,28 @@ def test_identity_checks_kill_hand_mutants(name, monkeypatch):
     namespace = dict(vars(sys.modules[owner.__module__]))
     exec(compile(source, f"<mutant of {owner.__name__}.{method}>", "exec"), namespace)
     monkeypatch.setattr(owner, method, namespace[method])
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_identity_checks_kill_hand_mutants(name, monkeypatch):
+    apply_mutant(name, monkeypatch)
     with pytest.raises(AssertionError):
         check_golden(only=MUTANT_CASES)
+
+
+def test_cap_too_low_fails_the_bound_property_and_the_differential_battery(
+    xmark_db, monkeypatch
+):
+    """An unsound cap is caught where it matters, not only here: the seeds'
+    bounds no longer reach each root's best score, and runs that prune on
+    them lose answers the differential battery asks for."""
+    apply_mutant("cap_too_low", monkeypatch)
+    with pytest.raises(AssertionError):
+        for xpath in QUERIES.values():
+            check_seed_bounds(Engine(xmark_db, xpath))
+    with pytest.raises(AssertionError):
+        for seed in range(40):
+            check_algorithms_agree(seed)
 
 
 def test_a_sibling_that_can_only_tie_is_closed_as_it_is_absorbed(xmark_db):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.match import PartialMatch
+from repro.core.server import CapRow, RootBounds
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import Database, XMLNode
 
@@ -64,23 +65,28 @@ class TestExtension:
 
 
 class TestBounds:
-    def test_refresh_bound_counts_unvisited(self, root_node):
-        match = PartialMatch.initial(root_node)
-        bound = match.refresh_bound({1: 0.5, 2: 0.3})
-        assert bound == pytest.approx(0.8)
-        assert match.upper_bound == pytest.approx(0.8)
+    def test_root_bounds_count_unvisited_caps(self):
+        bounds = CapRow({1: 0.5, 2: 0.3})
+        assert bounds.remaining_for((1, 2)) == pytest.approx(0.8)
+        assert bounds.remaining_for((2,)) == pytest.approx(0.3)
+        assert bounds.remaining_for(()) == 0.0
 
     def test_bound_shrinks_as_servers_visited(self, data_nodes):
         root, title, _ = data_nodes
-        contributions = {1: 0.5, 2: 0.3}
+        bounds = CapRow({1: 0.5, 2: 0.3})
         base = PartialMatch.initial(root)
-        base.refresh_bound(contributions)
+        assert base.score + bounds.remaining_for((1, 2)) == pytest.approx(0.8)
         extended = base.extend(1, title, MatchQuality.EXACT, 0.5)
-        extended.refresh_bound(contributions)
-        assert extended.upper_bound == pytest.approx(0.8)
+        assert extended.score + bounds.remaining_for((2,)) == pytest.approx(0.8)
         low = base.extend(1, title, MatchQuality.RELAXED, 0.1)
-        low.refresh_bound(contributions)
-        assert low.upper_bound == pytest.approx(0.4)
+        assert low.score + bounds.remaining_for((2,)) == pytest.approx(0.4)
+
+    def test_extensions_inherit_the_row_of_their_root(self, data_nodes):
+        root, title, _ = data_nodes
+        base = PartialMatch.initial(root)
+        assert base.root_bounds is None
+        base.root_bounds = RootBounds(CapRow({1: 0.5}))
+        assert base.extend(1, title, MatchQuality.EXACT, 0.5).root_bounds is base.root_bounds
 
     def test_max_next_score(self, root_node):
         match = PartialMatch.initial(root_node)

@@ -114,12 +114,8 @@ class TestCodec:
         encoded = payload["queues"]["router"]
         assert encoded, "expected queued matches in the snapshot"
         resolve = engine.index.database.node_by_dewey
-        max_contributions = {
-            node.node_id: engine.score_model.max_contribution(node.node_id)
-            for node in engine.pattern.non_root_nodes()
-        }
         for entry in encoded:
-            match = decode_match(entry, resolve, max_contributions)
+            match = decode_match(entry, resolve)
             assert encode_match(match) == entry
 
     def test_validate_rejects_wrong_k_and_pattern(self, engine, xmark_db):

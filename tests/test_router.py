@@ -118,6 +118,28 @@ class TestMinAliveRouter:
         )
         assert choice == best
 
+    def test_engine_runs_read_counts_from_the_bound_table(self, engine, monkeypatch):
+        """A run an Engine opens sizes servers from its root's row of the
+        bound table, without the probe memo's lock; a hand-built run, with
+        no table, asks each server — and both route alike."""
+        from repro.core.server import Server
+
+        calls = []
+        counts = Server.candidate_counts
+
+        def counted(server, root_dewey):
+            calls.append(root_dewey)
+            return counts(server, root_dewey)
+
+        monkeypatch.setattr(Server, "candidate_counts", counted)
+        warm = engine.open(1)
+        warm_choice = warm.router.choose(_seed(warm), warm)
+        warm.run()
+        assert calls == []
+        cold = _whirlpool(engine, MinAliveRouter())
+        assert cold.router.choose(_seed(cold), cold) == warm_choice
+        assert calls
+
 
 class TestFactory:
     def test_make_static_requires_order(self):

@@ -150,17 +150,22 @@ def test_capped_memo_changes_nothing_observable(xmark, monkeypatch, case, algori
     assert run_fingerprint(engine.run(5, algorithm=algorithm)) == expected
 
 
-def test_engines_without_a_tfidf_model_to_build_leave_the_index_alone(xmark, related_calls):
+def test_engines_without_a_tfidf_model_sweep_but_record_no_statistics(
+    xmark, related_calls, sweeps
+):
+    """The bound table needs every probe whatever the model, so every
+    Engine sweeps once per server; only a tf*idf model asks the sweep for
+    statistics."""
     pattern = parse_xpath(QUERIES["Q2"])
+    servers = len(pattern.non_root_nodes())
     supplied = RandomScoreModel(pattern, seed=3)
-    for engine in (
-        Engine(xmark, pattern, scoring="random", seed=3),
-        Engine(xmark, pattern, score_model=supplied),
-    ):
-        assert related_calls == []
+    for options in (dict(scoring="random", seed=3), dict(score_model=supplied)):
+        engine = Engine(xmark, pattern, **options)
+        assert len(sweeps) == servers and related_calls == []
         assert engine.statistics.cached_predicates() == 0
-        assert all(len(memo) == 0 for memo in engine._probe_memos["index"].values())
+        assert all(len(memo) == ITEMS for memo in engine._probe_memos["index"].values())
+        assert len(engine.root_bounds) == ITEMS
         assert engine.score_model.contributions() == supplied.contributions()
-        engine.run(5)  # ... and probe as they go, at most once per (server, root)
-        assert 0 < len(related_calls) <= len(pattern.non_root_nodes()) * ITEMS
-        del related_calls[:]
+        engine.run(5)  # ... and probe nothing as they go
+        assert len(sweeps) == servers and related_calls == []
+        del sweeps[:]

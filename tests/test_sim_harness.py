@@ -74,12 +74,16 @@ class TestInvariantJudgement:
         # The explorer's first real catch: a DROP before the last
         # checkpoint followed by a CRASH.  Recovery must carry the lost
         # work (snapshot "lost" record) so the resumed run degrades with
-        # a certificate instead of claiming exactness.
+        # a certificate instead of claiming exactness.  Server 2 runs 14
+        # operations of this query (42 when bounds were database-wide
+        # maxima, and the drop sat at its 31st): the drop is shown to fire
+        # on its own, so the case cannot go vacuous again.
+        drop = FaultRule("server_op", "drop", target="2", nth=10, times=1)
+        alone = harness.run(FaultPlan([drop]))
+        assert alone.result.failure is not None
+        assert len(alone.result.failure.dropped) == 1
         plan = FaultPlan(
-            [
-                FaultRule("server_op", "drop", target="2", nth=31, times=1),
-                FaultRule("queue_get", "crash", target="router", nth=67, times=1),
-            ]
+            [drop, FaultRule("queue_get", "crash", target="router", nth=67, times=1)]
         )
         run = harness.run(plan)
         assert run.crashed

@@ -153,7 +153,17 @@ class TestRunOptions:
     def test_restored_run_continues_from_the_snapshot(self, engine):
         """A run restored from a Whirlpool-S budget exit finishes that
         run.  It used to seed all 60 roots again on top of it, creating
-        1,490 matches where a fresh run creates 1,390."""
+        1,490 matches where a fresh run creates 1,390.
+
+        Finishing *that* run is pinned where it is exact: restored into
+        Whirlpool-S, the snapshot creates what the uninterrupted run
+        creates.  The modeled Whirlpool-M continuation seeds nothing and
+        answers correctly; its count is its schedule's.  With per-root
+        bounds many matches share a bound, and a restored queue meets them
+        in snapshot order, so the count moves either way of a fresh run's
+        (here 1,080 against 946).  Bounded by database-wide maxima it did
+        too: this case held ``<=`` as 1,277 against 1,390, while four
+        processors from a 10-operation snapshot read 970 against 843."""
         snapshots = []
         engine.run(
             15,
@@ -164,10 +174,14 @@ class TestRunOptions:
         (snapshot,) = snapshots
         trace = ExecutionTrace()
         restored = _simulate(engine, k=15, restore_from=snapshot, observer=trace).result
-        fresh = _simulate(engine, k=15).result
         assert "seed" not in trace.counts()
-        assert restored.stats.partial_matches_created <= fresh.stats.partial_matches_created
         assert_same_topk(full_ranking(engine), restored)
+        resumed = engine.run(15, restore_from=snapshot)
+        assert (
+            resumed.stats.partial_matches_created
+            == engine.run(15).stats.partial_matches_created
+        )
+        assert_same_topk(full_ranking(engine), resumed)
 
 
 class TestSupervisedStep:
