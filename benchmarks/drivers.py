@@ -233,6 +233,8 @@ def _timed(engine, engine_cls, routing):
         score_model=engine.score_model,
         k=10,
         router=make_router(routing),
+        # The Engine's bound table: the probes are left to the run's servers.
+        root_bounds=engine.root_bounds,
     )
     start = time.perf_counter()
     result = runner.run()
@@ -247,10 +249,10 @@ def _timed(engine, engine_cls, routing):
 def threaded_wallclock():
     """Whirlpool-S vs threaded Whirlpool-M with every index probe sleeping.
 
-    ``sequential``/``threaded`` are the ``min_alive`` pair: its router
-    sizes every (server, root) candidate set itself, in one thread, so
-    the server threads have no probe waits left to overlap.  Under
-    ``min_score`` the servers pay the probes, concurrently.
+    ``sequential``/``threaded`` are the ``min_alive`` pair, ``min_score``
+    the other.  Every run is handed the Engine's bound table, so its
+    router sizes servers from the table's counts and only server
+    operations probe the slow index — under threads, concurrently.
     """
     engine = Engine(generate_database(XMarkConfig(items=60, seed=5)), QUERIES["Q2"])
     return {
@@ -291,6 +293,7 @@ def future_bulk_adaptivity():
         score_model=engine.score_model,
         k=K,
         router=router,
+        root_bounds=engine.root_bounds,
     ).run()
     return {
         "plain_ops": plain.stats.server_operations,

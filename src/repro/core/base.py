@@ -14,12 +14,12 @@ holds that and implements the two steps every engine performs identically:
 
 Bound material is per root: a match's upper bound is its score plus what
 its unvisited servers can still add *for its root* — their caps in the
-root's row of the Engine's bound table (:class:`~repro.core.server.RootBounds`,
-filled by the Engine's probe sweep), which the seed hands to every match
-it spawns.  At the seed of a relaxed run that bound is the root's best
-final score.  A run built without the table (private probe memos) bounds
-every root by one shared row of the model's ``max_contribution`` — the
-same code path, with database-wide maxima.
+root's row of the bound table (:class:`~repro.core.server.RootBounds`),
+which the seed hands to every match it spawns.  At the seed of a relaxed
+run that bound is the root's best final score.  An Engine fills the table
+from its probe sweep; a run built without one (private probe memos) builds
+each root's row from its own servers' probes as it seeds the root — the
+same row, so the same bound and the same operation counts.
 
 The adaptive engines' step is built from it too: pop → :meth:`EngineBase.admit`
 → :meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put.
@@ -45,9 +45,9 @@ from typing import (
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue, QueuePolicy
 from repro.core.router import MinAliveRouter, RoutingStrategy
-from repro.core.server import CapRow, ProbeMemo, RootBounds, Server
+from repro.core.server import ProbeMemo, RootBounds, Server, bound_rows
 from repro.core.stats import ExecutionStats
-from repro.core.topk import TopKAnswer, TopKSet
+from repro.core.topk import TopKAnswer, TopKSet, bound_factor
 from repro.core.trace import EngineObserver
 from repro.errors import (
     EngineCrashError,
@@ -180,7 +180,7 @@ class EngineBase:
         checkpoint_policy: Optional[CheckpointPolicy] = None,
         checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
         probe_memos: Optional[Mapping[int, ProbeMemo]] = None,
-        root_bounds: Optional[Mapping[Dewey, RootBounds]] = None,
+        root_bounds: Optional[Dict[Dewey, RootBounds]] = None,
     ) -> None:
         if k <= 0:
             raise EngineError(f"k must be positive, got {k}")
@@ -242,18 +242,21 @@ class EngineBase:
             )
             for node_id in self.server_ids
         }
-        #: root Dewey -> that root's row of the Engine's bound table (empty
-        #: without an Engine); :attr:`default_bounds` serves every other root.
-        self.root_bounds: Mapping[Dewey, RootBounds] = (
+        #: root Dewey -> that root's row of the bound table: the Engine's,
+        #: which has every root, or this run's own, filled by
+        #: :meth:`root_row` as the run meets roots.
+        self.root_bounds: Dict[Dewey, RootBounds] = (
             root_bounds if root_bounds is not None else {}
         )
-        #: The row of every root without one: database-wide maxima.
-        self.default_bounds = RootBounds(CapRow(dict(self.max_contributions)))
         #: visited -> the unvisited servers' ids in ``server_ids`` order,
         #: filled as the run meets new visited sets (at most 2^servers).
         self.bound_table: Dict[FrozenSet[int], Tuple[int, ...]] = {}
         threshold_source = "all" if relaxed else "complete"
-        self.topk = TopKSet(k, threshold_source=threshold_source)
+        self.topk = TopKSet(
+            k,
+            threshold_source=threshold_source,
+            bound_factor=bound_factor(len(self.server_ids)),
+        )
         self.router: RoutingStrategy = router if router is not None else MinAliveRouter()
         self.stats = ExecutionStats(thread_safe=thread_safe_stats)
         #: Optional :class:`~repro.core.trace.EngineObserver` receiving
@@ -405,41 +408,54 @@ class EngineBase:
             )
         return unvisited
 
+    def root_row(self, root_dewey: Dewey) -> RootBounds:
+        """The root's row of the bound table.  A run without the Engine's
+        table builds it from its servers' probes (which fill their memos)
+        the first time it meets the root — before its threads start: at
+        seeding, or when a snapshot is decoded."""
+        row = self.root_bounds.get(root_dewey)
+        if row is None:
+            probes = {
+                node_id: [server._probe_shared(root_dewey)]
+                for node_id, server in self.servers.items()
+            }
+            (row,) = bound_rows(1, probes, self.score_model, self.relaxed)
+            self.root_bounds[root_dewey] = row
+        return row
+
     def bounds_for(self, match: PartialMatch) -> RootBounds:
         """``match``'s row of the bound table, handed down from its seed —
         looked up (and kept) for a match made any other way."""
         bounds = match.root_bounds
         if bounds is None:
-            bounds = match.root_bounds = self.root_bounds.get(
-                match.root_node.dewey, self.default_bounds
-            )
+            bounds = match.root_bounds = self.root_row(match.root_node.dewey)
         return bounds
 
     def bound_entry(
-        self, visited: FrozenSet[int], caps: CapRow
+        self, visited: FrozenSet[int], bounds: RootBounds
     ) -> Tuple[float, Tuple[int, ...]]:
-        """``(remaining, unvisited)`` for a match, with caps ``caps``, that
-        has been through the servers in ``visited``: the most the other
-        servers can still add for its root, and which they are (none: the
-        match is complete).
+        """``(remaining, unvisited)`` for a match of the root whose row is
+        ``bounds`` that has been through the servers in ``visited``: the
+        most the other servers can still add for its root, and which they
+        are (none: the match is complete).
 
-        Both halves are kept, per visited set — ``unvisited`` in the run's
-        :attr:`bound_table`, ``remaining`` in the cap row — so a batch of
-        siblings reads them once, with no summing and no key but
-        ``visited``.  Each is a pure function of its table and ``visited``:
-        Whirlpool-M's threads may each build a missing one, and whichever is
-        stored is the same.
+        The pair is kept per visited set in the row's ``remaining`` (shared
+        by every root with the same caps), so a batch of siblings reads it
+        with one lookup keyed by ``visited`` and sums nothing.  It is a pure
+        function of the caps and ``visited``: Whirlpool-M's threads may each
+        build a missing one, and whichever is stored is the same.
         """
-        unvisited = self.unvisited(visited)
-        remaining = caps.remaining.get(visited)
-        if remaining is None:
-            remaining = caps.remaining[visited] = caps.remaining_for(unvisited)
-        return remaining, unvisited
+        entry = bounds.remaining.get(visited)
+        if entry is None:
+            unvisited = self.unvisited(visited)
+            remaining = bounds.caps.remaining_for(unvisited)
+            entry = bounds.remaining[visited] = (remaining, unvisited)
+        return entry
 
     def bind(self, match: PartialMatch) -> None:
         """Give a match with no parent — a seed, or one decoded from a
         snapshot — its root's row and its upper bound."""
-        remaining = self.bound_entry(match.visited, self.bounds_for(match).caps)[0]
+        remaining = self.bound_entry(match.visited, self.bounds_for(match))[0]
         match.upper_bound = match.score + remaining
 
     def start_matches(self) -> List[PartialMatch]:
@@ -460,21 +476,21 @@ class EngineBase:
         """Root-server output: one initial match per candidate root node."""
         root = self.pattern.root
         rows = self.root_bounds
-        default = self.default_bounds
         unseen: FrozenSet[int] = frozenset()
-        every_server = self.unvisited(unseen)
         seeds: List[PartialMatch] = []
         for node in self.index[root.tag].all():
             if not root.matches_value(node.value):
                 continue
             match = PartialMatch.initial(node)
             # What :meth:`bind` does, without two calls per root.
-            bounds = match.root_bounds = rows.get(node.dewey, default)
-            caps = bounds.caps
-            remaining = caps.remaining.get(unseen)
-            if remaining is None:
-                remaining = caps.remaining[unseen] = caps.remaining_for(every_server)
-            match.upper_bound = match.score + remaining
+            bounds = rows.get(node.dewey)
+            if bounds is None:
+                bounds = self.root_row(node.dewey)
+            match.root_bounds = bounds
+            entry = bounds.remaining.get(unseen)
+            if entry is None:
+                entry = self.bound_entry(unseen, bounds)
+            match.upper_bound = match.score + entry[0]
             seeds.append(match)
         self.stats.record_created(len(seeds))
         complete = not self.server_ids
@@ -531,11 +547,11 @@ class EngineBase:
         bounds = best.root_bounds
         if bounds is None:
             bounds = self.bounds_for(best)
-        # :meth:`bound_entry`, read in place: two lookups, no call.
-        unvisited = self.bound_table.get(visited)
-        remaining = bounds.caps.remaining.get(visited)
-        if unvisited is None or remaining is None:
-            remaining, unvisited = self.bound_entry(visited, bounds.caps)
+        # :meth:`bound_entry`, read in place: one lookup, no call.
+        entry = bounds.remaining.get(visited)
+        if entry is None:
+            entry = self.bound_entry(visited, bounds)
+        remaining, unvisited = entry
         observe = self.topk.observe
         observer = self.observer
         if not unvisited:
@@ -552,13 +568,16 @@ class EngineBase:
                     observer.on_extension(parent, extension, "completed", threshold)
             return []
         survivors: List[PartialMatch] = []
-        closing = self.topk.closing_level() if prune else _NEVER_CLOSES
+        # Compared times the factor that makes them dominate every float
+        # their tuples can finish at (``core/topk.py``).
+        factor = self.topk.bound_factor
+        closing = self.topk.closing_level() * factor if prune else _NEVER_CLOSES
         for extension in extensions:
             if extension.visited is not visited:
                 raise EngineError(_NOT_SIBLINGS)
             bound = extension.upper_bound = extension.score + remaining
             threshold = observe(extension, False)
-            if prune and (bound < threshold or bound <= closing):
+            if prune and (bound * factor < threshold or bound <= closing):
                 outcome = "pruned"
             else:
                 outcome = "alive"

@@ -36,12 +36,11 @@ from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
 from repro.core.server import (
     PROBE_MEMO_CAP,
-    CandidateCounts,
-    CapRow,
     ProbeEntry,
     ProbeMemo,
     RootBounds,
     Server,
+    bound_rows,
     probe_every_root,
 )
 from repro.core.trace import EngineObserver
@@ -112,8 +111,8 @@ class Engine:
     builds :attr:`root_bounds` from the same sweep.  Memoized probes are
     pure functions of (database, query), and ``ExecutionStats`` charge hits
     and misses alike.  A run built without the Engine (private memos, no
-    table) bounds every root by ``max_contribution``: its operation counts
-    are its own, its answers the same.
+    table) builds each root's row from its own servers' probes as it seeds
+    it — the same rows, so the same counts and answers.
     """
 
     def __init__(
@@ -189,8 +188,11 @@ class Engine:
             )
         #: The bound table: root Dewey -> :class:`~repro.core.server.RootBounds`,
         #: every run's bound material (:meth:`EngineBase.bound_entry`).
-        self.root_bounds: Dict[Dewey, RootBounds] = _bound_table(
-            roots, probes, self.score_model, relaxed
+        self.root_bounds: Dict[Dewey, RootBounds] = dict(
+            zip(
+                (root.dewey for root in roots),
+                bound_rows(len(roots), probes, self.score_model, relaxed),
+            )
         )
         self._path_summary: Optional["PathSummary"] = None
         # Engines are shared across service worker threads; the lazy
@@ -359,40 +361,6 @@ class Engine:
     def server_node_ids(self) -> List[int]:
         """Preorder ids of the query's server nodes (for static orders)."""
         return [node.node_id for node in self.pattern.non_root_nodes()]
-
-
-def _bound_table(
-    roots: List[XMLNode],
-    probes: Dict[int, List[ProbeEntry]],
-    score_model: ScoreModel,
-    relaxed: bool,
-) -> Dict[Dewey, RootBounds]:
-    """One :class:`~repro.core.server.RootBounds` per root image, from each
-    server's probe sweep (``probes``: server node id -> one entry per root,
-    in ``roots`` order) and the model's caps for them.  Equal rows, and
-    equal cap rows within them, are one object: a document has few
-    distinct ones, and a cap row's ``remaining`` is then shared too."""
-    server_ids = sorted(probes)
-    caps = {
-        node_id: score_model.caps(node_id, probes[node_id], relaxed)
-        for node_id in server_ids
-    }
-    cap_rows: Dict[Tuple[float, ...], CapRow] = {}
-    rows: Dict[Tuple[Tuple[float, ...], Tuple[CandidateCounts, ...]], RootBounds] = {}
-    table: Dict[Dewey, RootBounds] = {}
-    for i, root in enumerate(roots):
-        cap_key = tuple(caps[node_id][i] for node_id in server_ids)
-        count_key = tuple(probes[node_id][i][2] for node_id in server_ids)
-        row = rows.get((cap_key, count_key))
-        if row is None:
-            cap_row = cap_rows.get(cap_key)
-            if cap_row is None:
-                cap_row = cap_rows[cap_key] = CapRow(dict(zip(server_ids, cap_key)))
-            row = rows[cap_key, count_key] = RootBounds(
-                cap_row, dict(zip(server_ids, count_key))
-            )
-        table[root.dewey] = row
-    return table
 
 
 def topk(

@@ -76,17 +76,19 @@ class PartialMatch:
         qualities: Optional[Dict[int, MatchQuality]],
         visited: FrozenSet[int],
         score: float,
+        step: Optional[_Step] = None,
+        root_bounds: Optional["RootBounds"] = None,
     ) -> None:
         self.match_id = next(_match_counter)
         self.root_node = root_node
         #: The root's :class:`~repro.core.server.RootBounds`, set by the
         #: engine that seeds or decodes the match; extensions inherit it.
-        self.root_bounds: Optional["RootBounds"] = None
+        self.root_bounds = root_bounds
         self._instantiations = instantiations
         self._qualities = qualities
         #: ``(parent, node_id, candidate, quality)`` for a match made by
         #: :meth:`extend`, whose dict views are built on first read.
-        self._step: Optional[_Step] = None
+        self._step = step
         self.visited = visited
         self.score = score
         #: Set by the engine (``EngineBase.bind`` for a seed or a decoded
@@ -126,16 +128,15 @@ class PartialMatch:
         when the caller has built it already — a server operation builds
         it once and hands the same frozenset to every sibling.
         """
-        extension = PartialMatch(
+        return PartialMatch(
             self.root_node,
             None,
             None,
             self.visited | {node_id} if visited is None else visited,
             self.score + contribution,
+            (self, node_id, candidate, quality),
+            self.root_bounds,
         )
-        extension._step = (self, node_id, candidate, quality)
-        extension.root_bounds = self.root_bounds
-        return extension
 
     # -- the dict views --------------------------------------------------------
 

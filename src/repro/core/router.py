@@ -137,7 +137,7 @@ class MinAliveRouter(RoutingStrategy):
         table = engine.routing_table
         rest_total = sum(table[node_id][3] for node_id in unvisited)
         # The root's counts from its row of the bound table, read without
-        # a lock (None without a table: each server's memo has them).
+        # the probe memo's lock.
         counts = engine.bounds_for(match).counts
 
         # Primary: fewest alive extensions.  Ties break toward the server
@@ -163,15 +163,12 @@ class MinAliveRouter(RoutingStrategy):
         node_id: int,
         rest_total: float,
         threshold: float,
-        root_counts: Optional[Mapping[int, "CandidateCounts"]],
+        root_counts: Mapping[int, "CandidateCounts"],
     ) -> float:
-        server, exact_contribution, relaxed_contribution, max_contribution = (
+        _, exact_contribution, relaxed_contribution, max_contribution = (
             engine.routing_table[node_id]
         )
-        if root_counts is not None:
-            counts = root_counts[node_id]
-        else:
-            counts = server.candidate_counts(match.root_node.dewey)
+        counts = root_counts[node_id]
         # Maximum the *other* unvisited servers can still add afterwards.
         rest = rest_total - max_contribution
         score = match.score
@@ -212,7 +209,7 @@ class EstimatedMinAliveRouter(MinAliveRouter):
         node_id: int,
         rest_total: float,
         threshold: float,
-        root_counts: Optional[Mapping[int, "CandidateCounts"]],
+        root_counts: Mapping[int, "CandidateCounts"],
     ) -> float:
         server, exact_contribution, relaxed_contribution, max_contribution = (
             engine.routing_table[node_id]

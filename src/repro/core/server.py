@@ -186,19 +186,18 @@ class CapRow:
     """What each server can still add, for every root whose caps are these.
 
     ``caps`` maps every server node id, in ``server_ids`` order, to its
-    cap (:meth:`~repro.scoring.model.ScoreModel.caps`) — or, in the row an
-    engine without a bound table bounds every root by, to its
-    ``max_contribution``.  Roots with equal caps share one row, hence one
-    ``remaining``: visited -> :meth:`remaining_for` its unvisited servers,
-    filled as runs meet visited sets — a pure function of both, so
-    concurrent fills store equal values.
+    cap (:meth:`~repro.scoring.model.ScoreModel.caps`).  Roots with equal
+    caps share one row, hence one ``remaining``: visited -> (
+    :meth:`remaining_for` its unvisited servers, those servers), filled as
+    runs meet visited sets (``EngineBase.bound_entry``) — a pure function
+    of both, so concurrent fills store equal values.
     """
 
     __slots__ = ("caps", "remaining")
 
     def __init__(self, caps: Dict[int, float]) -> None:
         self.caps = caps
-        self.remaining: Dict[FrozenSet[int], float] = {}
+        self.remaining: Dict[FrozenSet[int], Tuple[float, Tuple[int, ...]]] = {}
 
     def remaining_for(self, unvisited: Sequence[int]) -> float:
         """The most the servers in ``unvisited`` can still add: their caps,
@@ -211,22 +210,54 @@ class CapRow:
 
 
 class RootBounds:
-    """One root's row of an :class:`~repro.core.engine.Engine`'s bound
-    table, built once from the probe sweep that fills its memos: per
-    server, the root's cap (``caps``, a :class:`CapRow`) and its
-    :class:`CandidateCounts` (``counts``; ``None`` in the row an engine
-    without a table uses, whose router then asks the server).  Roots whose
-    caps and counts are equal share one row.  A match carries its root's
-    row from its seed on.
+    """One root's row of a bound table: per server, the root's cap
+    (``caps``, a :class:`CapRow`) and its :class:`CandidateCounts`
+    (``counts``) — what a match is bounded and sized by.  Roots whose caps
+    and counts are equal share one row.  A match carries its root's row
+    from its seed on.  ``remaining`` is the cap row's, read one attribute
+    nearer.
     """
 
-    __slots__ = ("caps", "counts")
+    __slots__ = ("caps", "counts", "remaining")
 
-    def __init__(
-        self, caps: CapRow, counts: Optional[Dict[int, CandidateCounts]] = None
-    ) -> None:
+    def __init__(self, caps: CapRow, counts: Dict[int, CandidateCounts]) -> None:
         self.caps = caps
         self.counts = counts
+        self.remaining = caps.remaining
+
+
+def bound_rows(
+    roots: int,
+    probes: Dict[int, Sequence[ProbeEntry]],
+    score_model: ScoreModel,
+    relaxed: bool,
+) -> List[RootBounds]:
+    """One :class:`RootBounds` per root, from each server's probes of the
+    ``roots`` roots (``probes``: server node id -> one entry per root,
+    every list in the same root order) and the model's caps for them.  Equal rows, and
+    equal cap rows within them, are one object: a document has few
+    distinct ones, and a cap row's ``remaining`` is then shared too."""
+    server_ids = sorted(probes)
+    caps = {
+        node_id: score_model.caps(node_id, probes[node_id], relaxed)
+        for node_id in server_ids
+    }
+    cap_rows: Dict[Tuple[float, ...], CapRow] = {}
+    rows: Dict[Tuple[Tuple[float, ...], Tuple[CandidateCounts, ...]], RootBounds] = {}
+    table: List[RootBounds] = []
+    for i in range(roots):
+        cap_key = tuple(caps[node_id][i] for node_id in server_ids)
+        count_key = tuple(probes[node_id][i][2] for node_id in server_ids)
+        row = rows.get((cap_key, count_key))
+        if row is None:
+            cap_row = cap_rows.get(cap_key)
+            if cap_row is None:
+                cap_row = cap_rows[cap_key] = CapRow(dict(zip(server_ids, cap_key)))
+            row = rows[cap_key, count_key] = RootBounds(
+                cap_row, dict(zip(server_ids, count_key))
+            )
+        table.append(row)
+    return table
 
 
 class RoutingEstimates:
@@ -292,9 +323,9 @@ class Server:
         # cached state below is read and written under this lock.
         self._cache_lock = threading.Lock()
         self._estimates_cache: Optional[RoutingEstimates] = None
-        # Both the router's candidate_counts() and process() draw from the
-        # memo, so a popped match's sibling extensions pay for one probe
-        # total.  Built without an Engine, a server memoizes privately.
+        # The bound table's rows and process() draw from the memo, so a
+        # popped match's sibling extensions pay for one probe total.
+        # Built without an Engine, a server memoizes privately.
         self._probe_memo = probe_memo if probe_memo is not None else ProbeMemo()
         self._exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
 
@@ -458,14 +489,10 @@ class Server:
     def candidate_counts(self, root_dewey: Dewey) -> "CandidateCounts":
         """(total, exact-quality) candidate counts for one root image.
 
-        This is the size-based router's per-match signal — how many
-        extensions this server would spawn for a match anchored at
-        ``root_dewey`` — when its engine has no bound table (whose rows
-        carry the same counts).  The counts ride in the shared probe
-        memo's entry — so sizing a server is one locked read, and the
-        sizing probe and the eventual server operation pay for one index
-        probe between them (the "cost of adaptivity" the paper's Figure 8
-        charges is the memo fill).
+        How many extensions this server would spawn for a match anchored
+        at ``root_dewey``: the counts in the memo entry the server
+        operation reads, which a root's row of the bound table
+        (:class:`RootBounds`) copies for the size-based router.
         """
         return self._probe_shared(root_dewey)[2]
 

@@ -35,8 +35,10 @@ class FixedThresholdSet:
     best complete tuple reaches it is an answer (no k cut-off).
     """
 
-    def __init__(self, min_score: float) -> None:
+    def __init__(self, min_score: float, bound_factor: float = 1.0) -> None:
         self.min_score = min_score
+        #: As :attr:`TopKSet.bound_factor <repro.core.topk.TopKSet.bound_factor>`.
+        self.bound_factor = bound_factor
         self._best = {}
 
     def observe(self, match: PartialMatch, complete: bool) -> float:
@@ -58,7 +60,7 @@ class FixedThresholdSet:
 
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple can no longer reach the bound."""
-        return match.upper_bound < self.min_score
+        return match.upper_bound * self.bound_factor < self.min_score
 
     def answers(self) -> List[TopKAnswer]:
         """All qualifying roots, best score first (ties in document order)."""
@@ -92,5 +94,5 @@ def threshold_query(engine, min_score: float, **run_options: Any) -> TopKResult:
             raise EngineError(f"a threshold run takes no {option}: it is not resumable")
     # k is unused by the fixed-threshold set; EngineBase requires >= 1.
     run = engine.open(1, "whirlpool_s", **run_options)
-    run.topk = FixedThresholdSet(min_score)
+    run.topk = FixedThresholdSet(min_score, run.topk.bound_factor)
     return run.run()

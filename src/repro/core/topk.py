@@ -16,7 +16,8 @@ live on as the oracles of ``tests/test_topk_threshold_property.py``):
   the same list.
 
 A tuple is pruned when its maximum possible final score is *below* the
-threshold or *at or below* the closing level.
+threshold or *at or below* the closing level (both up to float rounding,
+below).
 
 Why ``upper_bound < threshold`` never loses a top-k answer: scores are
 monotone along extension chains, so a tuple whose maximum possible final
@@ -39,29 +40,36 @@ below any final score the tuple can reach.  At a relaxed-mode seed it *is*
 the root's best final score: quality is root-anchored, so the best
 completion takes every cap, and the float equals the decomposed oracle's
 (``tests/test_differential.py``) bit for bit — the same terms in the same
-order.  A run without the Engine's table (private probe memos) caps every
-server at its ``max_contribution``, the bound every run used before.
+order.  A run without the Engine's table (private probe memos) builds the
+same rows from its own probes as it seeds each root.
 
-What rounding leaves.  A final score is summed in *visit* order, the bound
-in server order, so the float a root completes at can exceed a bound of
-its chain by the rounding of the additions still to come: a few ulps, and
-only where the terms do not add exactly (Q2 on the ``fig10_single``
-benchmark document: 0 + 0.9999999999999999 × 3 + 1.0 is
-3.9999999999999996 in server order and 4.0 when the 1.0 comes first — the
-database-wide maxima rounded the same way).  A tuple pruned or closed on
-such a bound can lose a root only if that root finishes within those ulps
-of the level it was judged against: it ties that level to nine digits,
-the precision :func:`topk_mismatch` and :func:`certificate_breach`
-compare at, so it is one of the k-th level's interchangeable ties (unless
-the two floats straddle a nine-digit rounding boundary: the hole ROADMAP
-item 1 closes).  The bound is not stepped up by the rounding error on
-purpose: a bound above the float its tie group completes at never closes
-a tie (``tests/test_hot_path_identity.py`` pins one that must close), and
-scores summed canonically — bit-identical per root, with exact bounds —
-turn every tie group into equal queue keys that the maximum-final-score
-queues work off breadth-first (on the same document Q2 at k = 3 went from
-66 to 554 Whirlpool-S operations, 110 before per-root bounds).  Making
-scores route-independent is item 1, and needs a tie-break with it.
+What rounding leaves, and the factor that covers it.  A final score is
+summed in *visit* order, the bound in server order, so the float a root
+completes at can exceed a bound of its chain by a few ulps (Q2 on the
+``fig10_single`` benchmark document: 0 + 0.9999999999999999 × 3 + 1.0 is
+3.9999999999999996 in server order and 4.0 when the 1.0 comes first).
+Every comparison therefore takes the bound times ``f =``
+:func:`bound_factor` ``(servers) = 1 + 2(m)eps``, m = servers + 1 terms:
+a sum of m non-negative floats in any order is within ``(m-1)u`` (u =
+eps/2) of the real sum, the real final is at most the real bound, so the
+visit-order final is at most ``bound × (1 + (m-1)u) / (1 - (m-1)u)``, and
+the multiplication's own rounding is one u more — all below ``2m eps``.
+So ``bound × f`` dominates every float a tuple can finish at, in every
+visit order, and the threshold test ``bound × f < threshold`` drops only
+tuples that finish below the threshold, as floats.  The closing test
+compares ``bound <= closing × f``: it drops a tuple that can at best tie
+the closing level *up to that rounding* — the tie group whose roots
+completed at 3.9999999999999996 closes its cousins bounded at 4.0, which
+a bound stepped above the float its group completed at would never do.
+Such a tuple finishes at most ``c f^2``: equal to the k-th score to nine
+digits, the precision :func:`topk_mismatch` and :func:`certificate_breach`
+compare at, so it is one of the k-th level's interchangeable ties —
+unless the two floats, ~1e-15 apart relative, straddle a nine-digit
+rounding boundary, which only scores summed canonically (ROADMAP item 1)
+remove.  Those make every tie group exact, and the maximum-final-score
+queues, which break key ties by arrival, then work a group off
+breadth-first (on the same document Q2 at k = 3 went from 66 to 554
+Whirlpool-S operations): item 1 needs a tie-break with it.
 
 Why ``upper_bound <= closing level`` loses none either (closing ties).  Let
 c be the closing level when a tuple bounded by c is dropped.  k distinct
@@ -116,6 +124,7 @@ from under it).
 
 from __future__ import annotations
 
+import sys
 import threading
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Sized, Tuple
@@ -129,6 +138,13 @@ from repro.xmldb.model import XMLNode
 
 
 _NEG_INF = float("-inf")
+
+
+def bound_factor(servers: int) -> float:
+    """What a bound summed over ``servers`` servers is multiplied by to
+    dominate every float a tuple it bounds can finish at (module
+    docstring, "What rounding leaves"): ``1 + 2 (servers + 1) eps``."""
+    return 1.0 + 2 * (servers + 1) * sys.float_info.epsilon
 
 
 class TopKAnswer:
@@ -180,7 +196,9 @@ class _Entry:
 class TopKSet:
     """Candidate top-k answers plus the pruning threshold they induce."""
 
-    def __init__(self, k: int, threshold_source: str = "all") -> None:
+    def __init__(
+        self, k: int, threshold_source: str = "all", bound_factor: float = 1.0
+    ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if threshold_source not in ("all", "complete"):
@@ -189,6 +207,9 @@ class TopKSet:
             )
         self.k = k
         self.threshold_source = threshold_source
+        #: What a float bound is multiplied by before it is compared
+        #: (:func:`bound_factor`; 1.0 treats bounds as exact).
+        self.bound_factor = bound_factor
         self._complete_only = threshold_source == "complete"
         self._entries: Dict[Dewey, _Entry] = {}
         self._lock = threading.Lock()
@@ -273,9 +294,10 @@ class TopKSet:
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple's maximum possible final score cannot reach
         the threshold, or can at best tie k completed answers."""
+        factor = self.bound_factor
         bound = match.upper_bound
         with self._lock:
-            return bound < self._threshold or bound <= self._closing
+            return bound * factor < self._threshold or bound <= self._closing * factor
 
     # -- results -----------------------------------------------------------------
 

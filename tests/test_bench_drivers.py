@@ -118,15 +118,8 @@ class TestDrivers:
             assert 0 < row["1M"] <= 100.0 + 1e-9
 
     def test_lockstep_sweeps_run_on_the_warm_engine(self):
-        """Every permutation shares the Engine's probe memos and answers
-        what a hand-built LockStep with private memos answers.  The
-        hand-built run has no bound table: it bounds every root by the
-        database-wide maxima, so its counts are its own.  LockStep-NoPrun
-        reads no bound and counts the same; LockStep's server queues pop by
-        bound, so with per-root bounds a pass takes the roots with the most
-        left to gain first rather than the highest scores, and on one
-        order here (5, 4, 3, 2, 1) the threshold rises later: 313 warm
-        operations against 210 cold, where the other orders save 3-9."""
+        """Every permutation shares the Engine's probe memos, and counts
+        what a hand-built LockStep with private memos counts."""
         from repro.core.lockstep import LockStep, LockStepNoPrun
 
         engine = get_engine("Q2", "1M")
@@ -145,9 +138,8 @@ class TestDrivers:
                 before = engine.index.probe_cost()
                 assert warm.root_deweys() == cold.root_deweys()
                 assert warm.scores() == cold.scores()
-                if not prune:
-                    for counter in ("server_operations", "join_comparisons"):
-                        assert getattr(warm.stats, counter) == getattr(cold.stats, counter)
+                for counter in ("server_operations", "join_comparisons"):
+                    assert getattr(warm.stats, counter) == getattr(cold.stats, counter)
 
     def test_static_orders_budget(self):
         orders = experiments.static_orders([1, 2, 3], budget=3)

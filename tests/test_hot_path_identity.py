@@ -51,9 +51,9 @@ mutant cannot outlive the line it mutates — must each fail the checks:
 
 - ``last_best`` — the *last* of the best completed siblings is shown to the
   top-k set, not the first;
-- ``keeps_ties`` — ``<`` for ``<=`` against the closing level in the batch
-  prune test: the rule before PR 22, right for answers and wrong for every
-  count in the table;
+- ``keeps_ties`` — ``<`` for ``<=`` against the closing level (and no
+  rounding factor) in the pop-time prune test: the rule before ties were
+  closed, right for answers and wrong for every count in the table;
 - ``bound_by_size`` — one ``remaining`` reused for every visited set of the
   same size;
 - ``cap_too_low`` — a root's cap takes the relaxed contribution for an
@@ -360,16 +360,16 @@ MUTANTS = {
     "keeps_ties": (
         TopKSet,
         "is_pruned",
-        [("bound <= self._closing", "bound < self._closing")],
+        [("bound <= self._closing * factor", "bound < self._closing")],
     ),
     "bound_by_size": (
         EngineBase,
         "bound_entry",
         [
             (
-                "caps.remaining[visited] = caps.remaining_for(unvisited)",
-                "caps.remaining[visited] = caps.remaining.setdefault("
-                "len(visited), caps.remaining_for(unvisited))",
+                "remaining = bounds.caps.remaining_for(unvisited)",
+                "remaining = bounds.remaining.setdefault("
+                "len(visited), (bounds.caps.remaining_for(unvisited),))[0]",
             )
         ],
     ),

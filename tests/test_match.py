@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.match import PartialMatch
-from repro.core.server import CapRow, RootBounds
+from repro.core.server import CandidateCounts, CapRow, RootBounds
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import Database, XMLNode
 
@@ -85,7 +85,7 @@ class TestBounds:
         root, title, _ = data_nodes
         base = PartialMatch.initial(root)
         assert base.root_bounds is None
-        base.root_bounds = RootBounds(CapRow({1: 0.5}))
+        base.root_bounds = RootBounds(CapRow({1: 0.5}), {1: CandidateCounts(1, 1)})
         assert base.extend(1, title, MatchQuality.EXACT, 0.5).root_bounds is base.root_bounds
 
     def test_max_next_score(self, root_node):

@@ -119,9 +119,11 @@ class TestMinAliveRouter:
         assert choice == best
 
     def test_engine_runs_read_counts_from_the_bound_table(self, engine, monkeypatch):
-        """A run an Engine opens sizes servers from its root's row of the
-        bound table, without the probe memo's lock; a hand-built run, with
-        no table, asks each server — and both route alike."""
+        """A run sizes servers from its root's row of the bound table,
+        without the probe memo's lock: the Engine's row, or — in a
+        hand-built run — one built from the run's own probes at seeding,
+        with the same caps and counts.  Both route alike, and neither asks
+        a server for its counts."""
         from repro.core.server import Server
 
         calls = []
@@ -137,8 +139,12 @@ class TestMinAliveRouter:
         warm.run()
         assert calls == []
         cold = _whirlpool(engine, MinAliveRouter())
-        assert cold.router.choose(_seed(cold), cold) == warm_choice
-        assert calls
+        seed = _seed(cold)
+        assert cold.router.choose(seed, cold) == warm_choice
+        assert calls == []
+        row = engine.root_bounds[seed.root_node.dewey]
+        assert seed.root_bounds.caps.caps == row.caps.caps
+        assert seed.root_bounds.counts == row.counts
 
 
 class TestFactory:

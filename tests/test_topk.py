@@ -1,11 +1,14 @@
 """Tests for the shared top-k set: thresholds, pruning, per-root invariant."""
 
+import itertools
+import math
+import random
 import threading
 
 import pytest
 
 from repro.core.match import PartialMatch
-from repro.core.topk import TopKSet
+from repro.core.topk import TopKSet, bound_factor
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import Database, XMLNode
 
@@ -107,6 +110,61 @@ class TestPruning:
         topk.observe(_match(roots[0], 0.5), complete=False)
         contender = _match(roots[1], 0.1, bound=0.8)
         assert not topk.is_pruned(contender)
+
+
+class TestRoundingFactor:
+    """A bound is a float sum in server order, a final score one in visit
+    order; comparisons take the bound times :func:`bound_factor`."""
+
+    def test_the_factor_dominates_every_visit_order_sum(self):
+        """``server-order sum x f`` is at least the sum in every order of
+        any terms at most as large — the finals a bound covers."""
+        rng = random.Random(7)
+        for _ in range(300):
+            servers = rng.randint(1, 7)
+            caps = [
+                rng.choice((0.0, 1.0, 0.9999999999999999, rng.random()))
+                for _ in range(servers)
+            ]
+            bound = 0.0
+            for cap in caps:
+                bound += cap
+            finals = [cap * rng.choice((1.0, 1.0, rng.random())) for cap in caps]
+            for order in itertools.islice(itertools.permutations(finals), 50):
+                final = 0.0
+                for term in order:
+                    final += term
+                assert final <= bound * bound_factor(servers)
+        # The case the factor exists for: the same terms, another order.
+        terms = (0.0, 0.9999999999999999, 0.9999999999999999, 0.9999999999999999, 1.0)
+        in_server_order = sum(terms)
+        in_visit_order = sum(terms[-1:] + terms[:-1])
+        assert in_visit_order > in_server_order
+        assert in_visit_order <= in_server_order * bound_factor(4)
+        assert bound_factor(4) - 1.0 < 1e-14
+
+    def test_a_bound_an_ulp_below_the_threshold_is_kept(self):
+        """Its tuple may finish at the threshold's float in another order."""
+        roots = _roots(2)
+        topk = TopKSet(1, bound_factor=bound_factor(4))
+        topk.observe(_match(roots[0], 4.0), complete=False)
+        close_call = _match(roots[1], 1.0, bound=math.nextafter(4.0, 0.0))
+        assert not topk.is_pruned(close_call)
+        exact = TopKSet(1)
+        exact.observe(_match(roots[0], 4.0), complete=False)
+        assert exact.is_pruned(close_call)
+
+    def test_a_bound_an_ulp_above_the_closing_level_is_closed(self):
+        """A tie group that completed at 3.9999999999999996 closes a cousin
+        bounded at 4.0: it can at best tie that level."""
+        roots = _roots(3)
+        topk = TopKSet(1, bound_factor=bound_factor(4))
+        topk.observe(_match(roots[0], 3.9999999999999996), complete=True)
+        assert topk.is_pruned(_match(roots[1], 3.0, bound=4.0))
+        assert not topk.is_pruned(_match(roots[2], 3.0, bound=4.000001))
+        exact = TopKSet(1)
+        exact.observe(_match(roots[0], 3.9999999999999996), complete=True)
+        assert not exact.is_pruned(_match(roots[1], 3.0, bound=4.0))
 
 
 class TestCompleteMode:
