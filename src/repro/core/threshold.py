@@ -30,9 +30,9 @@ from repro.errors import EngineError
 class FixedThresholdSet:
     """Drop-in for :class:`~repro.core.topk.TopKSet` with a constant bound.
 
-    ``observe``/``is_pruned``/``answers`` match the TopKSet interface the
-    engines consume; the threshold never moves, and *every* root whose
-    best complete tuple reaches it is an answer (no k cut-off).
+    ``observe``/``is_pruned``/``closes``/``answers`` match the TopKSet
+    interface the engines consume; the threshold never moves, and *every*
+    root whose best complete tuple reaches it is an answer (no k cut-off).
     """
 
     def __init__(self, min_score: float, bound_factor: float = 1.0) -> None:
@@ -58,9 +58,14 @@ class FixedThresholdSet:
         """No k, hence no k-th completed answer to tie: ties are kept."""
         return float("-inf")
 
+    def closes(self, bound: float) -> bool:
+        """True iff a tuple bounded by ``bound`` can no longer reach the
+        constant threshold — nor can any tuple with a lower bound."""
+        return bound * self.bound_factor < self.min_score
+
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple can no longer reach the bound."""
-        return match.upper_bound * self.bound_factor < self.min_score
+        return self.closes(match.upper_bound)
 
     def answers(self) -> List[TopKAnswer]:
         """All qualifying roots, best score first (ties in document order)."""

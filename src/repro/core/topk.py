@@ -87,8 +87,12 @@ The argument never mentions the order tuples are met in, so it holds for
 every engine, and every way a run can hold a *lower* c than the true one
 only prunes less:
 
-- *Whirlpool-S* pops in bound order, so the first closed tuple closes the
-  whole queue behind it (the Upper-style early stop);
+- *Whirlpool-S* pops in bound order, so the first tuple the levels close
+  (:meth:`TopKSet.closes`) closes every tuple queued behind it: the loop
+  drains its queue, counts each drained tuple as pruned (and shows it to
+  an observer's ``on_prune``) and ends — Upper/MPro's early stop.  Both
+  levels only rise, so each drained tuple would have failed its own pop's
+  test: the early stop changes how long a run takes, not what it does;
 - *LockStep* and *Whirlpool-M* pop per server in whatever order the sweep
   or the threads produce — the argument needs no order; a Whirlpool-M
   thread holding a level read before another thread raised it holds a
@@ -291,13 +295,18 @@ class TopKSet:
         with self._lock:
             return self._closing
 
-    def is_pruned(self, match: PartialMatch) -> bool:
-        """True iff the tuple's maximum possible final score cannot reach
-        the threshold, or can at best tie k completed answers."""
+    def closes(self, bound: float) -> bool:
+        """True iff a tuple bounded by ``bound`` cannot reach the
+        threshold, or can at best tie k completed answers: the test on the
+        two shared levels, which only rise — so it holds for every tuple
+        whose bound is no higher, too."""
         factor = self.bound_factor
-        bound = match.upper_bound
         with self._lock:
             return bound * factor < self._threshold or bound <= self._closing * factor
+
+    def is_pruned(self, match: PartialMatch) -> bool:
+        """True iff the tuple can add nothing to the answer (:meth:`closes`)."""
+        return self.closes(match.upper_bound)
 
     # -- results -----------------------------------------------------------------
 

@@ -7,6 +7,9 @@ final score.  The loop is:
 
 1. pop the partial match with the highest maximum possible final score;
 2. re-check it against the (possibly grown) top-k threshold (``admit``);
+   when the shared levels close it (``closes``), every tuple still queued
+   is bounded no higher, so the loop prunes the whole queue and ends —
+   Upper/MPro's early stop;
 3. ask the routing strategy for its next server (``choose_server``);
 4. process it there and absorb the extensions — report / complete /
    prune (``serve``) — and push survivors back into the router queue.
@@ -67,6 +70,16 @@ class WhirlpoolS(EngineBase):
             if match is None:
                 break
             if not self.admit(match):
+                if self.topk.closes(match.upper_bound):
+                    # The queue pops in bound order and both levels only
+                    # rise, so the shared-level test closes every tuple
+                    # still queued: each is pruned as its pop would have.
+                    closed = router_queue.drain()
+                    self.stats.record_pruned(len(closed))
+                    if self.observer is not None:
+                        for pruned in closed:
+                            self.notify_prune(pruned)
+                    break
                 continue
             server_id = self.choose_server(match)
             if server_id is None:  # dropped in routing; bound recorded

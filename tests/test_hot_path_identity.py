@@ -359,7 +359,7 @@ MUTANTS = {
     ),
     "keeps_ties": (
         TopKSet,
-        "is_pruned",
+        "closes",
         [("bound <= self._closing * factor", "bound < self._closing")],
     ),
     "bound_by_size": (
