@@ -3,9 +3,10 @@
 The set keeps, per distinct query-root data node, the best score any tuple
 for that root has reached so far ("only one match with a given root node is
 present in the top-k set") plus the representative match that achieved it.
-Two levels decide pruning, both kept by ``observe`` as it goes so that
-``is_pruned()`` reads two stored floats (the sort-everything definitions
-live on as the oracles of ``tests/test_topk_threshold_property.py``):
+Two shared levels decide pruning, both kept by ``observe`` as it goes so
+that ``is_pruned()`` reads two stored floats and the tuple's own root's
+entry (the sort-everything definitions live on as the oracles of
+``tests/test_topk_threshold_property.py``):
 
 - the **threshold** — the paper's ``currentTopK`` — is the k-th largest
   per-root score currently in the set (0 while fewer than k roots are
@@ -16,8 +17,9 @@ live on as the oracles of ``tests/test_topk_threshold_property.py``):
   the same list.
 
 A tuple is pruned when its maximum possible final score is *below* the
-threshold or *at or below* the closing level (both up to float rounding,
-below).
+threshold, *at or below* the closing level, or *at or below* the score its
+own root has already completed at (all up to float rounding, below).  The
+first two are the shared-level test, :meth:`TopKSet.closes`.
 
 Why ``upper_bound < threshold`` never loses a top-k answer: scores are
 monotone along extension chains, so a tuple whose maximum possible final
@@ -111,6 +113,32 @@ only prunes less:
 - a *degraded* exit reports the certificate :func:`certificate_ceiling`
   states: tuples left unprocessed are bounded by ``pending_bound``, tuples
   dropped as ties by the c of their time, and c <= the k-th reported score.
+
+Why ``upper_bound <= own root's completed score`` loses none either (a
+root closes its own tuples).  Let o be the completed score the tuple's root
+r holds when the tuple is dropped.  The set keeps one match per root, and
+r's entry already holds a completed match at o; completed scores only
+rise.  The dropped tuple and everything it could become finish at most o
+(up to the rounding below): at best they tie the match r has, so r's score
+and the completeness of its representative stay what they would have been,
+and which of r's equal matches represents it is all that can change.  The
+test reads r's entry only, so no other root loses anything, and neither
+level can fall below what it would have reached: each depends on per-root
+best scores, and r's are already >= anything the tuple could add.  The
+threshold stays achieved: an entry score s of r whose tuple is dropped has
+s <= bound <= o, and r's entry score is >= o, so s = o, held by r's
+completed match.  It is compared in the closing test's form, ``bound <= o
+× f``: r's tie group completes at the very float its cousins are bounded
+by, so the strict form ``bound × f <= o`` would never fire.  A tuple dropped
+this way could finish at most ``o f^2`` — equal to r's score to nine
+digits, with the closing test's straddle caveat, which canonical sums
+(ROADMAP item 1) remove for both tests.  No order and no other level is
+involved, so it holds alike in every engine: a root lives in one shard and
+one entry, a Whirlpool-M thread reads r's entry under the lock, a restored
+run replays r's completed match, and at a degraded exit a root outside
+the answers has o <= its entry score <= the k-th reported score, which the
+certificate already covers.  It closes r's tuples only, so a Whirlpool-S
+pop it prunes closes nothing queued behind it.
 
 Closed ties leave one thing to ``answers()``: a root may keep a partial
 tuple as its representative when the tuple that would have completed it at
@@ -300,13 +328,30 @@ class TopKSet:
         threshold, or can at best tie k completed answers: the test on the
         two shared levels, which only rise — so it holds for every tuple
         whose bound is no higher, too."""
-        factor = self.bound_factor
         with self._lock:
-            return bound * factor < self._threshold or bound <= self._closing * factor
+            return self._levels_close(bound, _NEG_INF)
 
     def is_pruned(self, match: PartialMatch) -> bool:
-        """True iff the tuple can add nothing to the answer (:meth:`closes`)."""
-        return self.closes(match.upper_bound)
+        """True iff the tuple can add nothing to the answer: the shared
+        levels close it (:meth:`closes`), or it cannot beat the score its
+        own root has already completed at (module docstring, "Why a root
+        closes its own tuples")."""
+        bound = match.upper_bound
+        with self._lock:
+            entry = self._entries.get(match.root_node.dewey)
+            own = _NEG_INF if entry is None else entry.complete_score
+            return self._levels_close(bound, own)
+
+    def _levels_close(self, bound: float, own: float) -> bool:
+        """The prune test against the threshold, the closing level and the
+        tuple's own root's completed score ``own``; the caller holds the
+        lock."""
+        factor = self.bound_factor
+        return (
+            bound * factor < self._threshold
+            or bound <= self._closing * factor
+            or bound <= own * factor
+        )
 
     # -- results -----------------------------------------------------------------
 

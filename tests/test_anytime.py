@@ -93,9 +93,11 @@ class TestValidation:
 
 
 #: ``engine.run(k).stats.server_operations`` for k = 1, 3, 15, 75 on
-#: ``XMarkConfig(items=300, seed=7)``, since matches are bounded per root
-#: (what each unvisited server can still add for the match's own root).
-#: Bounded by database-wide maxima, Whirlpool-S counted 301 / 303 / 315 /
+#: ``XMarkConfig(items=300, seed=7)``, since a tuple that cannot beat the
+#: score its own root has already completed at is pruned.  Before that, with
+#: matches already bounded per root, Whirlpool-S counted 389 / 406 / 472 /
+#: 822 (Q2) and 811 / 871 / 1,030 / 2,896 (Q3), Q1 as now.  Bounded by
+#: database-wide maxima, Whirlpool-S counted 301 / 303 / 315 /
 #: 375 (Q1), 647 / 668 / 734 / 1,091 (Q2) and 1,217 / 1,277 / 1,436 /
 #: 2,810 (Q3), and LockStep 304 / 309 / 334 / 454 on Q1 — the counts the
 #: anytime engine's ``run_anytime`` had before its early stop became the
@@ -104,8 +106,8 @@ class TestValidation:
 #: 600 on Q1.
 GOLDEN_OPERATIONS = {
     "Q1": [131, 133, 145, 205],
-    "Q2": [389, 406, 472, 822],
-    "Q3": [811, 871, 1030, 2896],
+    "Q2": [389, 391, 403, 463],
+    "Q3": [811, 813, 825, 1026],
 }
 GOLDEN_LOCKSTEP_Q1 = [301, 303, 315, 375]
 

@@ -113,10 +113,13 @@ def test_fresh_fleet_then_resident_query(database, ranking, frames):
 
 
 def test_kill_at_a_step_boots_one_clean_replacement(database, ranking, frames):
+    # Steps of 25 operations: shard 0 takes three, so the replacement both
+    # replays a step and takes one of its own.  (At 30 it takes two since a
+    # tuple that cannot beat its own root's completed score is pruned.)
     with Coordinator(
         database,
         shards=2,
-        step_operations=30,
+        step_operations=25,
         recovery_store=MemoryRecoveryStore(),
         **FAST_LADDER,
     ) as coordinator:

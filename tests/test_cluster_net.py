@@ -173,20 +173,21 @@ def test_socket_partition_resumes_session_without_failover(database, ranking):
 def test_partition_with_the_worker_gone_fails_over_via_checkpoints(
     database, ranking
 ):
-    """A severed link that cannot be re-established: shard 0's third
-    step is partitioned away (NET frames: init, begin, two steps), and
+    """A severed link that cannot be re-established: shard 0's second
+    step is partitioned away (NET frames: init, begin, one step), and
     the worker SIGKILLs itself on the replay of that same RPC (armed
-    RPCs: begin, three steps) — nobody is left to redial.  (The fourth
-    step, aimed at while bounds were database-wide maxima, is no longer
-    reached.)"""
+    RPCs: begin, two steps) — nobody is left to redial.  (The fourth
+    step, aimed at while bounds were database-wide maxima, and the third,
+    aimed at until a tuple that cannot beat its own root's completed score
+    was pruned, are no longer reached.)"""
     kill = FaultRule(
         site=FaultSite.WORKER_RPC,
         action=FaultAction.KILL,
         target="0",
-        nth=4,
+        nth=3,
         times=1,
     )
-    partition = net_plan(FaultAction.PARTITION, nth=5)
+    partition = net_plan(FaultAction.PARTITION, nth=4)
     result = run(database, FaultPlan(partition.rules + [kill], seed=partition.seed))
     assert not result.degraded
     assert result.failovers >= 1  # respawn + restore the shipped checkpoint

@@ -387,3 +387,46 @@ class TestPerRootBounds:
     @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_xmark_queries(self, xmark_db, query, relaxed):
         check_seed_bounds(Engine(xmark_db, QUERIES[query], relaxed=relaxed))
+
+
+# -- root closing ---------------------------------------------------------------------
+
+
+def check_root_closing(database, cases, relaxed):
+    """Every engine prunes a tuple that cannot beat the score its own root
+    has already completed at: Whirlpool-S, LockStep, Whirlpool-M at one and
+    two threads per server, and a 2-shard ``Coordinator``, on each (query,
+    k) of ``cases``, each judged against LockStep-NoPrun — which prunes
+    nothing — by the same-top-k rule or the certificate, with every
+    finished run's answers complete matches."""
+    with Coordinator(database, shards=2, step_operations=5) as coordinator:
+        for query, k in cases:
+            engine = Engine(database, query, relaxed=relaxed)
+            ranking = full_ranking(engine)
+            results = [engine.run(k, algorithm=name) for name in ("whirlpool_s", "lockstep")]
+            for threads in (1, 2):
+                threaded = engine.open(k, "whirlpool_m")
+                threaded.threads_per_server = threads
+                results.append(threaded.run())
+            results.append(coordinator.run_query(query, k, relaxed=relaxed))
+            for result in results:
+                _judge(engine, ranking, result)
+
+
+class TestRootClosing:
+    """A root closes its own tuples soundly, in every engine and mode."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(_WIDE_FORESTS, _WIDE_QUERIES, st.booleans(), st.integers(1, 12))
+    def test_wide_forests(self, forest, query, relaxed, k):
+        check_root_closing(_tied_database(forest), [(query, k)], relaxed)
+
+    @settings(max_examples=8, deadline=None)
+    @given(_TIED_FORESTS, _TIED_QUERIES, st.booleans(), st.integers(1, 8))
+    def test_tied_forests(self, forest, query, relaxed, k):
+        check_root_closing(_tied_database(forest), [(query, k)], relaxed)
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_xmark_queries(self, xmark_db, relaxed):
+        cases = [(QUERIES[query], k) for query in sorted(QUERIES) for k in (3, 15)]
+        check_root_closing(xmark_db, cases, relaxed)

@@ -34,7 +34,11 @@ per root (a match is bounded by what its unvisited servers can still add
 for *its* root, not by database-wide maxima): that moves every count and
 bound by design, and :func:`reference_bound` moved with it — from the
 database-wide ``refresh_bound`` sum to the per-root one — while the other
-checks held unedited.  Whirlpool-M has rows too, ``whirlpool_m@1``:
+checks held unedited.  It was retaken once more when a tuple that cannot
+beat the score its own root has already completed at became pruned (and
+Whirlpool-S began to stop at the first tuple the shared levels close,
+which moved no count by itself): fewer operations by design, with every
+oracle check unedited.  Whirlpool-M has rows too, ``whirlpool_m@1``:
 its step scheduled on one modeled processor (``repro.bench.makespan``), a
 deterministic interleaving of the real engine code.  They were taken from
 the parent of the commit that made the scheduler drive the engine's step
@@ -52,7 +56,8 @@ mutant cannot outlive the line it mutates — must each fail the checks:
 - ``last_best`` — the *last* of the best completed siblings is shown to the
   top-k set, not the first;
 - ``keeps_ties`` — ``<`` for ``<=`` against the closing level (and no
-  rounding factor) in the pop-time prune test: the rule before ties were
+  rounding factor) in the pop-time prune test (``TopKSet._levels_close``,
+  which the Whirlpool-S early stop reads too): the rule before ties were
   closed, right for answers and wrong for every count in the table;
 - ``bound_by_size`` — one ``remaining`` reused for every visited set of the
   same size;
@@ -359,7 +364,7 @@ MUTANTS = {
     ),
     "keeps_ties": (
         TopKSet,
-        "closes",
+        "_levels_close",
         [("bound <= self._closing * factor", "bound < self._closing")],
     ),
     "bound_by_size": (

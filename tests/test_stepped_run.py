@@ -390,10 +390,12 @@ def test_worker_takes_one_checkpoint_per_step_whatever_the_budgets(xmark_db, alg
     ):
         reply, _ = worker.handle(frame)
         assert reply["ok"], reply
-    # Four budgets short of Whirlpool-S's 110 operations (167 when bounds
-    # were database-wide maxima, with a fourth budget of 90), the last
-    # larger than any before it; the fifth finishes.
-    for step, budget in enumerate([5, 40, 7, 50, 10**6], start=1):
+    # Four budgets short of Whirlpool-S's 97 operations (110 before a tuple
+    # that cannot beat its own root's completed score was pruned, with a
+    # second budget of 40; 167 when bounds were database-wide maxima, with a
+    # fourth budget of 90), the last larger than any before it; the fifth
+    # finishes.
+    for step, budget in enumerate([5, 30, 7, 50, 10**6], start=1):
         reply, _ = worker.handle({"op": "step", "id": 10 + step, "operations": budget})
         assert reply["ok"], reply
         if reply["done"]:

@@ -3,24 +3,29 @@ definitions, and the pruning rule built on them returns the right answers.
 
 ``TopKSet.observe`` keeps the k best per-root scores and the k best per-root
 *completed* scores as it goes, so that ``is_pruned()`` reads two stored
-floats.  The definitions they must agree with are the ones this file keeps
-as oracles, both sort-everything:
+floats and the tuple's own root's entry.  The definitions they must agree
+with are the ones this file keeps as oracles, all sort-everything:
 
 - the **threshold** (the paper's ``currentTopK``): the best score per
   distinct root (every observation in ``"all"`` mode, completed tuples only
   in ``"complete"`` mode), sorted, the k-th — or 0 while fewer than k roots
   qualify;
 - the **closing level**: the best *completed* score per distinct root,
-  sorted, the k-th — or -inf while fewer than k roots have one.
+  sorted, the k-th — or -inf while fewer than k roots have one;
+- a root's **own level**: its best *completed* score, -inf while it has
+  none.
 
 Generated ``observe`` sequences draw roots from a pool smaller than the
 sequence (duplicate roots), scores from a five-value grid (rising, equal
 and falling re-observations, ties at the k-th), k up to one past the pool
 (fewer than k roots) and both ``threshold_source`` modes; both levels are
-compared after every step, ``is_pruned`` is compared with ``bound <
-threshold or bound <= closing level`` over the whole grid, and all of it
-again after an ``export_state`` -> ``restore_state`` round trip (what
-``recovery.codec`` does).
+compared after every step, ``closes`` with ``bound < threshold or bound <=
+closing level`` and ``is_pruned`` with that ``or bound <= own level`` for
+every root over the whole grid, and all of it again after an
+``export_state`` -> ``restore_state`` round trip (what ``recovery.codec``
+does).  The set multiplies bounds by ``bound_factor`` as the engines' sets
+do; on the grid that changes no comparison of the exact forms above, and
+it is what tells a rounding-tolerant test from a strict one.
 
 A level can equal its definition and still be the wrong thing to prune on,
 so there is a second, *answers* oracle: Whirlpool-S, LockStep and a
@@ -55,16 +60,29 @@ against both oracles; the table says which must kill it:
 - ``evicts_on_tie`` — ``>`` → ``>=`` on eviction: **survives** both;
 - ``keeps_ties`` — ``<=`` → ``<`` against the closing level, here and in
   ``EngineBase.absorb_extensions``: killed by the ``is_pruned`` comparison,
-  **survives** the answers.
+  **survives** the answers;
+- ``ignores_own_root`` — the own-level test is dropped: killed by the
+  ``is_pruned`` comparison, **survives** the answers;
+- ``own_root_strict`` — the own-level test in the strict form ``bound × f
+  <= own level``: killed by the ``is_pruned`` comparison (a bound equal to
+  its root's completed score is not pruned), **survives** the answers;
+- ``own_root_from_entry_score`` — the own level is the root's entry score,
+  completed or not: killed by the **levels** and by the **answers** (a
+  relaxed root's partial representative, one hop short of a server that
+  adds nothing, closes itself and is returned incomplete).
 
 ``evicts_on_tie`` is an *equivalent* mutant and is asserted to survive: a
 level is a function of the multiset of the k best scores, and evicting the
 k-th for an equal score leaves that multiset unchanged — roots tied at the
 k-th are interchangeable, which is why the lists hold bare values and no
-root identities.  ``keeps_ties`` is the strict rule this repo ran until
-PR 22: equivalent *for answers* — which is the point of closing ties — so
-only counts can tell it from the rule: the ``is_pruned`` comparison here,
-and the golden operation counts of ``tests/test_anytime.py`` and
+root identities.  The own level does not change that: it is read from the
+root's entry, which eviction from the lists never touches, so the mutant
+moves no ``is_pruned`` answer either.  ``keeps_ties`` is the strict rule
+this repo ran until PR 22, and ``ignores_own_root`` and
+``own_root_strict`` prune less than the own-level rule: all three are
+equivalent *for answers* — which is the point of closing ties — so only
+counts can tell them from the rule: the ``is_pruned`` comparison here, and
+the golden operation counts of ``tests/test_anytime.py`` and
 ``tests/test_hot_path_identity.py``.
 """
 
@@ -80,7 +98,7 @@ from repro.core import base as base_module
 from repro.core import topk as topk_module
 from repro.core.engine import Engine
 from repro.core.match import PartialMatch
-from repro.core.topk import TopKSet, ranked, topk_mismatch
+from repro.core.topk import TopKSet, bound_factor, ranked, topk_mismatch
 from repro.recovery.policy import CheckpointPolicy
 from repro.xmldb.model import Database, XMLNode
 from tests.conftest import full_ranking
@@ -127,9 +145,23 @@ def oracle_closing(observed, k: int) -> float:
     return _kth_best(observed, k, True, float("-inf"))
 
 
+def oracle_own(observed, root: int) -> float:
+    """``root``'s best completed score, -inf while it has none."""
+    completed = [
+        score
+        for seen, score, visited in observed
+        if seen == root and visited == len(SERVER_IDS)
+    ]
+    return max(completed, default=float("-inf"))
+
+
+def _new_set(cls, k: int, source: str) -> TopKSet:
+    return cls(k, source, bound_factor(len(SERVER_IDS)))
+
+
 def _replayed(original: TopKSet, cls) -> TopKSet:
     """A fresh set rebuilt from ``export_state`` as the codec rebuilds it."""
-    restored = cls(original.k, original.threshold_source)
+    restored = _new_set(cls, original.k, original.threshold_source)
     restored.restore_state(original.export_state(), SERVER_IDS)
     return restored
 
@@ -143,9 +175,13 @@ def check_levels(cls) -> None:
         assert topk.threshold() == threshold
         assert topk.closing_level() == closing
         for bound in GRID:
-            probe = _match(0, 0.0, 0)
-            probe.upper_bound = bound
-            assert topk.is_pruned(probe) == (bound < threshold or bound <= closing)
+            shared = bound < threshold or bound <= closing
+            assert topk.closes(bound) == shared
+            for root in range(POOL):
+                probe = _match(root, 0.0, 0)
+                probe.upper_bound = bound
+                own = oracle_own(observed, root)
+                assert topk.is_pruned(probe) == (shared or bound <= own), (root, bound)
 
     @settings(
         max_examples=300,
@@ -160,7 +196,7 @@ def check_levels(cls) -> None:
         source=st.sampled_from(["all", "complete"]),
     )
     def run(observations, k, source):
-        topk = cls(k, source)
+        topk = _new_set(cls, k, source)
         for step, (root, score, visited) in enumerate(observations, start=1):
             topk.observe(_match(root, score, visited), complete=visited == len(SERVER_IDS))
             agrees(topk, observations[:step], k, source)
@@ -261,6 +297,13 @@ MUTANTS = {
     ),
     "evicts_on_tie": ([("if new > best[0]:", "if new >= best[0]:")], False, False),
     "keeps_ties": ([("bound <= self._closing", "bound < self._closing")], True, False),
+    "ignores_own_root": ([("\n            or bound <= own * factor", "")], True, False),
+    "own_root_strict": ([("bound <= own * factor", "bound * factor <= own")], True, False),
+    "own_root_from_entry_score": (
+        [("else entry.complete_score", "else entry.score")],
+        True,
+        True,
+    ),
 }
 
 
