@@ -335,16 +335,23 @@ INERT_PLAN = FaultPlan(
 CHAOS_PLAN = FaultPlan.chaos(3)
 
 
-def fault_hook_sites(stats):
-    """Over-count of fault-hook executions in one run.
+#: The None tests of the injector a run makes once: two arming it, at most
+#: four building its result.
+RUN_GUARDS = 6
 
-    One ``on_server_op`` per server operation, one ``on_route`` per
-    routing decision, and a put+get pair for every match that could have
-    crossed a queue (every routed match and every generated extension —
-    an overestimate, since pruned extensions never reach a queue).
+
+def fault_hook_sites(open_run, baseline):
+    """Fault-hook guard executions of one run: the hook calls the same run
+    makes with :data:`INERT_PLAN` armed, plus :data:`RUN_GUARDS`.
+
+    The inert plan fires nothing, so the armed run takes the disabled
+    run's path, and each hook site — server operation, queue put and get,
+    routing decision — tests the guard once and, armed, calls its hook
+    once; the injector counts those calls per site.
     """
-    crossings = stats.routing_decisions + stats.extensions_generated
-    return stats.server_operations + stats.routing_decisions + 2 * crossings
+    run = open_run(faults=INERT_PLAN)
+    assert run.run().failure is None, "the inert plan fired"
+    return sum(run.fault_injector.summary()["site_counts"].values()) + RUN_GUARDS
 
 
 def fault_overhead():
@@ -365,7 +372,7 @@ def fault_overhead():
     }
 
 
-def checkpoint_guard_sites(stats):
+def checkpoint_guard_sites(open_run, baseline):
     """Over-count of ``maybe_checkpoint`` guard executions in one run.
 
     The single-threaded engines test the guard once per loop pass —
@@ -373,6 +380,7 @@ def checkpoint_guard_sites(stats):
     once per thread segment.  Counting both twice over-counts, which is
     the right direction for an upper bound.
     """
+    stats = baseline.stats
     return 2 * (stats.routing_decisions + stats.server_operations)
 
 

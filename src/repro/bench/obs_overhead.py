@@ -8,9 +8,10 @@ all cost the same two instructions per site when switched off::
     if observer is not None: ...
 
 :func:`guard_overhead` micro-times that guard, multiplies it by the
-caller's deliberately over-counted number of site executions in a
-representative run, and divides by the run's wall time — a deterministic
-*upper bound* on the disabled overhead.  Median end-to-end walls of the
+number of guard executions the caller counts on the same run — an upper
+bound, taken from the calls an attached counter receives — and divides by
+the run's wall time: a deterministic *upper bound* on the disabled
+overhead.  Median end-to-end walls of the
 caller's run configurations (the first one is the disabled baseline)
 give the enabled-cost context.  A configuration is one timed run: it gets
 ``run(**options)``, a Whirlpool-S run of the engine at the payload's k,
@@ -37,6 +38,11 @@ GUARD_SAMPLES = 200_000
 
 #: A run configuration: one timed run, given ``run(**options)``.
 RunOnce = Callable[[Callable[..., Any]], Any]
+
+#: How many guard executions one run makes: given ``open_run(**options)``,
+#: which opens the run (:meth:`~repro.core.engine.Engine.open`) for the
+#: count to repeat with a counter attached, and the baseline's result.
+SiteCount = Callable[[Callable[..., Any], Any], int]
 
 
 class HookSite:
@@ -89,12 +95,12 @@ def guard_overhead(
     k: int,
     rounds: int,
     configurations: Mapping[str, RunOnce],
-    site_count: Callable[[Any], int],
+    site_count: SiteCount,
 ) -> Dict:
     """Median wall per configuration, the guard cost, and the bound.
 
-    ``site_count`` maps the baseline run's stats to its over-counted
-    number of guard executions.
+    ``site_count`` counts the guard executions of the baseline run
+    (:data:`SiteCount`).
     """
     results: Dict[str, Any] = {}
     walls: Dict[str, float] = {}
@@ -102,7 +108,8 @@ def guard_overhead(
         results[name], walls[name] = median_wall(engine, k, rounds, configuration)
     baseline = next(iter(configurations))
     guard_cost = time_disabled_guard()
-    sites = site_count(results[baseline].stats)
+    open_run = functools.partial(engine.open, k, "whirlpool_s")
+    sites = site_count(open_run, results[baseline])
     return {
         "walls": walls,
         "guard_cost_ns": guard_cost * 1e9,
@@ -111,22 +118,21 @@ def guard_overhead(
     }
 
 
-def hook_site_count(stats) -> int:
-    """Over-count of observer-hook guard executions in one run.
+def hook_site_count(open_run: Callable[..., Any], baseline: Any) -> int:
+    """Observer-hook guard executions of one run: the hook calls the same
+    run makes with an :class:`ExecutionTrace` attached (one event or queue
+    depth each), plus one.
 
-    One ``on_seed``/``on_extension`` per partial match created, one
-    ``on_route`` plus one potential ``on_prune`` per routing decision,
-    and an ``on_queue_depth`` guard for every match that could have
-    crossed a queue (every routed match and every generated extension —
-    an overestimate, since pruned extensions never reach a queue).
+    Observers decide nothing, so the observed run takes the disabled
+    run's path, and every disabled guard precedes at least one hook call
+    there — one per call, or one per batch for a completed sibling batch
+    — except Whirlpool-S's early stop: one guard stands for an
+    ``on_prune`` per tuple it drains, and an empty drain has none (the
+    one added).
     """
-    crossings = stats.routing_decisions + stats.extensions_generated
-    return (
-        stats.partial_matches_created
-        + 2 * stats.routing_decisions
-        + stats.partial_matches_pruned
-        + crossings
-    )
+    trace = ExecutionTrace()
+    open_run(observer=trace).run()
+    return len(trace.events) + len(trace.queue_depths) + 1
 
 
 def trace_and_metrics(run: Callable[..., Any]) -> Any:

@@ -20,8 +20,10 @@ score, whereas the merged k-th score is a shard's word for its best
 known entries — in relaxed mode a step's answers may still be partial
 matches — so equality here proves nothing about what the shard will
 finish with.  Inside each shard the set closes ties against its local
-k-th completed score, which never exceeds the forest's, so a shard
-prunes no more than the single-process run would.  The same algebra
+k-th completed score, which never exceeds the forest's, and a root's
+tuples against the root's own completed score, which is the same in its
+one shard as in one process, so a shard prunes no more than the
+single-process run would.  The same algebra
 produces the degraded certificate: for a *lost* shard the coordinator
 still holds its last reported top-k and bound, so ``max(last bound, last
 k-th local score)`` bounds anything the dead worker knew that we do not.

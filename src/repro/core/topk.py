@@ -334,7 +334,7 @@ class TopKSet:
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple can add nothing to the answer: the shared
         levels close it (:meth:`closes`), or it cannot beat the score its
-        own root has already completed at (module docstring, "Why a root
+        own root has already completed at (module docstring, "a root
         closes its own tuples")."""
         bound = match.upper_bound
         with self._lock:

@@ -340,9 +340,11 @@ class TestTrajectory:
 
         assert counted(new) and counted(new) == counted(old)
         # The step path's shape held when PR 22 closed ties and every count
-        # moved (fewer operations, hence fewer steps), and again when matches
-        # were bounded per root: the fresh drive is pinned to the newest
-        # artefact.
+        # moved (fewer operations, hence fewer steps), again when matches
+        # were bounded per root, and again when a tuple that cannot beat its
+        # own root's completed score was pruned (shard 0 then finishes in
+        # two steps, shard 1 still takes three): the fresh drive is pinned
+        # to the newest artefact.
         latest = max(root.glob("BENCH_PR*.json"), key=lambda path: int(path.stem[8:]))
         newest = json.loads(latest.read_text(encoding="utf-8"))
         for payload in (new, newest):
@@ -350,11 +352,15 @@ class TestTrajectory:
                 r for r in payload["records"] if r["bench"] == "cluster_step_codec"
             ]
             values = {(r["case"], r["metric"]): r["value"] for r in step_path}
+            steps = []
             for shard in (0, 1):
                 case = f"Q2/k=15/shard={shard}"
-                assert values[case, "steps"] > 2
+                steps.append(values[case, "steps"])
+                assert values[case, "steps"] >= 2
                 assert values[case, "checkpoints_taken"] == values[case, "steps"] - 1
                 assert values[case, "restore_calls"] == 0
+            # Some shard resumes a run that has already exited a budget.
+            assert max(steps) > 2
         fresh = sorted(
             trajectory.step_codec_records(cluster_step_codec()),
             key=lambda r: (r["case"], r["metric"]),
