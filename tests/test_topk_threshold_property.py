@@ -78,7 +78,7 @@ k-th are interchangeable, which is why the lists hold bare values and no
 root identities.  The own level does not change that: it is read from the
 root's entry, which eviction from the lists never touches, so the mutant
 moves no ``is_pruned`` answer either.  ``keeps_ties`` is the strict rule
-this repo ran until PR 22, and ``ignores_own_root`` and
+this repo ran before ties were closed, and ``ignores_own_root`` and
 ``own_root_strict`` prune less than the own-level rule: all three are
 equivalent *for answers* — which is the point of closing ties — so only
 counts can tell them from the rule: the ``is_pruned`` comparison here, and
