@@ -138,6 +138,46 @@ class TestFold:
         # Fig. 10's shape: work grows with k.
         assert operations == sorted(set(operations))
 
+    @pytest.mark.parametrize("query", sorted(GOLDEN_OPERATIONS))
+    def test_the_early_stop_changes_time_not_behaviour(self, golden_db, query, monkeypatch):
+        """Whirlpool-S drains its queue at the first pop the shared levels
+        close.  Popping what is left one by one instead (``closes`` never
+        holds) prunes each of those at its own pop, in the same order: the
+        answers, every counter and every trace event are the same, and
+        only the pops are fewer."""
+        from repro.core.queues import MatchQueue
+        from repro.core.topk import TopKSet
+        from repro.core.trace import ExecutionTrace
+
+        engine = Engine(golden_db, QUERIES[query])
+        get_nowait = MatchQueue.get_nowait
+
+        def observed(k):
+            pops = []
+
+            def counted(queue):
+                match = get_nowait(queue)
+                pops.append(match)
+                return match
+
+            monkeypatch.setattr(MatchQueue, "get_nowait", counted)
+            trace = ExecutionTrace()
+            result = engine.run(k, "whirlpool_s", observer=trace)
+            first = trace.events[0].match_id  # match ids count on across runs
+            events = [
+                (e.kind, e.match_id - first, e.server_id, e.detail, e.threshold)
+                for e in trace.events
+            ]
+            return run_fingerprint(result), events, len(pops)
+
+        for k in (3, 75):
+            stopped = observed(k)
+            with monkeypatch.context() as popping:
+                popping.setattr(TopKSet, "closes", lambda topk, bound: False)
+                popped = observed(k)
+            assert stopped[:2] == popped[:2], (query, k)
+            assert stopped[2] < popped[2], (query, k)
+
     def test_lockstep_closes_ties_too(self, golden_db):
         engine = Engine(golden_db, QUERIES["Q1"])
         ranking = full_ranking(engine)
