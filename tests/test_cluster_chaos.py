@@ -70,17 +70,17 @@ def ranking(database):
 
 
 #: Kills of the 20-seed matrix below (``shard = seed % 2``, ``nth = 2 +
-#: seed % 3``) that must fail a shard over.  The sequential engines step
-#: deterministically, and shard 1 takes one step, so of the odd seeds the
-#: three with ``nth == 2`` land.  LockStep's shard 0 takes four or more
-#: steps, so all ten even seeds land; Whirlpool-S's takes two (four until a
-#: tuple that cannot beat its own root's completed score was pruned), so
-#: the seven even seeds with ``nth <= 3`` land.
+#: seed % 3``, steps of 25 operations) that must fail a shard over.  The
+#: sequential engines step deterministically — shard 0 takes three or more
+#: steps and shard 1 one — so all ten even seeds land and, of the odd ones,
+#: the three with ``nth == 2``.  (At 30 operations a step Whirlpool-S's
+#: shard 0 takes two, since a tuple that cannot beat its own root's
+#: completed score is pruned, and its three ``nth == 4`` kills would miss.)
 #: Whirlpool-M's threads overshoot the step budget by however far they got,
 #: so the number of steps a shard takes varies from run to run (9-12 kills
 #: land); only a kill at the first step, which every shard takes, is certain.
 KILLS_THAT_LAND = {
-    "whirlpool_s": 10,
+    "whirlpool_s": 13,
     "lockstep": 13,
     "whirlpool_m": sum(1 for seed in SEEDS if seed % 3 == 0),
 }
@@ -114,7 +114,7 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
         with Coordinator(
             database,
             shards=2,
-            step_operations=30,
+            step_operations=25,
             recovery_store=MemoryRecoveryStore(),
             **FAST_LADDER,
         ) as coordinator:
