@@ -143,10 +143,15 @@ pop it prunes closes nothing queued behind it.
 Closed ties leave one thing to ``answers()``: a root may keep a partial
 tuple as its representative when the tuple that would have completed it at
 the same score was closed (possible only where the servers still unvisited
-can add nothing — a zero ``max_contribution``).  Among equal scores
-``answers()`` therefore ranks roots whose representative is complete first;
-k of those always exist once the closing level reaches that score, so a
-finished relaxed run returns complete matches only.
+can add nothing — a zero ``max_contribution``).  "The same score" is up to
+the rounding both tolerant tests allow, so the partial score can sit an ulp
+*above* the float it ties.  ``answers()`` therefore (i) represents a root
+whose partial score is at most its own completed score × f by that
+completed match and score, and (ii) ranks a root still partial at a score
+at most the closing level × f as if it scored the closing level, after the
+roots that completed there.  k roots have completed at or above the
+closing level once it is finite, so a finished relaxed run returns
+complete matches only.
 
 Thread-safety: all mutating operations take an internal lock so
 Whirlpool-M's server threads can share one instance; both levels are
@@ -358,35 +363,48 @@ class TopKSet:
     def answers(self) -> List[TopKAnswer]:
         """The k best entries, best first; among equal scores, roots whose
         representative match is complete come first (closed ties can leave
-        a partial one — module docstring), then document order.
+        a partial one, up to rounding — module docstring), then document
+        order.
 
         With ``threshold_source="complete"`` (exact mode) only roots with a
         completed match qualify — a partial exact match may yet die, so its
         score is not an answer.
         """
+        # (root, score, representative, rank score, partial) per root.
+        candidates: List[Tuple[XMLNode, float, Optional[PartialMatch], float, bool]]
         if self.threshold_source == "complete":
-            with self._lock:
-                candidates = [
-                    (entry.root_node, entry.complete_score, entry.complete_match, False)
-                    for entry in self._entries.values()
-                    if entry.complete_match is not None
-                ]
-        else:
             with self._lock:
                 candidates = [
                     (
                         entry.root_node,
-                        entry.score,
-                        entry.match,
-                        entry.complete_score < entry.score,
+                        entry.complete_score,
+                        entry.complete_match,
+                        entry.complete_score,
+                        False,
                     )
                     for entry in self._entries.values()
-                    if entry.match is not None
+                    if entry.complete_match is not None
                 ]
-        candidates.sort(key=lambda item: (-item[1], item[3], item[0].dewey))
+        else:
+            factor = self.bound_factor
+            with self._lock:
+                closed = self._closing * factor
+                candidates = []
+                for entry in self._entries.values():
+                    if entry.match is None:
+                        continue
+                    score, match = entry.score, entry.match
+                    partial = entry.complete_score < score
+                    if partial and score <= entry.complete_score * factor:
+                        # Its own completed match ties it: (i).
+                        score, match = entry.complete_score, entry.complete_match
+                        partial = False
+                    rank = self._closing if partial and score <= closed else score
+                    candidates.append((entry.root_node, score, match, rank, partial))
+        candidates.sort(key=lambda item: (-item[3], item[4], item[0].dewey))
         return [
             TopKAnswer(root_node, score, match)
-            for root_node, score, match, _ in candidates[: self.k]
+            for root_node, score, match, _, _ in candidates[: self.k]
         ]
 
     def entry_count(self) -> int:

@@ -221,6 +221,35 @@ class TestAnswersAndSnapshot:
         topk.observe(_match(roots[2], 0.5), complete=True)
         assert [a.root_node.dewey for a in topk.answers()] == [(1,), (2,)]
 
+    def test_a_partial_an_ulp_above_the_closing_level_ranks_after_it(self):
+        """Its completing tuple was closed as a tie of the k-th level: the
+        root that completed there is returned, not the partial one."""
+        roots = _roots(3)
+        kth = 2.7883523646393615
+        topk = TopKSet(2, bound_factor=bound_factor(5))
+        topk.observe(_match(roots[0], 3.0), complete=True)
+        topk.observe(_match(roots[1], math.nextafter(kth, 3.0)), complete=False)
+        topk.observe(_match(roots[2], kth), complete=True)
+        answers = topk.answers()
+        assert [a.root_node.dewey for a in answers] == [(0,), (2,)]
+        assert [a.score for a in answers] == [3.0, kth]
+
+    def test_a_partial_an_ulp_above_its_own_completed_score_is_not_returned(self):
+        """Root closing dropped its completion: the root's completed match,
+        which ties it, represents the root."""
+        roots = _roots(1)
+        done = 2.7883523646393615
+        topk = TopKSet(1, bound_factor=bound_factor(5))
+        complete = _match(roots[0], done)
+        topk.observe(complete, complete=True)
+        topk.observe(_match(roots[0], math.nextafter(done, 3.0)), complete=False)
+        (answer,) = topk.answers()
+        assert answer.match is complete and answer.score == done
+        exact = TopKSet(1)
+        exact.observe(complete, complete=True)
+        exact.observe(_match(roots[0], 2.8), complete=False)
+        assert exact.answers()[0].score == 2.8
+
     def test_answers_capped_at_k(self):
         roots = _roots(5)
         topk = TopKSet(2)
