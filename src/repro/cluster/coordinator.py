@@ -91,7 +91,12 @@ from repro.cluster.merge import (
     merge_answers,
 )
 from repro.cluster.net import SocketTransport
-from repro.cluster.partition import ShardSpec, build_shard_specs, remap_match_payload
+from repro.cluster.partition import (
+    ShardSpec,
+    build_shard_specs,
+    remap_dewey,
+    remap_match_payload,
+)
 from repro.cluster.protocol import FrameTimeout
 from repro.core.engine import ALGORITHMS, Engine
 from repro.core.base import TopKResult
@@ -542,6 +547,7 @@ class _ShardQueryState:
     __slots__ = (
         "answers",
         "match_payloads",
+        "ordinals",
         "bound",
         "done",
         "lost",
@@ -553,7 +559,11 @@ class _ShardQueryState:
 
     def __init__(self) -> None:
         self.answers: List[Tuple[Dewey, float]] = []
+        #: Global root Dewey string -> the answer's match payload as the
+        #: shard sent it (shard-local Deweys, remapped by ``ordinals`` when
+        #: the answer wins the merge).
         self.match_payloads: Dict[str, Dict[str, Any]] = {}
+        self.ordinals: Sequence[int] = ()
         self.bound = 0.0
         self.done = False
         self.lost = False
@@ -1087,12 +1097,16 @@ class Coordinator:
         answers: List[Tuple[Dewey, float]] = []
         payloads: Dict[str, Dict[str, Any]] = {}
         for entry in reply.get("answers", []):
-            payload = remap_match_payload(entry["match"], ordinals)
-            dewey = parse_dewey(payload["root"])
+            # Only the root is remapped here: the merge reads roots and
+            # scores, and :meth:`_finalize` remaps the payloads of the
+            # (at most k) winners.
+            payload = entry["match"]
+            dewey = remap_dewey(parse_dewey(payload["root"]), ordinals)
             answers.append((dewey, float(entry["score"])))
-            payloads[payload["root"]] = payload
+            payloads[dewey_str(dewey)] = payload
         state.answers = answers
         state.match_payloads = payloads
+        state.ordinals = ordinals
         state.bound = float(reply.get("pending_bound", 0.0))
         state.done = bool(reply.get("done"))
         state.degraded = bool(reply.get("degraded"))
@@ -1199,7 +1213,10 @@ class Coordinator:
         answers: List[TopKAnswer] = []
         for dewey, score, shard_id in merged:
             # An answer's match is a record: nothing reads its bound.
-            payload = states[shard_id].match_payloads[dewey_str(dewey)]
+            state = states[shard_id]
+            payload = remap_match_payload(
+                state.match_payloads[dewey_str(dewey)], state.ordinals
+            )
             match = decode_match(payload, self.database.node_by_dewey)
             root = self.database.node_by_dewey(dewey)
             if root is None:  # pragma: no cover - remap guarantees presence

@@ -8,7 +8,16 @@ holds that and implements the two steps every engine performs identically:
 
 - **seeding** — the root server generates one initial partial match per
   candidate root node (Section 5.1: "the book server ... initializes the
-  set of partial matches");
+  set of partial matches").  The candidates are one list per (database,
+  query), :class:`CandidateRoots`: each root with its row of the bound
+  table, in document order.  LockStep and Whirlpool-M seed every root up
+  front (:meth:`EngineBase.seed_matches`).  Whirlpool-S pops in
+  bound order, so it seeds a root only when the root would pop next
+  (:meth:`EngineBase.open_roots`, :meth:`EngineBase.seed`): the roots
+  sorted by seed bound, a cursor into them (:attr:`EngineBase.seeded`),
+  and arrival numbers reserved at the start so a late seed still wins
+  every key tie it would have won.  Either way every root counts as
+  created when the run starts;
 - **absorbing extensions** — bound, report to the top-k set, detect
   completion, prune.
 
@@ -18,8 +27,9 @@ root's row of the bound table (:class:`~repro.core.server.RootBounds`),
 which the seed hands to every match it spawns.  At the seed of a relaxed
 run that bound is the root's best final score.  An Engine fills the table
 from its probe sweep; a run built without one (private probe memos) builds
-each root's row from its own servers' probes as it seeds the root — the
-same row, so the same bound and the same operation counts.
+each root's row from its own servers' probes as it lists the candidate
+roots, when it starts — the same row, so the same bound and the same
+operation counts.
 
 The adaptive engines' step is built from it too: pop → :meth:`EngineBase.admit`
 → :meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put.
@@ -42,7 +52,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.match import PartialMatch
+from repro.core.match import PartialMatch, reserve_arrivals
 from repro.core.queues import MatchQueue, QueuePolicy
 from repro.core.router import MinAliveRouter, RoutingStrategy
 from repro.core.server import ProbeMemo, RootBounds, Server, bound_rows
@@ -63,8 +73,9 @@ from repro.query.pattern import TreePattern
 from repro.recovery.codec import encode_engine_state, restore_engine_state
 from repro.relax.plan import compile_plan
 from repro.scoring.model import MatchQuality, ScoreModel
-from repro.xmldb.dewey import Dewey
+from repro.xmldb.dewey import Dewey, dewey_str
 from repro.xmldb.index import DatabaseIndex
+from repro.xmldb.model import XMLNode
 
 if TYPE_CHECKING:
     from repro.recovery.policy import CheckpointPolicy
@@ -156,6 +167,31 @@ class TopKResult:
         )
 
 
+#: One root of Whirlpool-S's seeding order: (-seed bound, document
+#: position, root node, its row of the bound table).
+SeedEntry = Tuple[float, int, XMLNode, RootBounds]
+
+
+class CandidateRoots:
+    """The query root's candidate nodes, in document order, each with its
+    row of the bound table: what a run of one (database, query) seeds.
+
+    An Engine builds it once, next to its bound table, and hands it to
+    every run it opens; a run built by hand lists its own through
+    :meth:`EngineBase.root_row`.  ``by_bound`` is Whirlpool-S's seeding
+    order, built on first use from ``roots``: one :data:`SeedEntry` per
+    root, ascending — the order a max-final-score queue pops the seeds in,
+    key ties in document order.  Two runs may both build it; the lists are
+    equal and either is kept.
+    """
+
+    __slots__ = ("roots", "by_bound")
+
+    def __init__(self, roots: List[Tuple[XMLNode, RootBounds]]) -> None:
+        self.roots = roots
+        self.by_bound: Optional[List[SeedEntry]] = None
+
+
 class EngineBase:
     """Common state and helpers for the four evaluation algorithms."""
 
@@ -181,6 +217,7 @@ class EngineBase:
         checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
         probe_memos: Optional[Mapping[int, ProbeMemo]] = None,
         root_bounds: Optional[Dict[Dewey, RootBounds]] = None,
+        candidate_roots: Optional[CandidateRoots] = None,
     ) -> None:
         if k <= 0:
             raise EngineError(f"k must be positive, got {k}")
@@ -248,6 +285,16 @@ class EngineBase:
         self.root_bounds: Dict[Dewey, RootBounds] = (
             root_bounds if root_bounds is not None else {}
         )
+        #: The Engine's candidate roots, or this run's own, listed by
+        #: :meth:`candidate_roots` when the run starts.
+        self._candidate_roots = candidate_roots
+        #: Whirlpool-S's cursor: how many roots of :meth:`seed_order` this
+        #: run has seeded (``None``: every root was seeded up front).  A
+        #: budget exit parks it with the queue, a checkpoint carries it.
+        self.seeded: Optional[int] = None
+        #: The first of the arrival numbers :meth:`open_roots` reserved:
+        #: the root at document position p arrives ``seed_arrival + p``.
+        self.seed_arrival = 0
         #: visited -> the unvisited servers' ids in ``server_ids`` order,
         #: filled as the run meets new visited sets (at most 2^servers).
         self.bound_table: Dict[FrozenSet[int], Tuple[int, ...]] = {}
@@ -280,7 +327,8 @@ class EngineBase:
         #: tell a resumable failure from a total loss).
         self.last_checkpoint: Optional[Dict[str, Any]] = None
         #: Matches the next :meth:`run` starts from instead of seeding:
-        #: decoded by :meth:`restore`, or parked live by a budget exit.
+        #: decoded by :meth:`restore`, or parked live by a budget exit
+        #: (with :attr:`seeded`, when the run seeds as it goes).
         self._restored: Optional[List[PartialMatch]] = None
         #: Loss inherited from a restored snapshot (work the *crashed*
         #: run dropped or abandoned before its last checkpoint).  The
@@ -327,8 +375,9 @@ class EngineBase:
 
         Replays the snapshot's top-k entries (so the pruning threshold is
         live immediately), folds its operation counters into this run's
-        stats, and stages its queued matches — the engine's :meth:`run`
-        starts from those instead of re-seeding from the root server.
+        stats, and stages its queued matches and its cursor over the roots
+        not seeded yet — the engine's :meth:`run` starts from those instead
+        of re-seeding from the root server.
         Raises :class:`~repro.errors.RecoveryError` for snapshots taken
         under a different version, ``k``, or pattern.
         """
@@ -345,10 +394,24 @@ class EngineBase:
         ``arrival``, so queue order is the uninterrupted run's) once the
         budget is raised.  Engines park at every budget exit, an empty
         list included — staged, it makes the next run finish this one
-        instead of seeding again.  Returns the leftovers' best upper
-        bound — the ``pending_bound`` of this exit."""
+        instead of seeding again.  The cursor (:attr:`seeded`) stays
+        where it is, with the arrivals reserved for the roots after it.
+        Returns the best upper bound among the leftovers and the roots
+        not seeded yet — the ``pending_bound`` of this exit."""
         self._restored = leftovers
-        return max((match.upper_bound for match in leftovers), default=0.0)
+        return max(
+            max((match.upper_bound for match in leftovers), default=0.0),
+            self.unseeded_bound(),
+        )
+
+    def unseeded_bound(self) -> float:
+        """The seed bound of the next root the cursor would seed — the
+        best of every root not seeded yet — or 0.0 when none is left."""
+        seeded = self.seeded
+        if seeded is None:
+            return 0.0
+        order = self.seed_order()
+        return -order[seeded][0] if seeded < len(order) else 0.0
 
     def take_restored(self) -> Optional[List[PartialMatch]]:
         """The staged matches (once), or ``None`` for a fresh run."""
@@ -459,12 +522,17 @@ class EngineBase:
         match.upper_bound = match.score + remaining
 
     def start_matches(self) -> List[PartialMatch]:
-        """What a run puts in its router queue first: the staged matches
-        of a restored snapshot or a parked budget exit, else fresh seeds.
-        A pattern without servers completes its seeds here and starts
-        with nothing."""
+        """What a run that seeds up front puts in its queues first: the
+        staged matches of a restored snapshot or a parked budget exit —
+        with the roots a restored Whirlpool-S snapshot had not seeded yet —
+        else fresh seeds.  A pattern without servers completes its seeds
+        here and starts with nothing."""
         restored = self.take_restored()
         if restored is not None:
+            seeded = self.seeded
+            if seeded is not None:
+                restored.extend(self.seed(root) for root in self.seed_order()[seeded:])
+                self.seeded = None
             return restored
         seeds = self.seed_matches()
         if self.server_ids:
@@ -472,20 +540,31 @@ class EngineBase:
         self.stats.record_completed(len(seeds))
         return []
 
+    def candidate_roots(self) -> CandidateRoots:
+        """The Engine's :class:`CandidateRoots`, or this run's own, listed
+        here the first time — which builds each root's row of the bound
+        table from this run's probes (:meth:`root_row`)."""
+        candidates = self._candidate_roots
+        if candidates is None:
+            root = self.pattern.root
+            rows = self.root_bounds
+            listed: List[Tuple[XMLNode, RootBounds]] = []
+            for node in self.index[root.tag].all():
+                if root.matches_value(node.value):
+                    row = rows.get(node.dewey)
+                    listed.append((node, row if row is not None else self.root_row(node.dewey)))
+            candidates = self._candidate_roots = CandidateRoots(listed)
+        return candidates
+
     def seed_matches(self) -> List[PartialMatch]:
-        """Root-server output: one initial match per candidate root node."""
-        root = self.pattern.root
-        rows = self.root_bounds
+        """Root-server output: one initial match per candidate root node,
+        in document order, each counted as created and shown to the top-k
+        set (and the observer)."""
         unseen: FrozenSet[int] = frozenset()
         seeds: List[PartialMatch] = []
-        for node in self.index[root.tag].all():
-            if not root.matches_value(node.value):
-                continue
+        for node, bounds in self.candidate_roots().roots:
             match = PartialMatch.initial(node)
             # What :meth:`bind` does, without two calls per root.
-            bounds = rows.get(node.dewey)
-            if bounds is None:
-                bounds = self.root_row(node.dewey)
             match.root_bounds = bounds
             entry = bounds.remaining.get(unseen)
             if entry is None:
@@ -499,6 +578,80 @@ class EngineBase:
             if self.observer is not None:
                 self.observer.on_seed(match, threshold)
         return seeds
+
+    def seed_order(self) -> List[SeedEntry]:
+        """The candidate roots in the order a max-final-score queue pops
+        their seeds: by seed bound, best first, then document order
+        (:attr:`CandidateRoots.by_bound`)."""
+        candidates = self.candidate_roots()
+        order = candidates.by_bound
+        if order is None:
+            unseen: FrozenSet[int] = frozenset()
+            # A seed's bound is its score, 0.0, plus what every server can
+            # add (as :meth:`seed_matches` sums it); the position is
+            # unique, so no two entries compare further.
+            order = sorted(
+                (-(0.0 + self.bound_entry(unseen, row)[0]), position, node, row)
+                for position, (node, row) in enumerate(candidates.roots)
+            )
+            candidates.by_bound = order
+        return order
+
+    def open_roots(self) -> None:
+        """Start a fresh run that seeds each root only when it would pop
+        next (Whirlpool-S): every root counts as created now, as an
+        up-front seed would; the arrivals of all of them are reserved below
+        every match the run will make; the cursor is at the first root."""
+        total = len(self.seed_order())
+        self.stats.record_created(total)
+        self.seed_arrival = reserve_arrivals(total)
+        self.seeded = 0
+
+    def seed(self, root: SeedEntry) -> PartialMatch:
+        """The seed of one :meth:`seed_order` root, at its reserved
+        arrival, shown to the top-k set and the observer as an up-front
+        seed is."""
+        key, position, node, row = root
+        match = PartialMatch.initial(node)
+        match.root_bounds = row
+        match.upper_bound = -key
+        match.arrival = self.seed_arrival + position
+        threshold = self.topk.observe(match, False)
+        if self.observer is not None:
+            self.observer.on_seed(match, threshold)
+        return match
+
+    def root_cursor(self) -> Optional[Tuple[int, Optional[str]]]:
+        """What a snapshot keeps of the roots not seeded yet: the cursor
+        and the Dewey string of the root it points at (``None`` when none
+        is left) — or ``None`` when every root was seeded up front."""
+        seeded = self.seeded
+        if seeded is None:
+            return None
+        return seeded, self._root_at(seeded)
+
+    def resume_roots(self, seeded: int, next_root: Optional[str]) -> None:
+        """Take a snapshot's :meth:`root_cursor`, checking ``next_root``: a
+        different document, score model or order would silently skip or
+        repeat roots.  Reserves the roots' arrivals, so call it before
+        decoding the queued matches: what is left to seed then arrives
+        before all of them, as it did."""
+        order = self.seed_order()
+        if not 0 <= seeded <= len(order):
+            raise RecoveryError(
+                f"snapshot seeded {seeded} roots of a query with {len(order)}"
+            )
+        expected = self._root_at(seeded)
+        if next_root != expected:
+            raise RecoveryError(
+                f"snapshot's next root {next_root!r} is not this run's {expected!r}"
+            )
+        self.seeded = seeded
+        self.seed_arrival = reserve_arrivals(len(order))
+
+    def _root_at(self, seeded: int) -> Optional[str]:
+        order = self.seed_order()
+        return dewey_str(order[seeded][2].dewey) if seeded < len(order) else None
 
     def absorb_extensions(
         self,

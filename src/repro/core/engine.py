@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.core.base import EngineBase, TopKResult
+from repro.core.base import CandidateRoots, EngineBase, TopKResult
 from repro.core.lockstep import LockStep, LockStepNoPrun
 from repro.core.queues import QueuePolicy
 from repro.core.router import make_router
@@ -194,6 +194,17 @@ class Engine:
                 bound_rows(len(roots), probes, self.score_model, relaxed),
             )
         )
+        #: The candidate roots (:class:`~repro.core.base.CandidateRoots`):
+        #: each root the query's root predicate admits, with its row, in
+        #: document order — what every run seeds, and Whirlpool-S's seeding
+        #: order once its first run has sorted it.
+        self.candidate_roots = CandidateRoots(
+            [
+                (root, self.root_bounds[root.dewey])
+                for root in roots
+                if self.pattern.root.matches_value(root.value)
+            ]
+        )
         self._path_summary: Optional["PathSummary"] = None
         # Engines are shared across service worker threads; the lazy
         # path-summary build must publish exactly one instance.
@@ -332,6 +343,7 @@ class Engine:
             # An unknown join algorithm is rejected by Server below.
             probe_memos=self._probe_memos.get(join_algorithm),
             root_bounds=self.root_bounds,
+            candidate_roots=self.candidate_roots,
         )
         if engine_cls in (LockStep, LockStepNoPrun):
             instance: EngineBase = engine_cls(order=static_order, **kwargs)

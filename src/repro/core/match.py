@@ -34,6 +34,7 @@ whose bound and completeness it may compute once.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Sized, Tuple
 
@@ -44,6 +45,19 @@ if TYPE_CHECKING:
     from repro.core.server import RootBounds
 
 _match_counter = itertools.count()
+
+
+def reserve_arrivals(count: int) -> int:
+    """Take ``count`` arrival numbers, ``first`` to ``first + count - 1``,
+    and return ``first``: every match created after this call arrives
+    later than all of them.  A run that creates a match only when it is
+    needed gives it one of these, so a queue breaks its key ties exactly
+    as it would have had the match been created here."""
+    first = next(_match_counter)
+    if count > 1:
+        # Consumed at C speed: the values are spent, not materialized.
+        collections.deque(itertools.islice(_match_counter, count - 1), maxlen=0)
+    return first
 
 DELETED = None
 """Instantiation marker for a deleted (optional, unmatched) query node."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import heapq
 import threading
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.match import PartialMatch
 from repro.errors import InjectedFaultError
@@ -186,6 +186,13 @@ class MatchQueue:
             delivered = self._filter_get(match)
             if delivered is not None:
                 return delivered
+
+    def head(self) -> Optional[Tuple[float, int, PartialMatch]]:
+        """``(key, arrival, match)`` of the match a get would pop next,
+        left in place; ``None`` when empty."""
+        with self._lock:
+            heap = self._heap
+            return heap[0] if heap else None
 
     def close(self) -> None:
         """Wake all blocked getters; subsequent gets on empty return None."""

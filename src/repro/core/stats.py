@@ -7,8 +7,13 @@ Collected by every engine:
 - **join comparisons** — one per candidate node compared against a partial
   match (the unit of the motivating example's Figure 3);
 - **partial matches created** — the numerator of Table 2's scalability
-  ratio;
-- **pruned / completed / routing decisions** and per-server breakdowns.
+  ratio: every extension, plus one seed per candidate root, counted when
+  the run starts — also by Whirlpool-S, which makes a seed only when the
+  seed would pop next;
+- **pruned** — matches discarded against the top-k levels, plus, at
+  Whirlpool-S's early stop, every tuple still queued and every root it
+  never seeded (each would have been pruned at its own pop);
+- **completed / routing decisions** and per-server breakdowns.
 
 Counters increment through methods so Whirlpool-M can take a lock around
 them; the single-threaded engines use the lock-free default.
@@ -116,7 +121,8 @@ class ExecutionStats:
                 per_server[server_id] = per_server.get(server_id, 0) + 1
 
     def record_created(self, count: int = 1) -> None:
-        """New partial matches spawned (extensions or root seeds)."""
+        """New partial matches spawned (extensions, or root seeds — all of
+        a run's, when it starts)."""
         if self._lock is None:
             self.partial_matches_created += count
             self.extensions_generated += count
@@ -134,7 +140,8 @@ class ExecutionStats:
                 self.deleted_extensions += 1
 
     def record_pruned(self, count: int = 1) -> None:
-        """Partial matches discarded against the top-k threshold."""
+        """Partial matches discarded against the top-k levels (with, at
+        Whirlpool-S's early stop, the roots it never seeded)."""
         if self._lock is None:
             self.partial_matches_pruned += count
         else:

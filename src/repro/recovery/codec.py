@@ -21,7 +21,17 @@ JSON-compatible dictionaries:
 - queue contents are captured per label (``"router"``, ``"server:<id>"``,
   ``"loose"``) but restore deliberately does not require the same engine
   shape: any queued match can be re-routed, so a Whirlpool-M snapshot can
-  resume under Whirlpool-S or LockStep.
+  resume under Whirlpool-S or LockStep;
+- the roots a Whirlpool-S run has not seeded yet are not stored as seeds
+  (nor as their score-0 top-k entries): the snapshot carries the run's
+  cursor instead — ``seeded``, how many roots of the engine's seeding
+  order (:meth:`~repro.core.base.EngineBase.seed_order`) it has seeded,
+  and ``next_root``, the Dewey id of the one after them.  Restore rebuilds
+  the order, checks ``next_root`` against it and reserves the roots'
+  arrivals before it decodes the queue; an engine that seeds up front
+  seeds the rest when it starts.  A snapshot without the two keys had
+  every root seeded.  Version 1 stored the seeds themselves — a reader of
+  that shape would silently drop these roots, hence version 2.
 
 Why not ``pickle``?  Snapshots outlive the process that wrote them (the
 JSON-file :class:`~repro.recovery.store.RecoveryStore` backend exists for
@@ -54,7 +64,7 @@ if TYPE_CHECKING:
     from repro.core.base import EngineBase
     from repro.core.queues import MatchQueue
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 """Bump on any incompatible change to the snapshot shape."""
 
 Resolver = Callable[[Dewey], Optional[XMLNode]]
@@ -145,8 +155,9 @@ def encode_engine_state(
     :meth:`~repro.core.queues.MatchQueue.snapshot`); ``loose`` covers
     matches an engine holds outside any queue (LockStep's survivor list).
     ``pending_bound`` is the largest upper bound among the captured
-    matches — the certificate the snapshot itself honours: no answer the
-    crashed run had not yet reported can score above it.
+    matches and the roots not seeded yet — the certificate the snapshot
+    itself honours: no answer the crashed run had not yet reported can
+    score above it.
     """
     queued: Dict[str, List[Dict[str, Any]]] = {}
     pending_bound = 0.0
@@ -159,6 +170,7 @@ def encode_engine_state(
         queued["loose"] = [encode_match(match) for match in loose]
         for match in loose:
             pending_bound = max(pending_bound, match.upper_bound)
+    pending_bound = max(pending_bound, engine.unseeded_bound())
     topk_entries = []
     for match, complete_match in engine.topk.export_state():
         topk_entries.append(
@@ -183,6 +195,9 @@ def encode_engine_state(
         "router": {"strategy": type(engine.router).__name__},
         "stats": {field: int(stats[field]) for field in COUNTERS},
     }
+    cursor = engine.root_cursor()
+    if cursor is not None:
+        payload["seeded"], payload["next_root"] = cursor
     # Work the crashed run had *already lost* before this checkpoint —
     # injector-dropped operations and matches abandoned after exhausted
     # recovery.  The queued matches above do not cover it (a dropped
@@ -238,11 +253,18 @@ def restore_engine_state(
 
     Validates, replays the top-k entries through ``observe`` (so both
     pruning levels are live before the first restored match is processed),
-    folds the crashed run's operation counters into the fresh stats
-    bundle, and returns the decoded queue contents (all labels folded —
-    the resuming engine re-routes them however it likes).
+    hands the cursor over the roots not seeded yet to the engine
+    (:meth:`~repro.core.base.EngineBase.resume_roots`), folds the crashed
+    run's operation counters into the fresh stats bundle, and returns the
+    decoded queue contents (all labels folded — the resuming engine
+    re-routes them however it likes).
     """
     validate_snapshot(snapshot, engine)
+    seeded = snapshot.get("seeded")
+    if seeded is not None:
+        if type(seeded) is not int:
+            raise RecoveryError(f"snapshot cursor must be an integer, got {seeded!r}")
+        engine.resume_roots(seeded, snapshot.get("next_root"))
     database = engine.index.database
     resolve: Resolver = database.node_by_dewey
     bind = engine.bind

@@ -9,6 +9,14 @@ below, the digest of each snapshot in the order the sink saw them,
 ``pending_bound``.  Only the public API is used, so the same table can be
 taken from any commit: run this file as a script from the root of a
 checkout, with that checkout's ``src`` on ``PYTHONPATH``.
+
+The table was retaken when Whirlpool-S began to seed a root only when it
+would pop: every snapshot digest moved with ``SNAPSHOT_VERSION`` 2;
+Whirlpool-S's snapshots carry a cursor over the roots not seeded yet
+instead of their seeds and score-0 top-k entries; and an exit on the
+budget reports the roots it has met — three budgeted Q3 rows lost their
+score-0 answers.  Operations, ``checkpoints_taken`` and every
+``pending_bound`` held.
 """
 
 import hashlib

@@ -38,7 +38,12 @@ checks held unedited.  It was retaken once more when a tuple that cannot
 beat the score its own root has already completed at became pruned (and
 Whirlpool-S began to stop at the first tuple the shared levels close,
 which moved no count by itself): fewer operations by design, with every
-oracle check unedited.  Whirlpool-M has rows too, ``whirlpool_m@1``:
+oracle check unedited.  It was retaken once more when Whirlpool-S began
+to seed a root only when the root would pop next: no count, answer or
+``pending_bound`` moved, but every snapshot digest moved with the
+snapshot version (2), Whirlpool-S's snapshot carries a cursor in place
+of the seeds not made yet, and its events leave out the seeds (and their
+prunes) of the roots the early stop closes unseeded.  Whirlpool-M has rows too, ``whirlpool_m@1``:
 its step scheduled on one modeled processor (``repro.bench.makespan``), a
 deterministic interleaving of the real engine code.  They were taken from
 the parent of the commit that made the scheduler drive the engine's step

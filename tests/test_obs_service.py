@@ -24,7 +24,10 @@ from repro.service import breaker as breaker_module
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 
 #: The engine metric families folded from each run's trace, pinned in
-#: ``ENGINE_FAMILIES_GOLDEN`` for the request list below.
+#: ``ENGINE_FAMILIES_GOLDEN`` for the request list below.  (Retaken when
+#: Whirlpool-S began to seed a root only when it would pop: its router
+#: queue's depths no longer count seeds, and the roots its early stop
+#: closes unseeded have no seed or prune event.)
 ENGINE_FAMILIES = (
     "whirlpool_engine_events_total",
     "whirlpool_topk_threshold",

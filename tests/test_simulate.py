@@ -171,8 +171,10 @@ class TestRunOptions:
         10-60 operations, 25 of 40 cases held ``<=`` bounded by
         database-wide maxima (the worst at 1.97x a fresh run), 26 of 40
         bounded per root.  So the two-processor run is held to what is a
-        property there — it seeds nothing and answers correctly — and the
-        snapshot, resumed into Whirlpool-S, to the uninterrupted count."""
+        property there — it seeds only the roots the snapshot had not seeded
+        yet (Whirlpool-S seeds a root when it would pop), each once, and
+        answers correctly — and the snapshot, resumed into Whirlpool-S, to
+        the uninterrupted count."""
         snapshots = []
         engine.run(
             15,
@@ -181,9 +183,16 @@ class TestRunOptions:
             checkpoint_sink=snapshots.append,
         )
         (snapshot,) = snapshots
-        trace = ExecutionTrace()
-        restored = _simulate(engine, k=15, restore_from=snapshot, observer=trace).result
-        assert "seed" not in trace.counts()
+        seeded = []
+
+        class SeedTrace(ExecutionTrace):
+            def on_seed(self, match, threshold):
+                seeded.append(match.root_node.dewey)
+
+        run = engine.open(15, "whirlpool_m", restore_from=snapshot, observer=SeedTrace())
+        unseeded = [root[2].dewey for root in run.seed_order()[snapshot["seeded"] :]]
+        restored = simulate(run, n_processors=2, cost_model=CostModel(operation_cost=1.0)).result
+        assert unseeded and seeded == unseeded
         assert_same_topk(full_ranking(engine), restored)
         restored = _simulate(engine, k=15, n_processors=1, restore_from=snapshot).result
         fresh = _simulate(engine, k=15, n_processors=1).result

@@ -23,6 +23,7 @@ in-process: a fault-free query never restores, an in-engine crash is
 followed by exactly one restore, and the final reply is the same.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -103,6 +104,28 @@ def counters(result):
     stats = run_fingerprint(result)[2]
     del stats["checkpoints_taken"]
     return stats
+
+
+@contextlib.contextmanager
+def seeding(starts, seeded):
+    """While the block runs, count into ``starts[0]`` the runs that started
+    fresh — seeding every root up front, or opening Whirlpool-S's cursor
+    over them — and append to ``seeded`` the root of every seed Whirlpool-S
+    makes as it goes."""
+    original = core_base.EngineBase.seed
+
+    def counting(self, root):
+        seeded.append(tuple(root[2].dewey))
+        return original(self, root)
+
+    with counted(core_base.EngineBase, "seed_matches", starts), counted(
+        core_base.EngineBase, "open_roots", starts
+    ):
+        core_base.EngineBase.seed = counting
+        try:
+            yield
+        finally:
+            core_base.EngineBase.seed = original
 
 
 def stepped(engine, algorithm, budget, observer=None):
@@ -232,12 +255,14 @@ def test_a_budget_exit_with_nothing_queued_is_parked_too(engines, algorithm):
     run = engine.open(
         k, algorithm=algorithm, max_operations=whole.stats.server_operations
     )
-    seeds = [0]
-    with counted(core_base.EngineBase, "seed_matches", seeds):
+    starts, seeded = [0], []
+    with seeding(starts, seeded):
         first = run.run()
         run.max_operations += 10
         second = run.run()
-    assert seeds[0] == 1
+    # A parked run never starts over, nor seeds a root a second time.
+    assert starts[0] == 1
+    assert len(seeded) == len(set(seeded))
     assert not first.degraded and first.pending_bound == 0.0
     assert answer_keys(second) == answer_keys(first) == answer_keys(whole)
     assert counters(second) == counters(whole)
@@ -360,10 +385,11 @@ def test_worker_finishes_a_run_that_lost_a_match(xmark_db, algorithm, relaxed):
     begin = begin_frame(
         Engine(xmark_db, QUERIES["Q2"], relaxed=relaxed), K, 1, algorithm=algorithm
     )
-    seeds = [0]
-    with counted(core_base.EngineBase, "seed_matches", seeds):
+    starts, seeded = [0], []
+    with seeding(starts, seeded):
         live, live_steps = drive_dropping(ShardWorker(0), documents, begin, budget=1)
-    assert seeds[0] == 1
+    assert starts[0] == 1
+    assert len(seeded) == len(set(seeded))
     assert live["degraded"] and live["pending_bound"] > 0.0
     if algorithm != "whirlpool_m":  # which match M drops depends on its schedule
         restored, restored_steps = drive_dropping(

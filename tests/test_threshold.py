@@ -161,12 +161,15 @@ class TestFold:
             engine, bound, faults=FaultPlan.chaos(3), routing="max_score"
         )
         assert result.failure is not None and result.failure.injection is not None
-        # Out of reach: every seed is pruned at its pop, and the observer hears it.
+        # Out of reach: the first seed is pruned at its pop, and the observer
+        # hears it; that pop closes every root, so none is seeded after it,
+        # and each counts as pruned all the same.
         trace = ExecutionTrace()
         ceiling = engine.score_model.max_total()
-        assert threshold_query(engine, ceiling + 1.0, observer=trace).answers == []
-        prunes = [event for event in trace.events if event.kind == "prune"]
-        assert len(prunes) == len(engine.index["item"])
+        out_of_reach = threshold_query(engine, ceiling + 1.0, observer=trace)
+        assert out_of_reach.answers == []
+        assert [event.kind for event in trace.events] == ["seed", "prune"]
+        assert out_of_reach.stats.partial_matches_pruned == len(engine.index["item"])
 
     def test_not_resumable(self, q2):
         """Refused up front, not an AttributeError on ``export_state``."""
