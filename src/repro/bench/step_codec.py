@@ -3,10 +3,12 @@
 A shard worker advances its run in budget steps and checkpoints at each
 budget exit (:mod:`repro.cluster.worker`).  What that *should* cost is
 small and exact: one checkpoint per step, every match encoded at most
-once in its life, and no restore at all unless something failed.  This
-driver pins those numbers for one fixed query so the trajectory gate
+once in its life, no restore at all unless something failed, and a
+checkpoint text no larger than the snapshot shape needs.  This driver
+pins those numbers for one fixed query so the trajectory gate
 (:mod:`repro.bench.trajectory`) fails if a later change brings back a
-restore per step or a second encode of the same state.
+restore per step, a second encode of the same state or a fatter
+snapshot.
 
 Each shard's :class:`~repro.cluster.worker.ShardWorker` is driven
 in-process through ``init`` → ``begin`` → ``step`` … exactly as the
@@ -74,7 +76,9 @@ def counted(
 def drive_shard(
     worker: ShardWorker, documents: List[str], begin: Dict[str, Any]
 ) -> Dict[str, int]:
-    """One fault-free query on one shard; returns its step-path counts."""
+    """One fault-free query on one shard; returns its step-path counts,
+    with ``checkpoint_bytes``: the bytes of every sealed checkpoint text
+    its step replies carry, summed."""
     encodes, restores = [0], [0]
     with counted(codec, "match_payload", encodes), counted(
         core_base, "restore_engine_state", restores
@@ -83,15 +87,18 @@ def drive_shard(
             reply, _ = worker.handle(frame)
             assert reply is not None and reply["ok"], reply
         steps = 0
+        checkpoint_bytes = 0
         while True:
             steps += 1
             reply, _ = worker.handle({"op": "step", "id": 2 + steps})
             assert reply is not None and reply["ok"], reply
             if reply["done"]:
                 break
+            checkpoint_bytes += len(reply["checkpoint"]["text"].encode("utf-8"))
     return {
         "steps": steps,
         "checkpoints_taken": int(reply["stats"]["checkpoints_taken"]),
+        "checkpoint_bytes": checkpoint_bytes,
         "encode_match_builds": encodes[0],
         "restore_calls": restores[0],
     }

@@ -131,14 +131,16 @@ def obs_records(payload: Dict) -> Iterator[Dict]:
 
 
 def step_codec_records(payload: Dict) -> Iterator[Dict]:
-    """Per-shard step-path counts (steps, checkpoints, match encodes,
-    restores) of the fixed sharded query — deterministic, so the gate
-    fails on any growth: a restore per step or a second encode of the
-    same match shows up here as a count, not as a slower wall."""
+    """Per-shard step-path counts (steps, checkpoints, checkpoint bytes,
+    match encodes, restores) of the fixed sharded query — deterministic,
+    so the gate fails on any growth: a restore per step, a second encode
+    of the same match or a fatter snapshot shows up here as a count, not
+    as a slower wall."""
     for shard_id, counts in payload["shards"].items():
         case = f"{payload['query']}/k={payload['k']}/shard={shard_id}"
         for metric, value in counts.items():
-            yield record("cluster_step_codec", case, metric, "calls", value)
+            unit = "bytes" if metric == "checkpoint_bytes" else "calls"
+            yield record("cluster_step_codec", case, metric, unit, value)
 
 
 def hot_path_records(payload: Dict) -> Iterator[Dict]:

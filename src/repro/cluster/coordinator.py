@@ -121,7 +121,7 @@ from repro.recovery.codec import decode_match
 from repro.recovery.generations import CheckpointGenerations
 from repro.recovery.store import MemoryRecoveryStore, RecoveryStore
 import repro.sim.clock as simclock
-from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
+from repro.xmldb.dewey import Dewey
 from repro.xmldb.model import Database
 
 #: A shard that finished early is pinged once its last reply is this old,
@@ -559,10 +559,10 @@ class _ShardQueryState:
 
     def __init__(self) -> None:
         self.answers: List[Tuple[Dewey, float]] = []
-        #: Global root Dewey string -> the answer's match payload as the
-        #: shard sent it (shard-local Deweys, remapped by ``ordinals`` when
-        #: the answer wins the merge).
-        self.match_payloads: Dict[str, Dict[str, Any]] = {}
+        #: Global root Dewey -> the answer's match payload as the shard
+        #: sent it (shard-local Deweys, remapped by ``ordinals`` when the
+        #: answer wins the merge).
+        self.match_payloads: Dict[Dewey, List[Any]] = {}
         self.ordinals: Sequence[int] = ()
         self.bound = 0.0
         self.done = False
@@ -1095,15 +1095,15 @@ class Coordinator:
         """Fold one step reply into the shard's merge inputs."""
         ordinals = handle.spec.global_ordinals
         answers: List[Tuple[Dewey, float]] = []
-        payloads: Dict[str, Dict[str, Any]] = {}
-        for entry in reply.get("answers", []):
+        payloads: Dict[Dewey, List[Any]] = {}
+        for payload in reply.get("answers", []):
+            # An answer is its encoded match, ``[root, score, entries]``.
             # Only the root is remapped here: the merge reads roots and
             # scores, and :meth:`_finalize` remaps the payloads of the
             # (at most k) winners.
-            payload = entry["match"]
-            dewey = remap_dewey(parse_dewey(payload["root"]), ordinals)
-            answers.append((dewey, float(entry["score"])))
-            payloads[dewey_str(dewey)] = payload
+            dewey = remap_dewey(payload[0], ordinals)
+            answers.append((dewey, float(payload[1])))
+            payloads[dewey] = payload
         state.answers = answers
         state.match_payloads = payloads
         state.ordinals = ordinals
@@ -1211,13 +1211,12 @@ class Coordinator:
         span: Span,
     ) -> ClusterResult:
         answers: List[TopKAnswer] = []
+        servers = frozenset(node.node_id for node in engine.pattern.non_root_nodes())
         for dewey, score, shard_id in merged:
             # An answer's match is a record: nothing reads its bound.
             state = states[shard_id]
-            payload = remap_match_payload(
-                state.match_payloads[dewey_str(dewey)], state.ordinals
-            )
-            match = decode_match(payload, self.database.node_by_dewey)
+            payload = remap_match_payload(state.match_payloads[dewey], state.ordinals)
+            match = decode_match(payload, self.database.node_by_dewey, servers)
             root = self.database.node_by_dewey(dewey)
             if root is None:  # pragma: no cover - remap guarantees presence
                 raise ClusterError(f"merged answer references unknown root {dewey}")

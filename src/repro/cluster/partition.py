@@ -20,10 +20,10 @@ does not depend on balance.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.errors import ClusterError
-from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
+from repro.xmldb.dewey import Dewey
 from repro.xmldb.model import Database
 from repro.xmldb.serializer import serialize
 
@@ -111,7 +111,7 @@ def build_shard_specs(
     return specs
 
 
-def remap_dewey(local: Dewey, global_ordinals: Sequence[int]) -> Dewey:
+def remap_dewey(local: Sequence[int], global_ordinals: Sequence[int]) -> Dewey:
     """Translate a shard-local Dewey id to the global forest.
 
     The first component is the shard-local document ordinal (position in
@@ -129,23 +129,19 @@ def remap_dewey(local: Dewey, global_ordinals: Sequence[int]) -> Dewey:
     return (global_ordinals[position],) + tuple(local[1:])
 
 
-def remap_dewey_str(text: str, global_ordinals: Sequence[int]) -> str:
-    """String-level :func:`remap_dewey` (wire payloads carry strings)."""
-    return dewey_str(remap_dewey(parse_dewey(text), global_ordinals))
-
-
 def remap_match_payload(
-    payload: Dict[str, Any], global_ordinals: Sequence[int]
-) -> Dict[str, Any]:
-    """Remap every Dewey reference in an encoded-match wire payload.
-
-    The shape mirrors :func:`repro.recovery.codec.encode_match`:
-    ``root`` plus per-node ``instantiations`` (``None`` = deleted leaf).
-    """
-    remapped = dict(payload)
-    remapped["root"] = remap_dewey_str(payload["root"], global_ordinals)
-    remapped["instantiations"] = {
-        node_id: None if dewey is None else remap_dewey_str(dewey, global_ordinals)
-        for node_id, dewey in payload["instantiations"].items()
-    }
-    return remapped
+    payload: Sequence[Any], global_ordinals: Sequence[int]
+) -> List[Any]:
+    """Remap every Dewey id of an encoded match (the shape of
+    :func:`repro.recovery.codec.encode_match`, ``[root, score, [[node_id,
+    node, quality], ...]]``) into a new payload; ``None`` (a deleted
+    leaf) stays ``None``."""
+    root, score, entries = payload
+    return [
+        list(remap_dewey(root, global_ordinals)),
+        score,
+        [
+            [node_id, None if node is None else list(remap_dewey(node, global_ordinals)), quality]
+            for node_id, node, quality in entries
+        ],
+    ]

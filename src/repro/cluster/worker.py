@@ -86,7 +86,6 @@ from repro.recovery.policy import CheckpointPolicy
 from repro.scoring.model import ScoreModel
 import repro.sim.clock as simclock
 from repro.sim.clock import RealClock, set_clock
-from repro.xmldb.dewey import dewey_str
 from repro.xmldb.model import Database
 from repro.xmldb.parser import parse_forest
 
@@ -341,14 +340,9 @@ class ShardWorker:
         self, result: TopKResult, done: bool, checkpoint: Optional[Dict[str, Any]]
     ) -> Dict[str, Any]:
         return {
-            "answers": [
-                {
-                    "root": dewey_str(answer.root_node.dewey),
-                    "score": answer.score,
-                    "match": encode_match(answer.match),
-                }
-                for answer in result.answers
-            ],
+            # An answer's root and score are its match's: the payload
+            # carries both.
+            "answers": [encode_match(answer.match) for answer in result.answers],
             "pending_bound": max(result.pending_bound, self.lost_bound),
             "degraded": self.lost_bound > 0.0 or not done,
             "operations": result.stats.server_operations,

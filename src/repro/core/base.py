@@ -73,7 +73,7 @@ from repro.query.pattern import TreePattern
 from repro.recovery.codec import encode_engine_state, restore_engine_state
 from repro.relax.plan import compile_plan
 from repro.scoring.model import MatchQuality, ScoreModel
-from repro.xmldb.dewey import Dewey, dewey_str
+from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import XMLNode
 
@@ -621,16 +621,16 @@ class EngineBase:
             self.observer.on_seed(match, threshold)
         return match
 
-    def root_cursor(self) -> Optional[Tuple[int, Optional[str]]]:
+    def root_cursor(self) -> Optional[Tuple[int, Optional[List[int]]]]:
         """What a snapshot keeps of the roots not seeded yet: the cursor
-        and the Dewey string of the root it points at (``None`` when none
-        is left) — or ``None`` when every root was seeded up front."""
+        and the Dewey id (a list) of the root it points at (``None`` when
+        none is left) — or ``None`` when every root was seeded up front."""
         seeded = self.seeded
         if seeded is None:
             return None
         return seeded, self._root_at(seeded)
 
-    def resume_roots(self, seeded: int, next_root: Optional[str]) -> None:
+    def resume_roots(self, seeded: int, next_root: Optional[List[int]]) -> None:
         """Take a snapshot's :meth:`root_cursor`, checking ``next_root``: a
         different document, score model or order would silently skip or
         repeat roots.  Reserves the roots' arrivals, so call it before
@@ -649,9 +649,9 @@ class EngineBase:
         self.seeded = seeded
         self.seed_arrival = reserve_arrivals(len(order))
 
-    def _root_at(self, seeded: int) -> Optional[str]:
+    def _root_at(self, seeded: int) -> Optional[List[int]]:
         order = self.seed_order()
-        return dewey_str(order[seeded][2].dewey) if seeded < len(order) else None
+        return list(order[seeded][2].dewey) if seeded < len(order) else None
 
     def absorb_extensions(
         self,

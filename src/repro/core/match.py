@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Sized, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sized, Tuple
 
 from repro.scoring.model import MatchQuality
 from repro.xmldb.model import XMLNode
@@ -109,9 +109,11 @@ class PartialMatch:
         #: match, ``EngineBase.absorb_extensions`` for an extension).
         self.upper_bound = score
         self.arrival = self.match_id  # FIFO tiebreaker / arrival order
-        #: The snapshot codec's payload for this match, kept by
-        #: :func:`~repro.recovery.codec.encode_match` once it has built it.
-        self.encoded: Optional[Dict[str, Any]] = None
+        #: The snapshot codec's payload for this match — ``[root Dewey,
+        #: score, [[node id, Dewey or None, quality], ...]]`` in visit
+        #: order — kept by :func:`~repro.recovery.codec.encode_match` once
+        #: it has built it; an extension's payload reuses its parent's.
+        self.encoded: Optional[List[Any]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -170,6 +172,22 @@ class PartialMatch:
             qualities = self._materialize()[1]
         return qualities
 
+    def trail(
+        self, stop: Callable[["PartialMatch"], bool]
+    ) -> Tuple["PartialMatch", List[_Step]]:
+        """Walk back the :meth:`extend` chain: the nearest match — ``self``
+        or an ancestor — that ``stop`` accepts or that was built outside
+        :meth:`extend`, and the steps from it to ``self``, newest first."""
+        steps: List[_Step] = []
+        match = self
+        while not stop(match):
+            step = match._step
+            if step is None:
+                break
+            steps.append(step)
+            match = step[0]
+        return match, steps
+
     def _materialize(
         self,
     ) -> Tuple[Dict[int, Optional[XMLNode]], Dict[int, MatchQuality]]:
@@ -177,17 +195,10 @@ class PartialMatch:
         them, copied, with the steps since replayed oldest first — the
         contents and key order an eager copy per :meth:`extend` produced.
         Two threads racing here build equal dicts; either pair may stay."""
-        steps: List[_Step] = []
-        match = self
-        while True:
-            inherited, inherited_qualities = match._instantiations, match._qualities
-            if inherited is not None and inherited_qualities is not None:
-                break
-            step = match._step
-            if step is None:
-                raise ValueError("a match built outside extend() needs its dicts")
-            steps.append(step)
-            match = step[0]
+        base, steps = self.trail(_has_dicts)
+        inherited, inherited_qualities = base._instantiations, base._qualities
+        if inherited is None or inherited_qualities is None:
+            raise ValueError("a match built outside extend() needs its dicts")
         instantiations = dict(inherited)
         qualities = dict(inherited_qualities)
         for _, node_id, candidate, quality in reversed(steps):
@@ -287,3 +298,8 @@ class PartialMatch:
             f"score={self.score:.4f}, bound={self.upper_bound:.4f}, "
             f"visited={sorted(self.visited)})"
         )
+
+
+def _has_dicts(match: PartialMatch) -> bool:
+    """:meth:`PartialMatch.trail`'s stop for the dict views."""
+    return match._instantiations is not None and match._qualities is not None

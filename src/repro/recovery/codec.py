@@ -3,21 +3,31 @@
 Whirlpool's anytime semantics mean a run's complete progress is captured
 by three things: the partial matches still queued, the current top-k set,
 and the counters behind the ``pending_bound`` certificate.  This module
-serializes exactly that — and nothing executable — into plain
-JSON-compatible dictionaries:
+serializes exactly that — and nothing executable — into plain JSON values
+(dicts, lists, numbers, strings; never tuples, so ``json.loads`` of a
+snapshot's text gives back an equal snapshot):
 
-- a :class:`~repro.core.match.PartialMatch` becomes its root's Dewey id,
-  a node-id → Dewey-id (or ``null`` for leaf-deletion) instantiation map,
-  the per-node :class:`~repro.scoring.model.MatchQuality` values, the
-  visited set, and the score.  The upper bound is *not* stored: it is
-  recomputed from the restoring engine's score model, so a snapshot can
-  never smuggle in a stale or forged bound.  A match is immutable, so
-  this dictionary is built once and kept on the match: successive
-  snapshots of one run share it (and must not edit it), and a
+- a :class:`~repro.core.match.PartialMatch` becomes one flat list,
+  ``[root, score, [[node_id, node, quality], ...]]``, as the paper grows
+  it: its root's binding, then one entry per server it has visited, in
+  visit order.  ``root`` and ``node`` are Dewey ids as int lists (``node``
+  is ``null`` for a deleted leaf), ``quality`` is the
+  :class:`~repro.scoring.model.MatchQuality` value.  The visited set is
+  the entries' node ids — a match visits a server exactly when it binds
+  that server's node — so it is not stored twice.  The upper bound is
+  *not* stored either: it is recomputed from the restoring engine's score
+  model, so a snapshot can never smuggle in a stale or forged bound.  The
+  list is built by walking the match's :meth:`~repro.core.match.PartialMatch.extend`
+  chain back to the nearest ancestor whose list is built already (or to
+  its seed) and extending that one, so no dict is materialized for it;
+  a match is immutable, so the list is kept on the match and shared:
+  successive snapshots of one run share it (and must not edit it), and a
   checkpoint pays only for the matches created since the last one;
-- the top-k set becomes its per-entry representative matches; restore
-  replays :meth:`~repro.core.topk.TopKSet.observe` on the decoded copies,
-  which reconstructs every entry score and the pruning threshold exactly;
+- the top-k set becomes ``[match, complete]`` per entry — its
+  representative match and its completed one, ``null`` when it has none;
+  restore replays :meth:`~repro.core.topk.TopKSet.observe` on the decoded
+  copies, which reconstructs every entry score and the pruning threshold
+  exactly;
 - queue contents are captured per label (``"router"``, ``"server:<id>"``,
   ``"loose"``) but restore deliberately does not require the same engine
   shape: any queued match can be re-routed, so a Whirlpool-M snapshot can
@@ -30,8 +40,13 @@ JSON-compatible dictionaries:
   the order, checks ``next_root`` against it and reserves the roots'
   arrivals before it decodes the queue; an engine that seeds up front
   seeds the rest when it starts.  A snapshot without the two keys had
-  every root seeded.  Version 1 stored the seeds themselves — a reader of
-  that shape would silently drop these roots, hence version 2.
+  every root seeded.
+
+Versions: 1 stored the seeds themselves; 2 replaced them by the cursor (a
+reader of version 1's shape would silently drop those roots); 3 flattened
+each match from a dict of dicts with dotted-string Deweys into the list
+above, which halves a checkpoint's text and the time spent writing and
+reading it.
 
 Why not ``pickle``?  Snapshots outlive the process that wrote them (the
 JSON-file :class:`~repro.recovery.store.RecoveryStore` backend exists for
@@ -51,31 +66,44 @@ budget exit, for whoever may have to recover later.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.core.match import PartialMatch
 from repro.core.stats import COUNTERS
 from repro.errors import RecoveryError
 from repro.scoring.model import MatchQuality
-from repro.xmldb.dewey import Dewey, dewey_str, parse_dewey
+from repro.xmldb.dewey import Dewey
 from repro.xmldb.model import XMLNode
 
 if TYPE_CHECKING:
     from repro.core.base import EngineBase
     from repro.core.queues import MatchQueue
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 """Bump on any incompatible change to the snapshot shape."""
 
 Resolver = Callable[[Dewey], Optional[XMLNode]]
 
+#: A payload's quality string -> the enum member (a dict lookup; calling
+#: ``MatchQuality(value)`` costs more than resolving the node).
+_QUALITIES = {quality.value: quality for quality in MatchQuality}
 
-def encode_match(match: PartialMatch) -> Dict[str, Any]:
-    """One partial match as a JSON-compatible dictionary.
+
+def encode_match(match: PartialMatch) -> List[Any]:
+    """One partial match as ``[root, score, [[node_id, node, quality], ...]]``.
 
     Built once per match and kept on it (matches are immutable once
     created), so a checkpoint pays only for the matches created since
-    the previous one.  Callers share the dictionary and must not edit it.
+    the previous one.  Callers share the list and must not edit it.
     """
     payload = match.encoded
     if payload is None:
@@ -83,61 +111,86 @@ def encode_match(match: PartialMatch) -> Dict[str, Any]:
     return payload
 
 
-def match_payload(match: PartialMatch) -> Dict[str, Any]:
-    """Build the dictionary :func:`encode_match` keeps — its slow path."""
-    return {
-        "root": dewey_str(match.root_node.dewey),
-        "instantiations": {
-            str(node_id): None if node is None else dewey_str(node.dewey)
-            for node_id, node in match.instantiations.items()
-        },
-        "qualities": {
-            str(node_id): quality.value
-            for node_id, quality in match.qualities.items()
-        },
-        "visited": sorted(match.visited),
-        "score": match.score,
-    }
+def _is_encoded(match: PartialMatch) -> bool:
+    return match.encoded is not None
+
+
+def match_payload(match: PartialMatch) -> List[Any]:
+    """Build the list :func:`encode_match` keeps — its slow path.
+
+    Extends the list of the nearest ancestor that has one (sharing its
+    root and its entries) by the steps since; a chain with none starts
+    from its seed (or decoded match), whose dicts exist."""
+    # ``_value_`` below: the enum's value without the ``value`` property's
+    # descriptor call, which costs more than the rest of an entry.
+    base, steps = match.trail(_is_encoded)
+    built = base.encoded
+    if built is not None:
+        root, entries = built[0], built[2]
+    else:
+        root = list(base.root_node.dewey)
+        qualities = base.qualities
+        entries = [
+            [node_id, None if node is None else list(node.dewey), qualities[node_id]._value_]
+            for node_id, node in base.instantiations.items()
+        ]
+    if steps:
+        entries = entries + [
+            [node_id, None if node is None else list(node.dewey), quality._value_]
+            for _, node_id, node, quality in reversed(steps)
+        ]
+    return [root, match.score, entries]
 
 
 def decode_match(
-    payload: Dict[str, Any],
+    payload: Sequence[Any],
     resolve: Resolver,
+    server_ids: Collection[int],
     bind: Optional[Callable[[PartialMatch], None]] = None,
 ) -> PartialMatch:
     """Rebuild a partial match, reattaching nodes through ``resolve``.
 
-    The decoded match gets a fresh ``match_id``/``arrival`` (those are
-    process-local queue tiebreakers, not semantics).  ``bind`` — the
-    resuming engine's :meth:`~repro.core.base.EngineBase.bind` — gives it
-    its root's row and upper bound, exactly as its seed got them; without
-    it the match is a record (its bound is its score).
+    Every entry must name a distinct node of ``server_ids`` (the query's
+    servers): the visited set is read off the entries, so a repeated or
+    foreign id would forge it.  The decoded match gets a fresh
+    ``match_id``/``arrival`` (those are process-local queue tiebreakers,
+    not semantics).  ``bind`` — the resuming engine's
+    :meth:`~repro.core.base.EngineBase.bind` — gives it its root's row and
+    upper bound, exactly as its seed got them; without it the match is a
+    record (its bound is its score).
     """
-    root_dewey = parse_dewey(payload["root"])
-    root = resolve(root_dewey)
+    try:
+        root_dewey, score, entries = payload
+        root = resolve(tuple(root_dewey))
+        score = float(score)
+    except (TypeError, ValueError) as exc:
+        raise RecoveryError(f"malformed match payload {payload!r}") from exc
     if root is None:
-        raise RecoveryError(
-            f"snapshot references unknown root node {payload['root']!r}"
-        )
+        raise RecoveryError(f"snapshot references unknown root node {root_dewey!r}")
     instantiations: Dict[int, Optional[XMLNode]] = {}
-    for key, value in payload["instantiations"].items():
-        if value is None:
-            instantiations[int(key)] = None
-            continue
-        node = resolve(parse_dewey(value))
-        if node is None:
-            raise RecoveryError(f"snapshot references unknown node {value!r}")
-        instantiations[int(key)] = node
-    qualities = {
-        int(key): MatchQuality(value)
-        for key, value in payload["qualities"].items()
-    }
+    qualities: Dict[int, MatchQuality] = {}
+    for entry in entries:
+        try:
+            node_id, dewey, quality = entry
+            node = None if dewey is None else resolve(tuple(dewey))
+            qualities[node_id] = _QUALITIES[quality]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise RecoveryError(f"malformed match entry {entry!r}") from exc
+        if node_id not in server_ids:
+            raise RecoveryError(
+                f"snapshot names node {node_id!r}, not a server of this query"
+            )
+        if node_id in instantiations:
+            raise RecoveryError(f"snapshot names node {node_id!r} twice in one match")
+        if node is None and dewey is not None:
+            raise RecoveryError(f"snapshot references unknown node {dewey!r}")
+        instantiations[node_id] = node
     match = PartialMatch(
         root_node=root,
         instantiations=instantiations,
         qualities=qualities,
-        visited=frozenset(int(node_id) for node_id in payload["visited"]),
-        score=float(payload["score"]),
+        visited=frozenset(instantiations),
+        score=score,
     )
     if bind is not None:
         bind(match)
@@ -171,16 +224,13 @@ def encode_engine_state(
         for match in loose:
             pending_bound = max(pending_bound, match.upper_bound)
     pending_bound = max(pending_bound, engine.unseeded_bound())
-    topk_entries = []
-    for match, complete_match in engine.topk.export_state():
-        topk_entries.append(
-            {
-                "match": encode_match(match),
-                "complete": None
-                if complete_match is None
-                else encode_match(complete_match),
-            }
-        )
+    topk_entries = [
+        [
+            encode_match(match),
+            None if complete_match is None else encode_match(complete_match),
+        ]
+        for match, complete_match in engine.topk.export_state()
+    ]
     stats = engine.stats.as_dict()
     payload = {
         "version": SNAPSHOT_VERSION,
@@ -265,25 +315,25 @@ def restore_engine_state(
         if type(seeded) is not int:
             raise RecoveryError(f"snapshot cursor must be an integer, got {seeded!r}")
         engine.resume_roots(seeded, snapshot.get("next_root"))
-    database = engine.index.database
-    resolve: Resolver = database.node_by_dewey
+    resolve: Resolver = engine.index.database.node_by_dewey
+    servers = frozenset(engine.server_ids)
     bind = engine.bind
+
+    def decode(payload: Sequence[Any]) -> PartialMatch:
+        return decode_match(payload, resolve, servers, bind)
+
     engine.topk.restore_state(
         (
-            (
-                decode_match(entry["match"], resolve, bind),
-                None
-                if entry.get("complete") is None
-                else decode_match(entry["complete"], resolve, bind),
-            )
-            for entry in snapshot.get("topk", [])
+            (decode(match), None if complete is None else decode(complete))
+            for match, complete in snapshot.get("topk", [])
         ),
         engine.server_ids,
     )
-    matches: List[PartialMatch] = []
-    for payloads in snapshot.get("queues", {}).values():
-        for payload in payloads:
-            matches.append(decode_match(payload, resolve, bind))
+    matches = [
+        decode(payload)
+        for payloads in snapshot.get("queues", {}).values()
+        for payload in payloads
+    ]
     counters = snapshot.get("stats", {})
     if counters:
         carried = type(engine.stats)()

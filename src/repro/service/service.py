@@ -44,6 +44,7 @@ from repro.core.trace import ExecutionTrace
 from repro.errors import RecoveryError, ReproError, ServiceError
 from repro.obs import Observability, SlowQueryEntry, record_run, routing_history
 from repro.obs.spans import NULL_SPAN, Span
+from repro.recovery.codec import SNAPSHOT_VERSION
 from repro.recovery.policy import CheckpointPolicy
 from repro.recovery.store import RecoveryStore
 from repro.service.breaker import CircuitBreaker
@@ -862,8 +863,12 @@ class WhirlpoolService:
         once; its request is resubmitted with the deadline budget that
         was left when the snapshot was taken, and — when the snapshot
         carries engine state — the run resumes from that checkpoint
-        instead of re-seeding.  Unreadable or malformed snapshots are
-        dropped and counted, never retried forever.
+        instead of re-seeding.  Engine state written by another snapshot
+        codec version (:data:`~repro.recovery.codec.SNAPSHOT_VERSION`) is
+        set aside and the request re-runs fresh: its envelope is intact,
+        and resuming would only fail the request (and charge the breaker)
+        on a shape this codec does not read.  Unreadable or malformed
+        snapshots are dropped and counted, never retried forever.
 
         Returns ``{"found", "recovered", "invalid", "tickets"}``.
         """
@@ -901,16 +906,14 @@ class WhirlpoolService:
             except (KeyError, TypeError, ValueError, ServiceError):
                 invalid += 1
                 continue
+            if not (
+                isinstance(engine_snapshot, dict)
+                and engine_snapshot.get("version") == SNAPSHOT_VERSION
+            ):
+                engine_snapshot = None
             self._counters.record_recovered()
             self._m_recovered_child.inc()
-            tickets.append(
-                self.submit(
-                    request,
-                    restore_from=(
-                        engine_snapshot if isinstance(engine_snapshot, dict) else None
-                    ),
-                )
-            )
+            tickets.append(self.submit(request, restore_from=engine_snapshot))
         return {
             "found": len(keys),
             "recovered": len(tickets),

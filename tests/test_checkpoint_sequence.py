@@ -17,6 +17,12 @@ instead of their seeds and score-0 top-k entries; and an exit on the
 budget reports the roots it has met — three budgeted Q3 rows lost their
 score-0 answers.  Operations, ``checkpoints_taken`` and every
 ``pending_bound`` held.
+
+It was retaken once more with ``SNAPSHOT_VERSION`` 3, which encodes a
+match as one flat list (``[root, score, [[node_id, node, quality], ...]]``,
+Deweys as int lists) and a top-k entry as ``[match, complete]``: every
+snapshot digest moved with the shape; operations, ``checkpoints_taken``,
+answer scores and every ``pending_bound`` held.
 """
 
 import hashlib
@@ -63,7 +69,7 @@ def snapshot_digest(snapshot, memo):
                 label: [match(payload) for payload in payloads]
                 for label, payloads in snapshot["queues"].items()
             },
-            topk=[[match(entry["match"]), match(entry["complete"])] for entry in snapshot["topk"]],
+            topk=[[match(entry), match(complete)] for entry, complete in snapshot["topk"]],
         )
     )
 

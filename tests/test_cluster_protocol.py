@@ -290,16 +290,12 @@ def test_remap_dewey():
 
 
 def test_remap_match_payload():
-    payload = {
-        "root": "1.2",
-        "instantiations": {"0": "1.2", "1": "1.2.0", "2": None},
-        "score": 0.5,
-    }
+    payload = [[1, 2], 0.5, [[1, [1, 2, 0], "exact"], [2, None, "deleted"]]]
     remapped = remap_match_payload(payload, (5, 11))
-    assert remapped["root"] == "11.2"
-    assert remapped["instantiations"] == {"0": "11.2", "1": "11.2.0", "2": None}
-    assert remapped["score"] == 0.5
-    assert payload["root"] == "1.2"  # input untouched
+    assert remapped == [[11, 2], 0.5, [[1, [11, 2, 0], "exact"], [2, None, "deleted"]]]
+    assert payload == [[1, 2], 0.5, [[1, [1, 2, 0], "exact"], [2, None, "deleted"]]]
+    with pytest.raises(ClusterError):
+        remap_match_payload([[2, 0], 0.5, []], (5, 11))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,10 @@ to seed a root only when the root would pop next: no count, answer or
 ``pending_bound`` moved, but every snapshot digest moved with the
 snapshot version (2), Whirlpool-S's snapshot carries a cursor in place
 of the seeds not made yet, and its events leave out the seeds (and their
-prunes) of the roots the early stop closes unseeded.  Whirlpool-M has rows too, ``whirlpool_m@1``:
+prunes) of the roots the early stop closes unseeded.  It was retaken once
+more when the snapshot codec went to version 3 (a match is one flat list
+with int-list Deweys): only the 36 snapshot digests moved; every event,
+count, answer and ``pending_bound`` held.  Whirlpool-M has rows too, ``whirlpool_m@1``:
 its step scheduled on one modeled processor (``repro.bench.makespan``), a
 deterministic interleaving of the real engine code.  They were taken from
 the parent of the commit that made the scheduler drive the engine's step

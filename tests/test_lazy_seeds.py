@@ -29,7 +29,6 @@ from repro.core.topk import certificate_breach, ranked
 from repro.core.trace import EngineObserver
 from repro.errors import RecoveryError
 from repro.recovery.policy import CheckpointPolicy
-from repro.xmldb.dewey import dewey_str
 from tests.conftest import full_ranking, run_fingerprint
 
 K_VALUES = (3, 15, 75)
@@ -167,9 +166,9 @@ def test_a_snapshot_naming_another_next_root_is_refused(engines):
     order = engine.open(15).seed_order()
     seeded = snapshot["seeded"]
     assert 0 < seeded < len(order)
-    assert snapshot["next_root"] == dewey_str(order[seeded][2].dewey)
+    assert snapshot["next_root"] == list(order[seeded][2].dewey)
     for forged in (
-        dict(snapshot, next_root=dewey_str(order[seeded + 1][2].dewey)),
+        dict(snapshot, next_root=list(order[seeded + 1][2].dewey)),
         dict(snapshot, seeded=seeded + 1),
         dict(snapshot, seeded=len(order) + 1, next_root=None),
         dict(snapshot, seeded=str(seeded)),
@@ -196,7 +195,7 @@ def test_a_snapshot_leaves_out_the_roots_it_has_not_seeded(engines):
     total = len(run.seed_order())
     assert snapshot["seeded"] < total
     assert len(snapshot["topk"]) == snapshot["seeded"]
-    roots = {payload["root"] for payload in snapshot["queues"]["router"]}
-    unseeded = {dewey_str(entry[2].dewey) for entry in run.seed_order()[snapshot["seeded"]:]}
+    roots = {tuple(payload[0]) for payload in snapshot["queues"]["router"]}
+    unseeded = {entry[2].dewey for entry in run.seed_order()[snapshot["seeded"]:]}
     assert not roots & unseeded
     assert run.stats.partial_matches_created >= total

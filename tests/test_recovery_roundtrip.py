@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+import repro.recovery.codec as codec
 from repro.bench.params import QUERIES
 from repro.core.engine import Engine
 from repro.errors import RecoveryError
@@ -31,6 +32,7 @@ from repro.recovery import (
     decode_match,
     encode_match,
 )
+from repro.recovery.generations import seal
 from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
@@ -100,6 +102,29 @@ class TestRoundTripMatrix:
             assert_same_topk(ranking, result)
 
 
+def encoded_matches(monkeypatch, engine, algorithm, budget=None, k=K, every=3):
+    """Every (match, payload) a checkpointed run encodes, and its snapshots."""
+    pairs = []
+    original = codec.encode_match
+
+    def recording(match):
+        payload = original(match)
+        pairs.append((match, payload))
+        return payload
+
+    monkeypatch.setattr(codec, "encode_match", recording)
+    snapshots = []
+    engine.run(
+        k,
+        algorithm=algorithm,
+        max_operations=budget,
+        checkpoint_policy=CheckpointPolicy(every_operations=every),
+        checkpoint_sink=snapshots.append,
+    )
+    monkeypatch.setattr(codec, "encode_match", original)
+    return pairs, snapshots
+
+
 class TestCodec:
     def test_match_round_trip(self, engine):
         snapshots = []
@@ -114,9 +139,94 @@ class TestCodec:
         encoded = payload["queues"]["router"]
         assert encoded, "expected queued matches in the snapshot"
         resolve = engine.index.database.node_by_dewey
+        servers = frozenset(engine.open(K).server_ids)
         for entry in encoded:
-            match = decode_match(entry, resolve)
+            match = decode_match(entry, resolve, servers)
             assert encode_match(match) == entry
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_decode_inverts_encode(self, monkeypatch, xmark_db, algorithm, relaxed):
+        """decode ∘ encode is the identity on what a match means — root,
+        instantiated nodes (deleted leaves included), qualities, visited
+        set, score — and the decoded match encodes to the same payload."""
+        engine = Engine(xmark_db, QUERIES["Q2"], relaxed=relaxed)
+        # k = 30 keeps enough roots alive that every engine deletes leaves.
+        pairs, snapshots = encoded_matches(monkeypatch, engine, algorithm, k=30, every=25)
+        assert snapshots and pairs
+        resolve = xmark_db.node_by_dewey
+        servers = frozenset(node.node_id for node in engine.pattern.non_root_nodes())
+        deleted = 0
+        for match, payload in pairs:
+            decoded = decode_match(json.loads(json.dumps(payload)), resolve, servers)
+            assert decoded.root_node is match.root_node
+            assert decoded.score == match.score
+            assert decoded.visited == match.visited == set(match.instantiations)
+            assert list(decoded.instantiations) == list(match.instantiations)
+            for node_id, node in match.instantiations.items():
+                assert decoded.instantiations[node_id] is node
+            assert decoded.qualities == match.qualities
+            assert encode_match(decoded) == payload
+            deleted += sum(node is None for node in match.instantiations.values())
+        # Leaf deletion is a relaxation: only a relaxed run makes such a match.
+        assert (deleted > 0) == relaxed
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_snapshots_are_json_pure(self, monkeypatch, engine, algorithm):
+        """A snapshot is made of JSON values only — no tuple, no object —
+        so the text a worker seals reads back as an equal snapshot."""
+        _, snapshots = encoded_matches(monkeypatch, engine, algorithm, budget=20)
+        assert snapshots
+        for snapshot in snapshots:
+            assert json.loads(seal(snapshot)[0]) == snapshot
+
+    def test_an_extension_shares_its_parents_payload(self, engine):
+        """A payload extends its nearest encoded ancestor's: the root list
+        and the ancestor's entries are the same objects, not copies."""
+        run = engine.open(K, algorithm="whirlpool_s")
+        run.run()
+        deepest = max(
+            (match for match, _ in run.topk.export_state()),
+            key=lambda match: len(match.visited),
+        )
+        assert len(deepest.visited) >= 2
+        # The first match of the chain that is not ``deepest``: its parent.
+        parent = deepest.trail(lambda match: match is not deepest)[0]
+        parent_payload = encode_match(parent)
+        payload = encode_match(deepest)
+        assert payload[0] is parent_payload[0]
+        assert payload[2][: len(parent_payload[2])] == parent_payload[2]
+        assert all(
+            mine is theirs for mine, theirs in zip(payload[2], parent_payload[2])
+        )
+
+    def test_decode_rejects_forged_visits(self, engine):
+        """The visited set is read off the entries, so an entry that
+        repeats a node id, or names a node outside the query's servers,
+        would forge it: both are refused."""
+        snapshots = []
+        engine.run(
+            K,
+            algorithm="whirlpool_s",
+            max_operations=10,
+            checkpoint_policy=CheckpointPolicy(every_operations=2),
+            checkpoint_sink=snapshots.append,
+        )
+        payload = max(snapshots[-1]["queues"]["router"], key=lambda entry: len(entry[2]))
+        assert payload[2], "expected a queued match past its seed"
+        resolve = engine.index.database.node_by_dewey
+        servers = frozenset(node.node_id for node in engine.pattern.non_root_nodes())
+        decode_match(payload, resolve, servers)
+        first = payload[2][0]
+        repeated = [payload[0], payload[1], payload[2] + [first]]
+        with pytest.raises(RecoveryError, match="twice"):
+            decode_match(repeated, resolve, servers)
+        foreign = [payload[0], payload[1], [[max(servers) + 1, *first[1:]]]]
+        with pytest.raises(RecoveryError, match="not a server"):
+            decode_match(foreign, resolve, servers)
+        root_entry = [payload[0], payload[1], [[0, *first[1:]]]]
+        with pytest.raises(RecoveryError, match="not a server"):
+            decode_match(root_entry, resolve, servers)
 
     def test_validate_rejects_wrong_k_and_pattern(self, engine, xmark_db):
         snapshots = []
@@ -137,6 +247,22 @@ class TestCodec:
         with pytest.raises(RecoveryError):
             engine.run(K, algorithm="whirlpool_s", restore_from=bad_version)
 
+    def test_a_version_2_snapshot_is_refused_naming_both_versions(self, engine):
+        """Version 2 stored each match as a dict of dicts; this codec
+        reads only its own shape, and says which two versions met."""
+        snapshots = []
+        engine.run(
+            K,
+            algorithm="whirlpool_s",
+            max_operations=10,
+            checkpoint_policy=CheckpointPolicy(every_operations=2),
+            checkpoint_sink=snapshots.append,
+        )
+        assert SNAPSHOT_VERSION == 3
+        old = dict(snapshots[-1], version=2)
+        with pytest.raises(RecoveryError, match=r"version 2 .*version 3"):
+            engine.run(K, algorithm="whirlpool_s", restore_from=old)
+
     def test_decode_rejects_dangling_nodes(self, engine):
         snapshots = []
         engine.run(
@@ -146,10 +272,10 @@ class TestCodec:
             checkpoint_policy=CheckpointPolicy(every_operations=2),
             checkpoint_sink=snapshots.append,
         )
-        entry = dict(snapshots[-1]["queues"]["router"][0])
-        entry["root"] = "0.999.999"
+        entry = list(snapshots[-1]["queues"]["router"][0])
+        entry[0] = [0, 999, 999]
         with pytest.raises(RecoveryError):
-            decode_match(entry, engine.index.database.node_by_dewey, {})
+            decode_match(entry, engine.index.database.node_by_dewey, frozenset())
 
     def test_restored_stats_carry_checkpoint_counter(self, engine):
         snapshots = []

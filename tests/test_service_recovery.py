@@ -212,6 +212,42 @@ class TestRecoverEdgeCases:
         assert store.count() == 0
         service.drain()
 
+    def test_a_checkpoint_of_another_codec_version_reruns_fresh(self, xmark_db):
+        """An envelope whose engine checkpoint this codec does not read
+        (version 2: every one stored before version 3) is not lost: the
+        request re-runs without it, is served the full answer, and charges
+        no breaker."""
+        store = MemoryRecoveryStore()
+        store.save(
+            "req-7",
+            {
+                "version": 1,
+                "origin": "checkpoint",
+                "request_id": 7,
+                "request": {
+                    "document": "auction",
+                    "xpath": QUERY,
+                    "k": 8,
+                    "priority": 0,
+                    "deadline_seconds": None,
+                    "algorithm": "whirlpool_s",
+                    "routing": "min_alive",
+                    "relaxed": True,
+                },
+                "engine": {"version": 2, "k": 8, "queues": {}, "topk": []},
+            },
+        )
+        service = make_service(xmark_db, store)
+        summary = service.recover()
+        assert (summary["recovered"], summary["invalid"]) == (1, 0)
+        response = summary["tickets"][0].result(timeout=30.0)
+        service.drain()
+        assert response.outcome is Outcome.SERVED
+        assert response.result is not None and not response.result.degraded
+        assert_same_topk(full_ranking(Engine(xmark_db, QUERY)), response.result)
+        assert service.breaker("whirlpool_s").snapshot()["failures"] == 0
+        assert store.count() == 0
+
     def test_served_requests_leave_no_snapshot(self, xmark_db):
         store = MemoryRecoveryStore()
         service = make_service(

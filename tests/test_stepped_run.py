@@ -315,8 +315,7 @@ def comparable(reply):
 
 def reply_keys(reply):
     return [
-        (tuple(map(int, answer["root"].split("."))), round(answer["score"], 9))
-        for answer in reply["answers"]
+        (tuple(root), round(score, 9)) for root, score, _ in reply["answers"]
     ]
 
 
