@@ -269,8 +269,10 @@ def encode_engine_state(
     return payload
 
 
-def validate_snapshot(snapshot: Dict[str, Any], engine: "EngineBase") -> None:
-    """Reject snapshots this engine cannot faithfully resume."""
+def validate_snapshot(snapshot: Dict[str, Any], k: int, pattern: str, relaxed: bool) -> None:
+    """Reject a snapshot that a run of ``pattern`` (its XPath) at ``k`` cannot
+    faithfully resume.  The service asks before it admits a recovered
+    request; :func:`restore_engine_state` asks again before it replays."""
     if not isinstance(snapshot, dict):
         raise RecoveryError(f"snapshot must be a dict, got {type(snapshot).__name__}")
     version = snapshot.get("version")
@@ -279,20 +281,17 @@ def validate_snapshot(snapshot: Dict[str, Any], engine: "EngineBase") -> None:
             f"unsupported snapshot version {version!r} "
             f"(this codec reads version {SNAPSHOT_VERSION})"
         )
-    if snapshot.get("k") != engine.k:
-        raise RecoveryError(
-            f"snapshot was taken with k={snapshot.get('k')!r}, "
-            f"engine runs k={engine.k}"
-        )
-    if snapshot.get("pattern") != engine.pattern.to_xpath():
+    if snapshot.get("k") != k:
+        raise RecoveryError(f"snapshot was taken with k={snapshot.get('k')!r}, engine runs k={k}")
+    if snapshot.get("pattern") != pattern:
         raise RecoveryError(
             f"snapshot pattern {snapshot.get('pattern')!r} does not match "
-            f"engine pattern {engine.pattern.to_xpath()!r}"
+            f"engine pattern {pattern!r}"
         )
-    if bool(snapshot.get("relaxed")) != engine.relaxed:
+    if bool(snapshot.get("relaxed")) != relaxed:
         raise RecoveryError(
             f"snapshot relaxed={snapshot.get('relaxed')!r} does not match "
-            f"engine relaxed={engine.relaxed}"
+            f"engine relaxed={relaxed}"
         )
 
 
@@ -309,7 +308,7 @@ def restore_engine_state(
     decoded queue contents (all labels folded — the resuming engine
     re-routes them however it likes).
     """
-    validate_snapshot(snapshot, engine)
+    validate_snapshot(snapshot, engine.k, engine.pattern.to_xpath(), engine.relaxed)
     seeded = snapshot.get("seeded")
     if seeded is not None:
         if type(seeded) is not int:

@@ -44,7 +44,8 @@ from repro.core.trace import ExecutionTrace
 from repro.errors import RecoveryError, ReproError, ServiceError
 from repro.obs import Observability, SlowQueryEntry, record_run, routing_history
 from repro.obs.spans import NULL_SPAN, Span
-from repro.recovery.codec import SNAPSHOT_VERSION
+from repro.query.xpath import parse_xpath
+from repro.recovery.codec import validate_snapshot
 from repro.recovery.policy import CheckpointPolicy
 from repro.recovery.store import RecoveryStore
 from repro.service.breaker import CircuitBreaker
@@ -863,11 +864,12 @@ class WhirlpoolService:
         once; its request is resubmitted with the deadline budget that
         was left when the snapshot was taken, and — when the snapshot
         carries engine state — the run resumes from that checkpoint
-        instead of re-seeding.  Engine state written by another snapshot
-        codec version (:data:`~repro.recovery.codec.SNAPSHOT_VERSION`) is
+        instead of re-seeding.  Engine state that
+        :func:`~repro.recovery.codec.validate_snapshot` refuses for the
+        request (another codec version, ``k``, pattern or relaxation) is
         set aside and the request re-runs fresh: its envelope is intact,
         and resuming would only fail the request (and charge the breaker)
-        on a shape this codec does not read.  Unreadable or malformed
+        on state this run cannot read.  Unreadable or malformed
         snapshots are dropped and counted, never retried forever.
 
         Returns ``{"found", "recovered", "invalid", "tickets"}``.
@@ -906,10 +908,10 @@ class WhirlpoolService:
             except (KeyError, TypeError, ValueError, ServiceError):
                 invalid += 1
                 continue
-            if not (
-                isinstance(engine_snapshot, dict)
-                and engine_snapshot.get("version") == SNAPSHOT_VERSION
-            ):
+            try:
+                pattern = parse_xpath(request.xpath).to_xpath()
+                validate_snapshot(engine_snapshot, request.k, pattern, request.relaxed)
+            except ReproError:
                 engine_snapshot = None
             self._counters.record_recovered()
             self._m_recovered_child.inc()

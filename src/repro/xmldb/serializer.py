@@ -2,7 +2,10 @@
 
 The serializer is the inverse of :mod:`repro.xmldb.parser` for the model's
 canonical form: attribute children (``@name``) become XML attributes, node
-values become character data, and the five predefined entities are escaped.
+values become character data, and ``&``, ``<``, ``>`` and (in attributes)
+``"`` are escaped.  So are the characters XML normalises on reading: a
+carriage return anywhere, and a tab or newline in an attribute value, are
+written as character references, which a parser reads back unchanged.
 It also provides :func:`document_size_bytes`, which the benchmark harness
 uses to calibrate generator scales against the paper's 1/10/50 Mb document
 sizes.
@@ -20,11 +23,17 @@ def _escape_text(text: str) -> str:
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
 def _escape_attribute(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    return (
+        _escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+    )
 
 
 def _serialize_node(root: XMLNode, out: List[str], pretty: bool) -> None:

@@ -1,6 +1,8 @@
 """Tests for the XML parser: structure, entities, attributes, errors,
 round-tripping (including a hypothesis round-trip over random trees)."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,13 +57,22 @@ class TestBasicParsing:
         assert db.documents[0].root.tag == "site"
 
     def test_doctype_internal_subset_skipped(self):
+        # A subset without entity declarations is read and accepted; one
+        # entity declaration refuses the document, and the error names it.
         db = parse_document(
-            "<?xml version='1.0'?>\n<!DOCTYPE a [<!ELEMENT a (#PCDATA)>\n<!ENTITY e 'x'>]>\n<a>t</a>"
+            "<?xml version='1.0'?>\n<!DOCTYPE a [<!ELEMENT a (#PCDATA)>\n<!ELEMENT b ANY>]>\n<a>t</a>"
         )
         assert db.documents[0].root.value == "t"
-        # The subset is skipped, not read: the entity it declares is unknown.
-        with pytest.raises(XMLParseError, match="unknown entity"):
-            parse_document("<!DOCTYPE a [<!ENTITY e 'x'>]><a>&e;</a>")
+        with pytest.raises(XMLParseError, match="entity declaration 'e'") as excinfo:
+            parse_document("<!DOCTYPE a [<!ELEMENT a (#PCDATA)>\n<!ENTITY e 'x'>]><a>t</a>")
+        assert excinfo.value.line == 2
+
+    def test_attribute_list_defaults_apply(self):
+        db = parse_document("<!DOCTYPE a [<!ATTLIST a x CDATA 'd'>]><a y='1'/>")
+        assert [(child.tag, child.value) for child in db.documents[0].root.children] == [
+            ("@y", "1"),
+            ("@x", "d"),
+        ]
 
     def test_cdata(self):
         db = parse_document("<a><![CDATA[x < y & z]]></a>")
@@ -101,10 +112,68 @@ class TestErrors:
         with pytest.raises(XMLParseError):
             parse_document(bad)
 
+    @pytest.mark.parametrize("bad", ["<1a/>", "<-a/>", "<.a/>", "<a 1x='v'/>", "<a><b-/><1c/></a>"])
+    def test_names_follow_xml_name_rules(self, bad):
+        # Each holds a name that the old ``[\w.:-]+`` rule took but that
+        # starts with a character XML does not allow first.
+        with pytest.raises(XMLParseError, match="not well-formed"):
+            parse_document(bad)
+
+    def test_lone_surrogate_refused_where_it_stands(self):
+        text = "<a>\n\u00e9 ok \ud800</a>"
+        with pytest.raises(XMLParseError, match="not well-formed") as excinfo:
+            parse_document(text)
+        assert (excinfo.value.position, excinfo.value.line) == (text.index("\ud800"), 2)
+
     def test_error_carries_line(self):
         with pytest.raises(XMLParseError) as excinfo:
             parse_document("<a>\n<b>\n</a>")
         assert excinfo.value.line >= 1
+
+
+class TestNoDTDProcessing:
+    """No entity is ever declared, so none expands and none is fetched: a
+    declaration is refused where it stands, before anything references it."""
+
+    def _refused(self, text):
+        began = time.monotonic()
+        with pytest.raises(XMLParseError, match="entity declaration") as excinfo:
+            parse_document(text)
+        assert time.monotonic() - began < 1.0
+        return excinfo.value
+
+    def test_billion_laughs(self):
+        entities = ['<!ENTITY lol0 "lol">'] + [
+            f'<!ENTITY lol{level} "{f"&lol{level - 1};" * 10}">' for level in range(1, 10)
+        ]
+        text = f"<!DOCTYPE lolz [{''.join(entities)}]><lolz>&lol9;</lolz>"
+        # Refused inside the first declaration, before the next is read.
+        assert text.index("<!ENTITY") < self._refused(text).position < text.index("<!ENTITY lol1")
+
+    @pytest.fixture
+    def secret(self, tmp_path):
+        path = tmp_path / "secret.txt"
+        path.write_text("SECRET")
+        return path.as_uri()
+
+    def test_external_entity(self, secret):
+        self._refused(f'<!DOCTYPE a [<!ENTITY e SYSTEM "{secret}">]><a>&e;</a>')
+        self._refused('<!DOCTYPE a [<!ENTITY e SYSTEM "file:///etc/passwd">]><a>&e;</a>')
+
+    def test_external_parameter_entity(self, secret):
+        self._refused(f'<!DOCTYPE a [<!ENTITY % p SYSTEM "{secret}"> %p;]><a/>')
+
+    def test_external_dtd_is_not_read(self, secret):
+        # The external subset is never fetched, so what it would declare
+        # stays undeclared: a reference to it is refused, not expanded.
+        db = parse_document(f'<!DOCTYPE a SYSTEM "{secret}"><a>t</a>')
+        assert db.documents[0].root.value == "t"
+        with pytest.raises(XMLParseError, match="undefined entity &e;"):
+            parse_document(f'<!DOCTYPE a SYSTEM "{secret}"><a>&e;</a>')
+        # expat's one exception: in an attribute value the reference is
+        # dropped, since the unread DTD might have declared it.
+        root = parse_document(f'<!DOCTYPE a SYSTEM "{secret}"><a v="1&e;2"/>').documents[0].root
+        assert root.children[0].value == "12"
 
 
 class TestForestAndFragment:
@@ -242,6 +311,24 @@ def _tree_strategy(depth: int):
     ).map(build)
 
 
+#: What XML normalises on reading: line ends anywhere, and a tab, newline
+#: or carriage return in an attribute value.
+_NORMALISED = "ab \t\n\r<&\"'"
+
+
+@st.composite
+def _normalised_tree(draw, depth=2):
+    node = XMLNode(draw(_tags), draw(st.none() | _values | st.text(_NORMALISED, min_size=1)))
+    if node.value is not None and node.value.strip() != node.value:
+        node.value = node.value.strip() or None  # the parser strips text
+    for name in draw(st.lists(_tags, max_size=2, unique=True)):
+        node.child("@" + name, draw(st.text(_NORMALISED, max_size=6)))
+    if depth:
+        for child in draw(st.lists(_normalised_tree(depth - 1), max_size=2)):
+            node.add_child(child)
+    return node
+
+
 def _shape(node: XMLNode):
     return (node.tag, node.value, tuple(_shape(child) for child in node.children))
 
@@ -264,3 +351,12 @@ class TestRoundTrip:
         text = serialize(db, pretty=False)
         reparsed = parse_document(text)
         assert _shape(reparsed.documents[0].root) == _shape(db.documents[0].root)
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @given(tree=_normalised_tree())
+    def test_normalised_characters_roundtrip(self, pretty, tree):
+        """Tabs, newlines and carriage returns survive ``parse(serialize(tree))``
+        — as a shard worker re-parses what the coordinator serializes."""
+        database = Database.from_roots([tree])
+        reparsed = parse_document(serialize(database, pretty=pretty))
+        assert _shape(reparsed.documents[0].root) == _shape(tree)

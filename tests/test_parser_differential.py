@@ -1,9 +1,11 @@
-"""The scanning parser against the standard library, and its error table.
+"""The parser's tree against ElementTree's, and its error table.
 
 Well-formed input: generated XML text (attributes, mixed content, CDATA,
-comments, PIs, entities, numeric references, compact and pretty) and
-serialized XMark documents must parse to the tree that
-``xml.etree.ElementTree`` builds, read through :func:`etree_shape`.
+comments, PIs, entities, numeric references, ``\r\n`` line ends, tabs and
+newlines in attribute values, compact and pretty) and serialized XMark
+documents must parse to the tree that ``xml.etree.ElementTree`` builds,
+read through :func:`etree_shape`: both run expat, so this judges what the
+parser adds — attribute children, text joining and Dewey stamping.
 Malformed input: every entry of :data:`MALFORMED` must raise
 :class:`XMLParseError` naming the line the table gives.
 """
@@ -58,15 +60,15 @@ def _run(alphabet):
     return st.lists(pieces, min_size=1, max_size=4).map("".join)
 
 
-_TEXT = _run("abcXYZ019 .,;:!?()#%*+-=/|>\"'\néλ中")
-_SPACE = st.sampled_from(["", " ", "\n  "])
+_TEXT = _run("abcXYZ019 .,;:!?()#%*+-=/|>\"'\n\r\téλ中")
+_SPACE = st.sampled_from(["", " ", "\n  ", "\r\n\t"])
 
 
 @st.composite
 def _attribute(draw, name):
     quote = draw(st.sampled_from("\"'"))
     other = "'" if quote == '"' else '"'
-    value = draw(st.one_of(st.just(""), _run("abc XYZ019.,;:!?>/" + other)))
+    value = draw(st.one_of(st.just(""), _run("abc XYZ019.,;:!?>/\t\n\r" + other)))
     return f"{draw(_SPACE) or ' '}{name}{draw(_SPACE)}={draw(_SPACE)}{quote}{value}{quote}"
 
 
@@ -92,7 +94,9 @@ def _element(draw, depth, pretty, level=0):
     if not content and draw(st.booleans()):
         return f"<{head}{draw(_SPACE)}/>"
     if pretty:
-        content = [f"\n{'  ' * (level + 1)}{item}" for item in content] + ["\n" + "  " * level]
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        content = [f"{newline}{'  ' * (level + 1)}{item}" for item in content]
+        content.append(newline + "  " * level)
     return f"<{head}{draw(_SPACE)}>{''.join(content)}</{name}{draw(_SPACE)}>"
 
 
@@ -100,7 +104,14 @@ def _element(draw, depth, pretty, level=0):
 def _document(draw):
     prolog = draw(st.sampled_from(["", '<?xml version="1.0"?>', "<?xml version='1.0'?>\n"]))
     doctype = draw(
-        st.sampled_from(["", "<!DOCTYPE a>", "<!DOCTYPE a [<!ELEMENT a ANY>\n<!ELEMENT b (#PCDATA)>]>\n"])
+        st.sampled_from(
+            [
+                "",
+                "<!DOCTYPE a>",
+                "<!DOCTYPE a [<!ELEMENT a ANY>\n<!ELEMENT b (#PCDATA)>]>\n",
+                "<!DOCTYPE a [<!ATTLIST a x1 CDATA 'd' b NMTOKENS #IMPLIED>]>",
+            ]
+        )
     )
     before = "".join(draw(st.lists(st.one_of(_ASIDES, st.just("\n")), max_size=2)))
     after = "".join(draw(st.lists(st.one_of(_ASIDES, st.just("\n")), max_size=2)))
@@ -159,9 +170,12 @@ MALFORMED = [
     ("<a>\nfine &amp; good\n&#-5;\n</a>", 3),
     ("<a>&#" + "9" * 5000 + ";</a>", 1),
     ("<a>\n<b>ok</b>\n&nbsp;</a>", 3),
+    # After multi-byte text: a byte offset would name a later line.
+    ("<a>\n\u4e2d\u6587\u00e9\U0001f600 &nbsp;\n\n\n\n\n\n\n\n\n</a>", 2),
     # Unterminated constructs: where they open.
     ("<a>\n<!-- never closed\n</a>", 2),
-    ("<a>\n\n<![CDATA[ never closed ]]\n</a>", 3),
+    # expat names the line where the input ends, not where the section opened.
+    ("<a>\n\n<![CDATA[ never closed ]]\n</a>", 4),
     ("<a>\n<?pi never closed\n</a>", 2),
     ("\n<!-- prolog comment never closed", 2),
     # Close tags.

@@ -212,11 +212,11 @@ class TestRecoverEdgeCases:
         assert store.count() == 0
         service.drain()
 
-    def test_a_checkpoint_of_another_codec_version_reruns_fresh(self, xmark_db):
-        """An envelope whose engine checkpoint this codec does not read
-        (version 2: every one stored before version 3) is not lost: the
-        request re-runs without it, is served the full answer, and charges
-        no breaker."""
+    @staticmethod
+    def _recover_fresh(xmark_db, k, engine_snapshot):
+        """Recover one request whose checkpoint the gate must refuse, and
+        check that it re-ran fresh: served the full answer, charging no
+        breaker, leaving nothing stored."""
         store = MemoryRecoveryStore()
         store.save(
             "req-7",
@@ -227,14 +227,14 @@ class TestRecoverEdgeCases:
                 "request": {
                     "document": "auction",
                     "xpath": QUERY,
-                    "k": 8,
+                    "k": k,
                     "priority": 0,
                     "deadline_seconds": None,
                     "algorithm": "whirlpool_s",
                     "routing": "min_alive",
                     "relaxed": True,
                 },
-                "engine": {"version": 2, "k": 8, "queues": {}, "topk": []},
+                "engine": engine_snapshot,
             },
         )
         service = make_service(xmark_db, store)
@@ -244,9 +244,21 @@ class TestRecoverEdgeCases:
         service.drain()
         assert response.outcome is Outcome.SERVED
         assert response.result is not None and not response.result.degraded
+        assert len(response.result.answers) == k
         assert_same_topk(full_ranking(Engine(xmark_db, QUERY)), response.result)
         assert service.breaker("whirlpool_s").snapshot()["failures"] == 0
         assert store.count() == 0
+
+    def test_a_checkpoint_of_another_codec_version_reruns_fresh(self, xmark_db):
+        """An envelope whose engine checkpoint this codec does not read
+        (version 2: every one stored before version 3) is not lost."""
+        self._recover_fresh(xmark_db, 8, {"version": 2, "k": 8, "queues": {}, "topk": []})
+
+    def test_a_current_version_checkpoint_the_gate_refuses_reruns_fresh(self, xmark_db):
+        """A checkpoint of the current codec version that does not fit the
+        request (taken at ``k`` 4, the request asks for 3) stops at the
+        gate before admission, rather than failing the run inside it."""
+        self._recover_fresh(xmark_db, 3, {"version": 3, "k": 4})
 
     def test_served_requests_leave_no_snapshot(self, xmark_db):
         store = MemoryRecoveryStore()
