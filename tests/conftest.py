@@ -1,8 +1,14 @@
-"""Shared fixtures: the paper's Figure 1 book collection and XMark samples."""
+"""Shared fixtures: the paper's Figure 1 book collection, XMark samples,
+and the fault-free run shapes fault tests aim at."""
 
 import pytest
 
+from repro.bench.step_codec import begin_frame, drive_shard
+from repro.cluster.partition import build_shard_specs
+from repro.cluster.worker import ShardWorker
+from repro.core.engine import Engine
 from repro.core.topk import certificate_breach, ranked, topk_mismatch
+from repro.faults.plan import ENGINE_SITES, FaultAction, FaultPlan, FaultRule
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import Database
 from repro.xmldb.parser import parse_document
@@ -146,3 +152,154 @@ def service_constants(monkeypatch):
             monkeypatch.setattr(module, name, value)
 
     return apply
+
+
+# -- the shape of a fault-free run ---------------------------------------------
+#
+# A fault test names where in a run its fault lands ("shard 0's last
+# step", "the middle operation of server 2") and a budget as a share of the
+# run, never as a number: the numbers come from running the same
+# configuration once without faults.  A change that moves the engines'
+# counts then moves every aim with them.
+
+#: Every engine fault site, counted and left alone: a zero-second DELAY
+#: on each operation.
+COUNT_EVERY_SITE = FaultPlan(
+    [
+        FaultRule(site=site, action=FaultAction.DELAY, delay_seconds=0.0, every=1)
+        for site in ENGINE_SITES
+    ],
+    seed=0,
+)
+
+
+def position(count, where):
+    """The 1-based position ``where`` ("first", "middle", "last") names
+    among ``count`` steps or operations."""
+    assert count >= 1, count
+    return {"first": 1, "middle": (count + 1) // 2, "last": count}[where]
+
+
+class RunShape:
+    """One fault-free engine run: its server operations, and the operations
+    it made at each engine fault site per target (``"server_op:2"``,
+    ``"queue_get:router"``), as the injector counts them."""
+
+    def __init__(self, operations, sites):
+        self.operations = operations
+        self.sites = sites
+
+    def busiest(self, site):
+        """The most operations one target of ``site`` made: a rule without
+        a target fires on any target's ``nth``, so this is its last."""
+        return max(
+            count for key, count in self.sites.items() if key.split(":")[0] == site
+        )
+
+    def nth(self, site, where, target=None):
+        """The ``nth`` of the ``where`` operation at ``site`` (of
+        ``target``, or of the busiest target when none is named)."""
+        count = self.busiest(site) if target is None else self.sites[f"{site}:{target}"]
+        return position(count, where)
+
+    def budget(self, fraction):
+        """``fraction`` of the run's server operations, at least one."""
+        return max(1, int(self.operations * fraction))
+
+    def lands(self, rule):
+        """Does ``rule``'s first trigger (``nth`` or ``every``) fall inside
+        this run?"""
+        trigger = rule.nth if rule.nth is not None else rule.every
+        return trigger is not None and trigger <= self.busiest(rule.site.value)
+
+
+class ClusterShape:
+    """The steps each shard takes at one step size."""
+
+    def __init__(self, step_operations, steps):
+        self.step_operations = step_operations
+        self.steps = steps
+
+    def rpc(self, shard, where):
+        """The armed worker-RPC ``nth`` of ``shard``'s step ``where`` (a
+        name, or a 1-based step number): ``begin`` is armed RPC 1, so
+        step i is RPC i + 1."""
+        step = position(self.steps[shard], where) if isinstance(where, str) else where
+        assert 1 <= step <= self.steps[shard], (shard, where, self.steps)
+        return step + 1
+
+
+class Shapes:
+    """Fault-free runs, each made once and kept: the module-scoped
+    ``shapes`` fixture hands one of these to every test of a module."""
+
+    def __init__(self):
+        self._runs = {}
+
+    def _once(self, key, make):
+        if key not in self._runs:
+            self._runs[key] = make()
+        return self._runs[key]
+
+    def run(self, key, run):
+        """The shape of ``run(faults)`` (a callable returning a
+        ``TopKResult``), made once per ``key``."""
+
+        def make():
+            plain = run(None)
+            counted = run(COUNT_EVERY_SITE)
+            sites = counted.failure.injection["site_counts"]
+            operations = plain.stats.server_operations
+            assert counted.stats.server_operations == operations, "counting moved the run"
+            return RunShape(operations, sites)
+
+        return self._once(("run", key), make)
+
+    def engine(self, engine, k, algorithm="whirlpool_s", **options):
+        """The shape of ``engine.run(k, algorithm, **options)``."""
+        return self.run(
+            (engine, k, algorithm, tuple(sorted(options.items()))),
+            lambda faults: engine.run(k, algorithm=algorithm, faults=faults, **options),
+        )
+
+    def cluster(self, database, query, k, step_operations, algorithm="whirlpool_s"):
+        """The steps each shard of ``Coordinator(database, shards=2,
+        step_operations=…)`` takes on ``run_query(query, k, algorithm)``:
+        the coordinator's split and contributions, each shard stepped to
+        the end by an in-process worker."""
+
+        def make():
+            engine = self._once(("engine", database, query), lambda: Engine(database, query))
+            begin = begin_frame(engine, k, step_operations, algorithm=algorithm)
+            return ClusterShape(
+                step_operations,
+                [
+                    drive_shard(ShardWorker(spec.shard_id), list(spec.xml_texts), begin)["steps"]
+                    for spec in build_shard_specs(database, 2)
+                ],
+            )
+
+        return self._once(("cluster", database, query, k, step_operations, algorithm), make)
+
+    def stepped(self, database, query, k, steps, algorithm="whirlpool_s"):
+        """The shape at the largest step size at which shard 0 takes at
+        least ``steps`` steps."""
+
+        def taken(size):
+            return self.cluster(database, query, k, size, algorithm).steps[0]
+
+        low, high = 16, 32
+        while taken(low) < steps:
+            assert low > 1, steps
+            low, high = low // 2, low
+        while taken(high) >= steps:
+            low, high = high, high * 2
+        while high - low > 1:  # taken(low) >= steps > taken(high)
+            middle = (low + high) // 2
+            low, high = (middle, high) if taken(middle) >= steps else (low, middle)
+        return self.cluster(database, query, k, low, algorithm)
+
+
+@pytest.fixture(scope="module")
+def shapes():
+    return Shapes()

@@ -93,17 +93,7 @@ class TestValidation:
 
 
 #: ``engine.run(k).stats.server_operations`` for k = 1, 3, 15, 75 on
-#: ``XMarkConfig(items=300, seed=7)``, since a tuple that cannot beat the
-#: score its own root has already completed at is pruned.  Before that, with
-#: matches already bounded per root, Whirlpool-S counted 389 / 406 / 472 /
-#: 822 (Q2) and 811 / 871 / 1,030 / 2,896 (Q3), Q1 as now.  Bounded by
-#: database-wide maxima, Whirlpool-S counted 301 / 303 / 315 /
-#: 375 (Q1), 647 / 668 / 734 / 1,091 (Q2) and 1,217 / 1,277 / 1,436 /
-#: 2,810 (Q3), and LockStep 304 / 309 / 334 / 454 on Q1 — the counts the
-#: anytime engine's ``run_anytime`` had before its early stop became the
-#: top-k set's closing level; a strict (ties kept) Whirlpool-S did 430 /
-#: 1,149 / 2,313 whatever the k (3,561 on Q3 at k = 75), a strict LockStep
-#: 600 on Q1.
+#: ``XMarkConfig(items=300, seed=7)``.
 GOLDEN_OPERATIONS = {
     "Q1": [131, 133, 145, 205],
     "Q2": [389, 391, 403, 463],
@@ -214,15 +204,16 @@ class TestFold:
         assert chaotic.failure is not None
         assert chaotic.failure.injection is not None
 
-    def test_checkpoint_resumes_to_the_same_answer(self, engine):
+    def test_checkpoint_resumes_to_the_same_answer(self, engine, shapes):
         from repro.recovery import CheckpointPolicy
 
+        shape = shapes.engine(engine, 5)
         snapshots = []
         partial = engine.run(
             5,
             "whirlpool_s",
-            max_operations=40,
-            checkpoint_policy=CheckpointPolicy(every_operations=25),
+            max_operations=shape.budget(0.4),
+            checkpoint_policy=CheckpointPolicy(every_operations=shape.budget(0.25)),
             checkpoint_sink=snapshots.append,
         )
         assert partial.degraded and snapshots

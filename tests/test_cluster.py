@@ -61,12 +61,16 @@ def test_cluster_equals_single_process(database, ranking, shards, algorithm):
     assert_same_topk(ranking, result)
 
 
-def test_small_steps_take_many_rounds_same_answer(database, ranking):
+def test_small_steps_take_many_rounds_same_answer(database, ranking, shapes):
+    shape = shapes.stepped(database, QUERY, K, steps=3)
     with Coordinator(
-        database, shards=2, step_operations=40, recovery_store=MemoryRecoveryStore()
+        database,
+        shards=2,
+        step_operations=shape.step_operations,
+        recovery_store=MemoryRecoveryStore(),
     ) as coordinator:
         result = coordinator.run_query(QUERY, K)
-    assert result.rounds > 1
+    assert result.rounds == max(shape.steps) > 1
     assert_same_topk(ranking, result)
     assert not result.degraded
 

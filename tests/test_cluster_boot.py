@@ -112,41 +112,34 @@ def test_fresh_fleet_then_resident_query(database, ranking, frames):
         assert_same_topk(ranking, result)
 
 
-def test_kill_at_a_step_boots_one_clean_replacement(database, ranking, frames):
-    # Steps of 25 operations: shard 0 takes three, so the replacement both
-    # replays a step and takes one of its own.  (At 30 it takes two since a
-    # tuple that cannot beat its own root's completed score is pruned.)
+def test_kill_at_a_step_boots_one_clean_replacement(database, ranking, shapes, frames):
+    # Shard 0 takes three steps or more and is killed at its middle one, so
+    # the replacement both replays a step and takes one of its own.
+    shape = shapes.stepped(database, QUERY, K, steps=3)
+    nth = shape.rpc(0, "middle")
     with Coordinator(
         database,
         shards=2,
-        step_operations=25,
+        step_operations=shape.step_operations,
         recovery_store=MemoryRecoveryStore(),
         **FAST_LADDER,
     ) as coordinator:
-        # begin is armed RPC 1: the kill lands on shard 0's second step.
-        result = coordinator.run_query(QUERY, K, faults=kill_plan(0, 3))
+        result = coordinator.run_query(QUERY, K, faults=kill_plan(0, nth))
     sent = list(frames)
     assert result.failovers == 1 and not result.degraded
     assert_same_topk(ranking, result)
-    assert sent == [
-        # The query's own boot ships the plan to both shards.
-        _init(0, True, True),
-        _init(1, True, True),
-        _begin(0),
-        _begin(1),
-        _step(0),
-        _step(1),  # shard 1 finishes in one step
-        _step(0),  # killed
-        # The replacement: documents, no fault plan, the newest
-        # checkpoint, then the step again — and one more to finish (two
-        # more when bounds were database-wide maxima).
-        _init(0, True),
-        _begin(0, restore=True),
-        _step(0),
-        _step(0),
-        (0, "shutdown", False, False, False),
-        (1, "shutdown", False, False, False),
-    ]
+    # The query's own boot ships the plan to both shards.
+    expected = [_init(0, True, True), _init(1, True, True), _begin(0), _begin(1)]
+    for step in range(1, max(shape.steps) + 1):
+        # Each round scatters a step to every shard not yet done...
+        expected += [_step(shard) for shard in (0, 1) if step <= shape.steps[shard]]
+        if step + 1 == nth:  # step i is armed RPC i + 1
+            # ...and shard 0's killed one is answered by the replacement:
+            # documents, no fault plan, the newest checkpoint, then the
+            # step again.
+            expected += [_init(0, True), _begin(0, restore=True), _step(0)]
+    expected += [(0, "shutdown", False, False, False), (1, "shutdown", False, False, False)]
+    assert sent == expected
 
 
 def test_rebalance_replacement_boots_clean_from_the_checkpoint(

@@ -8,12 +8,11 @@ at the k-th score (``repro.core.topk.topk_mismatch``).  With failover
 disabled, the degraded answer must instead name the missing shards and
 certify them with a sound global ``pending_bound``.
 
-The kill matrix sweeps 20 seeds × 3 engines with explicit ``KILL``
-rules so each case deterministically murders one shard at one RPC
-index.  RPC indexing note: the worker's fault boundary arms every
-non-``ping`` RPC *after* ``init`` installed the plan, so ``begin`` is
-armed RPC #1 and the steps count from #2 — killing at ``nth ∈ [2, 4]``
-lands mid-query for the small step budgets used here.
+The kill matrix murders one shard at one armed RPC per case, with
+explicit ``KILL`` rules aimed at named steps of the fault-free run
+(``tests/conftest.py`` ``Shapes``).  RPC indexing note: the worker's fault
+boundary arms every non-``ping`` RPC *after* ``init`` installed the plan,
+so ``begin`` is armed RPC #1 and step i is armed RPC #i + 1.
 """
 
 import json
@@ -69,21 +68,9 @@ def ranking(database):
     return full_ranking(Engine(database, QUERY))
 
 
-#: Kills of the 20-seed matrix below (``shard = seed % 2``, ``nth = 2 +
-#: seed % 3``, steps of 25 operations) that must fail a shard over.  The
-#: sequential engines step deterministically — shard 0 takes three or more
-#: steps and shard 1 one — so all ten even seeds land and, of the odd ones,
-#: the three with ``nth == 2``.  (At 30 operations a step Whirlpool-S's
-#: shard 0 takes two, since a tuple that cannot beat its own root's
-#: completed score is pruned, and its three ``nth == 4`` kills would miss.)
-#: Whirlpool-M's threads overshoot the step budget by however far they got,
-#: so the number of steps a shard takes varies from run to run (9-12 kills
-#: land); only a kill at the first step, which every shard takes, is certain.
-KILLS_THAT_LAND = {
-    "whirlpool_s": 13,
-    "lockstep": 13,
-    "whirlpool_m": sum(1 for seed in SEEDS if seed % 3 == 0),
-}
+#: Whirlpool-M's step size in the kill matrix.  It aims at no step but
+#: the first, which a shard takes at any size.
+WHIRLPOOL_M_STEP_OPERATIONS = 25
 
 
 def kill_plan(shard: int, nth: int) -> FaultPlan:
@@ -101,20 +88,39 @@ def kill_plan(shard: int, nth: int) -> FaultPlan:
     )
 
 
+def kill_aims(shapes, database, algorithm):
+    """(step size, [(shard, armed RPC to kill at)], kills that must land).
+
+    The sequential engines step deterministically, so each distinct aim
+    runs once and every one lands: shard 0's first, middle and last step
+    (at a step size that gives it three or more), and every step of
+    shard 1.  Whirlpool-M's threads overshoot the step budget by however
+    far they got, so the steps a shard takes vary from run to run: it
+    sweeps 20 seeds, and only a kill at the first step, which every shard
+    takes, is certain to land."""
+    if algorithm == "whirlpool_m":
+        aims = [(seed % 2, 2 + seed % 3) for seed in SEEDS]
+        first = sum(1 for _, nth in aims if nth == 2)
+        return WHIRLPOOL_M_STEP_OPERATIONS, aims, first
+    shape = shapes.stepped(database, QUERY, K, steps=3, algorithm=algorithm)
+    aims = {(0, shape.rpc(0, where)) for where in ("first", "middle", "last")}
+    aims |= {(1, shape.rpc(1, step)) for step in range(1, shape.steps[1] + 1)}
+    assert len(aims) == 3 + shape.steps[1], shape.steps
+    return shape.step_operations, sorted(aims), len(aims)
+
+
 @pytest.mark.parametrize("algorithm", ENGINES)
 def test_kill_matrix_failover_reproduces_fault_free_topk(
-    database, ranking, algorithm
+    database, ranking, shapes, algorithm
 ):
-    """20 seeds per engine: SIGKILL a shard mid-query, demand the exact
-    fault-free answer back."""
+    """SIGKILL a shard mid-query, demand the exact fault-free answer back."""
+    step_operations, aims, kills_that_land = kill_aims(shapes, database, algorithm)
     failovers_seen = 0
-    for seed in SEEDS:
-        shard = seed % 2
-        nth = 2 + seed % 3  # begin=1, so steps are armed RPCs 2, 3, 4…
+    for shard, nth in aims:
         with Coordinator(
             database,
             shards=2,
-            step_operations=25,
+            step_operations=step_operations,
             recovery_store=MemoryRecoveryStore(),
             **FAST_LADDER,
         ) as coordinator:
@@ -124,23 +130,31 @@ def test_kill_matrix_failover_reproduces_fault_free_topk(
                 algorithm=algorithm,
                 faults=kill_plan(shard, nth),
             )
-        assert not result.degraded, (seed, algorithm, result.missing_shards)
+        case = (shard, nth, algorithm)
+        assert not result.degraded, (case, result.missing_shards)
         assert result.missing_shards == []
-        assert_same_topk(ranking, result, (seed, algorithm))
+        assert_same_topk(ranking, result, case)
         failovers_seen += result.failovers
     # The matrix must actually exercise failover, not just schedule kills
     # that land after the query finished.
-    assert failovers_seen >= KILLS_THAT_LAND[algorithm]
+    if algorithm == "whirlpool_m":
+        assert failovers_seen >= kills_that_land
+    else:
+        assert failovers_seen == kills_that_land
 
 
 def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
-    database, ranking, monkeypatch
+    database, ranking, shapes, monkeypatch
 ):
     """A step reply whose checkpoint text was altered *before* framing
     passes every frame CRC; the checkpoint's own CRC is what catches it.
     The coordinator must not store it, and a later failover of the shard
     restores the generation before — replaying the steps in between to
     the fault-free answer."""
+    # Shard 0 takes a third step for the kill to land on.
+    shape = shapes.stepped(database, QUERY, K, steps=3)
+    step_operations = shape.step_operations
+    damaged = 2 * step_operations + 1
     stored, loaded = [], []
 
     class RecordingStore(MemoryRecoveryStore):
@@ -157,19 +171,18 @@ def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
             steps_seen["count"] += 1
             if steps_seen["count"] == 2:
                 text = reply["checkpoint"]["text"]
-                flipped = text.replace('"operations":50', '"operations":51', 1)
+                flipped = text.replace(
+                    f'"operations":{2 * step_operations}', f'"operations":{damaged}', 1
+                )
                 assert flipped != text
                 reply["checkpoint"]["text"] = flipped
         return reply
 
     monkeypatch.setattr(ShardHandle, "finish", damaging_finish)
-    # Steps of 25 operations, so shard 0 takes a third step for the kill to
-    # land on (at 30 it takes two since a tuple that cannot beat its own
-    # root's completed score is pruned).
     with Coordinator(
         database,
         shards=2,
-        step_operations=25,
+        step_operations=step_operations,
         recovery_store=RecordingStore(),
         observability=Observability(),
         **FAST_LADDER,
@@ -182,15 +195,15 @@ def test_checkpoint_damaged_above_the_frame_layer_is_not_stored(
             return snapshot
 
         monkeypatch.setattr(coordinator.checkpoints, "load", recording_load)
-        # begin is armed RPC 1: the kill lands on shard 0's third step.
-        result = coordinator.run_query(QUERY, K, faults=kill_plan(0, 4))
+        # The kill lands on the step after the damaged one.
+        result = coordinator.run_query(QUERY, K, faults=kill_plan(0, shape.rpc(0, 3)))
     assert result.failovers == 1 and not result.degraded
     assert_same_topk(ranking, result)
-    # Step 2's checkpoint (50 operations) never reached the store, so the
-    # failover restored step 1's and the shard re-did 25-50 on the way.
-    assert stored[:1] == [25] and 51 not in stored
-    assert loaded == [25]
-    assert stored.count(50) == 1
+    # Step 2's checkpoint never reached the store, so the failover restored
+    # step 1's and the shard re-did step 2 on the way.
+    assert stored[:1] == [step_operations] and damaged not in stored
+    assert loaded == [step_operations]
+    assert stored.count(2 * step_operations) == 1
     assert coordinator.metrics.checkpoint_rejects.labels("0").value() == 1
 
 

@@ -66,11 +66,11 @@ def net_plan(action, shard=0, nth=3, times=1) -> FaultPlan:
     )
 
 
-def run(database, plan):
+def run(database, plan, step_operations=30):
     with Coordinator(
         database,
         shards=2,
-        step_operations=30,
+        step_operations=step_operations,
         recovery_store=MemoryRecoveryStore(),
         max_failovers=8,
         **FAST_LADDER,
@@ -171,24 +171,28 @@ def test_socket_partition_resumes_session_without_failover(database, ranking):
 
 
 def test_partition_with_the_worker_gone_fails_over_via_checkpoints(
-    database, ranking
+    database, ranking, shapes
 ):
-    """A severed link that cannot be re-established: shard 0's second
-    step is partitioned away (NET frames: init, begin, one step), and
-    the worker SIGKILLs itself on the replay of that same RPC (armed
-    RPCs: begin, two steps) — nobody is left to redial.  (The fourth
-    step, aimed at while bounds were database-wide maxima, and the third,
-    aimed at until a tuple that cannot beat its own root's completed score
-    was pruned, are no longer reached.)"""
+    """A severed link that cannot be re-established: shard 0's last step
+    (of two or more, so a checkpoint precedes it) is partitioned away, and
+    the worker SIGKILLs itself on the replay of that same RPC — nobody is
+    left to redial.  NET frames count ``init`` too, armed RPCs start at
+    ``begin``: the step's frame is one past its RPC."""
+    shape = shapes.stepped(database, QUERY, K, steps=2)
+    rpc = shape.rpc(0, "last")
     kill = FaultRule(
         site=FaultSite.WORKER_RPC,
         action=FaultAction.KILL,
         target="0",
-        nth=3,
+        nth=rpc,
         times=1,
     )
-    partition = net_plan(FaultAction.PARTITION, nth=4)
-    result = run(database, FaultPlan(partition.rules + [kill], seed=partition.seed))
+    partition = net_plan(FaultAction.PARTITION, nth=rpc + 1)
+    result = run(
+        database,
+        FaultPlan(partition.rules + [kill], seed=partition.seed),
+        step_operations=shape.step_operations,
+    )
     assert not result.degraded
     assert result.failovers >= 1  # respawn + restore the shipped checkpoint
     assert_same_topk(ranking, result)

@@ -134,14 +134,18 @@ def test_process_fault_plan_dies_with_its_query(database, ranking):
         assert worker_pids(coordinator) == pids
 
 
-def test_four_queries_three_kills_counters_are_per_query(database, ranking):
+def test_four_queries_three_kills_counters_are_per_query(database, ranking, shapes):
     """The regression: handle-lifetime counters reported per query made
     ``health()`` read 1, 3, 5, 7, a clean fourth query report two
     failovers, and the third single-KILL query lose its shard to a
     ``max_failovers`` budget spent by history."""
-    with Coordinator(database, shards=2, step_operations=30, **FAST_LADDER) as coordinator:
+    shape = shapes.stepped(database, QUERY, K, steps=2)
+    first, last = kill_plan(0, shape.rpc(0, "first")), kill_plan(0, shape.rpc(0, "last"))
+    with Coordinator(
+        database, shards=2, step_operations=shape.step_operations, **FAST_LADDER
+    ) as coordinator:
         reported, totals = [], []
-        for plan in (kill_plan(0, 2), kill_plan(0, 3), kill_plan(0, 2), None):
+        for plan in (first, last, first, None):
             result = coordinator.run_query(QUERY, K, faults=plan)
             assert not result.degraded and result.missing_shards == []
             assert_same_topk(ranking, result)

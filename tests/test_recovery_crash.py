@@ -27,6 +27,9 @@ K = 8
 CHAOS_SEEDS = range(20)
 ALGORITHMS = ["whirlpool_s", "whirlpool_m", "lockstep"]
 
+#: A checkpoint every 4 % of the fault-free run's operations.
+CHECKPOINT_SHARE = 0.04
+
 #: Chaos action pool for this matrix: pure crash schedules, so every
 #: fired rule kills the run and recovery is exercised on each seed that
 #: fires at all.  (The default pool is untouched — adding CRASH there
@@ -44,17 +47,26 @@ def ranking(engine):
     return full_ranking(engine)
 
 
-def crash_then_recover(engine, algorithm, plan):
-    """Run under ``plan`` with checkpointing; on a crash, restore the
-    last checkpoint into a fault-free engine and run to completion.
-    Returns (final result, crashed?, snapshots taken)."""
+@pytest.fixture(scope="module")
+def shape(shapes, engine):
+    """Whirlpool-S's fault-free run of the query, which the faults aim at."""
+    return shapes.engine(engine, K)
+
+
+def crash_then_recover(engine, algorithm, plan, shape):
+    """Run under ``plan``, checkpointing every ``CHECKPOINT_SHARE`` of
+    ``shape``; on a crash, restore the last checkpoint into a fault-free
+    engine and run to completion.  Returns (final result, crashed?,
+    snapshots taken)."""
     snapshots = []
     try:
         result = engine.run(
             K,
             algorithm=algorithm,
             faults=plan,
-            checkpoint_policy=CheckpointPolicy(every_operations=4),
+            checkpoint_policy=CheckpointPolicy(
+                every_operations=shape.budget(CHECKPOINT_SHARE)
+            ),
             checkpoint_sink=snapshots.append,
         )
         return result, False, snapshots
@@ -67,9 +79,9 @@ def crash_then_recover(engine, algorithm, plan):
 class TestCrashMatrix:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_crash_equivalence(self, engine, ranking, algorithm, seed):
+    def test_crash_equivalence(self, engine, ranking, shape, algorithm, seed):
         plan = FaultPlan.chaos(seed, actions=CRASH_ACTIONS)
-        result, crashed, snapshots = crash_then_recover(engine, algorithm, plan)
+        result, crashed, snapshots = crash_then_recover(engine, algorithm, plan, shape)
         del crashed  # equivalence must hold whether or not the plan fired
         assert not result.degraded
         assert_same_topk(ranking, result)
@@ -77,18 +89,20 @@ class TestCrashMatrix:
         for snapshot in snapshots:
             assert 0.0 <= snapshot["pending_bound"] != float("inf")
 
-    def test_deterministic_crash_site_recovers(self, engine, ranking):
-        """A guaranteed crash (nth server operation) still round-trips."""
+    def test_deterministic_crash_site_recovers(self, engine, ranking, shape):
+        """A guaranteed crash (the busiest server's middle operation) still
+        round-trips."""
+        nth = shape.nth("server_op", "middle")
         plan = FaultPlan(
-            [FaultRule(FaultSite.SERVER_OP, FaultAction.CRASH, nth=9, times=1)]
+            [FaultRule(FaultSite.SERVER_OP, FaultAction.CRASH, nth=nth, times=1)]
         )
-        result, crashed, snapshots = crash_then_recover(engine, "whirlpool_s", plan)
+        result, crashed, snapshots = crash_then_recover(engine, "whirlpool_s", plan, shape)
         assert crashed
-        assert snapshots, "a checkpoint should precede the 9th operation"
+        assert snapshots, "a checkpoint should precede the crash"
         assert_same_topk(ranking, result)
 
     def test_drop_before_checkpoint_carries_loss_through_recovery(
-        self, engine, ranking
+        self, engine, ranking, shape
     ):
         """A DROP that fired *before* the last checkpoint is work the
         snapshot can never describe as queued — the dropped match is gone
@@ -96,13 +110,25 @@ class TestCrashMatrix:
         so the restored run reports degraded with a certificate covering
         the dropped answer instead of claiming exactness.  (Found by the
         simulation explorer; see docs/simulation.md.)"""
+        # The drop takes the run's first operation; the crash comes
+        # checkpoints later, at the middle queue pop.
         plan = FaultPlan(
             [
-                FaultRule(FaultSite.SERVER_OP, FaultAction.DROP, nth=9, times=1),
-                FaultRule(FaultSite.QUEUE_GET, FaultAction.CRASH, nth=80, times=1),
+                FaultRule(
+                    FaultSite.SERVER_OP,
+                    FaultAction.DROP,
+                    nth=shape.nth("server_op", "first"),
+                    times=1,
+                ),
+                FaultRule(
+                    FaultSite.QUEUE_GET,
+                    FaultAction.CRASH,
+                    nth=shape.nth("queue_get", "middle"),
+                    times=1,
+                ),
             ]
         )
-        result, crashed, snapshots = crash_then_recover(engine, "whirlpool_s", plan)
+        result, crashed, snapshots = crash_then_recover(engine, "whirlpool_s", plan, shape)
         assert crashed
         assert snapshots
         assert "lost" in snapshots[-1], "checkpoint must record the dropped work"
@@ -111,14 +137,19 @@ class TestCrashMatrix:
         # at or below what it certifies.
         assert_certified(ranking, result)
 
-    def test_drop_after_checkpoint_is_healed_by_restore(self, engine, ranking):
+    def test_drop_after_checkpoint_is_healed_by_restore(self, engine, ranking, shape):
         """The converse timing: a DROP *after* the last checkpoint is
         healed for free — the snapshot still holds the match, and the
         fault-free resumed run re-processes it to the exact answer."""
+        # The drop at the busiest server's middle operation and the crash
+        # at the operation after it both land after the first checkpoint.
+        middle = shape.nth("server_op", "middle")
+        every = shape.budget(CHECKPOINT_SHARE)
+        assert every < middle < shape.busiest("server_op")
         plan = FaultPlan(
             [
-                FaultRule(FaultSite.SERVER_OP, FaultAction.DROP, nth=9, times=1),
-                FaultRule(FaultSite.SERVER_OP, FaultAction.CRASH, nth=10, times=1),
+                FaultRule(FaultSite.SERVER_OP, FaultAction.DROP, nth=middle, times=1),
+                FaultRule(FaultSite.SERVER_OP, FaultAction.CRASH, nth=middle + 1, times=1),
             ]
         )
         snapshots = []
@@ -127,9 +158,7 @@ class TestCrashMatrix:
                 K,
                 algorithm="whirlpool_s",
                 faults=plan,
-                # One early checkpoint, then a long quiet stretch: the
-                # drop at op 9 and crash at op 10 both land after it.
-                checkpoint_policy=CheckpointPolicy(every_operations=6),
+                checkpoint_policy=CheckpointPolicy(every_operations=every),
                 checkpoint_sink=snapshots.append,
             )
         assert snapshots and "lost" not in snapshots[0]

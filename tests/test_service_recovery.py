@@ -27,9 +27,26 @@ from tests.conftest import assert_same_topk, full_ranking
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 
-CRASH_PLAN = FaultPlan(
-    [FaultRule(FaultSite.SERVER_OP, FaultAction.CRASH, nth=9, times=1)]
-)
+
+@pytest.fixture(scope="module")
+def shape(shapes, xmark_db):
+    """The crashed request's fault-free run: Whirlpool-S, k = 8."""
+    return shapes.engine(Engine(xmark_db, QUERY), 8)
+
+
+@pytest.fixture(scope="module")
+def crash_plan(shape):
+    """A crash at the busiest server's middle operation."""
+    return FaultPlan(
+        [
+            FaultRule(
+                FaultSite.SERVER_OP,
+                FaultAction.CRASH,
+                nth=shape.nth("server_op", "middle"),
+                times=1,
+            )
+        ]
+    )
 
 
 def make_service(xmark_db, store, **kwargs):
@@ -81,13 +98,15 @@ class TestDrainPersists:
 
 
 class TestCrashPersists:
-    def test_engine_crash_keeps_last_checkpoint(self, xmark_db):
+    def test_engine_crash_keeps_last_checkpoint(self, xmark_db, shape, crash_plan):
         store = MemoryRecoveryStore()
         service = make_service(
-            xmark_db, store, checkpoint_policy=CheckpointPolicy(every_operations=3)
+            xmark_db,
+            store,
+            checkpoint_policy=CheckpointPolicy(every_operations=shape.budget(0.03)),
         )
         ticket = service.submit(
-            QueryRequest("auction", QUERY, k=8, faults=CRASH_PLAN)
+            QueryRequest("auction", QUERY, k=8, faults=crash_plan)
         )
         response = ticket.result(timeout=30.0)
         assert response.outcome is Outcome.FAILED
@@ -118,11 +137,11 @@ class TestCrashPersists:
         assert_same_topk(ranking, oracle_response.result)
         assert_same_topk(ranking, recovered.result)
 
-    def test_crash_without_checkpoint_saves_envelope(self, xmark_db):
+    def test_crash_without_checkpoint_saves_envelope(self, xmark_db, crash_plan):
         store = MemoryRecoveryStore()
         service = make_service(xmark_db, store)  # no checkpoint policy
         ticket = service.submit(
-            QueryRequest("auction", QUERY, k=8, faults=CRASH_PLAN)
+            QueryRequest("auction", QUERY, k=8, faults=crash_plan)
         )
         assert ticket.result(timeout=30.0).outcome is Outcome.FAILED
         payload = store.load(store.keys()[0])

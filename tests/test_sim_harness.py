@@ -22,8 +22,6 @@ from repro.sim.shrink import (
     write_fixture,
 )
 
-CRASH = FaultPlan([FaultRule("server_op", "crash", nth=10, times=1)], name="crash")
-
 #: The default chaos pool plus CRASH, which the planted violation needs.
 CHAOS_WITH_CRASH = FaultPlan.CHAOS_ACTIONS + (FaultAction.CRASH,)
 
@@ -38,6 +36,19 @@ def harness(scenario):
     return SimHarness(scenario, virtual=True)
 
 
+@pytest.fixture(scope="module")
+def shape(shapes, scenario):
+    """The scenario's fault-free run, which the faults aim at."""
+    return shapes.engine(scenario.engine(), scenario.k, scenario.algorithm)
+
+
+@pytest.fixture(scope="module")
+def crash(shape):
+    """A crash at the busiest server's middle operation."""
+    nth = shape.nth("server_op", "middle")
+    return FaultPlan([FaultRule("server_op", "crash", nth=nth, times=1)], name="crash")
+
+
 def outcome_tap(run):
     """Planted violation: report a duplicated terminal outcome whenever
     the schedule crashed the engine (breaks ``single_outcome`` only)."""
@@ -46,8 +57,8 @@ def outcome_tap(run):
 
 
 class TestInvariantJudgement:
-    def test_crash_schedule_passes_the_full_suite(self, harness):
-        run = harness.run(CRASH)
+    def test_crash_schedule_passes_the_full_suite(self, harness, crash):
+        run = harness.run(crash)
         assert run.crashed is True
         assert run.report is not None
         names = [verdict.name for verdict in run.report.verdicts]
@@ -60,9 +71,9 @@ class TestInvariantJudgement:
         ]
         assert run.ok(), run.report.to_json()
 
-    def test_runs_are_deterministic(self, harness):
-        first = harness.run(CRASH)
-        second = harness.run(CRASH)
+    def test_runs_are_deterministic(self, harness, crash):
+        first = harness.run(crash)
+        second = harness.run(crash)
         assert first.report.to_json() == second.report.to_json()
 
     def test_cluster_families_rejected_on_engine_scenario(self, harness):
@@ -70,21 +81,27 @@ class TestInvariantJudgement:
         with pytest.raises(SimError, match="cannot execute fault families"):
             harness.run(remote)
 
-    def test_drop_then_crash_recovers_with_sound_certificate(self, harness):
+    def test_drop_then_crash_recovers_with_sound_certificate(self, harness, shape):
         # The explorer's first real catch: a DROP before the last
         # checkpoint followed by a CRASH.  Recovery must carry the lost
         # work (snapshot "lost" record) so the resumed run degrades with
-        # a certificate instead of claiming exactness.  Server 2 runs 14
-        # operations of this query (42 when bounds were database-wide
-        # maxima, and the drop sat at its 31st): the drop is shown to fire
-        # on its own, so the case cannot go vacuous again.
-        drop = FaultRule("server_op", "drop", target="2", nth=10, times=1)
+        # a certificate instead of claiming exactness.  The drop takes
+        # server 2's first operation and is shown to fire on its own; the
+        # crash comes at the middle router pop.
+        drop = FaultRule(
+            "server_op", "drop", target="2", nth=shape.nth("server_op", "first", "2"), times=1
+        )
         alone = harness.run(FaultPlan([drop]))
         assert alone.result.failure is not None
         assert len(alone.result.failure.dropped) == 1
-        plan = FaultPlan(
-            [drop, FaultRule("queue_get", "crash", target="router", nth=67, times=1)]
+        crash = FaultRule(
+            "queue_get",
+            "crash",
+            target="router",
+            nth=shape.nth("queue_get", "middle", "router"),
+            times=1,
         )
+        plan = FaultPlan([drop, crash])
         run = harness.run(plan)
         assert run.crashed
         assert run.result.degraded
@@ -135,37 +152,50 @@ class TestExplorer:
 
 
 class TestShrinker:
-    def _noisy_schedule(self):
+    @pytest.fixture
+    def noisy(self, shape, crash):
         # The planted bug needs only the crash; the delays are chaff the
-        # shrinker must strip, and step 10 must descend to 1.
+        # shrinker must strip, and the crash's step must descend to 1.
         return FaultPlan(
             [
-                FaultRule("server_op", "delay", nth=3, times=1, delay_seconds=0.001),
-                FaultRule("server_op", "crash", nth=10, times=1),
-                FaultRule("queue_put", "delay", nth=6, times=1, delay_seconds=0.001),
+                FaultRule(
+                    "server_op",
+                    "delay",
+                    nth=shape.nth("server_op", "first"),
+                    times=1,
+                    delay_seconds=0.001,
+                ),
+                *crash.rules,
+                FaultRule(
+                    "queue_put",
+                    "delay",
+                    nth=shape.nth("queue_put", "middle"),
+                    times=1,
+                    delay_seconds=0.001,
+                ),
             ],
             name="noisy",
         )
 
-    def test_shrinks_to_a_single_step_one_trigger(self, scenario):
+    def test_shrinks_to_a_single_step_one_trigger(self, scenario, noisy):
         tapped = SimHarness(scenario, virtual=True, invariant_tap=outcome_tap)
         shrinker = ScheduleShrinker(tapped)
-        minimal = shrinker.shrink(self._noisy_schedule())
+        minimal = shrinker.shrink(noisy)
         assert len(minimal.rules) <= 3  # the acceptance bar...
         assert minimal.describe() == ["crash@server_op [nth=1 times=1]"]  # ...and the fact
         assert minimal.name == "noisy"
         assert shrinker.stats.reductions >= 2
 
-    def test_shrink_is_deterministic(self, scenario):
+    def test_shrink_is_deterministic(self, scenario, noisy):
         def minimized():
             tapped = SimHarness(scenario, virtual=True, invariant_tap=outcome_tap)
-            return ScheduleShrinker(tapped).shrink(self._noisy_schedule())
+            return ScheduleShrinker(tapped).shrink(noisy)
 
         assert minimized().describe() == minimized().describe()
 
-    def test_shrink_rejects_a_passing_schedule(self, harness):
+    def test_shrink_rejects_a_passing_schedule(self, harness, crash):
         with pytest.raises(ValueError, match="passed all invariants"):
-            ScheduleShrinker(harness).shrink(CRASH)
+            ScheduleShrinker(harness).shrink(crash)
 
     def test_a_chaos_matrix_plan_shrinks_directly(self, tmp_path, scenario, harness):
         # The payoff of one vocabulary: a seeded chaos plan — every= and
@@ -195,18 +225,20 @@ class TestShrinker:
 
 
 class TestFixtureRoundTrip:
-    def test_write_load_replay(self, tmp_path, scenario, harness):
-        run = harness.run(CRASH)
+    def test_write_load_replay(self, tmp_path, scenario, harness, crash):
+        run = harness.run(crash)
         path = write_fixture(tmp_path / "crash.json", scenario, run, "crash")
         fixture = load_fixture(path)
         assert fixture["name"] == "crash"
-        assert fixture["plan"] == CRASH
+        assert fixture["plan"] == crash
         assert fixture["scenario"].as_dict() == scenario.as_dict()
         replay = replay_fixture(path)
         assert replay["matches"], (replay["recorded"], replay["replayed"])
 
-    def test_unsupported_fixture_version_rejected(self, tmp_path, scenario, harness):
-        run = harness.run(CRASH)
+    def test_unsupported_fixture_version_rejected(
+        self, tmp_path, scenario, harness, crash
+    ):
+        run = harness.run(crash)
         path = write_fixture(tmp_path / "crash.json", scenario, run, "crash")
         mangled = path.read_text(encoding="utf-8").replace(
             f'"version": {FIXTURE_VERSION}', '"version": 99'

@@ -7,7 +7,12 @@ from repro.core.engine import Engine
 from repro.core.trace import ExecutionTrace
 from repro.errors import EngineError
 from repro.recovery.policy import CheckpointPolicy
-from tests.conftest import assert_exact_or_certified, assert_same_topk, full_ranking
+from tests.conftest import (
+    RunShape,
+    assert_exact_or_certified,
+    assert_same_topk,
+    full_ranking,
+)
 
 
 def _simulate(
@@ -18,6 +23,22 @@ def _simulate(
         n_processors=n_processors,
         cost_model=cost_model or CostModel(operation_cost=1.0, routing_cost=0.0),
     )
+
+
+def landing_chaos_seeds(shape, count):
+    """The first ``count`` seeds whose ``FaultPlan.chaos`` rules all fire
+    within ``shape``, each at a site of its own (so no rule takes
+    another's turn)."""
+    from repro.faults import FaultPlan
+
+    seeds, seed = [], 0
+    while len(seeds) < count:
+        rules = FaultPlan.chaos(seed).rules
+        sites = {rule.site for rule in rules}
+        if len(sites) == len(rules) and all(shape.lands(rule) for rule in rules):
+            seeds.append(seed)
+        seed += 1
+    return seeds
 
 
 @pytest.fixture(scope="module")
@@ -226,15 +247,23 @@ class TestSupervisedStep:
         assert "router" in sites.seen
         assert any(site.startswith("server:") for site in sites.seen)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_chaos_is_supervised_not_fatal(self, engine, seed):
+    @pytest.mark.parametrize("draw", range(6))
+    def test_chaos_is_supervised_not_fatal(self, engine, shapes, draw):
         from repro.faults import FaultPlan
 
+        shape = shapes.run(
+            (engine, "simulated"), lambda faults: _simulate(engine, faults=faults).result
+        )
+        plan = FaultPlan.chaos(landing_chaos_seeds(shape, draw + 1)[draw])
         ranking = full_ranking(engine)
-        # k = 10: at k = 5 the run ends before seed 1's one rule (a delay at
-        # a server's 29th operation) fires.
-        result = _simulate(engine, k=10, faults=FaultPlan.chaos(seed)).result
+        result = _simulate(engine, faults=plan).result
         assert result.failure is not None
+        # Every rule fired: its trigger falls inside the faulted run's own
+        # counts, and no other rule at its site could have taken its turn.
+        counted = RunShape(
+            result.stats.server_operations, result.failure.injection["site_counts"]
+        )
+        assert all(counted.lands(rule) for rule in plan.rules), plan.describe()
         truth = dict(ranking)
         for answer in result.answers:
             assert answer.score <= truth[answer.root_node.dewey] + 1e-9

@@ -215,16 +215,19 @@ def test_stepped_equals_unstepped(engines, rankings, algorithm, query, relaxed, 
 
 
 @pytest.mark.parametrize("algorithm", ["whirlpool_s", "lockstep"])
-def test_a_restored_run_does_not_re_encode_its_snapshot(engines, algorithm):
+def test_a_restored_run_does_not_re_encode_its_snapshot(engines, shapes, algorithm):
     """The snapshot a run is restored from *is* its checkpoint at that
     operation count: the next one is due a full interval later."""
     engine = engines["Q2", True]
+    shape = shapes.engine(engine, K, algorithm)
+    interval, budget = shape.budget(0.25), shape.budget(0.6)
+    assert 2 * interval < budget < min(3 * interval, shape.operations)
     snapshots = []
     engine.run(
         K,
         algorithm=algorithm,
-        max_operations=20,
-        checkpoint_policy=CheckpointPolicy(every_operations=20),
+        max_operations=interval,
+        checkpoint_policy=CheckpointPolicy(every_operations=interval),
         checkpoint_sink=snapshots.append,
     )
     assert len(snapshots) == 1
@@ -233,12 +236,12 @@ def test_a_restored_run_does_not_re_encode_its_snapshot(engines, algorithm):
         K,
         algorithm=algorithm,
         restore_from=snapshots[0],
-        max_operations=45,
-        checkpoint_policy=CheckpointPolicy(every_operations=20),
+        max_operations=budget,
+        checkpoint_policy=CheckpointPolicy(every_operations=interval),
         checkpoint_sink=later.append,
     )
-    assert [snapshot["operations"] for snapshot in later] == [40, 45]
-    assert resumed.degraded and resumed.stats.server_operations == 45
+    assert [snapshot["operations"] for snapshot in later] == [2 * interval, budget]
+    assert resumed.degraded and resumed.stats.server_operations == budget
 
 
 @pytest.mark.parametrize("algorithm", ["whirlpool_s", "lockstep"])
@@ -324,9 +327,7 @@ def test_worker_restores_only_after_a_crash(xmark_db_large, algorithm):
     # The larger document, a larger k and, for Whirlpool-M, the larger
     # query: it enforces its budget from a polling main thread, and a run of
     # a few hundred operations fits in a poll or two — the step to crash
-    # would sometimes have under ten operations left.  (Q2 / k = 5 was ~840
-    # Whirlpool-M operations before ties were closed and is ~560 now; Q3 /
-    # k = 40 is ~2,650.)
+    # would sometimes have under ten operations left.
     k = 40
     spec = build_shard_specs(xmark_db_large, 1)[0]
     documents = list(spec.xml_texts)
@@ -402,25 +403,27 @@ def test_worker_finishes_a_run_that_lost_a_match(xmark_db, algorithm, relaxed):
 
 
 @pytest.mark.parametrize("algorithm", ["whirlpool_s", "lockstep"])
-def test_worker_takes_one_checkpoint_per_step_whatever_the_budgets(xmark_db, algorithm):
+def test_worker_takes_one_checkpoint_per_step_whatever_the_budgets(
+    engines, shapes, xmark_db, algorithm
+):
     """The checkpoint interval follows each step frame's budget: a step
     larger than the ones before it still ends in its single budget-exit
     checkpoint, with none taken on the way."""
+    # Four budgets short of the whole run, the last larger than any before
+    # it; the fifth finishes.
+    shape = shapes.engine(engines["Q2", True], K, algorithm)
+    budgets = [shape.budget(share) for share in (0.05, 0.15, 0.1, 0.3)]
+    assert sum(budgets) < shape.operations and budgets[3] > max(budgets[:3])
     spec = build_shard_specs(xmark_db, 1)[0]
     worker = ShardWorker(0)
-    begin = begin_frame(Engine(xmark_db, QUERIES["Q2"]), K, 5, algorithm=algorithm)
+    begin = begin_frame(engines["Q2", True], K, budgets[0], algorithm=algorithm)
     for frame in (
         {"op": "init", "id": 1, "documents": list(spec.xml_texts)},
         {**begin, "id": 2},
     ):
         reply, _ = worker.handle(frame)
         assert reply["ok"], reply
-    # Four budgets short of Whirlpool-S's 97 operations (110 before a tuple
-    # that cannot beat its own root's completed score was pruned, with a
-    # second budget of 40; 167 when bounds were database-wide maxima, with a
-    # fourth budget of 90), the last larger than any before it; the fifth
-    # finishes.
-    for step, budget in enumerate([5, 30, 7, 50, 10**6], start=1):
+    for step, budget in enumerate(budgets + [WHOLE_RUN], start=1):
         reply, _ = worker.handle({"op": "step", "id": 10 + step, "operations": budget})
         assert reply["ok"], reply
         if reply["done"]:
