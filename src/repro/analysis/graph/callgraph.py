@@ -290,6 +290,12 @@ class Symbols:
         self, info: ClassInfo, method: FunctionInfo, value: ast.expr
     ) -> Optional[LockAttr]:
         """Classify ``self.X = <value>`` as a lock, if it is one."""
+        if isinstance(value, ast.IfExp):
+            # ``<lock> if shared else None``: an optional lock is a lock
+            # wherever it exists.
+            return self._lock_from_value(
+                info, method, value.body
+            ) or self._lock_from_value(info, method, value.orelse)
         kind = lock_ctor_kind(method.module, value)
         if kind is not None:
             alias_attr = None

@@ -24,7 +24,7 @@ Static-analysis limits worth knowing:
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.graph.project import ExternalImport, SourceModule
 from repro.analysis.lint.engine import Finding, Rule
@@ -161,6 +161,21 @@ class SharedStateGuardRule(Rule):
     lock is by that declaration never shared, so the body of
     ``if self._lock is None:`` counts as guarded.  The ``else`` branch does
     not, and neither does the same test in a class whose lock always exists.
+
+    A private method (``_name``) is a *guarded helper*, its whole body
+    guarded, when every reference to its name in the module is a
+    ``self._name(...)`` call at a guarded position of a method of the
+    class — under ``with self._lock``, in an ``if self._lock is None:``
+    body, or in another guarded helper.  Its body then only ever runs while
+    the caller holds the lock or on an instance declared unshared, which
+    is what lets one body serve both (``TopKSet.observe`` →
+    ``_observe``).  Any other reference — a call outside a guard, one in a
+    nested function or lambda, the bound method passed on, the name on
+    another object — leaves it an ordinary method, its writes checked.
+    Helpers are found as a least fixpoint from none, so a helper that only
+    calls itself never vouches for itself.  The rule sees one module: a
+    private method reached from another module, or through ``getattr``,
+    is outside it.
     """
 
     code = "WPL001"
@@ -171,7 +186,7 @@ class SharedStateGuardRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef) or node.name not in _SHARED_NAMES:
                 continue
-            methods = [
+            methods: List[Union[ast.FunctionDef, ast.AsyncFunctionDef]] = [
                 item
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -180,13 +195,46 @@ class SharedStateGuardRule(Rule):
             for item in methods:
                 if item.name == "__init__":
                     optional_locks |= self._optional_locks(item)
+            helpers = self._guarded_helpers(module, methods, optional_locks)
             for item in methods:
                 if item.name == "__init__":
                     continue
                 for finding in self._scan(
-                    module, node.name, item.body, False, optional_locks
+                    module, node.name, item.body, item.name in helpers, optional_locks
                 ):
                     yield finding
+
+    def _guarded_helpers(
+        self,
+        module: SourceModule,
+        methods: Sequence[Union[ast.FunctionDef, ast.AsyncFunctionDef]],
+        optional_locks: Set[str],
+    ) -> Set[str]:
+        """The class's guarded helpers (class docstring)."""
+        candidates = {
+            item.name
+            for item in methods
+            if item.name.startswith("_") and not item.name.endswith("__")
+        }
+        references: Dict[str, int] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Attribute) and node.attr in candidates:
+                references[node.attr] = references.get(node.attr, 0) + 1
+        helpers: Set[str] = set()
+        while True:
+            calls: Dict[str, int] = {}
+            for item in methods:
+                if item.name != "__init__":
+                    for _ in self._scan(
+                        module, "", item.body, item.name in helpers, optional_locks, calls
+                    ):
+                        pass
+            found = {
+                name for name, count in references.items() if calls.get(name, 0) == count
+            }
+            if found == helpers:
+                return helpers
+            helpers = found
 
     @classmethod
     def _optional_locks(cls, init: ast.AST) -> Set[str]:
@@ -218,18 +266,24 @@ class SharedStateGuardRule(Rule):
         stmts: Sequence[ast.stmt],
         guarded: bool,
         optional_locks: Set[str],
+        calls: Optional[Dict[str, int]] = None,
     ) -> Iterator[Finding]:
+        """Findings for ``stmts``; with ``calls``, also counts the
+        ``self.<method>(...)`` calls made at guarded positions."""
         for stmt in stmts:
             # Nested defs run later, possibly under a lock taken by the
             # caller — out of scope.
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
+            if calls is not None and guarded:
+                for name in self._self_calls(stmt):
+                    calls[name] = calls.get(name, 0) + 1
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 inner = guarded or any(
                     self._is_guard(item.context_expr) for item in stmt.items
                 )
                 for finding in self._scan(
-                    module, class_name, stmt.body, inner, optional_locks
+                    module, class_name, stmt.body, inner, optional_locks, calls
                 ):
                     yield finding
                 continue
@@ -238,11 +292,11 @@ class SharedStateGuardRule(Rule):
             ):
                 # The instance was built without its lock: never shared.
                 for finding in self._scan(
-                    module, class_name, stmt.body, True, optional_locks
+                    module, class_name, stmt.body, True, optional_locks, calls
                 ):
                     yield finding
                 for finding in self._scan(
-                    module, class_name, stmt.orelse, guarded, optional_locks
+                    module, class_name, stmt.orelse, guarded, optional_locks, calls
                 ):
                     yield finding
                 continue
@@ -256,7 +310,7 @@ class SharedStateGuardRule(Rule):
                     )
             for block in self._sub_blocks(stmt):
                 for finding in self._scan(
-                    module, class_name, block, guarded, optional_locks
+                    module, class_name, block, guarded, optional_locks, calls
                 ):
                     yield finding
 
@@ -268,6 +322,23 @@ class SharedStateGuardRule(Rule):
                 yield block
         for handler in getattr(stmt, "handlers", []) or []:
             yield handler.body
+
+    @staticmethod
+    def _self_calls(stmt: ast.stmt) -> Iterator[str]:
+        """Names of the ``self.<name>(...)`` calls ``stmt`` makes itself —
+        not in its nested blocks (:meth:`_sub_blocks`), and not in a
+        lambda, which runs later."""
+        stack: List[ast.AST] = []
+        for field, value in ast.iter_fields(stmt):
+            if field not in ("body", "orelse", "finalbody", "handlers"):
+                stack.extend(value if isinstance(value, list) else [value])
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, ast.AST) or isinstance(node, ast.Lambda):
+                continue
+            if isinstance(node, ast.Call) and _is_self_attr(node.func):
+                yield node.func.attr  # type: ignore[attr-defined]
+            stack.extend(ast.iter_child_nodes(node))
 
     @staticmethod
     def _is_guard(expr: ast.expr) -> bool:

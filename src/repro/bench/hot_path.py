@@ -16,7 +16,13 @@ that for two fixed queries so the trajectory gate
 - ``exclusion_sets_allocated`` — routing decisions answered with anything
   but the supervisor's shared empty set (0 without faults);
 - ``stats_closures_built`` — functions ``ExecutionStats.record_*`` built
-  to bump a counter: calls × the nested functions in the method (0).
+  to bump a counter: calls × the nested functions in the method (0);
+- ``lock_rounds`` — lock acquisitions of a warmed run, counted by a lock
+  factory installed the way :class:`~repro.analysis.racecheck.RaceCheck`
+  installs its tracing locks, around a fresh Engine and two runs (the
+  first warms its probe memos; the second is counted).  Whirlpool-S is
+  one thread, so it declares its state unshared and takes no lock (0);
+  the probe memos, which runs share, take theirs on a miss only.
 
 All are counted from outside for the duration of one run, so they are
 deterministic and nothing in the engines knows it is being counted.
@@ -25,11 +31,15 @@ deterministic and nothing in the engines knows it is being counted.
 from __future__ import annotations
 
 import contextlib
+import threading
 import types
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
+from unittest import mock
 
+from repro.bench.params import DEFAULTS, QUERIES
 from repro.bench.step_codec import counted
-from repro.bench.workloads import get_engine
+from repro.bench.workloads import get_database, get_engine
+from repro.core.engine import Engine
 from repro.core.match import PartialMatch
 from repro.core.stats import ExecutionStats
 from repro.core.topk import TopKSet
@@ -75,7 +85,59 @@ def run_counts(query: str, k: int) -> Dict[str, int]:
         "stats_closures_built": sum(
             recorded[name][0] * built for name, built in recorders.items()
         ),
+        "lock_rounds": lock_rounds(query, k),
     }
+
+
+class _CountingLock:
+    """A real lock that counts its acquisitions into ``count[0]``."""
+
+    def __init__(self, inner: Any, count: List[int]) -> None:
+        self._inner = inner
+        self._count = count
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        acquired = bool(self._inner.acquire(blocking, timeout))
+        if acquired:
+            self._count[0] += 1
+        return acquired
+
+    def release(self) -> None:
+        self._inner.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
+
+    def __getattr__(self, name: str) -> Any:
+        # ``locked`` and the hooks a ``threading.Condition`` looks for
+        # (``_is_owned`` ...) are the real lock's.
+        return getattr(self._inner, name)
+
+
+@contextlib.contextmanager
+def counting_locks(count: List[int]) -> Iterator[None]:
+    """While the block runs, ``threading.Lock`` and ``threading.RLock``
+    build locks that count their acquisitions into ``count[0]``."""
+    real_lock, real_rlock = threading.Lock, threading.RLock
+    with mock.patch.object(
+        threading, "Lock", lambda: _CountingLock(real_lock(), count)
+    ), mock.patch.object(threading, "RLock", lambda: _CountingLock(real_rlock(), count)):
+        yield
+
+
+def lock_rounds(query: str, k: int) -> int:
+    """Lock acquisitions of a warmed Whirlpool-S run of ``query`` over
+    the bench document: every lock the Engine and the run build counts."""
+    count = [0]
+    with counting_locks(count):
+        engine = Engine(get_database(), QUERIES[query], normalization=DEFAULTS["scoring"])
+        engine.run(k)
+        count[0] = 0
+        engine.run(k)
+    return count[0]
 
 
 def hot_path_work(queries: Sequence[str] = ("Q2", "Q3"), k: int = 15) -> Dict[str, Any]:

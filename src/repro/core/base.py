@@ -171,6 +171,12 @@ class TopKResult:
 #: position, root node, its row of the bound table).
 SeedEntry = Tuple[float, int, XMLNode, RootBounds]
 
+#: One server the size-based router may send a match to
+#: (:meth:`EngineBase.sizing`): (node id, exact contribution, relaxed
+#: contribution, the most the *other* unvisited servers can add after it,
+#: minus its maximum contribution — the tie-break).
+SizingEntry = Tuple[int, float, float, float, float]
+
 
 class CandidateRoots:
     """The query root's candidate nodes, in document order, each with its
@@ -206,7 +212,7 @@ class EngineBase:
         relaxed: bool = True,
         router: Optional[RoutingStrategy] = None,
         queue_policy: QueuePolicy = QueuePolicy.MAX_FINAL_SCORE,
-        thread_safe_stats: bool = False,
+        shared: bool = False,
         observer: Optional[EngineObserver] = None,
         join_algorithm: str = "index",
         faults: Optional[FaultPlan] = None,
@@ -242,8 +248,13 @@ class EngineBase:
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(faults) if faults is not None else None
         )
-        #: Failure book-keeping shared by all workers of this run.
-        self.supervisor = Supervisor(retry_policy)
+        #: Whether more than one thread drives this run (Whirlpool-M): the
+        #: one declaration that decides whether the run's statistics, top-k
+        #: set, queues and supervisor take their locks.  A run that one
+        #: thread drives declares them unshared, and they take none.
+        self.shared = shared
+        #: Failure book-keeping for all workers of this run.
+        self.supervisor = Supervisor(retry_policy, shared=shared)
 
         self.plan = compile_plan(pattern, relaxed)
         # ``probe_memos`` (server node id -> memo, for this join algorithm)
@@ -259,24 +270,13 @@ class EngineBase:
                 join_algorithm=join_algorithm,
                 injector=self.fault_injector,
                 probe_memo=probe_memos[node_id] if probe_memos is not None else None,
+                root_tag=pattern.root.tag,
             )
-            server.set_root_tag(pattern.root.tag)
             self.servers[node_id] = server
 
         self.server_ids: List[int] = sorted(self.servers)
         self.max_contributions: Dict[int, float] = {
             node_id: score_model.max_contribution(node_id)
-            for node_id in self.server_ids
-        }
-        #: What the size-based router reads per candidate server: node id ->
-        #: (server, exact contribution, relaxed contribution, max contribution).
-        self.routing_table: Dict[int, Tuple[Server, float, float, float]] = {
-            node_id: (
-                self.servers[node_id],
-                score_model.contribution(node_id, MatchQuality.EXACT),
-                score_model.contribution(node_id, MatchQuality.RELAXED),
-                self.max_contributions[node_id],
-            )
             for node_id in self.server_ids
         }
         #: root Dewey -> that root's row of the bound table: the Engine's,
@@ -298,14 +298,18 @@ class EngineBase:
         #: visited -> the unvisited servers' ids in ``server_ids`` order,
         #: filled as the run meets new visited sets (at most 2^servers).
         self.bound_table: Dict[FrozenSet[int], Tuple[int, ...]] = {}
+        #: visited -> what the size-based router sizes (:meth:`sizing`),
+        #: filled alike.
+        self.sizing_table: Dict[FrozenSet[int], Tuple[SizingEntry, ...]] = {}
         threshold_source = "all" if relaxed else "complete"
         self.topk = TopKSet(
             k,
             threshold_source=threshold_source,
             bound_factor=bound_factor(len(self.server_ids)),
+            shared=shared,
         )
         self.router: RoutingStrategy = router if router is not None else MinAliveRouter()
-        self.stats = ExecutionStats(thread_safe=thread_safe_stats)
+        self.stats = ExecutionStats(thread_safe=shared)
         #: Optional :class:`~repro.core.trace.EngineObserver` receiving
         #: seed / route / extension / prune events.
         self.observer: Optional[EngineObserver] = observer
@@ -470,6 +474,30 @@ class EngineBase:
                 node_id for node_id in self.server_ids if node_id not in visited
             )
         return unvisited
+
+    def sizing(self, visited: FrozenSet[int]) -> Tuple[SizingEntry, ...]:
+        """One :data:`SizingEntry` per server a match that has been through
+        ``visited`` has still to visit, in ``server_ids`` order — what the
+        size-based router sizes them by.  The unvisited servers' maxima
+        are summed once per visited set, in that order, and the entries
+        kept for the run (at most 2^servers of them)."""
+        entries = self.sizing_table.get(visited)
+        if entries is None:
+            unvisited = self.unvisited(visited)
+            maxima = self.max_contributions
+            contribution = self.score_model.contribution
+            total = sum(maxima[node_id] for node_id in unvisited)
+            entries = self.sizing_table[visited] = tuple(
+                (
+                    node_id,
+                    contribution(node_id, MatchQuality.EXACT),
+                    contribution(node_id, MatchQuality.RELAXED),
+                    total - maxima[node_id],
+                    -maxima[node_id],
+                )
+                for node_id in unvisited
+            )
+        return entries
 
     def root_row(self, root_dewey: Dewey) -> RootBounds:
         """The root's row of the bound table.  A run without the Engine's
@@ -850,6 +878,7 @@ class EngineBase:
             site=f"server:{node_id}",
             on_drop=on_drop,
             observer=self.observer,
+            shared=self.shared,
         )
 
     def make_router_queue(
@@ -862,6 +891,7 @@ class EngineBase:
             site="router",
             on_drop=on_drop,
             observer=self.observer,
+            shared=self.shared,
         )
 
     # -- supervised building blocks ------------------------------------------------

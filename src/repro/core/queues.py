@@ -8,9 +8,14 @@
   policy and the paper's winner ("for all configurations tested, a queue
   based on the maximum possible final score performed better").
 
-:class:`MatchQueue` is a thread-safe priority queue over partial matches
-keyed by the chosen policy; the single-threaded engines use it without
-contention, Whirlpool-M's server threads block on :meth:`MatchQueue.get`.
+:class:`MatchQueue` is a priority queue over partial matches keyed by the
+chosen policy.  It is built shared (the default: every method takes its
+lock, and Whirlpool-M's server threads block on :meth:`MatchQueue.get`) or
+declared unshared (``shared=False``: no lock, ``_lock is None``) by a run
+that one thread drives — Whirlpool-S's router queue, LockStep's server
+queues.  An unshared queue runs the same bodies without the lock round
+trip; a blocking :meth:`MatchQueue.get` on it raises, since no other
+thread could ever fill it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.match import PartialMatch
-from repro.errors import InjectedFaultError
+from repro.errors import EngineError, InjectedFaultError
 
 if TYPE_CHECKING:
     from repro.core.trace import EngineObserver
@@ -56,7 +61,7 @@ def _heap_key(
 
 
 class MatchQueue:
-    """Thread-safe priority queue of partial matches under one policy.
+    """Priority queue of partial matches under one policy.
 
     Parameters
     ----------
@@ -84,6 +89,9 @@ class MatchQueue:
         ``queue_depths`` list, which the service folds into the
         queue-depth histograms after the run.  Like ``injector``,
         ``None`` costs one attribute check per put.
+    shared:
+        ``False`` declares the queue unshared — one thread puts and gets —
+        so it takes no lock (module docstring).
     """
 
     def __init__(
@@ -96,12 +104,16 @@ class MatchQueue:
         site: str = "",
         on_drop: Optional[Callable[[PartialMatch], None]] = None,
         observer: Optional["EngineObserver"] = None,
+        shared: bool = True,
     ) -> None:
         self.policy = policy
         self._key = _heap_key(policy, server_id, max_contributions)
         self._heap: List = []
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
+        #: ``None`` declares the queue unshared: one thread puts and gets.
+        self._lock: Optional[threading.Lock] = threading.Lock() if shared else None
+        self._not_empty: Optional[threading.Condition] = (
+            threading.Condition(self._lock) if self._lock is not None else None
+        )
         #: Getters blocked in :meth:`get` right now; a put notifies only
         #: when there is one to wake.
         self._waiters = 0
@@ -126,11 +138,16 @@ class MatchQueue:
             if self._on_drop is not None:
                 self._on_drop(match)
             return
-        with self._lock:
-            heapq.heappush(self._heap, (self._key(match), match.arrival, match))
+        entry = (self._key(match), match.arrival, match)
+        if self._lock is None:
+            heapq.heappush(self._heap, entry)
             depth = len(self._heap)
-            if self._waiters:
-                self._not_empty.notify()
+        else:
+            with self._lock:
+                heapq.heappush(self._heap, entry)
+                depth = len(self._heap)
+                if self._waiters:
+                    self._not_empty.notify()  # type: ignore[union-attr]
         observer = self._observer
         if observer is not None:
             observer.on_queue_depth(self._site, depth)
@@ -158,7 +175,13 @@ class MatchQueue:
         return None
 
     def get(self, timeout: Optional[float] = None) -> Optional[PartialMatch]:
-        """Dequeue the head match; ``None`` on timeout or after close."""
+        """Dequeue the head match; ``None`` on timeout or after close.
+        Blocks for another thread's put, so only a shared queue has it."""
+        if self._not_empty is None:
+            raise EngineError(
+                f"blocking get on the unshared queue {self._site!r}: no other "
+                "thread puts into it (use get_nowait)"
+            )
         while True:
             with self._not_empty:
                 while not self._heap:
@@ -178,11 +201,19 @@ class MatchQueue:
 
     def get_nowait(self) -> Optional[PartialMatch]:
         """Dequeue without blocking; ``None`` when empty."""
+        heap = self._heap
         while True:
-            with self._lock:
-                if not self._heap:
+            if self._lock is None:
+                if not heap:
                     return None
-                match = heapq.heappop(self._heap)[2]
+                match = heapq.heappop(heap)[2]
+            else:
+                with self._lock:
+                    if not heap:
+                        return None
+                    match = heapq.heappop(heap)[2]
+            if self._injector is None:
+                return match
             delivered = self._filter_get(match)
             if delivered is not None:
                 return delivered
@@ -190,22 +221,32 @@ class MatchQueue:
     def head(self) -> Optional[Tuple[float, int, PartialMatch]]:
         """``(key, arrival, match)`` of the match a get would pop next,
         left in place; ``None`` when empty."""
+        heap = self._heap
+        if self._lock is None:
+            return heap[0] if heap else None
         with self._lock:
-            heap = self._heap
             return heap[0] if heap else None
 
     def close(self) -> None:
         """Wake all blocked getters; subsequent gets on empty return None."""
+        if self._lock is None:
+            self._closed = True
+            return
         with self._lock:
             self._closed = True
-            self._not_empty.notify_all()
+            self._not_empty.notify_all()  # type: ignore[union-attr]
 
     def reopen(self) -> None:
         """Undo :meth:`close`: gets on an empty queue block again."""
+        if self._lock is None:
+            self._closed = False
+            return
         with self._lock:
             self._closed = False
 
     def __len__(self) -> int:
+        if self._lock is None:
+            return len(self._heap)
         with self._lock:
             return len(self._heap)
 
@@ -219,15 +260,20 @@ class MatchQueue:
         The checkpoint codec's view of the queue: non-destructive, so an
         engine can snapshot mid-run and keep going.
         """
-        with self._lock:
+        if self._lock is None:
             entries = sorted(self._heap)
+        else:
+            with self._lock:
+                entries = sorted(self._heap)
         return [entry[2] for entry in entries]
 
     def drain(self) -> List[PartialMatch]:
         """Remove and return all queued matches in priority order."""
+        heap = self._heap
+        if self._lock is None:
+            return [heapq.heappop(heap)[2] for _ in range(len(heap))]
         with self._lock:
-            out = [heapq.heappop(self._heap)[2] for _ in range(len(self._heap))]
-        return out
+            return [heapq.heappop(heap)[2] for _ in range(len(heap))]
 
     def __repr__(self) -> str:
         return f"MatchQueue({self.policy.value}, size={len(self)})"

@@ -30,8 +30,12 @@ from repro.errors import EngineError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
     from repro.core.base import EngineBase
-    from repro.core.server import CandidateCounts
+    from repro.core.server import Fanouts
     from repro.xmldb.summary import PathSummary
+
+
+def _complete(match: PartialMatch) -> EngineError:
+    return EngineError(f"match {match.match_id} is complete; it should not be routed")
 
 
 class RoutingStrategy:
@@ -45,19 +49,16 @@ class RoutingStrategy:
         ``engine`` exposes ``servers`` (node id → Server), ``server_ids``
         (sorted), ``max_contributions`` (node id → float), ``unvisited``
         (visited set → unvisited server ids), ``bounds_for`` (match → its
-        root's row of the bound table),
-        ``routing_table`` (node id → (server, exact contribution, relaxed
-        contribution, max contribution)) and ``topk`` (the shared
-        :class:`~repro.core.topk.TopKSet`).
+        root's row of the bound table), ``sizing`` (visited set → one
+        :data:`~repro.core.base.SizingEntry` per unvisited server) and
+        ``topk`` (the run's :class:`~repro.core.topk.TopKSet`).
         """
         raise NotImplementedError
 
     def _unvisited(self, match: PartialMatch, engine: "EngineBase") -> Tuple[int, ...]:
         unvisited = engine.unvisited(match.visited)
         if not unvisited:
-            raise EngineError(
-                f"match {match.match_id} is complete; it should not be routed"
-            )
+            raise _complete(match)
         return unvisited
 
     def __repr__(self) -> str:
@@ -114,12 +115,17 @@ class MinAliveRouter(RoutingStrategy):
 
     For each candidate server ``S`` the estimate combines:
 
-    - the mean number of exact-quality and relaxed-only candidates per root
-      image (index fan-out statistics),
-    - the probability that the probe comes back empty (the extension is
-      then the single outer-join *deleted* tuple),
+    - the match's fan-outs at ``S`` (:meth:`fanouts`): how many
+      exact-quality and relaxed-only candidates its root has there, and
+      whether the probe comes back empty (the extension is then the single
+      outer-join *deleted* tuple);
     - whether each class of extension would survive the current top-k
       threshold, judged by its upper bound after visiting ``S``.
+
+    All candidates are sized in one loop over the run's
+    :meth:`~repro.core.base.EngineBase.sizing` entries for the match's
+    visited set, which hold each server's gains and what the other
+    unvisited servers can still add, summed once per visited set.
 
     The threshold moves during execution, so the same match can be routed
     differently at different times — the adaptivity the paper's Section
@@ -130,57 +136,44 @@ class MinAliveRouter(RoutingStrategy):
     name = "min_alive_partial_matches"
 
     def choose(self, match: PartialMatch, engine: "EngineBase") -> int:
-        unvisited = self._unvisited(match, engine)
-        if len(unvisited) == 1:
-            return unvisited[0]  # nothing to size: one server is left
+        candidates = engine.sizing(match.visited)
+        if len(candidates) <= 1:
+            if not candidates:
+                raise _complete(match)
+            return candidates[0][0]  # nothing to size: one server is left
         threshold = engine.topk.threshold()
-        table = engine.routing_table
-        rest_total = sum(table[node_id][3] for node_id in unvisited)
-        # The root's counts from its row of the bound table, read without
-        # the probe memo's lock.
-        counts = engine.bounds_for(match).counts
+        fanouts = self.fanouts(match, engine)
+        score = match.score
 
         # Primary: fewest alive extensions.  Ties break toward the server
         # with the largest maximum contribution — among equally-sized
         # extension sets, instantiating the highest-scoring predicate first
         # grows the top-k threshold fastest and enables more pruning later.
         best_key = None
-        best_id = unvisited[0]
-        for node_id in unvisited:
-            alive = self._estimated_alive(
-                match, engine, node_id, rest_total, threshold, counts
-            )
-            key = (alive, -table[node_id][3], node_id)
+        best_id = candidates[0][0]
+        for node_id, exact_gain, relaxed_gain, rest, tie in candidates:
+            # Each class of extension counts when its upper bound after
+            # this server — its gain, plus the most the *other* unvisited
+            # servers can still add (``rest``) — reaches the threshold.
+            exact, relaxed_only, empty = fanouts[node_id]
+            alive = 0.0
+            if score + exact_gain + rest >= threshold:
+                alive += exact
+            if score + relaxed_gain + rest >= threshold:
+                alive += relaxed_only
+            if score + rest >= threshold:
+                alive += empty
+            key = (alive, tie, node_id)
             if best_key is None or key < best_key:
                 best_key = key
                 best_id = node_id
         return best_id
 
-    def _estimated_alive(
-        self,
-        match: PartialMatch,
-        engine: "EngineBase",
-        node_id: int,
-        rest_total: float,
-        threshold: float,
-        root_counts: Mapping[int, "CandidateCounts"],
-    ) -> float:
-        _, exact_contribution, relaxed_contribution, max_contribution = (
-            engine.routing_table[node_id]
-        )
-        counts = root_counts[node_id]
-        # Maximum the *other* unvisited servers can still add afterwards.
-        rest = rest_total - max_contribution
-        score = match.score
-
-        alive = 0.0
-        if score + exact_contribution + rest >= threshold:
-            alive += counts.exact
-        if score + relaxed_contribution + rest >= threshold:
-            alive += counts.total - counts.exact
-        if counts.total == 0 and score + rest >= threshold:
-            alive += 1.0
-        return alive
+    def fanouts(self, match: PartialMatch, engine: "EngineBase") -> Mapping[int, "Fanouts"]:
+        """Per server, the extensions a match expects to spawn there: its
+        root's exact probe counts, from its row of the bound table (read
+        without the probe memo's lock)."""
+        return engine.bounds_for(match).fanouts
 
 
 class EstimatedMinAliveRouter(MinAliveRouter):
@@ -200,48 +193,24 @@ class EstimatedMinAliveRouter(MinAliveRouter):
 
     def __init__(self, summary: "PathSummary") -> None:
         self.summary = summary
-        self._cache: Dict[int, Tuple[float, float, float]] = {}
+        self._fanouts: Optional[Dict[int, "Fanouts"]] = None
 
-    def _estimated_alive(
-        self,
-        match: PartialMatch,
-        engine: "EngineBase",
-        node_id: int,
-        rest_total: float,
-        threshold: float,
-        root_counts: Mapping[int, "CandidateCounts"],
-    ) -> float:
-        server, exact_contribution, relaxed_contribution, max_contribution = (
-            engine.routing_table[node_id]
-        )
-        cached = self._cache.get(node_id)
-        if cached is None:
-            spec = server.spec
+    def fanouts(self, match: PartialMatch, engine: "EngineBase") -> Mapping[int, "Fanouts"]:
+        """The summary's expected fan-outs per server, the same for every
+        match: estimated once, on the first decision."""
+        fanouts = self._fanouts
+        if fanouts is None:
             root_tag = engine.pattern.root.tag
-            fanout_total = self.summary.estimate_related(
-                root_tag, spec.tag, spec.probe_axis
-            )
-            fanout_exact = self.summary.estimate_related(
-                root_tag, spec.tag, spec.exact_root_axis
-            )
-            p_present = self.summary.estimate_satisfaction(
-                root_tag, spec.tag, spec.probe_axis
-            )
-            cached = (fanout_total, fanout_exact, 1.0 - p_present)
-            self._cache[node_id] = cached
-        fanout_total, fanout_exact, p_empty = cached
-
-        rest = rest_total - max_contribution
-        score = match.score
-
-        alive = 0.0
-        if score + exact_contribution + rest >= threshold:
-            alive += fanout_exact
-        if score + relaxed_contribution + rest >= threshold:
-            alive += max(fanout_total - fanout_exact, 0.0)
-        if score + rest >= threshold:
-            alive += p_empty
-        return alive
+            summary = self.summary
+            fanouts = {}
+            for node_id, server in engine.servers.items():
+                spec = server.spec
+                total = summary.estimate_related(root_tag, spec.tag, spec.probe_axis)
+                exact = summary.estimate_related(root_tag, spec.tag, spec.exact_root_axis)
+                present = summary.estimate_satisfaction(root_tag, spec.tag, spec.probe_axis)
+                fanouts[node_id] = (exact, max(total - exact, 0.0), 1.0 - present)
+            self._fanouts = fanouts
+        return fanouts
 
 
 class BatchingRouter(RoutingStrategy):

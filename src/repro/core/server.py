@@ -68,7 +68,7 @@ ProbeEntry = Tuple[Tuple[Tuple[XMLNode, bool], ...], int, CandidateCounts]
 
 
 class ProbeMemo:
-    """Probe results of one server, by root image, under one lock.
+    """Probe results of one server, by root image; writes take one lock.
 
     Entries are pure functions of (database, query node, join algorithm,
     root image), so the memo may outlive a run: :class:`~repro.core.engine.Engine`
@@ -79,6 +79,15 @@ class ProbeMemo:
     entry per root image, so the Engine sizes its memos to the document's
     root images (at least :data:`PROBE_MEMO_CAP`): a smaller memo would
     refill and clear on every run.
+
+    Runs and service threads share a memo, so :meth:`put` (a clear at the
+    cap, then a store) takes the lock.  :meth:`get` does not: it is one
+    ``dict.get`` keyed by a Dewey tuple of ints, whose hashing and
+    comparison run no Python code, so the interpreter lock is held
+    throughout and no other thread gets in halfway — it sees an entry a
+    put stored whole, or no entry.  A miss
+    during a racing clear costs one probe, which recomputes an equal
+    entry (entries are pure functions of the root image).
     """
 
     __slots__ = ("_lock", "_entries", "_capacity")
@@ -89,9 +98,9 @@ class ProbeMemo:
         self._capacity = capacity
 
     def get(self, root_dewey: Dewey) -> Optional[ProbeEntry]:
-        """The memoized probe for ``root_dewey``, if any."""
-        with self._lock:
-            return self._entries.get(root_dewey)
+        """The memoized probe for ``root_dewey``, if any (no lock: class
+        docstring)."""
+        return self._entries.get(root_dewey)
 
     def put(self, root_dewey: Dewey, entry: ProbeEntry) -> None:
         """Store one probe, clearing wholesale first when at the cap."""
@@ -209,20 +218,35 @@ class CapRow:
         return remaining
 
 
+#: What the size-based router expects a match to spawn at one server:
+#: (exact-quality extensions, relaxed-only extensions, deleted extensions
+#: — 1.0 when the probe is empty), as floats.
+Fanouts = Tuple[float, float, float]
+
+
+def _fanouts_of(counts: CandidateCounts) -> Fanouts:
+    """The :data:`Fanouts` of one root's :class:`CandidateCounts` at one
+    server."""
+    return (
+        float(counts.exact),
+        float(counts.total - counts.exact),
+        0.0 if counts.total else 1.0,
+    )
+
+
 class RootBounds:
     """One root's row of a bound table: per server, the root's cap
-    (``caps``, a :class:`CapRow`) and its :class:`CandidateCounts`
-    (``counts``) — what a match is bounded and sized by.  Roots whose caps
-    and counts are equal share one row.  A match carries its root's row
-    from its seed on.  ``remaining`` is the cap row's, read one attribute
-    nearer.
+    (``caps``, a :class:`CapRow`) and its :data:`Fanouts` (``fanouts``) —
+    what a match is bounded and sized by.  Roots whose caps and counts are
+    equal share one row.  A match carries its root's row from its seed
+    on.  ``remaining`` is the cap row's, read one attribute nearer.
     """
 
-    __slots__ = ("caps", "counts", "remaining")
+    __slots__ = ("caps", "fanouts", "remaining")
 
-    def __init__(self, caps: CapRow, counts: Dict[int, CandidateCounts]) -> None:
+    def __init__(self, caps: CapRow, fanouts: Dict[int, Fanouts]) -> None:
         self.caps = caps
-        self.counts = counts
+        self.fanouts = fanouts
         self.remaining = caps.remaining
 
 
@@ -236,13 +260,16 @@ def bound_rows(
     ``roots`` roots (``probes``: server node id -> one entry per root,
     every list in the same root order) and the model's caps for them.  Equal rows, and
     equal cap rows within them, are one object: a document has few
-    distinct ones, and a cap row's ``remaining`` is then shared too."""
+    distinct ones, and a cap row's ``remaining`` is then shared too.  So
+    are equal fan-outs: counts are small integers, so rows hold few
+    distinct ones."""
     server_ids = sorted(probes)
     caps = {
         node_id: score_model.caps(node_id, probes[node_id], relaxed)
         for node_id in server_ids
     }
     cap_rows: Dict[Tuple[float, ...], CapRow] = {}
+    fanouts: Dict[CandidateCounts, Fanouts] = {}
     rows: Dict[Tuple[Tuple[float, ...], Tuple[CandidateCounts, ...]], RootBounds] = {}
     table: List[RootBounds] = []
     for i in range(roots):
@@ -254,7 +281,11 @@ def bound_rows(
             if cap_row is None:
                 cap_row = cap_rows[cap_key] = CapRow(dict(zip(server_ids, cap_key)))
             row = rows[cap_key, count_key] = RootBounds(
-                cap_row, dict(zip(server_ids, count_key))
+                cap_row,
+                {
+                    node_id: fanouts.setdefault(counts, _fanouts_of(counts))
+                    for node_id, counts in zip(server_ids, count_key)
+                },
             )
         table.append(row)
     return table
@@ -292,6 +323,9 @@ class Server:
     performed, which the ``join_algorithms`` artifact measures — the comparison
     the paper explicitly skips ("since we are not comparing join algorithm
     performance").
+
+    ``root_tag`` (or :meth:`set_root_tag`) names the query root's tag,
+    which :meth:`routing_estimates` scans.
     """
 
     JOIN_ALGORITHMS = ("index", "scan")
@@ -306,6 +340,7 @@ class Server:
         *,
         injector: Optional["FaultInjector"] = None,
         probe_memo: Optional[ProbeMemo] = None,
+        root_tag: Optional[str] = None,
     ) -> None:
         if join_algorithm not in self.JOIN_ALGORITHMS:
             raise ValueError(
@@ -318,7 +353,7 @@ class Server:
         self.relaxed = relaxed
         self.join_algorithm = join_algorithm
         self.injector = injector
-        self._root_tag: Optional[str] = None
+        self._root_tag = root_tag
         # Whirlpool-M probes from every server thread, so the per-run
         # cached state below is read and written under this lock.
         self._cache_lock = threading.Lock()
@@ -461,7 +496,9 @@ class Server:
             return cached
         root_tag = self._root_tag
         if root_tag is None:
-            raise RuntimeError("set_root_tag() must be called before routing_estimates()")
+            raise RuntimeError(
+                "routing_estimates() needs the root tag: root_tag= or set_root_tag()"
+            )
 
         anchors = self.index[root_tag].all()
         if not anchors:

@@ -153,10 +153,15 @@ roots that completed there.  k roots have completed at or above the
 closing level once it is finite, so a finished relaxed run returns
 complete matches only.
 
-Thread-safety: all mutating operations take an internal lock so
-Whirlpool-M's server threads can share one instance; both levels are
+Sharing: a set is built shared (the default) or declared unshared
+(``shared=False``).  A shared set takes an internal lock in every method,
+so Whirlpool-M's server threads can share one instance; both levels are
 written only under it and read under it (``observe`` returns the threshold
-from under it).
+from under it).  An unshared set has no lock (``_lock is None``) and its
+methods run the same bodies without one: a run that one thread drives —
+Whirlpool-S, LockStep, LockStep-NoPrun — declares its set unshared
+(:class:`~repro.core.base.EngineBase`'s ``shared`` flag), which saves a
+lock round trip on every report and every prune test.
 """
 
 from __future__ import annotations
@@ -164,7 +169,19 @@ from __future__ import annotations
 import sys
 import threading
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Sized, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Sized,
+    Tuple,
+    TypeVar,
+)
 
 from repro.core.match import PartialMatch
 
@@ -175,6 +192,8 @@ from repro.xmldb.model import XMLNode
 
 
 _NEG_INF = float("-inf")
+
+_T = TypeVar("_T")
 
 
 def bound_factor(servers: int) -> float:
@@ -234,7 +253,12 @@ class TopKSet:
     """Candidate top-k answers plus the pruning threshold they induce."""
 
     def __init__(
-        self, k: int, threshold_source: str = "all", bound_factor: float = 1.0
+        self,
+        k: int,
+        threshold_source: str = "all",
+        bound_factor: float = 1.0,
+        *,
+        shared: bool = True,
     ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -249,7 +273,8 @@ class TopKSet:
         self.bound_factor = bound_factor
         self._complete_only = threshold_source == "complete"
         self._entries: Dict[Dewey, _Entry] = {}
-        self._lock = threading.Lock()
+        #: ``None`` declares the set unshared: one thread drives its run.
+        self._lock: Optional[threading.Lock] = threading.Lock() if shared else None
         # The (at most) k best per-root scores and per-root completed
         # scores, ascending, as bare values: a level depends on the multiset
         # only, so roots tied at the k-th score are interchangeable and need
@@ -274,57 +299,69 @@ class TopKSet:
         Whirlpool-M a returned value can only be older, hence lower, than
         a fresh :meth:`threshold` — it never prunes more.
         """
+        if self._lock is None:
+            return self._observe(match, complete)
+        with self._lock:
+            return self._observe(match, complete)
+
+    def _observe(self, match: PartialMatch, complete: bool) -> float:
+        """:meth:`observe`'s body; the caller holds the lock, or the set is
+        unshared."""
         key = match.root_node.dewey
         score = match.score
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _Entry(match.root_node)
-                self._entries[key] = entry
-            if complete and score > entry.complete_score:
-                # Completed scores only rise, so the closing level moves
-                # only here.
-                closing = _kth_after_rise(
-                    self._best_complete, self.k, entry.complete_score, score
-                )
-                entry.complete_score = score
-                entry.complete_match = match
-                if closing != _NEG_INF:
-                    self._closing = closing
-                    if self._complete_only:
-                        self._threshold = closing
-            old = entry.score
-            # On ties prefer the more-instantiated tuple: it is the more
-            # informative representative for the user.
-            tie_more_complete = (
-                entry.match is not None
-                and score == old
-                and len(match.visited) > len(entry.match.visited)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = _Entry(match.root_node)
+            self._entries[key] = entry
+        if complete and score > entry.complete_score:
+            # Completed scores only rise, so the closing level moves only
+            # here.
+            closing = _kth_after_rise(
+                self._best_complete, self.k, entry.complete_score, score
             )
-            if score > old or tie_more_complete or entry.match is None:
-                entry.score = score
-                entry.match = match
-                if score > old and not self._complete_only:
-                    # Entry scores only rise, so the threshold moves only here.
-                    threshold = _kth_after_rise(self._best, self.k, old, score)
-                    if threshold != _NEG_INF:
-                        self._threshold = threshold
-            return self._threshold
+            entry.complete_score = score
+            entry.complete_match = match
+            if closing != _NEG_INF:
+                self._closing = closing
+                if self._complete_only:
+                    self._threshold = closing
+        old = entry.score
+        # On ties prefer the more-instantiated tuple: it is the more
+        # informative representative for the user.
+        tie_more_complete = (
+            entry.match is not None
+            and score == old
+            and len(match.visited) > len(entry.match.visited)
+        )
+        if score > old or tie_more_complete or entry.match is None:
+            entry.score = score
+            entry.match = match
+            if score > old and not self._complete_only:
+                # Entry scores only rise, so the threshold moves only here.
+                threshold = _kth_after_rise(self._best, self.k, old, score)
+                if threshold != _NEG_INF:
+                    self._threshold = threshold
+        return self._threshold
 
     # -- threshold / pruning -------------------------------------------------------
 
     def threshold(self) -> float:
         """The paper's ``currentTopK``: the k-th best entry score (or 0).
 
-        Maintained by :meth:`observe`; reading it is one locked load.
+        Maintained by :meth:`observe`; reading it is one load (locked,
+        on a shared set).
         """
+        if self._lock is None:
+            return self._threshold
         with self._lock:
             return self._threshold
 
     def closing_level(self) -> float:
         """The k-th best per-root *completed* score (-inf below k of them):
         a tuple that cannot finish above it can at best tie k finished
-        answers.  Never above :meth:`threshold`; one locked load."""
+        answers.  Never above :meth:`threshold`; one load."""
+        if self._lock is None:
+            return self._closing
         with self._lock:
             return self._closing
 
@@ -333,6 +370,8 @@ class TopKSet:
         threshold, or can at best tie k completed answers: the test on the
         two shared levels, which only rise — so it holds for every tuple
         whose bound is no higher, too."""
+        if self._lock is None:
+            return self._levels_close(bound, _NEG_INF)
         with self._lock:
             return self._levels_close(bound, _NEG_INF)
 
@@ -341,16 +380,22 @@ class TopKSet:
         levels close it (:meth:`closes`), or it cannot beat the score its
         own root has already completed at (module docstring, "a root
         closes its own tuples")."""
-        bound = match.upper_bound
+        if self._lock is None:
+            return self._prunes(match)
         with self._lock:
-            entry = self._entries.get(match.root_node.dewey)
-            own = _NEG_INF if entry is None else entry.complete_score
-            return self._levels_close(bound, own)
+            return self._prunes(match)
+
+    def _prunes(self, match: PartialMatch) -> bool:
+        """:meth:`is_pruned`'s body; the caller holds the lock, or the set
+        is unshared."""
+        entry = self._entries.get(match.root_node.dewey)
+        own = _NEG_INF if entry is None else entry.complete_score
+        return self._levels_close(match.upper_bound, own)
 
     def _levels_close(self, bound: float, own: float) -> bool:
         """The prune test against the threshold, the closing level and the
         tuple's own root's completed score ``own``; the caller holds the
-        lock."""
+        lock, or the set is unshared."""
         factor = self.bound_factor
         return (
             bound * factor < self._threshold
@@ -370,59 +415,71 @@ class TopKSet:
         completed match qualify — a partial exact match may yet die, so its
         score is not an answer.
         """
-        # (root, score, representative, rank score, partial) per root.
-        candidates: List[Tuple[XMLNode, float, Optional[PartialMatch], float, bool]]
-        if self.threshold_source == "complete":
-            with self._lock:
-                candidates = [
-                    (
-                        entry.root_node,
-                        entry.complete_score,
-                        entry.complete_match,
-                        entry.complete_score,
-                        False,
-                    )
-                    for entry in self._entries.values()
-                    if entry.complete_match is not None
-                ]
-        else:
-            factor = self.bound_factor
-            with self._lock:
-                closed = self._closing * factor
-                candidates = []
-                for entry in self._entries.values():
-                    if entry.match is None:
-                        continue
-                    score, match = entry.score, entry.match
-                    partial = entry.complete_score < score
-                    if partial and score <= entry.complete_score * factor:
-                        # Its own completed match ties it: (i).
-                        score, match = entry.complete_score, entry.complete_match
-                        partial = False
-                    rank = self._closing if partial and score <= closed else score
-                    candidates.append((entry.root_node, score, match, rank, partial))
+        candidates = self._guarded(self._candidates)
         candidates.sort(key=lambda item: (-item[3], item[4], item[0].dewey))
         return [
             TopKAnswer(root_node, score, match)
             for root_node, score, match, _, _ in candidates[: self.k]
         ]
 
+    def _candidates(
+        self,
+    ) -> List[Tuple[XMLNode, float, Optional[PartialMatch], float, bool]]:
+        """(root, score, representative, rank score, partial) per root that
+        qualifies as an answer, unsorted (:meth:`answers`)."""
+        if self.threshold_source == "complete":
+            return [
+                (
+                    entry.root_node,
+                    entry.complete_score,
+                    entry.complete_match,
+                    entry.complete_score,
+                    False,
+                )
+                for entry in self._entries.values()
+                if entry.complete_match is not None
+            ]
+        factor = self.bound_factor
+        closed = self._closing * factor
+        candidates = []
+        for entry in self._entries.values():
+            if entry.match is None:
+                continue
+            score, match = entry.score, entry.match
+            partial = entry.complete_score < score
+            if partial and score <= entry.complete_score * factor:
+                # Its own completed match ties it: (i).
+                score, match = entry.complete_score, entry.complete_match
+                partial = False
+            rank = self._closing if partial and score <= closed else score
+            candidates.append((entry.root_node, score, match, rank, partial))
+        return candidates
+
+    def _guarded(self, call: Callable[[], _T]) -> _T:
+        """``call()`` under the lock, or without it on an unshared set: how
+        the methods off the hot path read the entries (it writes no
+        attribute of the set)."""
+        if self._lock is None:
+            return call()
+        with self._lock:
+            return call()
+
     def entry_count(self) -> int:
         """Number of distinct roots seen so far."""
-        with self._lock:
-            return len(self._entries)
+        return self._guarded(lambda: len(self._entries))
 
     def export_state(
         self,
     ) -> List[Tuple[PartialMatch, Optional[PartialMatch]]]:
         """(match, complete_match) per entry — the checkpoint codec's view;
         :meth:`restore_state` is its inverse."""
-        with self._lock:
-            return [
+        return self._guarded(
+            lambda: [
                 (entry.match, entry.complete_match)
                 for entry in self._entries.values()
                 if entry.match is not None
             ]
+        )
 
     def restore_state(
         self,
@@ -440,12 +497,13 @@ class TopKSet:
 
     def snapshot(self) -> List[Tuple[Dewey, float]]:
         """(root dewey, score) pairs, best first — for tests/diagnostics."""
-        with self._lock:
-            pairs = [
+        pairs = self._guarded(
+            lambda: [
                 (key, entry.score)
                 for key, entry in self._entries.items()
                 if entry.match is not None
             ]
+        )
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
         return pairs
 

@@ -170,8 +170,7 @@ class WhirlpoolM(EngineBase):
     algorithm = "whirlpool_m"
 
     def __init__(self, *args: Any, threads_per_server: int = 1, **kwargs: Any) -> None:
-        kwargs.setdefault("thread_safe_stats", True)
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, shared=True, **kwargs)
         if threads_per_server < 1:
             raise EngineError(
                 f"threads_per_server must be >= 1, got {threads_per_server}"

@@ -15,10 +15,13 @@ the match in hand; the escalation ladder is
    result's ``pending_bound`` certificate instead of the answer set
    silently shrinking.
 
-The supervisor is engine-agnostic and thread-safe; Whirlpool-M's workers
-share one instance, the single-threaded engines use it without
-contention.  Backoff sleeping lives here (not in ``core/``) so engine
-control flow stays wall-clock free per lint rule WPL004.
+The supervisor is engine-agnostic.  It is built shared (the default:
+every method takes its lock, so Whirlpool-M's workers can share one
+instance) or declared unshared (``shared=False``: no lock) by a run that
+one thread drives, which then pays no lock round trip on the
+per-decision :meth:`Supervisor.excluded_for`.  Backoff sleeping lives
+here (not in ``core/``) so engine control flow stays wall-clock free per
+lint rule WPL004.
 """
 
 from __future__ import annotations
@@ -26,7 +29,19 @@ from __future__ import annotations
 import enum
 import threading
 from random import Random
-from typing import TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.faults.report import FailedMatch
 import repro.sim.clock as simclock
@@ -120,13 +135,16 @@ class RetryPolicy:
 
 _NO_EXCLUSIONS: FrozenSet[int] = frozenset()
 
+_T = TypeVar("_T")
+
 
 class Supervisor:
-    """Shared failure book-keeping for one engine run."""
+    """Failure book-keeping for one engine run (``shared=False``: one
+    thread drives the run, so no lock is taken)."""
 
-    def __init__(self, policy: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, policy: Optional[RetryPolicy] = None, *, shared: bool = True) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
-        self._lock = threading.Lock()
+        self._lock: Optional[threading.Lock] = threading.Lock() if shared else None
         self._wakeup = threading.Event()
         self._rng = Random(self.policy.seed)
         self._attempts: Dict[Tuple[int, int], int] = {}
@@ -153,26 +171,37 @@ class Supervisor:
         servers besides ``server_id`` (a REQUEUE must have somewhere else
         to go).
         """
-        policy = self.policy
+        if self._lock is None:
+            return self._escalate(match, server_id, error, alternatives)
         with self._lock:
-            label = f"server:{server_id}"
-            self._error_counts[label] = self._error_counts.get(label, 0) + 1
-            key = (match.match_id, server_id)
-            attempts = self._attempts.get(key, 0) + 1
-            self._attempts[key] = attempts
-            if attempts < policy.max_attempts:
-                self._retries += 1
-                return FailureAction.RETRY
-            requeues = self._requeues.get(match.match_id, 0)
-            if alternatives and requeues < policy.requeue_limit:
-                self._requeues[match.match_id] = requeues + 1
-                self._excluded.setdefault(match.match_id, set()).add(server_id)
-                self._requeue_count += 1
-                return FailureAction.REQUEUE
-            self._abandoned.append(
-                _snapshot(match, f"server:{server_id}", attempts, error)
-            )
-            return FailureAction.ABANDON
+            return self._escalate(match, server_id, error, alternatives)
+
+    def _escalate(
+        self,
+        match: "PartialMatch",
+        server_id: int,
+        error: BaseException,
+        alternatives: bool,
+    ) -> FailureAction:
+        """:meth:`on_error`'s body; the caller holds the lock, or the
+        supervisor is unshared."""
+        policy = self.policy
+        label = f"server:{server_id}"
+        self._error_counts[label] = self._error_counts.get(label, 0) + 1
+        key = (match.match_id, server_id)
+        attempts = self._attempts.get(key, 0) + 1
+        self._attempts[key] = attempts
+        if attempts < policy.max_attempts:
+            self._retries += 1
+            return FailureAction.RETRY
+        requeues = self._requeues.get(match.match_id, 0)
+        if alternatives and requeues < policy.requeue_limit:
+            self._requeues[match.match_id] = requeues + 1
+            self._excluded.setdefault(match.match_id, set()).add(server_id)
+            self._requeue_count += 1
+            return FailureAction.REQUEUE
+        self._abandoned.append(_snapshot(match, label, attempts, error))
+        return FailureAction.ABANDON
 
     def backoff(
         self, match_id: int, server_id: int, max_seconds: Optional[float] = None
@@ -185,9 +214,11 @@ class Supervisor:
         deadline: engines pass their remaining ``deadline_seconds`` budget
         here.
         """
-        with self._lock:
-            attempt = self._attempts.get((match_id, server_id), 1)
-            delay = self.policy.backoff_delay(attempt, self._rng)
+        delay = self._guarded(
+            lambda: self.policy.backoff_delay(
+                self._attempts.get((match_id, server_id), 1), self._rng
+            )
+        )
         if max_seconds is not None:
             delay = min(delay, max(max_seconds, 0.0))
         if delay > 0:
@@ -210,6 +241,11 @@ class Supervisor:
         Until some match has been requeued — for the whole of a fault-free
         run — every answer is the one shared, immutable empty set.
         """
+        if self._lock is None:
+            excluded = self._excluded
+            if not excluded:
+                return _NO_EXCLUSIONS
+            return frozenset(excluded.get(match_id, ()))
         with self._lock:
             if not self._excluded:
                 return _NO_EXCLUSIONS
@@ -221,14 +257,30 @@ class Supervisor:
         self, match: "PartialMatch", where: str, error: BaseException
     ) -> None:
         """A match was lost with no recovery possible (e.g. a put failed)."""
-        with self._lock:
-            self._error_counts[where] = self._error_counts.get(where, 0) + 1
-            self._abandoned.append(_snapshot(match, where, 1, error))
+        if self._lock is None:
+            self._abandon(match, where, error)
+        else:
+            with self._lock:
+                self._abandon(match, where, error)
+
+    def _abandon(self, match: "PartialMatch", where: str, error: BaseException) -> None:
+        """:meth:`record_abandoned`'s body; the caller holds the lock, or
+        the supervisor is unshared."""
+        self._count_error(where)
+        self._abandoned.append(_snapshot(match, where, 1, error))
 
     def record_component_error(self, where: str, error: BaseException) -> None:
         """An error that cost no match (router fallback, queue-get error)."""
-        with self._lock:
-            self._error_counts[where] = self._error_counts.get(where, 0) + 1
+        if self._lock is None:
+            self._count_error(where)
+        else:
+            with self._lock:
+                self._count_error(where)
+
+    def _count_error(self, where: str) -> None:
+        """One more error at ``where``; the caller holds the lock, or the
+        supervisor is unshared."""
+        self._error_counts[where] = self._error_counts.get(where, 0) + 1
 
     # -- checkpoint awareness ----------------------------------------------------
 
@@ -240,37 +292,46 @@ class Supervisor:
         a *resumable* failure (work is recoverable from the snapshot)
         from a total loss.
         """
-        with self._lock:
+        if self._lock is None:
             self._last_checkpoint = snapshot
+        else:
+            with self._lock:
+                self._last_checkpoint = snapshot
 
     def last_checkpoint(self) -> Optional[Dict[str, Any]]:
         """The latest snapshot seen, or ``None`` when never checkpointed."""
-        with self._lock:
-            return self._last_checkpoint
+        return self._guarded(lambda: self._last_checkpoint)
 
     # -- reporting ---------------------------------------------------------------
 
+    def _guarded(self, call: Callable[[], _T]) -> _T:
+        """``call()`` under the lock, or without it on an unshared
+        supervisor: how the methods off the hot path read (it writes no
+        attribute of the supervisor)."""
+        if self._lock is None:
+            return call()
+        with self._lock:
+            return call()
+
     def abandoned(self) -> List[FailedMatch]:
         """Matches given up on, with their certificate-feeding bounds."""
-        with self._lock:
-            return list(self._abandoned)
+        return self._guarded(lambda: list(self._abandoned))
 
     def abandoned_count(self) -> int:
         """Number of abandoned matches."""
-        with self._lock:
-            return len(self._abandoned)
+        return self._guarded(lambda: len(self._abandoned))
 
     def max_abandoned_bound(self) -> float:
         """Largest upper bound among abandoned matches (0.0 when none)."""
-        with self._lock:
-            if not self._abandoned:
-                return 0.0
-            return max(failed.upper_bound for failed in self._abandoned)
+        return self._guarded(
+            lambda: max((failed.upper_bound for failed in self._abandoned), default=0.0)
+        )
 
     def counters(self) -> Tuple[Dict[str, int], int, int]:
         """(error counts by component, retries, requeues) — one snapshot."""
-        with self._lock:
-            return dict(self._error_counts), self._retries, self._requeue_count
+        return self._guarded(
+            lambda: (dict(self._error_counts), self._retries, self._requeue_count)
+        )
 
     def __repr__(self) -> str:
         counts, retries, requeues = self.counters()

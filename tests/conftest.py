@@ -228,6 +228,12 @@ class ClusterShape:
         assert 1 <= step <= self.steps[shard], (shard, where, self.steps)
         return step + 1
 
+    def frame(self, shard, where):
+        """The NET ``nth`` of the frame that carries ``shard``'s step
+        ``where``: a query sends each shard ``init`` (frame 1) and
+        ``begin`` (frame 2) before its steps, so step i is frame i + 2."""
+        return self.rpc(shard, where) + 1
+
 
 class Shapes:
     """Fault-free runs, each made once and kept: the module-scoped

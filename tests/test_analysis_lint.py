@@ -63,6 +63,18 @@ class TestRuleFixtures:
             ("WPL001", 32),  # class whose lock is never None
         ]
 
+    def test_shared_state_guard_accepts_only_helpers_every_call_guards(self):
+        # A private method counts as guarded when every reference to it is
+        # a self-call at a guarded position; one stray reference — a call
+        # outside the guard, a bound method passed on, a call from its own
+        # body only — and its writes are checked like any method's.
+        findings = lint_paths([FIXTURES / "guarded_helper.py"])
+        assert codes_and_lines(findings) == [
+            ("WPL001", 39),  # _leak: also called outside `with self._lock`
+            ("WPL001", 46),  # _escape: passed on, not called under the lock
+            ("WPL001", 49),  # _spin: no guarded caller but itself
+        ]
+
     def test_no_bare_thread_fires(self):
         findings = lint_paths([FIXTURES / "bare_thread.py"])
         assert codes_and_lines(findings) == [("WPL002", 15), ("WPL002", 16)]

@@ -392,7 +392,11 @@ class TestTrajectory:
         # PR 22 closed ties: fewer operations, hence fewer of everything
         # counted per operation — the invariants below are held against
         # the newest artefact.
-        newest = json.loads((root / "BENCH_PR22.json").read_text(encoding="utf-8"))
+        newest = json.loads(
+            max(root.glob("BENCH_PR*.json"), key=lambda path: int(path.stem[8:])).read_text(
+                encoding="utf-8"
+            )
+        )
         committed = {
             (r["case"], r["metric"]): r["value"]
             for r in newest["records"]
@@ -411,6 +415,7 @@ class TestTrajectory:
                 assert values[case, "match_materializations"] == 0
                 assert values[case, "exclusion_sets_allocated"] == 0
                 assert values[case, "stats_closures_built"] == 0
+                assert values[case, "lock_rounds"] == 0
                 servers = len(get_engine(query).server_node_ids())
                 assert 0 < values[case, "bound_table_entries"] <= 2**servers
         for query in ("Q2", "Q3"):

@@ -122,8 +122,8 @@ class TestMinAliveRouter:
         """A run sizes servers from its root's row of the bound table,
         without the probe memo's lock: the Engine's row, or — in a
         hand-built run — one built from the run's own probes at seeding,
-        with the same caps and counts.  Both route alike, and neither asks
-        a server for its counts."""
+        with the same caps and fan-outs.  Both route alike, and neither
+        asks a server for its counts."""
         from repro.core.server import Server
 
         calls = []
@@ -144,7 +144,7 @@ class TestMinAliveRouter:
         assert calls == []
         row = engine.root_bounds[seed.root_node.dewey]
         assert seed.root_bounds.caps.caps == row.caps.caps
-        assert seed.root_bounds.counts == row.counts
+        assert seed.root_bounds.fanouts == row.fanouts
 
 
 class TestFactory:

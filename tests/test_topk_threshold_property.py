@@ -278,8 +278,8 @@ MUTANTS = {
     "closing_before_k_complete": (
         [
             (
-                "if closing != _NEG_INF:\n                    self._closing = closing",
-                "if True:\n                    self._closing = closing = self._best_complete[0]",
+                "if closing != _NEG_INF:\n                self._closing = closing",
+                "if True:\n                self._closing = closing = self._best_complete[0]",
             )
         ],
         True,
