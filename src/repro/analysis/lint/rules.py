@@ -170,9 +170,12 @@ class SharedStateGuardRule(Rule):
     the caller holds the lock or on an instance declared unshared, which
     is what lets one body serve both (``TopKSet.observe`` →
     ``_observe``).  Any other reference — a call outside a guard, one in a
-    nested function or lambda, the bound method passed on, the name on
-    another object — leaves it an ordinary method, its writes checked.
-    Helpers are found as a least fixpoint from none, so a helper that only
+    nested function, a lambda or a generator expression (their bodies run
+    later, perhaps once the lock is released), the bound method passed
+    on, the name on another object — leaves it an ordinary method, its
+    writes checked.  So does a body that is itself deferred: a generator
+    or ``async`` method is never a helper, since calling it under the
+    lock only builds the generator or coroutine.  Helpers are found as a least fixpoint from none, so a helper that only
     calls itself never vouches for itself.  The rule sees one module: a
     private method reached from another module, or through ``getattr``,
     is outside it.
@@ -214,7 +217,10 @@ class SharedStateGuardRule(Rule):
         candidates = {
             item.name
             for item in methods
-            if item.name.startswith("_") and not item.name.endswith("__")
+            if item.name.startswith("_")
+            and not item.name.endswith("__")
+            and isinstance(item, ast.FunctionDef)
+            and not self._is_generator(item)
         }
         references: Dict[str, int] = {}
         for node in ast.walk(module.tree):
@@ -324,17 +330,34 @@ class SharedStateGuardRule(Rule):
             yield handler.body
 
     @staticmethod
+    def _is_generator(method: ast.FunctionDef) -> bool:
+        """Whether ``method``'s own body yields (a nested def's or
+        lambda's does not count)."""
+        stack: List[ast.AST] = list(method.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                return True
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+            ):
+                stack.extend(ast.iter_child_nodes(node))
+        return False
+
+    @staticmethod
     def _self_calls(stmt: ast.stmt) -> Iterator[str]:
         """Names of the ``self.<name>(...)`` calls ``stmt`` makes itself —
         not in its nested blocks (:meth:`_sub_blocks`), and not in a
-        lambda, which runs later."""
+        lambda or a generator expression, whose bodies run later."""
         stack: List[ast.AST] = []
         for field, value in ast.iter_fields(stmt):
             if field not in ("body", "orelse", "finalbody", "handlers"):
                 stack.extend(value if isinstance(value, list) else [value])
         while stack:
             node = stack.pop()
-            if not isinstance(node, ast.AST) or isinstance(node, ast.Lambda):
+            if not isinstance(node, ast.AST) or isinstance(
+                node, (ast.Lambda, ast.GeneratorExp)
+            ):
                 continue
             if isinstance(node, ast.Call) and _is_self_attr(node.func):
                 yield node.func.attr  # type: ignore[attr-defined]

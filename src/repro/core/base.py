@@ -54,7 +54,7 @@ from typing import (
 
 from repro.core.match import PartialMatch, reserve_arrivals
 from repro.core.queues import MatchQueue, QueuePolicy
-from repro.core.router import MinAliveRouter, RoutingStrategy
+from repro.core.router import MinAliveRouter, RoutingStrategy, SizingEntry
 from repro.core.server import ProbeMemo, RootBounds, Server, bound_rows
 from repro.core.stats import ExecutionStats
 from repro.core.topk import TopKAnswer, TopKSet, bound_factor
@@ -72,7 +72,7 @@ from repro.faults.supervisor import FailureAction, RetryPolicy, Supervisor
 from repro.query.pattern import TreePattern
 from repro.recovery.codec import encode_engine_state, restore_engine_state
 from repro.relax.plan import compile_plan
-from repro.scoring.model import MatchQuality, ScoreModel
+from repro.scoring.model import ScoreModel
 from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import XMLNode
@@ -171,12 +171,6 @@ class TopKResult:
 #: position, root node, its row of the bound table).
 SeedEntry = Tuple[float, int, XMLNode, RootBounds]
 
-#: One server the size-based router may send a match to
-#: (:meth:`EngineBase.sizing`): (node id, exact contribution, relaxed
-#: contribution, the most the *other* unvisited servers can add after it,
-#: minus its maximum contribution — the tie-break).
-SizingEntry = Tuple[int, float, float, float, float]
-
 
 class CandidateRoots:
     """The query root's candidate nodes, in document order, each with its
@@ -270,7 +264,6 @@ class EngineBase:
                 join_algorithm=join_algorithm,
                 injector=self.fault_injector,
                 probe_memo=probe_memos[node_id] if probe_memos is not None else None,
-                root_tag=pattern.root.tag,
             )
             self.servers[node_id] = server
 
@@ -298,8 +291,9 @@ class EngineBase:
         #: visited -> the unvisited servers' ids in ``server_ids`` order,
         #: filled as the run meets new visited sets (at most 2^servers).
         self.bound_table: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-        #: visited -> what the size-based router sizes (:meth:`sizing`),
-        #: filled alike.
+        #: visited -> the size-based router's entries for it, filled by
+        #: :meth:`~repro.core.router.MinAliveRouter.choose` and kept for the
+        #: run.
         self.sizing_table: Dict[FrozenSet[int], Tuple[SizingEntry, ...]] = {}
         threshold_source = "all" if relaxed else "complete"
         self.topk = TopKSet(
@@ -474,30 +468,6 @@ class EngineBase:
                 node_id for node_id in self.server_ids if node_id not in visited
             )
         return unvisited
-
-    def sizing(self, visited: FrozenSet[int]) -> Tuple[SizingEntry, ...]:
-        """One :data:`SizingEntry` per server a match that has been through
-        ``visited`` has still to visit, in ``server_ids`` order — what the
-        size-based router sizes them by.  The unvisited servers' maxima
-        are summed once per visited set, in that order, and the entries
-        kept for the run (at most 2^servers of them)."""
-        entries = self.sizing_table.get(visited)
-        if entries is None:
-            unvisited = self.unvisited(visited)
-            maxima = self.max_contributions
-            contribution = self.score_model.contribution
-            total = sum(maxima[node_id] for node_id in unvisited)
-            entries = self.sizing_table[visited] = tuple(
-                (
-                    node_id,
-                    contribution(node_id, MatchQuality.EXACT),
-                    contribution(node_id, MatchQuality.RELAXED),
-                    total - maxima[node_id],
-                    -maxima[node_id],
-                )
-                for node_id in unvisited
-            )
-        return entries
 
     def root_row(self, root_dewey: Dewey) -> RootBounds:
         """The root's row of the bound table.  A run without the Engine's

@@ -27,11 +27,19 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, 
 
 from repro.core.match import PartialMatch
 from repro.errors import EngineError
+from repro.scoring.model import MatchQuality
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
     from repro.core.base import EngineBase
     from repro.core.server import Fanouts
     from repro.xmldb.summary import PathSummary
+
+
+#: One server the size-based router may send a match to
+#: (:meth:`MinAliveRouter.sizing`): (node id, exact contribution, relaxed
+#: contribution, the most the *other* unvisited servers can add after it,
+#: minus its maximum contribution — the tie-break).
+SizingEntry = Tuple[int, float, float, float, float]
 
 
 def _complete(match: PartialMatch) -> EngineError:
@@ -49,8 +57,8 @@ class RoutingStrategy:
         ``engine`` exposes ``servers`` (node id → Server), ``server_ids``
         (sorted), ``max_contributions`` (node id → float), ``unvisited``
         (visited set → unvisited server ids), ``bounds_for`` (match → its
-        root's row of the bound table), ``sizing`` (visited set → one
-        :data:`~repro.core.base.SizingEntry` per unvisited server) and
+        root's row of the bound table), ``sizing_table`` (the size-based
+        router's per-run entries, :meth:`MinAliveRouter.sizing`) and
         ``topk`` (the run's :class:`~repro.core.topk.TopKSet`).
         """
         raise NotImplementedError
@@ -122,10 +130,10 @@ class MinAliveRouter(RoutingStrategy):
     - whether each class of extension would survive the current top-k
       threshold, judged by its upper bound after visiting ``S``.
 
-    All candidates are sized in one loop over the run's
-    :meth:`~repro.core.base.EngineBase.sizing` entries for the match's
-    visited set, which hold each server's gains and what the other
-    unvisited servers can still add, summed once per visited set.
+    All candidates are sized in one loop over the :meth:`sizing` entries
+    for the match's visited set, which hold each server's gains and what
+    the other unvisited servers can still add, summed once per visited
+    set.
 
     The threshold moves during execution, so the same match can be routed
     differently at different times — the adaptivity the paper's Section
@@ -136,7 +144,9 @@ class MinAliveRouter(RoutingStrategy):
     name = "min_alive_partial_matches"
 
     def choose(self, match: PartialMatch, engine: "EngineBase") -> int:
-        candidates = engine.sizing(match.visited)
+        candidates = engine.sizing_table.get(match.visited)
+        if candidates is None:
+            candidates = self.sizing(match.visited, engine)
         if len(candidates) <= 1:
             if not candidates:
                 raise _complete(match)
@@ -168,6 +178,29 @@ class MinAliveRouter(RoutingStrategy):
                 best_key = key
                 best_id = node_id
         return best_id
+
+    @staticmethod
+    def sizing(visited: FrozenSet[int], engine: "EngineBase") -> Tuple[SizingEntry, ...]:
+        """One :data:`SizingEntry` per server a match that has been through
+        ``visited`` has still to visit, in ``server_ids`` order.  The
+        unvisited servers' maxima are summed once per visited set, in that
+        order, and the entries kept in the run's ``sizing_table`` (at most
+        2^servers of them)."""
+        unvisited = engine.unvisited(visited)
+        maxima = engine.max_contributions
+        contribution = engine.score_model.contribution
+        total = sum(maxima[node_id] for node_id in unvisited)
+        entries = engine.sizing_table[visited] = tuple(
+            (
+                node_id,
+                contribution(node_id, MatchQuality.EXACT),
+                contribution(node_id, MatchQuality.RELAXED),
+                total - maxima[node_id],
+                -maxima[node_id],
+            )
+            for node_id in unvisited
+        )
+        return entries
 
     def fanouts(self, match: PartialMatch, engine: "EngineBase") -> Mapping[int, "Fanouts"]:
         """Per server, the extensions a match expects to spawn there: its

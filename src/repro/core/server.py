@@ -323,9 +323,6 @@ class Server:
     performed, which the ``join_algorithms`` artifact measures — the comparison
     the paper explicitly skips ("since we are not comparing join algorithm
     performance").
-
-    ``root_tag`` (or :meth:`set_root_tag`) names the query root's tag,
-    which :meth:`routing_estimates` scans.
     """
 
     JOIN_ALGORITHMS = ("index", "scan")
@@ -340,7 +337,6 @@ class Server:
         *,
         injector: Optional["FaultInjector"] = None,
         probe_memo: Optional[ProbeMemo] = None,
-        root_tag: Optional[str] = None,
     ) -> None:
         if join_algorithm not in self.JOIN_ALGORITHMS:
             raise ValueError(
@@ -353,7 +349,7 @@ class Server:
         self.relaxed = relaxed
         self.join_algorithm = join_algorithm
         self.injector = injector
-        self._root_tag = root_tag
+        self._root_tag: Optional[str] = None
         # Whirlpool-M probes from every server thread, so the per-run
         # cached state below is read and written under this lock.
         self._cache_lock = threading.Lock()
@@ -496,9 +492,7 @@ class Server:
             return cached
         root_tag = self._root_tag
         if root_tag is None:
-            raise RuntimeError(
-                "routing_estimates() needs the root tag: root_tag= or set_root_tag()"
-            )
+            raise RuntimeError("set_root_tag() must be called before routing_estimates()")
 
         anchors = self.index[root_tag].all()
         if not anchors:

@@ -67,12 +67,16 @@ class TestRuleFixtures:
         # A private method counts as guarded when every reference to it is
         # a self-call at a guarded position; one stray reference — a call
         # outside the guard, a bound method passed on, a call from its own
-        # body only — and its writes are checked like any method's.
+        # body only, a call deferred into a generator expression — or a
+        # body that is itself a generator, and its writes are checked like
+        # any method's.
         findings = lint_paths([FIXTURES / "guarded_helper.py"])
         assert codes_and_lines(findings) == [
-            ("WPL001", 39),  # _leak: also called outside `with self._lock`
-            ("WPL001", 46),  # _escape: passed on, not called under the lock
-            ("WPL001", 49),  # _spin: no guarded caller but itself
+            ("WPL001", 43),  # _leak: also called outside `with self._lock`
+            ("WPL001", 50),  # _escape: passed on, not called under the lock
+            ("WPL001", 53),  # _spin: no guarded caller but itself
+            ("WPL001", 68),  # _lazy: called only from a generator expression
+            ("WPL001", 75),  # _later: a generator, its body runs later
         ]
 
     def test_no_bare_thread_fires(self):
