@@ -22,7 +22,10 @@ that for two fixed queries so the trajectory gate
   installs its tracing locks, around a fresh Engine and two runs (the
   first warms its probe memos; the second is counted).  Whirlpool-S is
   one thread, so it declares its state unshared and takes no lock (0);
-  the probe memos, which runs share, take theirs on a miss only.
+  the probe memos, which runs share, take theirs on a miss only;
+- ``frames_per_operation`` — Python calls into ``repro`` per server
+  operation of a warmed run, counted with :func:`sys.setprofile`: what
+  the loop pays in wrapper layers (the same on every supported Python).
 
 All are counted from outside for the duration of one run, so they are
 deterministic and nothing in the engines knows it is being counted.
@@ -31,6 +34,8 @@ deterministic and nothing in the engines knows it is being counted.
 from __future__ import annotations
 
 import contextlib
+import os
+import sys
 import threading
 import types
 from typing import Any, Dict, Iterator, List, Sequence
@@ -86,6 +91,7 @@ def run_counts(query: str, k: int) -> Dict[str, int]:
             recorded[name][0] * built for name, built in recorders.items()
         ),
         "lock_rounds": lock_rounds(query, k),
+        "frames_per_operation": frames_per_operation(query, k),
     }
 
 
@@ -138,6 +144,33 @@ def lock_rounds(query: str, k: int) -> int:
         count[0] = 0
         engine.run(k)
     return count[0]
+
+
+#: Comprehension frames Python 3.12 no longer makes (PEP 709).
+_INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def frames_per_operation(query: str, k: int) -> float:
+    """Python frames entered in the ``repro`` package, less the
+    :data:`_INLINED` comprehensions, per server operation of a warmed
+    Whirlpool-S run of ``query`` over the bench document (2 decimals)."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+    count = [0]
+
+    def profile(frame: types.FrameType, event: str, arg: Any) -> None:
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(package) and code.co_name not in _INLINED:
+                count[0] += 1
+
+    engine = Engine(get_database(), QUERIES[query], normalization=DEFAULTS["scoring"])
+    engine.run(k)  # fills the probe memos
+    sys.setprofile(profile)
+    try:
+        result = engine.run(k)
+    finally:
+        sys.setprofile(None)
+    return round(count[0] / result.stats.server_operations, 2)
 
 
 def hot_path_work(queries: Sequence[str] = ("Q2", "Q3"), k: int = 15) -> Dict[str, Any]:

@@ -141,8 +141,7 @@ def simulate(
     costs = cost_model if cost_model is not None else CostModel()
     run.stats.start_clock()
     queues = run.make_queues()
-    for match in run.start_matches():
-        run.put_or_abandon(queues[ROUTER], "queue:router", match)
+    run.put_or_abandon(queues[ROUTER], "queue:router", run.start_matches())
 
     clock = 0.0
     busy_time = 0.0
@@ -204,8 +203,7 @@ def simulate(
         if free is not None:
             free += 1
         target, output = run.step(thread, match)
-        for produced in output:
-            run.put_or_abandon(queues[target], f"queue:{thread_label(target)}", produced)
+        run.put_or_abandon(queues[target], f"queue:{thread_label(target)}", output)
         mark_ready(target)
         # The finishing thread may have more queued work.
         mark_ready(thread)

@@ -45,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -196,6 +197,10 @@ class EngineBase:
     """Common state and helpers for the four evaluation algorithms."""
 
     algorithm = "abstract"
+    #: Whether the run prunes against the top-k set: every engine but
+    #: LockStep-NoPrun, which keeps every extension and shows none of them
+    #: to an observer.
+    prune = True
 
     def __init__(
         self,
@@ -451,9 +456,10 @@ class EngineBase:
         budget_exit: bool = False,
     ) -> None:
         """The checkpoint rule, applied at a quiesce point: with a policy,
-        snapshot at a budget exit or once the interval has passed.  Every
-        engine calls this once per quiesce point; with no policy it costs
-        one attribute test."""
+        snapshot at a budget exit or once the interval has passed.  An
+        engine calls this at each quiesce point of a run that
+        :meth:`watches_budget`; with no policy it costs one attribute
+        test."""
         if self.checkpoint_policy is not None and (budget_exit or self.checkpoint_due()):
             self.checkpoint(queues, loose)
 
@@ -744,21 +750,34 @@ class EngineBase:
         spent on it; a pruned match is counted and shown to the observer."""
         if self.topk.is_pruned(match):
             self.stats.record_pruned()
-            self.notify_prune(match)
+            if self.observer is not None:
+                self.notify_prune(match)
             return False
         return True
 
-    def serve(self, server_id: int, match: PartialMatch) -> List[PartialMatch]:
+    def serve(
+        self, server_id: int, match: PartialMatch, can_requeue: bool = True
+    ) -> List[PartialMatch]:
         """One supervised server operation on an admitted match; returns
         what goes back to the router: the match itself when recovery
         requeues it, nothing when it is abandoned (the supervisor holds
-        its bound), else the absorbed extensions that must continue."""
-        extensions, outcome = self.process_with_recovery(server_id, match)
-        if outcome == "requeue":
-            return [match]
-        if extensions is None:
-            return []
-        return self.absorb_extensions(extensions, parent=match)
+        its bound), else the absorbed extensions that must continue.
+        Only a failure enters :meth:`escalate`; ``can_requeue=False`` (a
+        fixed server order: LockStep) leaves it retry-or-abandon."""
+        try:
+            extensions = self.servers[server_id].process(match, self.stats)
+        except EngineCrashError:
+            # A crash is not a supervisable failure: the run is dead and
+            # only a checkpoint restore brings the work back.
+            raise
+        except Exception as exc:  # noqa: B902 — supervision boundary
+            extensions = self.escalate(server_id, match, exc, can_requeue)
+            if extensions is None:  # requeued, with this server excluded
+                return [match]
+        prune = self.prune
+        return self.absorb_extensions(
+            extensions, parent=match if prune else None, prune=prune
+        )
 
     def notify_route(self, match: PartialMatch, server_id: int) -> None:
         """Observer hook for a routing decision."""
@@ -886,7 +905,9 @@ class EngineBase:
             except InjectedFaultError as exc:
                 self.supervisor.record_component_error("router", exc)
                 fallback = True
-        unvisited: Sequence[int] = self.unvisited(match.visited)
+        unvisited: Optional[Sequence[int]] = self.bound_table.get(match.visited)
+        if unvisited is None:  # :meth:`unvisited`, read in place
+            unvisited = self.unvisited(match.visited)
         if not unvisited:
             raise EngineError(
                 f"match {match.match_id} is complete; it should not be routed"
@@ -902,55 +923,55 @@ class EngineBase:
             if choice not in allowed:
                 choice = allowed[0]
         self.stats.record_routing_decision()
-        self.notify_route(match, choice)
+        if self.observer is not None:
+            self.notify_route(match, choice)
         return choice
 
-    def process_with_recovery(
+    def escalate(
         self,
         server_id: int,
         match: PartialMatch,
-        can_requeue: bool = True,
-    ) -> Tuple[Optional[List[PartialMatch]], str]:
-        """One server operation under the supervisor's escalation ladder.
-
-        Returns ``(extensions, "ok")`` on success; ``(None, "requeue")``
-        when the match should go back through the router with this server
-        excluded; ``(None, "abandoned")`` when recovery is exhausted (the
-        supervisor recorded the loss, feeding the result certificate).
-        """
+        error: Exception,
+        can_requeue: bool,
+    ) -> Optional[List[PartialMatch]]:
+        """The supervisor's escalation ladder for a server operation that
+        failed with ``error``: retry (after the backoff) while it allows,
+        then requeue or abandon.  Returns a successful retry's extensions,
+        ``None`` to requeue the match, or no extensions when recovery is
+        exhausted (the supervisor recorded the loss, feeding the result
+        certificate)."""
         server = self.servers[server_id]
         supervisor = self.supervisor
         while True:
+            alternatives = can_requeue and len(self.unvisited(match.visited)) > 1
+            action = supervisor.on_error(match, server_id, error, alternatives)
+            if action is FailureAction.REQUEUE:
+                return None
+            if action is not FailureAction.RETRY:
+                return []
+            supervisor.backoff(
+                match.match_id, server_id, max_seconds=self.remaining_deadline()
+            )
             try:
-                return server.process(match, self.stats), "ok"
+                return server.process(match, self.stats)
             except EngineCrashError:
-                # A crash is not a supervisable failure: the run is dead
-                # and only a checkpoint restore brings the work back.
                 raise
             except Exception as exc:  # noqa: B902 — supervision boundary
-                alternatives = can_requeue and len(self.unvisited(match.visited)) > 1
-                action = supervisor.on_error(match, server_id, exc, alternatives)
-                if action is FailureAction.RETRY:
-                    supervisor.backoff(
-                        match.match_id,
-                        server_id,
-                        max_seconds=self.remaining_deadline(),
-                    )
-                    continue
-                if action is FailureAction.REQUEUE:
-                    return None, "requeue"
-                return None, "abandoned"
+                error = exc
 
-    def put_or_abandon(self, queue: MatchQueue, label: str, match: PartialMatch) -> bool:
-        """Enqueue; on an (injected) put error, record the loss and move on."""
-        try:
-            queue.put(match)
-            return True
-        except EngineCrashError:
-            raise
-        except Exception as exc:
-            self.supervisor.record_abandoned(match, label, exc)
-            return False
+    def put_or_abandon(
+        self, queue: MatchQueue, label: str, matches: Iterable[PartialMatch]
+    ) -> None:
+        """Enqueue each of ``matches``, in order; on an (injected) put
+        error, record that match's loss and move on."""
+        put = queue.put
+        for match in matches:
+            try:
+                put(match)
+            except EngineCrashError:
+                raise
+            except Exception as exc:
+                self.supervisor.record_abandoned(match, label, exc)
 
     def remaining_deadline(self) -> Optional[float]:
         """Seconds left on this run's wall-clock budget (``None`` = unbounded).
@@ -961,6 +982,16 @@ class EngineBase:
         if self.deadline_seconds is None:
             return None
         return max(self.deadline_seconds - self.stats.elapsed_seconds(), 0.0)
+
+    def watches_budget(self) -> bool:
+        """Whether the quiesce points have anything to check: an operation
+        budget, a deadline or a checkpoint policy.  Nothing sets one during
+        a run (a cluster worker sets its step's between runs)."""
+        return (
+            self.max_operations is not None
+            or self.deadline_seconds is not None
+            or self.checkpoint_policy is not None
+        )
 
     def budget_exhausted(self) -> bool:
         """True once the operation budget or the deadline has expired."""

@@ -16,10 +16,9 @@ the other engines are tested against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.base import EngineBase, TopKResult
-from repro.core.match import PartialMatch
 from repro.errors import EngineError, InjectedFaultError
 
 
@@ -27,7 +26,6 @@ class LockStep(EngineBase):
     """All matches pass through one server before the next is considered."""
 
     algorithm = "lockstep"
-    prune = True
 
     def __init__(self, *args, order: Optional[Sequence[int]] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -50,36 +48,36 @@ class LockStep(EngineBase):
         degraded = False
         pending_bound = 0.0
         snapshots: Dict[str, int] = {}
+        watched = self.watches_budget()
         for server_id in self.order:
             label = f"queue:server:{server_id}"
             # Within the server, matches are consumed in priority-queue
             # order (Section 6.1.3; max-final-score by default).
             queue = self.make_server_queue(server_id)
             labelled = {f"server:{server_id}": queue}
-            survivors: List[PartialMatch] = []
-            for match in matches:
-                if server_id in match.visited:
-                    # Restored matches may have been through this server
-                    # already in their original run; carry them forward.
-                    survivors.append(match)
-                else:
-                    self.put_or_abandon(queue, label, match)
+            # Restored matches may have been through this server already
+            # in their original run; they are carried forward.
+            survivors = [match for match in matches if server_id in match.visited]
+            self.put_or_abandon(
+                queue, label, [match for match in matches if server_id not in match.visited]
+            )
             out_of_budget = False
             while True:
-                exhausted = self.budget_exhausted()
-                self.maybe_checkpoint(labelled, survivors, budget_exit=exhausted)
-                if exhausted:
-                    # Budget hit mid-server: everything still queued (plus
-                    # the survivors already spawned) is unreported work,
-                    # parked for a caller that raises the budget.  Nothing
-                    # left is parked too: the next run() must finish this
-                    # run, not seed a new one.
-                    snapshots[f"server:{server_id}"] = len(queue)
-                    leftovers = queue.drain() + survivors
-                    degraded = bool(leftovers)
-                    pending_bound = self.park(leftovers)
-                    out_of_budget = True
-                    break
+                if watched:
+                    exhausted = self.budget_exhausted()
+                    self.maybe_checkpoint(labelled, survivors, budget_exit=exhausted)
+                    if exhausted:
+                        # Budget hit mid-server: everything still queued
+                        # (plus the survivors already spawned) is
+                        # unreported work, parked for a caller that raises
+                        # the budget.  Nothing left is parked too: the next
+                        # run() must finish this run, not seed a new one.
+                        snapshots[f"server:{server_id}"] = len(queue)
+                        leftovers = queue.drain() + survivors
+                        degraded = bool(leftovers)
+                        pending_bound = self.park(leftovers)
+                        out_of_budget = True
+                        break
                 try:
                     match = queue.get_nowait()
                 except InjectedFaultError as exc:
@@ -89,24 +87,14 @@ class LockStep(EngineBase):
                     break
                 if self.prune and not self.admit(match):
                     continue
-                self.notify_route(match, server_id)
+                if self.observer is not None:
+                    self.notify_route(match, server_id)
                 # Lock-step visits servers in a fixed order, so there is
                 # no router to requeue through — recovery is retry-or-
-                # abandon.
-                extensions, _ = self.process_with_recovery(
-                    server_id, match, can_requeue=False
-                )
-                if extensions is None:  # abandoned; supervisor holds the bound
-                    continue
-                # NoPrun keeps every extension, and has never reported them
-                # to an observer.
-                survivors.extend(
-                    self.absorb_extensions(
-                        extensions,
-                        parent=match if self.prune else None,
-                        prune=self.prune,
-                    )
-                )
+                # abandon (an abandoned match leaves nothing; the
+                # supervisor holds its bound).  NoPrun keeps every
+                # extension, and reports none of them to an observer.
+                survivors.extend(self.serve(server_id, match, can_requeue=False))
             if out_of_budget:
                 break
             matches = survivors

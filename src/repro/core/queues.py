@@ -46,8 +46,9 @@ def _heap_key(
     policy: QueuePolicy,
     server_id: Optional[int],
     max_contributions: Optional[Dict[int, float]],
-) -> Callable[[PartialMatch], float]:
-    """The min-heap key of ``policy``, picked once per queue."""
+) -> Optional[Callable[[PartialMatch], float]]:
+    """The min-heap key of ``policy``, picked once per queue (``None``:
+    ``put`` computes ``-upper_bound`` in place)."""
     if policy is QueuePolicy.FIFO:
         return lambda match: float(match.arrival)
     if policy is QueuePolicy.CURRENT_SCORE:
@@ -57,7 +58,7 @@ def _heap_key(
             raise ValueError("MAX_NEXT_SCORE requires server_id and max_contributions")
         node_id, table = server_id, max_contributions  # narrowed for the lambda
         return lambda match: -match.max_next_score(node_id, table)
-    return lambda match: -match.upper_bound
+    return None
 
 
 class MatchQueue:
@@ -138,7 +139,8 @@ class MatchQueue:
             if self._on_drop is not None:
                 self._on_drop(match)
             return
-        entry = (self._key(match), match.arrival, match)
+        key = self._key
+        entry = (-match.upper_bound if key is None else key(match), match.arrival, match)
         if self._lock is None:
             heapq.heappush(self._heap, entry)
             depth = len(self._heap)

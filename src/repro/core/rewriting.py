@@ -119,11 +119,12 @@ class RewritingEngine:
             # matcher did one "server operation" worth of work per node of
             # the relaxed query for accounting purposes.
             self.stats.record_server_operation(
-                -1, comparisons=max(len(embeddings), 1) * relaxed.size()
+                -1,
+                comparisons=max(len(embeddings), 1) * relaxed.size(),
+                created=len(embeddings),
             )
             for embedding in embeddings:
                 match = self._score_embedding(relaxed, embedding, mapping)
-                self.stats.record_created()
                 topk.observe(match, complete=True)
                 self.stats.record_completed()
 

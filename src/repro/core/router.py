@@ -205,8 +205,12 @@ class MinAliveRouter(RoutingStrategy):
     def fanouts(self, match: PartialMatch, engine: "EngineBase") -> Mapping[int, "Fanouts"]:
         """Per server, the extensions a match expects to spawn there: its
         root's exact probe counts, from its row of the bound table (read
-        without the probe memo's lock)."""
-        return engine.bounds_for(match).fanouts
+        without the probe memo's lock) — the one its seed handed down, read
+        in place."""
+        bounds = match.root_bounds
+        if bounds is None:
+            bounds = engine.bounds_for(match)
+        return bounds.fanouts
 
 
 class EstimatedMinAliveRouter(MinAliveRouter):

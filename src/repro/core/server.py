@@ -81,8 +81,9 @@ class ProbeMemo:
     refill and clear on every run.
 
     Runs and service threads share a memo, so :meth:`put` (a clear at the
-    cap, then a store) takes the lock.  :meth:`get` does not: it is one
-    ``dict.get`` keyed by a Dewey tuple of ints, whose hashing and
+    cap, then a store) takes the lock.  :attr:`get` does not: it is the
+    entries dict's own ``get`` (``put`` clears that dict in place and
+    never rebinds it), keyed by a Dewey tuple of ints, whose hashing and
     comparison run no Python code, so the interpreter lock is held
     throughout and no other thread gets in halfway — it sees an entry a
     put stored whole, or no entry.  A miss
@@ -90,17 +91,14 @@ class ProbeMemo:
     entry (entries are pure functions of the root image).
     """
 
-    __slots__ = ("_lock", "_entries", "_capacity")
+    __slots__ = ("_lock", "_entries", "_capacity", "get")
 
     def __init__(self, capacity: int = PROBE_MEMO_CAP) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[Dewey, ProbeEntry] = {}
         self._capacity = capacity
-
-    def get(self, root_dewey: Dewey) -> Optional[ProbeEntry]:
-        """The memoized probe for ``root_dewey``, if any (no lock: class
-        docstring)."""
-        return self._entries.get(root_dewey)
+        #: ``get(root_dewey)``: the memoized probe, or ``None`` (no lock).
+        self.get = self._entries.get
 
     def put(self, root_dewey: Dewey, entry: ProbeEntry) -> None:
         """Store one probe, clearing wholesale first when at the cap."""
@@ -408,7 +406,11 @@ class Server:
 
         spec = self.spec
         root_dewey = match.root_node.dewey
-        survivors, comparisons, _ = self._probe_shared(root_dewey)
+        # The memo, read in place: only a miss calls :meth:`_probe_shared`.
+        entry = self._probe_memo.get(root_dewey)
+        if entry is None:
+            entry = self._probe_shared(root_dewey)
+        survivors, comparisons, _ = entry
 
         # Every sibling of this operation has visited the same servers:
         # build the set once and hand the same object to all of them
@@ -461,8 +463,7 @@ class Server:
                 stats.record_deleted_extension()
 
         if stats is not None:
-            stats.record_server_operation(node_id, comparisons)
-            stats.record_created(len(extensions))
+            stats.record_server_operation(node_id, comparisons, len(extensions))
         return extensions
 
     # -- estimates for the router -----------------------------------------------------

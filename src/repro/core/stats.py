@@ -107,22 +107,30 @@ class ExecutionStats:
     # built single-threaded (``self._lock is None`` — the branch WPL001
     # reads as the declared unshared path), under the lock otherwise.
 
-    def record_server_operation(self, server_id: int, comparisons: int) -> None:
-        """One partial match processed at one server."""
+    def record_server_operation(
+        self, server_id: int, comparisons: int, created: int
+    ) -> None:
+        """One partial match processed at one server, which paid
+        ``comparisons`` and spawned ``created`` extensions (counted as
+        :meth:`record_created` counts them)."""
         per_server = self.per_server_operations
         if self._lock is None:
             self.server_operations += 1
             self.join_comparisons += comparisons
             per_server[server_id] = per_server.get(server_id, 0) + 1
+            self.partial_matches_created += created
+            self.extensions_generated += created
         else:
             with self._lock:
                 self.server_operations += 1
                 self.join_comparisons += comparisons
                 per_server[server_id] = per_server.get(server_id, 0) + 1
+                self.partial_matches_created += created
+                self.extensions_generated += created
 
     def record_created(self, count: int = 1) -> None:
-        """New partial matches spawned (extensions, or root seeds — all of
-        a run's, when it starts)."""
+        """New partial matches spawned outside a server operation: root
+        seeds — all of a run's, when it starts."""
         if self._lock is None:
             self.partial_matches_created += count
             self.extensions_generated += count

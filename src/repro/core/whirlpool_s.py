@@ -62,8 +62,7 @@ class WhirlpoolS(EngineBase):
         if restored is None:
             self.open_roots()
             restored = []
-        for match in restored:
-            self.put_or_abandon(router_queue, "queue:router", match)
+        self.put_or_abandon(router_queue, "queue:router", restored)
         order: List[SeedEntry] = []
         seeded = 0
         if self.seeded is not None:  # None: every root was seeded up front
@@ -76,21 +75,24 @@ class WhirlpoolS(EngineBase):
         pending_bound = 0.0
         snapshots = {"router": 0}
         labelled = {"router": router_queue}
+        watched = self.watches_budget()
         while True:
-            exhausted = self.budget_exhausted()
-            self.maybe_checkpoint(labelled, budget_exit=exhausted)
-            if exhausted:
-                # Deadline / operation budget hit: whatever is still queued
-                # or unseeded becomes the anytime certificate — no
-                # unreported answer can beat the best bound among them —
-                # and is parked, so a caller that raises the budget
-                # continues this run.  An empty queue is parked too: the
-                # next run() must finish this run, not seed a new one.
-                snapshots["router"] = len(router_queue)
-                leftovers = router_queue.drain()
-                degraded = bool(leftovers) or seeded < total
-                pending_bound = self.park(leftovers)
-                break
+            if watched:
+                exhausted = self.budget_exhausted()
+                self.maybe_checkpoint(labelled, budget_exit=exhausted)
+                if exhausted:
+                    # Deadline / operation budget hit: whatever is still
+                    # queued or unseeded becomes the anytime certificate —
+                    # no unreported answer can beat the best bound among
+                    # them — and is parked, so a caller that raises the
+                    # budget continues this run.  An empty queue is parked
+                    # too: the next run() must finish this run, not seed a
+                    # new one.
+                    snapshots["router"] = len(router_queue)
+                    leftovers = router_queue.drain()
+                    degraded = bool(leftovers) or seeded < total
+                    pending_bound = self.park(leftovers)
+                    break
             match = None
             if seeded < total:
                 root = order[seeded]
@@ -117,10 +119,14 @@ class WhirlpoolS(EngineBase):
                     # Tuples are taken in bound order and both levels only
                     # rise, so the shared-level test closes every tuple
                     # still queued and every root not seeded: each is
-                    # pruned as its pop would have been.
-                    closed = router_queue.drain()
-                    self.stats.record_pruned(len(closed) + total - seeded)
-                    if self.observer is not None:
+                    # pruned as its pop would have been.  Only an observer
+                    # needs them one by one, in pop order; else they are
+                    # counted and left to go with the queue.
+                    if self.observer is None:
+                        self.stats.record_pruned(len(router_queue) + total - seeded)
+                    else:
+                        closed = router_queue.drain()
+                        self.stats.record_pruned(len(closed) + total - seeded)
                         for pruned in closed:
                             self.notify_prune(pruned)
                     break
@@ -128,8 +134,9 @@ class WhirlpoolS(EngineBase):
             server_id = self.choose_server(match)
             if server_id is None:  # dropped in routing; bound recorded
                 continue
-            for survivor in self.serve(server_id, match):
-                self.put_or_abandon(router_queue, "queue:router", survivor)
+            survivors = self.serve(server_id, match)
+            if survivors:
+                self.put_or_abandon(router_queue, "queue:router", survivors)
 
         self.stats.stop_clock()
         return self.make_result(

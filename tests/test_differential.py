@@ -25,6 +25,7 @@ from repro.bench.params import QUERIES
 from repro.cluster import Coordinator
 from repro.core.engine import Engine
 from repro.core.router import make_router
+from repro.core.trace import ExecutionTrace
 from repro.core.whirlpool_m import WhirlpoolM
 from repro.query.matcher import distinct_roots, find_matches
 from repro.query.pattern import Axis, PatternNode, TreePattern
@@ -33,7 +34,12 @@ from repro.scoring.model import MatchQuality
 from repro.xmldb.index import DatabaseIndex
 from repro.recovery.policy import CheckpointPolicy
 from repro.xmldb.model import Database, XMLNode
-from tests.conftest import assert_exact_or_certified, assert_same_topk, full_ranking
+from tests.conftest import (
+    assert_exact_or_certified,
+    assert_same_topk,
+    full_ranking,
+    run_fingerprint,
+)
 
 TAGS = ("r", "x", "y", "z")
 
@@ -306,6 +312,17 @@ class TestClosedTies:
         ranking = full_ranking(engine)
         ks = _ks_below_a_tie(ranking) or [len(ranking)]
         _judge_every_run(engine, ranking, ks[pick % len(ks)], budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_TIED_FORESTS, _TIED_QUERIES, st.integers(1, 8))
+    def test_a_trace_moves_no_answer_or_count(self, forest, query, k):
+        """Whirlpool-S's early stop clears the queue uncounted by pops when
+        nothing watches, and drains it for a trace's prune events: the
+        answers, ``partial_matches_pruned`` and every counter agree."""
+        engine = Engine(_tied_database(forest), query)
+        plain = engine.run(k)
+        traced = engine.run(k, observer=ExecutionTrace())
+        assert run_fingerprint(traced) == run_fingerprint(plain)
 
     @settings(max_examples=6, deadline=None)
     @given(_TIED_FORESTS, _TIED_QUERIES, st.integers(1, 8))

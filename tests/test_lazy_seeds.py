@@ -19,14 +19,16 @@ forest, Q1–Q3 at k = 3 / 15 / 75:
 """
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.bench.params import QUERIES
 from repro.bench.step_codec import fixed_forest
 from repro.core.engine import Engine
+from repro.core.queues import MatchQueue
 from repro.core.topk import certificate_breach, ranked
-from repro.core.trace import EngineObserver
+from repro.core.trace import EngineObserver, ExecutionTrace
 from repro.errors import RecoveryError
 from repro.recovery.policy import CheckpointPolicy
 from tests.conftest import full_ranking, run_fingerprint
@@ -88,6 +90,36 @@ CASES = [
     for query in QUERIES
     for k in K_VALUES
 ]
+
+
+def check_traced_equals_untraced(engine, k):
+    """Whirlpool-S's early stop counts the queue's closed tuples without
+    popping them when nothing watches, and drains them in pop order for an
+    observer's prune events: both give the same answers,
+    ``partial_matches_pruned`` and every other counter.  Returns how many
+    queued tuples the traced run's early stop drained."""
+    plain = engine.run(k)
+    drained = []
+    real_drain = MatchQueue.drain
+
+    def drain(queue):
+        matches = real_drain(queue)
+        drained.append(len(matches))
+        return matches
+
+    with mock.patch.object(MatchQueue, "drain", drain):
+        traced = engine.run(k, observer=ExecutionTrace())
+    assert run_fingerprint(traced) == run_fingerprint(plain)
+    assert outcome(traced) == outcome(plain)
+    return sum(drained)
+
+
+def test_fig10_cases_run_alike_with_and_without_a_trace(engines):
+    drained = sum(
+        check_traced_equals_untraced(engines[document, query], k)
+        for document, query, k in CASES
+    )
+    assert drained > 0  # some early stop found tuples queued
 
 
 @pytest.mark.parametrize("document,query,k", CASES)

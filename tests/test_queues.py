@@ -71,6 +71,33 @@ class TestPolicies:
         assert [queue.get_nowait() for _ in range(3)] == matches
 
 
+_BOUNDS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]) | st.floats(0.0, 4.0)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@given(ops=st.lists(st.none() | _BOUNDS, max_size=40))
+def test_max_final_score_pops_by_bound_then_arrival(shared, ops):
+    """A max-final-score queue computes its key (``-upper_bound``) in
+    ``put``: under any sequence of puts (a bound) and pops (``None``) it
+    hands out what a sort by ``(-upper_bound, arrival)`` of the queued
+    matches puts first — key ties, in arrival order."""
+    bounds = [bound for bound in ops if bound is not None]
+    matches = iter(_matches([(0.0, bound) for bound in bounds]))
+    queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE, shared=shared)
+    queued = []
+    for op in ops:
+        if op is None:
+            expected = min(queued, key=lambda m: (-m.upper_bound, m.arrival), default=None)
+            if expected is not None:
+                queued.remove(expected)
+            assert queue.get_nowait() is expected
+        else:
+            match = next(matches)
+            queue.put(match)
+            queued.append(match)
+    assert queue.drain() == sorted(queued, key=lambda m: (-m.upper_bound, m.arrival))
+
+
 class TestQueueMechanics:
     def test_get_nowait_empty(self):
         assert MatchQueue().get_nowait() is None
