@@ -16,6 +16,7 @@ from repro.bench.makespan import CostModel, simulate
 from repro.bench.motivating import sweep
 from repro.bench.obs_overhead import guard_overhead
 from repro.bench.params import QUERIES
+from repro.bench.step_codec import counted
 from repro.bench.workloads import get_engine
 from repro.biblio import BiblioConfig, generate_catalogs, reference_query
 from repro.core import (
@@ -372,16 +373,26 @@ def fault_overhead():
     }
 
 
-def checkpoint_guard_sites(open_run, baseline):
-    """Over-count of ``maybe_checkpoint`` guard executions in one run.
+#: The None tests one ``EngineBase.watches_budget`` call makes: the
+#: operation budget, the deadline and the checkpoint policy.
+WATCH_GUARDS = 3
 
-    The single-threaded engines test the guard once per loop pass —
-    bounded by routing decisions plus server operations — and Whirlpool-M
-    once per thread segment.  Counting both twice over-counts, which is
-    the right direction for an upper bound.
+
+def checkpoint_guard_sites(open_run, baseline):
+    """Checkpoint-guard executions of one run: the ``watches_budget`` calls
+    the same run makes, :data:`WATCH_GUARDS` each, plus its
+    ``maybe_checkpoint`` calls, counted on the run itself.
+
+    A single-threaded run reads ``watches_budget()`` once per ``run()``
+    call and, with no budget and no policy, never calls
+    ``maybe_checkpoint``; what its loop still tests per pass is a local
+    flag the operation budget needs as much as the policy does.
     """
-    stats = baseline.stats
-    return 2 * (stats.routing_decisions + stats.server_operations)
+    watches, checks = [0], [0]
+    run = open_run()
+    with counted(run, "watches_budget", watches), counted(run, "maybe_checkpoint", checks):
+        run.run()
+    return WATCH_GUARDS * watches[0] + checks[0]
 
 
 def _snapshot_profile(engine):

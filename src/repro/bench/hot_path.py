@@ -25,7 +25,10 @@ that for two fixed queries so the trajectory gate
   the probe memos, which runs share, take theirs on a miss only;
 - ``frames_per_operation`` — Python calls into ``repro`` per server
   operation of a warmed run, counted with :func:`sys.setprofile`: what
-  the loop pays in wrapper layers (the same on every supported Python).
+  the loop pays in wrapper layers (the same on every supported Python);
+- ``build_calls_per_probe`` — Python calls into ``repro`` while one
+  ``Engine`` is built, per (root, server) pair its sweep probes: what a
+  cold query pays per bound-table cell before its first run.
 
 All are counted from outside for the duration of one run, so they are
 deterministic and nothing in the engines knows it is being counted.
@@ -34,11 +37,12 @@ deterministic and nothing in the engines knows it is being counted.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import sys
 import threading
 import types
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 from unittest import mock
 
 from repro.bench.params import DEFAULTS, QUERIES
@@ -92,6 +96,7 @@ def run_counts(query: str, k: int) -> Dict[str, int]:
         ),
         "lock_rounds": lock_rounds(query, k),
         "frames_per_operation": frames_per_operation(query, k),
+        "build_calls_per_probe": build_calls_per_probe(query),
     }
 
 
@@ -150,10 +155,9 @@ def lock_rounds(query: str, k: int) -> int:
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 
-def frames_per_operation(query: str, k: int) -> float:
-    """Python frames entered in the ``repro`` package, less the
-    :data:`_INLINED` comprehensions, per server operation of a warmed
-    Whirlpool-S run of ``query`` over the bench document (2 decimals)."""
+def calls_into_repro(call: Callable[[], Any]) -> Tuple[Any, int]:
+    """``call()``'s result and the Python frames it entered in the
+    ``repro`` package, less the :data:`_INLINED` comprehensions."""
     package = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
     count = [0]
 
@@ -163,14 +167,35 @@ def frames_per_operation(query: str, k: int) -> float:
             if code.co_filename.startswith(package) and code.co_name not in _INLINED:
                 count[0] += 1
 
-    engine = Engine(get_database(), QUERIES[query], normalization=DEFAULTS["scoring"])
-    engine.run(k)  # fills the probe memos
     sys.setprofile(profile)
     try:
-        result = engine.run(k)
+        result = call()
     finally:
         sys.setprofile(None)
-    return round(count[0] / result.stats.server_operations, 2)
+    return result, count[0]
+
+
+def frames_per_operation(query: str, k: int) -> float:
+    """Python frames entered in the ``repro`` package (:func:`calls_into_repro`)
+    per server operation of a warmed Whirlpool-S run of ``query`` over the
+    bench document (2 decimals)."""
+    engine = Engine(get_database(), QUERIES[query], normalization=DEFAULTS["scoring"])
+    engine.run(k)  # fills the probe memos
+    result, calls = calls_into_repro(functools.partial(engine.run, k))
+    return round(calls / result.stats.server_operations, 2)
+
+
+def build_calls_per_probe(query: str) -> float:
+    """:func:`calls_into_repro` of one ``Engine`` build of ``query`` over
+    the bench document, per (root, server) pair it probes (2 decimals),
+    after a first build warms the process-wide compiled-predicate cache."""
+    build = functools.partial(
+        Engine, get_database(), QUERIES[query], normalization=DEFAULTS["scoring"]
+    )
+    build()
+    engine, calls = calls_into_repro(build)
+    roots = len(engine.index[engine.pattern.root.tag])
+    return round(calls / (roots * len(engine.pattern.non_root_nodes())), 2)
 
 
 def hot_path_work(queries: Sequence[str] = ("Q2", "Q3"), k: int = 15) -> Dict[str, Any]:

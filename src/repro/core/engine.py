@@ -108,7 +108,9 @@ class Engine:
     :data:`~repro.core.server.PROBE_MEMO_CAP`, when there are fewer) each.
     Building an Engine fills every ``"index"`` memo with every root image
     in one index sweep per server, so its first run probes nothing, and
-    builds :attr:`root_bounds` from the same sweep.  Memoized probes are
+    builds :attr:`root_bounds` from the same sweep: one plain loop per
+    server over roots and candidates, then one locked memo
+    :meth:`~repro.core.server.ProbeMemo.fill`.  Memoized probes are
     pure functions of (database, query), and ``ExecutionStats`` charge hits
     and misses alike.  A run built without the Engine (private memos, no
     table) builds each root's row from its own servers' probes as it seeds
@@ -148,10 +150,11 @@ class Engine:
         }
         root_tag = self.pattern.root.tag
         roots = self.index[root_tag].all()
+        anchors = [root.dewey for root in roots]
         specs = list(compile_plan(self.pattern, relaxed).servers.values())
         memos = self._probe_memos["index"]
         probes: Dict[int, List[ProbeEntry]] = {
-            spec.node_id: probe_every_root(spec, self.index, roots, memos[spec.node_id])
+            spec.node_id: probe_every_root(spec, self.index, anchors, memos[spec.node_id])
             for spec in specs
         }
 
@@ -189,10 +192,7 @@ class Engine:
         #: The bound table: root Dewey -> :class:`~repro.core.server.RootBounds`,
         #: every run's bound material (:meth:`EngineBase.bound_entry`).
         self.root_bounds: Dict[Dewey, RootBounds] = dict(
-            zip(
-                (root.dewey for root in roots),
-                bound_rows(len(roots), probes, self.score_model, relaxed),
-            )
+            zip(anchors, bound_rows(len(roots), probes, self.score_model, relaxed))
         )
         #: The candidate roots (:class:`~repro.core.base.CandidateRoots`):
         #: each root the query's root predicate admits, with its row, in

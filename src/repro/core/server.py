@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, S
 
 from repro.core.match import PartialMatch
 from repro.core.stats import ExecutionStats
+from repro.query.pattern import value_test
 from repro.query.predicates import AxisTest, compiled_axis_test
 from repro.relax.plan import ServerPredicates
 from repro.scoring.model import MatchQuality, ScoreModel
@@ -80,13 +81,13 @@ class ProbeMemo:
     root images (at least :data:`PROBE_MEMO_CAP`): a smaller memo would
     refill and clear on every run.
 
-    Runs and service threads share a memo, so :meth:`put` (a clear at the
-    cap, then a store) takes the lock.  :attr:`get` does not: it is the
-    entries dict's own ``get`` (``put`` clears that dict in place and
-    never rebinds it), keyed by a Dewey tuple of ints, whose hashing and
-    comparison run no Python code, so the interpreter lock is held
-    throughout and no other thread gets in halfway — it sees an entry a
-    put stored whole, or no entry.  A miss
+    Runs and service threads share a memo, so :meth:`fill` (per entry, a
+    clear at the cap, then a store) takes the lock, once per call.
+    :attr:`get` does not: it is the entries dict's own ``get`` (a fill
+    clears that dict in place and never rebinds it), keyed by a Dewey
+    tuple of ints, whose hashing and comparison run no Python code, so
+    the interpreter lock is held throughout and no other thread gets in
+    halfway — it sees an entry a fill stored whole, or no entry.  A miss
     during a racing clear costs one probe, which recomputes an equal
     entry (entries are pure functions of the root image).
     """
@@ -101,11 +102,18 @@ class ProbeMemo:
         self.get = self._entries.get
 
     def put(self, root_dewey: Dewey, entry: ProbeEntry) -> None:
-        """Store one probe, clearing wholesale first when at the cap."""
+        """Store one probe: a :meth:`fill` of one."""
+        self.fill((root_dewey,), (entry,))
+
+    def fill(self, root_deweys: Sequence[Dewey], entries: Sequence[ProbeEntry]) -> None:
+        """Store one probe per root image in one locked pass, clearing
+        wholesale first whenever the memo is at the cap."""
         with self._lock:
-            if len(self._entries) >= self._capacity:
-                self._entries.clear()
-            self._entries[root_dewey] = entry
+            stored = self._entries
+            for root_dewey, entry in zip(root_deweys, entries):
+                if len(stored) >= self._capacity:
+                    stored.clear()
+                stored[root_dewey] = entry
 
     def __len__(self) -> int:
         with self._lock:
@@ -142,50 +150,59 @@ def probe_root(
             node for node in all_nodes if spec.probe_axis.matches(root_dewey, node.dewey)
         ]
         comparisons = len(all_nodes)
-    return _probe_entry(spec, exact_test, root_dewey, candidates, comparisons)
-
-
-def _probe_entry(
-    spec: ServerPredicates,
-    exact_test: AxisTest,
-    root_dewey: Dewey,
-    candidates: List[XMLNode],
-    comparisons: int,
-) -> ProbeEntry:
-    """The memo entry for one root image's probe candidates: value filter,
-    exact-quality flags and :class:`CandidateCounts`."""
-    survivors = tuple(
-        (candidate, exact_test(root_dewey, candidate.dewey))
-        for candidate in candidates
-        if spec.value_matches(candidate.value)
-    )
-    counts = CandidateCounts(
-        total=len(survivors),
-        exact=sum(1 for _, is_exact in survivors if is_exact),
-    )
+    ((survivors, _, counts),) = _probe_entries(spec, exact_test, [root_dewey], [candidates])
     return survivors, comparisons, counts
 
 
-def probe_every_root(
-    spec: ServerPredicates, index: DatabaseIndex, roots: List[XMLNode], memo: ProbeMemo
+def _probe_entries(
+    spec: ServerPredicates,
+    exact_test: AxisTest,
+    anchors: Sequence[Dewey],
+    probed: Sequence[List[XMLNode]],
 ) -> List[ProbeEntry]:
-    """One server's probe of every root image in one index merge
-    (:meth:`~repro.xmldb.index.DatabaseIndex.related_each`): memoize every
-    entry — each equal to :func:`probe_root`'s — and return them all, in
-    ``roots`` order.
+    """One server's memo entries, in ``anchors`` order, from each root
+    image's index-probe candidates (``probed``; their number is the
+    comparison count), in one plain loop: the value test runs only when
+    the server has one, the exact test only when the exact root axis is
+    not the probe axis, and equal counts share one :class:`CandidateCounts`."""
+    value, value_op = spec.value, spec.value_op
+    always_exact = spec.exact_root_axis == spec.probe_axis
+    shared: Dict[Tuple[int, int], CandidateCounts] = {}
+    entries: List[ProbeEntry] = []
+    for root_dewey, candidates in zip(anchors, probed):
+        survivors = []
+        exact = 0
+        for candidate in candidates:
+            if value is not None and not value_test(value_op, value, candidate.value):
+                continue
+            is_exact = always_exact or exact_test(root_dewey, candidate.dewey)
+            exact += is_exact
+            survivors.append((candidate, is_exact))
+        key = (len(survivors), exact)
+        counts = shared.get(key)
+        if counts is None:
+            counts = shared[key] = CandidateCounts(*key)
+        entries.append((tuple(survivors), len(candidates), counts))
+    return entries
+
+
+def probe_every_root(
+    spec: ServerPredicates, index: DatabaseIndex, anchors: List[Dewey], memo: ProbeMemo
+) -> List[ProbeEntry]:
+    """One server's probe of every root image (``anchors``, in document
+    order) in one index merge
+    (:meth:`~repro.xmldb.index.DatabaseIndex.related_each`): build every
+    entry — each equal to :func:`probe_root`'s — in one loop, store them
+    in one :meth:`ProbeMemo.fill`, and return them, in ``anchors`` order.
 
     The list is the sweep's own, so a memo smaller than the forest's roots
     loses entries to its cap, never fan-outs or caps.
     """
     exact_test = compiled_axis_test(spec.tag, spec.exact_root_axis)
-    anchors = [root.dewey for root in roots]
-    entries: List[ProbeEntry] = []
-    for root_dewey, candidates in zip(
-        anchors, index.related_each(spec.tag, anchors, spec.probe_axis)
-    ):
-        entry = _probe_entry(spec, exact_test, root_dewey, candidates, len(candidates))
-        memo.put(root_dewey, entry)
-        entries.append(entry)
+    entries = _probe_entries(
+        spec, exact_test, anchors, index.related_each(spec.tag, anchors, spec.probe_axis)
+    )
+    memo.fill(anchors, entries)
     return entries
 
 
@@ -262,29 +279,29 @@ def bound_rows(
     are equal fan-outs: counts are small integers, so rows hold few
     distinct ones."""
     server_ids = sorted(probes)
-    caps = {
-        node_id: score_model.caps(node_id, probes[node_id], relaxed)
-        for node_id in server_ids
-    }
+    # Each root's keys, zipped from the per-server columns (no server: ()).
+    cap_columns = [score_model.caps(node_id, probes[node_id], relaxed) for node_id in server_ids]
+    count_columns = [[entry[2] for entry in probes[node_id]] for node_id in server_ids]
+    cap_keys = list(zip(*cap_columns)) or [()] * roots
+    count_keys = list(zip(*count_columns)) or [()] * roots
     cap_rows: Dict[Tuple[float, ...], CapRow] = {}
     fanouts: Dict[CandidateCounts, Fanouts] = {}
     rows: Dict[Tuple[Tuple[float, ...], Tuple[CandidateCounts, ...]], RootBounds] = {}
     table: List[RootBounds] = []
-    for i in range(roots):
-        cap_key = tuple(caps[node_id][i] for node_id in server_ids)
-        count_key = tuple(probes[node_id][i][2] for node_id in server_ids)
-        row = rows.get((cap_key, count_key))
+    for key in zip(cap_keys, count_keys):
+        row = rows.get(key)
         if row is None:
+            cap_key, count_key = key
             cap_row = cap_rows.get(cap_key)
             if cap_row is None:
                 cap_row = cap_rows[cap_key] = CapRow(dict(zip(server_ids, cap_key)))
-            row = rows[cap_key, count_key] = RootBounds(
-                cap_row,
-                {
-                    node_id: fanouts.setdefault(counts, _fanouts_of(counts))
-                    for node_id, counts in zip(server_ids, count_key)
-                },
-            )
+            row_fanouts: Dict[int, Fanouts] = {}
+            for node_id, counts in zip(server_ids, count_key):
+                fanout = fanouts.get(counts)
+                if fanout is None:
+                    fanout = fanouts[counts] = _fanouts_of(counts)
+                row_fanouts[node_id] = fanout
+            row = rows[key] = RootBounds(cap_row, row_fanouts)
         table.append(row)
     return table
 

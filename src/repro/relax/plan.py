@@ -119,14 +119,6 @@ class ServerPredicates:
         self.probe_axis = probe_axis
         self.conditionals = conditionals
 
-    def value_matches(self, actual) -> bool:
-        """Evaluate the node's value test (always True when absent)."""
-        if self.value is None:
-            return True
-        from repro.query.pattern import value_test
-
-        return value_test(self.value_op, self.value, actual)
-
     def __repr__(self) -> str:
         return (
             f"ServerPredicates(node={self.tag}#{self.node_id}, probe={self.probe_axis}, "

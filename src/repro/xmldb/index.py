@@ -45,6 +45,7 @@ import bisect
 import threading
 from array import array
 from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.xmldb.dewey import DepthRange, Dewey, subtree_interval
@@ -135,7 +136,7 @@ class TagIndex:
 
     def __init__(self, tag: str, nodes: Iterable[XMLNode] = ()) -> None:
         self.tag = tag
-        self.nodes: List[XMLNode] = sorted(nodes, key=lambda node: node.dewey)
+        self.nodes: List[XMLNode] = sorted(nodes, key=attrgetter("dewey"))
         self._deweys: List[Dewey] = [node.dewey for node in self.nodes]
         self.cost = ProbeCost()
 
@@ -279,16 +280,23 @@ def _build_columns(nodes: List[XMLNode]) -> Tuple[array, array]:
     (so lengths are offset differences and no separate length table is
     needed).  Rejects components at or beyond the ``array('I')`` capacity
     (strictly *at* too: the subtree-interval successor key adds one to the
-    last component and must still fit an arena slot).
+    last component and must still fit an arena slot), checked once over
+    the built arena.
     """
     deweys = [node.dewey for node in nodes]
-    for dewey in deweys:
-        if dewey and max(dewey) >= MAX_ARENA_COMPONENT:
-            raise ValueError(
-                f"Dewey {dewey} exceeds the columnar arena component capacity "
-                f"({MAX_ARENA_COMPONENT}); use the object index backend"
-            )
-    arena = array("I", chain.from_iterable(deweys))
+    try:
+        arena = array("I", chain.from_iterable(deweys))
+        # Of the values a slot holds only MAX_ARENA_COMPONENT (all ones) is
+        # too large: one byte search rules it out, comparing no component.
+        fits = b"\xff" * 4 not in arena.tobytes() or MAX_ARENA_COMPONENT not in arena
+    except OverflowError:  # 2**32 or more: no array('I') slot holds it
+        fits = False
+    if not fits:
+        dewey = max(deweys, key=lambda components: max(components, default=0))
+        raise ValueError(
+            f"Dewey {dewey} exceeds the columnar arena component capacity "
+            f"({MAX_ARENA_COMPONENT}); use the object index backend"
+        )
     offsets = array("I", accumulate(map(len, deweys), initial=0))
     return arena, offsets
 
@@ -315,7 +323,7 @@ class ColumnarTagIndex(TagIndex):
 
     def __init__(self, tag: str, nodes: Iterable[XMLNode] = ()) -> None:
         self.tag = tag
-        self.nodes = sorted(nodes, key=lambda node: node.dewey)
+        self.nodes = sorted(nodes, key=attrgetter("dewey"))
         self._arena, self._offsets = _build_columns(self.nodes)
         self._lock = threading.Lock()
         self.cost = ProbeCost()

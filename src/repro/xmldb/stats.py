@@ -57,7 +57,8 @@ class PredicateStatistics:
         self.axis = axis
         self.fanouts = fanouts
         self.anchor_count = len(fanouts)
-        self.satisfying_count = sum(1 for fanout in fanouts if fanout > 0)
+        # Fan-outs are counts, so every non-zero one is positive.
+        self.satisfying_count = len(fanouts) - fanouts.count(0)
 
     # -- derived quantities --------------------------------------------------
 

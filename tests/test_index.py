@@ -1,5 +1,7 @@
 """Tests for Dewey-ordered tag indexes, including a brute-force property."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -189,6 +191,21 @@ class TestColumnarTagIndex:
         largest.dewey = (0, MAX_ARENA_COMPONENT - 1)
         index = ColumnarTagIndex("b", [largest])
         assert index.in_subtree((0,)) == [largest]
+
+    @pytest.mark.parametrize("component", [2**32, 2**64])
+    def test_component_no_arena_slot_holds_rejected(self, component):
+        # array('I') itself overflows here; the build still says ValueError.
+        node = XMLNode("b")
+        node.dewey = (0, component)
+        with pytest.raises(ValueError, match="arena component capacity"):
+            ColumnarTagIndex("b", [node])
+
+    def test_all_ones_bytes_across_two_slots_accepted(self):
+        # Four 0xff bytes straddle two slots here; no component is too large.
+        node = XMLNode("b")
+        node.dewey = (0, 0xFFFFFF00, 0xFF, 0xFFFFFF00)  # either byte order
+        assert b"\xff" * 4 in array("I", node.dewey).tobytes()
+        assert ColumnarTagIndex("b", [node]).in_subtree((0,)) == [node]
 
     def test_probe_cost_accounting(self, small_db):
         index = DatabaseIndex(small_db, backend="columnar")
