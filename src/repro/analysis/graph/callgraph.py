@@ -50,7 +50,7 @@ class LockId:
     """Stable identity of one lock: a class attribute or a local.
 
     ``name`` is the fingerprint-stable identity — the *defining* class's
-    qname plus attribute (``repro.core.queues.MatchQueue._lock``) so a
+    qname plus attribute (``repro.core.trace.ExecutionTrace._lock``) so a
     lock inherited or aliased through a Condition unifies with its
     definition; locals use ``<func qname>.<local name>``.
     """
@@ -290,12 +290,6 @@ class Symbols:
         self, info: ClassInfo, method: FunctionInfo, value: ast.expr
     ) -> Optional[LockAttr]:
         """Classify ``self.X = <value>`` as a lock, if it is one."""
-        if isinstance(value, ast.IfExp):
-            # ``<lock> if shared else None``: an optional lock is a lock
-            # wherever it exists.
-            return self._lock_from_value(
-                info, method, value.body
-            ) or self._lock_from_value(info, method, value.orelse)
         kind = lock_ctor_kind(method.module, value)
         if kind is not None:
             alias_attr = None

@@ -24,24 +24,20 @@ Static-analysis limits worth knowing:
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.graph.project import ExternalImport, SourceModule
 from repro.analysis.lint.engine import Finding, Rule
 
-#: Classes whose internals are shared across Whirlpool-M threads, or
-#: across the query service's worker pool and its submitting clients, as
-#: dotted paths.  The one list: WPL001 checks every class of these names,
-#: and :mod:`repro.analysis.racecheck` watches these classes at runtime.
+#: Classes that guard their own internals with their own lock, because
+#: Whirlpool-M's threads or the query service's worker pool and its
+#: submitting clients share them, as dotted paths.  WPL001 checks every
+#: class of these names, and :mod:`repro.analysis.racecheck` watches them
+#: at runtime — with the engine-locked classes it lists besides, which
+#: have no lock of their own.
 SHARED_CLASSES: Tuple[str, ...] = (
-    "repro.core.topk.TopKSet",
-    "repro.core.topk._Entry",
-    "repro.core.stats.ExecutionStats",
     "repro.core.trace.ExecutionTrace",
-    "repro.core.queues.MatchQueue",
-    "repro.core.whirlpool_m._InFlight",
     "repro.faults.inject.FaultInjector",
-    "repro.faults.supervisor.Supervisor",
     "repro.service.queue.AdmissionQueue",
     "repro.service.breaker.CircuitBreaker",
     "repro.service.health.ServiceCounters",
@@ -153,32 +149,7 @@ class SharedStateGuardRule(Rule):
     Applies to methods of :data:`SHARED_CLASSES` (``__init__`` excepted —
     the object is not shared before construction completes).  A guard is a
     ``with`` on a ``self`` attribute whose name contains ``lock`` or
-    ``cond`` (or is ``_not_empty``, the queue's condition).
-
-    A class may declare its lock optional — ``__init__`` assigns the
-    attribute ``None`` or ``<lock> if <flag> else None``
-    (``ExecutionStats(thread_safe=False)``): an instance built without the
-    lock is by that declaration never shared, so the body of
-    ``if self._lock is None:`` counts as guarded.  The ``else`` branch does
-    not, and neither does the same test in a class whose lock always exists.
-
-    A private method (``_name``) is a *guarded helper*, its whole body
-    guarded, when every reference to its name in the module is a
-    ``self._name(...)`` call at a guarded position of a method of the
-    class — under ``with self._lock``, in an ``if self._lock is None:``
-    body, or in another guarded helper.  Its body then only ever runs while
-    the caller holds the lock or on an instance declared unshared, which
-    is what lets one body serve both (``TopKSet.observe`` →
-    ``_observe``).  Any other reference — a call outside a guard, one in a
-    nested function, a lambda or a generator expression (their bodies run
-    later, perhaps once the lock is released), the bound method passed
-    on, the name on another object — leaves it an ordinary method, its
-    writes checked.  So does a body that is itself deferred: a generator
-    or ``async`` method is never a helper, since calling it under the
-    lock only builds the generator or coroutine.  Helpers are found as a least fixpoint from none, so a helper that only
-    calls itself never vouches for itself.  The rule sees one module: a
-    private method reached from another module, or through ``getattr``,
-    is outside it.
+    ``cond``.
     """
 
     code = "WPL001"
@@ -189,79 +160,13 @@ class SharedStateGuardRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef) or node.name not in _SHARED_NAMES:
                 continue
-            methods: List[Union[ast.FunctionDef, ast.AsyncFunctionDef]] = [
-                item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            optional_locks: Set[str] = set()
-            for item in methods:
-                if item.name == "__init__":
-                    optional_locks |= self._optional_locks(item)
-            helpers = self._guarded_helpers(module, methods, optional_locks)
-            for item in methods:
-                if item.name == "__init__":
-                    continue
-                for finding in self._scan(
-                    module, node.name, item.body, item.name in helpers, optional_locks
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name != "__init__"
                 ):
-                    yield finding
-
-    def _guarded_helpers(
-        self,
-        module: SourceModule,
-        methods: Sequence[Union[ast.FunctionDef, ast.AsyncFunctionDef]],
-        optional_locks: Set[str],
-    ) -> Set[str]:
-        """The class's guarded helpers (class docstring)."""
-        candidates = {
-            item.name
-            for item in methods
-            if item.name.startswith("_")
-            and not item.name.endswith("__")
-            and isinstance(item, ast.FunctionDef)
-            and not self._is_generator(item)
-        }
-        references: Dict[str, int] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute) and node.attr in candidates:
-                references[node.attr] = references.get(node.attr, 0) + 1
-        helpers: Set[str] = set()
-        while True:
-            calls: Dict[str, int] = {}
-            for item in methods:
-                if item.name != "__init__":
-                    for _ in self._scan(
-                        module, "", item.body, item.name in helpers, optional_locks, calls
-                    ):
-                        pass
-            found = {
-                name for name, count in references.items() if calls.get(name, 0) == count
-            }
-            if found == helpers:
-                return helpers
-            helpers = found
-
-    @classmethod
-    def _optional_locks(cls, init: ast.AST) -> Set[str]:
-        """Guard attributes this ``__init__`` may leave ``None``."""
-        names: Set[str] = set()
-        for stmt in ast.walk(init):
-            targets: Sequence[ast.expr]
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            else:
-                continue
-            arms = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
-            if any(isinstance(arm, ast.Constant) and arm.value is None for arm in arms):
-                names.update(
-                    target.attr  # type: ignore[attr-defined]
-                    for target in targets
-                    if cls._is_guard(target)
-                )
-        return names
+                    for finding in self._scan(module, node.name, item.body, False):
+                        yield finding
 
     # -- statement walk, tracking the guard state --------------------------------
 
@@ -271,39 +176,18 @@ class SharedStateGuardRule(Rule):
         class_name: str,
         stmts: Sequence[ast.stmt],
         guarded: bool,
-        optional_locks: Set[str],
-        calls: Optional[Dict[str, int]] = None,
     ) -> Iterator[Finding]:
-        """Findings for ``stmts``; with ``calls``, also counts the
-        ``self.<method>(...)`` calls made at guarded positions."""
+        """Findings for ``stmts``."""
         for stmt in stmts:
             # Nested defs run later, possibly under a lock taken by the
             # caller — out of scope.
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if calls is not None and guarded:
-                for name in self._self_calls(stmt):
-                    calls[name] = calls.get(name, 0) + 1
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 inner = guarded or any(
                     self._is_guard(item.context_expr) for item in stmt.items
                 )
-                for finding in self._scan(
-                    module, class_name, stmt.body, inner, optional_locks, calls
-                ):
-                    yield finding
-                continue
-            if isinstance(stmt, ast.If) and self._tests_lock_absent(
-                stmt.test, optional_locks
-            ):
-                # The instance was built without its lock: never shared.
-                for finding in self._scan(
-                    module, class_name, stmt.body, True, optional_locks, calls
-                ):
-                    yield finding
-                for finding in self._scan(
-                    module, class_name, stmt.orelse, guarded, optional_locks, calls
-                ):
+                for finding in self._scan(module, class_name, stmt.body, inner):
                     yield finding
                 continue
             if not guarded:
@@ -315,9 +199,7 @@ class SharedStateGuardRule(Rule):
                         f"(wrap in `with self._lock:`)",
                     )
             for block in self._sub_blocks(stmt):
-                for finding in self._scan(
-                    module, class_name, block, guarded, optional_locks, calls
-                ):
+                for finding in self._scan(module, class_name, block, guarded):
                     yield finding
 
     @staticmethod
@@ -330,56 +212,9 @@ class SharedStateGuardRule(Rule):
             yield handler.body
 
     @staticmethod
-    def _is_generator(method: ast.FunctionDef) -> bool:
-        """Whether ``method``'s own body yields (a nested def's or
-        lambda's does not count)."""
-        stack: List[ast.AST] = list(method.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return True
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                stack.extend(ast.iter_child_nodes(node))
-        return False
-
-    @staticmethod
-    def _self_calls(stmt: ast.stmt) -> Iterator[str]:
-        """Names of the ``self.<name>(...)`` calls ``stmt`` makes itself —
-        not in its nested blocks (:meth:`_sub_blocks`), and not in a
-        lambda or a generator expression, whose bodies run later."""
-        stack: List[ast.AST] = []
-        for field, value in ast.iter_fields(stmt):
-            if field not in ("body", "orelse", "finalbody", "handlers"):
-                stack.extend(value if isinstance(value, list) else [value])
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, ast.AST) or isinstance(
-                node, (ast.Lambda, ast.GeneratorExp)
-            ):
-                continue
-            if isinstance(node, ast.Call) and _is_self_attr(node.func):
-                yield node.func.attr  # type: ignore[attr-defined]
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
     def _is_guard(expr: ast.expr) -> bool:
         return _is_self_attr(expr) and (
-            "lock" in expr.attr or "cond" in expr.attr or expr.attr == "_not_empty"  # type: ignore[attr-defined]
-        )
-
-    @staticmethod
-    def _tests_lock_absent(test: ast.expr, optional_locks: Set[str]) -> bool:
-        """``self.<optional lock> is None``."""
-        return (
-            isinstance(test, ast.Compare)
-            and _is_self_attr(test.left)
-            and test.left.attr in optional_locks  # type: ignore[attr-defined]
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Is)
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None
+            "lock" in expr.attr or "cond" in expr.attr  # type: ignore[attr-defined]
         )
 
     def _writes(self, stmt: ast.stmt) -> List[Tuple[str, ast.AST]]:

@@ -10,10 +10,12 @@ manager is active it:
   through the lock object it wraps, including the ``RLock`` it allocates
   by default);
 - patches ``__setattr__`` on the watched classes (by default every class
-  :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names — the top-k
-  set and its entries, statistics, trace, queues, the ``_InFlight``
-  counter, and the fault, service, observability, recovery, cluster,
-  index and clock classes that WPL001 guards) so every field *write*
+  :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names — the trace and
+  the fault, service, observability, recovery, cluster, index and clock
+  classes that WPL001 guards — and every class :data:`ENGINE_LOCKED_CLASSES`
+  names: the top-k set and its entries, statistics, queues, supervisor
+  and ``_InFlight`` counter, which Whirlpool-M's threads share under its
+  engine lock) so every field *write*
   records ``(thread, object, field, locks-held)``; writes during
   ``__init__`` are exempt — an object is not shared before construction
   completes.
@@ -26,10 +28,12 @@ Findings:
   observed threads (a deadlock-in-waiting even if no deadlock occurred).
 
 Granularity caveats, documented rather than hidden: only attribute
-*writes* are observed (in-place container mutation such as
-``self._heap.append`` goes through the already-held queue lock here, and
-the AST rule ``WPL001`` covers it statically), and only locks created
-inside the context participate in locksets.  Create the engine inside the
+*writes* are observed (in-place container mutation such as a queue's
+heap push is not: in the engine-locked classes it runs in the same
+locked step as the attribute writes that are observed, and in the
+classes with a lock of their own the AST rule ``WPL001`` covers it
+statically), and only locks created inside the context participate in
+locksets.  Create the engine inside the
 ``with`` block::
 
     with RaceCheck() as check:
@@ -44,7 +48,7 @@ import importlib
 import threading
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["RaceCheck", "RaceFinding", "default_watched_classes"]
+__all__ = ["ENGINE_LOCKED_CLASSES", "RaceCheck", "RaceFinding", "default_watched_classes"]
 
 
 class RaceFinding:
@@ -224,13 +228,28 @@ class _Registry:
                 state.lockset = state.lockset & lockset
 
 
+#: Classes with no lock of their own that Whirlpool-M's threads share, as
+#: dotted paths: every write to them holds the run's engine lock
+#: (:mod:`repro.core.whirlpool_m`).  That lock belongs to the run, not to
+#: the instance, so WPL001 cannot check them; only this detector does.
+ENGINE_LOCKED_CLASSES: Tuple[str, ...] = (
+    "repro.core.topk.TopKSet",
+    "repro.core.topk._Entry",
+    "repro.core.stats.ExecutionStats",
+    "repro.core.queues.MatchQueue",
+    "repro.core.whirlpool_m._InFlight",
+    "repro.faults.supervisor.Supervisor",
+)
+
+
 def default_watched_classes() -> List[type]:
-    """The shared-state classes :data:`~repro.analysis.lint.rules.SHARED_CLASSES`
-    names — the list WPL001 checks statically (lazy imports)."""
+    """The classes :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names —
+    the list WPL001 checks statically — and :data:`ENGINE_LOCKED_CLASSES`
+    (lazy imports)."""
     from repro.analysis.lint.rules import SHARED_CLASSES
 
     classes = []
-    for path in SHARED_CLASSES:
+    for path in SHARED_CLASSES + ENGINE_LOCKED_CLASSES:
         module, _, name = path.rpartition(".")
         classes.append(getattr(importlib.import_module(module), name))
     return classes

@@ -139,6 +139,16 @@ def simulate(
                 "no wall clock or quiesce point"
             )
     costs = cost_model if cost_model is not None else CostModel()
+    # The model is the run's one thread: it holds the engine lock
+    # throughout, and a server operation lets go of it as a thread's does.
+    with run.lock:
+        return _schedule(run, n_processors, costs)
+
+
+def _schedule(
+    run: WhirlpoolM, n_processors: Optional[int], costs: CostModel
+) -> SimulationResult:
+    """:func:`simulate`'s discrete-event loop, under the engine lock."""
     run.stats.start_clock()
     queues = run.make_queues()
     run.put_or_abandon(queues[ROUTER], "queue:router", run.start_matches())

@@ -34,7 +34,11 @@ operation counts.
 The adaptive engines' step is built from it too: pop → :meth:`EngineBase.admit`
 → :meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put.
 Whirlpool-S runs it in one loop, Whirlpool-M in real threads or under the
-makespan model's scheduler (:func:`repro.bench.makespan.simulate`).
+makespan model's scheduler (:func:`repro.bench.makespan.simulate`).  Every
+engine calls the same bodies, and none of the state they touch has a lock
+of its own: Whirlpool-M's threads hold their run's engine lock through a
+step and let go of it only where the step waits —
+:meth:`EngineBase.unlocked`.
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro.core.match import PartialMatch, reserve_arrivals
 from repro.core.queues import MatchQueue, QueuePolicy
 from repro.core.router import MinAliveRouter, RoutingStrategy, SizingEntry
-from repro.core.server import ProbeMemo, RootBounds, Server, bound_rows
+from repro.core.server import Operation, ProbeMemo, RootBounds, Server, bound_rows
 from repro.core.stats import ExecutionStats
 from repro.core.topk import TopKAnswer, TopKSet, bound_factor
 from repro.core.trace import EngineObserver
@@ -84,6 +89,12 @@ if TYPE_CHECKING:
 
 #: The closing level of a run that keeps every sibling (LockStep-NoPrun).
 _NEVER_CLOSES = float("-inf")
+
+#: :meth:`EngineBase.escalate`'s answer when the supervisor requeues the
+#: match (compared by identity).
+_REQUEUED: Operation = ([], 0, 0)
+
+_T = TypeVar("_T")
 
 _NOT_SIBLINGS = (
     "absorb_extensions takes the extensions of one server operation: "
@@ -211,7 +222,6 @@ class EngineBase:
         relaxed: bool = True,
         router: Optional[RoutingStrategy] = None,
         queue_policy: QueuePolicy = QueuePolicy.MAX_FINAL_SCORE,
-        shared: bool = False,
         observer: Optional[EngineObserver] = None,
         join_algorithm: str = "index",
         faults: Optional[FaultPlan] = None,
@@ -247,13 +257,8 @@ class EngineBase:
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(faults) if faults is not None else None
         )
-        #: Whether more than one thread drives this run (Whirlpool-M): the
-        #: one declaration that decides whether the run's statistics, top-k
-        #: set, queues and supervisor take their locks.  A run that one
-        #: thread drives declares them unshared, and they take none.
-        self.shared = shared
         #: Failure book-keeping for all workers of this run.
-        self.supervisor = Supervisor(retry_policy, shared=shared)
+        self.supervisor = Supervisor(retry_policy)
 
         self.plan = compile_plan(pattern, relaxed)
         # ``probe_memos`` (server node id -> memo, for this join algorithm)
@@ -305,10 +310,9 @@ class EngineBase:
             k,
             threshold_source=threshold_source,
             bound_factor=bound_factor(len(self.server_ids)),
-            shared=shared,
         )
         self.router: RoutingStrategy = router if router is not None else MinAliveRouter()
-        self.stats = ExecutionStats(thread_safe=shared)
+        self.stats = ExecutionStats()
         #: Optional :class:`~repro.core.trace.EngineObserver` receiving
         #: seed / route / extension / prune events.
         self.observer: Optional[EngineObserver] = observer
@@ -509,7 +513,7 @@ class EngineBase:
         The pair is kept per visited set in the row's ``remaining`` (shared
         by every root with the same caps), so a batch of siblings reads it
         with one lookup keyed by ``visited`` and sums nothing.  It is a pure
-        function of the caps and ``visited``: Whirlpool-M's threads may each
+        function of the caps and ``visited``: two runs of one Engine may each
         build a missing one, and whichever is stored is the same.
         """
         entry = bounds.remaining.get(visited)
@@ -675,9 +679,7 @@ class EngineBase:
         Each unfinished sibling is reported to the top-k set and tested as
         ``is_pruned`` would test it next: against the threshold that report
         returns, and against the closing level read once for the batch (by
-        a run that prunes) — reports of unfinished siblings cannot move it
-        (under Whirlpool-M another thread can only raise it, and the older
-        value prunes less).
+        a run that prunes) — reports of unfinished siblings cannot move it.
 
         A last-hop batch meets the top-k set once, through its *first
         best* sibling.  Reporting each in turn would leave exactly that:
@@ -689,8 +691,7 @@ class EngineBase:
         k best scores depend only on each entry's final score — the
         batch's maximum or what the entry already held.  Intermediate
         states are seen by nobody: the engine absorbs a batch within one
-        step, and under Whirlpool-M a thread reading between two reports
-        would read a threshold no higher than the final one.
+        step, which a Whirlpool-M thread takes under its engine lock.
 
         ``parent`` is only used to notify the observer: one
         ``on_extension`` per sibling, with the threshold its report
@@ -761,23 +762,39 @@ class EngineBase:
         """One supervised server operation on an admitted match; returns
         what goes back to the router: the match itself when recovery
         requeues it, nothing when it is abandoned (the supervisor holds
-        its bound), else the absorbed extensions that must continue.
-        Only a failure enters :meth:`escalate`; ``can_requeue=False`` (a
-        fixed server order: LockStep) leaves it retry-or-abandon."""
+        its bound) or dropped, else the absorbed extensions that must
+        continue.  The operation itself runs :meth:`unlocked`; its
+        statistics are recorded here.  Only a failure enters
+        :meth:`escalate`; ``can_requeue=False`` (a fixed server order:
+        LockStep) leaves it retry-or-abandon."""
+        server = self.servers[server_id]
         try:
-            extensions = self.servers[server_id].process(match, self.stats)
+            operation = self.unlocked(server.process, match)
         except EngineCrashError:
             # A crash is not a supervisable failure: the run is dead and
             # only a checkpoint restore brings the work back.
             raise
         except Exception as exc:  # noqa: B902 — supervision boundary
-            extensions = self.escalate(server_id, match, exc, can_requeue)
-            if extensions is None:  # requeued, with this server excluded
+            operation = self.escalate(server, match, exc, can_requeue)
+            if operation is _REQUEUED:  # with this server excluded
                 return [match]
+        if operation is None:  # dropped, or recovery exhausted
+            return []
+        extensions, comparisons, deleted = operation
+        self.stats.record_server_operation(server_id, comparisons, len(extensions), deleted)
         prune = self.prune
         return self.absorb_extensions(
             extensions, parent=match if prune else None, prune=prune
         )
+
+    def unlocked(self, call: Callable[..., _T], *args: Any) -> _T:
+        """``call(*args)``, a part of a step that waits: a server
+        operation, which probes the index, a retry's backoff sleep, or a
+        routing fault hook, which may sleep.  A run that one thread drives
+        just calls it;
+        :class:`~repro.core.whirlpool_m.WhirlpoolM` releases its engine
+        lock around it, so its other threads work meanwhile."""
+        return call(*args)
 
     def notify_route(self, match: PartialMatch, server_id: int) -> None:
         """Observer hook for a routing decision."""
@@ -867,7 +884,6 @@ class EngineBase:
             site=f"server:{node_id}",
             on_drop=on_drop,
             observer=self.observer,
-            shared=self.shared,
         )
 
     def make_router_queue(
@@ -880,7 +896,6 @@ class EngineBase:
             site="router",
             on_drop=on_drop,
             observer=self.observer,
-            shared=self.shared,
         )
 
     # -- supervised building blocks ------------------------------------------------
@@ -900,7 +915,8 @@ class EngineBase:
         fallback = False
         if injector is not None:
             try:
-                if not injector.on_route(match):
+                # A hook that may sleep (an injected DELAY) waits unlocked.
+                if not self.unlocked(injector.on_route, match):
                     return None
             except InjectedFaultError as exc:
                 self.supervisor.record_component_error("router", exc)
@@ -929,31 +945,33 @@ class EngineBase:
 
     def escalate(
         self,
-        server_id: int,
+        server: Server,
         match: PartialMatch,
         error: Exception,
         can_requeue: bool,
-    ) -> Optional[List[PartialMatch]]:
+    ) -> Optional[Operation]:
         """The supervisor's escalation ladder for a server operation that
         failed with ``error``: retry (after the backoff) while it allows,
-        then requeue or abandon.  Returns a successful retry's extensions,
-        ``None`` to requeue the match, or no extensions when recovery is
-        exhausted (the supervisor recorded the loss, feeding the result
-        certificate)."""
-        server = self.servers[server_id]
+        then requeue or abandon.  Returns a successful retry's operation
+        (``None`` when it dropped the match), :data:`_REQUEUED` to requeue
+        the match, or ``None`` when recovery is exhausted (the supervisor
+        recorded the loss, feeding the result certificate).  The backoff
+        and the retries run :meth:`unlocked`."""
+        server_id = server.node_id
         supervisor = self.supervisor
         while True:
             alternatives = can_requeue and len(self.unvisited(match.visited)) > 1
             action = supervisor.on_error(match, server_id, error, alternatives)
             if action is FailureAction.REQUEUE:
-                return None
+                return _REQUEUED
             if action is not FailureAction.RETRY:
-                return []
-            supervisor.backoff(
+                return None
+            delay = supervisor.retry_delay(
                 match.match_id, server_id, max_seconds=self.remaining_deadline()
             )
+            self.unlocked(supervisor.pause, delay)
             try:
-                return server.process(match, self.stats)
+                return self.unlocked(server.process, match)
             except EngineCrashError:
                 raise
             except Exception as exc:  # noqa: B902 — supervision boundary

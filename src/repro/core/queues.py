@@ -9,24 +9,20 @@
   based on the maximum possible final score performed better").
 
 :class:`MatchQueue` is a priority queue over partial matches keyed by the
-chosen policy.  It is built shared (the default: every method takes its
-lock, and Whirlpool-M's server threads block on :meth:`MatchQueue.get`) or
-declared unshared (``shared=False``: no lock, ``_lock is None``) by a run
-that one thread drives — Whirlpool-S's router queue, LockStep's server
-queues.  An unshared queue runs the same bodies without the lock round
-trip; a blocking :meth:`MatchQueue.get` on it raises, since no other
-thread could ever fill it.
+chosen policy.  It has no lock and never blocks: a run that one thread
+drives pops it directly, and Whirlpool-M's threads put and pop only while
+they hold their run's engine lock, and wait for work on a condition of
+that lock (:mod:`repro.core.whirlpool_m`).
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.match import PartialMatch
-from repro.errors import EngineError, InjectedFaultError
+from repro.errors import InjectedFaultError
 
 if TYPE_CHECKING:
     from repro.core.trace import EngineObserver
@@ -105,20 +101,10 @@ class MatchQueue:
         site: str = "",
         on_drop: Optional[Callable[[PartialMatch], None]] = None,
         observer: Optional["EngineObserver"] = None,
-        shared: bool = True,
     ) -> None:
         self.policy = policy
         self._key = _heap_key(policy, server_id, max_contributions)
         self._heap: List = []
-        #: ``None`` declares the queue unshared: one thread puts and gets.
-        self._lock: Optional[threading.Lock] = threading.Lock() if shared else None
-        self._not_empty: Optional[threading.Condition] = (
-            threading.Condition(self._lock) if self._lock is not None else None
-        )
-        #: Getters blocked in :meth:`get` right now; a put notifies only
-        #: when there is one to wake.
-        self._waiters = 0
-        self._closed = False
         self._injector = injector
         self._site = site
         self._on_drop = on_drop
@@ -140,117 +126,51 @@ class MatchQueue:
                 self._on_drop(match)
             return
         key = self._key
-        entry = (-match.upper_bound if key is None else key(match), match.arrival, match)
-        if self._lock is None:
-            heapq.heappush(self._heap, entry)
-            depth = len(self._heap)
-        else:
-            with self._lock:
-                heapq.heappush(self._heap, entry)
-                depth = len(self._heap)
-                if self._waiters:
-                    self._not_empty.notify()  # type: ignore[union-attr]
+        heap = self._heap
+        heapq.heappush(
+            heap, (-match.upper_bound if key is None else key(match), match.arrival, match)
+        )
         observer = self._observer
         if observer is not None:
-            observer.on_queue_depth(self._site, depth)
-
-    def _filter_get(self, match: PartialMatch) -> Optional[PartialMatch]:
-        """Run one popped match through the injector's get hook.
-
-        Returns the match to hand out, or ``None`` when the injector
-        dropped it.  An injected ERROR counts the popped match as dropped
-        (it already left the heap) and propagates.
-        """
-        injector = self._injector
-        if injector is None:
-            return match
-        try:
-            keep = injector.on_get(self._site, match)
-        except InjectedFaultError:
-            if self._on_drop is not None:
-                self._on_drop(match)
-            raise
-        if keep:
-            return match
-        if self._on_drop is not None:
-            self._on_drop(match)
-        return None
-
-    def get(self, timeout: Optional[float] = None) -> Optional[PartialMatch]:
-        """Dequeue the head match; ``None`` on timeout or after close.
-        Blocks for another thread's put, so only a shared queue has it."""
-        if self._not_empty is None:
-            raise EngineError(
-                f"blocking get on the unshared queue {self._site!r}: no other "
-                "thread puts into it (use get_nowait)"
-            )
-        while True:
-            with self._not_empty:
-                while not self._heap:
-                    if self._closed:
-                        return None
-                    self._waiters += 1
-                    try:
-                        signalled = self._not_empty.wait(timeout)
-                    finally:
-                        self._waiters -= 1
-                    if not signalled:
-                        return None
-                match = heapq.heappop(self._heap)[2]
-            delivered = self._filter_get(match)
-            if delivered is not None:
-                return delivered
+            observer.on_queue_depth(self._site, len(heap))
 
     def get_nowait(self) -> Optional[PartialMatch]:
-        """Dequeue without blocking; ``None`` when empty."""
+        """Dequeue the head match; ``None`` when empty.
+
+        With an injector attached each popped match first passes through
+        its get hook: a DROP rule discards it (reporting through
+        ``on_drop``) and the next one is popped; an injected ERROR counts
+        the popped match as dropped (it already left the heap) and
+        propagates.
+        """
         heap = self._heap
-        while True:
-            if self._lock is None:
-                if not heap:
-                    return None
-                match = heapq.heappop(heap)[2]
-            else:
-                with self._lock:
-                    if not heap:
-                        return None
-                    match = heapq.heappop(heap)[2]
-            if self._injector is None:
+        injector = self._injector
+        while heap:
+            match = heapq.heappop(heap)[2]
+            if injector is None:
                 return match
-            delivered = self._filter_get(match)
-            if delivered is not None:
-                return delivered
+            try:
+                if injector.on_get(self._site, match):
+                    return match
+            except InjectedFaultError:
+                if self._on_drop is not None:
+                    self._on_drop(match)
+                raise
+            if self._on_drop is not None:
+                self._on_drop(match)
+        return None
+
+    #: The same pop under the name ``perf/tracing.py`` also wraps.
+    get = get_nowait
 
     def head(self) -> Optional[Tuple[float, int, PartialMatch]]:
         """``(key, arrival, match)`` of the match a get would pop next,
         left in place; ``None`` when empty."""
         heap = self._heap
-        if self._lock is None:
-            return heap[0] if heap else None
-        with self._lock:
-            return heap[0] if heap else None
-
-    def close(self) -> None:
-        """Wake all blocked getters; subsequent gets on empty return None."""
-        if self._lock is None:
-            self._closed = True
-            return
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()  # type: ignore[union-attr]
-
-    def reopen(self) -> None:
-        """Undo :meth:`close`: gets on an empty queue block again."""
-        if self._lock is None:
-            self._closed = False
-            return
-        with self._lock:
-            self._closed = False
+        return heap[0] if heap else None
 
     def __len__(self) -> int:
-        if self._lock is None:
-            return len(self._heap)
-        with self._lock:
-            return len(self._heap)
+        return len(self._heap)
 
     def empty(self) -> bool:
         """True iff no match is queued."""
@@ -262,20 +182,12 @@ class MatchQueue:
         The checkpoint codec's view of the queue: non-destructive, so an
         engine can snapshot mid-run and keep going.
         """
-        if self._lock is None:
-            entries = sorted(self._heap)
-        else:
-            with self._lock:
-                entries = sorted(self._heap)
-        return [entry[2] for entry in entries]
+        return [entry[2] for entry in sorted(self._heap)]
 
     def drain(self) -> List[PartialMatch]:
         """Remove and return all queued matches in priority order."""
         heap = self._heap
-        if self._lock is None:
-            return [heapq.heappop(heap)[2] for _ in range(len(heap))]
-        with self._lock:
-            return [heapq.heappop(heap)[2] for _ in range(len(heap))]
+        return [heapq.heappop(heap)[2] for _ in range(len(heap))]
 
     def __repr__(self) -> str:
         return f"MatchQueue({self.policy.value}, size={len(self)})"

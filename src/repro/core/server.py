@@ -33,7 +33,6 @@ import threading
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
-from repro.core.stats import ExecutionStats
 from repro.query.pattern import value_test
 from repro.query.predicates import AxisTest, compiled_axis_test
 from repro.relax.plan import ServerPredicates
@@ -52,6 +51,11 @@ if TYPE_CHECKING:
 #: (entries are pure functions of the root image, so a recompute after a
 #: clear returns identical values).
 PROBE_MEMO_CAP = 512
+
+#: One server operation (:meth:`Server.process`): the spawned extensions,
+#: the join comparisons paid, and the deleted extensions among them (0 or
+#: 1) — what ``ExecutionStats.record_server_operation`` records.
+Operation = Tuple[List[PartialMatch], int, int]
 
 
 class CandidateCounts(NamedTuple):
@@ -133,7 +137,7 @@ def probe_root(
     candidates paired with their exact-root-axis verdicts (``exact_test``
     is the compiled ``spec.exact_root_axis``), the comparison count the
     probe paid (the *pre*-filter candidate count — what
-    :meth:`Server.process` reports to ``ExecutionStats``, so memo hits and
+    :meth:`Server.process` returns as its comparisons, so memo hits and
     misses produce identical stats) and the survivors' counts.  With the
     relaxed probe axis, ``counts.total`` and ``counts.exact`` are the root's
     fan-outs under the relaxed and the exact component predicate — the
@@ -402,15 +406,18 @@ class Server:
 
     # -- the server operation -----------------------------------------------------
 
-    def process(
-        self, match: PartialMatch, stats: Optional[ExecutionStats] = None
-    ) -> List[PartialMatch]:
+    def process(self, match: PartialMatch) -> Optional[Operation]:
         """Run one server operation: extend ``match`` at this query node.
 
-        Returns the spawned extensions (unpruned — pruning is the caller's
-        job, since it needs the shared top-k set).  Never returns an empty
-        list in relaxed mode (the deleted extension survives); may in exact
-        mode, which kills the match.
+        Returns the :data:`Operation`: the spawned extensions (unpruned —
+        pruning is the caller's job, since it needs the shared top-k set),
+        the join comparisons paid, and 1 when the one extension is the
+        leaf-deletion (outer-join null) one, else 0.  The caller records
+        them (``ExecutionStats.record_server_operation``): Whirlpool-M runs
+        this method outside its engine lock, and the statistics inside it.
+        The extensions are never empty in relaxed mode (the deleted
+        extension survives); may be in exact mode, which kills the match.
+        ``None``: an injected DROP lost the match, and nothing is recorded.
         """
         injector = self.injector
         if injector is not None and not injector.on_server_op(self.spec.node_id, match):
@@ -419,7 +426,7 @@ class Server:
             # still covers whatever this match could have become.  An
             # injected ERROR raises before any index work, keeping retries
             # idempotent.
-            return []
+            return None
 
         spec = self.spec
         root_dewey = match.root_node.dewey
@@ -476,12 +483,8 @@ class Server:
             extensions.append(
                 match.extend(node_id, None, MatchQuality.DELETED, 0.0, visited)
             )
-            if stats is not None:
-                stats.record_deleted_extension()
-
-        if stats is not None:
-            stats.record_server_operation(node_id, comparisons, len(extensions))
-        return extensions
+            return extensions, comparisons, 1
+        return extensions, comparisons, 0
 
     # -- estimates for the router -----------------------------------------------------
 

@@ -15,15 +15,16 @@ Collected by every engine:
   never seeded (each would have been pruned at its own pop);
 - **completed / routing decisions** and per-server breakdowns.
 
-Counters increment through methods so Whirlpool-M can take a lock around
-them; the single-threaded engines use the lock-free default.
+Counters increment through methods, with no lock of their own: a run that
+one thread drives calls them directly, and Whirlpool-M's threads call them
+only while they hold their run's engine lock.  The query service's
+fleet-wide aggregate is guarded by the service's own lock.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import repro.sim.clock as simclock
 
@@ -67,7 +68,7 @@ _SUMMED = COUNTERS + ("wall_time_seconds", "simulated_time")
 class ExecutionStats:
     """Mutable counter bundle; one instance per engine run."""
 
-    def __init__(self, thread_safe: bool = False) -> None:
+    def __init__(self) -> None:
         self.server_operations = 0
         self.join_comparisons = 0
         self.partial_matches_created = 0
@@ -80,18 +81,17 @@ class ExecutionStats:
         self.per_server_operations: Dict[int, int] = {}
         self.wall_time_seconds = 0.0
         self.simulated_time = 0.0
-        self._lock: Optional[threading.Lock] = threading.Lock() if thread_safe else None
         self._start = 0.0
 
     # -- timing -----------------------------------------------------------------
 
     def start_clock(self) -> None:
         """Mark the start of the run (single-threaded setup phase)."""
-        self._start = time.perf_counter()  # wpl: noqa=WPL001
+        self._start = time.perf_counter()
 
     def stop_clock(self) -> None:
         """Record wall time since :meth:`start_clock` (after workers join)."""
-        self.wall_time_seconds = time.perf_counter() - self._start  # wpl: noqa=WPL001
+        self.wall_time_seconds = time.perf_counter() - self._start
 
     def elapsed_seconds(self) -> float:
         """Wall time since :meth:`start_clock`, read mid-run.
@@ -103,98 +103,53 @@ class ExecutionStats:
 
     # -- counters ----------------------------------------------------------------
 
-    # A counter update is a plain increment: directly when the bundle was
-    # built single-threaded (``self._lock is None`` — the branch WPL001
-    # reads as the declared unshared path), under the lock otherwise.
-
     def record_server_operation(
-        self, server_id: int, comparisons: int, created: int
+        self, server_id: int, comparisons: int, created: int, deleted: int = 0
     ) -> None:
         """One partial match processed at one server, which paid
         ``comparisons`` and spawned ``created`` extensions (counted as
-        :meth:`record_created` counts them)."""
+        :meth:`record_created` counts them), ``deleted`` of them the
+        leaf-deletion (outer-join null) extension."""
+        self.server_operations += 1
+        self.join_comparisons += comparisons
         per_server = self.per_server_operations
-        if self._lock is None:
-            self.server_operations += 1
-            self.join_comparisons += comparisons
-            per_server[server_id] = per_server.get(server_id, 0) + 1
-            self.partial_matches_created += created
-            self.extensions_generated += created
-        else:
-            with self._lock:
-                self.server_operations += 1
-                self.join_comparisons += comparisons
-                per_server[server_id] = per_server.get(server_id, 0) + 1
-                self.partial_matches_created += created
-                self.extensions_generated += created
+        per_server[server_id] = per_server.get(server_id, 0) + 1
+        self.partial_matches_created += created
+        self.extensions_generated += created
+        self.deleted_extensions += deleted
 
     def record_created(self, count: int = 1) -> None:
         """New partial matches spawned outside a server operation: root
         seeds — all of a run's, when it starts."""
-        if self._lock is None:
-            self.partial_matches_created += count
-            self.extensions_generated += count
-        else:
-            with self._lock:
-                self.partial_matches_created += count
-                self.extensions_generated += count
-
-    def record_deleted_extension(self) -> None:
-        """A leaf-deletion (outer-join null) extension was emitted."""
-        if self._lock is None:
-            self.deleted_extensions += 1
-        else:
-            with self._lock:
-                self.deleted_extensions += 1
+        self.partial_matches_created += count
+        self.extensions_generated += count
 
     def record_pruned(self, count: int = 1) -> None:
         """Partial matches discarded against the top-k levels (with, at
         Whirlpool-S's early stop, the roots it never seeded)."""
-        if self._lock is None:
-            self.partial_matches_pruned += count
-        else:
-            with self._lock:
-                self.partial_matches_pruned += count
+        self.partial_matches_pruned += count
 
     def record_completed(self, count: int = 1) -> None:
         """Matches that finished all servers."""
-        if self._lock is None:
-            self.completed_matches += count
-        else:
-            with self._lock:
-                self.completed_matches += count
+        self.completed_matches += count
 
     def record_routing_decision(self) -> None:
         """The router picked a next server for one match."""
-        if self._lock is None:
-            self.routing_decisions += 1
-        else:
-            with self._lock:
-                self.routing_decisions += 1
+        self.routing_decisions += 1
 
     def record_checkpoint(self) -> None:
         """The engine serialized a recovery snapshot of its live state."""
-        if self._lock is None:
-            self.checkpoints_taken += 1
-        else:
-            with self._lock:
-                self.checkpoints_taken += 1
+        self.checkpoints_taken += 1
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold a finished run's counters into this aggregate.
 
-        The query service keeps one thread-safe aggregate per service and
-        merges every completed engine run into it, so ``health()`` can
-        report fleet-wide totals in the same units as a single run.
-        ``other`` must no longer be mutating (its run has returned).
+        The query service keeps one aggregate per service, under its own
+        lock, and merges every completed engine run into it, so
+        ``health()`` can report fleet-wide totals in the same units as a
+        single run.  ``other`` must no longer be mutating (its run has
+        returned).
         """
-        if self._lock is None:
-            self._merge(other)
-        else:
-            with self._lock:
-                self._merge(other)
-
-    def _merge(self, other: "ExecutionStats") -> None:
         for name in _SUMMED:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         per_server = self.per_server_operations
@@ -204,19 +159,7 @@ class ExecutionStats:
     # -- reporting ---------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary for reporting / JSON dumps — one atomic snapshot.
-
-        On a thread-safe instance the read holds the same lock the
-        ``record_*``/:meth:`merge` writers hold, so a snapshot taken
-        mid-merge (the ``health()`` path) can never observe a torn
-        half-merged counter set.
-        """
-        if self._lock is None:
-            return self._counters()
-        with self._lock:
-            return self._counters()
-
-    def _counters(self) -> Dict[str, float]:
+        """Flat dictionary for reporting / JSON dumps."""
         return {name: getattr(self, name) for name in _SUMMED}
 
     def modeled_time(self, operation_cost: float, routing_cost: float = 0.0) -> float:

@@ -153,25 +153,19 @@ roots that completed there.  k roots have completed at or above the
 closing level once it is finite, so a finished relaxed run returns
 complete matches only.
 
-Sharing: a set is built shared (the default) or declared unshared
-(``shared=False``).  A shared set takes an internal lock in every method,
-so Whirlpool-M's server threads can share one instance; both levels are
-written only under it and read under it (``observe`` returns the threshold
-from under it).  An unshared set has no lock (``_lock is None``) and its
-methods run the same bodies without one: a run that one thread drives —
-Whirlpool-S, LockStep, LockStep-NoPrun — declares its set unshared
-(:class:`~repro.core.base.EngineBase`'s ``shared`` flag), which saves a
-lock round trip on every report and every prune test.
+Sharing: a set has no lock of its own, and one body serves every engine.
+A run that one thread drives — Whirlpool-S, LockStep, LockStep-NoPrun, the
+makespan model — calls it directly.  Whirlpool-M's threads call it only
+while they hold their run's engine lock (:mod:`repro.core.whirlpool_m`),
+so both levels are written and read under that one lock.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from bisect import bisect_left, insort
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -180,7 +174,6 @@ from typing import (
     Set,
     Sized,
     Tuple,
-    TypeVar,
 )
 
 from repro.core.match import PartialMatch
@@ -192,8 +185,6 @@ from repro.xmldb.model import XMLNode
 
 
 _NEG_INF = float("-inf")
-
-_T = TypeVar("_T")
 
 
 def bound_factor(servers: int) -> float:
@@ -257,8 +248,6 @@ class TopKSet:
         k: int,
         threshold_source: str = "all",
         bound_factor: float = 1.0,
-        *,
-        shared: bool = True,
     ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -273,8 +262,6 @@ class TopKSet:
         self.bound_factor = bound_factor
         self._complete_only = threshold_source == "complete"
         self._entries: Dict[Dewey, _Entry] = {}
-        #: ``None`` declares the set unshared: one thread drives its run.
-        self._lock: Optional[threading.Lock] = threading.Lock() if shared else None
         # The (at most) k best per-root scores and per-root completed
         # scores, ascending, as bare values: a level depends on the multiset
         # only, so roots tied at the k-th score are interchangeable and need
@@ -293,20 +280,10 @@ class TopKSet:
         Rule (i)/(ii) of Section 5.1: the new tuple updates or replaces the
         entry for its root when it improves on it; otherwise the entry is
         untouched (the tuple itself may still survive — survival is decided
-        against the two levels, not here).  The threshold is returned from
-        under the lock this call already holds, so the caller's prune test
-        of a fresh extension needs no second locked read; under
-        Whirlpool-M a returned value can only be older, hence lower, than
-        a fresh :meth:`threshold` — it never prunes more.
+        against the two levels, not here).  The caller's prune test of a
+        fresh extension reads the returned threshold, not a second
+        :meth:`threshold` call.
         """
-        if self._lock is None:
-            return self._observe(match, complete)
-        with self._lock:
-            return self._observe(match, complete)
-
-    def _observe(self, match: PartialMatch, complete: bool) -> float:
-        """:meth:`observe`'s body; the caller holds the lock, or the set is
-        unshared."""
         key = match.root_node.dewey
         score = match.score
         entry = self._entries.get(key)
@@ -348,54 +325,32 @@ class TopKSet:
     def threshold(self) -> float:
         """The paper's ``currentTopK``: the k-th best entry score (or 0).
 
-        Maintained by :meth:`observe`; reading it is one load (locked,
-        on a shared set).
+        Maintained by :meth:`observe`; reading it is one load.
         """
-        if self._lock is None:
-            return self._threshold
-        with self._lock:
-            return self._threshold
+        return self._threshold
 
     def closing_level(self) -> float:
         """The k-th best per-root *completed* score (-inf below k of them):
         a tuple that cannot finish above it can at best tie k finished
         answers.  Never above :meth:`threshold`; one load."""
-        if self._lock is None:
-            return self._closing
-        with self._lock:
-            return self._closing
+        return self._closing
 
     def closes(self, bound: float) -> bool:
         """True iff a tuple bounded by ``bound`` cannot reach the
         threshold, or can at best tie k completed answers: the test on the
         two shared levels, which only rise — so it holds for every tuple
         whose bound is no higher, too."""
-        if self._lock is None:
-            return self._levels_close(bound, _NEG_INF)
-        with self._lock:
-            return self._levels_close(bound, _NEG_INF)
+        factor = self.bound_factor
+        return bound * factor < self._threshold or bound <= self._closing * factor
 
     def is_pruned(self, match: PartialMatch) -> bool:
         """True iff the tuple can add nothing to the answer: the shared
         levels close it (:meth:`closes`), or it cannot beat the score its
         own root has already completed at (module docstring, "a root
         closes its own tuples")."""
-        if self._lock is None:
-            return self._prunes(match)
-        with self._lock:
-            return self._prunes(match)
-
-    def _prunes(self, match: PartialMatch) -> bool:
-        """:meth:`is_pruned`'s body; the caller holds the lock, or the set
-        is unshared."""
         entry = self._entries.get(match.root_node.dewey)
         own = _NEG_INF if entry is None else entry.complete_score
-        return self._levels_close(match.upper_bound, own)
-
-    def _levels_close(self, bound: float, own: float) -> bool:
-        """The prune test against the threshold, the closing level and the
-        tuple's own root's completed score ``own``; the caller holds the
-        lock, or the set is unshared."""
+        bound = match.upper_bound
         factor = self.bound_factor
         return (
             bound * factor < self._threshold
@@ -415,7 +370,7 @@ class TopKSet:
         completed match qualify — a partial exact match may yet die, so its
         score is not an answer.
         """
-        candidates = self._guarded(self._candidates)
+        candidates = self._candidates()
         candidates.sort(key=lambda item: (-item[3], item[4], item[0].dewey))
         return [
             TopKAnswer(root_node, score, match)
@@ -455,31 +410,20 @@ class TopKSet:
             candidates.append((entry.root_node, score, match, rank, partial))
         return candidates
 
-    def _guarded(self, call: Callable[[], _T]) -> _T:
-        """``call()`` under the lock, or without it on an unshared set: how
-        the methods off the hot path read the entries (it writes no
-        attribute of the set)."""
-        if self._lock is None:
-            return call()
-        with self._lock:
-            return call()
-
     def entry_count(self) -> int:
         """Number of distinct roots seen so far."""
-        return self._guarded(lambda: len(self._entries))
+        return len(self._entries)
 
     def export_state(
         self,
     ) -> List[Tuple[PartialMatch, Optional[PartialMatch]]]:
         """(match, complete_match) per entry — the checkpoint codec's view;
         :meth:`restore_state` is its inverse."""
-        return self._guarded(
-            lambda: [
-                (entry.match, entry.complete_match)
-                for entry in self._entries.values()
-                if entry.match is not None
-            ]
-        )
+        return [
+            (entry.match, entry.complete_match)
+            for entry in self._entries.values()
+            if entry.match is not None
+        ]
 
     def restore_state(
         self,
@@ -497,13 +441,11 @@ class TopKSet:
 
     def snapshot(self) -> List[Tuple[Dewey, float]]:
         """(root dewey, score) pairs, best first — for tests/diagnostics."""
-        pairs = self._guarded(
-            lambda: [
-                (key, entry.score)
-                for key, entry in self._entries.items()
-                if entry.match is not None
-            ]
-        )
+        pairs = [
+            (key, entry.score)
+            for key, entry in self._entries.items()
+            if entry.match is not None
+        ]
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
         return pairs
 

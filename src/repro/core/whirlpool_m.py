@@ -2,8 +2,7 @@
 
 One thread per server, one router thread, and the calling thread plays the
 paper's "main thread [that] checks for termination of top-k query
-execution".  All shared structures (top-k set, statistics, the queues) are
-thread-safe; termination is detected by an in-flight counter that tracks
+execution".  Termination is detected by an in-flight counter that tracks
 every partial match living in any queue or being processed — when it drops
 to zero, no component can ever produce new work.
 
@@ -13,6 +12,19 @@ serve it (a server), and put the output into the next thread's queue.  The
 makespan model (:func:`repro.bench.makespan.simulate`) schedules the same
 step over a modeled processor count: the threads and the model run one
 engine.
+
+One lock.  The top-k set, the queues, the statistics, the supervisor and
+the in-flight counter have no lock of their own: the run has one, the
+*engine lock* (:attr:`WhirlpoolM.lock`), and a thread holds it for all of
+a step's bookkeeping — the pop, ``admit``, the routing decision or the
+absorbed extensions, the statistics, observer calls and the put.  It lets
+go of it only where it waits: for work (a condition per thread id, built
+on the engine lock, which a put into that thread's queue notifies), around
+a server operation and a retry's backoff sleep
+(:meth:`~repro.core.base.EngineBase.unlocked`), and — the main thread —
+while it waits for the work to drain and joins the threads.  Waiting on
+the index is what threads overlap (``threaded_wallclock`` in the
+benchmarks); the bookkeeping runs one thread at a time.
 
 The threads live for one *segment*: the main thread ends it when the
 work drains, the budget is spent or a checkpoint is due, and joins them.
@@ -40,7 +52,7 @@ the paper's parallelism experiments lives in :mod:`repro.bench.makespan`.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.base import EngineBase, TopKResult
 from repro.core.match import PartialMatch
@@ -73,6 +85,8 @@ _WAIT_BACKSTOP_SECONDS = 60.0
 
 _ThreadNames = Union[Callable[[], List[str]], Sequence[str], None]
 
+_T = TypeVar("_T")
+
 
 def thread_label(thread: int) -> str:
     """A thread's queue site, checkpoint label and failure-report name."""
@@ -80,34 +94,32 @@ def thread_label(thread: int) -> str:
 
 
 class _InFlight:
-    """Counter of matches alive anywhere in the system.
+    """Counter of matches alive anywhere in the system, and the condition
+    the main thread waits on for it to drain.
 
-    Tracks a monotone transition count alongside the live count so
-    :meth:`wait_zero` can distinguish *slow progress* (transitions keep
-    happening) from a genuine deadlock (a full backstop window passes
-    with the count stuck and untouched).
+    It has no lock of its own: every method is called with the engine lock
+    held, and the condition is built on that lock — :meth:`dec` notifies
+    the waiter on the zero crossing, and :meth:`wait_zero` releases the
+    lock while it waits.  A monotone transition count kept alongside the
+    live count lets :meth:`wait_zero` distinguish *slow progress*
+    (transitions keep happening) from a genuine deadlock (a full backstop
+    window passes with the count stuck and untouched).
     """
 
-    def __init__(self) -> None:
-        self._count = 0
+    def __init__(self, lock: Any) -> None:
+        self.count = 0
         self._transitions = 0
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(lock)
 
     def inc(self, amount: int = 1) -> None:
-        with self._cond:
-            self._count += amount
-            self._transitions += 1
+        self.count += amount
+        self._transitions += 1
 
     def dec(self) -> None:
-        with self._cond:
-            self._count -= 1
-            self._transitions += 1
-            if self._count <= 0:
-                self._cond.notify_all()
-
-    def count(self) -> int:
-        with self._cond:
-            return self._count
+        self.count -= 1
+        self._transitions += 1
+        if self.count <= 0:
+            self._cond.notify_all()
 
     def wait_zero(
         self,
@@ -126,32 +138,26 @@ class _InFlight:
         at raise time) is attached to the error for diagnosis.
         """
         start = monotonic_seconds()
-        with self._cond:
-            while self._count > 0:
-                window = backstop_seconds
-                if timeout is not None:
-                    remaining = timeout - (monotonic_seconds() - start)
-                    if remaining <= 0:
-                        return False
-                    window = min(window, remaining)
-                transitions_before = self._transitions
-                window_start = monotonic_seconds()
-                self._cond.wait(window)
-                if self._count <= 0:
-                    break
-                waited = monotonic_seconds() - window_start
-                if (
-                    self._transitions == transitions_before
-                    and waited >= backstop_seconds
-                ):
-                    names: List[str]
-                    if callable(thread_names):
-                        names = list(thread_names())
-                    else:
-                        names = list(thread_names or ())
-                    raise EngineDeadlockError(
-                        self._count, names, backstop_seconds
-                    )
+        while self.count > 0:
+            window = backstop_seconds
+            if timeout is not None:
+                remaining = timeout - (monotonic_seconds() - start)
+                if remaining <= 0:
+                    return False
+                window = min(window, remaining)
+            transitions_before = self._transitions
+            window_start = monotonic_seconds()
+            self._cond.wait(window)
+            if self.count <= 0:
+                break
+            waited = monotonic_seconds() - window_start
+            if self._transitions == transitions_before and waited >= backstop_seconds:
+                names: List[str]
+                if callable(thread_names):
+                    names = list(thread_names())
+                else:
+                    names = list(thread_names or ())
+                raise EngineDeadlockError(self.count, names, backstop_seconds)
         return True
 
 
@@ -170,12 +176,32 @@ class WhirlpoolM(EngineBase):
     algorithm = "whirlpool_m"
 
     def __init__(self, *args: Any, threads_per_server: int = 1, **kwargs: Any) -> None:
-        super().__init__(*args, shared=True, **kwargs)
+        super().__init__(*args, **kwargs)
         if threads_per_server < 1:
             raise EngineError(
                 f"threads_per_server must be >= 1, got {threads_per_server}"
             )
         self.threads_per_server = threads_per_server
+        #: The engine lock (module docstring): whoever drives the run holds
+        #: it — the threads for a step's bookkeeping, the main thread
+        #: between segments, the makespan model throughout.
+        self.lock = threading.Lock()
+
+    def unlocked(self, call: Callable[..., _T], *args: Any) -> _T:
+        """``call(*args)`` with the engine lock released: the step waits
+        there, and the run's other threads work meanwhile."""
+        lock = self.lock
+        lock.release()
+        try:
+            return call(*args)
+        finally:
+            lock.acquire()
+
+    def restore(self, snapshot: Dict[str, Any]) -> None:
+        """Adopt a snapshot (:meth:`EngineBase.restore`) under the engine
+        lock, which every later write to the restored state holds."""
+        with self.lock:
+            super().restore(snapshot)
 
     def make_queues(
         self, on_drop: Optional[Callable[[PartialMatch], None]] = None
@@ -200,60 +226,65 @@ class WhirlpoolM(EngineBase):
         return server_id, [match]
 
     def run(self) -> TopKResult:
-        self.stats.start_clock()
-        in_flight = _InFlight()
-        # A match the injector discards in transit still holds an
-        # in-flight count from its producer; the drop releases it, so it
-        # cannot stall termination.
-        queues = self.make_queues(on_drop=lambda match: in_flight.dec())
-        labelled = {thread_label(thread): queue for thread, queue in queues.items()}
-        for match in self.start_matches():
-            self._put(queues, in_flight, ROUTER, match)
+        # The main thread holds the engine lock too, except while a
+        # segment runs (it waits for the drain) and while it joins.
+        with self.lock:
+            self.stats.start_clock()
+            in_flight = _InFlight(self.lock)
+            # A match the injector discards in transit still holds an
+            # in-flight count from its producer; the drop releases it, so
+            # it cannot stall termination.
+            queues = self.make_queues(on_drop=lambda match: in_flight.dec())
+            ready = {thread: threading.Condition(self.lock) for thread in queues}
+            labelled = {thread_label(thread): queue for thread, queue in queues.items()}
+            for match in self.start_matches():
+                self._put(queues, ready, in_flight, ROUTER, match)
 
-        # Between two thread segments every thread is joined: each pass is
-        # a quiesce point, where the checkpoint rule applies and the run
-        # either stops or continues in a fresh segment.
-        while True:
-            exhausted = self.budget_exhausted()
-            self.maybe_checkpoint(labelled, budget_exit=exhausted)
-            if exhausted or in_flight.count() == 0:
-                break
-            crash = self._segment(queues, in_flight)
-            if crash is not None:
-                # The injected CRASH killed this run; matches still queued
-                # are lost with it.  Callers resume from last_checkpoint
-                # (also on the supervisor for FailureReport attachment) —
-                # see repro.recovery.
-                self.stats.stop_clock()
-                raise crash
+            # Between two thread segments every thread is joined: each pass
+            # is a quiesce point, where the checkpoint rule applies and the
+            # run either stops or continues in a fresh segment.
+            while True:
+                exhausted = self.budget_exhausted()
+                self.maybe_checkpoint(labelled, budget_exit=exhausted)
+                if exhausted or in_flight.count == 0:
+                    break
+                crash = self._segment(queues, ready, in_flight)
+                if crash is not None:
+                    # The injected CRASH killed this run; matches still
+                    # queued are lost with it.  Callers resume from
+                    # last_checkpoint (also on the supervisor for
+                    # FailureReport attachment) — see repro.recovery.
+                    self.stats.stop_clock()
+                    raise crash
 
-        # Anything still queued is unreported work: its best upper bound is
-        # the degradation certificate, and a budget exit parks it — an
-        # empty set too: the next run() must finish this run, not seed a
-        # new one.
-        snapshots = {label: len(queue) for label, queue in labelled.items()}
-        degraded = in_flight.count() > 0
-        leftovers = [match for queue in queues.values() for match in queue.drain()]
-        pending_bound = self.park(leftovers) if exhausted else 0.0
+            # Anything still queued is unreported work: its best upper bound
+            # is the degradation certificate, and a budget exit parks it —
+            # an empty set too: the next run() must finish this run, not
+            # seed a new one.
+            snapshots = {label: len(queue) for label, queue in labelled.items()}
+            degraded = in_flight.count > 0
+            leftovers = [match for queue in queues.values() for match in queue.drain()]
+            pending_bound = self.park(leftovers) if exhausted else 0.0
 
-        self.stats.stop_clock()
-        return self.make_result(
-            degraded=degraded,
-            pending_bound=pending_bound,
-            queue_snapshots=snapshots,
-        )
+            self.stats.stop_clock()
+            return self.make_result(
+                degraded=degraded,
+                pending_bound=pending_bound,
+                queue_snapshots=snapshots,
+            )
 
     def _put(
         self,
         queues: Dict[int, MatchQueue],
+        ready: Dict[int, threading.Condition],
         in_flight: _InFlight,
         thread: int,
         match: PartialMatch,
     ) -> None:
-        """Put ``match`` into ``thread``'s queue.  inc() comes BEFORE the
-        put: the consumer may dec() the instant the match lands.  A failed
-        put abandons the match (bound recorded) and releases the count; a
-        drop releases it through the queue's ``on_drop``."""
+        """Put ``match`` into ``thread``'s queue and wake one of its
+        threads.  inc() comes BEFORE the put: a drop releases the count
+        through the queue's ``on_drop``.  A failed put abandons the match
+        (bound recorded) and releases the count."""
         in_flight.inc()
         try:
             queues[thread].put(match)
@@ -263,54 +294,71 @@ class WhirlpoolM(EngineBase):
         except Exception as exc:
             self.supervisor.record_abandoned(match, f"queue:{thread_label(thread)}", exc)
             in_flight.dec()
+            return
+        ready[thread].notify()
 
     def _segment(
-        self, queues: Dict[int, MatchQueue], in_flight: _InFlight
+        self,
+        queues: Dict[int, MatchQueue],
+        ready: Dict[int, threading.Condition],
+        in_flight: _InFlight,
     ) -> Optional[BaseException]:
         """Serve ``queues`` with a router thread and ``threads_per_server``
         threads per server until the work drains, the budget is spent, the
         checkpoint interval has passed, or a thread meets an injected
-        CRASH.  Returns with every thread joined — each finishes the match
-        in hand first, and a put on a closed queue still lands, so every
-        live match is in a queue — and the crash, if there was one."""
-        stop = threading.Event()
+        CRASH.  Called, and returns, with the engine lock held and every
+        thread joined — each finishes the match in hand first, and puts
+        its output, so every live match is in a queue — and returns the
+        crash, if there was one."""
         crashed: List[BaseException] = []
+        stopped = False
 
-        def note_crash(exc: BaseException) -> None:
-            crashed.append(exc)  # atomic: crashed[0] is the first crash
-            stop.set()
+        def stop() -> None:
+            nonlocal stopped
+            stopped = True
+            for waiting in ready.values():
+                waiting.notify_all()
 
         def worker_loop(thread: int) -> None:
             queue = queues[thread]
+            waiting = ready[thread]
             label = thread_label(thread)
-            while not stop.is_set():
-                try:
-                    match = queue.get()
-                except InjectedFaultError as exc:
-                    # The popped match was recorded as dropped (and its
-                    # count released) by the queue hook.
-                    self.supervisor.record_component_error(f"queue:{label}", exc)
-                    continue
-                except EngineCrashError as exc:
-                    note_crash(exc)
-                    return
-                if match is None:  # the segment closed the queue
-                    continue
-                try:
-                    if self.admit(match):
-                        target, output = self.step(thread, match)
-                        for produced in output:
-                            self._put(queues, in_flight, target, produced)
-                except EngineCrashError as exc:
-                    # The run is dead; the match in hand is lost with it.
-                    # Recovery is a checkpoint restore, not supervision.
-                    note_crash(exc)
-                except Exception as exc:
-                    # Crash containment: an unexpected failure abandons
-                    # only the match in hand.
-                    self.supervisor.record_abandoned(match, label, exc)
-                finally:
-                    in_flight.dec()
+            with self.lock:
+                while True:
+                    while not (stopped or queue):
+                        waiting.wait()
+                    if stopped:
+                        return
+                    try:
+                        match = queue.get_nowait()
+                    except InjectedFaultError as exc:
+                        # The popped match was recorded as dropped (and its
+                        # count released) by the queue hook.
+                        self.supervisor.record_component_error(f"queue:{label}", exc)
+                        continue
+                    except EngineCrashError as exc:
+                        crashed.append(exc)
+                        stop()
+                        return
+                    if match is None:  # the injector dropped what was queued
+                        continue
+                    try:
+                        if self.admit(match):
+                            target, output = self.step(thread, match)
+                            for produced in output:
+                                self._put(queues, ready, in_flight, target, produced)
+                    except EngineCrashError as exc:
+                        # The run is dead; the match in hand is lost with
+                        # it.  Recovery is a checkpoint restore, not
+                        # supervision.
+                        crashed.append(exc)
+                        stop()
+                    except Exception as exc:
+                        # Crash containment: an unexpected failure abandons
+                        # only the match in hand.
+                        self.supervisor.record_abandoned(match, label, exc)
+                    finally:
+                        in_flight.dec()
 
         threads = [
             threading.Thread(
@@ -343,8 +391,6 @@ class WhirlpoolM(EngineBase):
             injector is not None and injector.crash_possible()
         ):
             window = _BUDGET_POLL_SECONDS
-        for queue in queues.values():
-            queue.reopen()
         for thread in threads:
             thread.start()
         try:
@@ -356,9 +402,11 @@ class WhirlpoolM(EngineBase):
                 if in_flight.wait_zero(timeout=wait, thread_names=alive_names):
                     break
         finally:
-            stop.set()
-            for queue in queues.values():
-                queue.close()
-            for thread in threads:
-                thread.join(timeout=5.0)
+            stop()
+            self.unlocked(_join, threads)
         return crashed[0] if crashed else None
+
+
+def _join(threads: Sequence[threading.Thread]) -> None:
+    for thread in threads:
+        thread.join(timeout=5.0)

@@ -15,13 +15,12 @@ the match in hand; the escalation ladder is
    result's ``pending_bound`` certificate instead of the answer set
    silently shrinking.
 
-The supervisor is engine-agnostic.  It is built shared (the default:
-every method takes its lock, so Whirlpool-M's workers can share one
-instance) or declared unshared (``shared=False``: no lock) by a run that
-one thread drives, which then pays no lock round trip on the
-per-decision :meth:`Supervisor.excluded_for`.  Backoff sleeping lives
-here (not in ``core/``) so engine control flow stays wall-clock free per
-lint rule WPL004.
+The supervisor is engine-agnostic and has no lock of its own: a run that
+one thread drives calls it directly, and Whirlpool-M's threads call it
+only while they hold their run's engine lock — and release that lock
+around :meth:`Supervisor.pause`, the retry backoff's sleep.  Backoff
+sleeping lives here (not in ``core/``) so engine control flow stays
+wall-clock free per lint rule WPL004.
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
     Optional,
     Set,
     Tuple,
-    TypeVar,
 )
 
 from repro.faults.report import FailedMatch
@@ -135,16 +132,12 @@ class RetryPolicy:
 
 _NO_EXCLUSIONS: FrozenSet[int] = frozenset()
 
-_T = TypeVar("_T")
-
 
 class Supervisor:
-    """Failure book-keeping for one engine run (``shared=False``: one
-    thread drives the run, so no lock is taken)."""
+    """Failure book-keeping for one engine run."""
 
-    def __init__(self, policy: Optional[RetryPolicy] = None, *, shared: bool = True) -> None:
+    def __init__(self, policy: Optional[RetryPolicy] = None) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
-        self._lock: Optional[threading.Lock] = threading.Lock() if shared else None
         self._wakeup = threading.Event()
         self._rng = Random(self.policy.seed)
         self._attempts: Dict[Tuple[int, int], int] = {}
@@ -171,20 +164,6 @@ class Supervisor:
         servers besides ``server_id`` (a REQUEUE must have somewhere else
         to go).
         """
-        if self._lock is None:
-            return self._escalate(match, server_id, error, alternatives)
-        with self._lock:
-            return self._escalate(match, server_id, error, alternatives)
-
-    def _escalate(
-        self,
-        match: "PartialMatch",
-        server_id: int,
-        error: BaseException,
-        alternatives: bool,
-    ) -> FailureAction:
-        """:meth:`on_error`'s body; the caller holds the lock, or the
-        supervisor is unshared."""
         policy = self.policy
         label = f"server:{server_id}"
         self._error_counts[label] = self._error_counts.get(label, 0) + 1
@@ -203,33 +182,33 @@ class Supervisor:
         self._abandoned.append(_snapshot(match, label, attempts, error))
         return FailureAction.ABANDON
 
-    def backoff(
+    def retry_delay(
         self, match_id: int, server_id: int, max_seconds: Optional[float] = None
-    ) -> None:
-        """Wait the policy's backoff before retrying (jitter is seeded).
-
-        The wait is interruptible — :meth:`interrupt` wakes it immediately
-        (the shutdown/drain path) — and is capped at ``max_seconds`` when
-        given, so retry backoff can never overshoot the remaining engine
-        deadline: engines pass their remaining ``deadline_seconds`` budget
-        here.
-        """
-        delay = self._guarded(
-            lambda: self.policy.backoff_delay(
-                self._attempts.get((match_id, server_id), 1), self._rng
-            )
+    ) -> float:
+        """How long to wait before retrying ``match_id`` at ``server_id``:
+        the policy's backoff for the attempts made so far (jitter is
+        seeded), capped at ``max_seconds`` when given, so retry backoff can
+        never overshoot the remaining engine deadline: engines pass their
+        remaining ``deadline_seconds`` budget here."""
+        delay = self.policy.backoff_delay(
+            self._attempts.get((match_id, server_id), 1), self._rng
         )
         if max_seconds is not None:
             delay = min(delay, max(max_seconds, 0.0))
-        if delay > 0:
+        return delay
+
+    def pause(self, seconds: float) -> None:
+        """Sleep a :meth:`retry_delay`.  The wait is interruptible —
+        :meth:`interrupt` wakes it immediately (the shutdown/drain path)."""
+        if seconds > 0:
             # Pacing wait through the clock seam: interruptible via
             # interrupt(), warped away entirely under a VirtualClock.
-            simclock.wait(self._wakeup, delay)
+            simclock.wait(self._wakeup, seconds)
 
     def interrupt(self) -> None:
         """Cancel the current and all future backoff waits.
 
-        One-way: after an interrupt every :meth:`backoff` returns
+        One-way: after an interrupt every :meth:`pause` returns
         immediately, which is exactly the drain/shutdown semantics — a
         stopping engine must not sit in retry sleeps.
         """
@@ -241,15 +220,10 @@ class Supervisor:
         Until some match has been requeued — for the whole of a fault-free
         run — every answer is the one shared, immutable empty set.
         """
-        if self._lock is None:
-            excluded = self._excluded
-            if not excluded:
-                return _NO_EXCLUSIONS
-            return frozenset(excluded.get(match_id, ()))
-        with self._lock:
-            if not self._excluded:
-                return _NO_EXCLUSIONS
-            return frozenset(self._excluded.get(match_id, ()))
+        excluded = self._excluded
+        if not excluded:
+            return _NO_EXCLUSIONS
+        return frozenset(excluded.get(match_id, ()))
 
     # -- direct escalations (no retry path) -------------------------------------
 
@@ -257,29 +231,11 @@ class Supervisor:
         self, match: "PartialMatch", where: str, error: BaseException
     ) -> None:
         """A match was lost with no recovery possible (e.g. a put failed)."""
-        if self._lock is None:
-            self._abandon(match, where, error)
-        else:
-            with self._lock:
-                self._abandon(match, where, error)
-
-    def _abandon(self, match: "PartialMatch", where: str, error: BaseException) -> None:
-        """:meth:`record_abandoned`'s body; the caller holds the lock, or
-        the supervisor is unshared."""
-        self._count_error(where)
+        self.record_component_error(where, error)
         self._abandoned.append(_snapshot(match, where, 1, error))
 
     def record_component_error(self, where: str, error: BaseException) -> None:
         """An error that cost no match (router fallback, queue-get error)."""
-        if self._lock is None:
-            self._count_error(where)
-        else:
-            with self._lock:
-                self._count_error(where)
-
-    def _count_error(self, where: str) -> None:
-        """One more error at ``where``; the caller holds the lock, or the
-        supervisor is unshared."""
         self._error_counts[where] = self._error_counts.get(where, 0) + 1
 
     # -- checkpoint awareness ----------------------------------------------------
@@ -292,46 +248,29 @@ class Supervisor:
         a *resumable* failure (work is recoverable from the snapshot)
         from a total loss.
         """
-        if self._lock is None:
-            self._last_checkpoint = snapshot
-        else:
-            with self._lock:
-                self._last_checkpoint = snapshot
+        self._last_checkpoint = snapshot
 
     def last_checkpoint(self) -> Optional[Dict[str, Any]]:
         """The latest snapshot seen, or ``None`` when never checkpointed."""
-        return self._guarded(lambda: self._last_checkpoint)
+        return self._last_checkpoint
 
     # -- reporting ---------------------------------------------------------------
 
-    def _guarded(self, call: Callable[[], _T]) -> _T:
-        """``call()`` under the lock, or without it on an unshared
-        supervisor: how the methods off the hot path read (it writes no
-        attribute of the supervisor)."""
-        if self._lock is None:
-            return call()
-        with self._lock:
-            return call()
-
     def abandoned(self) -> List[FailedMatch]:
         """Matches given up on, with their certificate-feeding bounds."""
-        return self._guarded(lambda: list(self._abandoned))
+        return list(self._abandoned)
 
     def abandoned_count(self) -> int:
         """Number of abandoned matches."""
-        return self._guarded(lambda: len(self._abandoned))
+        return len(self._abandoned)
 
     def max_abandoned_bound(self) -> float:
         """Largest upper bound among abandoned matches (0.0 when none)."""
-        return self._guarded(
-            lambda: max((failed.upper_bound for failed in self._abandoned), default=0.0)
-        )
+        return max((failed.upper_bound for failed in self._abandoned), default=0.0)
 
     def counters(self) -> Tuple[Dict[str, int], int, int]:
         """(error counts by component, retries, requeues) — one snapshot."""
-        return self._guarded(
-            lambda: (dict(self._error_counts), self._retries, self._requeue_count)
-        )
+        return dict(self._error_counts), self._retries, self._requeue_count
 
     def __repr__(self) -> str:
         counts, retries, requeues = self.counters()

@@ -208,7 +208,11 @@ class WhirlpoolService:
             for offset, name in enumerate(sorted(ALGORITHMS))
         }
         self._counters = ServiceCounters()
-        self._engine_stats = ExecutionStats(thread_safe=True)
+        #: Fleet-wide engine counters: every finished run is merged in and
+        #: ``health()`` reads them, both under ``_stats_lock``, so a snapshot
+        #: never shows a half-merged run.
+        self._engine_stats = ExecutionStats()
+        self._stats_lock = threading.Lock()
         self._engine_lock = threading.Lock()
         self._engines: Dict[Tuple[str, str, bool], Engine] = {}
         self._ids = itertools.count(1)
@@ -363,6 +367,8 @@ class WhirlpoolService:
         stopped = self._stopped.is_set()
         workers_alive = sum(1 for thread in self._threads if thread.is_alive())
         workers_total = len(self._threads)
+        with self._stats_lock:
+            engine_stats = self._engine_stats.as_dict()
         return {
             "ok": not draining and not stopped and workers_alive == workers_total,
             "queue_depth": self._queue.depth(),
@@ -376,7 +382,7 @@ class WhirlpoolService:
                 name: breaker.snapshot() for name, breaker in sorted(self._breakers.items())
             },
             "counters": self._counters.as_dict(),
-            "engine_stats": self._engine_stats.as_dict(),
+            "engine_stats": engine_stats,
             "metrics": self.obs.registry.as_dict() if self.obs.enabled else None,
             "slow_queries": (
                 self.obs.slow_log.as_dicts() if self.obs.slow_log is not None else None
@@ -660,7 +666,7 @@ class WhirlpoolService:
         run_span.annotate("routing_decisions", result.stats.routing_decisions)
         run_span.annotate("degraded", result.degraded)
         run_span.finish()
-        self._engine_stats.merge(result.stats)
+        self._fold_stats(result.stats)
         degraded = result.degraded or degraded_by_service
         outcome = Outcome.DEGRADED if degraded else Outcome.SERVED
         if self.obs.enabled:
@@ -701,6 +707,11 @@ class WhirlpoolService:
             ticket,
             QueryResponse(Outcome.FAILED, ticket.request_id, reason=reason, error=error, **fields),
         )
+
+    def _fold_stats(self, stats: ExecutionStats) -> None:
+        """Merge one finished run's counters into the fleet-wide aggregate."""
+        with self._stats_lock:
+            self._engine_stats.merge(stats)
 
     def _finish(self, ticket: Ticket, response: QueryResponse) -> bool:
         if not ticket.claim(response):

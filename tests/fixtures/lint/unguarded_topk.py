@@ -1,14 +1,14 @@
 """Fixture: shared-class methods writing state without holding the lock.
 
 Deliberately violates WPL001 (shared-state-guard).  The class name matches
-one of the engine's shared classes, which is what puts it in scope for the
-rule — the fixture never runs.
+one of the classes that guard themselves with their own lock, which is
+what puts it in scope for the rule — the fixture never runs.
 """
 
 import threading
 
 
-class TopKSet:
+class ExecutionTrace:
     def __init__(self):
         # Writes inside __init__ are exempt: the object is unshared here.
         self._lock = threading.Lock()

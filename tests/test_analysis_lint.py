@@ -21,6 +21,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.lint.engine import Finding, Rule
 from repro.analysis.lint.rules import SHARED_CLASSES
+from repro.analysis.racecheck import ENGINE_LOCKED_CLASSES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 REPO_SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -49,35 +50,6 @@ class TestRuleFixtures:
         # (lines 24-26) must not be reported.
         assert not lines & set(range(13, 17))
         assert not lines & set(range(23, 27))
-
-    def test_shared_state_guard_accepts_optional_lock_idiom(self):
-        # `if self._lock is None:` in a class whose __init__ may leave the
-        # lock None is the declared single-threaded path.
-        assert lint_paths([FIXTURES / "optional_lock_ok.py"]) == []
-
-    def test_shared_state_guard_optional_lock_exempts_only_the_none_branch(self):
-        findings = lint_paths([FIXTURES / "optional_lock_bad.py"])
-        assert codes_and_lines(findings) == [
-            ("WPL001", 21),  # else branch without `with self._lock`
-            ("WPL001", 22),  # after the if: either kind of instance
-            ("WPL001", 32),  # class whose lock is never None
-        ]
-
-    def test_shared_state_guard_accepts_only_helpers_every_call_guards(self):
-        # A private method counts as guarded when every reference to it is
-        # a self-call at a guarded position; one stray reference — a call
-        # outside the guard, a bound method passed on, a call from its own
-        # body only, a call deferred into a generator expression — or a
-        # body that is itself a generator, and its writes are checked like
-        # any method's.
-        findings = lint_paths([FIXTURES / "guarded_helper.py"])
-        assert codes_and_lines(findings) == [
-            ("WPL001", 43),  # _leak: also called outside `with self._lock`
-            ("WPL001", 50),  # _escape: passed on, not called under the lock
-            ("WPL001", 53),  # _spin: no guarded caller but itself
-            ("WPL001", 68),  # _lazy: called only from a generator expression
-            ("WPL001", 75),  # _later: a generator, its body runs later
-        ]
 
     def test_no_bare_thread_fires(self):
         findings = lint_paths([FIXTURES / "bare_thread.py"])
@@ -273,9 +245,9 @@ class TestNameResolution:
         assert 5 in lines, (code, spelling)
 
     def test_shared_classes_name_real_classes(self):
-        # The one shared-class list: WPL001 matches these names and
-        # racecheck imports these classes, so each must exist.
-        for dotted in SHARED_CLASSES:
+        # WPL001 matches these names and racecheck imports these classes
+        # (with the engine-locked ones), so each must exist.
+        for dotted in SHARED_CLASSES + ENGINE_LOCKED_CLASSES:
             module, _, name = dotted.rpartition(".")
             cls = getattr(importlib.import_module(module), name, None)
             assert inspect.isclass(cls) and cls.__module__ == module, dotted

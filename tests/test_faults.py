@@ -371,7 +371,7 @@ class TestPlanAndSupervisorUnits:
             RetryPolicy(base_delay=5.0, max_delay=5.0, jitter=0.0)
         )
         started = time.perf_counter()
-        supervisor.backoff(1, 2, max_seconds=0.05)
+        supervisor.pause(supervisor.retry_delay(1, 2, max_seconds=0.05))
         assert time.perf_counter() - started < 1.0
 
     def test_interrupt_cancels_backoff_waits(self):
@@ -382,7 +382,7 @@ class TestPlanAndSupervisorUnits:
         )
         supervisor.interrupt()
         started = time.perf_counter()
-        supervisor.backoff(1, 2)  # uncapped, but the event is already set
+        supervisor.pause(supervisor.retry_delay(1, 2))  # uncapped; the event is set
         assert time.perf_counter() - started < 1.0
 
     def test_backoff_respects_engine_deadline(self, engine):

@@ -372,7 +372,7 @@ MUTANTS = {
     ),
     "keeps_ties": (
         TopKSet,
-        "_levels_close",
+        "is_pruned",
         [("bound <= self._closing * factor", "bound < self._closing")],
     ),
     "bound_by_size": (
@@ -460,7 +460,7 @@ def test_a_sibling_that_can_only_tie_is_closed_as_it_is_absorbed(xmark_db):
     assert best.score == engine.score_model.max_total() == run.topk.closing_level()
     seed = PartialMatch.initial(best.root_node)
     server_id = run.server_ids[0]
-    siblings = run.servers[server_id].process(seed, run.stats)
+    siblings = run.servers[server_id].process(seed)[0]
     pruned = run.stats.partial_matches_pruned
     assert run.absorb_extensions(siblings) == []
     assert max(sibling.upper_bound for sibling in siblings) == run.topk.threshold()

@@ -4,6 +4,8 @@
 reaches zero notifies the condition, so the waiter sleeps through the
 whole wait and wakes at most a handful of times regardless of how long
 the workers take.  These tests instrument ``Condition.wait`` to prove it.
+The counter has no lock of its own: its condition is built on Whirlpool-M's
+engine lock, which every caller holds — here, the test's stand-in.
 
 A stuck counter is no longer survivable by cycling forever: when a full
 backstop window passes with a positive count and *no* transitions,
@@ -23,8 +25,8 @@ from repro.errors import EngineDeadlockError, EngineError
 class CountingCondition(threading.Condition):
     """Condition that records every wait call and its timeout."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, lock):
+        super().__init__(lock)
         self.wait_calls = []
 
     def wait(self, timeout=None):
@@ -33,16 +35,24 @@ class CountingCondition(threading.Condition):
 
 
 def make_counted():
-    counter = _InFlight()
-    condition = CountingCondition()
+    """A counter on a stand-in engine lock, whose condition counts waits;
+    call it with ``with condition:``, as an engine thread holds the lock."""
+    lock = threading.Lock()
+    counter = _InFlight(lock)
+    condition = CountingCondition(lock)
     counter._cond = condition
     return counter, condition
+
+
+def locked(condition, call, *args):
+    with condition:
+        return call(*args)
 
 
 class TestWaitZero:
     def test_returns_immediately_at_zero(self):
         counter, condition = make_counted()
-        counter.wait_zero()
+        locked(condition, counter.wait_zero)
         assert condition.wait_calls == []
 
     def test_wakes_on_notification_not_poll(self):
@@ -53,12 +63,13 @@ class TestWaitZero:
 
         def worker():
             time.sleep(0.5)
-            counter.dec()
+            locked(condition, counter.dec)
 
         thread = threading.Thread(target=worker, name="inflight-test", daemon=True)
         started = time.perf_counter()
-        thread.start()
-        counter.wait_zero()
+        with condition:
+            thread.start()
+            counter.wait_zero()
         elapsed = time.perf_counter() - started
         thread.join()
 
@@ -71,12 +82,13 @@ class TestWaitZero:
         counter.inc()
 
         thread = threading.Thread(
-            target=lambda: (time.sleep(0.05), counter.dec()),
+            target=lambda: (time.sleep(0.05), locked(condition, counter.dec)),
             name="inflight-test",
             daemon=True,
         )
-        thread.start()
-        counter.wait_zero()
+        with condition:
+            thread.start()
+            counter.wait_zero()
         thread.join()
 
         assert condition.wait_calls
@@ -85,9 +97,9 @@ class TestWaitZero:
     def test_backstop_expiry_raises_deadlock_error(self):
         # If workers die without decrementing, a full quiet backstop
         # window is a deadlock — diagnosed loudly, not cycled forever.
-        counter, _ = make_counted()
+        counter, condition = make_counted()
         counter.inc(2)
-        with pytest.raises(EngineDeadlockError) as excinfo:
+        with condition, pytest.raises(EngineDeadlockError) as excinfo:
             counter.wait_zero(
                 backstop_seconds=0.05,
                 thread_names=["whirlpool-server-2-0", "whirlpool-router"],
@@ -102,29 +114,32 @@ class TestWaitZero:
     def test_backstop_tolerates_slow_progress(self):
         # Transitions during the window mean the system is slow, not
         # deadlocked: no exception, and the waiter drains normally.
-        counter, _ = make_counted()
+        counter, condition = make_counted()
         counter.inc()
 
         def worker():
             for _ in range(4):
                 time.sleep(0.03)
-                counter.inc()
-                counter.dec()
-            counter.dec()
+                with condition:
+                    counter.inc()
+                    counter.dec()
+            locked(condition, counter.dec)
 
         thread = threading.Thread(target=worker, name="inflight-test", daemon=True)
-        thread.start()
-        assert counter.wait_zero(backstop_seconds=0.08) is True
+        with condition:
+            thread.start()
+            assert counter.wait_zero(backstop_seconds=0.08) is True
         thread.join()
 
     def test_timeout_returns_false_without_deadlock_error(self):
         # The deadline-enforcement path: a short timeout expires before
         # the backstop window completes, reporting "not drained".
-        counter, _ = make_counted()
+        counter, condition = make_counted()
         counter.inc()
-        assert counter.wait_zero(backstop_seconds=5.0, timeout=0.05) is False
-        counter.dec()
-        assert counter.wait_zero(backstop_seconds=5.0, timeout=0.05) is True
+        with condition:
+            assert counter.wait_zero(backstop_seconds=5.0, timeout=0.05) is False
+            counter.dec()
+            assert counter.wait_zero(backstop_seconds=5.0, timeout=0.05) is True
 
     def test_multiple_increments_single_wait(self):
         counter, condition = make_counted()
@@ -133,11 +148,12 @@ class TestWaitZero:
         def worker():
             for _ in range(3):
                 time.sleep(0.02)
-                counter.dec()
+                locked(condition, counter.dec)
 
         thread = threading.Thread(target=worker, name="inflight-test", daemon=True)
-        thread.start()
-        counter.wait_zero()
+        with condition:
+            thread.start()
+            counter.wait_zero()
         thread.join()
         # Intermediate decrements (3→2→1) never notify, so the waiter is
         # not woken early: one sleep covers the whole drain.

@@ -14,16 +14,19 @@ worker threads, each fixed in this layer-by-layer shape:
 - ``ExecutionStats.as_dict()`` / ``ServiceCounters.as_dict()`` read
   counters field-by-field while ``record_*``/``merge`` writers were
   mid-update, so ``health()`` could report torn half-merged totals.
-  Snapshots now hold the writers' lock.
+  Snapshots now hold the writers' lock: the counters' own, and for the
+  service's fleet-wide ``ExecutionStats`` aggregate (which has no lock of
+  its own) the service's.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.core.engine import Engine
 from repro.core.stats import ExecutionStats
-from repro.service import Outcome
+from repro.service import Outcome, WhirlpoolService
 from repro.service.health import ServiceCounters
 from repro.xmldb.index import _EMPTY_TAG_INDEX, DatabaseIndex
 
@@ -120,29 +123,42 @@ _MERGED_KEYS = (
 )
 
 
+MERGES = 20000
+
+
 class TestExecutionStatsSnapshot:
     def test_snapshot_never_tears_mid_merge(self):
-        aggregate = ExecutionStats(thread_safe=True)
+        # The service folds every finished run into one aggregate while
+        # health() reads it from other threads.
+        service = WhirlpoolService({}, workers=1, auto_start=False)
         donor = _donor()
         stop = threading.Event()
+        started = threading.Barrier(3, timeout=10)
         torn = []
 
         def merger():
-            for _ in range(3000):
-                aggregate.merge(donor)
+            started.wait()
+            for _ in range(MERGES):
+                service._fold_stats(donor)
             stop.set()
 
         def snapshotter():
+            started.wait()
             while not stop.is_set():
-                snapshot = aggregate.as_dict()
+                snapshot = service.health()["engine_stats"]
                 values = {snapshot[key] for key in _MERGED_KEYS}
                 if len(values) != 1:
                     torn.append(snapshot)
 
-        run_threads(merger, snapshotter, snapshotter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(merger, snapshotter, snapshotter)
+        finally:
+            sys.setswitchinterval(interval)
         assert torn == [], f"torn snapshots observed: {torn[:3]}"
-        final = aggregate.as_dict()
-        assert all(final[key] == 3000 for key in _MERGED_KEYS)
+        final = service.health()["engine_stats"]
+        assert all(final[key] == MERGES for key in _MERGED_KEYS)
 
 
 class TestOneCounterList:
@@ -155,14 +171,14 @@ class TestOneCounterList:
             setattr(stats, name, value)
         stats.per_server_operations = {3: 2}
         assert list(stats.as_dict()) == [*COUNTERS, "wall_time_seconds", "simulated_time"]
-        for total in (ExecutionStats(), ExecutionStats(thread_safe=True)):
-            total.merge(stats)
-            total.merge(stats)
-            merged = total.as_dict()
-            assert [merged[name] for name in COUNTERS] == [
-                2 * value for value in range(1, len(COUNTERS) + 1)
-            ]
-            assert total.per_server_operations == {3: 4}
+        total = ExecutionStats()
+        total.merge(stats)
+        total.merge(stats)
+        merged = total.as_dict()
+        assert [merged[name] for name in COUNTERS] == [
+            2 * value for value in range(1, len(COUNTERS) + 1)
+        ]
+        assert total.per_server_operations == {3: 4}
 
 
 class TestServiceCountersSnapshot:

@@ -123,15 +123,23 @@ class TestWhirlpoolMClean:
         assert {"TopKSet", "ExecutionStats", "MatchQueue", "_InFlight", "ProbeMemo"} <= names
 
     def test_whirlpool_m_run_has_no_findings(self):
-        database = generate_catalogs(BiblioConfig(books_per_seller=8, seed=5))
-        engine = Engine(database, reference_query())
-        with RaceCheck() as check:
-            result = WhirlpoolM(
-                pattern=engine.pattern,
-                index=engine.index,
-                score_model=engine.score_model,
-                k=5,
-                threads_per_server=2,
-            ).run()
-        assert result.answers
-        assert check.findings() == [], check.report()
+        assert _whirlpool_m_findings(threads_per_server=2) == []
+
+    def test_whirlpool_m_run_at_one_thread_per_server_has_no_findings(self):
+        assert _whirlpool_m_findings(threads_per_server=1) == []
+
+
+def _whirlpool_m_findings(threads_per_server):
+    """Race findings of one Whirlpool-M run over a generated catalog."""
+    database = generate_catalogs(BiblioConfig(books_per_seller=8, seed=5))
+    engine = Engine(database, reference_query())
+    with RaceCheck() as check:
+        result = WhirlpoolM(
+            pattern=engine.pattern,
+            index=engine.index,
+            score_model=engine.score_model,
+            k=5,
+            threads_per_server=threads_per_server,
+        ).run()
+    assert result.answers
+    return [finding.detail for finding in check.findings()]

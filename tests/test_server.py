@@ -58,10 +58,21 @@ def _seed(db, dewey=(0, 0)):
     return PartialMatch.initial(db.node_by_dewey(dewey))
 
 
+def _extend(server, match):
+    """The extensions of one server operation."""
+    return server.process(match)[0]
+
+
+def _record(server, match, stats):
+    """One server operation, recorded in ``stats`` as an engine records it."""
+    extensions, comparisons, deleted = server.process(match)
+    stats.record_server_operation(server.node_id, comparisons, len(extensions), deleted)
+
+
 class TestRelaxedProcessing:
     def test_exact_candidate(self, db, index):
         _, servers = _servers(index)
-        extensions = servers[1].process(_seed(db))  # title server
+        extensions = _extend(servers[1], _seed(db))  # title server
         assert len(extensions) == 1
         ext = extensions[0]
         assert ext.qualities[1] is MatchQuality.EXACT
@@ -71,14 +82,14 @@ class TestRelaxedProcessing:
         """Book (0,1)'s title is under reviews: only the relaxed root axis
         holds, so the extension is RELAXED with the lower contribution."""
         _, servers = _servers(index)
-        extensions = servers[1].process(_seed(db, (0, 1)))
+        extensions = _extend(servers[1], _seed(db, (0, 1)))
         assert len(extensions) == 1
         assert extensions[0].qualities[1] is MatchQuality.RELAXED
         assert extensions[0].score == pytest.approx(0.5)
 
     def test_deleted_extension_when_no_candidates(self, db, index):
         _, servers = _servers(index)
-        extensions = servers[1].process(_seed(db, (0, 2)))  # bare book
+        extensions = _extend(servers[1], _seed(db, (0, 2)))  # bare book
         assert len(extensions) == 1
         assert extensions[0].qualities[1] is MatchQuality.DELETED
         assert extensions[0].instantiations[1] is None
@@ -90,7 +101,7 @@ class TestRelaxedProcessing:
         model = ScoreModel({1: 1.0}, {1: 0.5})
         server = Server(plan.server(1), index, model, relaxed=True)
         server.set_root_tag("book")
-        extensions = server.process(_seed(db))
+        extensions = _extend(server, _seed(db))
         assert extensions[0].qualities[1] is MatchQuality.DELETED
 
     def test_multiple_candidates_spawn_multiple_extensions(self, index):
@@ -100,7 +111,7 @@ class TestRelaxedProcessing:
         model = ScoreModel({1: 1.0}, {1: 0.5})
         server = Server(plan.server(1), DatabaseIndex(db2), model, relaxed=True)
         server.set_root_tag("book")
-        extensions = server.process(_seed(db2))
+        extensions = _extend(server, _seed(db2))
         assert len(extensions) == 2
 
     def test_conditionals_downgrade_quality(self, db, index):
@@ -113,7 +124,7 @@ class TestRelaxedProcessing:
         match = match.extend(3, publisher, MatchQuality.RELAXED, 0.5)
         # Now name server: name is under publisher exactly (pc), but its
         # exact root axis (depth 3) fails -> RELAXED.
-        extensions = servers[4].process(match)
+        extensions = _extend(servers[4], match)
         assert len(extensions) == 1
         assert extensions[0].qualities[4] is MatchQuality.RELAXED
 
@@ -121,19 +132,19 @@ class TestRelaxedProcessing:
 class TestExactProcessing:
     def test_exact_mode_kills_relaxed_candidates(self, db, index):
         _, servers = _servers(index, relaxed=False)
-        extensions = servers[1].process(_seed(db, (0, 1)))
+        extensions = _extend(servers[1], _seed(db, (0, 1)))
         assert extensions == []  # title under reviews: not a child
 
     def test_exact_mode_no_deleted_extension(self, db, index):
         _, servers = _servers(index, relaxed=False)
-        assert servers[1].process(_seed(db, (0, 2))) == []
+        assert _extend(servers[1], _seed(db, (0, 2))) == []
 
     def test_exact_mode_enforces_conditionals(self, db, index):
         _, servers = _servers(index, relaxed=False)
         match = _seed(db, (0, 0))
         info = db.node_by_dewey((0, 0, 1))
         match = match.extend(2, info, MatchQuality.EXACT, 1.0)
-        extensions = servers[3].process(match)  # publisher under that info
+        extensions = _extend(servers[3], match)  # publisher under that info
         assert len(extensions) == 1
         assert extensions[0].qualities[3] is MatchQuality.EXACT
 
@@ -142,7 +153,7 @@ class TestStatsRecording:
     def test_server_operation_recorded(self, db, index):
         _, servers = _servers(index)
         stats = ExecutionStats()
-        servers[1].process(_seed(db), stats)
+        _record(servers[1], _seed(db), stats)
         assert stats.server_operations == 1
         assert stats.per_server_operations == {1: 1}
         assert stats.extensions_generated == 1
@@ -151,7 +162,7 @@ class TestStatsRecording:
     def test_deleted_extension_recorded(self, db, index):
         _, servers = _servers(index)
         stats = ExecutionStats()
-        servers[1].process(_seed(db, (0, 2)), stats)
+        _record(servers[1], _seed(db, (0, 2)), stats)
         assert stats.deleted_extensions == 1
 
 
@@ -204,8 +215,8 @@ class TestJoinAlgorithms:
             )
             for dewey in ((0, 0), (0, 1), (0, 2)):
                 match = _seed(db, dewey)
-                index_exts = index_server.process(match)
-                scan_exts = scan_server.process(match)
+                index_exts = _extend(index_server, match)
+                scan_exts = _extend(scan_server, match)
                 assert [e.describe() for e in index_exts] == [
                     e.describe() for e in scan_exts
                 ]
@@ -217,7 +228,7 @@ class TestJoinAlgorithms:
         scan_server = Server(plan.server(1), index, model, join_algorithm="scan")
         scan_server.set_root_tag("book")
         stats = ExecutionStats()
-        scan_server.process(_seed(db), stats)
+        _record(scan_server, _seed(db), stats)
         # Two title nodes exist in the fixture; the scan compares both
         # even though only one lies under this root.
         assert stats.join_comparisons == 2
@@ -230,7 +241,7 @@ class TestProbeMemo:
         per_run = []
         for _ in range(2):
             stats = ExecutionStats()
-            server.process(_seed(db), stats)
+            _record(server, _seed(db), stats)
             per_run.append(stats.as_dict())
             per_run[-1].pop("wall_time_seconds")
         assert per_run[0] == per_run[1]
