@@ -556,11 +556,13 @@ class EngineBase:
         if candidates is None:
             root = self.pattern.root
             rows = self.root_bounds
+            nodes = self.index[root.tag].all()
+            if root.value is not None:
+                nodes = [node for node in nodes if root.matches_value(node.value)]
             listed: List[Tuple[XMLNode, RootBounds]] = []
-            for node in self.index[root.tag].all():
-                if root.matches_value(node.value):
-                    row = rows.get(node.dewey)
-                    listed.append((node, row if row is not None else self.root_row(node.dewey)))
+            for node in nodes:
+                row = rows.get(node.dewey)
+                listed.append((node, row if row is not None else self.root_row(node.dewey)))
             candidates = self._candidate_roots = CandidateRoots(listed)
         return candidates
 

@@ -191,20 +191,17 @@ class Engine:
             )
         #: The bound table: root Dewey -> :class:`~repro.core.server.RootBounds`,
         #: every run's bound material (:meth:`EngineBase.bound_entry`).
-        self.root_bounds: Dict[Dewey, RootBounds] = dict(
-            zip(anchors, bound_rows(len(roots), probes, self.score_model, relaxed))
-        )
+        rows = bound_rows(len(roots), probes, self.score_model, relaxed)
+        self.root_bounds: Dict[Dewey, RootBounds] = dict(zip(anchors, rows))
         #: The candidate roots (:class:`~repro.core.base.CandidateRoots`):
         #: each root the query's root predicate admits, with its row, in
         #: document order — what every run seeds, and Whirlpool-S's seeding
         #: order once its first run has sorted it.
-        self.candidate_roots = CandidateRoots(
-            [
-                (root, self.root_bounds[root.dewey])
-                for root in roots
-                if self.pattern.root.matches_value(root.value)
-            ]
-        )
+        root_test = self.pattern.root
+        listed = list(zip(roots, rows))
+        if root_test.value is not None:
+            listed = [(root, row) for root, row in listed if root_test.matches_value(root.value)]
+        self.candidate_roots = CandidateRoots(listed)
         self._path_summary: Optional["PathSummary"] = None
         # Engines are shared across service worker threads; the lazy
         # path-summary build must publish exactly one instance.

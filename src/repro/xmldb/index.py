@@ -4,7 +4,11 @@ Section 6.2.1 of the paper: *"When a query is executed on an XML document,
 the document is parsed and nodes involved in the query are stored in indexes
 along with their Dewey encoding."*  :class:`TagIndex` is that structure —
 all nodes of one tag in document (= Dewey lexicographic) order — and
-:class:`DatabaseIndex` bundles one per tag.
+:class:`DatabaseIndex` bundles one per tag.  The parse is the one pass: the
+parser buckets each node by tag as it attaches it, the
+:class:`~repro.xmldb.model.Database` keeps the buckets, and an index takes
+its tags' buckets as they are — already in document order, so nothing
+walks the forest or sorts again.
 
 The key operation is the *range probe*: all nodes with a given tag inside
 the subtree of an ancestor, found by binary search over the Dewey order,
@@ -16,8 +20,7 @@ ordered anchor list in one forward merge with the tag's node list — the
 structural-join idea, used to fill an Engine's probe memos and the
 statistics' fan-outs in one pass per (tag, axis).  It reads ``node.dewey``, so both backends share it;
 :meth:`TagIndex.related` stays the on-demand single probe (memo misses,
-``scan`` joins, the matcher).  :class:`DatabaseIndex` buckets the forest in
-one explicit-stack walk.
+``scan`` joins, the matcher).
 
 Two interchangeable backends implement the single probe:
 
@@ -45,7 +48,6 @@ import bisect
 import threading
 from array import array
 from itertools import accumulate, chain
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.xmldb.dewey import DepthRange, Dewey, subtree_interval
@@ -128,7 +130,11 @@ class ProbeCost:
 
 
 class TagIndex:
-    """All nodes carrying one tag, in document order (object backend)."""
+    """All nodes carrying one tag, in document order (object backend).
+
+    ``nodes`` must come in document order, as a database's bucket does;
+    the index copies the list and does not sort it.
+    """
 
     backend = "object"
 
@@ -136,7 +142,7 @@ class TagIndex:
 
     def __init__(self, tag: str, nodes: Iterable[XMLNode] = ()) -> None:
         self.tag = tag
-        self.nodes: List[XMLNode] = sorted(nodes, key=attrgetter("dewey"))
+        self.nodes: List[XMLNode] = list(nodes)
         self._deweys: List[Dewey] = [node.dewey for node in self.nodes]
         self.cost = ProbeCost()
 
@@ -235,13 +241,14 @@ class TagIndex:
                     f"anchor {anchor} follows {previous}: anchors must be in document order"
                 )
             previous = anchor
-            _, successor = subtree_interval(anchor)
             while start < count and nodes[start].dewey < anchor:
                 start += 1
             at_anchor = start < count and nodes[start].dewey == anchor
             if hi == 0:  # the self axis: the anchor itself, or nothing
                 results.append([nodes[start]] if at_anchor else [])
                 continue
+            # The subtree interval's end (:func:`subtree_interval`), inline.
+            successor = anchor[:-1] + (anchor[-1] + 1,)
             end = start
             while end < count and nodes[end].dewey < successor:
                 end += 1
@@ -314,7 +321,8 @@ class ColumnarTagIndex(TagIndex):
     Shared across Whirlpool-M server threads and service workers like
     every index: reads are lock-free over immutable-once-built arrays,
     and :meth:`insert` (rare — bulk construction goes through
-    ``__init__``) swaps freshly built columns under ``_lock``.
+    ``__init__``, from a document-ordered node list as
+    :class:`TagIndex`'s) swaps freshly built columns under ``_lock``.
     """
 
     backend = "columnar"
@@ -323,7 +331,7 @@ class ColumnarTagIndex(TagIndex):
 
     def __init__(self, tag: str, nodes: Iterable[XMLNode] = ()) -> None:
         self.tag = tag
-        self.nodes = sorted(nodes, key=attrgetter("dewey"))
+        self.nodes = list(nodes)
         self._arena, self._offsets = _build_columns(self.nodes)
         self._lock = threading.Lock()
         self.cost = ProbeCost()
@@ -484,21 +492,12 @@ class DatabaseIndex:
         self.database = database
         self.backend = resolve_index_backend(backend)
         index_cls = _BACKEND_CLASSES[self.backend]
-        # One explicit-stack walk of the forest in document order; every
-        # wanted tag gets a bucket up front, so absent ones index empty.
-        buckets: Dict[str, List[XMLNode]] = {} if tags is None else {tag: [] for tag in tags}
-        stack = [document.root for document in reversed(database.documents)]
-        while stack:
-            node = stack.pop()
-            bucket = buckets.get(node.tag)
-            if bucket is not None:
-                bucket.append(node)
-            elif tags is None:
-                buckets[node.tag] = [node]
-            if node.children:
-                stack.extend(reversed(node.children))
+        # The database's buckets are the indexes' inputs, in document order;
+        # a wanted tag the forest lacks indexes empty.
+        buckets = database.buckets
         self.indexes: Dict[str, TagIndex] = {
-            tag: index_cls(tag, nodes) for tag, nodes in buckets.items()
+            tag: index_cls(tag, buckets.get(tag, ()))
+            for tag in (buckets if tags is None else tags)
         }
 
     def __getitem__(self, tag: str) -> TagIndex:

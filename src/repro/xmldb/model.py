@@ -7,12 +7,22 @@ forest, the unit the scoring function's ``idf`` statistics range over.
 
 Nodes are assigned Dewey identifiers at construction/attachment time and the
 model deliberately keeps them immutable once a node is attached — the engine
-relies on Dewey ids as stable primary keys.
+relies on Dewey ids as stable primary keys.  A node's parent is its Dewey
+prefix: ``XMLNode.parent`` is only :meth:`XMLNode.add_child`'s attach guard,
+set by ``add_child`` alone, and a parsed tree leaves it ``None``, so it holds
+no cycle and is freed by reference counting once dropped.
+
+A :class:`Database` buckets its nodes by tag when it adds a tree — the
+parser hands its buckets over, any other tree is bucketed by the stamping
+walk — so an index or a tag count reads them instead of walking the
+forest.  A node attached to a tree after the tree joined a database is in
+no bucket; add the tree to a new database to see it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.xmldb import dewey as dw
 from repro.xmldb.dewey import Dewey
@@ -29,6 +39,11 @@ class XMLNode:
         Optional flattened text content for leaf-ish nodes, e.g.
         ``"wodehouse"`` for ``<title>wodehouse</title>``.  Mixed-content
         parents keep their own direct text here too.
+
+    ``parent`` is :meth:`add_child`'s attach guard — a node attached once
+    is refused a second time — and only ``add_child`` sets it.  Nothing
+    navigates by it: a node's parent is its Dewey prefix, and parsed
+    trees leave it ``None``.
     """
 
     __slots__ = ("tag", "value", "children", "dewey", "parent")
@@ -60,19 +75,29 @@ class XMLNode:
         """Create, attach and return a new child node."""
         return self.add_child(XMLNode(tag, value))
 
-    def _assign_deweys(self, dewey: Dewey) -> None:
-        """Stamp this subtree with Dewey ids rooted at ``dewey``.
+    def _assign_deweys(
+        self, dewey: Dewey, buckets: Optional[DefaultDict[str, List["XMLNode"]]] = None
+    ) -> None:
+        """Stamp this subtree with Dewey ids rooted at ``dewey``, in document
+        order, appending each node to its tag's list in ``buckets`` if given.
 
         Iterative on an explicit stack: document depth is data-controlled
         (the columnar index arena has no depth limit), so stamping must not
         be bounded by the interpreter recursion limit.
         """
         stack = [(self, dewey)]
+        push = stack.append
         while stack:
             node, node_dewey = stack.pop()
             node.dewey = node_dewey
-            for ordinal, child in enumerate(node.children):
-                stack.append((child, node_dewey + (ordinal,)))
+            if buckets is not None:
+                buckets[node.tag].append(node)
+            children = node.children
+            if children:
+                ordinal = len(children)
+                for child in reversed(children):  # pushed last, popped first
+                    ordinal -= 1
+                    push((child, node_dewey + (ordinal,)))
 
     # -- navigation --------------------------------------------------------
 
@@ -127,8 +152,8 @@ class XMLDocument:
 
     def __init__(self, root: XMLNode, ordinal: int = 0, *, stamped: bool = False) -> None:
         """Adopt ``root`` as document ``ordinal``, stamping its subtree —
-        unless ``stamped``: its builder (the parser) stamped every node for
-        ``ordinal`` as it attached it."""
+        unless ``stamped``: its builder (the parser, or a database's
+        bucketing walk) stamped every node for ``ordinal`` already."""
         self.root = root
         self.ordinal = ordinal
         if not stamped:
@@ -162,11 +187,14 @@ class Database:
 
     A database owns its documents' Dewey space: document ``i`` roots at
     Dewey ``(i,)``, so node ids are unique across the forest and document
-    order extends across documents.
+    order extends across documents.  ``buckets`` maps each tag to its
+    nodes across the forest, in document order, as of when each tree was
+    added.
     """
 
     def __init__(self, documents: Optional[Sequence[XMLDocument]] = None) -> None:
         self.documents: List[XMLDocument] = []
+        self.buckets: Dict[str, List[XMLNode]] = {}
         if documents:
             for document in documents:
                 self.add_document(document.root)
@@ -179,15 +207,32 @@ class Database:
             database.add_document(root)
         return database
 
-    def add_document(self, root: XMLNode, *, stamped: bool = False) -> XMLDocument:
-        """Attach a tree to the forest, re-stamping its Dewey ids.
+    def add_document(
+        self, root: XMLNode, *, buckets: Optional[Dict[str, List[XMLNode]]] = None
+    ) -> XMLDocument:
+        """Attach a tree to the forest, re-stamping its Dewey ids, and add
+        its nodes to :attr:`buckets`.
 
-        ``stamped`` is for a tree that was just built stamped for the next
-        ordinal (what :func:`~repro.xmldb.parser.parse_forest` produces); any
-        other tree — one detached and re-attached included — is re-stamped.
+        ``buckets`` is for a tree that was just built stamped for the next
+        ordinal, with its nodes by tag in document order (what
+        :func:`~repro.xmldb.parser.parse_forest` produces); the database
+        takes those lists over.  Any other tree — one detached and
+        re-attached included — is re-stamped and bucketed in one walk.
         """
-        document = XMLDocument(root, ordinal=len(self.documents), stamped=stamped)
+        ordinal = len(self.documents)
+        if buckets is None:
+            walked: DefaultDict[str, List[XMLNode]] = defaultdict(list)
+            root._assign_deweys((ordinal,), walked)
+            buckets = walked
+        document = XMLDocument(root, ordinal=ordinal, stamped=True)
         self.documents.append(document)
+        held = self.buckets
+        for tag, nodes in buckets.items():
+            bucket = held.get(tag)
+            if bucket is None:
+                held[tag] = nodes
+            else:
+                bucket.extend(nodes)
         return document
 
     # -- access ------------------------------------------------------------
@@ -199,7 +244,7 @@ class Database:
 
     def node_count(self) -> int:
         """Total number of nodes across all documents."""
-        return sum(document.node_count() for document in self.documents)
+        return sum(map(len, self.buckets.values()))
 
     def node_by_dewey(self, dewey: Dewey) -> Optional[XMLNode]:
         """Resolve a Dewey id anywhere in the forest."""
@@ -208,19 +253,12 @@ class Database:
         return self.documents[dewey[0]].node_by_dewey(dewey)
 
     def nodes_with_tag(self, tag: str) -> List[XMLNode]:
-        """All nodes with a given tag in document order (linear scan).
-
-        The engine itself goes through :class:`repro.xmldb.index.DatabaseIndex`;
-        this method exists for tests and ad-hoc exploration.
-        """
-        return [node for node in self.iter_nodes() if node.tag == tag]
+        """All nodes with a given tag in document order (a copy of its bucket)."""
+        return list(self.buckets.get(tag, ()))
 
     def tag_histogram(self) -> Dict[str, int]:
         """Count of nodes per tag across the forest."""
-        histogram: Dict[str, int] = {}
-        for node in self.iter_nodes():
-            histogram[node.tag] = histogram.get(node.tag, 0) + 1
-        return histogram
+        return {tag: len(nodes) for tag, nodes in self.buckets.items()}
 
     def __len__(self) -> int:
         return len(self.documents)

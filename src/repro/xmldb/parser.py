@@ -2,16 +2,24 @@
 
 :mod:`xml.parsers.expat` (the parser under :mod:`xml.etree.ElementTree`)
 tokenizes; three handlers build the tree in one pass.  The start handler
-attaches each element to the innermost open one and stamps its Dewey id
-as it does (its parent's plus its sibling ordinal), so a parsed forest
-needs no second walk; attributes become children whose tag is the
-attribute name prefixed with ``@`` (``<item id="i3">`` yields a child
-``@id`` with value ``"i3"``), which keeps the node-labeled-tree model
-uniform: tree patterns may mention ``@id`` like any other tag.  Character
-data is appended to one shared buffer; the end handler joins its
-element's slice of it, strips it into ``value`` (``None`` when only
-whitespace is left) and truncates the buffer.  Nothing recurses, so
-nesting depth is bounded by memory only.
+attaches each element to the innermost open one, stamps its Dewey id
+as it does (its parent's plus its sibling ordinal) and appends it to its
+tag's bucket, so a parsed forest needs no second walk: the database keeps
+the buckets, and an index takes its tags' nodes from them in document
+order.  Attributes become children whose tag is the attribute name
+prefixed with ``@`` (``<item id="i3">`` yields a child ``@id`` with value
+``"i3"``), which keeps the node-labeled-tree model uniform: tree patterns
+may mention ``@id`` like any other tag.  Character data is appended to
+one shared buffer; the end handler joins its element's slice of it,
+strips it into ``value`` (``None`` when only whitespace is left) and
+truncates the buffer.  Nothing recurses, so nesting depth is bounded by
+memory only.
+
+A parsed tree holds no cycle: the parser sets no ``parent`` link (a
+node's parent is its Dewey prefix), and the handlers lose their hold on
+the expat parser when the parse ends, on success and on a refused
+document alike.  A dead tree is therefore freed by reference counting
+as soon as its last reference goes, not at the collector's next pass.
 
 Accepted is what expat accepts as a well-formed XML 1.0 document: one
 document element, character data, CDATA sections, comments, processing
@@ -38,7 +46,8 @@ its ``line`` and the character offset ``position`` of the problem.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NoReturn
+from collections import defaultdict
+from typing import DefaultDict, Iterable, List, NoReturn, Tuple
 
 from repro.errors import XMLParseError
 from repro.xmldb.model import Database, XMLNode
@@ -50,9 +59,10 @@ def _error(message: str, data: bytes, index: int, line: int) -> XMLParseError:
     return XMLParseError(message, position=position, line=line)
 
 
-def _parse_tree(text: str, ordinal: int = 0) -> XMLNode:
+def _parse_tree(text: str, ordinal: int = 0) -> Tuple[XMLNode, DefaultDict[str, List[XMLNode]]]:
     """The one element in ``text``, as a tree stamped with the Dewey ids of
-    document ``ordinal``, so a forest adopts it at ``ordinal`` as is."""
+    document ``ordinal``, so a forest adopts it at ``ordinal`` as is, and
+    its nodes by tag, each tag's in document order."""
     # Imported here, so that a process that never parses (engines over
     # generated trees) does not map the C module and its library.
     from xml.parsers.expat import ErrorString, ExpatError, ParserCreate
@@ -69,21 +79,23 @@ def _parse_tree(text: str, ordinal: int = 0) -> XMLNode:
     stack = [top]  # the open elements
     marks: List[int] = []  # where each open element's text starts in ``texts``
     texts: List[str] = []
+    buckets: DefaultDict[str, List[XMLNode]] = defaultdict(list)
 
     def start(tag: str, attributes: List[str]) -> None:
         parent = stack[-1]
         siblings = parent.children
         node = XMLNode(tag)
         node.dewey = dewey = root_dewey if parent is top else parent.dewey + (len(siblings),)
-        node.parent = parent
         siblings.append(node)
+        buckets[tag].append(node)
         if attributes:
             children = node.children
             for position in range(0, len(attributes), 2):
-                attribute = XMLNode("@" + attributes[position], attributes[position + 1])
+                name = "@" + attributes[position]
+                attribute = XMLNode(name, attributes[position + 1])
                 attribute.dewey = dewey + (position >> 1,)
-                attribute.parent = node
                 children.append(attribute)
+                buckets[name].append(attribute)
         stack.append(node)
         marks.append(len(texts))
 
@@ -108,9 +120,12 @@ def _parse_tree(text: str, ordinal: int = 0) -> XMLNode:
         raise _error(
             ErrorString(error.code), data, parser.ErrorByteIndex, parser.ErrorLineNumber
         ) from None
-    root = top.children[0]
-    root.parent = None
-    return root
+    finally:
+        # The parser holds the handlers and ``refuse`` holds the parser:
+        # emptying the cell they share breaks that cycle, so the parser, the
+        # handlers and what they close over (``data``, ``top``) go now.
+        del parser
+    return top.children.pop(), buckets
 
 
 def parse_document(text: str) -> Database:
@@ -123,17 +138,19 @@ def parse_forest(texts: Iterable[str]) -> Database:
 
     ``texts`` is an iterable of document strings; documents join the forest
     in iteration order, which fixes their Dewey document ordinals.  Each
-    tree is parsed stamped for its ordinal, so the forest adopts it as is.
+    tree is parsed stamped for its ordinal and bucketed by tag, so the
+    forest adopts it, and its buckets, as is.
     """
     database = Database()
     for text in texts:
-        database.add_document(_parse_tree(text, len(database.documents)), stamped=True)
+        root, buckets = _parse_tree(text, len(database.documents))
+        database.add_document(root, buckets=buckets)
     return database
 
 
 def parse_fragment(text: str) -> XMLNode:
     """Parse a standalone element into a bare (unattached) node tree."""
-    root = _parse_tree(text)
+    root, _ = _parse_tree(text)
     for node in root.iter_subtree():
         node.dewey = ()
     return root

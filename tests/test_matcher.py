@@ -95,8 +95,9 @@ class TestSemantics:
         query = parse_xpath("/book[./info/publisher]")
         for match in find_matches(query, books_db):
             book, info, publisher = match[0], match[1], match[2]
-            assert info.parent is book
-            assert publisher.parent is info
+            # A parsed node's parent is its Dewey prefix.
+            assert info.dewey[:-1] == book.dewey
+            assert publisher.dewey[:-1] == info.dewey
 
 
 # -- property: matcher agrees with brute-force embedding enumeration ----------

@@ -258,6 +258,55 @@ class TestDeweyStamping:
         _assert_freshly_stamped(Database.from_roots([root]))
 
 
+def _walked_buckets(database):
+    """tag -> nodes, each tag's in document order, by walking the forest."""
+    buckets = {}
+    for document in database.documents:
+        for node, _ in _fresh_deweys(document.root, document.ordinal):
+            buckets.setdefault(node.tag, []).append(node)
+    return buckets
+
+
+def _assert_bucketed(database):
+    walked = _walked_buckets(database)
+    assert list(database.buckets) == list(walked)  # tags in first-seen order
+    for tag, nodes in walked.items():
+        assert [id(node) for node in database.buckets[tag]] == [id(node) for node in nodes]
+        assert [node.dewey for node in nodes] == sorted(node.dewey for node in nodes)
+
+
+class TestTagBuckets:
+    """The parser buckets each node, attributes included, by tag as it
+    attaches it; a database adopts those buckets, and buckets every tree it
+    re-stamps in its stamping walk — the same lists a walk would build."""
+
+    TEXT = TestDeweyStamping.TEXT
+
+    def test_parse_document(self):
+        database = parse_document(self.TEXT)
+        _assert_bucketed(database)
+        assert [node.value for node in database.buckets["@id"]] == ["i0", "i1", "i2"]
+
+    def test_parse_forest_extends_each_tag_in_document_order(self):
+        _assert_bucketed(parse_forest([self.TEXT, "<a><item>x</item><c/></a>", self.TEXT]))
+
+    def test_restamped_trees(self):
+        root = parse_document(self.TEXT).documents[0].root
+        asia = root.children[0].children[1]
+        del asia.children[0]
+        asia.child("item").child("name", "c")
+        _assert_bucketed(Database.from_roots([XMLNode("lone"), root, parse_fragment(self.TEXT)]))
+
+    def test_tag_reads_come_from_the_buckets(self):
+        database = parse_forest([self.TEXT, self.TEXT])
+        walked = _walked_buckets(database)
+        assert database.node_count() == sum(map(len, walked.values()))
+        assert database.tag_histogram() == {tag: len(nodes) for tag, nodes in walked.items()}
+        items = database.nodes_with_tag("item")
+        assert items == walked["item"] and items is not database.buckets["item"]
+        assert database.nodes_with_tag("absent") == []
+
+
 class TestDepth:
     """Nesting depth is data-controlled; nothing on the path from text to
     tree and back to text may be bounded by the interpreter's recursion limit
