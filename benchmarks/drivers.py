@@ -337,22 +337,28 @@ CHAOS_PLAN = FaultPlan.chaos(3)
 
 
 #: The None tests of the injector a run makes once: two arming it, at most
-#: four building its result.
-RUN_GUARDS = 6
+#: four building its result, and the pop that finds the queue empty.
+RUN_GUARDS = 7
 
 
 def fault_hook_sites(open_run, baseline):
     """Fault-hook guard executions of one run: the hook calls the same run
-    makes with :data:`INERT_PLAN` armed, plus :data:`RUN_GUARDS`.
+    makes with :data:`INERT_PLAN` armed at every site but the put, one per
+    put batch, plus :data:`RUN_GUARDS`.
 
     The inert plan fires nothing, so the armed run takes the disabled
-    run's path, and each hook site — server operation, queue put and get,
-    routing decision — tests the guard once and, armed, calls its hook
-    once; the injector counts those calls per site.
+    run's path.  A server operation, a queue get and a routing decision
+    each test the guard once and, armed, call their hook once; the
+    injector counts those calls per site.  A put tests it once per batch
+    (``EngineBase.put_or_abandon``), counted on the run itself.
     """
+    batches = [0]
     run = open_run(faults=INERT_PLAN)
-    assert run.run().failure is None, "the inert plan fired"
-    return sum(run.fault_injector.summary()["site_counts"].values()) + RUN_GUARDS
+    with counted(run, "put_or_abandon", batches):
+        assert run.run().failure is None, "the inert plan fired"
+    calls = run.fault_injector.summary()["site_counts"]
+    hooked = sum(count for key, count in calls.items() if not key.startswith("queue_put:"))
+    return hooked + batches[0] + RUN_GUARDS
 
 
 def fault_overhead():

@@ -47,7 +47,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.core.base import EngineBase, TopKResult
 from repro.core.match import PartialMatch
 from repro.core.whirlpool_m import ROUTER, WhirlpoolM, thread_label
-from repro.errors import EngineError, InjectedFaultError
+from repro.errors import EngineError
 
 
 class CostModel:
@@ -151,7 +151,8 @@ def _schedule(
     """:func:`simulate`'s discrete-event loop, under the engine lock."""
     run.stats.start_clock()
     queues = run.make_queues()
-    run.put_or_abandon(queues[ROUTER], "queue:router", run.start_matches())
+    run.put_or_abandon(queues[ROUTER], thread_label(ROUTER), run.start_matches())
+    injector = run.fault_injector
 
     clock = 0.0
     busy_time = 0.0
@@ -178,13 +179,15 @@ def _schedule(
         """Pop until a match passes admission (``None``: queue empty)."""
         queue = queues[thread]
         while True:
-            try:
+            if injector is None:
                 match = queue.get_nowait()
-            except InjectedFaultError as exc:
-                # Recorded as dropped by the queue hook.
-                run.supervisor.record_component_error(f"queue:{thread_label(thread)}", exc)
-                continue
-            if match is None or run.admit(match):
+            else:
+                match = run.pop_or_lose(queue, thread_label(thread))[0]
+            if match is None:
+                if queue:  # the get hook lost what it popped
+                    continue
+                return None
+            if run.admit(match):
                 return match
 
     def dispatch() -> None:
@@ -213,7 +216,7 @@ def _schedule(
         if free is not None:
             free += 1
         target, output = run.step(thread, match)
-        run.put_or_abandon(queues[target], f"queue:{thread_label(target)}", output)
+        run.put_or_abandon(queues[target], thread_label(target), output)
         mark_ready(target)
         # The finishing thread may have more queued work.
         mark_ready(thread)

@@ -31,14 +31,21 @@ each root's row from its own servers' probes as it lists the candidate
 roots, when it starts — the same row, so the same bound and the same
 operation counts.
 
-The adaptive engines' step is built from it too: pop → :meth:`EngineBase.admit`
-→ :meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put.
-Whirlpool-S runs it in one loop, Whirlpool-M in real threads or under the
-makespan model's scheduler (:func:`repro.bench.makespan.simulate`).  Every
-engine calls the same bodies, and none of the state they touch has a lock
-of its own: Whirlpool-M's threads hold their run's engine lock through a
-step and let go of it only where the step waits —
-:meth:`EngineBase.unlocked`.
+The adaptive engines' step is built from it too: pop
+(:meth:`EngineBase.pop_or_lose`) → :meth:`EngineBase.admit` →
+:meth:`EngineBase.choose_server` / :meth:`EngineBase.serve` → put
+(:meth:`EngineBase.put_or_abandon`).  Whirlpool-S runs it in one loop,
+Whirlpool-M in real threads or under the makespan model's scheduler
+(:func:`repro.bench.makespan.simulate`).  Every engine calls the same
+bodies, and none of the state they touch has a lock of its own:
+Whirlpool-M's threads hold their run's engine lock through a step and let
+go of it only where the step waits — :meth:`EngineBase.unlocked`.
+
+Those bodies fire every fault hook (``SERVER_OP`` in :meth:`EngineBase.serve`
+and :meth:`EngineBase.escalate`, ``QUEUE_PUT`` / ``QUEUE_GET`` in the put
+and the pop, ``ROUTER`` in :meth:`EngineBase.choose_server`), each through
+:meth:`EngineBase.unlocked`, since an injected DELAY sleeps there; a run
+without a plan tests one ``None`` per site and pops its queues directly.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -272,7 +278,6 @@ class EngineBase:
                 score_model,
                 relaxed,
                 join_algorithm=join_algorithm,
-                injector=self.fault_injector,
                 probe_memo=probe_memos[node_id] if probe_memos is not None else None,
             )
             self.servers[node_id] = server
@@ -438,10 +443,7 @@ class EngineBase:
                 float(carried.get("bound", 0.0)), outgoing.max_dropped_bound()
             )
             self.carried_loss = carried
-        injector = FaultInjector(faults) if faults is not None else None
-        self.fault_injector = injector
-        for server in self.servers.values():
-            server.injector = injector
+        self.fault_injector = FaultInjector(faults) if faults is not None else None
 
     def checkpoint_due(self) -> bool:
         """True once the policy's interval has passed since
@@ -765,23 +767,34 @@ class EngineBase:
         what goes back to the router: the match itself when recovery
         requeues it, nothing when it is abandoned (the supervisor holds
         its bound) or dropped, else the absorbed extensions that must
-        continue.  The operation itself runs :meth:`unlocked`; its
-        statistics are recorded here.  Only a failure enters
-        :meth:`escalate`; ``can_requeue=False`` (a fixed server order:
-        LockStep) leaves it retry-or-abandon."""
+        continue.  An armed run fires the ``SERVER_OP`` hook first; the
+        hook and the operation run :meth:`unlocked`; the statistics are
+        recorded here.  Only a failure enters :meth:`escalate`;
+        ``can_requeue=False`` (a fixed server order: LockStep) leaves it
+        retry-or-abandon."""
         server = self.servers[server_id]
+        injector = self.fault_injector
         try:
+            if injector is not None and not self.unlocked(
+                injector.on_server_op, server_id, match
+            ):
+                # Injected DROP: the operation loses the match, its bound
+                # recorded by the injector for the result certificate.
+                return []
             operation = self.unlocked(server.process, match)
         except EngineCrashError:
             # A crash is not a supervisable failure: the run is dead and
             # only a checkpoint restore brings the work back.
             raise
         except Exception as exc:  # noqa: B902 — supervision boundary
-            operation = self.escalate(server, match, exc, can_requeue)
-            if operation is _REQUEUED:  # with this server excluded
+            # An injected ERROR raises before any index work, so a retry
+            # is idempotent.
+            retried = self.escalate(server, match, exc, can_requeue)
+            if retried is _REQUEUED:  # with this server excluded
                 return [match]
-        if operation is None:  # dropped, or recovery exhausted
-            return []
+            if retried is None:  # dropped, or recovery exhausted
+                return []
+            operation = retried
         extensions, comparisons, deleted = operation
         self.stats.record_server_operation(server_id, comparisons, len(extensions), deleted)
         prune = self.prune
@@ -792,8 +805,8 @@ class EngineBase:
     def unlocked(self, call: Callable[..., _T], *args: Any) -> _T:
         """``call(*args)``, a part of a step that waits: a server
         operation, which probes the index, a retry's backoff sleep, or a
-        routing fault hook, which may sleep.  A run that one thread drives
-        just calls it;
+        fault hook, which may sleep.  A run that one thread drives just
+        calls it;
         :class:`~repro.core.whirlpool_m.WhirlpoolM` releases its engine
         lock around it, so its other threads work meanwhile."""
         return call(*args)
@@ -872,33 +885,15 @@ class EngineBase:
             return []
         return [repr(event) for event in list(events)[-limit:]]
 
-    def make_server_queue(
-        self,
-        node_id: int,
-        on_drop: Optional[Callable[[PartialMatch], None]] = None,
-    ) -> MatchQueue:
-        """A server queue under this engine's queue policy."""
-        return MatchQueue(
-            policy=self.queue_policy,
-            server_id=node_id,
-            max_contributions=self.max_contributions,
-            injector=self.fault_injector,
-            site=f"server:{node_id}",
-            on_drop=on_drop,
-            observer=self.observer,
-        )
+    def make_server_queue(self, node_id: int) -> MatchQueue:
+        """A server queue under this engine's queue policy; its site is
+        ``server:<node_id>``."""
+        return MatchQueue(self.queue_policy, node_id, self.max_contributions)
 
-    def make_router_queue(
-        self, on_drop: Optional[Callable[[PartialMatch], None]] = None
-    ) -> MatchQueue:
-        """The router's inbox queue (always prioritized by upper bound)."""
-        return MatchQueue(
-            QueuePolicy.MAX_FINAL_SCORE,
-            injector=self.fault_injector,
-            site="router",
-            on_drop=on_drop,
-            observer=self.observer,
-        )
+    def make_router_queue(self) -> MatchQueue:
+        """The router's inbox queue (always prioritized by upper bound);
+        its site is ``router``."""
+        return MatchQueue(QueuePolicy.MAX_FINAL_SCORE)
 
     # -- supervised building blocks ------------------------------------------------
 
@@ -931,8 +926,9 @@ class EngineBase:
                 f"match {match.match_id} is complete; it should not be routed"
             )
         allowed = unvisited
-        excluded = self.supervisor.excluded_for(match.match_id)
-        if excluded:
+        supervisor = self.supervisor
+        if supervisor.excluded:  # some match was requeued away from a server
+            excluded = supervisor.excluded_for(match.match_id)
             allowed = [nid for nid in unvisited if nid not in excluded] or unvisited
         if fallback:
             choice = allowed[0]
@@ -957,10 +953,13 @@ class EngineBase:
         then requeue or abandon.  Returns a successful retry's operation
         (``None`` when it dropped the match), :data:`_REQUEUED` to requeue
         the match, or ``None`` when recovery is exhausted (the supervisor
-        recorded the loss, feeding the result certificate).  The backoff
-        and the retries run :meth:`unlocked`."""
+        recorded the loss, feeding the result certificate).  Each retry
+        is an operation: it fires the ``SERVER_OP`` hook again, as
+        :meth:`serve` does.  The backoff, the hooks and the retries run
+        :meth:`unlocked`."""
         server_id = server.node_id
         supervisor = self.supervisor
+        injector = self.fault_injector
         while True:
             alternatives = can_requeue and len(self.unvisited(match.visited)) > 1
             action = supervisor.on_error(match, server_id, error, alternatives)
@@ -973,6 +972,10 @@ class EngineBase:
             )
             self.unlocked(supervisor.pause, delay)
             try:
+                if injector is not None and not self.unlocked(
+                    injector.on_server_op, server_id, match
+                ):
+                    return None
                 return self.unlocked(server.process, match)
             except EngineCrashError:
                 raise
@@ -980,18 +983,64 @@ class EngineBase:
                 error = exc
 
     def put_or_abandon(
-        self, queue: MatchQueue, label: str, matches: Iterable[PartialMatch]
-    ) -> None:
-        """Enqueue each of ``matches``, in order; on an (injected) put
-        error, record that match's loss and move on."""
+        self, queue: MatchQueue, site: str, matches: Sequence[PartialMatch]
+    ) -> int:
+        """Enqueue each of ``matches``, in order, into ``queue`` — the one
+        at ``site`` (``router``, ``server:<id>``) — and return how many
+        entered it.
+
+        An armed run fires the ``QUEUE_PUT`` hook before each put
+        (:meth:`unlocked`): a DROP loses the match in transit (the injector
+        records its bound), an injected ERROR abandons it (the supervisor
+        records it as ``queue:<site>``'s loss), a DELAY stalls the
+        producer.  An observer receives the depth after each put.  A run
+        with neither tests both once per batch."""
+        injector = self.fault_injector
+        observer = self.observer
         put = queue.put
-        for match in matches:
-            try:
+        if injector is None and observer is None:
+            for match in matches:
                 put(match)
-            except EngineCrashError:
-                raise
-            except Exception as exc:
-                self.supervisor.record_abandoned(match, label, exc)
+            return len(matches)
+        entered = 0
+        for match in matches:
+            if injector is not None:
+                try:
+                    if not self.unlocked(injector.on_put, site, match):
+                        continue
+                except InjectedFaultError as exc:
+                    self.supervisor.record_abandoned(match, f"queue:{site}", exc)
+                    continue
+            put(match)
+            entered += 1
+            if observer is not None:
+                observer.on_queue_depth(site, len(queue))
+        return entered
+
+    def pop_or_lose(
+        self, queue: MatchQueue, site: str
+    ) -> Tuple[Optional[PartialMatch], int]:
+        """Pop ``queue`` — the one at ``site`` — through the ``QUEUE_GET``
+        hook of an armed run (:meth:`unlocked`); a run without a plan pops
+        the queue directly instead.  Returns the match popped (``None``:
+        nothing left, or an injected error) and how many matches the hook
+        lost on the way, which the injector recorded with their bounds: a
+        DROP loses the popped match and pops the next; an injected ERROR
+        loses it too (it left the queue), is recorded as ``queue:<site>``'s
+        component error and ends the pop."""
+        injector = self.fault_injector
+        lost = 0
+        while True:
+            match = queue.get_nowait()
+            if match is None or injector is None:
+                return match, lost
+            try:
+                if self.unlocked(injector.on_get, site, match):
+                    return match, lost
+            except InjectedFaultError as exc:
+                self.supervisor.record_component_error(f"queue:{site}", exc)
+                return None, lost + 1
+            lost += 1
 
     def remaining_deadline(self) -> Optional[float]:
         """Seconds left on this run's wall-clock budget (``None`` = unbounded).

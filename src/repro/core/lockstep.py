@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.core.base import EngineBase, TopKResult
-from repro.errors import EngineError, InjectedFaultError
+from repro.errors import EngineError
 
 
 class LockStep(EngineBase):
@@ -49,17 +49,18 @@ class LockStep(EngineBase):
         pending_bound = 0.0
         snapshots: Dict[str, int] = {}
         watched = self.watches_budget()
+        injector = self.fault_injector
         for server_id in self.order:
-            label = f"queue:server:{server_id}"
+            site = f"server:{server_id}"
             # Within the server, matches are consumed in priority-queue
             # order (Section 6.1.3; max-final-score by default).
             queue = self.make_server_queue(server_id)
-            labelled = {f"server:{server_id}": queue}
+            labelled = {site: queue}
             # Restored matches may have been through this server already
             # in their original run; they are carried forward.
             survivors = [match for match in matches if server_id in match.visited]
             self.put_or_abandon(
-                queue, label, [match for match in matches if server_id not in match.visited]
+                queue, site, [match for match in matches if server_id not in match.visited]
             )
             out_of_budget = False
             while True:
@@ -72,18 +73,20 @@ class LockStep(EngineBase):
                         # unreported work, parked for a caller that raises
                         # the budget.  Nothing left is parked too: the next
                         # run() must finish this run, not seed a new one.
-                        snapshots[f"server:{server_id}"] = len(queue)
+                        snapshots[site] = len(queue)
                         leftovers = queue.drain() + survivors
                         degraded = bool(leftovers)
                         pending_bound = self.park(leftovers)
                         out_of_budget = True
                         break
-                try:
+                if injector is None:
                     match = queue.get_nowait()
-                except InjectedFaultError as exc:
-                    self.supervisor.record_component_error(label, exc)
-                    continue
+                else:
+                    match = self.pop_or_lose(queue, site)[0]
                 if match is None:
+                    # Nothing was left, or the get hook lost what it popped.
+                    if queue:
+                        continue
                     break
                 if self.prune and not self.admit(match):
                     continue

@@ -30,7 +30,7 @@ filters.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.match import PartialMatch
 from repro.query.pattern import value_test
@@ -40,9 +40,6 @@ from repro.scoring.model import MatchQuality, ScoreModel
 from repro.xmldb.dewey import Dewey
 from repro.xmldb.index import DatabaseIndex
 from repro.xmldb.model import XMLNode
-
-if TYPE_CHECKING:
-    from repro.faults.inject import FaultInjector
 
 #: Probe-memo capacity per server, unless its owner knows the document
 #: has more root images.  The memo amortizes one index probe across the
@@ -354,7 +351,6 @@ class Server:
         relaxed: bool = True,
         join_algorithm: str = "index",
         *,
-        injector: Optional["FaultInjector"] = None,
         probe_memo: Optional[ProbeMemo] = None,
     ) -> None:
         if join_algorithm not in self.JOIN_ALGORITHMS:
@@ -367,7 +363,6 @@ class Server:
         self.score_model = score_model
         self.relaxed = relaxed
         self.join_algorithm = join_algorithm
-        self.injector = injector
         self._root_tag: Optional[str] = None
         # Whirlpool-M probes from every server thread, so the per-run
         # cached state below is read and written under this lock.
@@ -406,7 +401,7 @@ class Server:
 
     # -- the server operation -----------------------------------------------------
 
-    def process(self, match: PartialMatch) -> Optional[Operation]:
+    def process(self, match: PartialMatch) -> Operation:
         """Run one server operation: extend ``match`` at this query node.
 
         Returns the :data:`Operation`: the spawned extensions (unpruned —
@@ -417,17 +412,9 @@ class Server:
         this method outside its engine lock, and the statistics inside it.
         The extensions are never empty in relaxed mode (the deleted
         extension survives); may be in exact mode, which kills the match.
-        ``None``: an injected DROP lost the match, and nothing is recorded.
+        The engine fires the ``SERVER_OP`` fault hook before it calls this
+        (:meth:`~repro.core.base.EngineBase.serve`).
         """
-        injector = self.injector
-        if injector is not None and not injector.on_server_op(self.spec.node_id, match):
-            # Injected DROP: the operation silently loses the match.  The
-            # injector recorded its upper bound, so the result certificate
-            # still covers whatever this match could have become.  An
-            # injected ERROR raises before any index work, keeping retries
-            # idempotent.
-            return None
-
         spec = self.spec
         root_dewey = match.root_node.dewey
         # The memo, read in place: only a miss calls :meth:`_probe_shared`.

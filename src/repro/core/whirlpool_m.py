@@ -20,14 +20,16 @@ a step's bookkeeping — the pop, ``admit``, the routing decision or the
 absorbed extensions, the statistics, observer calls and the put.  It lets
 go of it only where it waits: for work (a condition per thread id, built
 on the engine lock, which a put into that thread's queue notifies), around
-a server operation and a retry's backoff sleep
+a server operation, a retry's backoff sleep and every fault hook, which
+an injected DELAY makes sleep
 (:meth:`~repro.core.base.EngineBase.unlocked`), and — the main thread —
 while it waits for the work to drain and joins the threads.  Waiting on
 the index is what threads overlap (``threaded_wallclock`` in the
 benchmarks); the bookkeeping runs one thread at a time.
 
-The threads live for one *segment*: the main thread ends it when the
-work drains, the budget is spent or a checkpoint is due, and joins them.
+The threads live for one *segment*: it ends when the work drains, the
+budget is spent, a thread's step makes a checkpoint due (that thread ends
+it) or a thread meets an injected CRASH, and the main thread joins them.
 With every thread joined, each match is in a queue, so the run applies
 the checkpoint rule (:meth:`~repro.core.base.EngineBase.maybe_checkpoint`)
 there, as the single-threaded engines do at a loop pass, and then stops
@@ -58,22 +60,13 @@ from repro.core.base import EngineBase, TopKResult
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue
 from repro.core.stats import monotonic_seconds
-from repro.errors import (
-    EngineCrashError,
-    EngineDeadlockError,
-    EngineError,
-    InjectedFaultError,
-)
+from repro.errors import EngineCrashError, EngineDeadlockError, EngineError
 
 #: The router's thread id; a server thread's is its server's node id.
 ROUTER = -1
 
-#: Main-thread wait slice while a checkpoint policy is active — small so a
-#: segment ends close to the operation count that made a checkpoint due.
-_CHECKPOINT_POLL_SECONDS = 0.005
-
-#: Main-thread wait slice under an operation budget or a possible injected
-#: CRASH, which only the main thread can act on.
+#: Main-thread wait slice under an operation budget, which only the main
+#: thread tests.
 _BUDGET_POLL_SECONDS = 0.05
 
 #: Deadlock backstop for :meth:`_InFlight.wait_zero`.  Termination is
@@ -99,11 +92,12 @@ class _InFlight:
 
     It has no lock of its own: every method is called with the engine lock
     held, and the condition is built on that lock — :meth:`dec` notifies
-    the waiter on the zero crossing, and :meth:`wait_zero` releases the
-    lock while it waits.  A monotone transition count kept alongside the
-    live count lets :meth:`wait_zero` distinguish *slow progress*
-    (transitions keep happening) from a genuine deadlock (a full backstop
-    window passes with the count stuck and untouched).
+    the waiter on the zero crossing, :meth:`wake` when a thread ends the
+    segment, and :meth:`wait_zero` releases the lock while it waits.  A
+    monotone transition count kept alongside the live count lets
+    :meth:`wait_zero` distinguish *slow progress* (transitions keep
+    happening) from a genuine deadlock (a full backstop window passes with
+    the count stuck and untouched).
     """
 
     def __init__(self, lock: Any) -> None:
@@ -115,11 +109,16 @@ class _InFlight:
         self.count += amount
         self._transitions += 1
 
-    def dec(self) -> None:
-        self.count -= 1
+    def dec(self, amount: int = 1) -> None:
+        self.count -= amount
         self._transitions += 1
         if self.count <= 0:
             self._cond.notify_all()
+
+    def wake(self) -> None:
+        """End the main thread's :meth:`wait_zero` early: the segment is
+        ending with work left."""
+        self._cond.notify_all()
 
     def wait_zero(
         self,
@@ -130,7 +129,8 @@ class _InFlight:
         """Block until the counter reaches zero.
 
         Returns ``True`` when the counter drained, ``False`` when
-        ``timeout`` expired first (the deadline-enforcement path).
+        ``timeout`` expired first (the deadline-enforcement path) or a
+        :meth:`wake` came first.
         Raises :class:`~repro.errors.EngineDeadlockError` when a full
         ``backstop_seconds`` window passes with a positive count and no
         transitions — the signature of a lost match, never of slow
@@ -147,9 +147,11 @@ class _InFlight:
                 window = min(window, remaining)
             transitions_before = self._transitions
             window_start = monotonic_seconds()
-            self._cond.wait(window)
+            woken = self._cond.wait(window)
             if self.count <= 0:
                 break
+            if woken:
+                return False
             waited = monotonic_seconds() - window_start
             if self._transitions == transitions_before and waited >= backstop_seconds:
                 names: List[str]
@@ -203,13 +205,11 @@ class WhirlpoolM(EngineBase):
         with self.lock:
             super().restore(snapshot)
 
-    def make_queues(
-        self, on_drop: Optional[Callable[[PartialMatch], None]] = None
-    ) -> Dict[int, MatchQueue]:
+    def make_queues(self) -> Dict[int, MatchQueue]:
         """One inbox per thread id: the router's, then every server's."""
-        queues: Dict[int, MatchQueue] = {ROUTER: self.make_router_queue(on_drop)}
+        queues: Dict[int, MatchQueue] = {ROUTER: self.make_router_queue()}
         for node_id in self.server_ids:
-            queues[node_id] = self.make_server_queue(node_id, on_drop)
+            queues[node_id] = self.make_server_queue(node_id)
         return queues
 
     def step(self, thread: int, match: PartialMatch) -> Tuple[int, List[PartialMatch]]:
@@ -231,14 +231,10 @@ class WhirlpoolM(EngineBase):
         with self.lock:
             self.stats.start_clock()
             in_flight = _InFlight(self.lock)
-            # A match the injector discards in transit still holds an
-            # in-flight count from its producer; the drop releases it, so
-            # it cannot stall termination.
-            queues = self.make_queues(on_drop=lambda match: in_flight.dec())
+            queues = self.make_queues()
             ready = {thread: threading.Condition(self.lock) for thread in queues}
             labelled = {thread_label(thread): queue for thread, queue in queues.items()}
-            for match in self.start_matches():
-                self._put(queues, ready, in_flight, ROUTER, match)
+            self._put(queues, ready, in_flight, ROUTER, self.start_matches())
 
             # Between two thread segments every thread is joined: each pass
             # is a quiesce point, where the checkpoint rule applies and the
@@ -279,23 +275,18 @@ class WhirlpoolM(EngineBase):
         ready: Dict[int, threading.Condition],
         in_flight: _InFlight,
         thread: int,
-        match: PartialMatch,
+        matches: Sequence[PartialMatch],
     ) -> None:
-        """Put ``match`` into ``thread``'s queue and wake one of its
-        threads.  inc() comes BEFORE the put: a drop releases the count
-        through the queue's ``on_drop``.  A failed put abandons the match
-        (bound recorded) and releases the count."""
-        in_flight.inc()
-        try:
-            queues[thread].put(match)
-        except EngineCrashError:
-            in_flight.dec()
-            raise
-        except Exception as exc:
-            self.supervisor.record_abandoned(match, f"queue:{thread_label(thread)}", exc)
-            in_flight.dec()
-            return
-        ready[thread].notify()
+        """Put ``matches`` into ``thread``'s queue and wake one of its
+        threads per match that entered.  The count rises BEFORE the put:
+        an armed put runs its hooks unlocked, so a consumer may pop and
+        finish an early match of the batch before the rest is in.  What
+        the put loses (its bound recorded) gives its count back."""
+        in_flight.inc(len(matches))
+        entered = self.put_or_abandon(queues[thread], thread_label(thread), matches)
+        if entered < len(matches):
+            in_flight.dec(len(matches) - entered)
+        ready[thread].notify(entered)
 
     def _segment(
         self,
@@ -304,20 +295,25 @@ class WhirlpoolM(EngineBase):
         in_flight: _InFlight,
     ) -> Optional[BaseException]:
         """Serve ``queues`` with a router thread and ``threads_per_server``
-        threads per server until the work drains, the budget is spent, the
-        checkpoint interval has passed, or a thread meets an injected
-        CRASH.  Called, and returns, with the engine lock held and every
-        thread joined — each finishes the match in hand first, and puts
-        its output, so every live match is in a queue — and returns the
+        threads per server until the work drains, the budget is spent, a
+        step makes a checkpoint due, or a thread meets an injected CRASH.
+        Called, and returns, with the engine lock held and every thread
+        joined — each finishes the match in hand first, and puts its
+        output, so every live match is in a queue — and returns the
         crash, if there was one."""
         crashed: List[BaseException] = []
         stopped = False
+        injector = self.fault_injector
+        policy = self.checkpoint_policy
 
         def stop() -> None:
+            """End the segment: wake every thread waiting for work, which
+            then exits, and the main thread's wait for the drain."""
             nonlocal stopped
             stopped = True
             for waiting in ready.values():
                 waiting.notify_all()
+            in_flight.wake()
 
         def worker_loop(thread: int) -> None:
             queue = queues[thread]
@@ -329,24 +325,21 @@ class WhirlpoolM(EngineBase):
                         waiting.wait()
                     if stopped:
                         return
+                    match: Optional[PartialMatch] = None
+                    lost = 0  # popped and lost by the get hook, bounds recorded
                     try:
-                        match = queue.get_nowait()
-                    except InjectedFaultError as exc:
-                        # The popped match was recorded as dropped (and its
-                        # count released) by the queue hook.
-                        self.supervisor.record_component_error(f"queue:{label}", exc)
-                        continue
-                    except EngineCrashError as exc:
-                        crashed.append(exc)
-                        stop()
-                        return
-                    if match is None:  # the injector dropped what was queued
-                        continue
-                    try:
-                        if self.admit(match):
+                        if injector is None:
+                            match = queue.get_nowait()
+                        else:
+                            match, lost = self.pop_or_lose(queue, label)
+                        if match is not None and self.admit(match):
                             target, output = self.step(thread, match)
-                            for produced in output:
-                                self._put(queues, ready, in_flight, target, produced)
+                            # The step that makes a checkpoint due ends the
+                            # segment; its output still goes into a queue.
+                            if policy is not None and self.checkpoint_due():
+                                stop()
+                            if output:
+                                self._put(queues, ready, in_flight, target, output)
                     except EngineCrashError as exc:
                         # The run is dead; the match in hand is lost with
                         # it.  Recovery is a checkpoint restore, not
@@ -355,10 +348,13 @@ class WhirlpoolM(EngineBase):
                         stop()
                     except Exception as exc:
                         # Crash containment: an unexpected failure abandons
-                        # only the match in hand.
-                        self.supervisor.record_abandoned(match, label, exc)
+                        # only the match in hand (a pop raises nothing else).
+                        if match is not None:
+                            self.supervisor.record_abandoned(match, label, exc)
                     finally:
-                        in_flight.dec()
+                        # The count of the match in hand, and those the pop
+                        # lost.
+                        in_flight.dec(lost if match is None else lost + 1)
 
         threads = [
             threading.Thread(
@@ -379,22 +375,15 @@ class WhirlpoolM(EngineBase):
         def alive_names() -> List[str]:
             return [thread.name for thread in threads if thread.is_alive()]
 
-        # The main thread waits for the drain in slices when something else
-        # can end the segment, so it re-reads the budget, the checkpoint
-        # interval and the crash list; under a pure deadline each slice is
-        # the time left.
-        injector = self.fault_injector
-        window: Optional[float] = None
-        if self.checkpoint_policy is not None:
-            window = _CHECKPOINT_POLL_SECONDS
-        elif self.max_operations is not None or (
-            injector is not None and injector.crash_possible()
-        ):
-            window = _BUDGET_POLL_SECONDS
+        # The main thread waits for the drain, or for a thread that ends the
+        # segment (a crash, a due checkpoint) to wake it; under an operation
+        # budget it waits in slices, re-reading the budget, and under a
+        # deadline each slice is at most the time left.
+        window = _BUDGET_POLL_SECONDS if self.max_operations is not None else None
         for thread in threads:
             thread.start()
         try:
-            while not (crashed or self.budget_exhausted() or self.checkpoint_due()):
+            while not (stopped or self.budget_exhausted()):
                 wait = window
                 if self.deadline_seconds is not None:
                     left = max(self.deadline_seconds - self.stats.elapsed_seconds(), 0.001)

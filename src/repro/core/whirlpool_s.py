@@ -29,7 +29,8 @@ root's bound), a checkpoint carries it instead of the unseeded seeds and
 their score-0 top-k entries.  Counters do not see the difference: every
 root counts as created when the run starts, and the early stop counts the
 roots it never seeded as pruned.  The router queue's fault hooks and
-depth reports see extensions only.
+depth reports (:meth:`~repro.core.base.EngineBase.put_or_abandon`,
+:meth:`~repro.core.base.EngineBase.pop_or_lose`) see extensions only.
 
 Whirlpool-M's threads run the same steps, split between its router and
 its servers; it seeds every root up front, like LockStep.
@@ -44,7 +45,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.base import EngineBase, SeedEntry, TopKResult
-from repro.errors import InjectedFaultError
 
 
 class WhirlpoolS(EngineBase):
@@ -62,7 +62,7 @@ class WhirlpoolS(EngineBase):
         if restored is None:
             self.open_roots()
             restored = []
-        self.put_or_abandon(router_queue, "queue:router", restored)
+        self.put_or_abandon(router_queue, "router", restored)
         order: List[SeedEntry] = []
         seeded = 0
         if self.seeded is not None:  # None: every root was seeded up front
@@ -76,6 +76,7 @@ class WhirlpoolS(EngineBase):
         snapshots = {"router": 0}
         labelled = {"router": router_queue}
         watched = self.watches_budget()
+        injector = self.fault_injector
         while True:
             if watched:
                 exhausted = self.budget_exhausted()
@@ -103,15 +104,13 @@ class WhirlpoolS(EngineBase):
                     self.seeded = seeded
                     match = self.seed(root)
             if match is None:
-                try:
+                if injector is None:
                     match = router_queue.get_nowait()
-                except InjectedFaultError as exc:
-                    # The popped match is recorded as dropped by the queue
-                    # hook; account the error and keep consuming.
-                    self.supervisor.record_component_error("queue:router", exc)
-                    continue
+                else:
+                    match = self.pop_or_lose(router_queue, "router")[0]
                 if match is None:
-                    if seeded < total:  # the injector dropped what was queued
+                    # Nothing was left, or the get hook lost what it popped.
+                    if seeded < total or router_queue:
                         continue
                     break
             if not self.admit(match):
@@ -136,7 +135,7 @@ class WhirlpoolS(EngineBase):
                 continue
             survivors = self.serve(server_id, match)
             if survivors:
-                self.put_or_abandon(router_queue, "queue:router", survivors)
+                self.put_or_abandon(router_queue, "router", survivors)
 
         self.stats.stop_clock()
         return self.make_result(

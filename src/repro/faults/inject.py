@@ -7,10 +7,12 @@ one place a rule's trigger is evaluated: the in-engine
 (:class:`repro.cluster.net.SocketTransport`) each hold one and differ
 only in what they do with the rule it returns.
 
-A :class:`FaultInjector` is what engines thread through their servers,
-queues and router; every hook costs a single ``is None`` check when no
-plan is active, which is what the ``fault_overhead`` paper artifact
-under ``benchmarks/`` measures.
+A :class:`FaultInjector` is an engine run's: :class:`~repro.core.base.EngineBase`
+fires every hook — ``on_server_op`` before a server operation (and each
+retry), ``on_put`` / ``on_get`` around its queue transfers, ``on_route``
+before a routing decision — and with no plan active each site costs a
+single ``is None`` check (a put, one per batch), which is what the
+``fault_overhead`` paper artifact under ``benchmarks/`` measures.
 
 The injector is also the book-keeper that keeps degradation *honest*:
 every match it loses (``DROP`` actions, and the match in hand when a
@@ -178,7 +180,8 @@ class FaultInjector:
     # -- hooks (one per instrumented component) ---------------------------------
 
     def on_server_op(self, server_id: int, match: "PartialMatch") -> bool:
-        """Hook at the top of ``Server.process``; False = drop the match."""
+        """Hook before a server operation, ahead of its index probe;
+        False = drop the match."""
         return self._fire(FaultSite.SERVER_OP, str(server_id), match)
 
     def on_put(self, label: str, match: "PartialMatch") -> bool:
@@ -220,11 +223,6 @@ class FaultInjector:
         """Total rule firings (errors + delays + drops + crashes)."""
         with self._lock:
             return self._triggers.fired_count()
-
-    def crash_possible(self) -> bool:
-        """True when the plan carries any CRASH rule (plans are immutable,
-        so engines can decide their wait strategy up front)."""
-        return self.plan.has_action(FaultAction.CRASH)
 
     def summary(self) -> Dict[str, object]:
         """Aggregate injection statistics for reports."""

@@ -342,11 +342,6 @@ class FaultPlan:
         """One line per rule."""
         return [rule.describe() for rule in self.rules]
 
-    def has_action(self, action: FaultAction) -> bool:
-        """Does any rule carry this action?  Engines check for CRASH so
-        the crash-watch wait loop only runs when a crash can happen."""
-        return any(rule.action is action for rule in self.rules)
-
     def families(self) -> List[str]:
         """The fault boundaries this plan touches (sorted, unique)."""
         return sorted({rule.family() for rule in self.rules})

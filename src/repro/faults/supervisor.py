@@ -142,7 +142,10 @@ class Supervisor:
         self._rng = Random(self.policy.seed)
         self._attempts: Dict[Tuple[int, int], int] = {}
         self._requeues: Dict[int, int] = {}
-        self._excluded: Dict[int, Set[int]] = {}
+        #: match id -> the servers a requeue sent it away from; empty for
+        #: the whole of a fault-free run, which the router tests in place
+        #: before it asks :meth:`excluded_for`.
+        self.excluded: Dict[int, Set[int]] = {}
         self._error_counts: Dict[str, int] = {}
         self._retries = 0
         self._requeue_count = 0
@@ -176,7 +179,7 @@ class Supervisor:
         requeues = self._requeues.get(match.match_id, 0)
         if alternatives and requeues < policy.requeue_limit:
             self._requeues[match.match_id] = requeues + 1
-            self._excluded.setdefault(match.match_id, set()).add(server_id)
+            self.excluded.setdefault(match.match_id, set()).add(server_id)
             self._requeue_count += 1
             return FailureAction.REQUEUE
         self._abandoned.append(_snapshot(match, label, attempts, error))
@@ -220,7 +223,7 @@ class Supervisor:
         Until some match has been requeued — for the whole of a fault-free
         run — every answer is the one shared, immutable empty set.
         """
-        excluded = self._excluded
+        excluded = self.excluded
         if not excluded:
             return _NO_EXCLUSIONS
         return frozenset(excluded.get(match_id, ()))

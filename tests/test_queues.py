@@ -1,8 +1,11 @@
 """Tests for the four server-queue prioritization policies."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.engine import Engine
 from repro.core.match import PartialMatch
 from repro.core.queues import MatchQueue, QueuePolicy
 from repro.faults import FaultInjector, FaultPlan
@@ -71,6 +74,11 @@ class TestPolicies:
 _BOUNDS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]) | st.floats(0.0, 4.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _engine():
+    return Engine(Database.from_roots([XMLNode("r")]), "//r")
+
+
 @pytest.mark.parametrize("hooked", [False, True])
 @given(ops=st.lists(st.none() | _BOUNDS, max_size=40))
 def test_max_final_score_pops_by_bound_then_arrival(hooked, ops):
@@ -78,24 +86,43 @@ def test_max_final_score_pops_by_bound_then_arrival(hooked, ops):
     ``put``: under any sequence of puts (a bound) and pops (``None``) it
     hands out what a sort by ``(-upper_bound, arrival)`` of the queued
     matches puts first — key ties, in arrival order.  ``hooked``: the
-    same through an injector whose plan fires nothing, so every put and
-    pop also passes its hook."""
+    same through the engine's put and pop with an injector whose plan
+    fires nothing, so every put and every pop of a match also passes its
+    hook."""
     bounds = [bound for bound in ops if bound is not None]
     matches = iter(_matches([(0.0, bound) for bound in bounds]))
-    injector = FaultInjector(FaultPlan([])) if hooked else None
-    queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE, injector=injector, site="router")
+    queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE)
+    put, get = queue.put, queue.get_nowait
+    if hooked:
+        run = _engine().open(1, faults=FaultPlan([]))
+        assert isinstance(run.fault_injector, FaultInjector)
+
+        def put(match):
+            assert run.put_or_abandon(queue, "router", [match]) == 1
+
+        def get():
+            match, lost = run.pop_or_lose(queue, "router")
+            assert lost == 0
+            return match
+
     queued = []
+    popped = 0
     for op in ops:
         if op is None:
             expected = min(queued, key=lambda m: (-m.upper_bound, m.arrival), default=None)
             if expected is not None:
                 queued.remove(expected)
-            assert queue.get_nowait() is expected
+                popped += 1
+            assert get() is expected
         else:
             match = next(matches)
-            queue.put(match)
+            put(match)
             queued.append(match)
     assert queue.drain() == sorted(queued, key=lambda m: (-m.upper_bound, m.arrival))
+    if hooked:
+        counts = run.fault_injector.summary()["site_counts"]
+        assert counts.get("queue_put:router", 0) == len(bounds)
+        assert counts.get("queue_get:router", 0) == popped
 
 
 class TestQueueMechanics:
@@ -104,9 +131,9 @@ class TestQueueMechanics:
 
     def test_len_and_empty(self):
         queue = MatchQueue()
-        assert queue.empty() and len(queue) == 0
+        assert len(queue) == 0 and not queue
         queue.put(_matches([(0.1, 0.1)])[0])
-        assert not queue.empty() and len(queue) == 1
+        assert len(queue) == 1 and queue
 
     def test_drain_returns_priority_order(self):
         queue = MatchQueue(QueuePolicy.MAX_FINAL_SCORE)
@@ -115,7 +142,7 @@ class TestQueueMechanics:
             queue.put(match)
         drained = queue.drain()
         assert [m.upper_bound for m in drained] == [0.9, 0.2]
-        assert queue.empty()
+        assert len(queue) == 0
 
 
 class TestHeapProperty:
