@@ -50,7 +50,7 @@ class LockId:
     """Stable identity of one lock: a class attribute or a local.
 
     ``name`` is the fingerprint-stable identity — the *defining* class's
-    qname plus attribute (``repro.core.trace.ExecutionTrace._lock``) so a
+    qname plus attribute (``repro.service.breaker.CircuitBreaker._lock``) so a
     lock inherited or aliased through a Condition unifies with its
     definition; locals use ``<func qname>.<local name>``.
     """

@@ -36,8 +36,6 @@ from repro.analysis.lint.engine import Finding, Rule
 #: at runtime — with the engine-locked classes it lists besides, which
 #: have no lock of their own.
 SHARED_CLASSES: Tuple[str, ...] = (
-    "repro.core.trace.ExecutionTrace",
-    "repro.faults.inject.FaultInjector",
     "repro.service.queue.AdmissionQueue",
     "repro.service.breaker.CircuitBreaker",
     "repro.service.health.ServiceCounters",

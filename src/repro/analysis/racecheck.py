@@ -10,12 +10,12 @@ manager is active it:
   through the lock object it wraps, including the ``RLock`` it allocates
   by default);
 - patches ``__setattr__`` on the watched classes (by default every class
-  :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names — the trace and
-  the fault, service, observability, recovery, cluster, index and clock
-  classes that WPL001 guards — and every class :data:`ENGINE_LOCKED_CLASSES`
-  names: the top-k set and its entries, statistics, queues, supervisor
-  and ``_InFlight`` counter, which Whirlpool-M's threads share under its
-  engine lock) so every field *write*
+  :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names — the service,
+  observability, recovery, cluster, index and clock classes that WPL001
+  guards — and every class :data:`ENGINE_LOCKED_CLASSES` names: the top-k
+  set and its entries, statistics, queues, ``_InFlight`` counter, trace,
+  fault injector and supervisor, which Whirlpool-M's threads share under
+  its engine lock) so every field *write*
   records ``(thread, object, field, locks-held)``; writes during
   ``__init__`` are exempt — an object is not shared before construction
   completes.
@@ -238,6 +238,8 @@ ENGINE_LOCKED_CLASSES: Tuple[str, ...] = (
     "repro.core.stats.ExecutionStats",
     "repro.core.queues.MatchQueue",
     "repro.core.whirlpool_m._InFlight",
+    "repro.core.trace.ExecutionTrace",
+    "repro.faults.inject.FaultInjector",
     "repro.faults.supervisor.Supervisor",
 )
 

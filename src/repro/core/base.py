@@ -43,9 +43,10 @@ go of it only where the step waits — :meth:`EngineBase.unlocked`.
 
 Those bodies fire every fault hook (``SERVER_OP`` in :meth:`EngineBase.serve`
 and :meth:`EngineBase.escalate`, ``QUEUE_PUT`` / ``QUEUE_GET`` in the put
-and the pop, ``ROUTER`` in :meth:`EngineBase.choose_server`), each through
-:meth:`EngineBase.unlocked`, since an injected DELAY sleeps there; a run
-without a plan tests one ``None`` per site and pops its queues directly.
+and the pop, ``ROUTER`` in :meth:`EngineBase.choose_server`), under the
+engine lock of a Whirlpool-M run; only an injected DELAY's sleep runs
+:meth:`EngineBase.unlocked`.  A run without a plan tests one ``None`` per
+site and pops its queues directly.
 """
 
 from __future__ import annotations
@@ -768,15 +769,15 @@ class EngineBase:
         requeues it, nothing when it is abandoned (the supervisor holds
         its bound) or dropped, else the absorbed extensions that must
         continue.  An armed run fires the ``SERVER_OP`` hook first; the
-        hook and the operation run :meth:`unlocked`; the statistics are
-        recorded here.  Only a failure enters :meth:`escalate`;
+        operation runs :meth:`unlocked`; the statistics are recorded
+        here.  Only a failure enters :meth:`escalate`;
         ``can_requeue=False`` (a fixed server order: LockStep) leaves it
         retry-or-abandon."""
         server = self.servers[server_id]
         injector = self.fault_injector
         try:
-            if injector is not None and not self.unlocked(
-                injector.on_server_op, server_id, match
+            if injector is not None and not injector.on_server_op(
+                server_id, match, self.unlocked
             ):
                 # Injected DROP: the operation loses the match, its bound
                 # recorded by the injector for the result certificate.
@@ -804,9 +805,9 @@ class EngineBase:
 
     def unlocked(self, call: Callable[..., _T], *args: Any) -> _T:
         """``call(*args)``, a part of a step that waits: a server
-        operation, which probes the index, a retry's backoff sleep, or a
-        fault hook, which may sleep.  A run that one thread drives just
-        calls it;
+        operation, which probes the index, a retry's backoff sleep, or an
+        injected DELAY's sleep.  A run that one thread drives just calls
+        it;
         :class:`~repro.core.whirlpool_m.WhirlpoolM` releases its engine
         lock around it, so its other threads work meanwhile."""
         return call(*args)
@@ -912,8 +913,7 @@ class EngineBase:
         fallback = False
         if injector is not None:
             try:
-                # A hook that may sleep (an injected DELAY) waits unlocked.
-                if not self.unlocked(injector.on_route, match):
+                if not injector.on_route(match, self.unlocked):
                     return None
             except InjectedFaultError as exc:
                 self.supervisor.record_component_error("router", exc)
@@ -955,7 +955,7 @@ class EngineBase:
         the match, or ``None`` when recovery is exhausted (the supervisor
         recorded the loss, feeding the result certificate).  Each retry
         is an operation: it fires the ``SERVER_OP`` hook again, as
-        :meth:`serve` does.  The backoff, the hooks and the retries run
+        :meth:`serve` does.  The backoff and the retries run
         :meth:`unlocked`."""
         server_id = server.node_id
         supervisor = self.supervisor
@@ -972,8 +972,8 @@ class EngineBase:
             )
             self.unlocked(supervisor.pause, delay)
             try:
-                if injector is not None and not self.unlocked(
-                    injector.on_server_op, server_id, match
+                if injector is not None and not injector.on_server_op(
+                    server_id, match, self.unlocked
                 ):
                     return None
                 return self.unlocked(server.process, match)
@@ -989,12 +989,12 @@ class EngineBase:
         at ``site`` (``router``, ``server:<id>``) — and return how many
         entered it.
 
-        An armed run fires the ``QUEUE_PUT`` hook before each put
-        (:meth:`unlocked`): a DROP loses the match in transit (the injector
-        records its bound), an injected ERROR abandons it (the supervisor
-        records it as ``queue:<site>``'s loss), a DELAY stalls the
-        producer.  An observer receives the depth after each put.  A run
-        with neither tests both once per batch."""
+        An armed run fires the ``QUEUE_PUT`` hook before each put: a DROP
+        loses the match in transit (the injector records its bound), an
+        injected ERROR abandons it (the supervisor records it as
+        ``queue:<site>``'s loss), a DELAY stalls the producer.  An
+        observer receives the depth after each put.  A run with neither
+        tests both once per batch."""
         injector = self.fault_injector
         observer = self.observer
         put = queue.put
@@ -1006,7 +1006,7 @@ class EngineBase:
         for match in matches:
             if injector is not None:
                 try:
-                    if not self.unlocked(injector.on_put, site, match):
+                    if not injector.on_put(site, match, self.unlocked):
                         continue
                 except InjectedFaultError as exc:
                     self.supervisor.record_abandoned(match, f"queue:{site}", exc)
@@ -1021,13 +1021,13 @@ class EngineBase:
         self, queue: MatchQueue, site: str
     ) -> Tuple[Optional[PartialMatch], int]:
         """Pop ``queue`` — the one at ``site`` — through the ``QUEUE_GET``
-        hook of an armed run (:meth:`unlocked`); a run without a plan pops
-        the queue directly instead.  Returns the match popped (``None``:
-        nothing left, or an injected error) and how many matches the hook
-        lost on the way, which the injector recorded with their bounds: a
-        DROP loses the popped match and pops the next; an injected ERROR
-        loses it too (it left the queue), is recorded as ``queue:<site>``'s
-        component error and ends the pop."""
+        hook of an armed run; a run without a plan pops the queue directly
+        instead.  Returns the match popped (``None``: nothing left, or an
+        injected error) and how many matches the hook lost on the way,
+        which the injector recorded with their bounds: a DROP loses the
+        popped match and pops the next; an injected ERROR loses it too (it
+        left the queue), is recorded as ``queue:<site>``'s component error
+        and ends the pop."""
         injector = self.fault_injector
         lost = 0
         while True:
@@ -1035,7 +1035,7 @@ class EngineBase:
             if match is None or injector is None:
                 return match, lost
             try:
-                if self.unlocked(injector.on_get, site, match):
+                if injector.on_get(site, match, self.unlocked):
                     return match, lost
             except InjectedFaultError as exc:
                 self.supervisor.record_component_error(f"queue:{site}", exc)

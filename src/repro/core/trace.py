@@ -16,18 +16,18 @@ Usage::
     print(trace.summary())
     print(trace.history(result.answers[0].match.match_id))
 
-All engines accept the observer; events carry a monotone sequence number
-(and the thread name under Whirlpool-M, where interleaving is real).
+All engines accept the observer; events carry a monotone sequence number.
 Queue depths after each put are kept beside the events, in
-``queue_depths``.  The query service attaches one trace per run and
-folds its engine metrics from it afterwards
+``queue_depths``.  A trace records one run, and has no lock: every call
+comes from the run's one thread or, under Whirlpool-M, from the thread
+that holds the run's engine lock.  The query service attaches one trace
+per run and folds its engine metrics from it afterwards
 (:func:`repro.obs.observer.record_run`).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.match import PartialMatch
@@ -92,7 +92,7 @@ class EngineObserver:
 
 
 class ExecutionTrace(EngineObserver):
-    """Observer that records everything (thread-safe)."""
+    """Observer that records everything of one run."""
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
@@ -101,7 +101,6 @@ class ExecutionTrace(EngineObserver):
         self.queue_depths: List[Tuple[str, int]] = []
         self._parents: Dict[int, int] = {}
         self._seq = itertools.count()
-        self._lock = threading.Lock()
 
     # -- hook implementations ------------------------------------------------
 
@@ -113,18 +112,18 @@ class ExecutionTrace(EngineObserver):
         threshold: float,
         detail: str = "",
     ) -> None:
-        event = TraceEvent(
-            next(self._seq),
-            kind,
-            match.match_id,
-            server_id,
-            match.score,
-            match.upper_bound,
-            threshold,
-            detail,
+        self.events.append(
+            TraceEvent(
+                next(self._seq),
+                kind,
+                match.match_id,
+                server_id,
+                match.score,
+                match.upper_bound,
+                threshold,
+                detail,
+            )
         )
-        with self._lock:
-            self.events.append(event)
 
     def on_seed(self, match: PartialMatch, threshold: float) -> None:
         self._record("seed", match, None, threshold)
@@ -139,16 +138,14 @@ class ExecutionTrace(EngineObserver):
         outcome: str,
         threshold: float,
     ) -> None:
-        with self._lock:
-            self._parents[extension.match_id] = parent.match_id
+        self._parents[extension.match_id] = parent.match_id
         self._record("extension", extension, None, threshold, detail=outcome)
 
     def on_prune(self, match: PartialMatch, threshold: float) -> None:
         self._record("prune", match, None, threshold)
 
     def on_queue_depth(self, site: str, depth: int) -> None:
-        with self._lock:
-            self.queue_depths.append((site, depth))
+        self.queue_depths.append((site, depth))
 
     # -- analysis ----------------------------------------------------------------
 

@@ -13,23 +13,24 @@ makespan model (:func:`repro.bench.makespan.simulate`) schedules the same
 step over a modeled processor count: the threads and the model run one
 engine.
 
-One lock.  The top-k set, the queues, the statistics, the supervisor and
-the in-flight counter have no lock of their own: the run has one, the
-*engine lock* (:attr:`WhirlpoolM.lock`), and a thread holds it for all of
-a step's bookkeeping — the pop, ``admit``, the routing decision or the
-absorbed extensions, the statistics, observer calls and the put.  It lets
-go of it only where it waits: for work (a condition per thread id, built
-on the engine lock, which a put into that thread's queue notifies), around
-a server operation, a retry's backoff sleep and every fault hook, which
-an injected DELAY makes sleep
+One lock.  The top-k set, the queues, the statistics, the supervisor, the
+in-flight counter, the fault injector and the trace have no lock of their
+own: the run has one, the *engine lock* (:attr:`WhirlpoolM.lock`), and a
+thread holds it for all of a step's bookkeeping — the pop, ``admit``, the
+routing decision or the absorbed extensions, the statistics, fault hooks,
+observer calls and the put.  It lets go of it only where it waits: for
+work (a condition per thread id, built on the engine lock, which a put
+into that thread's queue notifies), around a server operation, a retry's
+backoff sleep and an injected DELAY's sleep
 (:meth:`~repro.core.base.EngineBase.unlocked`), and — the main thread —
 while it waits for the work to drain and joins the threads.  Waiting on
 the index is what threads overlap (``threaded_wallclock`` in the
 benchmarks); the bookkeeping runs one thread at a time.
 
 The threads live for one *segment*: it ends when the work drains, the
-budget is spent, a thread's step makes a checkpoint due (that thread ends
-it) or a thread meets an injected CRASH, and the main thread joins them.
+deadline passes, a thread's step spends the operation budget or makes a
+checkpoint due (that thread ends it) or a thread meets an injected CRASH,
+and the main thread joins them.
 With every thread joined, each match is in a queue, so the run applies
 the checkpoint rule (:meth:`~repro.core.base.EngineBase.maybe_checkpoint`)
 there, as the single-threaded engines do at a loop pass, and then stops
@@ -64,10 +65,6 @@ from repro.errors import EngineCrashError, EngineDeadlockError, EngineError
 
 #: The router's thread id; a server thread's is its server's node id.
 ROUTER = -1
-
-#: Main-thread wait slice under an operation budget, which only the main
-#: thread tests.
-_BUDGET_POLL_SECONDS = 0.05
 
 #: Deadlock backstop for :meth:`_InFlight.wait_zero`.  Termination is
 #: notification-driven (``dec()`` notifies on the zero crossing), so this
@@ -279,9 +276,10 @@ class WhirlpoolM(EngineBase):
     ) -> None:
         """Put ``matches`` into ``thread``'s queue and wake one of its
         threads per match that entered.  The count rises BEFORE the put:
-        an armed put runs its hooks unlocked, so a consumer may pop and
-        finish an early match of the batch before the rest is in.  What
-        the put loses (its bound recorded) gives its count back."""
+        an injected DELAY sleeps unlocked in the middle of a batch, so a
+        consumer may pop and finish an early match of the batch before the
+        rest is in.  What the put loses (its bound recorded) gives its
+        count back."""
         in_flight.inc(len(matches))
         entered = self.put_or_abandon(queues[thread], thread_label(thread), matches)
         if entered < len(matches):
@@ -295,8 +293,9 @@ class WhirlpoolM(EngineBase):
         in_flight: _InFlight,
     ) -> Optional[BaseException]:
         """Serve ``queues`` with a router thread and ``threads_per_server``
-        threads per server until the work drains, the budget is spent, a
-        step makes a checkpoint due, or a thread meets an injected CRASH.
+        threads per server until the work drains, the deadline passes, a
+        step spends the operation budget or makes a checkpoint due, or a
+        thread meets an injected CRASH.
         Called, and returns, with the engine lock held and every thread
         joined — each finishes the match in hand first, and puts its
         output, so every live match is in a queue — and returns the
@@ -305,6 +304,8 @@ class WhirlpoolM(EngineBase):
         stopped = False
         injector = self.fault_injector
         policy = self.checkpoint_policy
+        budget = self.max_operations
+        stats = self.stats
 
         def stop() -> None:
             """End the segment: wake every thread waiting for work, which
@@ -334,9 +335,12 @@ class WhirlpoolM(EngineBase):
                             match, lost = self.pop_or_lose(queue, label)
                         if match is not None and self.admit(match):
                             target, output = self.step(thread, match)
-                            # The step that makes a checkpoint due ends the
-                            # segment; its output still goes into a queue.
-                            if policy is not None and self.checkpoint_due():
+                            # The step that spends the budget or makes a
+                            # checkpoint due ends the segment; its output
+                            # still goes into a queue.
+                            if (
+                                budget is not None and stats.server_operations >= budget
+                            ) or (policy is not None and self.checkpoint_due()):
                                 stop()
                             if output:
                                 self._put(queues, ready, in_flight, target, output)
@@ -376,20 +380,15 @@ class WhirlpoolM(EngineBase):
             return [thread.name for thread in threads if thread.is_alive()]
 
         # The main thread waits for the drain, or for a thread that ends the
-        # segment (a crash, a due checkpoint) to wake it; under an operation
-        # budget it waits in slices, re-reading the budget, and under a
-        # deadline each slice is at most the time left.
-        window = _BUDGET_POLL_SECONDS if self.max_operations is not None else None
+        # segment (a crash, a spent budget, a due checkpoint) to wake it;
+        # under a deadline it waits at most the time left.
+        timeout = None
+        if self.deadline_seconds is not None:
+            timeout = max(self.deadline_seconds - stats.elapsed_seconds(), 0.001)
         for thread in threads:
             thread.start()
         try:
-            while not (stopped or self.budget_exhausted()):
-                wait = window
-                if self.deadline_seconds is not None:
-                    left = max(self.deadline_seconds - self.stats.elapsed_seconds(), 0.001)
-                    wait = left if wait is None else min(wait, left)
-                if in_flight.wait_zero(timeout=wait, thread_names=alive_names):
-                    break
+            in_flight.wait_zero(timeout=timeout, thread_names=alive_names)
         finally:
             stop()
             self.unlocked(_join, threads)

@@ -9,9 +9,9 @@ that promise survive failure:
   rules (:class:`FaultRule`) at engine sites, a shard worker's RPC
   boundary and a shard's link, each taking only the actions it can run;
 - :mod:`repro.faults.inject` — the one trigger evaluator
-  (:class:`FaultArm`) all three boundaries hold, and the thread-safe
-  runtime (:class:`FaultInjector`) engines thread through their
-  components, with zero overhead when no plan is active;
+  (:class:`FaultArm`) all three boundaries hold, and the per-run
+  runtime (:class:`FaultInjector`) whose hooks the engine fires, with
+  zero overhead when no plan is active;
 - :mod:`repro.faults.supervisor` — retry with exponential backoff and
   seeded jitter, requeue-with-exclusion, and escalation to abandonment
   (:class:`Supervisor`, :class:`RetryPolicy`);

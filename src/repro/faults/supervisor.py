@@ -26,7 +26,6 @@ wall-clock free per lint rule WPL004.
 from __future__ import annotations
 
 import enum
-import threading
 from random import Random
 from typing import (
     TYPE_CHECKING,
@@ -138,7 +137,6 @@ class Supervisor:
 
     def __init__(self, policy: Optional[RetryPolicy] = None) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
-        self._wakeup = threading.Event()
         self._rng = Random(self.policy.seed)
         self._attempts: Dict[Tuple[int, int], int] = {}
         self._requeues: Dict[int, int] = {}
@@ -201,21 +199,10 @@ class Supervisor:
         return delay
 
     def pause(self, seconds: float) -> None:
-        """Sleep a :meth:`retry_delay`.  The wait is interruptible —
-        :meth:`interrupt` wakes it immediately (the shutdown/drain path)."""
-        if seconds > 0:
-            # Pacing wait through the clock seam: interruptible via
-            # interrupt(), warped away entirely under a VirtualClock.
-            simclock.wait(self._wakeup, seconds)
-
-    def interrupt(self) -> None:
-        """Cancel the current and all future backoff waits.
-
-        One-way: after an interrupt every :meth:`pause` returns
-        immediately, which is exactly the drain/shutdown semantics — a
-        stopping engine must not sit in retry sleeps.
-        """
-        self._wakeup.set()
+        """Sleep a :meth:`retry_delay`, which the engine caps at the time
+        left to its deadline, through the clock seam (warped away under a
+        :class:`~repro.sim.clock.VirtualClock`)."""
+        simclock.sleep(seconds)
 
     def excluded_for(self, match_id: int) -> AbstractSet[int]:
         """Servers this match should avoid while alternatives exist.

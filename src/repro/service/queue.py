@@ -130,17 +130,17 @@ class AdmissionQueue:
 
     # -- consumer side ----------------------------------------------------------
 
-    def take(self, timeout: Optional[float] = None) -> Optional[AdmittedRequest]:
+    def take(self) -> Optional[AdmittedRequest]:
         """Pop the best entry (priority desc, admission order asc).
 
-        Blocks up to ``timeout``; returns ``None`` on timeout or once the
-        queue is closed and empty.
+        Blocks until an entry arrives; returns ``None`` once the queue is
+        closed and empty.
         """
         with self._cond:
-            if not self._entries and not self._closed:
-                self._cond.wait(timeout)
-            if not self._entries:
-                return None
+            while not self._entries:
+                if self._closed:
+                    return None
+                self._cond.wait()
             entry = min(self._entries, key=lambda e: (-e.priority, e.seq))
             self._entries.remove(entry)
             return entry

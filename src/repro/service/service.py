@@ -59,7 +59,6 @@ from repro.xmldb.model import Database
 #: snapshot nested inside carries its own ``repro.recovery`` version).
 _ENVELOPE_VERSION = 1
 
-_POLL_SECONDS = 0.02
 #: Floor under any engine deadline the service computes — EngineBase
 #: requires a positive budget, and a zero-width slice cannot even seed.
 _MIN_DEADLINE_SECONDS = 0.001
@@ -416,10 +415,12 @@ class WhirlpoolService:
     # -- the worker pool ---------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        # take() blocks until an entry arrives, and returns None once
+        # drain() has closed the queue and nothing is left in it.
         while not self._stop.is_set():
-            entry = self._queue.take(timeout=_POLL_SECONDS)
+            entry = self._queue.take()
             if entry is None:
-                continue
+                return
             try:
                 self._execute(entry)
             except Exception as exc:  # crash containment: resolve, keep serving

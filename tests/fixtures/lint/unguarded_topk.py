@@ -8,7 +8,7 @@ what puts it in scope for the rule — the fixture never runs.
 import threading
 
 
-class ExecutionTrace:
+class SlowQueryLog:
     def __init__(self):
         # Writes inside __init__ are exempt: the object is unshared here.
         self._lock = threading.Lock()

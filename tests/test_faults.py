@@ -374,17 +374,6 @@ class TestPlanAndSupervisorUnits:
         supervisor.pause(supervisor.retry_delay(1, 2, max_seconds=0.05))
         assert time.perf_counter() - started < 1.0
 
-    def test_interrupt_cancels_backoff_waits(self):
-        import time
-
-        supervisor = Supervisor(
-            RetryPolicy(base_delay=5.0, max_delay=5.0, jitter=0.0)
-        )
-        supervisor.interrupt()
-        started = time.perf_counter()
-        supervisor.pause(supervisor.retry_delay(1, 2))  # uncapped; the event is set
-        assert time.perf_counter() - started < 1.0
-
     def test_backoff_respects_engine_deadline(self, engine):
         """Regression: retry backoff used to sleep past the engine deadline.
 

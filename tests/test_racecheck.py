@@ -120,7 +120,16 @@ class TestSyntheticRaces:
 class TestWhirlpoolMClean:
     def test_default_watch_covers_engine_shared_state(self):
         names = {cls.__name__ for cls in default_watched_classes()}
-        assert {"TopKSet", "ExecutionStats", "MatchQueue", "_InFlight", "ProbeMemo"} <= names
+        assert {
+            "TopKSet",
+            "ExecutionStats",
+            "MatchQueue",
+            "_InFlight",
+            "ExecutionTrace",
+            "FaultInjector",
+            "Supervisor",
+            "ProbeMemo",
+        } <= names
 
     def test_whirlpool_m_run_has_no_findings(self):
         assert _whirlpool_m_findings(threads_per_server=2) == []

@@ -6,6 +6,7 @@ deadline propagation (queue wait charged against the request budget),
 breaker fallback recording, and drain semantics.
 """
 
+import threading
 import time
 
 import pytest
@@ -87,9 +88,9 @@ class TestAdmissionQueue:
         offer(queue, 2, priority=5)
         offer(queue, 3, priority=5)
         offer(queue, 4, priority=3)
-        order = [queue.take(timeout=0.01).seq for _ in range(4)]
+        order = [queue.take().seq for _ in range(4)]
         assert order == [2, 3, 4, 1]
-        assert queue.take(timeout=0.01) is None
+        assert len(queue) == 0
 
     def test_degrade_watermark_marks_late_admissions(self):
         queue = AdmissionQueue(4, policy=OverloadPolicy.DEGRADE)
@@ -112,9 +113,22 @@ class TestAdmissionQueue:
         queue.close()
         verdict, _ = offer(queue, 2)
         assert verdict == REJECTED
-        # Closed-but-nonempty still hands entries to consumers.
-        assert queue.take(timeout=0.01).seq == 1
-        assert queue.take(timeout=0.01) is None
+        # Closed-but-nonempty still hands entries to consumers; closed and
+        # empty, take() returns at once.
+        assert queue.take().seq == 1
+        assert queue.take() is None
+
+    def test_close_wakes_a_consumer_blocked_on_an_empty_queue(self):
+        queue = AdmissionQueue(2)
+        taken = []
+        consumer = threading.Thread(target=lambda: taken.append(queue.take()), daemon=True)
+        consumer.start()
+        consumer.join(timeout=0.05)
+        assert consumer.is_alive()  # blocked: nothing queued, not closed
+        queue.close()
+        consumer.join(timeout=5.0)
+        assert not consumer.is_alive()
+        assert taken == [None]
 
 
 class FakeClock:

@@ -14,7 +14,11 @@ then exits.  These tests drive real runs through those two hand-offs:
 - under a short switch interval, with several threads per server, every
   match put into a queue is popped exactly once;
 - an injected queue DELAY sleeps without the engine lock: the run's
-  other threads keep stepping meanwhile.
+  other threads keep stepping meanwhile;
+- the step that spends the operation budget ends the run, which parks
+  what is left;
+- in an armed, traced run the thread that holds the engine lock makes
+  every fault decision and records every trace event.
 """
 
 import sys
@@ -24,15 +28,23 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.racecheck import RaceCheck
+from repro.bench.params import QUERIES
 from repro.core.engine import Engine
 from repro.core.queues import MatchQueue
-from repro.core.trace import EngineObserver
+from repro.core.trace import EngineObserver, ExecutionTrace
 from repro.core.whirlpool_m import WhirlpoolM
-from repro.faults import FaultAction, FaultPlan, FaultRule, FaultSite
+from repro.faults import FaultAction, FaultInjector, FaultPlan, FaultRule, FaultSite
 from repro.recovery import CheckpointPolicy
 from repro.sim.clock import RealClock, use_clock
 
-from tests.conftest import COUNT_EVERY_SITE, assert_same_topk, full_ranking
+from tests.conftest import (
+    COUNT_EVERY_SITE,
+    assert_certified,
+    assert_exact_or_certified,
+    assert_same_topk,
+    full_ranking,
+)
 
 QUERY = "//item[./description/parlist and ./mailbox/mail/text]"
 K = 12
@@ -84,12 +96,15 @@ class TestSegmentEnd:
     def test_a_segment_stops_threads_blocked_on_empty_queues_and_loses_no_match(
         self, engine, ranking, monkeypatch
     ):
-        monkeypatch.setattr(threading, "Condition", _Woken)
         monkeypatch.setattr(_Woken, "found", [])
         segments = []
         original = WhirlpoolM._segment
 
         def segment(self, queues, ready, in_flight):
+            # Only the per-thread ``ready`` conditions record their waiters:
+            # the main thread waits on ``_InFlight``'s condition, which a
+            # stop notifies too.
+            ready = {thread: _Woken(self.lock) for thread in ready}
             crash = original(self, queues, ready, in_flight)
             # Back under the engine lock, every thread joined: each live
             # match is in a queue.
@@ -111,14 +126,14 @@ class TestSegmentEnd:
             faults=slow,
             checkpoint_policy=CheckpointPolicy(every_operations=5),
         )
+        # Some segment ended with worker threads waiting on empty queues:
+        # its stop woke them, and each segment joined them.
+        assert max(_Woken.found, default=0) > 0
         assert len(segments) > 2
         for alive, queued, in_flight in segments:
             assert alive == []
             assert queued == in_flight
         assert segments[-1][2] == 0  # the last segment drained the work
-        # Some segment ended with threads waiting on empty queues: its stop
-        # woke them, and they were joined above.
-        assert max(_Woken.found) > 0
         assert_same_topk(ranking, result)
 
 
@@ -238,3 +253,83 @@ class TestUnlockedHooks:
             assert any(
                 name != sleeper and start < stamp < end for name, stamp in observer.stamps
             ), (sleeper, end - start)
+
+
+@pytest.fixture(scope="module")
+def paper_queries(xmark_db_large):
+    """Q2 and Q3 of the benchmarks: each query's engine and full ranking."""
+    engines = {name: Engine(xmark_db_large, QUERIES[name]) for name in ("Q2", "Q3")}
+    return {name: (engine, full_ranking(engine)) for name, engine in engines.items()}
+
+
+class TestBudgetStop:
+    @pytest.mark.parametrize("budget", [20, 50])
+    @pytest.mark.parametrize("query", ["Q2", "Q3"])
+    def test_the_step_that_spends_the_budget_ends_the_run(self, paper_queries, query, budget):
+        """The server thread whose step spends ``max_operations`` ends the
+        segment; each other server thread may still finish the operation
+        it has in hand.  The run is degraded and certified, and the parked
+        run, with the budget lifted, finishes with the exact top-k."""
+        engine, ranking = paper_queries[query]
+        run = engine.open(15, "whirlpool_m", max_operations=budget)
+        result = run.run()
+        servers = len(run.server_ids) * run.threads_per_server
+        operations = result.stats.server_operations
+        assert budget <= operations <= budget + servers - 1, (operations, servers)
+        assert result.degraded
+        assert_certified(ranking, result)
+        run.max_operations = None
+        assert_same_topk(ranking, run.run())
+
+
+class TestArmedAndTraced:
+    def test_the_lock_holder_makes_every_fault_decision_and_trace_record(
+        self, engine, ranking, monkeypatch
+    ):
+        """The injector and the trace have no lock of their own: every
+        ``FaultInjector._fire`` decision and every trace record comes from
+        the thread that holds the engine lock, and the race detector finds
+        nothing, under two threads per server."""
+        plan = FaultPlan(
+            [
+                FaultRule(FaultSite.SERVER_OP, FaultAction.DELAY, every=3, delay_seconds=0.0005),
+                FaultRule(FaultSite.SERVER_OP, FaultAction.ERROR, every=7, times=6),
+                FaultRule(FaultSite.QUEUE_PUT, FaultAction.DROP, every=11, times=3),
+                FaultRule(FaultSite.QUEUE_GET, FaultAction.DELAY, every=5, delay_seconds=0.0005),
+                FaultRule(FaultSite.QUEUE_GET, FaultAction.ERROR, nth=5),
+                FaultRule(FaultSite.ROUTER, FaultAction.DROP, nth=9),
+            ],
+            seed=3,
+        )
+        calls = []
+        engine_lock = {}
+
+        def owned(method):
+            def call(self, *args, **kwargs):
+                holds = engine_lock["lock"]._is_owned()
+                calls.append((method.__name__, threading.current_thread().name, holds))
+                return method(self, *args, **kwargs)
+
+            return call
+
+        for cls, name in (
+            (FaultInjector, "_fire"),
+            (ExecutionTrace, "_record"),
+            (ExecutionTrace, "on_queue_depth"),
+        ):
+            monkeypatch.setattr(cls, name, owned(getattr(cls, name)))
+        with RaceCheck() as check:
+            run = _open(engine, threads_per_server=2, faults=plan, observer=ExecutionTrace())
+            # A re-entrant lock knows its owner: ``_is_owned()`` is true only
+            # on the thread that holds it.
+            run.lock = engine_lock["lock"] = threading.RLock()
+            result = run.run()
+        assert [finding.detail for finding in check.findings()] == []
+        assert_exact_or_certified(ranking, result)
+        injected = result.failure.injection
+        assert injected["delays_injected"] and injected["errors_injected"]
+        assert injected["matches_dropped"]
+        assert {name for name, _, _ in calls} == {"_fire", "_record", "on_queue_depth"}
+        assert len({thread for _, thread, _ in calls}) > 2
+        unowned = [(name, thread) for name, thread, holds in calls if not holds]
+        assert unowned == []
