@@ -20,9 +20,7 @@ from repro.bench.step_codec import counted
 from repro.bench.workloads import get_engine
 from repro.biblio import BiblioConfig, generate_catalogs, reference_query
 from repro.core import (
-    BatchingRouter,
     Engine,
-    MinAliveRouter,
     NoRandomAccess,
     RewritingEngine,
     ThresholdAlgorithm,
@@ -287,20 +285,15 @@ def future_bulk_adaptivity():
     """Plain min_alive routing vs the batching ("in bulk") router."""
     engine = get_engine("Q2")
     plain = engine.run(K, routing="min_alive")
-    router = BatchingRouter(MinAliveRouter(), score_buckets=8)
-    batched = WhirlpoolS(
-        pattern=engine.pattern,
-        index=engine.index,
-        score_model=engine.score_model,
-        k=K,
-        router=router,
-        root_bounds=engine.root_bounds,
-    ).run()
+    # Opened through the Engine like the plain run, so both share its warm
+    # probe memos and the walls compare routing, not cold probes.
+    run = engine.open(K, routing="min_alive", routing_batch=8)
+    batched = run.run()
     return {
         "plain_ops": plain.stats.server_operations,
         "batched_ops": batched.stats.server_operations,
-        "cache_hits": router.cache_hits,
-        "cache_misses": router.cache_misses,
+        "cache_hits": run.router.cache_hits,
+        "cache_misses": run.router.cache_misses,
         "plain_wall": plain.stats.wall_time_seconds,
         "batched_wall": batched.stats.wall_time_seconds,
         "answers_agree": _scores(batched) == _scores(plain),

@@ -63,18 +63,19 @@ LAYER_CONTRACT: Sequence[Tuple[str, Sequence[str]]] = (
 REQUIRED_LOCK_ORDERS: Sequence[Dict[str, str]] = (
     {
         # service/breaker.py documents: the breaker's transition listener
-        # runs under the breaker lock and may only touch metric stripe
-        # locks — the only sanctioned cross-lock order is breaker → stripe.
-        "before": "repro.service.breaker.CircuitBreaker._lock",
+        # runs under the service lock (breakers have none of their own)
+        # and may only touch metric stripe locks — the only sanctioned
+        # cross-lock order is service → stripe.
+        "before": "repro.service.service.WhirlpoolService._lock",
         "after": "repro.obs.metrics.Counter._lock",
-        "reason": "breaker listener records metrics under the breaker lock",
+        "reason": "breaker listener records metrics under the service lock",
     },
     {
         # Same contract for the gauge side of the listener
-        # (whirlpool_breaker_state) — still breaker → stripe, never back.
-        "before": "repro.service.breaker.CircuitBreaker._lock",
+        # (whirlpool_breaker_state) — still service → stripe, never back.
+        "before": "repro.service.service.WhirlpoolService._lock",
         "after": "repro.obs.metrics.Gauge._lock",
-        "reason": "breaker listener sets the state gauge under the breaker lock",
+        "reason": "breaker listener sets the state gauge under the service lock",
     },
 )
 
@@ -82,8 +83,8 @@ REQUIRED_LOCK_ORDERS: Sequence[Dict[str, str]] = (
 #: call-graph builder adds these edges so lock contexts flow through
 #: listener/sink indirection the AST cannot resolve.
 CALLBACK_BINDINGS: Dict[str, Sequence[str]] = {
-    # CircuitBreaker fires its transition listener while holding the
-    # breaker lock; the service installs _on_breaker_transition there.
+    # CircuitBreaker fires its transition listener under the service
+    # lock; the service installs _on_breaker_transition there.
     "repro.service.breaker.CircuitBreaker._listener": (
         "repro.service.service.WhirlpoolService._on_breaker_transition",
     ),

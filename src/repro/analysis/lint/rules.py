@@ -33,13 +33,9 @@ from repro.analysis.lint.engine import Finding, Rule
 #: Whirlpool-M's threads or the query service's worker pool and its
 #: submitting clients share them, as dotted paths.  WPL001 checks every
 #: class of these names, and :mod:`repro.analysis.racecheck` watches them
-#: at runtime — with the engine-locked classes it lists besides, which
+#: at runtime — with the owner-locked classes it lists besides, which
 #: have no lock of their own.
 SHARED_CLASSES: Tuple[str, ...] = (
-    "repro.service.queue.AdmissionQueue",
-    "repro.service.breaker.CircuitBreaker",
-    "repro.service.health.ServiceCounters",
-    "repro.service.request.Ticket",
     "repro.service.service.WhirlpoolService",
     # Observability layer: instruments are bumped by every worker thread,
     # spans cross the submit-thread → worker handoff, the slow-query log
@@ -65,11 +61,10 @@ SHARED_CLASSES: Tuple[str, ...] = (
     "repro.cluster.net.SocketTransport",
     # Index hot path: a server is shared by Whirlpool-M's threads, its
     # Engine-owned probe memo by every run of that engine (service workers
-    # reuse cached engines), columnar indexes rebuild their arenas on
-    # insert, and probe-cost accounting is bumped from every server thread.
+    # reuse cached engines), and probe-cost accounting is bumped from
+    # every server thread.
     "repro.core.server.Server",
     "repro.core.server.ProbeMemo",
-    "repro.xmldb.index.ColumnarTagIndex",
     "repro.xmldb.index.ProbeCost",
     # Simulation layer: the installed clock is process-global — every
     # engine/service/cluster thread reads it, and a VirtualClock's warp
@@ -649,7 +644,7 @@ class NoDirectSleepRule(Rule):
     real wall seconds in every simulated chaos run *and* introduces a
     pacing wait no fault schedule can warp past, quietly breaking the
     ≥2× wall-time contract the simulation layer documents.  Pacing goes
-    through ``simclock.sleep``/``simclock.wait``; progress waits on
+    through ``simclock.sleep``; progress waits on
     conditions go through ``simclock.wait_for``; only ``sim/clock.py``
     itself may call ``time.sleep``.
     """

@@ -12,10 +12,12 @@ manager is active it:
 - patches ``__setattr__`` on the watched classes (by default every class
   :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names — the service,
   observability, recovery, cluster, index and clock classes that WPL001
-  guards — and every class :data:`ENGINE_LOCKED_CLASSES` names: the top-k
+  guards — and every class :data:`OWNER_LOCKED_CLASSES` names: the top-k
   set and its entries, statistics, queues, ``_InFlight`` counter, trace,
   fault injector and supervisor, which Whirlpool-M's threads share under
-  its engine lock) so every field *write*
+  its engine lock, and the admission queue, counters, breakers and
+  tickets, which the query service keeps under its lock) so every field
+  *write*
   records ``(thread, object, field, locks-held)``; writes during
   ``__init__`` are exempt — an object is not shared before construction
   completes.
@@ -29,8 +31,8 @@ Findings:
 
 Granularity caveats, documented rather than hidden: only attribute
 *writes* are observed (in-place container mutation such as a queue's
-heap push is not: in the engine-locked classes it runs in the same
-locked step as the attribute writes that are observed, and in the
+heap push is not: in the owner-locked classes it runs in the same
+critical section as the attribute writes that are observed, and in the
 classes with a lock of their own the AST rule ``WPL001`` covers it
 statically), and only locks created inside the context participate in
 locksets.  Create the engine inside the
@@ -48,7 +50,7 @@ import importlib
 import threading
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["ENGINE_LOCKED_CLASSES", "RaceCheck", "RaceFinding", "default_watched_classes"]
+__all__ = ["OWNER_LOCKED_CLASSES", "RaceCheck", "RaceFinding", "default_watched_classes"]
 
 
 class RaceFinding:
@@ -228,11 +230,13 @@ class _Registry:
                 state.lockset = state.lockset & lockset
 
 
-#: Classes with no lock of their own that Whirlpool-M's threads share, as
-#: dotted paths: every write to them holds the run's engine lock
-#: (:mod:`repro.core.whirlpool_m`).  That lock belongs to the run, not to
-#: the instance, so WPL001 cannot check them; only this detector does.
-ENGINE_LOCKED_CLASSES: Tuple[str, ...] = (
+#: Classes with no lock of their own that threads share under their
+#: owner's lock, as dotted paths: Whirlpool-M's run state under the run's
+#: engine lock (:mod:`repro.core.whirlpool_m`), and the query service's
+#: helpers under the service's lock (:mod:`repro.service.service`).  That
+#: lock belongs to the owner, not to the instance, so WPL001 cannot check
+#: them; only this detector does.
+OWNER_LOCKED_CLASSES: Tuple[str, ...] = (
     "repro.core.topk.TopKSet",
     "repro.core.topk._Entry",
     "repro.core.stats.ExecutionStats",
@@ -241,17 +245,21 @@ ENGINE_LOCKED_CLASSES: Tuple[str, ...] = (
     "repro.core.trace.ExecutionTrace",
     "repro.faults.inject.FaultInjector",
     "repro.faults.supervisor.Supervisor",
+    "repro.service.queue.AdmissionQueue",
+    "repro.service.breaker.CircuitBreaker",
+    "repro.service.health.ServiceCounters",
+    "repro.service.request.Ticket",
 )
 
 
 def default_watched_classes() -> List[type]:
     """The classes :data:`~repro.analysis.lint.rules.SHARED_CLASSES` names —
-    the list WPL001 checks statically — and :data:`ENGINE_LOCKED_CLASSES`
+    the list WPL001 checks statically — and :data:`OWNER_LOCKED_CLASSES`
     (lazy imports)."""
     from repro.analysis.lint.rules import SHARED_CLASSES
 
     classes = []
-    for path in SHARED_CLASSES + ENGINE_LOCKED_CLASSES:
+    for path in SHARED_CLASSES + OWNER_LOCKED_CLASSES:
         module, _, name = path.rpartition(".")
         classes.append(getattr(importlib.import_module(module), name))
     return classes

@@ -594,7 +594,6 @@ class Coordinator:
         retry_policy: Optional[RetryPolicy] = None,
         recovery_store: Optional[RecoveryStore] = None,
         observability: Optional[Observability] = None,
-        python_executable: Optional[str] = None,
         rebalance: bool = True,
     ) -> None:
         if shards < 1:
@@ -619,7 +618,7 @@ class Coordinator:
         self.handles = [
             ShardHandle(
                 spec,
-                SocketTransport(spec.shard_id, python_executable=python_executable),
+                SocketTransport(spec.shard_id),
                 rpc_timeout_seconds,
                 liveness_deadline_seconds,
                 policy,

@@ -58,6 +58,10 @@ from repro.faults.plan import FaultAction, FaultSite
 #: rungs of the reconnect backoff ladder in quick succession.
 RECONNECT_STORM_DROPS = 3
 
+#: How long :meth:`SocketTransport.spawn` waits for a new worker (run by
+#: this interpreter, ``sys.executable``) to dial back.
+CONNECT_TIMEOUT_SECONDS = 10.0
+
 
 def corrupt_frame_bytes(data: bytes) -> bytes:
     """Flip one bit in a frame's final byte — enough to fail the CRC
@@ -94,17 +98,8 @@ class SocketTransport:
     from a replaced one (old token refused, process exits).
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        python_executable: Optional[str] = None,
-        connect_timeout_seconds: float = 10.0,
-    ) -> None:
-        if connect_timeout_seconds <= 0:
-            raise ClusterError("connect timeout must be positive")
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.python_executable = python_executable or sys.executable
-        self.connect_timeout_seconds = connect_timeout_seconds
         self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen] = None
         self._out_seq = 0
@@ -142,7 +137,7 @@ class SocketTransport:
             self._token = token
         proc = subprocess.Popen(
             [
-                self.python_executable,
+                sys.executable,
                 "-m",
                 "repro.cluster.worker",
                 "--shard",
@@ -161,7 +156,7 @@ class SocketTransport:
             self._proc = proc
             self._conn = None
             self._reader = None
-        if not self._accept(monotonic_seconds() + self.connect_timeout_seconds):
+        if not self._accept(monotonic_seconds() + CONNECT_TIMEOUT_SECONDS):
             self.kill()
             raise WorkerLostError(self.shard_id, "spawn_failed")
 

@@ -18,7 +18,7 @@ Collected by every engine:
 Counters increment through methods, with no lock of their own: a run that
 one thread drives calls them directly, and Whirlpool-M's threads call them
 only while they hold their run's engine lock.  The query service's
-fleet-wide aggregate is guarded by the service's own lock.
+fleet-wide aggregate is guarded by the service's one lock.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ robustness a single engine run cannot provide:
   (with a :class:`~repro.recovery.RecoveryStore` attached)
   checkpoint-backed crash recovery via ``recover()``.
 
+The service has one lock; the queue, breakers, counters and ticket
+claims it keeps have none of their own.
+
 Passing an enabled :class:`~repro.obs.Observability` bundle adds the
 end-to-end observability layer: per-request spans, engine/service
 metrics exported as Prometheus text or JSON, and the slow-query log

@@ -24,12 +24,15 @@ working, not an unhealthy engine.
 
 The tuning values are module constants; tests that need others
 monkeypatch them.
+
+A breaker has no lock: :class:`~repro.service.service.WhirlpoolService`
+calls it only under its one lock, which also covers the transition
+listener.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from collections import deque
 from random import Random
 from typing import Callable, Deque, Dict, Optional
@@ -76,13 +79,11 @@ class CircuitBreaker:
         self.name = name
         self._clock = clock
         #: Optional ``(name, old_state, new_state)`` callback fired on every
-        #: state transition, **while holding the breaker lock** — listeners
-        #: must be cheap and must never call back into the breaker.  The
-        #: observability layer's listener only touches metric stripe locks,
-        #: so the only cross-lock order is breaker → stripe (acyclic).
+        #: state transition, under the caller's lock — listeners must be
+        #: cheap and must never call back into the breaker.  The
+        #: service's listener only touches metric stripe locks, so the
+        #: only cross-lock order is service → stripe (acyclic).
         self._listener = listener
-        # Reentrant: _trip() re-acquires under the recording methods.
-        self._lock = threading.RLock()
         self._rng = Random(seed)
         self._outcomes: Deque[bool] = deque(maxlen=WINDOW)
         self._state = BreakerState.CLOSED
@@ -94,12 +95,11 @@ class CircuitBreaker:
         self._probe_in_flight = False
 
     def _transition(self, new_state: BreakerState) -> None:
-        """Move the state machine, notifying the listener (``_lock`` is reentrant)."""
-        with self._lock:
-            old_state = self._state
-            self._state = new_state
-            if self._listener is not None and old_state is not new_state:
-                self._listener(self.name, old_state.value, new_state.value)
+        """Move the state machine, notifying the listener."""
+        old_state = self._state
+        self._state = new_state
+        if self._listener is not None and old_state is not new_state:
+            self._listener(self.name, old_state.value, new_state.value)
 
     # -- the gate ----------------------------------------------------------------
 
@@ -112,91 +112,85 @@ class CircuitBreaker:
         happens next.
         """
         now = self._clock()
-        with self._lock:
-            if self._state is BreakerState.CLOSED:
-                return True
-            if self._state is BreakerState.OPEN:
-                if now - self._opened_at < self._open_for:
-                    return False
-                self._transition(BreakerState.HALF_OPEN)
-                self._probe_in_flight = True
-                self._probes += 1
-                return True
-            # HALF_OPEN: one probe at a time.
-            if self._probe_in_flight:
+        if self._state is BreakerState.CLOSED:
+            return True
+        if self._state is BreakerState.OPEN:
+            if now - self._opened_at < self._open_for:
                 return False
+            self._transition(BreakerState.HALF_OPEN)
             self._probe_in_flight = True
             self._probes += 1
             return True
+        # HALF_OPEN: one probe at a time.
+        if self._probe_in_flight:
+            return False
+        self._probe_in_flight = True
+        self._probes += 1
+        return True
 
     # -- outcome feedback --------------------------------------------------------
 
     def record_success(self) -> None:
         """A run on this engine completed healthily."""
-        with self._lock:
-            if self._state is BreakerState.HALF_OPEN:
-                self._transition(BreakerState.CLOSED)
-                self._probe_in_flight = False
-                self._consecutive_trips = 0
-                self._outcomes.clear()
-                return
-            self._outcomes.append(True)
+        if self._state is BreakerState.HALF_OPEN:
+            self._transition(BreakerState.CLOSED)
+            self._probe_in_flight = False
+            self._consecutive_trips = 0
+            self._outcomes.clear()
+            return
+        self._outcomes.append(True)
 
     def record_failure(self) -> None:
         """A run on this engine raised or abandoned work."""
-        with self._lock:
-            if self._state is BreakerState.HALF_OPEN:
-                self._probe_in_flight = False
-                self._trip()
-                return
-            if self._state is BreakerState.OPEN:
-                return
-            self._outcomes.append(False)
-            total = len(self._outcomes)
-            failures = sum(1 for ok in self._outcomes if not ok)
-            if total >= MIN_CALLS and failures / total >= FAILURE_THRESHOLD:
-                self._trip()
+        if self._state is BreakerState.HALF_OPEN:
+            self._probe_in_flight = False
+            self._trip()
+            return
+        if self._state is BreakerState.OPEN:
+            return
+        self._outcomes.append(False)
+        total = len(self._outcomes)
+        failures = sum(1 for ok in self._outcomes if not ok)
+        if total >= MIN_CALLS and failures / total >= FAILURE_THRESHOLD:
+            self._trip()
 
     def _trip(self) -> None:
         # Seeded probe scheduling: exponential per consecutive trip,
         # jittered so independent breakers (and service replicas seeded
         # differently) decorrelate their probes.
-        with self._lock:
-            self._transition(BreakerState.OPEN)
-            self._consecutive_trips += 1
-            self._trips += 1
-            doublings = min(self._consecutive_trips - 1, MAX_BACKOFF_DOUBLINGS)
-            base = OPEN_SECONDS * (2.0**doublings)
-            self._open_for = base * (1.0 + PROBE_JITTER * self._rng.random())
-            self._opened_at = self._clock()
-            self._outcomes.clear()
+        self._transition(BreakerState.OPEN)
+        self._consecutive_trips += 1
+        self._trips += 1
+        doublings = min(self._consecutive_trips - 1, MAX_BACKOFF_DOUBLINGS)
+        base = OPEN_SECONDS * (2.0**doublings)
+        self._open_for = base * (1.0 + PROBE_JITTER * self._rng.random())
+        self._opened_at = self._clock()
+        self._outcomes.clear()
 
     # -- introspection -----------------------------------------------------------
 
     def state(self) -> BreakerState:
         """Current state (``OPEN`` even if the probe interval has elapsed —
         the transition happens on the next :meth:`allow`)."""
-        with self._lock:
-            return self._state
+        return self._state
 
     def snapshot(self) -> Dict[str, object]:
-        """One consistent view for health reporting."""
+        """One view for health reporting (consistent under the owner's lock)."""
         now = self._clock()
-        with self._lock:
-            total = len(self._outcomes)
-            failures = sum(1 for ok in self._outcomes if not ok)
-            remaining: Optional[float] = None
-            if self._state is BreakerState.OPEN:
-                remaining = max(self._open_for - (now - self._opened_at), 0.0)
-            return {
-                "state": self._state.value,
-                "window": total,
-                "failures": failures,
-                "failure_rate": (failures / total) if total else 0.0,
-                "trips": self._trips,
-                "probes": self._probes,
-                "open_remaining_seconds": remaining,
-            }
+        total = len(self._outcomes)
+        failures = sum(1 for ok in self._outcomes if not ok)
+        remaining: Optional[float] = None
+        if self._state is BreakerState.OPEN:
+            remaining = max(self._open_for - (now - self._opened_at), 0.0)
+        return {
+            "state": self._state.value,
+            "window": total,
+            "failures": failures,
+            "failure_rate": (failures / total) if total else 0.0,
+            "trips": self._trips,
+            "probes": self._probes,
+            "open_remaining_seconds": remaining,
+        }
 
     def __repr__(self) -> str:
         return f"CircuitBreaker({self.name}, {self.state().value})"

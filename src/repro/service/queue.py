@@ -11,11 +11,15 @@ Capacities are small (tens, not millions), so consumption and eviction
 use linear scans over the entry list instead of a heap — O(capacity) per
 operation with no heap/list dual bookkeeping to keep consistent under
 eviction from the middle.
+
+The queue has no lock and never blocks: it is the plain bounded
+structure :class:`~repro.service.service.WhirlpoolService` keeps under
+its one lock, whose worker loop waits on that lock's condition while
+the queue is empty.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Tuple
 
 from repro.core.stats import monotonic_seconds
@@ -61,7 +65,10 @@ class AdmittedRequest:
 
 
 class AdmissionQueue:
-    """Bounded, priority-aware queue with pluggable overload policies."""
+    """Bounded, priority-aware queue with pluggable overload policies.
+
+    Not thread-safe: the owning service calls every method under its lock.
+    """
 
     def __init__(
         self, capacity: int, policy: OverloadPolicy = OverloadPolicy.REJECT
@@ -70,9 +77,7 @@ class AdmissionQueue:
             raise ServiceError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.policy = policy
-        self._cond = threading.Condition()
         self._entries: List[AdmittedRequest] = []
-        self._closed = False
 
     # -- producer side ----------------------------------------------------------
 
@@ -86,90 +91,63 @@ class AdmissionQueue:
         - ``(ADMITTED, None)`` — queued, nobody displaced;
         - ``(ADMITTED, entry)`` — queued after evicting ``entry`` (the
           caller owes the evicted ticket a ``SHED`` outcome);
-        - ``(REJECTED, None)`` — queue full under ``reject``/``degrade``,
-          or the queue is closed;
+        - ``(REJECTED, None)`` — queue full under ``reject``/``degrade``;
         - ``(SHED, None)`` — the incoming request itself was the
           shed-lowest-priority victim.
         """
-        with self._cond:
-            if self._closed:
+        watermark = int(self.capacity * policies.DEGRADE_WATERMARK_FRACTION)
+        degrade = (
+            self.policy is OverloadPolicy.DEGRADE and len(self._entries) >= watermark
+        )
+        evicted: Optional[AdmittedRequest] = None
+        if len(self._entries) >= self.capacity:
+            if self.policy is OverloadPolicy.REJECT:
                 return REJECTED, None
-            watermark = int(self.capacity * policies.DEGRADE_WATERMARK_FRACTION)
-            degrade = (
-                self.policy is OverloadPolicy.DEGRADE and len(self._entries) >= watermark
-            )
-            evicted: Optional[AdmittedRequest] = None
-            if len(self._entries) >= self.capacity:
-                if self.policy is OverloadPolicy.REJECT:
-                    return REJECTED, None
-                if self.policy is OverloadPolicy.DEGRADE:
-                    # Degradation shortens service times; if the queue
-                    # still filled, pressure exceeds what the anytime
-                    # machinery can absorb — bounded means bounded.
-                    return REJECTED, None
-                if self.policy is OverloadPolicy.SHED_OLDEST:
-                    evicted = min(self._entries, key=lambda e: e.seq)
-                else:  # SHED_LOWEST_PRIORITY
-                    victim = min(self._entries, key=lambda e: (e.priority, e.seq))
-                    if priority <= victim.priority:
-                        # The newcomer is (one of) the lowest: shedding it
-                        # preserves "never shed a higher priority first".
-                        return SHED, None
-                    evicted = victim
-                self._entries.remove(evicted)
-            entry = AdmittedRequest(
-                ticket,
-                priority=priority,
-                seq=seq,
-                admitted_at=monotonic_seconds(),
-                degrade=degrade,
-            )
-            self._entries.append(entry)
-            self._cond.notify()
-            return ADMITTED, evicted
+            if self.policy is OverloadPolicy.DEGRADE:
+                # Degradation shortens service times; if the queue
+                # still filled, pressure exceeds what the anytime
+                # machinery can absorb — bounded means bounded.
+                return REJECTED, None
+            if self.policy is OverloadPolicy.SHED_OLDEST:
+                evicted = min(self._entries, key=lambda e: e.seq)
+            else:  # SHED_LOWEST_PRIORITY
+                victim = min(self._entries, key=lambda e: (e.priority, e.seq))
+                if priority <= victim.priority:
+                    # The newcomer is (one of) the lowest: shedding it
+                    # preserves "never shed a higher priority first".
+                    return SHED, None
+                evicted = victim
+            self._entries.remove(evicted)
+        entry = AdmittedRequest(
+            ticket,
+            priority=priority,
+            seq=seq,
+            admitted_at=monotonic_seconds(),
+            degrade=degrade,
+        )
+        self._entries.append(entry)
+        return ADMITTED, evicted
 
     # -- consumer side ----------------------------------------------------------
 
-    def take(self) -> Optional[AdmittedRequest]:
-        """Pop the best entry (priority desc, admission order asc).
-
-        Blocks until an entry arrives; returns ``None`` once the queue is
-        closed and empty.
-        """
-        with self._cond:
-            while not self._entries:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            entry = min(self._entries, key=lambda e: (-e.priority, e.seq))
-            self._entries.remove(entry)
-            return entry
+    def pop(self) -> AdmittedRequest:
+        """Remove and return the best entry (priority desc, admission
+        order asc); the queue must not be empty."""
+        entry = min(self._entries, key=lambda e: (-e.priority, e.seq))
+        self._entries.remove(entry)
+        return entry
 
     def drain(self) -> List[AdmittedRequest]:
         """Remove and return everything queued (drain-shutdown path)."""
-        with self._cond:
-            entries = list(self._entries)
-            self._entries.clear()
-            return entries
-
-    def close(self) -> None:
-        """Refuse further admissions and wake all blocked consumers."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    # -- introspection ----------------------------------------------------------
-
-    def depth(self) -> int:
-        """Entries currently queued."""
-        with self._cond:
-            return len(self._entries)
+        entries = self._entries
+        self._entries = []
+        return entries
 
     def __len__(self) -> int:
-        return self.depth()
+        return len(self._entries)
 
     def __repr__(self) -> str:
         return (
-            f"AdmissionQueue({self.depth()}/{self.capacity}, "
+            f"AdmissionQueue({len(self)}/{self.capacity}, "
             f"policy={self.policy.value})"
         )

@@ -254,33 +254,42 @@ class Ticket:
     that fixed the outcome — the service increments its outcome counters
     only on ``True``, then wakes waiters with :meth:`publish`; that is
     what makes "exactly one terminal outcome per request" an enforced
-    invariant rather than a convention.
+    invariant rather than a convention.  The ticket's only
+    synchronisation object is that wake-up Event: the owning service
+    calls :meth:`claim` under its lock, and everything else a ticket
+    carries is fixed when it is built.
+
+    ``span`` is the request's observability span and ``trace`` the
+    execution trace its engine run reports to (the service reads both
+    when it resolves the request); ``restore_from`` is the persisted engine
+    snapshot a recovered request resumes from, which the worker hands to
+    the engine.
     """
 
-    def __init__(self, request: QueryRequest, request_id: int) -> None:
+    def __init__(
+        self,
+        request: QueryRequest,
+        request_id: int,
+        span: Span = NULL_SPAN,
+        trace: Optional["ExecutionTrace"] = None,
+        restore_from: Optional[Dict[str, Any]] = None,
+    ) -> None:
         self.request = request
         self.request_id = request_id
-        # Observability carriers: the submit thread attaches the span, the
-        # single executing worker attaches the trace; both are read only
-        # after claim() (first-wins) fixes the terminal outcome.
-        self.span: Span = NULL_SPAN
-        self.trace: Optional["ExecutionTrace"] = None
-        # Recovery carrier: set (before the queue offer) when the request
-        # resumes a persisted engine snapshot; the worker hands it to the
-        # engine as ``restore_from``.
-        self.restore_from: Optional[Dict[str, Any]] = None
-        self._lock = threading.Lock()
+        self.span = span
+        self.trace = trace
+        self.restore_from = restore_from
         self._event = threading.Event()
         self._response: Optional[QueryResponse] = None
 
     def claim(self, response: QueryResponse) -> bool:
         """Fix ``response`` as the terminal outcome (first-wins; ``False``
         when already claimed) without waking waiters yet, so the winner
-        can finish its book-keeping before anyone reads it back."""
-        with self._lock:
-            if self._response is not None:
-                return False
-            self._response = response
+        can finish its book-keeping before anyone reads it back.  The
+        caller holds the lock of the service that owns the ticket."""
+        if self._response is not None:
+            return False
+        self._response = response
         return True
 
     def publish(self) -> None:
@@ -294,8 +303,7 @@ class Ticket:
 
     def peek(self) -> Optional[QueryResponse]:
         """The response if resolved, without blocking."""
-        with self._lock:
-            return self._response
+        return self._response
 
     def result(self, timeout: Optional[float] = None) -> QueryResponse:
         """Block for the terminal outcome.
@@ -308,8 +316,7 @@ class Ticket:
             raise ServiceError(
                 f"request #{self.request_id} unresolved after {timeout}s"
             )
-        with self._lock:
-            response = self._response
+        response = self._response
         assert response is not None  # claim() ran before publish()
         return response
 

@@ -30,6 +30,15 @@ The exactly-one-outcome invariant is structural:
 :meth:`~repro.service.request.Ticket.claim` is first-wins, counters
 increment only on the winning claim, and every code path that takes
 ownership of a ticket ends in :meth:`WhirlpoolService._finish`.
+
+The service has one lock, ``_lock``, and two conditions on it (``_work``
+wakes idle workers, ``_idle`` wakes ``drain``).  It guards the document
+registry and engine cache, the fleet-wide ``ExecutionStats``, the
+lifecycle state (new → running → draining → stopped) and drain
+deadline, and the admission queue, counters, breakers and ticket claims
+— none of which has a lock of its own.  Nothing that blocks or does
+I/O runs under it: engine builds and runs, backend calls, recovery-store
+I/O, metrics and slow-log recording, and waking a ticket's waiters.
 """
 
 from __future__ import annotations
@@ -69,6 +78,13 @@ _DRAIN_GRACE_SECONDS = 2.0
 _JOIN_TIMEOUT_SECONDS = 2.0
 #: Gauge encoding of breaker states for ``whirlpool_breaker_state``.
 _BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
+
+#: Lifecycle states: admission is open while new or running, and workers
+#: leave once the service is stopped and its queue is empty.
+_NEW = "new"
+_RUNNING = "running"
+_DRAINING = "draining"
+_STOPPED = "stopped"
 
 
 class WhirlpoolService:
@@ -207,19 +223,16 @@ class WhirlpoolService:
             for offset, name in enumerate(sorted(ALGORITHMS))
         }
         self._counters = ServiceCounters()
-        #: Fleet-wide engine counters: every finished run is merged in and
-        #: ``health()`` reads them, both under ``_stats_lock``, so a snapshot
-        #: never shows a half-merged run.
+        #: Fleet-wide engine counters: every served run is merged in when
+        #: its ticket is claimed, so a ``health()`` snapshot never shows a
+        #: half-merged run.
         self._engine_stats = ExecutionStats()
-        self._stats_lock = threading.Lock()
-        self._engine_lock = threading.Lock()
         self._engines: Dict[Tuple[str, str, bool], Engine] = {}
         self._ids = itertools.count(1)
-        self._started = False
-        self._stop = threading.Event()
-        self._stopped = threading.Event()
-        self._draining = threading.Event()
-        self._idle_cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._idle = threading.Condition(self._lock)
+        self._state = _NEW
         self._drain_deadline: Optional[float] = None
         self._threads: List[threading.Thread] = [
             threading.Thread(
@@ -235,11 +248,11 @@ class WhirlpoolService:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the worker pool (idempotent)."""
-        with self._engine_lock:
-            if self._started:
+        """Start the worker pool (idempotent; a drained service stays stopped)."""
+        with self._lock:
+            if self._state is not _NEW:
                 return
-            self._started = True
+            self._state = _RUNNING
         for thread in self._threads:
             thread.start()
 
@@ -257,24 +270,26 @@ class WhirlpoolService:
         still resolve it.
         """
         deadline = monotonic_seconds() + max(budget_seconds, 0.0)
-        self._draining.set()
-        with self._idle_cond:
-            self._drain_deadline = deadline
-        self._wait_idle(deadline)
-        self._shed_queued()
-        self._stop.set()
-        self._queue.close()
-        # Catch entries that raced past the draining check into the queue
-        # between the first sweep and the close.
-        self._shed_queued()
-        self._wait_idle(monotonic_seconds() + _DRAIN_GRACE_SECONDS)
+        with self._lock:
+            if self._state is not _STOPPED:
+                self._state = _DRAINING
+                self._drain_deadline = deadline
+            self._wait_idle(deadline)
+            # Admission closed when the state left running, in a critical
+            # section of its own, so this one sweep sheds everything left.
+            queued = self._queue.drain()
+            self._state = _STOPPED
+            self._work.notify_all()
+        self._shed_queued(queued)
+        with self._lock:
+            self._wait_idle(monotonic_seconds() + _DRAIN_GRACE_SECONDS)
         for thread in self._threads:
             if thread.ident is not None:  # never-started pools have nothing to join
                 thread.join(timeout=_JOIN_TIMEOUT_SECONDS)
         if self._backend is not None:
             self._backend.close()
-        self._stopped.set()
-        return self._counters.outstanding() == 0
+        with self._lock:
+            return self._counters.outstanding() == 0
 
     def __enter__(self) -> "WhirlpoolService":
         self.start()
@@ -291,7 +306,7 @@ class WhirlpoolService:
         A replaced handle's cached engines (and backend coordinator) are
         rebuilt over ``database`` at the next request that names it.
         """
-        with self._engine_lock:
+        with self._lock:
             self._documents[name] = database
 
     def submit(
@@ -311,9 +326,7 @@ class WhirlpoolService:
         engine snapshot: the run resumes from it instead of seeding.
         """
         request_id = next(self._ids)
-        ticket = Ticket(request, request_id)
-        ticket.restore_from = restore_from
-        ticket.span = self.obs.span(
+        span = self.obs.span(
             "request",
             lambda: {
                 "request_id": request_id,
@@ -325,13 +338,18 @@ class WhirlpoolService:
                 "priority": request.priority,
             },
         )
-        self._counters.record_submitted()
-        if self._stop.is_set() or self._draining.is_set():
-            self._finish(
-                ticket, QueryResponse(Outcome.REJECTED, request_id, reason="draining")
-            )
-            return ticket
-        verdict, evicted = self._queue.offer(ticket, request.priority, request_id)
+        # With observability on, the ticket carries the trace its run will
+        # report to (one per request, the engine's only observer).
+        trace = ExecutionTrace() if self.obs.enabled else None
+        ticket = Ticket(request, request_id, span, trace, restore_from)
+        with self._lock:
+            self._counters.record_submitted()
+            draining = self._state is _DRAINING or self._state is _STOPPED
+            if draining:
+                verdict, evicted = REJECTED, None
+            else:
+                verdict, evicted = self._queue.offer(ticket, request.priority, request_id)
+                self._work.notify()
         if evicted is not None:
             self._finish(
                 evicted.ticket,
@@ -345,7 +363,7 @@ class WhirlpoolService:
                 ),
             )
         if verdict == REJECTED:
-            reason = "draining" if self._draining.is_set() else "queue_full"
+            reason = "draining" if draining else "queue_full"
             self._finish(ticket, QueryResponse(Outcome.REJECTED, request_id, reason=reason))
         elif verdict == SHED:
             self._finish(ticket, QueryResponse(Outcome.SHED, request_id, reason="policy"))
@@ -354,33 +372,41 @@ class WhirlpoolService:
     # -- observability -----------------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        """One consistent snapshot of queue, breakers, workers, counters.
+        """One snapshot of queue, breakers, workers, counters.
 
-        ``ok`` is the liveness verdict: accepting work with the pool
-        intact.  ``metrics`` and ``slow_queries`` are ``None`` without
-        observability, ``recovery`` (``{"pending_snapshots": n}``) without
-        a recovery store, and ``backend`` (the backend's own ``health()``)
-        for in-process execution.
+        The queue depth, breakers, counters, engine statistics and
+        lifecycle state are read in one critical section, so they agree
+        with each other.  ``ok`` is the liveness verdict: accepting work
+        with the pool intact.  ``metrics`` and ``slow_queries`` are
+        ``None`` without observability, ``recovery``
+        (``{"pending_snapshots": n}``) without a recovery store, and
+        ``backend`` (the backend's own ``health()``) for in-process
+        execution.
         """
-        draining = self._draining.is_set()
-        stopped = self._stopped.is_set()
+        with self._lock:
+            state = self._state
+            queue_depth = len(self._queue)
+            breakers = {
+                name: breaker.snapshot() for name, breaker in sorted(self._breakers.items())
+            }
+            counters = self._counters.as_dict()
+            engine_stats = self._engine_stats.as_dict()
+        # A drained service reports draining too, as it always has.
+        draining = state is _DRAINING or state is _STOPPED
+        stopped = state is _STOPPED
         workers_alive = sum(1 for thread in self._threads if thread.is_alive())
         workers_total = len(self._threads)
-        with self._stats_lock:
-            engine_stats = self._engine_stats.as_dict()
         return {
-            "ok": not draining and not stopped and workers_alive == workers_total,
-            "queue_depth": self._queue.depth(),
+            "ok": not draining and workers_alive == workers_total,
+            "queue_depth": queue_depth,
             "queue_capacity": self._queue.capacity,
             "overload_policy": self._queue.policy.value,
             "draining": draining,
             "stopped": stopped,
             "workers_alive": workers_alive,
             "workers_total": workers_total,
-            "breakers": {
-                name: breaker.snapshot() for name, breaker in sorted(self._breakers.items())
-            },
-            "counters": self._counters.as_dict(),
+            "breakers": breakers,
+            "counters": counters,
             "engine_stats": engine_stats,
             "metrics": self.obs.registry.as_dict() if self.obs.enabled else None,
             "slow_queries": (
@@ -415,12 +441,15 @@ class WhirlpoolService:
     # -- the worker pool ---------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        # take() blocks until an entry arrives, and returns None once
-        # drain() has closed the queue and nothing is left in it.
-        while not self._stop.is_set():
-            entry = self._queue.take()
-            if entry is None:
-                return
+        # An idle worker waits for an admission; drain() wakes it once the
+        # service is stopped, which it leaves with an empty queue.
+        while True:
+            with self._lock:
+                while not self._queue:
+                    if self._state is _STOPPED:
+                        return
+                    self._work.wait()
+                entry = self._queue.pop()
             try:
                 self._execute(entry)
             except Exception as exc:  # crash containment: resolve, keep serving
@@ -456,7 +485,19 @@ class WhirlpoolService:
             degraded_by_service = True
             span.event("service_degrade", k=k, remaining_seconds=remaining)
 
-        drain_deadline = self._drain_deadline_snapshot()
+        # One critical section reads what the run needs of the service: a
+        # warm engine gets its breaker here too, a cold one after its build.
+        # A cached engine is reused only while its database is the one the
+        # handle names now (the one replacement rule ``ClusterBackend``
+        # follows for its coordinators too).
+        key = (request.document, request.xpath, request.relaxed)
+        with self._lock:
+            drain_deadline = self._drain_deadline
+            database = self._documents.get(request.document)
+            engine = self._engines.get(key)
+            if engine is not None and engine.database is not database:
+                engine = None
+            chosen = self._choose_algorithm(request) if engine is not None else None
         if drain_deadline is not None:
             drain_remaining = drain_deadline - monotonic_seconds()
             remaining = (
@@ -467,8 +508,6 @@ class WhirlpoolService:
         if remaining is not None:
             remaining = max(remaining, _MIN_DEADLINE_SECONDS)
 
-        with self._engine_lock:
-            database = self._documents.get(request.document)
         if database is None:
             self._fail(
                 ticket,
@@ -484,17 +523,20 @@ class WhirlpoolService:
             )
             return
 
-        try:
-            engine = self._engine_for(request, database)
-        except ReproError as exc:
-            self._fail(ticket, "bad_request", exc, queue_wait_seconds=wait)
-            return
+        if engine is None:
+            try:
+                built = Engine(database, request.xpath, relaxed=request.relaxed)
+            except ReproError as exc:
+                self._fail(ticket, "bad_request", exc, queue_wait_seconds=wait)
+                return
+            with self._lock:
+                # Two workers may have built concurrently; first one wins so
+                # cached runs share one index / score model.
+                engine = self._engines.get(key)
+                if engine is None or engine.database is not database:
+                    self._engines[key] = engine = built
+                chosen = self._choose_algorithm(request)
 
-        chosen: Optional[str] = None
-        for candidate in (request.algorithm,) + fallback_chain(request.algorithm):
-            if self._breakers[candidate].allow():
-                chosen = candidate
-                break
         if chosen is None:
             # Breakers refused everywhere: persist the envelope so the
             # request survives the outage instead of being abandoned.
@@ -517,13 +559,12 @@ class WhirlpoolService:
         if fallback_from is not None:
             span.event("breaker_fallback", requested=fallback_from, chosen=chosen)
 
-        # One trace per run, the engine's only observer: record_run folds
+        # The ticket's trace is the run's only observer: record_run folds
         # the engine metrics from it after the run, and it feeds the
         # slow-query log's routing history and failure-report tails.
-        trace: Optional[ExecutionTrace] = None
+        trace = ticket.trace
         engine_span = NULL_SPAN
         if self.obs.enabled:
-            trace = ticket.trace = ExecutionTrace()
             engine_span = span.child(
                 "engine", {"algorithm": chosen, "routing": request.routing, "k": k}
             )
@@ -562,7 +603,6 @@ class WhirlpoolService:
                 restore_from=ticket.restore_from,
             )
         except Exception as exc:
-            self._breakers[chosen].record_failure()
             # A mid-run checkpoint (if any) is already persisted and
             # holds real engine state; otherwise fall back to an
             # envelope-only snapshot so the request is still resumable.
@@ -578,6 +618,7 @@ class WhirlpoolService:
                 "engine_error",
                 exc,
                 engine_span,
+                healthy=False,
                 algorithm_used=chosen,
                 fallback_from=fallback_from,
                 queue_wait_seconds=wait,
@@ -586,13 +627,9 @@ class WhirlpoolService:
 
         # Breaker health: a raise or abandoned work is a failure; a
         # budget-degraded anytime result is the contract working.
-        abandoned = result.failure is not None and bool(result.failure.failed_matches)
-        if abandoned:
-            self._breakers[chosen].record_failure()
-        else:
-            self._breakers[chosen].record_success()
+        healthy = result.failure is None or not result.failure.failed_matches
         self._serve(
-            ticket, result, engine_span, chosen, fallback_from, wait, degraded_by_service
+            ticket, result, engine_span, chosen, fallback_from, wait, degraded_by_service, healthy
         )
 
     def _execute_on_backend(
@@ -631,23 +668,14 @@ class WhirlpoolService:
 
     # -- internals ---------------------------------------------------------------
 
-    def _engine_for(self, request: QueryRequest, database: Database) -> Engine:
-        """The cached engine for ``request``, rebuilt when its document's
-        handle now names another database (the one replacement rule
-        ``ClusterBackend`` follows for its coordinators too)."""
-        key = (request.document, request.xpath, request.relaxed)
-        with self._engine_lock:
-            engine = self._engines.get(key)
-        if engine is not None and engine.database is database:
-            return engine
-        built = Engine(database, request.xpath, relaxed=request.relaxed)
-        with self._engine_lock:
-            # Two workers may have built concurrently; first one wins so
-            # cached runs share one index / score model.
-            cached = self._engines.get(key)
-            if cached is None or cached.database is not database:
-                self._engines[key] = cached = built
-            return cached
+    def _choose_algorithm(self, request: QueryRequest) -> Optional[str]:
+        """The first algorithm along the request's fallback chain whose
+        breaker lets it run, or ``None`` (the caller holds the lock)."""
+        for candidate in (request.algorithm,) + fallback_chain(request.algorithm):
+            breaker: CircuitBreaker = self._breakers[candidate]
+            if breaker.allow():
+                return candidate
+        return None
 
     def _serve(
         self,
@@ -658,16 +686,16 @@ class WhirlpoolService:
         fallback_from: Optional[str],
         wait: float,
         degraded_by_service: bool,
+        healthy: Optional[bool] = None,
     ) -> None:
-        """A run returned: close its span, fold it into the aggregates
-        and resolve its ticket."""
+        """A run returned: close its span and resolve its ticket, which
+        folds the run into the aggregates (``healthy`` as :meth:`_finish`)."""
         self._discard_snapshot(ticket.request_id)
         run_span.annotate("algorithm_used", algorithm_used)
         run_span.annotate("server_operations", result.stats.server_operations)
         run_span.annotate("routing_decisions", result.stats.routing_decisions)
         run_span.annotate("degraded", result.degraded)
         run_span.finish()
-        self._fold_stats(result.stats)
         degraded = result.degraded or degraded_by_service
         outcome = Outcome.DEGRADED if degraded else Outcome.SERVED
         if self.obs.enabled:
@@ -690,6 +718,7 @@ class WhirlpoolService:
                 queue_wait_seconds=wait,
                 degraded_by_service=degraded_by_service,
             ),
+            healthy,
         )
 
     def _fail(
@@ -698,33 +727,52 @@ class WhirlpoolService:
         reason: str,
         exc: Exception,
         run_span: Span = NULL_SPAN,
+        healthy: Optional[bool] = None,
         **fields: Any,
     ) -> None:
-        """Resolve ``ticket`` as FAILED on ``exc``, which ends ``run_span``."""
+        """Resolve ``ticket`` as FAILED on ``exc``, which ends ``run_span``
+        (``healthy`` as :meth:`_finish`)."""
         error = f"{type(exc).__name__}: {exc}"
         run_span.annotate("error", error)
         run_span.finish()
         self._finish(
             ticket,
             QueryResponse(Outcome.FAILED, ticket.request_id, reason=reason, error=error, **fields),
+            healthy,
         )
 
-    def _fold_stats(self, stats: ExecutionStats) -> None:
-        """Merge one finished run's counters into the fleet-wide aggregate."""
-        with self._stats_lock:
-            self._engine_stats.merge(stats)
+    def _finish(
+        self, ticket: Ticket, response: QueryResponse, healthy: Optional[bool] = None
+    ) -> bool:
+        """Resolve ``ticket`` with ``response`` unless it already has an
+        outcome; ``healthy`` (when not ``None``) is the run's verdict for
+        the breaker of ``response.algorithm_used``.
 
-    def _finish(self, ticket: Ticket, response: QueryResponse) -> bool:
-        if not ticket.claim(response):
-            return False
-        # Record, then publish: a client that reads health() or the slow
-        # log right after result() must find this request already in them.
-        try:
+        One critical section feeds the breaker, claims the ticket, counts
+        the outcome and folds a served run's statistics into the
+        fleet-wide aggregate; metrics, the slow log and waking the
+        ticket's waiters follow outside the lock."""
+        with self._lock:
+            if healthy is not None:
+                breaker: CircuitBreaker = self._breakers[str(response.algorithm_used)]
+                if healthy:
+                    breaker.record_success()
+                else:
+                    breaker.record_failure()
+            if not ticket.claim(response):
+                return False
             self._counters.record_outcome(
                 response.outcome,
                 fallback=response.fallback_from is not None,
                 queue_wait=response.queue_wait_seconds,
             )
+            if response.result is not None:
+                self._engine_stats.merge(response.result.stats)
+            queue_depth = len(self._queue)
+            self._idle.notify_all()
+        # Record, then publish: a client that reads health() or the slow
+        # log right after result() must find this request already in them.
+        try:
             span = ticket.span
             if span is not NULL_SPAN:
                 # claim() was first-wins, so exactly one caller runs this
@@ -734,15 +782,13 @@ class WhirlpoolService:
                 if response.reason:
                     span.annotate("reason", response.reason)
                 span.finish()
-                self._record_request(ticket, response, span)
+                self._record_request(ticket, response, span, queue_depth)
         finally:
             ticket.publish()
-        with self._idle_cond:
-            self._idle_cond.notify_all()
         return True
 
     def _record_request(
-        self, ticket: Ticket, response: QueryResponse, span: Span
+        self, ticket: Ticket, response: QueryResponse, span: Span, queue_depth: int
     ) -> None:
         """Request-level metrics + slow-query capture (before waiters wake)."""
         request = ticket.request
@@ -753,7 +799,7 @@ class WhirlpoolService:
         self._m_requests.labels(algorithm, routing, outcome).inc()
         self._m_latency.labels(algorithm, routing, outcome).observe(latency)
         self._m_queue_wait_child.observe(response.queue_wait_seconds)
-        self._m_admission_depth_child.set(self._queue.depth())
+        self._m_admission_depth_child.set(queue_depth)
         slow_log = self.obs.slow_log
         if slow_log is not None and slow_log.over_budget(latency):
             self._m_slow_child.inc()
@@ -776,15 +822,16 @@ class WhirlpoolService:
             )
 
     def _on_breaker_transition(self, name: str, old_state: str, new_state: str) -> None:
-        """Breaker listener (called under the breaker's lock — metrics only)."""
+        """Breaker listener (called under the service lock — metrics only)."""
         self._m_breaker_transitions.labels(name, old_state, new_state).inc()
         self._m_breaker_state.labels(name).set(
             _BREAKER_STATE_CODES.get(new_state, -1.0)
         )
 
-    def _shed_queued(self) -> None:
+    def _shed_queued(self, entries: List[AdmittedRequest]) -> None:
+        """Resolve the entries drain swept from the queue ``SHED``."""
         now = monotonic_seconds()
-        for entry in self._queue.drain():
+        for entry in entries:
             # Drain sheds the request from *this* service lifetime, but
             # with a store configured the envelope survives for
             # recover() — shed-with-snapshot, not silent loss.
@@ -855,7 +902,8 @@ class WhirlpoolService:
             store.save(self._snapshot_key(ticket.request_id), payload)
         except Exception:
             return
-        self._counters.record_snapshot_saved()
+        with self._lock:
+            self._counters.record_snapshot_saved()
         self._m_recovery_snapshots.labels(origin).inc()
 
     def _discard_snapshot(self, request_id: int) -> None:
@@ -925,7 +973,8 @@ class WhirlpoolService:
                 validate_snapshot(engine_snapshot, request.k, pattern, request.relaxed)
             except ReproError:
                 engine_snapshot = None
-            self._counters.record_recovered()
+            with self._lock:
+                self._counters.record_recovered()
             self._m_recovered_child.inc()
             tickets.append(self.submit(request, restore_from=engine_snapshot))
         return {
@@ -935,22 +984,18 @@ class WhirlpoolService:
             "tickets": tickets,
         }
 
-    def _drain_deadline_snapshot(self) -> Optional[float]:
-        with self._idle_cond:
-            return self._drain_deadline
-
-    def _wait_idle(self, deadline: float) -> bool:
-        with self._idle_cond:
-            while self._counters.outstanding() > 0:
-                remaining = deadline - monotonic_seconds()
-                if remaining <= 0:
-                    return False
-                self._idle_cond.wait(remaining)
-            return True
+    def _wait_idle(self, deadline: float) -> None:
+        """Wait (the caller holds the lock) until every submitted request
+        has its outcome or ``deadline`` passes."""
+        while self._counters.outstanding() > 0:
+            remaining = deadline - monotonic_seconds()
+            if remaining <= 0:
+                return
+            self._idle.wait(remaining)
 
     def __repr__(self) -> str:
         return (
             f"WhirlpoolService(workers={len(self._threads)}, "
-            f"queue={self._queue.depth()}/{self._queue.capacity}, "
+            f"queue={len(self._queue)}/{self._queue.capacity}, "
             f"policy={self._queue.policy.value})"
         )

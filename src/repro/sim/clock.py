@@ -15,20 +15,19 @@ Two implementations:
 - :class:`RealClock` — the default.  ``now()`` is the same monotonic
   source as :func:`repro.core.stats.monotonic_seconds` (kept textually
   separate so this module imports nothing above the foundation layer);
-  ``sleep``/``wait`` really block.
+  ``sleep`` really blocks.
 - :class:`VirtualClock` — time-warp semantics.  ``now()`` is real
-  monotonic time **plus a warp offset**; every ``sleep(d)`` (and every
-  pacing ``wait`` that would have timed out) adds ``d`` to the offset
-  and returns immediately.  Time therefore always advances at least as
+  monotonic time **plus a warp offset**; every ``sleep(d)`` adds ``d``
+  to the offset and returns immediately.  Time therefore always advances at least as
   fast as real time — cross-process liveness deadlines, socket timeouts
   and hang detection keep working — but injected delays, retry backoff
   and probe intervals cost nothing.  The warp total is recorded so the
   harness can report how much wall clock a simulated run avoided.
 
-The two wait flavours matter:
+Pacing and progress are told apart:
 
-- :meth:`Clock.wait` is a **pacing** wait (an interruptible sleep on an
-  event, e.g. supervisor backoff).  The virtual clock warps past it.
+- :meth:`Clock.sleep` is **pacing** (supervisor backoff, an injected
+  DELAY).  The virtual clock warps past it.
 - :meth:`Clock.wait_for` is a **progress** wait (a condition predicate
   another thread will make true, e.g. the coordinator's query slot).
   Both clocks block for real here — under a virtual clock the waiter's
@@ -53,7 +52,7 @@ from typing import Callable, Dict, Iterator, Optional
 
 
 class Clock:
-    """Base clock: real time.  Subclasses override the four primitives."""
+    """Base clock: real time.  Subclasses override the three primitives."""
 
     name = "real"
 
@@ -65,15 +64,6 @@ class Clock:
         """Pacing sleep: block for ``seconds`` (no-op when <= 0)."""
         if seconds > 0:
             time.sleep(seconds)
-
-    def wait(self, event: threading.Event, timeout: Optional[float]) -> bool:
-        """Pacing wait on ``event``; True when the event is set.
-
-        Semantically an interruptible sleep — the caller is pacing
-        (backoff, probe interval), not waiting for progress it cannot
-        otherwise observe.
-        """
-        return event.wait(timeout)
 
     def wait_for(
         self,
@@ -106,8 +96,8 @@ class RealClock(Clock):
 class VirtualClock(Clock):
     """Time-warp clock: sleeps advance virtual time instead of blocking.
 
-    ``now() = monotonic + offset``; :meth:`sleep` and a timed-out
-    :meth:`wait` add their duration to ``offset``.  Monotonicity is
+    ``now() = monotonic + offset``; :meth:`sleep` adds its duration to
+    ``offset``.  Monotonicity is
     preserved (the offset only grows), and because real time keeps
     flowing underneath, waits on genuine cross-thread or cross-process
     progress behave exactly as they do under :class:`RealClock`.
@@ -138,17 +128,6 @@ class VirtualClock(Clock):
         # Yield the GIL the way a real sleep would, so thread interleaving
         # under Whirlpool-M keeps its chance to rotate at former sleep sites.
         time.sleep(0)
-
-    def wait(self, event: threading.Event, timeout: Optional[float]) -> bool:
-        if event.is_set():
-            return True
-        if timeout is None:
-            # An unbounded pacing wait cannot be warped past (there is no
-            # duration to credit); fall back to the real wait.
-            return event.wait()
-        self._warp(timeout)
-        time.sleep(0)
-        return event.is_set()
 
     def stats(self) -> Dict[str, float]:
         with self._lock:
@@ -223,11 +202,6 @@ def now() -> float:
 def sleep(seconds: float) -> None:
     """``get_clock().sleep(seconds)`` — the sanctioned pacing sleep."""
     get_clock().sleep(seconds)
-
-
-def wait(event: threading.Event, timeout: Optional[float]) -> bool:
-    """``get_clock().wait(...)`` — the sanctioned interruptible sleep."""
-    return get_clock().wait(event, timeout)
 
 
 def wait_for(

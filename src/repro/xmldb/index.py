@@ -146,14 +146,6 @@ class TagIndex:
         self._deweys: List[Dewey] = [node.dewey for node in self.nodes]
         self.cost = ProbeCost()
 
-    def insert(self, node: XMLNode) -> None:
-        """Insert one node, keeping document order."""
-        if node.tag != self.tag:
-            raise ValueError(f"node tag {node.tag!r} does not match index tag {self.tag!r}")
-        position = bisect.bisect_left(self._deweys, node.dewey)
-        self.nodes.insert(position, node)
-        self._deweys.insert(position, node.dewey)
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -319,35 +311,19 @@ class ColumnarTagIndex(TagIndex):
     re-check, so descendant probes are pure slices.
 
     Shared across Whirlpool-M server threads and service workers like
-    every index: reads are lock-free over immutable-once-built arrays,
-    and :meth:`insert` (rare — bulk construction goes through
-    ``__init__``, from a document-ordered node list as
-    :class:`TagIndex`'s) swaps freshly built columns under ``_lock``.
+    every index: it is built once, from a document-ordered node list as
+    :class:`TagIndex` is, and reads take no lock.
     """
 
     backend = "columnar"
 
-    __slots__ = ("_arena", "_offsets", "_lock")
+    __slots__ = ("_arena", "_offsets")
 
     def __init__(self, tag: str, nodes: Iterable[XMLNode] = ()) -> None:
         self.tag = tag
         self.nodes = list(nodes)
         self._arena, self._offsets = _build_columns(self.nodes)
-        self._lock = threading.Lock()
         self.cost = ProbeCost()
-
-    def insert(self, node: XMLNode) -> None:
-        """Insert one node, keeping document order (rebuilds the columns)."""
-        if node.tag != self.tag:
-            raise ValueError(f"node tag {node.tag!r} does not match index tag {self.tag!r}")
-        with self._lock:
-            position = self._bisect(array("I", node.dewey))
-            nodes = list(self.nodes)
-            nodes.insert(position, node)
-            arena, offsets = _build_columns(nodes)
-            self.nodes = nodes
-            self._arena = arena
-            self._offsets = offsets
 
     # -- arena search ------------------------------------------------------
 
@@ -443,28 +419,12 @@ class ColumnarTagIndex(TagIndex):
         return count
 
 
-class _EmptyTagIndex(TagIndex):
-    """Shared immutable placeholder returned for lookups of absent tags.
-
-    One instance serves every missing tag of every database: the read
-    path of :meth:`DatabaseIndex.__getitem__` must never mutate shared
-    state (the service layer shares one index across worker threads), so
-    a miss cannot allocate-and-cache per tag.  ``insert`` is refused —
-    anything that wants a mutable per-tag index must go through
-    ``DatabaseIndex.indexes`` explicitly.
-    """
-
-    __slots__ = ()
-
-    def insert(self, node: XMLNode) -> None:
-        raise TypeError(
-            "the shared empty TagIndex is immutable; register the tag on "
-            "the DatabaseIndex before inserting nodes"
-        )
-
-
-#: The one shared miss result (empty node list, placeholder tag).
-_EMPTY_TAG_INDEX = _EmptyTagIndex("")
+#: The one shared miss result (empty node list, placeholder tag): every
+#: missing tag of every database reads it, because the read path of
+#: :meth:`DatabaseIndex.__getitem__` must never mutate shared state (the
+#: service layer shares one index across worker threads), so a miss
+#: cannot allocate-and-cache per tag.  No index is mutated once built.
+_EMPTY_TAG_INDEX = TagIndex("")
 
 _BACKEND_CLASSES: Dict[str, type] = {
     "object": TagIndex,

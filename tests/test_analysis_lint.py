@@ -21,7 +21,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.lint.engine import Finding, Rule
 from repro.analysis.lint.rules import SHARED_CLASSES
-from repro.analysis.racecheck import ENGINE_LOCKED_CLASSES
+from repro.analysis.racecheck import OWNER_LOCKED_CLASSES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 REPO_SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -246,8 +246,8 @@ class TestNameResolution:
 
     def test_shared_classes_name_real_classes(self):
         # WPL001 matches these names and racecheck imports these classes
-        # (with the engine-locked ones), so each must exist.
-        for dotted in SHARED_CLASSES + ENGINE_LOCKED_CLASSES:
+        # (with the owner-locked ones), so each must exist.
+        for dotted in SHARED_CLASSES + OWNER_LOCKED_CLASSES:
             module, _, name = dotted.rpartition(".")
             cls = getattr(importlib.import_module(module), name, None)
             assert inspect.isclass(cls) and cls.__module__ == module, dotted

@@ -12,7 +12,6 @@ from repro.xmldb.index import (
     MAX_ARENA_COMPONENT,
     ColumnarTagIndex,
     DatabaseIndex,
-    TagIndex,
     resolve_index_backend,
 )
 from repro.xmldb.model import Database, XMLNode, build_tree
@@ -32,21 +31,6 @@ class TestTagIndex:
         deweys = [node.dewey for node in index["c"].all()]
         assert deweys == sorted(deweys)
         assert len(deweys) == 5
-
-    def test_insert_keeps_order(self):
-        db = parse_document("<a><b/><b/></a>")
-        index = TagIndex("b", db.nodes_with_tag("b"))
-        late = XMLNode("b")
-        db.documents[0].root.add_child(late)
-        index.insert(late)
-        deweys = [node.dewey for node in index.all()]
-        assert deweys == sorted(deweys)
-        assert len(index) == 3
-
-    def test_insert_rejects_wrong_tag(self):
-        index = TagIndex("b")
-        with pytest.raises(ValueError):
-            index.insert(XMLNode("c"))
 
     def test_in_subtree(self, small_db):
         index = DatabaseIndex(small_db)
@@ -164,23 +148,6 @@ class TestColumnarTagIndex:
         root = db.documents[0].root
         hits = index.related(root.dewey, DepthRange(2, None))
         assert [len(node.dewey) - len(root.dewey) for node in hits] == [2, 3]
-
-    def test_insert_keeps_order_and_columns(self):
-        db = parse_document("<a><b/><b/></a>")
-        index = ColumnarTagIndex("b", db.nodes_with_tag("b"))
-        late = XMLNode("b")
-        db.documents[0].root.add_child(late)
-        index.insert(late)
-        deweys = [node.dewey for node in index.all()]
-        assert deweys == sorted(deweys)
-        assert len(index) == 3
-        root = db.documents[0].root
-        assert index.in_subtree(root.dewey) == index.all()
-
-    def test_insert_rejects_wrong_tag(self):
-        index = ColumnarTagIndex("b")
-        with pytest.raises(ValueError):
-            index.insert(XMLNode("c"))
 
     def test_oversized_component_rejected(self):
         node = XMLNode("b")

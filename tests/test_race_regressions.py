@@ -14,20 +14,16 @@ worker threads, each fixed in this layer-by-layer shape:
 - ``ExecutionStats.as_dict()`` / ``ServiceCounters.as_dict()`` read
   counters field-by-field while ``record_*``/``merge`` writers were
   mid-update, so ``health()`` could report torn half-merged totals.
-  Snapshots now hold the writers' lock: the counters' own, and for the
-  service's fleet-wide ``ExecutionStats`` aggregate (which has no lock of
-  its own) the service's.
+  Neither has a lock of its own: the service writes both, and
+  ``health()`` reads both with its queue depth, under its one lock.
 """
 
 import sys
 import threading
 
-import pytest
-
 from repro.core.engine import Engine
 from repro.core.stats import ExecutionStats
-from repro.service import Outcome, WhirlpoolService
-from repro.service.health import ServiceCounters
+from repro.service import Outcome, QueryRequest, WhirlpoolService
 from repro.xmldb.index import _EMPTY_TAG_INDEX, DatabaseIndex
 
 
@@ -58,9 +54,6 @@ class TestDatabaseIndexMissRead:
         assert index["missing_a"] is index["missing_b"]
         other = DatabaseIndex(books_db, tags=("book",))
         assert other["missing_a"] is index["missing_a"]
-        with pytest.raises(TypeError):
-            miss = index["missing_a"]
-            miss.insert(next(books_db.iter_nodes()))
 
     def test_concurrent_miss_reads_leave_index_unchanged(self, books_db):
         index = DatabaseIndex(books_db)
@@ -139,7 +132,9 @@ class TestExecutionStatsSnapshot:
         def merger():
             started.wait()
             for _ in range(MERGES):
-                service._fold_stats(donor)
+                # The fold a served request's resolution makes.
+                with service._lock:
+                    service._engine_stats.merge(donor)
             stop.set()
 
         def snapshotter():
@@ -182,34 +177,55 @@ class TestOneCounterList:
 
 
 class TestServiceCountersSnapshot:
-    def test_snapshot_never_tears_mid_record(self):
-        counters = ServiceCounters()
+    def test_snapshot_never_tears_mid_record(self, books_db, service_constants):
+        # whirlpool_m's breaker is open throughout, so every request
+        # resolves via the fallback chain: a fallback and its outcome are
+        # recorded in one critical section.
+        service_constants(MIN_CALLS=2, WINDOW=4, OPEN_SECONDS=60.0)
+        # More workers than a 2-core machine has cores.
+        service = WhirlpoolService({"books": books_db}, workers=3, auto_start=False)
+        for _ in range(2):
+            service.breaker("whirlpool_m").record_failure()
+        service.start()
         stop = threading.Event()
+        started = threading.Barrier(4, timeout=10)
         torn = []
         outcome_keys = [outcome.value for outcome in Outcome]
 
-        def recorder():
-            for _ in range(3000):
-                counters.record_submitted()
-                counters.record_outcome(
-                    Outcome.SERVED, fallback=True, queue_wait=0.001
-                )
-            stop.set()
+        def submitter():
+            started.wait()
+            for _ in range(150):
+                request = QueryRequest("books", "/book[.//title]", k=2, algorithm="whirlpool_m")
+                service.submit(request).result(timeout=30.0)
 
         def snapshotter():
+            started.wait()
             while not stop.is_set():
-                snapshot = counters.as_dict()
-                resolved = sum(snapshot[key] for key in outcome_keys)
+                health = service.health()
+                counters = health["counters"]
+                resolved = sum(counters[key] for key in outcome_keys)
                 # Invariants a torn read would break: fallback rides the
-                # same locked section as the outcome bump, and nothing
-                # resolves without having been submitted.
-                if snapshot["fallbacks"] != resolved:
-                    torn.append(("fallbacks", snapshot))
-                if resolved > snapshot["submitted"]:
-                    torn.append(("resolved>submitted", snapshot))
+                # same locked section as the outcome bump, nothing
+                # resolves without having been submitted, and a queued
+                # request is submitted and not yet resolved.
+                if counters["fallbacks"] != resolved:
+                    torn.append(("fallbacks", health))
+                if resolved > counters["submitted"]:
+                    torn.append(("resolved>submitted", health))
+                if health["queue_depth"] > counters["submitted"] - resolved:
+                    torn.append(("queue_depth", health))
 
-        run_threads(recorder, snapshotter, snapshotter)
+        def submitters():
+            run_threads(submitter, submitter)
+            stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(submitters, snapshotter, snapshotter)
+        finally:
+            sys.setswitchinterval(interval)
         assert torn == [], f"torn snapshots observed: {torn[:3]}"
-        assert counters.submitted() == 3000
-        assert counters.resolved() == 3000
-        assert counters.outstanding() == 0
+        assert service.drain(budget_seconds=5.0)
+        counters = service.health()["counters"]
+        assert counters["submitted"] == counters["served"] == counters["fallbacks"] == 300

@@ -129,6 +129,10 @@ class TestWhirlpoolMClean:
             "FaultInjector",
             "Supervisor",
             "ProbeMemo",
+            "AdmissionQueue",
+            "CircuitBreaker",
+            "ServiceCounters",
+            "Ticket",
         } <= names
 
     def test_whirlpool_m_run_has_no_findings(self):

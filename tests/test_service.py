@@ -54,7 +54,7 @@ class TestAdmissionQueue:
         verdict, evicted = offer(queue, 3)
         assert verdict == REJECTED
         assert evicted is None
-        assert queue.depth() == 2
+        assert len(queue) == 2
 
     def test_shed_oldest_evicts_earliest_admission(self):
         queue = AdmissionQueue(2, policy=OverloadPolicy.SHED_OLDEST)
@@ -88,7 +88,7 @@ class TestAdmissionQueue:
         offer(queue, 2, priority=5)
         offer(queue, 3, priority=5)
         offer(queue, 4, priority=3)
-        order = [queue.take().seq for _ in range(4)]
+        order = [queue.pop().seq for _ in range(4)]
         assert order == [2, 3, 4, 1]
         assert len(queue) == 0
 
@@ -106,29 +106,6 @@ class TestAdmissionQueue:
         offer(queue, 2)
         verdict, _ = offer(queue, 3)
         assert verdict == REJECTED
-
-    def test_close_refuses_admission_and_drains_cleanly(self):
-        queue = AdmissionQueue(2)
-        offer(queue, 1)
-        queue.close()
-        verdict, _ = offer(queue, 2)
-        assert verdict == REJECTED
-        # Closed-but-nonempty still hands entries to consumers; closed and
-        # empty, take() returns at once.
-        assert queue.take().seq == 1
-        assert queue.take() is None
-
-    def test_close_wakes_a_consumer_blocked_on_an_empty_queue(self):
-        queue = AdmissionQueue(2)
-        taken = []
-        consumer = threading.Thread(target=lambda: taken.append(queue.take()), daemon=True)
-        consumer.start()
-        consumer.join(timeout=0.05)
-        assert consumer.is_alive()  # blocked: nothing queued, not closed
-        queue.close()
-        consumer.join(timeout=5.0)
-        assert not consumer.is_alive()
-        assert taken == [None]
 
 
 class FakeClock:
@@ -322,6 +299,54 @@ class TestServiceLifecycle:
             response = ticket.result(timeout=1.0)
             assert response.outcome is Outcome.SHED
             assert response.reason == "drain"
+
+    def test_drain_wakes_idle_workers_and_joins_them(self, xmark_db):
+        service = WhirlpoolService({"auction": xmark_db}, workers=2)
+        time.sleep(0.05)
+        # Idle: nothing queued, not stopped, so both workers wait.
+        assert service.health()["workers_alive"] == 2
+        assert service.drain(budget_seconds=1.0)
+        assert service.health()["workers_alive"] == 0
+
+    def test_submit_racing_drain_gets_exactly_one_outcome(self, xmark_db, monkeypatch):
+        sweeps = []
+        sweep = AdmissionQueue.drain
+        monkeypatch.setattr(
+            AdmissionQueue, "drain", lambda queue: sweeps.append(len(queue)) or sweep(queue)
+        )
+        service = WhirlpoolService({"auction": xmark_db}, workers=1, queue_depth=64)
+        tickets = []
+        submitting = threading.Event()
+
+        def submitter():
+            # Submit until admission refuses for draining; a refused
+            # ticket is resolved before submit returns.
+            while True:
+                ticket = service.submit(QueryRequest("auction", QUERY, k=3))
+                tickets.append(ticket)
+                submitting.set()
+                response = ticket.peek()
+                if response is not None and response.reason == "draining":
+                    return
+
+        thread = threading.Thread(target=submitter, name="racing-submitter")
+        thread.start()
+        assert submitting.wait(timeout=5.0)
+        assert service.drain(budget_seconds=0.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+        assert len(sweeps) == 1  # drain swept the queue once
+        responses = [ticket.result(timeout=1.0) for ticket in tickets]
+        for ticket, response in zip(tickets, responses):
+            assert not ticket.claim(response)
+        counters = service.health()["counters"]
+        assert counters["submitted"] == len(tickets)
+        for outcome in Outcome:
+            assert counters[outcome.value] == sum(
+                1 for response in responses if response.outcome is outcome
+            )
+        assert responses[-1].reason == "draining"
 
     def test_worker_validation(self):
         with pytest.raises(ServiceError):

@@ -1,7 +1,7 @@
 """The clock seam: warp semantics, seam routing, and chaos equivalence.
 
 The contract under test (docs/simulation.md): a ``VirtualClock`` warps
-pacing sleeps and timed-out pacing waits into offset arithmetic — time
+pacing sleeps into offset arithmetic — time
 always advances at least as fast as real time — while progress waits
 (``wait_for``) are never simulated away.  Because every timed path in
 ``src/repro`` routes through :mod:`repro.sim.clock` (lint rule WPL010),
@@ -69,34 +69,6 @@ class TestVirtualClock:
         snap = clock.stats()
         assert snap["sleeps"] == 2
         assert snap["warped_seconds"] == pytest.approx(3.5)
-
-    def test_wait_returns_true_on_set_event_without_warping(self):
-        clock = VirtualClock()
-        event = threading.Event()
-        event.set()
-        assert clock.wait(event, 10.0) is True
-        assert clock.stats()["warped_seconds"] == 0.0
-
-    def test_wait_warps_past_a_timeout_that_would_expire(self):
-        clock = VirtualClock()
-        event = threading.Event()
-        before = clock.now()
-        started = time.monotonic()
-        assert clock.wait(event, 20.0) is False
-        assert time.monotonic() - started < 1.0
-        assert clock.now() - before >= 20.0
-
-    def test_unbounded_wait_is_a_real_wait(self):
-        # No timeout means no duration to credit: the virtual clock must
-        # genuinely block until another thread sets the event.
-        clock = VirtualClock()
-        event = threading.Event()
-        setter = threading.Timer(0.05, event.set)
-        setter.start()
-        try:
-            assert clock.wait(event, None) is True
-        finally:
-            setter.cancel()
 
     @pytest.mark.parametrize("clock", [RealClock(), VirtualClock()])
     def test_wait_for_is_a_progress_wait_on_both_clocks(self, clock):
